@@ -30,7 +30,8 @@ import numpy as np
 from . import engine
 from .errors import DomainError, UnsupportedCombination
 from .evl import pack_word
-from .hts import TargetSet, _digit_p_zero
+from .hts import TargetSet
+from .measures import digit_p_zero
 from .systems import MapKind, MapSystem
 
 #: Excess below this floor is treated as zero regardless of its CLT band.
@@ -100,7 +101,7 @@ def dprime_estimate(
     window = block_n // k
     if window < 1:
         raise DomainError("window block_n // k is empty")
-    p_zero = _digit_p_zero(measure)
+    p_zero = digit_p_zero(measure)
     tent = system.kind is MapKind.FULL_TENT
     word_int = pack_word(target.word)
     depth = target.depth
@@ -157,7 +158,7 @@ def mixing_gap_estimate(
         gap = int(math.ceil(block_n ** 0.7))
     if gap < 1:
         raise DomainError("gap must be >= 1")
-    p_zero = _digit_p_zero(measure)
+    p_zero = digit_p_zero(measure)
     tent = system.kind is MapKind.FULL_TENT
     word_int = pack_word(target.word)
     depth = target.depth

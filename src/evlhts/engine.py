@@ -1,10 +1,10 @@
 """Sample-parallel Monte Carlo kernels.
 
 Every kernel simulates one block of independent samples with numpy array
-operations per orbit step (lanes = samples), consuming a dedicated
-Generator.  ``run_blocked`` slices a run into fixed-size blocks, gives
-block i the substream keyed by (seed, labels..., i), executes blocks on a
-thread pool, and concatenates results in block order — so outputs are
+operations (lanes = samples), consuming a dedicated Generator.
+``run_blocked`` slices a run into fixed-size blocks, gives block i the
+substream keyed by (seed, labels..., i), executes blocks on a thread
+pool, and concatenates results in block order — so outputs are
 bit-identical for any thread count.
 
 The expanding digit systems (tent/doubling) are simulated exactly on an
@@ -16,30 +16,51 @@ is the window itself; the j-th tent iterate is the window or its ones'
 complement according to the digit just left of it.  Direct float64
 iteration of these maps would collapse onto dyadics within 53 steps; the
 window never does, at the price of truncating each reported position to
-53 bits (positions are only ever compared against thresholds, so the
-2^-53 truncation is far below every statistical tolerance).
+53 bits.  That truncation is not always negligible: under a skewed
+Bernoulli measure a 2^-53 sliver can carry real mass (for p = 0.01, about
+0.006 of the mass lies within 2^-53 below 1/2), so ball radii and masses
+at that scale are not resolved.
 
-Cylinder events need no positions at all: a depth-d cylinder membership
-test is a rolling d-letter register compared against the target word,
-bit-exact at every step.  Letters are the digits themselves for the
-doubling map and adjacent-digit XORs for the tent map.
+Cylinder events need no positions at all.  Letters are the digits
+themselves for the doubling map and adjacent-digit XORs for the tent map,
+and iterate j lies in a depth-d cylinder exactly when letters j .. j+d-1
+spell its word.  The word kernels scan one digit chunk at a time: they
+build the chunk's letters in bulk, AND d shifted column slices of the
+letters (or of their complements) into a (lanes, columns) match matrix,
+and carry the last digit and the last d - 1 letters into the next chunk.
+A lane's first hit is the first True column of its row.
+
+The digit draws fix the RNG stream, and with it every report byte:
+
+* each chunk draws one (rows, columns) matrix through ``draw_digits``,
+  whose rows are the lanes still live, in lane order;
+* first-hit kernels draw full ``chunk``-width matrices even when fewer
+  columns remain, so runs that differ only in the cap share a stream;
+  fixed-window kernels draw only the columns that remain;
+* ``draw_digits`` compares raw 64-bit words against an integer
+  threshold, which equals ``gen.random(shape) >= p_zero`` bit for bit and
+  consumes the generator identically;
+* first-hit kernels drop finished lanes between chunks once more than
+  ``_COMPACT_AT`` of the live lanes have hit.  That sets the rows of the
+  next draw, so ``_COMPACT_AT`` is part of the stream: changing it
+  changes every result.
 
 Rotations advance 63-bit integer positions (exact), and the intermittent
 map steps float64 lanes with the same update as the scalar reference.
 """
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .errors import DomainError
 from .rng import block_slices, substream
-from .systems import FIXED_ONE
+from .systems import FIXED_ONE, WINDOW_BITS
 
-WINDOW = 53
-_SCALE = 2.0 ** -WINDOW
-_TOP = 1.0 - 2.0 ** -WINDOW
-_POWERS = 2.0 ** -(np.arange(1, WINDOW + 1, dtype=np.float64))
+_SCALE = 2.0 ** -WINDOW_BITS
+_TOP = 1.0 - 2.0 ** -WINDOW_BITS
+_POWERS = 2.0 ** -(np.arange(1, WINDOW_BITS + 1, dtype=np.float64))
 
 #: fraction of finished lanes that triggers an active-set compaction
 _COMPACT_AT = 0.25
@@ -72,8 +93,15 @@ def run_blocked(n_samples, master_seed, labels, kernel, threads=1):
 # ---------------------------------------------------------------- digits
 
 def draw_digits(gen, rows, cols, p_zero):
-    """Boolean digit matrix; True is the digit 1, drawn with mass 1 - p_zero."""
-    return gen.random((rows, cols)) >= p_zero
+    """Boolean digit matrix; True is the digit 1, drawn with mass 1 - p_zero.
+
+    For 0 <= p_zero < 1 this equals ``gen.random((rows, cols)) >= p_zero``
+    bit for bit and consumes the generator identically: numpy's float64
+    uniform is (raw >> 11) * 2^-53, so it reaches p_zero exactly when the
+    raw word reaches ceil(p_zero * 2^53) << 11.
+    """
+    level = np.uint64(math.ceil(p_zero * 2.0 ** 53) << 11)
+    return gen.bit_generator.random_raw((rows, cols)) >= level
 
 
 def window_from_digits(digits):
@@ -110,7 +138,7 @@ def digit_window_min_distance(
     """
     if n_steps < 1:
         raise DomainError("need at least one orbit point")
-    v = window_from_digits(draw_digits(gen, count, WINDOW, p_zero))
+    v = window_from_digits(draw_digits(gen, count, WINDOW_BITS, p_zero))
     parity = np.zeros(count, dtype=bool)  # digit left of the window; b_0 = 0
     pos = np.where(parity, _TOP - v, v) if tent else v
     best = _distances(pos, zeta, circle)
@@ -153,17 +181,63 @@ def iid_min_distance_digits(gen, count, *, n_draws, p_zero, zeta, circle):
         raise DomainError("need at least one draw")
     best = np.full(count, np.inf)
     for _ in range(n_draws):
-        x = window_from_digits(draw_digits(gen, count, WINDOW, p_zero))
+        x = window_from_digits(draw_digits(gen, count, WINDOW_BITS, p_zero))
         np.minimum(best, _distances(x, zeta, circle), out=best)
     return (best,)
 
 
 # ----------------------------------------------------- word (cylinder) scans
 
-def _word_parity(word_int, depth):
-    """XOR of the word letters: the digit b_depth of a point whose first
-    letters spell the word (tent letter algebra; b_0 = 0)."""
-    return bin(word_int & ((1 << depth) - 1)).count("1") & 1
+def _word_scan_start(count, word_int, depth, start_j, preload):
+    """The word's letters (first letter first) and the scan state of
+    ``count`` fresh lanes: (word, prev, tail, consumed).
+
+    ``prev`` is the last digit drawn (b_0 = 0 before any), ``tail`` the
+    last depth - 1 letters and ``consumed`` the letters read so far.  A
+    preloaded lane has already read the word itself.
+    """
+    if not 1 <= depth <= 63:
+        raise DomainError("cylinder scans support depths 1..63")
+    if not 0 <= word_int < 1 << depth:
+        raise DomainError("word_int must fit in depth letters")
+    if preload and start_j == 0:
+        raise DomainError("a preloaded start is already inside at j = 0")
+    word = np.array(
+        [(word_int >> (depth - 1 - i)) & 1 for i in range(depth)], dtype=bool
+    )
+    if preload:
+        # the digit b_depth of a point whose first letters spell the word is
+        # the XOR of those letters (tent letter algebra; b_0 = 0)
+        prev = np.full(count, bool(word.sum() % 2))
+        return word, prev, np.tile(word[1:], (count, 1)), depth
+    tail = np.zeros((count, depth - 1), dtype=bool)
+    return word, np.zeros(count, dtype=bool), tail, 0
+
+
+def _word_matches(digits, cols, word, prev, tail, tent):
+    """Match matrix of one chunk, and the scan state after it.
+
+    Column c of ``digits`` yields letter ``consumed + c``; match[:, c] is
+    True when the len(word) letters ending at that letter spell the word.
+    Tent letters XOR each digit with the one before it, which is ``prev``
+    for column 0; doubling letters are the digits.
+    """
+    b = digits[:, :cols]
+    depth = word.size
+    ext = np.empty((b.shape[0], depth - 1 + cols), dtype=bool)  # tail, letters
+    ext[:, :depth - 1] = tail
+    if tent:
+        np.not_equal(b[:, 0], prev, out=ext[:, depth - 1])
+        np.not_equal(b[:, 1:], b[:, :-1], out=ext[:, depth:])
+        prev = b[:, -1]
+    else:
+        ext[:, depth - 1:] = b
+    flip = ~ext
+    match = (ext if word[0] else flip)[:, :cols].copy()
+    for i in range(1, depth):
+        np.logical_and(match, (ext if word[i] else flip)[:, i:i + cols],
+                       out=match)
+    return match, prev, ext[:, cols:]
 
 
 def word_first_hit(
@@ -196,49 +270,32 @@ def word_first_hit(
     the generator identically up to the smaller cap: raising the cap only
     extends censored lanes, never rewrites observed times.
     """
-    if not 1 <= depth <= 63:
-        raise DomainError("cylinder register supports depths 1..63")
     if cap < 1 or start_j < 0 or start_j >= cap:
         raise DomainError("need 0 <= start_j < cap")
-    if preload and start_j == 0:
-        raise DomainError("a preloaded start is already inside at j = 0")
-    mask = np.uint64((1 << depth) - 1)
-    target = np.uint64(word_int)
-    one = np.uint64(1)
-
+    word, prev, tail, consumed = _word_scan_start(
+        count, word_int, depth, start_j, preload
+    )
     times = np.full(count, cap, dtype=np.int64)
     lane = np.arange(count)
-    reg = np.zeros(count, dtype=np.uint64)
-    prev = np.zeros(count, dtype=np.uint64)
     done = np.zeros(count, dtype=bool)
-    consumed = 0
-    if preload:
-        reg[:] = target
-        prev[:] = np.uint64(_word_parity(word_int, depth))
-        consumed = depth
     total_letters = cap - 1 + depth  # letters l_0 .. l_{cap-2+depth}
-    match_from = depth + start_j
 
     while consumed < total_letters and lane.size:
         cols = min(chunk, total_letters - consumed)
-        digits = draw_digits(gen, lane.size, chunk, p_zero).astype(np.uint64)
-        for c in range(cols):
-            b = digits[:, c]
-            if tent:
-                letter = b ^ prev
-                prev = b
-            else:
-                letter = b
-            reg = ((reg << one) | letter) & mask
-            consumed += 1
-            if consumed >= match_from:
-                hits = (reg == target) & ~done
-                if hits.any():
-                    times[lane[hits]] = consumed - depth
-                    done |= hits
+        digits = draw_digits(gen, lane.size, chunk, p_zero)
+        match, prev, tail = _word_matches(digits, cols, word, prev, tail, tent)
+        # column c ends the window that starts at j = consumed + c + 1 - depth
+        first = max(start_j + depth - 1 - consumed, 0)
+        match = match[:, first:]
+        hits = np.flatnonzero(match.any(axis=1) & ~done)
+        if hits.size:
+            times[lane[hits]] = (consumed + first + 1 - depth
+                                 + match[hits].argmax(axis=1))
+            done[hits] = True
+        consumed += cols
         if done.mean() > _COMPACT_AT:
             keep = ~done
-            lane, reg, prev, done = lane[keep], reg[keep], prev[keep], done[keep]
+            lane, prev, tail, done = lane[keep], prev[keep], tail[keep], done[keep]
     return times, times < cap
 
 
@@ -261,39 +318,20 @@ def word_hit_count(
     in a window of fixed length.  No compaction: every lane runs the full
     window.
     """
-    if not 1 <= depth <= 63:
-        raise DomainError("cylinder register supports depths 1..63")
     if window < start_j:
         raise DomainError("window shorter than start_j")
-    if preload and start_j == 0:
-        raise DomainError("a preloaded start is already inside at j = 0")
-    mask = np.uint64((1 << depth) - 1)
-    target = np.uint64(word_int)
-    one = np.uint64(1)
+    word, prev, tail, consumed = _word_scan_start(
+        count, word_int, depth, start_j, preload
+    )
     counts = np.zeros(count, dtype=np.int64)
-    reg = np.zeros(count, dtype=np.uint64)
-    prev = np.zeros(count, dtype=np.uint64)
-    consumed = 0
-    if preload:
-        reg[:] = target
-        prev[:] = np.uint64(_word_parity(word_int, depth))
-        consumed = depth
     total_letters = window + depth
-    match_from = depth + start_j
     while consumed < total_letters:
         cols = min(chunk, total_letters - consumed)
-        digits = draw_digits(gen, count, cols, p_zero).astype(np.uint64)
-        for c in range(cols):
-            b = digits[:, c]
-            if tent:
-                letter = b ^ prev
-                prev = b
-            else:
-                letter = b
-            reg = ((reg << one) | letter) & mask
-            consumed += 1
-            if consumed >= match_from:
-                counts += reg == target
+        digits = draw_digits(gen, count, cols, p_zero)
+        match, prev, tail = _word_matches(digits, cols, word, prev, tail, tent)
+        first = max(start_j + depth - 1 - consumed, 0)
+        counts += np.count_nonzero(match[:, first:], axis=1)
+        consumed += cols
     return (counts,)
 
 
@@ -327,7 +365,7 @@ def ball_first_hit_digits(
     if cap < 1 or start_j < 0 or start_j >= cap:
         raise DomainError("need 0 <= start_j < cap")
     if initial_digits is None:
-        initial_digits = draw_digits(gen, count, WINDOW, p_zero)
+        initial_digits = draw_digits(gen, count, WINDOW_BITS, p_zero)
     v = window_from_digits(initial_digits)
     parity = np.zeros(count, dtype=bool)
     times = np.full(count, cap, dtype=np.int64)
@@ -522,8 +560,8 @@ def conditional_digit_starts(gen, count, *, arcs, p_zero):
     # invert digit by digit: lo/hi bracket the CDF of the current cell
     lo = np.zeros(count)
     hi = np.ones(count)
-    digits = np.empty((count, WINDOW), dtype=bool)
-    for i in range(WINDOW):
+    digits = np.empty((count, WINDOW_BITS), dtype=bool)
+    for i in range(WINDOW_BITS):
         split = lo + p_zero * (hi - lo)
         d = level >= split
         digits[:, i] = d

@@ -35,7 +35,7 @@ from .errors import (
     UnsupportedY,
     ZeroMassCylinder,
 )
-from .measures import BernoulliDoubling, EmpiricalOrbit, Lebesgue1D
+from .measures import EmpiricalOrbit, Lebesgue1D, digit_p_zero
 from .observables import BallObservable, CylinderObservable, GKind, GShape
 from .systems import FIXED_ONE, MapKind, Metric
 
@@ -181,16 +181,6 @@ def g_forward_array(g: GShape, masses: np.ndarray) -> np.ndarray:
 
 # ------------------------------------------------------------ ball maxima
 
-def _digit_p_zero(measure) -> float:
-    if isinstance(measure, Lebesgue1D):
-        return 0.5
-    if isinstance(measure, BernoulliDoubling):
-        return measure.p
-    raise UnsupportedCombination(
-        f"digit systems need a digit-product measure, got {type(measure).__name__}"
-    )
-
-
 def sample_ball_min_distances(
     obs: BallObservable,
     system,
@@ -217,7 +207,7 @@ def sample_ball_min_distances(
     circle = measure.metric is Metric.CIRCLE
 
     if system.kind in (MapKind.FULL_TENT, MapKind.DOUBLING):
-        p_zero = _digit_p_zero(measure)
+        p_zero = digit_p_zero(measure)
         tent = system.kind is MapKind.FULL_TENT
         if iid:
             if isinstance(measure, Lebesgue1D):
@@ -402,7 +392,7 @@ def sample_cylinder_no_entry(
         raise UnsupportedCombination(
             "cylinder maxima are implemented for the digit systems"
         )
-    p_zero = _digit_p_zero(obs.ctx.measure)
+    p_zero = digit_p_zero(obs.ctx.measure)
     if iid:
         mass = schedule.event_mass
         window = schedule.window

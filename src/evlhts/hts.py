@@ -30,10 +30,9 @@ from .errors import (
 from .evl import pack_word
 from .laws import EmpiricalLaw, survival_integral
 from .measures import (
-    BernoulliDoubling,
     EmpiricalOrbit,
-    Lebesgue1D,
     MeasureModel,
+    digit_p_zero,
     point_value,
 )
 from .systems import FIXED_ONE, MapKind, MapSystem, Metric
@@ -172,23 +171,12 @@ def sample_hit_times(
     return HitSample(times, hit, target, cap, start_j, conditional)
 
 
-def _digit_p_zero(measure) -> float:
-    if isinstance(measure, Lebesgue1D):
-        return 0.5
-    if isinstance(measure, BernoulliDoubling):
-        return measure.p
-    raise UnsupportedCombination(
-        "digit systems need a digit-product measure; got "
-        f"{type(measure).__name__}"
-    )
-
-
 def _hit_kernel(system, target, cap, start_j, conditional, measure):
     kind = system.kind
     if kind in (MapKind.FULL_TENT, MapKind.DOUBLING):
         if measure is None:
             raise DomainError("digit systems need the measure for sampling")
-        p_zero = _digit_p_zero(measure)
+        p_zero = digit_p_zero(measure)
         tent = kind is MapKind.FULL_TENT
         if target.kind == "cylinder":
             word_int = pack_word(target.word)

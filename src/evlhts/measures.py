@@ -243,6 +243,19 @@ class BernoulliDoubling(MeasureModel):
         return {"kind": "bernoulli", "p": self.p}
 
 
+def digit_p_zero(measure) -> float:
+    """Mass of the digit 0 under a digit-product measure: the one number
+    the tent and doubling kernels need to draw stationary digits."""
+    if isinstance(measure, Lebesgue1D):
+        return 0.5
+    if isinstance(measure, BernoulliDoubling):
+        return measure.p
+    raise UnsupportedCombination(
+        "digit systems need a digit-product measure; got "
+        f"{type(measure).__name__}"
+    )
+
+
 class EmpiricalOrbit(MeasureModel):
     """Long-orbit surrogate measure for maps lacking a closed form.
 

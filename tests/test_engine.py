@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from evlhts.engine import (
     ball_first_hit_digits,
     conditional_digit_starts,
     digit_window_min_distance,
+    draw_digits,
     iid_min_distance_uniform,
     mp_first_hit,
     mp_min_distance,
@@ -31,26 +33,30 @@ from evlhts.systems import (
 
 
 class FakeGen:
-    """Feeds a fixed digit table through the Generator.random interface.
+    """Feeds a fixed digit table through the raw bit-generator interface.
 
-    Digit d is encoded as the uniform 0.25 (d = 0) or 0.75 (d = 1), so any
-    kernel thresholding at p_zero = 0.5 reads exactly the scripted digits.
+    Digit d is encoded as the raw word 0x4000... (d = 0) or 0xC000...
+    (d = 1), whose uniforms are 0.25 and 0.75, so any kernel thresholding
+    at p_zero = 0.5 reads exactly the scripted digits.
     """
+
+    RAW = {0: 0x4000_0000_0000_0000, 1: 0xC000_0000_0000_0000}
 
     def __init__(self, rows):
         self.rows = [list(r) for r in rows]
         self.cursor = 0
+        self.bit_generator = self
 
-    def random(self, shape):
+    def random_raw(self, shape):
         rows, cols = shape
         assert rows == len(self.rows), "lane count changed mid-stream"
-        out = np.empty(shape)
+        out = np.empty(shape, dtype=np.uint64)
         for i, row in enumerate(self.rows):
             chunk = row[self.cursor:self.cursor + cols]
             # Kernels draw full-width chunks but only read the columns that
             # remain, so pad past the scripted table with digit 0.
             chunk = chunk + [0] * (cols - len(chunk))
-            out[i, :] = [0.75 if d else 0.25 for d in chunk]
+            out[i, :] = [self.RAW[d] for d in chunk]
         self.cursor += cols
         return out
 
@@ -215,6 +221,207 @@ class TestWordKernels:
                 substream(1, "x"), 4, word_int=0, depth=64, tent=False,
                 p_zero=0.5, cap=10,
             )
+
+    @pytest.mark.parametrize("word_int", [-1, 0b1000])
+    def test_word_must_fit_its_depth(self, word_int):
+        for kernel, horizon in ((word_first_hit, "cap"),
+                                (word_hit_count, "window")):
+            with pytest.raises(DomainError, match="fit"):
+                kernel(substream(1, "x"), 4, word_int=word_int, depth=3,
+                       tent=False, p_zero=0.5, **{horizon: 10})
+
+
+class RecordingGen:
+    """A Generator that records the shape of every digit draw."""
+
+    def __init__(self, gen):
+        self.gen = gen
+        self.bit_generator = self
+        self.shapes = []
+
+    def random(self, shape):
+        self.shapes.append(shape)
+        return self.gen.random(shape)
+
+    def random_raw(self, shape):
+        self.shapes.append(shape)
+        return self.gen.bit_generator.random_raw(shape)
+
+
+def reference_word_first_hit(gen, count, *, word_int, depth, tent, p_zero,
+                             cap, start_j=1, preload=False, chunk=256):
+    """Per-step reference for ``word_first_hit``: one register update per
+    orbit step over every live lane, digits from ``gen.random``."""
+    mask = np.uint64((1 << depth) - 1)
+    target = np.uint64(word_int)
+    one = np.uint64(1)
+    times = np.full(count, cap, dtype=np.int64)
+    lane = np.arange(count)
+    reg = np.zeros(count, dtype=np.uint64)
+    prev = np.zeros(count, dtype=np.uint64)
+    done = np.zeros(count, dtype=bool)
+    consumed = 0
+    if preload:
+        reg[:] = target
+        prev[:] = np.uint64(bin(word_int).count("1") & 1)
+        consumed = depth
+    total_letters = cap - 1 + depth
+    match_from = depth + start_j
+    while consumed < total_letters and lane.size:
+        cols = min(chunk, total_letters - consumed)
+        digits = (gen.random((lane.size, chunk)) >= p_zero).astype(np.uint64)
+        for c in range(cols):
+            b = digits[:, c]
+            if tent:
+                letter = b ^ prev
+                prev = b
+            else:
+                letter = b
+            reg = ((reg << one) | letter) & mask
+            consumed += 1
+            if consumed >= match_from:
+                hits = (reg == target) & ~done
+                if hits.any():
+                    times[lane[hits]] = consumed - depth
+                    done |= hits
+        if done.mean() > 0.25:
+            keep = ~done
+            lane, reg, prev, done = lane[keep], reg[keep], prev[keep], done[keep]
+    return times, times < cap
+
+
+def reference_word_hit_count(gen, count, *, word_int, depth, tent, p_zero,
+                             window, start_j=1, preload=False, chunk=256):
+    """Per-step reference for ``word_hit_count``."""
+    mask = np.uint64((1 << depth) - 1)
+    target = np.uint64(word_int)
+    one = np.uint64(1)
+    counts = np.zeros(count, dtype=np.int64)
+    reg = np.zeros(count, dtype=np.uint64)
+    prev = np.zeros(count, dtype=np.uint64)
+    consumed = 0
+    if preload:
+        reg[:] = target
+        prev[:] = np.uint64(bin(word_int).count("1") & 1)
+        consumed = depth
+    total_letters = window + depth
+    match_from = depth + start_j
+    while consumed < total_letters:
+        cols = min(chunk, total_letters - consumed)
+        digits = (gen.random((count, cols)) >= p_zero).astype(np.uint64)
+        for c in range(cols):
+            b = digits[:, c]
+            if tent:
+                letter = b ^ prev
+                prev = b
+            else:
+                letter = b
+            reg = ((reg << one) | letter) & mask
+            consumed += 1
+            if consumed >= match_from:
+                counts += reg == target
+    return (counts,)
+
+
+# Mixed letters, so both the letters and their complements are sliced.  The
+# depth-63 word has period 3: preloaded lanes re-enter it within the caps.
+WORDS = {1: 0b0, 3: 0b101, 12: 0b110111011110, 63: int("110" * 21, 2)}
+LATE_START = 300  # beyond one chunk at either chunk width
+GRID = [
+    (depth, tent, preload, start_j, p_zero, chunk)
+    for depth in (1, 3, 12, 63)
+    for tent in (False, True)
+    for preload in (False, True)
+    for start_j in (0, 1, LATE_START)
+    for p_zero in (0.5, 0.3)
+    for chunk in (7, 256)
+    if not (preload and start_j == 0)  # a preloaded start is inside at j = 0
+]
+
+
+class TestWordStreamEquivalence:
+    """The chunked word kernels reproduce the per-step scan bit for bit,
+    drawing the same digit matrices from the same Philox substream."""
+
+    LANES = 160
+
+    def kwargs(self, depth, tent, preload, p_zero, chunk):
+        return dict(word_int=WORDS[depth], depth=depth, tent=tent,
+                    p_zero=p_zero, preload=preload, chunk=chunk)
+
+    @pytest.mark.parametrize("depth,tent,preload,start_j,p_zero,chunk", GRID)
+    def test_first_hit(self, depth, tent, preload, start_j, p_zero, chunk):
+        kw = self.kwargs(depth, tent, preload, p_zero, chunk)
+        label = ("word-eq", depth, tent, preload, start_j, p_zero, chunk)
+        cap = start_j + 400
+        want_gen = RecordingGen(substream(2024, *label))
+        got_gen = RecordingGen(substream(2024, *label))
+        want = reference_word_first_hit(want_gen, self.LANES, cap=cap,
+                                        start_j=start_j, **kw)
+        got = word_first_hit(got_gen, self.LANES, cap=cap, start_j=start_j,
+                             **kw)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+        assert got_gen.shapes == want_gen.shapes
+
+    @pytest.mark.parametrize("depth,tent,preload,start_j,p_zero,chunk", GRID)
+    def test_hit_count(self, depth, tent, preload, start_j, p_zero, chunk):
+        kw = self.kwargs(depth, tent, preload, p_zero, chunk)
+        label = ("count-eq", depth, tent, preload, start_j, p_zero, chunk)
+        window = start_j + 400
+        want_gen = RecordingGen(substream(2024, *label))
+        got_gen = RecordingGen(substream(2024, *label))
+        want, = reference_word_hit_count(want_gen, self.LANES, window=window,
+                                         start_j=start_j, **kw)
+        got, = word_hit_count(got_gen, self.LANES, window=window,
+                              start_j=start_j, **kw)
+        assert np.array_equal(got, want)
+        assert got_gen.shapes == want_gen.shapes
+
+    @pytest.mark.parametrize("chunk", [7, 256])
+    @pytest.mark.parametrize("tent", [False, True])
+    def test_compaction_shrinks_draws_identically(self, tent, chunk):
+        # most lanes hit within a few hundred steps: the live set is
+        # compacted between chunks, and both scans must draw the same
+        # shrinking digit matrices
+        kw = dict(word_int=0b11011011, depth=8, tent=tent, p_zero=0.3,
+                  chunk=chunk, cap=3 * 256 + 5, start_j=1)
+        want_gen = RecordingGen(substream(5, "compact", tent, chunk))
+        got_gen = RecordingGen(substream(5, "compact", tent, chunk))
+        want = reference_word_first_hit(want_gen, 2048, **kw)
+        got = word_first_hit(got_gen, 2048, **kw)
+        assert np.array_equal(got[0], want[0])
+        assert got_gen.shapes == want_gen.shapes
+        rows = [shape[0] for shape in got_gen.shapes]
+        assert len(rows) > 1 and rows[-1] < rows[0]
+
+
+class TestDrawDigits:
+    @pytest.mark.parametrize(
+        "p_zero", [0.5, 0.3, 0.01, 0.99, 0.0, 1.0 - 2.0 ** -53]
+    )
+    def test_equals_float_threshold_and_stream(self, p_zero):
+        a = substream(17, "digits", p_zero)
+        b = substream(17, "digits", p_zero)
+        got = draw_digits(a, 64, 100, p_zero)
+        assert got.dtype == bool
+        assert np.array_equal(got, b.random((64, 100)) >= p_zero)
+        # the generators stand at the same point of the stream
+        assert np.array_equal(a.bit_generator.random_raw(4),
+                              b.bit_generator.random_raw(4))
+
+    @pytest.mark.parametrize("p_zero", [0.5, 0.3, 0.01, 0.99, 2.0 ** -53])
+    def test_raw_words_at_the_threshold(self, p_zero):
+        # raw words spanning the uniforms just below, at and above p_zero
+        level = math.ceil(p_zero * 2.0 ** 53)
+        raw = np.array([[((level + k) << 11) + r for k in (-1, 0, 1)
+                         for r in (0, 2047)]], dtype=np.uint64)
+        gen = SimpleNamespace(
+            bit_generator=SimpleNamespace(random_raw=lambda shape: raw))
+        uniforms = (raw >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+        got = draw_digits(gen, *raw.shape, p_zero)
+        assert np.array_equal(got, uniforms >= p_zero)
+        assert got.tolist() == [[False, False, True, True, True, True]]
 
 
 class TestBallHitKernel:

@@ -10,6 +10,7 @@ from evlhts.measures import (
     Lebesgue1D,
     MeasureModel,
     _FIXED_UNIT,
+    digit_p_zero,
 )
 from evlhts.rng import substream
 from evlhts.systems import (
@@ -135,6 +136,14 @@ def test_pushforward_invariance_two_preimage_exact():
         direct = b - a
         pull = (b / 2 - a / 2) + ((1 - a / 2) - (1 - b / 2))
         assert abs(direct - pull) <= 1e-14
+
+
+def test_digit_p_zero_of_each_measure():
+    assert digit_p_zero(Lebesgue1D(Metric.CIRCLE)) == 0.5
+    assert digit_p_zero(BernoulliDoubling(0.3)) == 0.3
+    orbit = EmpiricalOrbit(manneville_pomeau(0.5), orbit_len=1000, burn_in=10)
+    with pytest.raises(UnsupportedCombination, match="digit-product"):
+        digit_p_zero(orbit)
 
 
 def test_empirical_orbit_rejects_collapsing_maps():
