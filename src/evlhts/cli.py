@@ -9,17 +9,17 @@ import sys
 
 from . import config as config_mod
 from . import experiments
-from .errors import ConfigError, EvlhtsError, ToleranceFail
+from .errors import ConfigError, EvlhtsError
 
 _SYSTEMS = (
     ("full_tent", "piecewise-linear tent on [0,1], interval metric, "
-     "bitstream backend; measures: lebesgue"),
-    ("doubling", "angle doubling on the circle, bitstream backend; "
+     "exact digit window; measures: lebesgue"),
+    ("doubling", "angle doubling on the circle, exact digit window; "
      "measures: lebesgue, bernoulli"),
-    ("rotation", "circle rotation (golden or decimal angle), fixed-point "
-     "arithmetic; measures: lebesgue, orbit"),
-    ("manneville_pomeau", "intermittent map x + x^(1+s) mod 1, float "
-     "backend; measures: orbit"),
+    ("rotation", "circle rotation (golden or decimal angle), 63-bit fixed "
+     "point; measures: lebesgue, orbit"),
+    ("manneville_pomeau", "intermittent map x + x^(1+s) mod 1, float64; "
+     "measures: orbit"),
 )
 
 
@@ -81,9 +81,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except ToleranceFail as exc:  # only reachable through strict callers
-        print(f"tolerance fail: {exc}", file=sys.stderr)
-        return 1
     except EvlhtsError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 3

@@ -105,10 +105,6 @@ def _split_list(text: str) -> list:
     return [piece.strip() for piece in text.split(",")]
 
 
-def _int_list(text: str) -> tuple:
-    return tuple(_int(piece) for piece in _split_list(text))
-
-
 def _pos_int_list(text: str) -> tuple:
     return tuple(_pos_int(piece) for piece in _split_list(text))
 
@@ -163,10 +159,6 @@ SCHEMA: dict[str, Option] = {
         "full_tent", "which interval map to iterate"),
     "system.alpha": Option(_angle, "golden", "rotation angle (golden or decimal)"),
     "system.s": Option(_pos_float, 0.5, "intermittency exponent of x + x^(1+s)"),
-    "system.metric": Option(_choice("auto", "interval", "circle"), "auto",
-                            "distance convention; auto = the map's native one"),
-    "system.backend": Option(_choice("auto", "bitstream", "float64"), "auto",
-                             "point representation; auto = the map's native one"),
 
     "measure.kind": Option(_choice("lebesgue", "bernoulli", "orbit"),
                            "lebesgue", "invariant measure model"),

@@ -24,7 +24,6 @@ lengths for the rotation.
 """
 
 import bisect
-import csv
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -317,47 +316,3 @@ def gibbs_envelope(
     s_n = math.fsum(potential[w] for w in word)
     return math.exp(log_mass - (s_n - n * pressure))
 
-
-def cells_at_depth(ctx: PartitionContext, depth: int) -> list[Cylinder]:
-    """All depth-``depth`` cells (small depths only for the expanding maps)."""
-    kind = ctx.system.kind
-    if kind is MapKind.ROTATION:
-        bounds = ctx.rotation_bounds(depth)
-        out = []
-        for i, lo_i in enumerate(bounds):
-            hi_i = bounds[i + 1] if i + 1 < len(bounds) else FIXED_ONE
-            if hi_i == lo_i:
-                continue
-            mass = (hi_i - lo_i) / FIXED_ONE
-            out.append(
-                Cylinder(
-                    depth, Fraction(lo_i, FIXED_ONE), Fraction(hi_i, FIXED_ONE),
-                    True, False, mass, math.log(mass),
-                )
-            )
-        return out
-    if depth > 14:
-        raise DomainError("refusing to enumerate more than 2^14 cells")
-    out = []
-    for idx in range(1 << depth):
-        lo = Fraction(idx, 1 << depth)
-        probe = lo + Fraction(1, 1 << (depth + 1))  # interior point
-        out.append(cylinder_at(ctx, FloatPoint(float(probe)), depth))
-    # de-duplicate while preserving order (tent words are not in idx order)
-    seen = set()
-    unique = []
-    for c in out:
-        key = (c.lo, c.hi)
-        if key not in seen:
-            seen.add(key)
-            unique.append(c)
-    return unique
-
-
-def write_cells_csv(ctx: PartitionContext, depth: int, path: str):
-    """Dump (depth, lo, hi, mass) rows for every cell at one depth."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["depth", "lo", "hi", "mass"])
-        for c in cells_at_depth(ctx, depth):
-            w.writerow([c.depth, repr(float(c.lo)), repr(float(c.hi)), repr(c.mass)])

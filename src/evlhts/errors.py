@@ -10,7 +10,7 @@ class EvlhtsError(Exception):
 
 
 class BackendUnsupported(EvlhtsError):
-    """Requested point backend is not available for this map."""
+    """A point representation is not defined for this map."""
 
 
 class DomainError(EvlhtsError):
@@ -31,14 +31,6 @@ class OutOfRange(EvlhtsError):
 
 class ZeroMassCylinder(EvlhtsError):
     """A cylinder carries zero mass, so its log-mass is undefined."""
-
-
-class EmptyBlock(EvlhtsError):
-    """Maximum of an empty observation block requested."""
-
-
-class UnsupportedY(EvlhtsError):
-    """Normalizing level requested outside the support of the limit type."""
 
 
 class DegenerateTail(EvlhtsError):
@@ -63,11 +55,3 @@ class GridMismatch(EvlhtsError):
 
 class ConfigError(EvlhtsError):
     """Invalid, unknown, or inconsistent configuration input."""
-
-
-class ToleranceFail(EvlhtsError):
-    """An experiment ran to completion but a declared tolerance band failed.
-
-    The report and output files are still written; this error only marks
-    the verdict for exit-code purposes.
-    """

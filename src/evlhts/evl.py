@@ -10,8 +10,7 @@ Two routes produce the level u_n for a target y:
 Both express u_n = b_n + y / a_n, so P(M_n <= u_n) plotted in y can be
 compared directly against the three extreme-value shapes.  Outside the
 support of the limit shape the probability is pinned exactly at 0 or 1
-(``degenerate_probability``) and the affine formula refuses the y
-(``UnsupportedY``) rather than report a meaningless level.
+(``degenerate_probability``) instead of read off a meaningless level.
 
 Sampling reduces ball maxima to the minimum orbit distance (a sufficient
 statistic for every monotone observable of the distance) and cylinder
@@ -32,7 +31,6 @@ from .errors import (
     DegenerateTail,
     DomainError,
     UnsupportedCombination,
-    UnsupportedY,
     ZeroMassCylinder,
 )
 from .measures import EmpiricalOrbit, Lebesgue1D, digit_p_zero
@@ -55,19 +53,6 @@ class Normalizers(NamedTuple):
         return self.a * (np.asarray(values, dtype=np.float64) - self.b)
 
 
-def check_support(g: GShape, y: float) -> None:
-    """Reject y outside the open support of g's limit shape."""
-    if g.kind is GKind.G2 and y <= 0.0:
-        raise UnsupportedY(
-            f"power-law shape has no finite level at y = {y}; "
-            "the limit is exactly 0 there"
-        )
-    if g.kind is GKind.G3 and y >= 0.0:
-        raise UnsupportedY(
-            f"bounded shape saturates at y = {y}; the limit is exactly 1 there"
-        )
-
-
 def degenerate_probability(g: GShape, y: float):
     """Exact limit value at y outside the open support, else None."""
     if g.kind is GKind.G2 and y <= 0.0:
@@ -86,11 +71,6 @@ def proof_normalizers(g: GShape, n: int) -> Normalizers:
     if g.kind is GKind.G2:
         return Normalizers(n ** (-1.0 / g.alpha), 0.0)
     return Normalizers(n ** (1.0 / g.alpha), g.top)
-
-
-def proof_level(g: GShape, n: int, y: float) -> float:
-    check_support(g, y)
-    return proof_normalizers(g, n).level(y)
 
 
 def gamma_level(

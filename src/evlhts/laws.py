@@ -181,18 +181,6 @@ def ks_critical(n: int, significance: float = 0.01) -> float:
     return hi / math.sqrt(n)
 
 
-@dataclass(frozen=True)
-class KsReport:
-    statistic: float
-    critical: float
-    n_effective: float
-    significance: float
-
-    @property
-    def passed(self) -> bool:
-        return self.statistic <= self.critical
-
-
 def ks_statistic(law: EmpiricalLaw, ref: ReferenceLaw) -> float:
     """One-sample KS distance sup_t |F_n(t) - F(t)| (full-sample laws only)."""
     if law.n_censored:
@@ -207,27 +195,6 @@ def ks_statistic(law: EmpiricalLaw, ref: ReferenceLaw) -> float:
     d_plus = np.max((grid + 1.0) / n - f)
     d_minus = np.max(f - grid / n)
     return float(max(d_plus, d_minus))
-
-
-def ks_test(law: EmpiricalLaw, ref: ReferenceLaw,
-            significance: float = 0.01) -> KsReport:
-    stat = ks_statistic(law, ref)
-    n = law.n_total
-    return KsReport(stat, ks_critical(n, significance), n, significance)
-
-
-def ks_two_sample(a: EmpiricalLaw, b: EmpiricalLaw,
-                  significance: float = 0.01) -> KsReport:
-    """Two-sample KS over the pooled jump points."""
-    if a.n_censored or b.n_censored:
-        raise CapTooSmall("two-sample KS needs uncensored laws")
-    pooled = np.concatenate([a.values, b.values])
-    fa = np.searchsorted(a.values, pooled, side="right") / a.n_total
-    fb = np.searchsorted(b.values, pooled, side="right") / b.n_total
-    stat = float(np.max(np.abs(fa - fb)))
-    n_eff = a.n_total * b.n_total / (a.n_total + b.n_total)
-    return KsReport(stat, ks_critical(max(int(n_eff), 1), significance),
-                    n_eff, significance)
 
 
 def sup_distance_on_grid(law: EmpiricalLaw, ref: ReferenceLaw, grid) -> float:
@@ -273,46 +240,6 @@ def check_evl_from_hts(y_grid, maxima_probs, hit_law: EmpiricalLaw,
         tuple(y_grid), tuple(taus), tuple(maxima_probs), tuple(survivals),
         max(diffs),
     )
-
-
-@dataclass(frozen=True)
-class EquivalenceReport:
-    tau_grid: tuple
-    probs_by_route: dict
-    max_pairwise: float
-    max_vs_limit: float
-
-    @property
-    def routes(self):
-        return tuple(self.probs_by_route)
-
-
-def check_cylinder_equivalence(tau_grid, probs_by_route: dict
-                               ) -> EquivalenceReport:
-    """Pairwise sup-differences between no-entry probability routes, plus
-    the distance of every route to the limit exp(-tau)."""
-    routes = list(probs_by_route)
-    if len(routes) < 2:
-        raise DomainError("need at least two routes to compare")
-    lengths = {len(v) for v in probs_by_route.values()}
-    if lengths != {len(tau_grid)}:
-        raise DomainError("every route must cover the whole tau grid")
-    max_pair = 0.0
-    for i, ra in enumerate(routes):
-        for rb in routes[i + 1:]:
-            diff = max(
-                abs(a - b)
-                for a, b in zip(probs_by_route[ra], probs_by_route[rb])
-            )
-            max_pair = max(max_pair, diff)
-    limit = [math.exp(-t) for t in tau_grid]
-    max_vs_limit = max(
-        abs(p - l)
-        for probs in probs_by_route.values()
-        for p, l in zip(probs, limit)
-    )
-    return EquivalenceReport(tuple(tau_grid), dict(probs_by_route), max_pair,
-                             max_vs_limit)
 
 
 def survival_integral(law: EmpiricalLaw, t) -> float:

