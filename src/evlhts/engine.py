@@ -8,18 +8,28 @@ pool, and concatenates results in block order — so outputs are
 bit-identical for any thread count.
 
 The expanding digit systems (tent/doubling) are simulated exactly on an
-implicit infinite digit stream: the state per lane is a sliding 53-bit
-window of upcoming digits, stored as a float in [0, 1).  One step doubles
-the window mod 1 (an exact float operation on the 2^-53 grid) and shifts
-in one fresh digit at the bottom.  The value of the j-th doubling iterate
-is the window itself; the j-th tent iterate is the window or its ones'
-complement according to the digit just left of it.  Direct float64
+implicit infinite digit stream: the state per lane is a sliding window of
+its next 53 digits.  One step shifts the window by one digit and takes in
+one fresh digit at the bottom.  The j-th doubling iterate is the window
+read as 0.b1...b53; the j-th tent iterate is that value or its ones'
+complement according to the digit just shifted out.  Direct float64
 iteration of these maps would collapse onto dyadics within 53 steps; the
 window never does, at the price of truncating each reported position to
 53 bits.  That truncation is not always negligible: under a skewed
 Bernoulli measure a 2^-53 sliver can carry real mass (for p = 0.01, about
 0.006 of the mass lies within 2^-53 below 1/2), so ball radii and masses
 at that scale are not resolved.
+
+The ball kernels scan one digit chunk at a time.  They pack each lane's
+window and the chunk's digits into one row of bytes, read the big-endian
+64-bit word at every byte offset, and cut the windows of eight
+consecutive steps out of each word with one shift and a 53-bit mask.  A
+window is an integer below 2^53, so scaling it by 2^-53 gives the
+position exactly, and the (lanes, columns) position matrix equals the
+per-step float recursion bit for bit.  The minimum-distance kernel takes
+each row's minimum distance; the first-hit kernel takes the first column
+inside the ball, from ``start_j`` on.  The last 53 digits of the row are
+the window carried into the next chunk.
 
 Cylinder events need no positions at all.  Letters are the digits
 themselves for the doubling map and adjacent-digit XORs for the tent map,
@@ -59,8 +69,11 @@ from .rng import block_slices, substream
 from .systems import FIXED_ONE, WINDOW_BITS
 
 _SCALE = 2.0 ** -WINDOW_BITS
-_TOP = 1.0 - 2.0 ** -WINDOW_BITS
 _POWERS = 2.0 ** -(np.arange(1, WINDOW_BITS + 1, dtype=np.float64))
+_MASK = np.uint64((1 << WINDOW_BITS) - 1)
+#: right shifts 11 - s that bring bits s .. s + 52 of a 64-bit word, counted
+#: from the most significant bit as 0, to the bottom, for s = 1 .. 8
+_SHIFTS = (64 - WINDOW_BITS - np.arange(1, 9)).astype(np.uint64)
 
 #: fraction of finished lanes that triggers an active-set compaction
 _COMPACT_AT = 0.25
@@ -113,18 +126,42 @@ def window_from_digits(digits):
     return digits.astype(np.float64) @ _POWERS
 
 
-def _step_window(v, new_bit_float):
-    # v <- (2 v mod 1) + b * 2^-53, all exact on the 2^-53 grid
-    v *= 2.0
-    v -= v >= 1.0
-    v += new_bit_float * _SCALE
-
-
-def _distances(pos, zeta, circle, out=None):
-    d = np.abs(pos - zeta) if out is None else np.abs(pos - zeta, out=out)
+def _distances(pos, zeta, circle):
+    """Distances of the positions ``pos`` to zeta, written over ``pos``."""
+    d = np.subtract(pos, zeta, out=pos)
+    np.abs(d, out=d)
     if circle:
         np.minimum(d, 1.0 - d, out=d)
     return d
+
+
+def _window_positions(window, fresh, tent):
+    """Positions after each step of one chunk, and the window after it.
+
+    ``window`` (rows x 53) holds each lane's current digits and ``fresh``
+    (rows x cols) the digits the chunk's steps shift in.  Side by side they
+    form one digit row, and the window after step k is its digits
+    k .. k + 52.  The row is packed into bytes, and the big-endian 64-bit
+    word at byte q holds the windows of steps 8q + 1 .. 8q + 8: the one of
+    step 8q + s is that word shifted right by 11 - s and masked to 53 bits.
+    The window is an integer below 2^53, so scaling it by 2^-53 gives the
+    float window exactly.  A tent position is the ones' complement of its
+    window when the digit just shifted out is 1.
+    """
+    rows, cols = fresh.shape
+    digits = np.concatenate((window, fresh), axis=1)
+    n_words = (cols + 7) // 8
+    packed = np.zeros((rows, n_words + 7), dtype=np.uint8)
+    row_bytes = np.packbits(digits, axis=1)
+    packed[:, :row_bytes.shape[1]] = row_bytes
+    words = np.ndarray((rows, n_words), dtype=">u8", buffer=packed,
+                       strides=(packed.strides[0], 1)).astype(np.uint64)
+    ints = words[:, :, None] >> _SHIFTS  # [:, q, s - 1]: step 8q + s
+    ints &= _MASK
+    ints = ints.reshape(rows, 8 * n_words)[:, :cols]
+    if tent:
+        ints ^= digits[:, :cols] * _MASK
+    return ints * _SCALE, digits[:, cols:]
 
 
 def digit_window_min_distance(
@@ -138,21 +175,16 @@ def digit_window_min_distance(
     """
     if n_steps < 1:
         raise DomainError("need at least one orbit point")
-    v = window_from_digits(draw_digits(gen, count, WINDOW_BITS, p_zero))
-    parity = np.zeros(count, dtype=bool)  # digit left of the window; b_0 = 0
-    pos = np.where(parity, _TOP - v, v) if tent else v
-    best = _distances(pos, zeta, circle)
+    window = draw_digits(gen, count, WINDOW_BITS, p_zero)
+    # no digit lies left of the start window (b_0 = 0): no tent flip at j = 0
+    best = _distances(window_from_digits(window), zeta, circle)
     remaining = n_steps - 1
     while remaining > 0:
         cols = min(chunk, remaining)
-        fresh = draw_digits(gen, count, cols, p_zero).astype(np.float64)
-        for c in range(cols):
-            if tent:
-                parity = v >= 0.5  # the digit shifted out of the window
-            _step_window(v, fresh[:, c])
-            pos = np.where(parity, _TOP - v, v) if tent else v
-            d = _distances(pos, zeta, circle)
-            np.minimum(best, d, out=best)
+        pos, window = _window_positions(
+            window, draw_digits(gen, count, cols, p_zero), tent
+        )
+        np.minimum(best, _distances(pos, zeta, circle).min(axis=1), out=best)
         remaining -= cols
     return (best,)
 
@@ -365,41 +397,39 @@ def ball_first_hit_digits(
     if cap < 1 or start_j < 0 or start_j >= cap:
         raise DomainError("need 0 <= start_j < cap")
     if initial_digits is None:
-        initial_digits = draw_digits(gen, count, WINDOW_BITS, p_zero)
-    v = window_from_digits(initial_digits)
-    parity = np.zeros(count, dtype=bool)
+        window = draw_digits(gen, count, WINDOW_BITS, p_zero)
+    else:
+        window = np.asarray(initial_digits, dtype=bool)
+        if window.shape != (count, WINDOW_BITS):
+            raise DomainError(
+                f"initial_digits must have shape ({count}, {WINDOW_BITS}); "
+                f"got {window.shape}"
+            )
     times = np.full(count, cap, dtype=np.int64)
     lane = np.arange(count)
     done = np.zeros(count, dtype=bool)
 
     if start_j == 0:
-        pos = np.where(parity, _TOP - v, v) if tent else v
-        hits = _distances(pos, zeta, circle) < eta
-        if hits.any():
-            times[lane[hits]] = 0
-            done |= hits
+        hits = _distances(window_from_digits(window), zeta, circle) < eta
+        times[hits] = 0
+        done |= hits
 
-    j = 0
+    j = 0  # steps taken
     while j < cap - 1 and lane.size:
         cols = min(chunk, cap - 1 - j)
-        fresh = draw_digits(gen, lane.size, chunk, p_zero).astype(np.float64)
-        for c in range(cols):
-            if tent:
-                parity = v >= 0.5
-            _step_window(v, fresh[:, c])
-            j += 1
-            if j < start_j:
-                continue
-            pos = np.where(parity, _TOP - v, v) if tent else v
-            hits = (_distances(pos, zeta, circle) < eta) & ~done
-            if hits.any():
-                times[lane[hits]] = j
-                done |= hits
+        digits = draw_digits(gen, lane.size, chunk, p_zero)
+        pos, window = _window_positions(window, digits[:, :cols], tent)
+        # column c is the position after step j + c + 1
+        first = max(start_j - j - 1, 0)
+        inside = _distances(pos[:, first:], zeta, circle) < eta
+        hits = np.flatnonzero(inside.any(axis=1) & ~done)
+        if hits.size:
+            times[lane[hits]] = j + 1 + first + inside[hits].argmax(axis=1)
+            done[hits] = True
+        j += cols
         if done.mean() > _COMPACT_AT:
             keep = ~done
-            lane, v, done = lane[keep], v[keep], done[keep]
-            if tent:
-                parity = parity[keep]
+            lane, window, done = lane[keep], window[keep], done[keep]
     return times, times < cap
 
 

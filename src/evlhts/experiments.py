@@ -342,12 +342,18 @@ def _targets(cfg: ExperimentConfig, system, measure):
 
 def _run_time_law(cfg: ExperimentConfig, name: str, conditional: bool
                   ) -> Body:
+    t_grid = cfg["hts.t_grid"]
+    cap_factor = cfg["hts.cap_factor"]
+    if cap_factor < max(t_grid):
+        raise ConfigError(
+            f"hts.cap_factor = {cap_factor} censors times at {cap_factor:g} "
+            f"mean returns, short of t = {max(t_grid):g} on hts.t_grid"
+        )
     system = _build_system(cfg)
     measure = _build_measure(cfg, system)
     start_j = cfg["hts.start_j"]
     if conditional and start_j < 1:
         raise ConfigError("return times need hts.start_j >= 1")
-    t_grid = cfg["hts.t_grid"]
     samples = cfg["hts.samples"]
     tol = cfg["hts.tol"]
     seed, threads = cfg["master_seed"], cfg["threads"]
@@ -356,7 +362,7 @@ def _run_time_law(cfg: ExperimentConfig, name: str, conditional: bool
     per_target, data_rows, plot_rows = [], [], []
     passed = True
     for label, target in _targets(cfg, system, measure):
-        cap = hts.default_cap(target.mass, cfg["hts.cap_factor"])
+        cap = hts.default_cap(target.mass, cap_factor)
         sample = hts.sample_hit_times(
             system, target, cap=cap, n_samples=samples, seed=seed,
             labels=(name, label), threads=threads, conditional=conditional,
@@ -407,6 +413,11 @@ def _run_rts(cfg: ExperimentConfig) -> Body:
 # ------------------------------------------------------------------ kac
 
 def _run_kac(cfg: ExperimentConfig) -> Body:
+    if cfg["hts.cap_factor"] < 1:
+        raise ConfigError(
+            f"hts.cap_factor = {cfg['hts.cap_factor']} censors returns short "
+            "of the one mean return that the identity certifies"
+        )
     system = _build_system(cfg)
     measure = _build_measure(cfg, system)
     if cfg["hts.start_j"] < 1:

@@ -22,7 +22,7 @@ def make_config(experiment, text="", **kw):
 
 
 def forbid_sampling(monkeypatch):
-    """Fail the test if the equivalence or conditions experiment samples."""
+    """Fail the test if an experiment samples."""
     def refuse(*args, **kwargs):
         raise AssertionError("sampled before the config was checked")
     for owner, name in ((evl, "sample_ball_min_distances"),
@@ -372,6 +372,11 @@ class TestFilesAndCli:
         # 300 // 5000 leaves an empty window; k = 10 alone would sample
         ("conditions", "conditions.k_list = 5000", "conditions.k_list"),
         ("conditions", "conditions.k_list = 10, 5000", "conditions.k_list"),
+        # horizons of half a mean return: short of the t-grid's 3 mean
+        # returns, and of the mean return that kac certifies
+        ("hts", "hts.cap_factor = 0.5", "hts.cap_factor"),
+        ("rts", "hts.cap_factor = 0.5", "hts.cap_factor"),
+        ("kac", "hts.cap_factor = 0.5", "hts.cap_factor"),
     ])
     def test_late_failure_configs_exit_two(self, tmp_path, capsys, monkeypatch,
                                            experiment, line, key):

@@ -323,6 +323,85 @@ def reference_word_hit_count(gen, count, *, word_int, depth, tent, p_zero,
     return (counts,)
 
 
+_TOP = 1.0 - 2.0 ** -53
+
+
+def _reference_distances(pos, zeta, circle):
+    d = np.abs(pos - zeta)
+    if circle:
+        np.minimum(d, 1.0 - d, out=d)
+    return d
+
+
+def _reference_step(v, new_bit_float):
+    # v <- (2 v mod 1) + b * 2^-53, all exact on the 2^-53 grid
+    v *= 2.0
+    v -= v >= 1.0
+    v += new_bit_float * 2.0 ** -53
+
+
+def reference_digit_window_min_distance(gen, count, *, n_steps, p_zero, tent,
+                                        zeta, circle, chunk=256):
+    """Per-step reference for ``digit_window_min_distance``: one float
+    window update per orbit step over every lane, digits from
+    ``gen.random``."""
+    v = window_from_digits(gen.random((count, 53)) >= p_zero)
+    parity = np.zeros(count, dtype=bool)  # digit left of the window; b_0 = 0
+    pos = np.where(parity, _TOP - v, v) if tent else v
+    best = _reference_distances(pos, zeta, circle)
+    remaining = n_steps - 1
+    while remaining > 0:
+        cols = min(chunk, remaining)
+        fresh = (gen.random((count, cols)) >= p_zero).astype(np.float64)
+        for c in range(cols):
+            if tent:
+                parity = v >= 0.5  # the digit shifted out of the window
+            _reference_step(v, fresh[:, c])
+            pos = np.where(parity, _TOP - v, v) if tent else v
+            np.minimum(best, _reference_distances(pos, zeta, circle), out=best)
+        remaining -= cols
+    return (best,)
+
+
+def reference_ball_first_hit_digits(gen, count, *, eta, zeta, tent, p_zero,
+                                    circle, cap, start_j=1,
+                                    initial_digits=None, chunk=256):
+    """Per-step reference for ``ball_first_hit_digits``."""
+    if initial_digits is None:
+        initial_digits = gen.random((count, 53)) >= p_zero
+    v = window_from_digits(initial_digits)
+    parity = np.zeros(count, dtype=bool)
+    times = np.full(count, cap, dtype=np.int64)
+    lane = np.arange(count)
+    done = np.zeros(count, dtype=bool)
+    if start_j == 0:
+        hits = _reference_distances(v, zeta, circle) < eta
+        times[lane[hits]] = 0
+        done |= hits
+    j = 0
+    while j < cap - 1 and lane.size:
+        cols = min(chunk, cap - 1 - j)
+        fresh = (gen.random((lane.size, chunk)) >= p_zero).astype(np.float64)
+        for c in range(cols):
+            if tent:
+                parity = v >= 0.5
+            _reference_step(v, fresh[:, c])
+            j += 1
+            if j < start_j:
+                continue
+            pos = np.where(parity, _TOP - v, v) if tent else v
+            hits = (_reference_distances(pos, zeta, circle) < eta) & ~done
+            if hits.any():
+                times[lane[hits]] = j
+                done |= hits
+        if done.mean() > 0.25:
+            keep = ~done
+            lane, v, done = lane[keep], v[keep], done[keep]
+            if tent:
+                parity = parity[keep]
+    return times, times < cap
+
+
 # Mixed letters, so both the letters and their complements are sliced.  The
 # depth-63 word has period 3: preloaded lanes re-enter it within the caps.
 WORDS = {1: 0b0, 3: 0b101, 12: 0b110111011110, 63: int("110" * 21, 2)}
@@ -396,6 +475,100 @@ class TestWordStreamEquivalence:
         assert len(rows) > 1 and rows[-1] < rows[0]
 
 
+ZETAS = (0.0, 0.5, 1.0 - 2.0 ** -53)
+BALL_GRID = [
+    (tent, circle, zeta, start_j, p_zero, chunk, conditional)
+    for tent in (False, True)
+    for circle in (False, True)
+    for zeta in ZETAS
+    for start_j in (0, 1, LATE_START)
+    for p_zero in (0.5, 0.3)
+    for chunk in (7, 256)
+    for conditional in (False, True)
+]
+WINDOW_GRID = [
+    (tent, circle, zeta, p_zero, chunk)
+    for tent in (False, True)
+    for circle in (False, True)
+    for zeta in ZETAS
+    for p_zero in (0.5, 0.3)
+    for chunk in (7, 256)
+]
+
+
+class TestBallStreamEquivalence:
+    """The chunked ball kernels reproduce the per-step float-window scan
+    bit for bit, drawing the same digit matrices from the same substream.
+
+    Every horizon (403 orbit points, or a cap of start_j + 403) ends
+    mid-chunk at both chunk widths, and radius 0.001 leaves some lanes
+    censored while enough hit for compaction."""
+
+    LANES = 160
+    ETA = 0.001
+
+    @pytest.mark.parametrize("tent,circle,zeta,p_zero,chunk", WINDOW_GRID)
+    def test_min_distance(self, tent, circle, zeta, p_zero, chunk):
+        label = ("window-eq", tent, circle, zeta, p_zero, chunk)
+        kw = dict(n_steps=403, p_zero=p_zero, tent=tent, zeta=zeta,
+                  circle=circle, chunk=chunk)
+        want_gen = RecordingGen(substream(2024, *label))
+        got_gen = RecordingGen(substream(2024, *label))
+        want, = reference_digit_window_min_distance(want_gen, self.LANES, **kw)
+        got, = digit_window_min_distance(got_gen, self.LANES, **kw)
+        assert np.array_equal(got, want)
+        assert got_gen.shapes == want_gen.shapes
+
+    @pytest.mark.parametrize("n_steps", [1, 2, 9])
+    def test_min_distance_short_horizons(self, n_steps):
+        kw = dict(n_steps=n_steps, p_zero=0.3, tent=True, zeta=0.5,
+                  circle=False, chunk=7)
+        want_gen = RecordingGen(substream(3, "window-short", n_steps))
+        got_gen = RecordingGen(substream(3, "window-short", n_steps))
+        want, = reference_digit_window_min_distance(want_gen, self.LANES, **kw)
+        got, = digit_window_min_distance(got_gen, self.LANES, **kw)
+        assert np.array_equal(got, want)
+        assert got_gen.shapes == want_gen.shapes
+
+    @pytest.mark.parametrize(
+        "tent,circle,zeta,start_j,p_zero,chunk,conditional", BALL_GRID
+    )
+    def test_first_hit(self, tent, circle, zeta, start_j, p_zero, chunk,
+                       conditional):
+        label = ("ball-eq", tent, circle, zeta, start_j, p_zero, chunk,
+                 conditional)
+        kw = dict(eta=self.ETA, zeta=zeta, tent=tent, p_zero=p_zero,
+                  circle=circle, cap=start_j + 403, start_j=start_j,
+                  chunk=chunk)
+        if conditional:
+            # starts drawn from the measure restricted to a CDF interval
+            kw["initial_digits"] = conditional_digit_starts(
+                substream(2024, "starts", *label), self.LANES,
+                arcs=([0.2, 0.7], [0.3, 0.95]), p_zero=p_zero,
+            )
+        want_gen = RecordingGen(substream(2024, *label))
+        got_gen = RecordingGen(substream(2024, *label))
+        want = reference_ball_first_hit_digits(want_gen, self.LANES, **kw)
+        got = ball_first_hit_digits(got_gen, self.LANES, **kw)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+        assert got_gen.shapes == want_gen.shapes
+
+    @pytest.mark.parametrize("chunk", [7, 256])
+    @pytest.mark.parametrize("tent", [False, True])
+    def test_compaction_shrinks_draws_identically(self, tent, chunk):
+        kw = dict(eta=0.002, zeta=0.5, tent=tent, p_zero=0.3, circle=True,
+                  cap=3 * 256 + 5, start_j=1, chunk=chunk)
+        want_gen = RecordingGen(substream(5, "ball-compact", tent, chunk))
+        got_gen = RecordingGen(substream(5, "ball-compact", tent, chunk))
+        want = reference_ball_first_hit_digits(want_gen, 2048, **kw)
+        got = ball_first_hit_digits(got_gen, 2048, **kw)
+        assert np.array_equal(got[0], want[0])
+        assert got_gen.shapes == want_gen.shapes
+        rows = [shape[0] for shape in got_gen.shapes]
+        assert len(rows) > 2 and rows[-1] < rows[1]
+
+
 class TestDrawDigits:
     @pytest.mark.parametrize(
         "p_zero", [0.5, 0.3, 0.01, 0.99, 0.0, 1.0 - 2.0 ** -53]
@@ -457,6 +630,15 @@ class TestBallHitKernel:
             circle=False, cap=10, start_j=0, initial_digits=digits,
         )
         assert hit.all() and (times == 0).all()
+
+    @pytest.mark.parametrize("shape", [(63, 53), (64, 52), (64,)])
+    def test_initial_digits_must_be_lanes_by_window(self, shape):
+        with pytest.raises(DomainError, match="initial_digits"):
+            ball_first_hit_digits(
+                substream(1, "shape"), 64, eta=0.1, zeta=0.5, tent=False,
+                p_zero=0.5, circle=False, cap=10,
+                initial_digits=np.zeros(shape, dtype=bool),
+            )
 
 
 class TestRotationKernels:
