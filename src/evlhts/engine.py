@@ -27,9 +27,9 @@ consecutive steps out of each word with one shift and a 53-bit mask.  A
 window is an integer below 2^53, so scaling it by 2^-53 gives the
 position exactly, and the (lanes, columns) position matrix equals the
 per-step float recursion bit for bit.  The minimum-distance kernel takes
-each row's minimum distance; the first-hit kernel takes the first column
-inside the ball, from ``start_j`` on.  The last 53 digits of the row are
-the window carried into the next chunk.
+each row's minimum distance; the first-hit kernel marks the positions
+inside the ball.  The last 53 digits of the row are the window carried
+into the next chunk.
 
 Cylinder events need no positions at all.  Letters are the digits
 themselves for the doubling map and adjacent-digit XORs for the tent map,
@@ -38,7 +38,14 @@ spell its word.  The word kernels scan one digit chunk at a time: they
 build the chunk's letters in bulk, AND d shifted column slices of the
 letters (or of their complements) into a (lanes, columns) match matrix,
 and carry the last digit and the last d - 1 letters into the next chunk.
-A lane's first hit is the first True column of its row.
+
+Every first-hit kernel runs one scan, ``_first_hit``.  The kernel yields
+each chunk's (lanes, columns) matrix of iterates inside its target; the
+scan takes each row's first True column from ``start_j`` on, drops
+finished lanes and censors the lanes still out at the cap.  Rotations
+advance exact 63-bit integer positions, a chunk per numpy op, and the
+intermittent map steps float64 lanes with the scalar map's update.
+Neither draws inside the scan, so their compaction touches no stream.
 
 The digit draws fix the RNG stream, and with it every report byte:
 
@@ -54,9 +61,6 @@ The digit draws fix the RNG stream, and with it every report byte:
   ``_COMPACT_AT`` of the live lanes have hit.  That sets the rows of the
   next draw, so ``_COMPACT_AT`` is part of the stream: changing it
   changes every result.
-
-Rotations advance 63-bit integer positions (exact), and the intermittent
-map steps float64 lanes with the same update as the scalar reference.
 """
 
 import math
@@ -218,6 +222,42 @@ def iid_min_distance_digits(gen, count, *, n_draws, p_zero, zeta, circle):
     return (best,)
 
 
+# ------------------------------------------------------------ first hits
+
+def _first_hit(count, cap, start_j, j, chunk, scan, state, inside_before=None):
+    """First iterate in [start_j, cap) inside the target, for ``count`` lanes.
+
+    ``state`` is a tuple of per-lane arrays.  ``scan(state, cols)`` returns
+    a (live lanes, cols) matrix, True where iterate j + c is inside, and the
+    state after those iterates.  ``inside_before`` marks the lanes inside at
+    iterate j - 1.  Returns (times, hit): times[i] = cap and hit[i] = False
+    when the lane never enters by cap - 1.
+    """
+    if cap < 1 or start_j < 0 or start_j >= cap:
+        raise DomainError("need 0 <= start_j < cap")
+    times = np.full(count, cap, dtype=np.int64)
+    lane = np.arange(count)
+    done = np.zeros(count, dtype=bool)
+    if inside_before is not None:
+        done |= inside_before
+    times[done] = j - 1
+    while j < cap and lane.size:
+        cols = min(chunk, cap - j)
+        inside, state = scan(state, cols)
+        first = max(start_j - j, 0)
+        inside = inside[:, first:]
+        hits = np.flatnonzero(inside.any(axis=1) & ~done)
+        if hits.size:
+            times[lane[hits]] = j + first + inside[hits].argmax(axis=1)
+            done[hits] = True
+        j += cols
+        if done.mean() > _COMPACT_AT:
+            keep = ~done
+            lane, done = lane[keep], done[keep]
+            state = tuple(a[keep] for a in state)
+    return times, times < cap
+
+
 # ----------------------------------------------------- word (cylinder) scans
 
 def _word_scan_start(count, word_int, depth, start_j, preload):
@@ -293,42 +333,20 @@ def word_first_hit(
     the word) and only the free tail is drawn: that is exactly the
     conditional start used by return-time runs, because under the product
     measures the letters beyond a fixed prefix stay independent.
-
-    Returns (times, hit): times[i] = cap and hit[i] = False when the lane
-    never enters by cap - 1.
-
-    Draws are always full ``chunk``-width matrices even when fewer columns
-    remain, so two runs sharing a seed but holding different caps consume
-    the generator identically up to the smaller cap: raising the cap only
-    extends censored lanes, never rewrites observed times.
     """
-    if cap < 1 or start_j < 0 or start_j >= cap:
-        raise DomainError("need 0 <= start_j < cap")
     word, prev, tail, consumed = _word_scan_start(
         count, word_int, depth, start_j, preload
     )
-    times = np.full(count, cap, dtype=np.int64)
-    lane = np.arange(count)
-    done = np.zeros(count, dtype=bool)
-    total_letters = cap - 1 + depth  # letters l_0 .. l_{cap-2+depth}
 
-    while consumed < total_letters and lane.size:
-        cols = min(chunk, total_letters - consumed)
-        digits = draw_digits(gen, lane.size, chunk, p_zero)
+    def scan(state, cols):
+        prev, tail = state
+        digits = draw_digits(gen, prev.size, chunk, p_zero)
         match, prev, tail = _word_matches(digits, cols, word, prev, tail, tent)
-        # column c ends the window that starts at j = consumed + c + 1 - depth
-        first = max(start_j + depth - 1 - consumed, 0)
-        match = match[:, first:]
-        hits = np.flatnonzero(match.any(axis=1) & ~done)
-        if hits.size:
-            times[lane[hits]] = (consumed + first + 1 - depth
-                                 + match[hits].argmax(axis=1))
-            done[hits] = True
-        consumed += cols
-        if done.mean() > _COMPACT_AT:
-            keep = ~done
-            lane, prev, tail, done = lane[keep], prev[keep], tail[keep], done[keep]
-    return times, times < cap
+        return match, (prev, tail)
+
+    # column c ends the window that starts at j = consumed + c + 1 - depth
+    return _first_hit(count, cap, start_j, consumed + 1 - depth, chunk, scan,
+                      (prev, tail))
 
 
 def word_hit_count(
@@ -389,13 +407,7 @@ def ball_first_hit_digits(
     the start point — used by conditional (return-time) starts drawn by
     inverse-CDF; the tail beyond 53 digits is drawn iid, which misstates
     the conditional law only on boundary cells of mass O(2^-53).
-
-    As in ``word_first_hit``, chunks are drawn at full width regardless of
-    how many columns remain, keeping shared-seed runs with different caps
-    identical up to the smaller cap.
     """
-    if cap < 1 or start_j < 0 or start_j >= cap:
-        raise DomainError("need 0 <= start_j < cap")
     if initial_digits is None:
         window = draw_digits(gen, count, WINDOW_BITS, p_zero)
     else:
@@ -405,32 +417,18 @@ def ball_first_hit_digits(
                 f"initial_digits must have shape ({count}, {WINDOW_BITS}); "
                 f"got {window.shape}"
             )
-    times = np.full(count, cap, dtype=np.int64)
-    lane = np.arange(count)
-    done = np.zeros(count, dtype=bool)
+    inside_before = (_distances(window_from_digits(window), zeta, circle) < eta
+                     if start_j == 0 else None)
 
-    if start_j == 0:
-        hits = _distances(window_from_digits(window), zeta, circle) < eta
-        times[hits] = 0
-        done |= hits
-
-    j = 0  # steps taken
-    while j < cap - 1 and lane.size:
-        cols = min(chunk, cap - 1 - j)
-        digits = draw_digits(gen, lane.size, chunk, p_zero)
+    def scan(state, cols):
+        window, = state
+        digits = draw_digits(gen, window.shape[0], chunk, p_zero)
         pos, window = _window_positions(window, digits[:, :cols], tent)
-        # column c is the position after step j + c + 1
-        first = max(start_j - j - 1, 0)
-        inside = _distances(pos[:, first:], zeta, circle) < eta
-        hits = np.flatnonzero(inside.any(axis=1) & ~done)
-        if hits.size:
-            times[lane[hits]] = j + 1 + first + inside[hits].argmax(axis=1)
-            done[hits] = True
-        j += cols
-        if done.mean() > _COMPACT_AT:
-            keep = ~done
-            lane, window, done = lane[keep], window[keep], done[keep]
-    return times, times < cap
+        return _distances(pos, zeta, circle) < eta, (window,)
+
+    # column c is the position after step c + 1 of the chunk
+    return _first_hit(count, cap, start_j, 1, chunk, scan, (window,),
+                      inside_before)
 
 
 # --------------------------------------------------------------- rotation
@@ -446,40 +444,31 @@ def rotation_first_hit(
     """First j in [start_j, cap) with the rotated position in [lo, hi).
 
     Positions are 63-bit integers; the step is the quantized angle, so
-    the sweep is exact and matches the scalar map for every lane.
+    the sweep is exact and matches the scalar map for every lane.  A chunk
+    adds offsets[k] = k * step mod 2^63 to the chunk's first positions;
+    both terms lie below 2^63, so the uint64 sum cannot wrap.
     """
-    if cap < 1 or start_j < 0 or start_j >= cap:
-        raise DomainError("need 0 <= start_j < cap")
     if not 0 <= lo < hi <= FIXED_ONE:
         raise DomainError("arc must satisfy 0 <= lo < hi <= 2^63")
-    s = rotation_starts(gen, count) if starts is None else starts.copy()
-    step = np.uint64(step_fixed)
+    s = rotation_starts(gen, count) if starts is None else starts
     m = np.uint64(FIXED_ONE)
     lo_u, hi_u = np.uint64(lo), np.uint64(hi)
-    times = np.full(count, cap, dtype=np.int64)
-    lane = np.arange(count)
-    done = np.zeros(count, dtype=bool)
-    if start_j:
-        jump = np.uint64((start_j * step_fixed) % FIXED_ONE)
-        s += jump
-        s[s >= m] -= m
-    j = start_j
-    steps_since_compact = 0
-    while j < cap and lane.size:
-        hits = (s >= lo_u) & (s < hi_u) & ~done
-        if hits.any():
-            times[lane[hits]] = j
-            done |= hits
-        s += step
-        s[s >= m] -= m
-        j += 1
-        steps_since_compact += 1
-        if steps_since_compact >= chunk:
-            steps_since_compact = 0
-            if done.mean() > _COMPACT_AT:
-                keep = ~done
-                lane, s, done = lane[keep], s[keep], done[keep]
-    return times, times < cap
+    offsets = np.array([k * step_fixed % FIXED_ONE for k in range(chunk + 1)],
+                       dtype=np.uint64)
+
+    def advance(s, by):
+        """Positions s + by mod 2^63, for offsets ``by`` below 2^63."""
+        pos = s + by
+        np.subtract(pos, m, out=pos, where=pos >= m)
+        return pos
+
+    def scan(state, cols):
+        s, = state
+        pos = advance(s[:, None], offsets[:cols])
+        return (pos >= lo_u) & (pos < hi_u), (advance(s, offsets[cols]),)
+
+    s = advance(s, np.uint64(start_j * step_fixed % FIXED_ONE))
+    return _first_hit(count, cap, start_j, start_j, chunk, scan, (s,))
 
 
 def rotation_min_distance(gen, count, *, step_fixed, zeta_fixed, checkpoints,
@@ -532,32 +521,23 @@ def mp_min_distance(gen, count, *, s_exp, zeta, n_steps, starts):
 
 def mp_first_hit(gen, count, *, s_exp, eta, zeta, cap, start_j, starts,
                  chunk=64):
-    """First j in [start_j, cap) with |f^j x - zeta| < eta (intermittent)."""
-    if cap < 1 or start_j < 0 or start_j >= cap:
-        raise DomainError("need 0 <= start_j < cap")
-    x = starts.copy()
+    """First j in [start_j, cap) with |f^j x - zeta| < eta (intermittent).
+
+    Each step of a chunk writes one column of the chunk's inside matrix, so
+    no float (lanes, chunk) matrix is kept.
+    """
     e = 1.0 + s_exp
-    times = np.full(count, cap, dtype=np.int64)
-    lane = np.arange(count)
-    done = np.zeros(count, dtype=bool)
-    j = 0
-    steps_since_compact = 0
-    while j < cap and lane.size:
-        if j >= start_j:
-            hits = (np.abs(x - zeta) < eta) & ~done
-            if hits.any():
-                times[lane[hits]] = j
-                done |= hits
-        x = x + x**e
-        x -= x >= 1.0
-        j += 1
-        steps_since_compact += 1
-        if steps_since_compact >= chunk:
-            steps_since_compact = 0
-            if done.mean() > _COMPACT_AT:
-                keep = ~done
-                lane, x, done = lane[keep], x[keep], done[keep]
-    return times, times < cap
+
+    def scan(state, cols):
+        x, = state
+        inside = np.empty((x.size, cols), dtype=bool)
+        for c in range(cols):
+            np.less(np.abs(x - zeta), eta, out=inside[:, c])
+            x = x + x**e
+            x -= x >= 1.0
+        return inside, (x,)
+
+    return _first_hit(count, cap, start_j, 0, chunk, scan, (starts,))
 
 
 # ------------------------------------------------- conditional ball starts

@@ -328,16 +328,29 @@ def _run_evl_cylinders(cfg: ExperimentConfig) -> Body:
 
 # ------------------------------------------------------------- hts / rts
 
+def _hit_cap(cfg: ExperimentConfig, mass: float) -> int:
+    """Step cap of a target of ``mass``, with hts.start_j checked below it."""
+    cap = hts.default_cap(mass, cfg["hts.cap_factor"])
+    if cfg["hts.start_j"] >= cap:
+        raise ConfigError(
+            f"hts.start_j = {cfg['hts.start_j']} leaves no step below the cap "
+            f"{cap} (hts.cap_factor = {cfg['hts.cap_factor']:g} mean returns "
+            f"of a target of mass {mass:g})")
+    return cap
+
+
 def _targets(cfg: ExperimentConfig, system, measure):
-    """(label, TargetSet) pairs from the configured target family."""
+    """(label, TargetSet, cap) triples from the configured target family."""
     zeta = cfg["observable.zeta"]
     if cfg["hts.target"] == "cylinder":
         depths = cfg["hts.depth_list"]
         ctx = _build_ctx(cfg, system, measure, *depths)
-        return [(f"depth={d}", hts.cylinder_target(ctx, zeta, d))
-                for d in depths]
-    return [(f"mass={m!r}", hts.ball_target(measure, zeta, mass=m))
-            for m in cfg["hts.mass_list"]]
+        pairs = [(f"depth={d}", hts.cylinder_target(ctx, zeta, d))
+                 for d in depths]
+    else:
+        pairs = [(f"mass={m!r}", hts.ball_target(measure, zeta, mass=m))
+                 for m in cfg["hts.mass_list"]]
+    return [(label, t, _hit_cap(cfg, t.mass)) for label, t in pairs]
 
 
 def _run_time_law(cfg: ExperimentConfig, name: str, conditional: bool
@@ -361,8 +374,7 @@ def _run_time_law(cfg: ExperimentConfig, name: str, conditional: bool
 
     per_target, data_rows, plot_rows = [], [], []
     passed = True
-    for label, target in _targets(cfg, system, measure):
-        cap = hts.default_cap(target.mass, cap_factor)
+    for label, target, cap in _targets(cfg, system, measure):
         sample = hts.sample_hit_times(
             system, target, cap=cap, n_samples=samples, seed=seed,
             labels=(name, label), threads=threads, conditional=conditional,
@@ -428,8 +440,7 @@ def _run_kac(cfg: ExperimentConfig) -> Body:
 
     per_target, data_rows, plot_rows = [], [], []
     passed = True
-    for label, target in _targets(cfg, system, measure):
-        cap = hts.default_cap(target.mass, cfg["hts.cap_factor"])
+    for label, target, cap in _targets(cfg, system, measure):
         sample = hts.sample_hit_times(
             system, target, cap=cap, n_samples=samples, seed=seed,
             labels=("kac", label), threads=threads, conditional=True,
@@ -622,8 +633,9 @@ def _run_equivalence(cfg: ExperimentConfig) -> Body:
     g = _build_g(cfg)
     n = cfg["evl.n_list"][-1]
     y_grid = cfg["evl.y_grid"]
-    # hitting times are censored at this many mean returns (target mass 1/n)
-    horizon = hts.default_cap(1.0 / n, cfg["hts.cap_factor"]) * (1.0 / n)
+    # hitting times (target mass 1/n) are censored at this many mean returns
+    cap = _hit_cap(cfg, 1.0 / n)
+    horizon = cap * (1.0 / n)
     beyond = [y for y in y_grid if horizon < g.tau(y) < math.inf]
     if beyond:
         raise ConfigError(
@@ -650,7 +662,6 @@ def _run_equivalence(cfg: ExperimentConfig) -> Body:
 
     target = hts.ball_target(measure, cfg["observable.zeta"], mass=1.0 / n)
     hit_samples = cfg["hts.samples"]
-    cap = hts.default_cap(target.mass, cfg["hts.cap_factor"])
     sample = hts.sample_hit_times(
         system, target, cap=cap, n_samples=hit_samples, seed=seed,
         labels=("equivalence", "hit"), threads=threads, conditional=False,
@@ -710,11 +721,11 @@ def _run_rotation_subseq(cfg: ExperimentConfig) -> Body:
     seed, threads = cfg["master_seed"], cfg["threads"]
     exp_ref = ReferenceLaw(LawKind.EXPONENTIAL)
 
+    targets = [hts.cylinder_target(ctx, zeta, d) for d in depths]
+    caps = [_hit_cap(cfg, target.mass) for target in targets]
     per_depth, data_rows, plot_rows = [], [], []
     passed = True
-    for depth in depths:
-        target = hts.cylinder_target(ctx, zeta, depth)
-        cap = hts.default_cap(target.mass, cfg["hts.cap_factor"])
+    for depth, target, cap in zip(depths, targets, caps):
         hit = hts.sample_hit_times(
             system, target, cap=cap, n_samples=samples, seed=seed,
             labels=("rotation-subseq", f"depth={depth}"), threads=threads,

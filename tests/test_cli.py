@@ -377,6 +377,12 @@ class TestFilesAndCli:
         ("hts", "hts.cap_factor = 0.5", "hts.cap_factor"),
         ("rts", "hts.cap_factor = 0.5", "hts.cap_factor"),
         ("kac", "hts.cap_factor = 0.5", "hts.cap_factor"),
+        # a first eligible index at or past every target's step cap
+        ("hts", "hts.start_j = 100000", "hts.start_j"),
+        ("rts", "hts.start_j = 100000", "hts.start_j"),
+        ("kac", "hts.start_j = 100000", "hts.start_j"),
+        ("rotation-subseq", "hts.start_j = 100000", "hts.start_j"),
+        ("equivalence", "hts.start_j = 100000", "hts.start_j"),
     ])
     def test_late_failure_configs_exit_two(self, tmp_path, capsys, monkeypatch,
                                            experiment, line, key):

@@ -569,6 +569,132 @@ class TestBallStreamEquivalence:
         assert len(rows) > 2 and rows[-1] < rows[1]
 
 
+
+def reference_rotation_first_hit(gen, count, *, step_fixed, lo, hi, cap,
+                                 start_j=1, starts=None, chunk=64):
+    """Per-step reference for ``rotation_first_hit``: one rotation step per
+    iteration over every live lane."""
+    s = (gen.integers(0, FIXED_ONE, size=count, dtype=np.uint64)
+         if starts is None else starts.copy())
+    step = np.uint64(step_fixed)
+    m = np.uint64(FIXED_ONE)
+    lo_u, hi_u = np.uint64(lo), np.uint64(hi)
+    times = np.full(count, cap, dtype=np.int64)
+    lane = np.arange(count)
+    done = np.zeros(count, dtype=bool)
+    if start_j:
+        s += np.uint64((start_j * step_fixed) % FIXED_ONE)
+        s[s >= m] -= m
+    j = start_j
+    steps_since_compact = 0
+    while j < cap and lane.size:
+        hits = (s >= lo_u) & (s < hi_u) & ~done
+        if hits.any():
+            times[lane[hits]] = j
+            done |= hits
+        s += step
+        s[s >= m] -= m
+        j += 1
+        steps_since_compact += 1
+        if steps_since_compact >= chunk:
+            steps_since_compact = 0
+            if done.mean() > 0.25:
+                keep = ~done
+                lane, s, done = lane[keep], s[keep], done[keep]
+    return times, times < cap
+
+
+def reference_mp_first_hit(gen, count, *, s_exp, eta, zeta, cap, start_j,
+                           starts, chunk=64):
+    """Per-step reference for ``mp_first_hit``."""
+    x = starts.copy()
+    e = 1.0 + s_exp
+    times = np.full(count, cap, dtype=np.int64)
+    lane = np.arange(count)
+    done = np.zeros(count, dtype=bool)
+    j = 0
+    steps_since_compact = 0
+    while j < cap and lane.size:
+        if j >= start_j:
+            hits = (np.abs(x - zeta) < eta) & ~done
+            if hits.any():
+                times[lane[hits]] = j
+                done |= hits
+        x = x + x**e
+        x -= x >= 1.0
+        j += 1
+        steps_since_compact += 1
+        if steps_since_compact >= chunk:
+            steps_since_compact = 0
+            if done.mean() > 0.25:
+                keep = ~done
+                lane, x, done = lane[keep], x[keep], done[keep]
+    return times, times < cap
+
+
+# Starts around the chunk boundary at 64; the caps end mid-chunk at both
+# chunk widths, and 66 leaves a single eligible iterate at start_j = 65.
+ORBIT_GRID = [
+    (start_j, cap, conditional, chunk)
+    for start_j in (0, 1, 63, 64, 65)
+    for cap in (66, 300)
+    for conditional in (False, True)
+    for chunk in (7, 64)
+]
+
+
+class TestOrbitKernelEquivalence:
+    """The chunked rotation and intermittent kernels reproduce the per-step
+    scans array for array.  Enough of the 2048 lanes hit within the long cap
+    that the live set is compacted."""
+
+    LANES = 2048
+
+    @pytest.mark.parametrize("angle", ["golden", math.pi / 10])
+    @pytest.mark.parametrize("start_j,cap,conditional,chunk", ORBIT_GRID)
+    def test_rotation(self, angle, start_j, cap, conditional, chunk):
+        step = rotation(angle).fixed_angle
+        lo, hi = int(0.2 * FIXED_ONE), int(0.23 * FIXED_ONE)
+        label = ("rot-eq", angle, start_j, cap, conditional, chunk)
+        starts = None
+        if conditional:
+            # starts inside the arc, as for return times
+            starts = substream(7, "starts", *label).integers(
+                lo, hi, size=self.LANES, dtype=np.uint64)
+        kw = dict(step_fixed=step, lo=lo, hi=hi, cap=cap, start_j=start_j,
+                  starts=starts, chunk=chunk)
+        want = reference_rotation_first_hit(substream(7, *label), self.LANES,
+                                            **kw)
+        kept = None if starts is None else starts.copy()
+        got = rotation_first_hit(substream(7, *label), self.LANES, **kw)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+        if conditional:
+            assert np.array_equal(starts, kept)  # the caller's starts stay put
+        if cap == 300:
+            assert want[1].mean() > 0.25
+
+    @pytest.mark.parametrize("start_j,cap,conditional,chunk", ORBIT_GRID)
+    def test_intermittent(self, start_j, cap, conditional, chunk):
+        zeta, eta = 0.4, 0.05
+        gen = substream(7, "mp-starts", start_j, cap, conditional, chunk)
+        if conditional:
+            # starts inside the ball, as for return times
+            starts = zeta + eta * (2.0 * gen.random(self.LANES) - 1.0)
+        else:
+            starts = gen.random(self.LANES)
+        kw = dict(s_exp=0.6, eta=eta, zeta=zeta, cap=cap, start_j=start_j,
+                  starts=starts, chunk=chunk)
+        want = reference_mp_first_hit(None, self.LANES, **kw)
+        kept = starts.copy()
+        got = mp_first_hit(None, self.LANES, **kw)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+        assert np.array_equal(starts, kept)  # the caller's starts stay put
+        if cap == 300:
+            assert want[1].mean() > 0.25
+
+
 class TestDrawDigits:
     @pytest.mark.parametrize(
         "p_zero", [0.5, 0.3, 0.01, 0.99, 0.0, 1.0 - 2.0 ** -53]
@@ -838,3 +964,19 @@ class TestCapMonotonicity:
         short, _ = ball_first_hit_digits(substream(13, "mono"), 400, cap=40, **kw)
         long_, _ = ball_first_hit_digits(substream(13, "mono"), 400, cap=220, **kw)
         assert np.array_equal(short, np.minimum(long_, 40))
+
+    def test_rotation_first_hit(self):
+        kw = dict(step_fixed=rotation("golden").fixed_angle,
+                  lo=int(0.6 * FIXED_ONE), hi=int(0.62 * FIXED_ONE), chunk=7)
+        short, _ = rotation_first_hit(substream(14, "mono"), 500, cap=30, **kw)
+        long_, _ = rotation_first_hit(substream(14, "mono"), 500, cap=200,
+                                      **kw)
+        assert np.array_equal(short, np.minimum(long_, 30))
+
+    def test_mp_first_hit(self):
+        starts = substream(15, "mono").random(500)
+        kw = dict(s_exp=0.5, eta=0.02, zeta=0.3, start_j=1, starts=starts,
+                  chunk=7)
+        short, _ = mp_first_hit(None, 500, cap=30, **kw)
+        long_, _ = mp_first_hit(None, 500, cap=200, **kw)
+        assert np.array_equal(short, np.minimum(long_, 30))

@@ -4,10 +4,10 @@
 ``golden/<experiment>+<variant>.cfg`` any further config of it that reaches
 a path the base config does not.  ``golden/sha256.json`` maps each config's
 name to the SHA-256 of its run's ``summary.json``, ``data.csv`` and
-``plot.csv``.  Every run must reproduce those hashes on 1, 2 and 3 threads.  A refactor
-leaves them unchanged; a change that moves the RNG stream or the report
-format on purpose regenerates them in the same change, and says which
-bytes moved and why:
+``plot.csv``.  Every run must reproduce those hashes on 1, 2 and 3
+threads.  A refactor leaves them unchanged; a change that moves the RNG
+stream or the report format on purpose regenerates them in the same
+change, and says which bytes moved and why:
 
     PYTHONPATH=src python tests/test_golden.py
 """
