@@ -30,14 +30,7 @@ from fractions import Fraction
 
 from .errors import DomainError, UnsupportedCombination, ZeroMassCylinder
 from .measures import BernoulliDoubling, Lebesgue1D, MeasureModel
-from .systems import (
-    FIXED_ONE,
-    BitStreamPoint,
-    FloatPoint,
-    MapKind,
-    MapSystem,
-    PointRep,
-)
+from .systems import FIXED_ONE, MapKind, MapSystem
 
 LN2 = math.log(2)
 
@@ -110,8 +103,6 @@ def _letter_log_mass(ctx: PartitionContext) -> tuple[float, float] | None:
 def _to_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, FloatPoint):
-        return Fraction(x.value())
     if isinstance(x, (int, float)):
         return Fraction(float(x))
     raise DomainError(f"cannot take exact value of {type(x).__name__}")
@@ -123,24 +114,13 @@ HALF = Fraction(1, 2)
 def cylinder_word(ctx: PartitionContext, x, n: int) -> tuple[int, ...]:
     """Itinerary of ``x`` through the base partition for ``n`` steps.
 
-    Letters are 0 for the left base cell and 1 for the right one.  Float
-    points are followed in exact rational arithmetic; digit-stream points
-    read their letters from the stream (for the tent map the letter at
-    step j is the leading digit of the j-th iterate), which matches the
-    interval rule everywhere except possibly on the measure-zero set of
-    dyadic cell boundaries.
+    Letters are 0 for the left base cell and 1 for the right one.  Points
+    are followed in exact rational arithmetic.
     """
     if n < 0:
         raise DomainError("word length must be >= 0")
     kind = ctx.system.kind
     if kind is MapKind.FULL_TENT:
-        if isinstance(x, BitStreamPoint):
-            letters = []
-            cur = x
-            for _ in range(n):
-                letters.append(cur.digit(1))
-                cur = cur.shifted(1, tent=True)
-            return tuple(letters)
         v = _to_fraction(x)
         if not 0 <= v <= 1:
             raise DomainError("point outside [0, 1]")
@@ -154,8 +134,6 @@ def cylinder_word(ctx: PartitionContext, x, n: int) -> tuple[int, ...]:
                 v = 2 - 2 * v
         return tuple(letters)
     if kind is MapKind.DOUBLING:
-        if isinstance(x, BitStreamPoint):
-            return tuple(x.digits(n))
         v = _to_fraction(x)
         if v == 1:
             v = Fraction(0)
@@ -181,7 +159,7 @@ def cylinder_word(ctx: PartitionContext, x, n: int) -> tuple[int, ...]:
 
 
 def _rotation_fixed(x) -> int:
-    v = x.value() if isinstance(x, PointRep) else float(x)
+    v = float(x)
     if not 0.0 <= v <= 1.0:
         raise DomainError("point outside [0, 1]")
     return round(v * FIXED_ONE) % FIXED_ONE
@@ -254,22 +232,6 @@ def _pow2_float(e: int) -> float:
         return math.ldexp(1.0, e)
     except OverflowError:  # pragma: no cover
         return float("inf")
-
-
-def max_depth_in(ctx: PartitionContext, x, zeta) -> int:
-    """Largest n <= max_depth with x in the depth-n cylinder around zeta.
-
-    Returns 0 when x already falls outside the depth-1 cell.  The value
-    ``ctx.max_depth`` means the match reached the depth cap and is an
-    overflow marker: the true depth is only known to be >= max_depth.
-    """
-    cap = ctx.max_depth
-    wx = cylinder_word(ctx, x, cap)
-    wz = cylinder_word(ctx, zeta, cap)
-    depth = 0
-    while depth < cap and wx[depth] == wz[depth]:
-        depth += 1
-    return depth
 
 
 def smb_estimate(ctx: PartitionContext, zeta, n: int) -> float:

@@ -471,32 +471,24 @@ def rotation_first_hit(
     return _first_hit(count, cap, start_j, start_j, chunk, scan, (s,))
 
 
-def rotation_min_distance(gen, count, *, step_fixed, zeta_fixed, checkpoints,
+def rotation_min_distance(gen, count, *, step_fixed, zeta_fixed, n_steps,
                           starts=None):
-    """Circle distance minima dist(f^j x, zeta) over j < n for each n in
-    ``checkpoints`` (ascending).  Returns one column per checkpoint."""
-    if not checkpoints or any(
-        b <= a for a, b in zip(checkpoints, checkpoints[1:])
-    ):
-        raise DomainError("checkpoints must be ascending and non-empty")
+    """Circle distance minimum dist(f^j x, zeta) over j < n_steps."""
+    if n_steps < 1:
+        raise DomainError("need at least one orbit point")
     s = rotation_starts(gen, count) if starts is None else starts.copy()
     s = s.astype(np.uint64)
     step = np.uint64(step_fixed)
     z = np.uint64(zeta_fixed)
     m = np.uint64(FIXED_ONE)  # fits in uint64, unlike in int64
-    out = np.empty((count, len(checkpoints)), dtype=np.float64)
     best = np.full(count, FIXED_ONE, dtype=np.uint64)
-    j = 0
-    for col, n in enumerate(checkpoints):
-        while j < n:
-            diff = np.maximum(s, z) - np.minimum(s, z)
-            np.minimum(diff, m - diff, out=diff)
-            np.minimum(best, diff, out=best)
-            s += step
-            s[s >= m] -= m
-            j += 1
-        out[:, col] = best * (1.0 / FIXED_ONE)
-    return (out,)
+    for _ in range(n_steps):
+        diff = np.maximum(s, z) - np.minimum(s, z)
+        np.minimum(diff, m - diff, out=diff)
+        np.minimum(best, diff, out=best)
+        s += step
+        s[s >= m] -= m
+    return (best * (1.0 / FIXED_ONE),)
 
 
 # ----------------------------------------------------------- intermittent

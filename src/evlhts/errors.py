@@ -9,10 +9,6 @@ class EvlhtsError(Exception):
     """Base class for all package-level errors."""
 
 
-class BackendUnsupported(EvlhtsError):
-    """A point representation is not defined for this map."""
-
-
 class DomainError(EvlhtsError):
     """A point left the valid domain, or an argument is out of domain."""
 

@@ -220,11 +220,10 @@ def sample_ball_min_distances(
                 )
         else:
             def kernel(gen, count):
-                cols = engine.rotation_min_distance(
+                return engine.rotation_min_distance(
                     gen, count, step_fixed=system.fixed_angle,
-                    zeta_fixed=zeta_fixed, checkpoints=[n_steps],
-                )[0]
-                return (cols[:, 0],)
+                    zeta_fixed=zeta_fixed, n_steps=n_steps,
+                )
     elif system.kind is MapKind.MANNEVILLE_POMEAU:
         if not isinstance(measure, EmpiricalOrbit):
             raise UnsupportedCombination(

@@ -123,6 +123,11 @@ def _build_measure(cfg: ExperimentConfig, system):
     kind = cfg["measure.kind"]
     try:
         if kind == "lebesgue":
+            if system.kind is MapKind.MANNEVILLE_POMEAU:
+                raise ConfigError(
+                    "measure.kind = lebesgue is not invariant for the "
+                    "intermittent map; use measure.kind = orbit"
+                )
             return Lebesgue1D(system.metric)
         if kind == "bernoulli":
             if system.kind is not MapKind.DOUBLING:

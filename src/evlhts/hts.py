@@ -29,12 +29,7 @@ from .errors import (
 )
 from .evl import pack_word
 from .laws import EmpiricalLaw, survival_integral
-from .measures import (
-    EmpiricalOrbit,
-    MeasureModel,
-    digit_p_zero,
-    point_value,
-)
+from .measures import EmpiricalOrbit, MeasureModel, digit_p_zero
 from .systems import FIXED_ONE, MapKind, MapSystem, Metric
 
 #: Default normalized horizon: caps at 50 expected return times.
@@ -71,7 +66,7 @@ def cylinder_target(ctx: PartitionContext, zeta, depth: int) -> TargetSet:
     return TargetSet(
         kind="cylinder",
         mass=cyl.mass,
-        zeta_value=point_value(zeta),
+        zeta_value=float(zeta),
         word=word,
         depth=depth,
         arc=arc,
@@ -85,7 +80,7 @@ def ball_target(measure: MeasureModel, zeta, *, eta: float | None = None,
         raise DomainError("give exactly one of eta and mass")
     if eta is None:
         eta = measure.quantile_radius(zeta, mass)
-    z = point_value(zeta)
+    z = float(zeta)
     mass = measure.ball_mass(zeta, eta)
     if mass <= 0.0:
         raise DomainError("ball carries no mass")

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DomainError, NotAttained, UnsupportedCombination
 from .rng import substream
-from .systems import BitStreamPoint, MapKind, MapSystem, Metric, PointRep
+from .systems import MapKind, MapSystem, Metric
 
 QUANTILE_MASS_TOL = 1e-10
 QUANTILE_BRACKET_MIN = 1e-14
@@ -38,21 +38,9 @@ FIXED_DEPTH = 128
 _FIXED_UNIT = 1 << FIXED_DEPTH
 
 
-def point_value(x) -> float:
-    """Float value of a point given as PointRep or number."""
-    if isinstance(x, PointRep):
-        return x.value()
-    return float(x)
-
-
 def _unit_to_fixed(x) -> int:
     """Exact 128-bit fixed-point representation of a point of [0, 1]."""
-    if isinstance(x, BitStreamPoint):
-        acc = 0
-        for d in x.digits(FIXED_DEPTH):
-            acc = (acc << 1) | d
-        return acc
-    v = point_value(x)
+    v = float(x)
     if not 0.0 <= v <= 1.0:
         raise DomainError(f"point {v!r} outside [0, 1]")
     frac = Fraction(v)
@@ -166,7 +154,7 @@ class Lebesgue1D(MeasureModel):
         r = np.asarray(radii, dtype=np.float64)
         if self.metric is Metric.CIRCLE:
             return np.minimum(2.0 * r, 1.0)
-        z = point_value(zeta)
+        z = float(zeta)
         return np.minimum(z + r, 1.0) - np.maximum(z - r, 0.0)
 
 
@@ -291,8 +279,7 @@ class EmpiricalOrbit(MeasureModel):
         return (j - i) / self.orbit_len
 
     def cdf(self, x) -> float:
-        v = point_value(x)
-        return np.searchsorted(self._sorted, v, side="left") / self.orbit_len
+        return np.searchsorted(self._sorted, float(x), side="left") / self.orbit_len
 
     def _quantile_tol(self) -> float:
         return 1.5 / self.orbit_len

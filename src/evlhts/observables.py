@@ -27,10 +27,9 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .cylinders import PartitionContext, cylinder_at, max_depth_in
+from .cylinders import PartitionContext, cylinder_at
 from .errors import DomainError, OutOfRange
-from .measures import MeasureModel, point_value
-from .systems import distance
+from .measures import MeasureModel
 
 
 class GKind(str, Enum):
@@ -111,10 +110,7 @@ class BallObservable:
 
     g: GShape
     measure: MeasureModel
-    zeta: object  # PointRep or float in [0, 1]
-
-    def __post_init__(self):
-        self._zeta_value = point_value(self.zeta)
+    zeta: float
 
     @property
     def mode(self) -> str:
@@ -122,14 +118,7 @@ class BallObservable:
 
     @property
     def zeta_value(self) -> float:
-        return self._zeta_value
-
-    def evaluate(self, x) -> float:
-        d = distance(self.measure.metric, point_value(x), self._zeta_value)
-        return self.g.forward(self.measure.ball_mass(self.zeta, d))
-
-    def evaluate_ex(self, x) -> tuple[float, bool]:
-        return self.evaluate(x), False
+        return self.zeta
 
     def exceedance_mass(self, u: float) -> float:
         """mu(phi > u).
@@ -157,7 +146,7 @@ class CylinderObservable:
 
     g: GShape
     ctx: PartitionContext
-    zeta: object
+    zeta: float
 
     def __post_init__(self):
         self._ladder: list[float] = [1.0]  # mass of Z_k[zeta], k = 0, 1, ...
@@ -172,7 +161,7 @@ class CylinderObservable:
 
     @property
     def zeta_value(self) -> float:
-        return point_value(self.zeta)
+        return float(self.zeta)
 
     def ladder_mass(self, k: int) -> float:
         """mu(Z_k[zeta]), cached per depth."""
@@ -183,18 +172,6 @@ class CylinderObservable:
                 cylinder_at(self.ctx, self.zeta, len(self._ladder)).mass
             )
         return self._ladder[k]
-
-    def evaluate_ex(self, x) -> tuple[float, bool]:
-        """(phi(x), overflow).  overflow means the itinerary of x agreed
-        with the target's past the depth cap, so phi is reported as the
-        supremum and the caller should treat the sample as censored."""
-        n = max_depth_in(self.ctx, x, self.zeta)
-        if n >= self.ctx.max_depth:
-            return self.g.value_at_zero, True
-        return self.g.forward(self.ladder_mass(n)), False
-
-    def evaluate(self, x) -> float:
-        return self.evaluate_ex(x)[0]
 
     def exceedance_depth(self, u: float) -> int:
         """Depth k such that {phi > u} = Z_k[zeta], exactly as sets.

@@ -1,0 +1,279 @@
+"""Independent scalar references that the kernel tests compare against.
+
+The engine follows whole blocks of orbits at once through a 53-digit float
+window, fixed-point integers and chunked numpy scans.  The definitions here
+do the same things one point at a time, the plain way, so a test can check
+a kernel against a second implementation that shares none of its tricks:
+
+* ``BitStreamPoint`` holds a point as a lazily extendable binary digit
+  stream.  Iteration is then a digit shift (doubling) or a shift with
+  conditional complement (tent), exact at every depth: if the stream
+  digits are b_1 b_2 ..., the j-th tent iterate has digits b_{j+i} XOR b_j
+  (with b_0 = 0).  ``FloatPoint`` holds a float, which the tent and
+  doubling maps drain by one digit per step, so it serves short orbits.
+* ``iterate`` applies a map to either kind of point.
+* ``ball_evaluate`` and ``cylinder_evaluate`` are the observable phi(x)
+  itself; the samplers never evaluate it, because block maxima reduce to
+  minimum distances and first cylinder entries.
+
+``src/`` must not import this module: it is test code.
+"""
+
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Callable
+
+import numpy as np
+
+from evlhts.cylinders import PartitionContext, cylinder_word
+from evlhts.errors import DomainError, EvlhtsError
+from evlhts.observables import BallObservable, CylinderObservable
+from evlhts.systems import FIXED_ONE, WINDOW_BITS, MapKind, MapSystem, Metric
+
+
+class BackendUnsupported(EvlhtsError):
+    """A point representation is not defined for this map."""
+
+
+def distance(metric: Metric, x: float, y: float):
+    """Distance between two points under the interval or circle metric."""
+    d = abs(x - y)
+    if metric is Metric.CIRCLE:
+        return min(d, 1.0 - d) if np.isscalar(d) else np.minimum(d, 1.0 - d)
+    return d
+
+
+class PointRep:
+    """Common interface of both point backends."""
+
+    def value(self) -> float:
+        raise NotImplementedError
+
+
+@dataclass(frozen=True)
+class FloatPoint(PointRep):
+    x: float
+
+    def __post_init__(self):
+        if not (math.isfinite(self.x) and 0.0 <= self.x <= 1.0):
+            raise DomainError(f"point {self.x!r} outside [0, 1]")
+
+    def value(self) -> float:
+        return self.x
+
+
+class BitStreamPoint(PointRep):
+    """A point of [0, 1] as a lazily extendable binary digit stream.
+
+    The instance views a base stream at a digit ``offset`` with all digits
+    complemented when ``comp_bit`` is 1: digit(i) = base[offset+i] XOR
+    comp_bit.  A doubling step shifts the offset; a tent step shifts and
+    sets comp_bit to the base digit it consumed.  Derived views share the
+    base storage, so extending any view extends them all.  The digit filler
+    may draw from a random generator (stationary sampling) or repeat a
+    fixed pattern (deterministic reference points such as 1 = 0.111...).
+    """
+
+    __slots__ = ("_digits", "_fill", "offset", "comp_bit")
+
+    def __init__(
+        self,
+        digits,
+        fill: Callable[[bytearray, int], None] | None = None,
+        offset: int = 0,
+        comp_bit: int = 0,
+    ):
+        if isinstance(digits, BitStreamPoint):
+            raise TypeError("wrap raw digits, not another point")
+        self._digits = digits if isinstance(digits, bytearray) else bytearray(digits)
+        self._fill = fill
+        self.offset = offset
+        self.comp_bit = comp_bit
+
+    @classmethod
+    def from_digits(cls, digits, fill=None) -> "BitStreamPoint":
+        return cls(bytearray(int(d) for d in digits), fill)
+
+    @classmethod
+    def from_float(cls, x: float) -> "BitStreamPoint":
+        """Exact digits of a float (dyadic rational); zero digits beyond."""
+        if not (math.isfinite(x) and 0.0 <= x <= 1.0):
+            raise DomainError(f"point {x!r} outside [0, 1]")
+        if x == 1.0:
+            return cls.ones()
+        frac = Fraction(x)
+        k = frac.denominator.bit_length() - 1  # denominator is 2**k
+        digits = bytearray()
+        num = frac.numerator
+        for i in range(k):
+            digits.append((num >> (k - 1 - i)) & 1)
+        return cls(digits, _zero_fill)
+
+    @classmethod
+    def from_generator(cls, gen: np.random.Generator, p_zero: float = 0.5) -> "BitStreamPoint":
+        """Stream with independent digits, P(digit = 0) = ``p_zero``."""
+
+        def fill(buf: bytearray, upto: int):
+            need = upto - len(buf)
+            if need > 0:
+                draw = (gen.random(max(need, 64)) >= p_zero).astype(np.uint8)
+                buf.extend(draw.tobytes())
+
+        return cls(bytearray(), fill)
+
+    @classmethod
+    def ones(cls) -> "BitStreamPoint":
+        return cls(bytearray(), _one_fill)
+
+    @classmethod
+    def zeros(cls) -> "BitStreamPoint":
+        return cls(bytearray(), _zero_fill)
+
+    def _ensure(self, upto: int):
+        if len(self._digits) < upto:
+            if self._fill is None:
+                raise DomainError("digit stream exhausted and no filler given")
+            self._fill(self._digits, upto)
+            if len(self._digits) < upto:
+                raise DomainError("digit filler failed to extend the stream")
+
+    def digit(self, i: int) -> int:
+        """The i-th binary digit (1-indexed) of this point."""
+        if i < 1:
+            raise DomainError("digits are 1-indexed")
+        self._ensure(self.offset + i)
+        return self._digits[self.offset + i - 1] ^ self.comp_bit
+
+    def digits(self, n: int) -> list[int]:
+        return [self.digit(i) for i in range(1, n + 1)]
+
+    def value(self, bits: int = WINDOW_BITS) -> float:
+        """Float value of the leading ``bits`` digits (a truncation)."""
+        self._ensure(self.offset + bits)
+        acc = 0
+        for i in range(1, bits + 1):
+            acc = (acc << 1) | (self._digits[self.offset + i - 1] ^ self.comp_bit)
+        return acc / float(1 << bits)
+
+    def shifted(self, n: int, tent: bool) -> "BitStreamPoint":
+        """View after n doubling shifts, or n tent steps when ``tent``."""
+        view = BitStreamPoint.__new__(BitStreamPoint)
+        view._digits = self._digits
+        view._fill = self._fill
+        view.offset = self.offset + n
+        if tent:
+            self._ensure(self.offset + n)
+            view.comp_bit = self._digits[self.offset + n - 1]
+        else:
+            view.comp_bit = self.comp_bit
+        return view
+
+
+def _zero_fill(buf: bytearray, upto: int):
+    buf.extend(b"\x00" * (upto - len(buf)))
+
+
+def _one_fill(buf: bytearray, upto: int):
+    buf.extend(b"\x01" * (upto - len(buf)))
+
+
+def _as_unit_float(x: float) -> float:
+    if not (math.isfinite(x) and 0.0 <= x <= 1.0):
+        raise DomainError(f"point {x!r} left [0, 1]")
+    return x
+
+
+def iterate(system: MapSystem, point: PointRep, n: int) -> PointRep:
+    """Apply the map ``n`` times to ``point``.
+
+    Float iteration of the tent and doubling maps is supported for short
+    exact computations but loses one digit per step; long orbits of these
+    maps must use ``BitStreamPoint``.
+    """
+    if n < 0:
+        raise DomainError("cannot iterate backwards")
+    if n == 0:
+        return point
+    kind = system.kind
+    if isinstance(point, BitStreamPoint):
+        if kind is MapKind.DOUBLING:
+            return point.shifted(n, tent=False)
+        if kind is MapKind.FULL_TENT:
+            return point.shifted(n, tent=True)
+        raise BackendUnsupported(f"bitstream points undefined for {kind.value}")
+    x = _as_unit_float(point.value())
+    if kind is MapKind.FULL_TENT:
+        for _ in range(n):
+            x = 1.0 - abs(2.0 * x - 1.0)
+        return FloatPoint(x)
+    if kind is MapKind.DOUBLING:
+        for _ in range(n):
+            x = (2.0 * x) % 1.0
+        return FloatPoint(x)
+    if kind is MapKind.ROTATION:
+        xi = round(x * FIXED_ONE)  # exact: x carries <= 53 bits
+        xi = (xi + n * system.fixed_angle) % FIXED_ONE
+        return FloatPoint(xi / FIXED_ONE)
+    if kind is MapKind.MANNEVILLE_POMEAU:
+        e = 1.0 + system.s
+        for _ in range(n):
+            x = x + x**e
+            if x >= 1.0:
+                x -= 1.0
+        return FloatPoint(x)
+    raise DomainError(f"unknown map kind {kind!r}")
+
+
+def max_depth_in(ctx: PartitionContext, x, zeta) -> int:
+    """Largest n <= max_depth with x in the depth-n cylinder around zeta.
+
+    Returns 0 when x already falls outside the depth-1 cell.  The value
+    ``ctx.max_depth`` means the match reached the depth cap and is an
+    overflow marker: the true depth is only known to be >= max_depth.
+    """
+    cap = ctx.max_depth
+    wx = cylinder_word(ctx, x, cap)
+    wz = cylinder_word(ctx, zeta, cap)
+    depth = 0
+    while depth < cap and wx[depth] == wz[depth]:
+        depth += 1
+    return depth
+
+
+def ball_evaluate(obs: BallObservable, x) -> float:
+    """phi(x) = g(ball mass at radius dist(x, zeta))."""
+    d = distance(obs.measure.metric, float(x), obs.zeta_value)
+    return obs.g.forward(obs.measure.ball_mass(obs.zeta, d))
+
+
+def cylinder_evaluate_ex(obs: CylinderObservable, x) -> tuple[float, bool]:
+    """(phi(x), overflow).  overflow means the itinerary of x agreed
+    with the target's past the depth cap, so phi is reported as the
+    supremum and the caller should treat the sample as censored."""
+    n = max_depth_in(obs.ctx, x, obs.zeta)
+    if n >= obs.ctx.max_depth:
+        return obs.g.value_at_zero, True
+    return obs.g.forward(obs.ladder_mass(n)), False
+
+
+def cylinder_evaluate(obs: CylinderObservable, x) -> float:
+    return cylinder_evaluate_ex(obs, x)[0]
+
+
+def stream_word(point: BitStreamPoint, n: int, tent: bool) -> tuple[int, ...]:
+    """Itinerary of a digit-stream point for ``n`` steps.
+
+    The doubling letters are the digits; the tent letter at step j is the
+    leading digit of the j-th iterate.  This matches the interval rule of
+    ``cylinder_word`` everywhere except possibly on the measure-zero set of
+    dyadic cell boundaries.
+    """
+    if not tent:
+        return tuple(point.digits(n))
+    letters = []
+    cur = point
+    for _ in range(n):
+        letters.append(cur.digit(1))
+        cur = cur.shifted(1, tent=True)
+    return tuple(letters)

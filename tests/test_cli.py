@@ -21,6 +21,18 @@ def make_config(experiment, text="", **kw):
     return ExperimentConfig.build(experiment, parse_text(text), **kw)
 
 
+MP_BALL = "system.kind = manneville_pomeau\nhts.target = ball"
+MP_LEBESGUE = "system.kind = manneville_pomeau\nmeasure.kind = lebesgue"
+
+
+def override(text, lines):
+    """Config ``text`` with ``lines`` added, replacing the keys they set."""
+    keys = {line.split("=", 1)[0].strip() for line in lines.splitlines()}
+    kept = [line for line in text.splitlines()
+            if line.split("=", 1)[0].strip() not in keys]
+    return "\n".join(kept + lines.splitlines()) + "\n"
+
+
 def forbid_sampling(monkeypatch):
     """Fail the test if an experiment samples."""
     def refuse(*args, **kwargs):
@@ -383,13 +395,23 @@ class TestFilesAndCli:
         ("kac", "hts.start_j = 100000", "hts.start_j"),
         ("rotation-subseq", "hts.start_j = 100000", "hts.start_j"),
         ("equivalence", "hts.start_j = 100000", "hts.start_j"),
+        # the intermittent map under the Lebesgue measure (the default),
+        # which it does not preserve: its samplers need the orbit measure
+        pytest.param("hts", MP_BALL, "measure.kind", id="hts-mp-lebesgue"),
+        pytest.param("kac", MP_BALL, "measure.kind", id="kac-mp-lebesgue"),
+        pytest.param("rts", MP_BALL + "\nmeasure.kind = lebesgue",
+                     "measure.kind", id="rts-mp-lebesgue"),
+        pytest.param("evl-balls", MP_LEBESGUE, "measure.kind",
+                     id="evl-balls-mp-lebesgue"),
+        pytest.param("equivalence", MP_LEBESGUE, "measure.kind",
+                     id="equivalence-mp-lebesgue"),
     ])
     def test_late_failure_configs_exit_two(self, tmp_path, capsys, monkeypatch,
                                            experiment, line, key):
         forbid_sampling(monkeypatch)
         cfg = tmp_path / "late.cfg"
-        cfg.write_text((GOLDEN / f"{experiment}.cfg").read_text() + line
-                       + "\n")
+        cfg.write_text(override((GOLDEN / f"{experiment}.cfg").read_text(),
+                                line))
         out = tmp_path / "out"
         assert self.run_cli(experiment, "--config", str(cfg),
                             "--out", str(out)) == 2

@@ -9,21 +9,19 @@ from evlhts.cylinders import (
     cylinder_at,
     cylinder_word,
     gibbs_envelope,
-    max_depth_in,
     smb_estimate,
 )
 from evlhts.errors import DomainError, UnsupportedCombination
 from evlhts.measures import BernoulliDoubling, Lebesgue1D
 from evlhts.systems import (
     FIXED_ONE,
-    BitStreamPoint,
-    FloatPoint,
     Metric,
     doubling,
     full_tent,
     manneville_pomeau,
     rotation,
 )
+from reference import BitStreamPoint, max_depth_in, stream_word
 
 LN2 = math.log(2)
 
@@ -43,34 +41,35 @@ def rotation_ctx(**kw):
 class TestWords:
     def test_tent_word_of_one(self):
         ctx = tent_ctx()
-        assert cylinder_word(ctx, FloatPoint(1.0), 5) == (1, 0, 0, 0, 0)
+        assert cylinder_word(ctx, 1.0, 5) == (1, 0, 0, 0, 0)
 
     def test_tent_word_of_half(self):
         # 1/2 -> 1 -> 0 -> 0 ...
         ctx = tent_ctx()
-        assert cylinder_word(ctx, FloatPoint(0.5), 5) == (0, 1, 0, 0, 0)
+        assert cylinder_word(ctx, 0.5, 5) == (0, 1, 0, 0, 0)
 
     def test_tent_stream_word_matches_float_word(self):
         # agreement holds until the orbit hits the cell boundary 1/2, which
         # for a 53-bit dyadic cannot happen before ~ step 50
         ctx = tent_ctx()
         for v in [1.0, 0.3, 0.7, 0.123456789]:
-            ws = cylinder_word(ctx, BitStreamPoint.from_float(v), 40)
-            wf = cylinder_word(ctx, FloatPoint(v), 40)
+            ws = stream_word(BitStreamPoint.from_float(v), 40, tent=True)
+            wf = cylinder_word(ctx, v, 40)
             assert ws == wf, v
 
     def test_tent_stream_word_at_boundary_orbit(self):
         # 0.8125 reaches 1/2 at step 3; the interval rule reads letter 0
         # there, the digit rule letter 1, and the two agree again after
-        ws = cylinder_word(tent_ctx(), BitStreamPoint.from_float(0.8125), 8)
-        wf = cylinder_word(tent_ctx(), FloatPoint(0.8125), 8)
+        ws = stream_word(BitStreamPoint.from_float(0.8125), 8, tent=True)
+        wf = cylinder_word(tent_ctx(), 0.8125, 8)
         assert wf == (1, 0, 1, 0, 1, 0, 0, 0)
         assert ws == (1, 0, 1, 1, 1, 0, 0, 0)
 
     def test_doubling_word_is_digit_string(self):
         ctx = doubling_ctx()
-        assert cylinder_word(ctx, FloatPoint(0.3), 5) == (0, 1, 0, 0, 1)
-        assert cylinder_word(ctx, BitStreamPoint.from_float(0.3), 5) == (0, 1, 0, 0, 1)
+        assert cylinder_word(ctx, 0.3, 5) == (0, 1, 0, 0, 1)
+        assert stream_word(BitStreamPoint.from_float(0.3), 5, tent=False) == \
+            (0, 1, 0, 0, 1)
 
     def test_rotation_word_tracks_base_arc(self):
         ctx = rotation_ctx()
@@ -81,33 +80,33 @@ class TestWords:
         for _ in range(8):
             expect.append(0 if pos < 1 - af else 1)
             pos = (pos + af) % 1
-        assert cylinder_word(ctx, FloatPoint(x), 8) == tuple(expect)
+        assert cylinder_word(ctx, x, 8) == tuple(expect)
 
 
 class TestCylinderAt:
     def test_tent_cylinder_around_one(self):
-        cyl = cylinder_at(tent_ctx(), FloatPoint(1.0), 3)
+        cyl = cylinder_at(tent_ctx(), 1.0, 3)
         assert (cyl.lo, cyl.hi) == (Fraction(7, 8), Fraction(1))
         assert cyl.mass == 0.125 and cyl.log2_mass == -3
 
     def test_tent_cylinder_around_half(self):
-        cyl = cylinder_at(tent_ctx(), FloatPoint(0.5), 3)
+        cyl = cylinder_at(tent_ctx(), 0.5, 3)
         assert (cyl.lo, cyl.hi) == (Fraction(3, 8), Fraction(1, 2))
         assert cyl.mass == 0.125
 
     def test_tent_interior_word_cell(self):
         # {x <= 1/2, Tx > 1/2} = (1/4, 1/2]
-        cyl = cylinder_at(tent_ctx(), FloatPoint(0.3), 2)
+        cyl = cylinder_at(tent_ctx(), 0.3, 2)
         assert (cyl.lo, cyl.hi) == (Fraction(1, 4), Fraction(1, 2))
 
     def test_doubling_bernoulli_mass_is_digit_product(self):
         ctx = doubling_ctx(BernoulliDoubling(0.3))
-        cyl = cylinder_at(ctx, FloatPoint(0.25), 3)  # digits 0,1,0
+        cyl = cylinder_at(ctx, 0.25, 3)  # digits 0,1,0
         assert (cyl.lo, cyl.hi) == (Fraction(1, 4), Fraction(3, 8))
         assert cyl.mass == pytest.approx(0.3 * 0.7 * 0.3, rel=1e-12)
 
     def test_depth_zero_is_everything(self):
-        cyl = cylinder_at(tent_ctx(), FloatPoint(0.77), 0)
+        cyl = cylinder_at(tent_ctx(), 0.77, 0)
         assert cyl.mass == 1.0 and cyl.lo == 0 and cyl.hi == 1
 
     def test_nesting(self):
@@ -117,15 +116,15 @@ class TestCylinderAt:
             (doubling_ctx(BernoulliDoubling(0.3)), 0.61803),
             (rotation_ctx(), 0.2),
         ]:
-            prev = cylinder_at(ctx, FloatPoint(z), 0)
+            prev = cylinder_at(ctx, z, 0)
             for n in range(1, 13):
-                cyl = cylinder_at(ctx, FloatPoint(z), n)
+                cyl = cylinder_at(ctx, z, n)
                 assert prev.lo <= cyl.lo and cyl.hi <= prev.hi
                 assert cyl.mass <= prev.mass
                 prev = cyl
 
     def test_deep_tent_mass_never_underflows_in_log(self):
-        cyl = cylinder_at(tent_ctx(), FloatPoint(1.0), 5000)
+        cyl = cylinder_at(tent_ctx(), 1.0, 5000)
         assert cyl.mass == 0.0  # the float underflowed ...
         assert cyl.log2_mass == -5000  # ... but the exact log did not
 
@@ -153,7 +152,7 @@ class TestRotationPartition:
 
     def test_word_prefix_matches_arc_membership(self):
         ctx = rotation_ctx()
-        x, z = FloatPoint(0.331), FloatPoint(0.337)
+        x, z = 0.331, 0.337
         for n in range(1, 25):
             cx = cylinder_at(ctx, x, n)
             same_arc = (cx.lo, cx.hi) == (
@@ -167,19 +166,19 @@ class TestRotationPartition:
 class TestMaxDepthIn:
     def test_tent_hand_example(self):
         # 0.9 shares the cells (1/2,1], (3/4,1], (7/8,1] with 1 but not (15/16,1]
-        assert max_depth_in(tent_ctx(), FloatPoint(0.9), FloatPoint(1.0)) == 3
+        assert max_depth_in(tent_ctx(), 0.9, 1.0) == 3
 
     def test_outside_first_cell_is_zero(self):
-        assert max_depth_in(tent_ctx(), FloatPoint(0.3), FloatPoint(1.0)) == 0
+        assert max_depth_in(tent_ctx(), 0.3, 1.0) == 0
 
     def test_same_point_hits_cap(self):
         ctx = tent_ctx(max_depth=40)
-        assert max_depth_in(ctx, FloatPoint(0.7), FloatPoint(0.7)) == 40
+        assert max_depth_in(ctx, 0.7, 0.7) == 40
 
     def test_doubling_is_common_digit_prefix(self):
         ctx = doubling_ctx()
-        x = FloatPoint(0.3)  # digits 01001...
-        z = FloatPoint(0.25)  # digits 01000...
+        x = 0.3  # digits 01001...
+        z = 0.25  # digits 01000...
         assert max_depth_in(ctx, x, z) == 4
 
 
@@ -187,25 +186,27 @@ class TestInformationRates:
     def test_tent_rate_is_exactly_log2_at_every_depth(self):
         ctx = tent_ctx()
         for n in [1, 2, 7, 100, 999, 5000]:
-            assert smb_estimate(ctx, FloatPoint(0.437), n) == LN2
+            assert smb_estimate(ctx, 0.437, n) == LN2
 
     def test_doubling_lebesgue_rate_exact(self):
         ctx = doubling_ctx()
         for n in [1, 64, 1000]:
-            assert smb_estimate(ctx, FloatPoint(0.3), n) == LN2
+            assert smb_estimate(ctx, 0.3, n) == LN2
 
     def test_bernoulli_rate_approaches_entropy(self):
         p = 0.3
         ctx = doubling_ctx(BernoulliDoubling(p))
         gen = np.random.default_rng(20260814)
-        zeta = BitStreamPoint.from_generator(gen, p_zero=p)
+        digits = BitStreamPoint.from_generator(gen, p_zero=p).digits(2000)
+        idx = int("".join(map(str, digits)), 2)
+        zeta = Fraction(2 * idx + 1, 1 << 2001)  # midpoint of the digits' cell
         h = -(p * math.log(p) + (1 - p) * math.log(1 - p))
         assert abs(smb_estimate(ctx, zeta, 2000) - h) < 0.05
 
     def test_bernoulli_rate_matches_direct_digit_sum(self):
         p = 0.3
         ctx = doubling_ctx(BernoulliDoubling(p))
-        z = FloatPoint(0.415)
+        z = 0.415
         word = cylinder_word(ctx, z, 300)
         direct = -math.fsum(
             math.log(p) if w == 0 else math.log(1 - p) for w in word
@@ -218,24 +219,24 @@ class TestGibbsEnvelope:
         pot = (math.log(0.5), math.log(0.5))
         ctx = tent_ctx()
         for n in [1, 10, 1000]:
-            assert gibbs_envelope(ctx, FloatPoint(0.813), n, pot) == 1.0
+            assert gibbs_envelope(ctx, 0.813, n, pot) == 1.0
 
     def test_exact_one_for_bernoulli_potential(self):
         p = 0.3
         ctx = doubling_ctx(BernoulliDoubling(p))
         pot = (math.log(p), math.log(1 - p))
         for n in [1, 17, 500]:
-            assert gibbs_envelope(ctx, FloatPoint(0.415), n, pot) == 1.0
+            assert gibbs_envelope(ctx, 0.415, n, pot) == 1.0
 
     def test_mismatched_potential_drifts(self):
         ctx = tent_ctx()
         pot = (math.log(0.3), math.log(0.7))  # wrong letter masses for Lebesgue
-        assert gibbs_envelope(ctx, FloatPoint(0.813), 50, pot) > 10.0
+        assert gibbs_envelope(ctx, 0.813, 50, pot) > 10.0
 
     def test_pressure_shift(self):
         ctx = tent_ctx()
         pot = (0.0, 0.0)  # zero potential has pressure log 2 for the tent
-        assert gibbs_envelope(ctx, FloatPoint(0.3), 64, pot, pressure=LN2) == \
+        assert gibbs_envelope(ctx, 0.3, 64, pot, pressure=LN2) == \
             pytest.approx(1.0, rel=1e-12)
 
 
@@ -254,14 +255,14 @@ class TestContextValidation:
 
     def test_negative_depth_rejected(self):
         with pytest.raises(DomainError):
-            cylinder_word(tent_ctx(), FloatPoint(0.3), -1)
+            cylinder_word(tent_ctx(), 0.3, -1)
 
 
 class TestCellEnumeration:
     def test_tent_cells_cover_unit_interval(self):
         # probe the midpoint of every dyadic interval of length 1/8
         ctx = tent_ctx()
-        cells = [cylinder_at(ctx, FloatPoint((2 * k + 1) / 16), 3)
+        cells = [cylinder_at(ctx, (2 * k + 1) / 16, 3)
                  for k in range(8)]
         assert len({(c.lo, c.hi) for c in cells}) == 8
         assert sorted(c.lo for c in cells) == [Fraction(k, 8) for k in range(8)]

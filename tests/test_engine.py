@@ -22,14 +22,8 @@ from evlhts.engine import (
 )
 from evlhts.errors import DomainError
 from evlhts.rng import BLOCK, substream
-from evlhts.systems import (
-    FIXED_ONE,
-    BitStreamPoint,
-    FloatPoint,
-    iterate,
-    manneville_pomeau,
-    rotation,
-)
+from evlhts.systems import FIXED_ONE, manneville_pomeau, rotation
+from reference import BitStreamPoint, FloatPoint, iterate
 
 
 class FakeGen:
@@ -796,10 +790,13 @@ class TestRotationKernels:
         z = 0.77
         zf = round(z * FIXED_ONE)
         starts = np.array([int(0.1 * FIXED_ONE)], dtype=np.uint64)
-        (out,) = rotation_min_distance(
-            substream(1, "rotmd"), 1, step_fixed=self.step, zeta_fixed=zf,
-            checkpoints=[1, 5, 55], starts=starts,
-        )
+        out = [
+            rotation_min_distance(
+                substream(1, "rotmd"), 1, step_fixed=self.step, zeta_fixed=zf,
+                n_steps=n, starts=starts,
+            )[0][0]
+            for n in (1, 5, 55)
+        ]
         best = math.inf
         pos = int(starts[0])
         mins = []
@@ -810,7 +807,14 @@ class TestRotationKernels:
             if j + 1 in (1, 5, 55):
                 mins.append(best)
             pos = (pos + self.step) % FIXED_ONE
-        assert out[0].tolist() == pytest.approx(mins, rel=1e-15)
+        assert out == pytest.approx(mins, rel=1e-15)
+
+    def test_min_distance_needs_a_step(self):
+        with pytest.raises(DomainError):
+            rotation_min_distance(
+                substream(1, "z"), 2, step_fixed=self.step, zeta_fixed=0,
+                n_steps=0,
+            )
 
     def test_start_must_precede_cap(self):
         with pytest.raises(DomainError):

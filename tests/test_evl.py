@@ -340,11 +340,10 @@ class TestBallSampling:
         )
 
         def kernel(gen, count):
-            cols = rotation_min_distance(
+            return rotation_min_distance(
                 gen, count, step_fixed=system.fixed_angle, zeta_fixed=0,
-                checkpoints=[100],
-            )[0]
-            return (cols[:, 0],)
+                n_steps=100,
+            )
 
         want = run_blocked(500, 4, ("x", "dyn"), kernel)[0]
         assert np.array_equal(got, want)

@@ -13,13 +13,8 @@ from evlhts.measures import (
     digit_p_zero,
 )
 from evlhts.rng import substream
-from evlhts.systems import (
-    BitStreamPoint,
-    Metric,
-    doubling,
-    manneville_pomeau,
-    rotation,
-)
+from evlhts.systems import Metric, doubling, manneville_pomeau, rotation
+from reference import BitStreamPoint
 
 
 def test_lebesgue_interval_ball_clipping():
@@ -61,13 +56,6 @@ def test_bernoulli_half_is_lebesgue():
     l = Lebesgue1D(Metric.CIRCLE)
     for z in np.linspace(0.001, 0.999, 100):
         assert abs(b.ball_mass(z, 0.17) - l.ball_mass(z, 0.17)) <= 1e-12
-
-
-def test_bernoulli_accepts_stream_center():
-    m = BernoulliDoubling(0.3)
-    z = BitStreamPoint.from_generator(substream(3, "center"), p_zero=0.3)
-    mass = m.ball_mass(z, 0.01)
-    assert 0.0 < mass < 1.0
 
 
 @pytest.mark.parametrize(

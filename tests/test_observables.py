@@ -6,7 +6,8 @@ from evlhts.cylinders import PartitionContext
 from evlhts.errors import DomainError, OutOfRange
 from evlhts.measures import BernoulliDoubling, Lebesgue1D
 from evlhts.observables import BallObservable, CylinderObservable, GKind, GShape
-from evlhts.systems import FloatPoint, Metric, doubling, full_tent
+from evlhts.systems import Metric, doubling, full_tent
+from reference import ball_evaluate, cylinder_evaluate, cylinder_evaluate_ex
 
 ALL_SHAPES = [
     GShape(GKind.G1),
@@ -91,35 +92,35 @@ class TestBallObservable:
     def test_tent_reciprocal_distance(self):
         # at zeta = 1 the interval ball of radius d has mass d, so phi = 1/d
         phi = BallObservable(
-            GShape(GKind.G2, alpha=1.0), Lebesgue1D(Metric.INTERVAL), FloatPoint(1.0)
+            GShape(GKind.G2, alpha=1.0), Lebesgue1D(Metric.INTERVAL), 1.0
         )
-        assert phi.evaluate(FloatPoint(0.9)) == pytest.approx(10.0, rel=1e-12)
-        assert phi.evaluate(FloatPoint(1.0)) == math.inf
+        assert ball_evaluate(phi, 0.9) == pytest.approx(10.0, rel=1e-12)
+        assert ball_evaluate(phi, 1.0) == math.inf
 
     def test_circle_ball_counts_both_sides(self):
         phi = BallObservable(
-            GShape(GKind.G2, alpha=1.0), Lebesgue1D(Metric.CIRCLE), FloatPoint(0.0)
+            GShape(GKind.G2, alpha=1.0), Lebesgue1D(Metric.CIRCLE), 0.0
         )
         # B_0.1(0) on the circle is (0.9, 1) u [0, 0.1): mass 0.2
-        assert phi.evaluate(FloatPoint(0.9)) == pytest.approx(5.0, rel=1e-12)
+        assert ball_evaluate(phi, 0.9) == pytest.approx(5.0, rel=1e-12)
 
     def test_log_shape(self):
         phi = BallObservable(
-            GShape(GKind.G1), Lebesgue1D(Metric.INTERVAL), FloatPoint(0.5)
+            GShape(GKind.G1), Lebesgue1D(Metric.INTERVAL), 0.5
         )
-        assert phi.evaluate(FloatPoint(0.6)) == pytest.approx(-math.log(0.2))
+        assert ball_evaluate(phi, 0.6) == pytest.approx(-math.log(0.2))
 
     def test_monotone_in_distance(self):
         phi = BallObservable(
-            GShape(GKind.G3, alpha=1.0), Lebesgue1D(Metric.CIRCLE), FloatPoint(0.3)
+            GShape(GKind.G3, alpha=1.0), Lebesgue1D(Metric.CIRCLE), 0.3
         )
         xs = [0.31, 0.34, 0.45, 0.7, 0.8]  # increasing circle distance from 0.3
-        vals = [phi.evaluate(FloatPoint(x)) for x in xs]
+        vals = [ball_evaluate(phi, x) for x in xs]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_exceedance_mass_and_radius(self):
         phi = BallObservable(
-            GShape(GKind.G2, alpha=1.0), Lebesgue1D(Metric.INTERVAL), FloatPoint(1.0)
+            GShape(GKind.G2, alpha=1.0), Lebesgue1D(Metric.INTERVAL), 1.0
         )
         assert phi.exceedance_mass(10.0) == pytest.approx(0.1)
         assert phi.threshold_radius(10.0) == pytest.approx(0.1, abs=1e-9)
@@ -128,18 +129,18 @@ class TestBallObservable:
 
     def test_threshold_radius_on_circle(self):
         phi = BallObservable(
-            GShape(GKind.G3, alpha=1.0), Lebesgue1D(Metric.CIRCLE), FloatPoint(0.5)
+            GShape(GKind.G3, alpha=1.0), Lebesgue1D(Metric.CIRCLE), 0.5
         )
         # tail of level 0.9 has mass 0.1: a circle ball of radius 0.05
         assert phi.threshold_radius(0.9) == pytest.approx(0.05, abs=1e-9)
 
     def test_bernoulli_ball(self):
         phi = BallObservable(
-            GShape(GKind.G1), BernoulliDoubling(0.3), FloatPoint(0.0)
+            GShape(GKind.G1), BernoulliDoubling(0.3), 0.0
         )
         # B_0.25(0) = [0, 0.25) u (0.75, 1): mass F(1/4) + (1 - F(3/4))
         # = 0.09 + 0.49 = 0.58
-        assert phi.evaluate(FloatPoint(0.25)) == pytest.approx(-math.log(0.58))
+        assert ball_evaluate(phi, 0.25) == pytest.approx(-math.log(0.58))
 
 
 class TestCylinderObservable:
@@ -150,20 +151,20 @@ class TestCylinderObservable:
             **kw,
         )
         return CylinderObservable(g or GShape(GKind.G2, alpha=1.0), ctx,
-                                  FloatPoint(zeta))
+                                  zeta)
 
     def test_tent_hand_example(self):
         phi = self.make()
         # 0.9 sits in Z_3[1] = (7/8, 1] but not Z_4: phi = 1/(2^-3) = 8
-        assert phi.evaluate(FloatPoint(0.9)) == pytest.approx(8.0)
-        assert phi.evaluate(FloatPoint(0.95)) == pytest.approx(16.0)
-        assert phi.evaluate(FloatPoint(0.3)) == 1.0  # depth 0: g(1)
+        assert cylinder_evaluate(phi, 0.9) == pytest.approx(8.0)
+        assert cylinder_evaluate(phi, 0.95) == pytest.approx(16.0)
+        assert cylinder_evaluate(phi, 0.3) == 1.0  # depth 0: g(1)
 
     def test_overflow_at_target(self):
         phi = self.make(max_depth=40)
-        val, overflow = phi.evaluate_ex(FloatPoint(1.0))
+        val, overflow = cylinder_evaluate_ex(phi, 1.0)
         assert val == math.inf and overflow
-        val, overflow = phi.evaluate_ex(FloatPoint(0.9))
+        val, overflow = cylinder_evaluate_ex(phi, 0.9)
         assert val == 8.0 and not overflow
 
     def test_ladder(self):
@@ -198,7 +199,7 @@ class TestCylinderObservable:
         # digits of 0.3 match 0.25 = .0100... for 4 letters; the depth-4
         # cylinder around 0.25 has mass 0.3 * 0.7 * 0.3 * 0.3
         expected = -math.log(0.3 * 0.7 * 0.3 * 0.3)
-        assert phi.evaluate(FloatPoint(0.3)) == pytest.approx(expected, rel=1e-12)
+        assert cylinder_evaluate(phi, 0.3) == pytest.approx(expected, rel=1e-12)
 
     def test_depth_cap_respected_in_exceedance(self):
         phi = self.make(max_depth=8)
