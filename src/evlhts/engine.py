@@ -50,13 +50,19 @@ Neither draws inside the scan, so their compaction touches no stream.
 The digit draws fix the RNG stream, and with it every report byte:
 
 * each chunk draws one (rows, columns) matrix through ``draw_digits``,
-  whose rows are the lanes still live, in lane order;
+  whose rows are the lanes still live, in lane order, under either rule;
 * first-hit kernels draw full ``chunk``-width matrices even when fewer
   columns remain, so runs that differ only in the cap share a stream;
   fixed-window kernels draw only the columns that remain;
-* ``draw_digits`` compares raw 64-bit words against an integer
-  threshold, which equals ``gen.random(shape) >= p_zero`` bit for bit and
-  consumes the generator identically;
+* ``draw_digits`` has two rules.  Fair digits (p_zero = 1/2: the tent
+  and doubling maps under Lebesgue) come 64 to a raw 64-bit word.  A
+  (rows, cols) draw takes (rows, ceil(cols / 64)) raw words; digit c of a
+  row is bit 7 - (c mod 8) of byte c // 8 of the row's words read as
+  little-endian bytes, and the bits past ``cols`` are discarded, so the
+  stream is the same on every platform.  Any other p_zero spends one raw
+  word per digit and compares it against an integer threshold, which
+  equals ``gen.random(shape) >= p_zero`` bit for bit and consumes the
+  generator identically;
 * first-hit kernels drop finished lanes between chunks once more than
   ``_COMPACT_AT`` of the live lanes have hit.  That sets the rows of the
   next draw, so ``_COMPACT_AT`` is part of the stream: changing it
@@ -81,6 +87,9 @@ _SHIFTS = (64 - WINDOW_BITS - np.arange(1, 9)).astype(np.uint64)
 
 #: fraction of finished lanes that triggers an active-set compaction
 _COMPACT_AT = 0.25
+
+#: deepest cylinder the word scans run: a word must fit one uint64 register
+MAX_WORD_DEPTH = 63
 
 
 def run_blocked(n_samples, master_seed, labels, kernel, threads=1):
@@ -110,13 +119,24 @@ def run_blocked(n_samples, master_seed, labels, kernel, threads=1):
 # ---------------------------------------------------------------- digits
 
 def draw_digits(gen, rows, cols, p_zero):
-    """Boolean digit matrix; True is the digit 1, drawn with mass 1 - p_zero.
+    """Boolean (rows, cols) digit matrix; True is the digit 1, drawn with
+    mass 1 - p_zero.
 
-    For 0 <= p_zero < 1 this equals ``gen.random((rows, cols)) >= p_zero``
-    bit for bit and consumes the generator identically: numpy's float64
-    uniform is (raw >> 11) * 2^-53, so it reaches p_zero exactly when the
-    raw word reaches ceil(p_zero * 2^53) << 11.
+    Fair digits (p_zero = 1/2) are packed 64 to a raw word: the draw takes
+    (rows, ceil(cols / 64)) raw words, and digit c of a row is bit
+    7 - (c mod 8) of byte c // 8 of the row's words read as little-endian
+    bytes.  The bits past ``cols`` in the last word are discarded.
+
+    Any other p_zero spends one raw word per digit: the matrix equals
+    ``gen.random((rows, cols)) >= p_zero`` bit for bit and consumes the
+    generator identically, because numpy's float64 uniform is
+    (raw >> 11) * 2^-53, which reaches p_zero exactly when the raw word
+    reaches ceil(p_zero * 2^53) << 11.
     """
+    if p_zero == 0.5:
+        words = gen.bit_generator.random_raw((rows, (cols + 63) // 64))
+        return np.unpackbits(words.astype("<u8", copy=False).view(np.uint8),
+                             axis=1, count=cols).view(bool)
     level = np.uint64(math.ceil(p_zero * 2.0 ** 53) << 11)
     return gen.bit_generator.random_raw((rows, cols)) >= level
 
@@ -268,8 +288,9 @@ def _word_scan_start(count, word_int, depth, start_j, preload):
     last depth - 1 letters and ``consumed`` the letters read so far.  A
     preloaded lane has already read the word itself.
     """
-    if not 1 <= depth <= 63:
-        raise DomainError("cylinder scans support depths 1..63")
+    if not 1 <= depth <= MAX_WORD_DEPTH:
+        raise DomainError(
+            f"cylinder scans support depths 1..{MAX_WORD_DEPTH}")
     if not 0 <= word_int < 1 << depth:
         raise DomainError("word_int must fit in depth letters")
     if preload and start_j == 0:

@@ -27,6 +27,7 @@ from . import evl, hts
 from .conditions import dprime_estimate, mixing_gap_estimate
 from .config import ExperimentConfig
 from .cylinders import PartitionContext, gibbs_envelope, smb_estimate
+from .engine import MAX_WORD_DEPTH
 from .errors import ConfigError, UnsupportedCombination
 from .laws import (
     EmpiricalLaw,
@@ -162,6 +163,15 @@ def _build_ctx(cfg: ExperimentConfig, system, measure, *needed_depths: int
         return PartitionContext(system, measure, max_depth=depth)
     except UnsupportedCombination as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def _require_word_depths(system, key: str, depths):
+    """Reject tent and doubling cylinders deeper than the word scans run."""
+    if system.kind in _DIGIT_KINDS and any(d > MAX_WORD_DEPTH for d in depths):
+        raise ConfigError(
+            f"{key} = {', '.join(map(str, depths))} asks for a cylinder "
+            f"deeper than {MAX_WORD_DEPTH}, the deepest tent or doubling "
+            "cylinder the word scans run")
 
 
 def _require_mode(cfg: ExperimentConfig, mode: str, experiment: str):
@@ -349,6 +359,7 @@ def _targets(cfg: ExperimentConfig, system, measure):
     zeta = cfg["observable.zeta"]
     if cfg["hts.target"] == "cylinder":
         depths = cfg["hts.depth_list"]
+        _require_word_depths(system, "hts.depth_list", depths)
         ctx = _build_ctx(cfg, system, measure, *depths)
         pairs = [(f"depth={d}", hts.cylinder_target(ctx, zeta, d))
                  for d in depths]
@@ -493,6 +504,7 @@ def _run_conditions(cfg: ExperimentConfig) -> Body:
         )
     measure = _build_measure(cfg, system)
     depth = cfg["cylinders.max_depth"]
+    _require_word_depths(system, "cylinders.max_depth", (depth,))
     ctx = _build_ctx(cfg, system, measure, depth)
     target = hts.cylinder_target(ctx, cfg["observable.zeta"], depth)
     samples = cfg["conditions.samples"]

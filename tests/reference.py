@@ -15,6 +15,10 @@ a kernel against a second implementation that shares none of its tricks:
 * ``ball_evaluate`` and ``cylinder_evaluate`` are the observable phi(x)
   itself; the samplers never evaluate it, because block maxima reduce to
   minimum distances and first cylinder entries.
+* ``reference_digits`` is the engine's digit draw rule, bit by bit.
+* ``no_entry_probability`` is the exact law of a first cylinder entry
+  under iid letters, which Monte Carlo runs of the word kernels must
+  reproduce up to sampling noise.
 
 ``src/`` must not import this module: it is test code.
 """
@@ -277,3 +281,55 @@ def stream_word(point: BitStreamPoint, n: int, tent: bool) -> tuple[int, ...]:
         letters.append(cur.digit(1))
         cur = cur.shifted(1, tent=True)
     return tuple(letters)
+
+
+#: the eight digits of a byte, most significant bit first
+_BYTE_DIGITS = [[(b >> (7 - i)) & 1 for i in range(8)] for b in range(256)]
+
+
+def reference_digits(gen, rows, cols, p_zero):
+    """The (rows, cols) digit matrix that ``engine.draw_digits`` returns.
+
+    Fair digits come 64 to a raw word: byte k of a word is its bits
+    8k .. 8k + 7 (little-endian), each byte gives its digits most
+    significant bit first, and the row's words follow one another.  Any
+    other p_zero thresholds one float uniform per digit.
+    """
+    if p_zero != 0.5:
+        return gen.random((rows, cols)) >= p_zero
+    words = gen.bit_generator.random_raw((rows, math.ceil(cols / 64)))
+    out = np.zeros((rows, cols), dtype=bool)
+    for i, row in enumerate(words.tolist()):
+        digits = []
+        for w in row:
+            for k in range(8):
+                digits += _BYTE_DIGITS[(w >> (8 * k)) & 0xFF]
+        out[i] = digits[:cols]
+    return out
+
+
+def no_entry_probability(word_bits, p_one, n_letters):
+    """P(the word is not among n_letters iid letters), exactly.
+
+    ``word_bits`` lists the word's letters, first letter first, and each
+    letter is 1 with probability ``p_one``.  The scan is the KMP automaton
+    (Knuth, Morris and Pratt, 1977): its transient states are the lengths
+    0 .. depth - 1 of the longest prefix of the word that ends the letters
+    read so far, and reading the whole word absorbs.  The answer is the
+    mass still transient after n_letters steps of the sub-stochastic
+    transfer matrix.
+    """
+    word = [int(b) for b in word_bits]
+    depth = len(word)
+    step = np.zeros((depth, depth))
+    for state in range(depth):
+        for letter, mass in ((0, 1.0 - p_one), (1, p_one)):
+            seen = word[:state] + [letter]
+            k = len(seen)
+            while seen[len(seen) - k:] != word[:k]:
+                k -= 1
+            if k < depth:
+                step[state, k] += mass
+    start = np.zeros(depth)
+    start[0] = 1.0
+    return float(start @ np.linalg.matrix_power(step, n_letters).sum(axis=1))

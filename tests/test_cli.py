@@ -23,6 +23,7 @@ def make_config(experiment, text="", **kw):
 
 MP_BALL = "system.kind = manneville_pomeau\nhts.target = ball"
 MP_LEBESGUE = "system.kind = manneville_pomeau\nmeasure.kind = lebesgue"
+TENT_LEBESGUE = "system.kind = full_tent\nmeasure.kind = lebesgue"
 
 
 def override(text, lines):
@@ -405,6 +406,12 @@ class TestFilesAndCli:
                      id="evl-balls-mp-lebesgue"),
         pytest.param("equivalence", MP_LEBESGUE, "measure.kind",
                      id="equivalence-mp-lebesgue"),
+        # a tent or doubling cylinder deeper than the word scans' 63 letters
+        ("hts", "hts.depth_list = 6, 64", "hts.depth_list"),
+        ("kac", "hts.depth_list = 6, 64", "hts.depth_list"),
+        pytest.param("rts", TENT_LEBESGUE + "\nhts.depth_list = 6, 64",
+                     "hts.depth_list", id="rts-tent-depth-64"),
+        ("conditions", "cylinders.max_depth = 64", "cylinders.max_depth"),
     ])
     def test_late_failure_configs_exit_two(self, tmp_path, capsys, monkeypatch,
                                            experiment, line, key):

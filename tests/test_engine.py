@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from evlhts import engine
 from evlhts.engine import (
     ball_first_hit_digits,
     conditional_digit_starts,
@@ -23,36 +24,45 @@ from evlhts.engine import (
 from evlhts.errors import DomainError
 from evlhts.rng import BLOCK, substream
 from evlhts.systems import FIXED_ONE, manneville_pomeau, rotation
-from reference import BitStreamPoint, FloatPoint, iterate
+from reference import (
+    BitStreamPoint,
+    FloatPoint,
+    iterate,
+    no_entry_probability,
+    reference_digits,
+)
 
 
-class FakeGen:
-    """Feeds a fixed digit table through the raw bit-generator interface.
+class ScriptedDigits:
+    """A stand-in for ``engine.draw_digits`` that deals out a fixed digit
+    table: each call returns the next ``cols`` digits of every row.
 
-    Digit d is encoded as the raw word 0x4000... (d = 0) or 0xC000...
-    (d = 1), whose uniforms are 0.25 and 0.75, so any kernel thresholding
-    at p_zero = 0.5 reads exactly the scripted digits.
+    Kernels then run on a given digit stream whatever the draw rule, so
+    these tests check kernel logic; ``TestDrawDigits`` checks the rule.
     """
-
-    RAW = {0: 0x4000_0000_0000_0000, 1: 0xC000_0000_0000_0000}
 
     def __init__(self, rows):
         self.rows = [list(r) for r in rows]
         self.cursor = 0
-        self.bit_generator = self
 
-    def random_raw(self, shape):
-        rows, cols = shape
+    def __call__(self, gen, rows, cols, p_zero):
         assert rows == len(self.rows), "lane count changed mid-stream"
-        out = np.empty(shape, dtype=np.uint64)
+        # Kernels draw full-width chunks but only read the columns that
+        # remain, so pad past the scripted table with digit 0.
+        out = np.zeros((rows, cols), dtype=bool)
         for i, row in enumerate(self.rows):
             chunk = row[self.cursor:self.cursor + cols]
-            # Kernels draw full-width chunks but only read the columns that
-            # remain, so pad past the scripted table with digit 0.
-            chunk = chunk + [0] * (cols - len(chunk))
-            out[i, :] = [self.RAW[d] for d in chunk]
+            out[i, :len(chunk)] = chunk
         self.cursor += cols
         return out
+
+
+@pytest.fixture
+def script(monkeypatch):
+    """``script(rows)`` makes the engine draw the digit table ``rows``."""
+    def install(rows):
+        monkeypatch.setattr(engine, "draw_digits", ScriptedDigits(rows))
+    return install
 
 
 def random_digit_rows(n_rows, n_digits, seed):
@@ -77,11 +87,12 @@ def scalar_min_distance(digits, n_steps, tent, zeta, circle):
 class TestWindowKernel:
     @pytest.mark.parametrize("tent", [False, True])
     @pytest.mark.parametrize("circle", [False, True])
-    def test_matches_scalar_stream_exactly(self, tent, circle):
+    def test_matches_scalar_stream_exactly(self, tent, circle, script):
         n_steps = 25
         rows = random_digit_rows(7, 53 + n_steps - 1, seed=42 + tent)
+        script(rows)
         got, = digit_window_min_distance(
-            FakeGen(rows), 7, n_steps=n_steps, p_zero=0.5, tent=tent,
+            None, 7, n_steps=n_steps, p_zero=0.5, tent=tent,
             zeta=0.71234, circle=circle,
         )
         want = [
@@ -90,20 +101,22 @@ class TestWindowKernel:
         ]
         assert got.tolist() == want  # bit-identical, not approximately
 
-    def test_single_step_is_start_distance(self):
+    def test_single_step_is_start_distance(self, script):
         rows = random_digit_rows(5, 53, seed=3)
+        script(rows)
         got, = digit_window_min_distance(
-            FakeGen(rows), 5, n_steps=1, p_zero=0.5, tent=False,
+            None, 5, n_steps=1, p_zero=0.5, tent=False,
             zeta=0.3, circle=False,
         )
         starts = window_from_digits(np.array(rows, dtype=bool))
         assert got.tolist() == [abs(s - 0.3) for s in starts]
 
-    def test_orbit_of_deterministic_point(self):
+    def test_orbit_of_deterministic_point(self, script):
         # all-ones digits = the point 1 - 2^-53; tent sends it next to 0
         rows = [[1] * 60]
+        script(rows)
         got, = digit_window_min_distance(
-            FakeGen(rows), 1, n_steps=8, p_zero=0.5, tent=True,
+            None, 1, n_steps=8, p_zero=0.5, tent=True,
             zeta=0.0, circle=False,
         )
         # the orbit min distance to 0 is reached at the second step
@@ -127,13 +140,14 @@ class TestWordKernels:
         return out
 
     @pytest.mark.parametrize("tent", [False, True])
-    def test_first_hit_matches_brute_force(self, tent):
+    def test_first_hit_matches_brute_force(self, tent, script):
         depth, cap, start_j = 3, 40, 1
         word = (1, 0, 1)
         word_int = 0b101
         rows = random_digit_rows(50, cap - 1 + depth, seed=7)
+        script(rows)
         times, hit = word_first_hit(
-            FakeGen(rows), 50, word_int=word_int, depth=depth, tent=tent,
+            None, 50, word_int=word_int, depth=depth, tent=tent,
             p_zero=0.5, cap=cap, start_j=start_j,
         )
         for i, row in enumerate(rows):
@@ -142,26 +156,28 @@ class TestWordKernels:
             assert times[i] == want
             assert hit[i] == (want < cap)
 
-    def test_start_zero_counts_the_start_itself(self):
+    def test_start_zero_counts_the_start_itself(self, script):
         # lane whose first letters are the word: j = 0 is a hit
         depth = 4
         rows = [[1, 1, 1, 1] + [0] * 20, [0, 1, 1, 1] + [1] * 20]
+        script(rows)
         times, hit = word_first_hit(
-            FakeGen(rows), 2, word_int=0b1111, depth=depth, tent=False,
+            None, 2, word_int=0b1111, depth=depth, tent=False,
             p_zero=0.5, cap=20, start_j=0,
         )
         assert times[0] == 0 and hit[0]
         assert times[1] != 0
 
-    def test_preload_waits_for_genuine_return(self):
+    def test_preload_waits_for_genuine_return(self, script):
         # preloaded = start inside the cylinder; returns are j >= 1
         depth = 2
         rows = [
             [1, 0, 1, 1, 0, 0, 0, 0, 0, 0],  # letters 10 11 -> return at 3
             [1, 1, 0, 0, 0, 0, 0, 0, 0, 0],  # immediate re-entry at j = 1
         ]
+        script(rows)
         times, hit = word_first_hit(
-            FakeGen(rows), 2, word_int=0b11, depth=depth, tent=False,
+            None, 2, word_int=0b11, depth=depth, tent=False,
             p_zero=0.5, cap=9, start_j=1, preload=True,
         )
         # preloaded letters are (1, 1); lane letters continue from there:
@@ -172,12 +188,13 @@ class TestWordKernels:
             brute.append(self.brute_first(letters, (1, 1), 2, 1, 9))
         assert times.tolist() == brute
 
-    def test_count_matches_brute_force(self):
+    def test_count_matches_brute_force(self, script):
         depth, window = 2, 30
         word = (1, 1)
         rows = random_digit_rows(40, window + depth, seed=11)
+        script(rows)
         counts, = word_hit_count(
-            FakeGen(rows), 40, word_int=0b11, depth=depth, tent=False,
+            None, 40, word_int=0b11, depth=depth, tent=False,
             p_zero=0.5, window=window, start_j=1,
         )
         for i, row in enumerate(rows):
@@ -245,7 +262,7 @@ class RecordingGen:
 def reference_word_first_hit(gen, count, *, word_int, depth, tent, p_zero,
                              cap, start_j=1, preload=False, chunk=256):
     """Per-step reference for ``word_first_hit``: one register update per
-    orbit step over every live lane, digits from ``gen.random``."""
+    orbit step over every live lane, digits from ``reference_digits``."""
     mask = np.uint64((1 << depth) - 1)
     target = np.uint64(word_int)
     one = np.uint64(1)
@@ -263,7 +280,8 @@ def reference_word_first_hit(gen, count, *, word_int, depth, tent, p_zero,
     match_from = depth + start_j
     while consumed < total_letters and lane.size:
         cols = min(chunk, total_letters - consumed)
-        digits = (gen.random((lane.size, chunk)) >= p_zero).astype(np.uint64)
+        digits = reference_digits(gen, lane.size, chunk, p_zero).astype(
+            np.uint64)
         for c in range(cols):
             b = digits[:, c]
             if tent:
@@ -302,7 +320,8 @@ def reference_word_hit_count(gen, count, *, word_int, depth, tent, p_zero,
     match_from = depth + start_j
     while consumed < total_letters:
         cols = min(chunk, total_letters - consumed)
-        digits = (gen.random((count, cols)) >= p_zero).astype(np.uint64)
+        digits = reference_digits(gen, count, cols, p_zero).astype(
+            np.uint64)
         for c in range(cols):
             b = digits[:, c]
             if tent:
@@ -338,15 +357,15 @@ def reference_digit_window_min_distance(gen, count, *, n_steps, p_zero, tent,
                                         zeta, circle, chunk=256):
     """Per-step reference for ``digit_window_min_distance``: one float
     window update per orbit step over every lane, digits from
-    ``gen.random``."""
-    v = window_from_digits(gen.random((count, 53)) >= p_zero)
+    ``reference_digits``."""
+    v = window_from_digits(reference_digits(gen, count, 53, p_zero))
     parity = np.zeros(count, dtype=bool)  # digit left of the window; b_0 = 0
     pos = np.where(parity, _TOP - v, v) if tent else v
     best = _reference_distances(pos, zeta, circle)
     remaining = n_steps - 1
     while remaining > 0:
         cols = min(chunk, remaining)
-        fresh = (gen.random((count, cols)) >= p_zero).astype(np.float64)
+        fresh = reference_digits(gen, count, cols, p_zero).astype(np.float64)
         for c in range(cols):
             if tent:
                 parity = v >= 0.5  # the digit shifted out of the window
@@ -362,7 +381,7 @@ def reference_ball_first_hit_digits(gen, count, *, eta, zeta, tent, p_zero,
                                     initial_digits=None, chunk=256):
     """Per-step reference for ``ball_first_hit_digits``."""
     if initial_digits is None:
-        initial_digits = gen.random((count, 53)) >= p_zero
+        initial_digits = reference_digits(gen, count, 53, p_zero)
     v = window_from_digits(initial_digits)
     parity = np.zeros(count, dtype=bool)
     times = np.full(count, cap, dtype=np.int64)
@@ -375,7 +394,8 @@ def reference_ball_first_hit_digits(gen, count, *, eta, zeta, tent, p_zero,
     j = 0
     while j < cap - 1 and lane.size:
         cols = min(chunk, cap - 1 - j)
-        fresh = (gen.random((lane.size, chunk)) >= p_zero).astype(np.float64)
+        fresh = reference_digits(gen, lane.size, chunk, p_zero).astype(
+            np.float64)
         for c in range(cols):
             if tent:
                 parity = v >= 0.5
@@ -690,8 +710,29 @@ class TestOrbitKernelEquivalence:
 
 
 class TestDrawDigits:
+    @pytest.mark.parametrize("cols", [1, 53, 63, 64, 65, 256])
+    def test_fair_digits_unpack_raw_words(self, cols):
+        rows = 7
+        a = substream(17, "packed", cols)
+        b = substream(17, "packed", cols)
+        got = draw_digits(a, rows, cols, 0.5)
+        assert got.dtype == bool and got.shape == (rows, cols)
+        assert np.array_equal(got, reference_digits(b, rows, cols, 0.5))
+        # the draw spent exactly rows * ceil(cols / 64) raw words
+        c = substream(17, "packed", cols)
+        c.bit_generator.random_raw(rows * math.ceil(cols / 64))
+        assert np.array_equal(a.bit_generator.random_raw(4),
+                              c.bit_generator.random_raw(4))
+
+    def test_every_bit_position_is_a_fair_coin(self):
+        # one raw word per row: column c is bit position c of every word
+        n = 10 ** 5
+        rate = draw_digits(substream(17, "fair-bits"), n, 64, 0.5).mean(axis=0)
+        z = (rate - 0.5) / math.sqrt(0.25 / n)
+        assert np.abs(z).max() <= 4.0
+
     @pytest.mark.parametrize(
-        "p_zero", [0.5, 0.3, 0.01, 0.99, 0.0, 1.0 - 2.0 ** -53]
+        "p_zero", [0.3, 0.01, 0.99, 0.0, 1.0 - 2.0 ** -53]
     )
     def test_equals_float_threshold_and_stream(self, p_zero):
         a = substream(17, "digits", p_zero)
@@ -703,7 +744,7 @@ class TestDrawDigits:
         assert np.array_equal(a.bit_generator.random_raw(4),
                               b.bit_generator.random_raw(4))
 
-    @pytest.mark.parametrize("p_zero", [0.5, 0.3, 0.01, 0.99, 2.0 ** -53])
+    @pytest.mark.parametrize("p_zero", [0.3, 0.01, 0.99, 2.0 ** -53])
     def test_raw_words_at_the_threshold(self, p_zero):
         # raw words spanning the uniforms just below, at and above p_zero
         level = math.ceil(p_zero * 2.0 ** 53)
@@ -717,13 +758,75 @@ class TestDrawDigits:
         assert got.tolist() == [[False, False, True, True, True, True]]
 
 
+#: a word with no short period, and one of period 1
+EXACT_WORDS = {"generic": 0b101100111010, "periodic": 0b111111111111}
+EXACT_GRID = [
+    pytest.param(word_int, tent, p_zero,
+                 id=f"{name}-{'tent' if tent else 'doubling'}-{p_zero}")
+    for name, word_int in EXACT_WORDS.items()
+    for tent, p_zero in ((True, 0.5), (False, 0.5), (False, 0.3))
+]
+
+
+class TestExactCylinderLaw:
+    """The word kernels sample the exact law of a first cylinder entry.
+
+    Tent letters under fair digits and doubling letters under any
+    Bernoulli digits are iid, so the no-entry probability of a window is a
+    KMP transfer-matrix power (``reference.no_entry_probability``), and
+    the expected number of entries is the number of windows times the
+    cylinder's mass.  Both hold at |z| <= 4 for the packed fair draws and
+    for the thresholded ones: a check on the law of the digit stream, not
+    on its bytes."""
+
+    DEPTH = 12
+
+    def letters(self, word_int):
+        return format(word_int, f"0{self.DEPTH}b")
+
+    def mass(self, word_int, p_zero):
+        ones = self.letters(word_int).count("1")
+        return (1.0 - p_zero) ** ones * p_zero ** (self.DEPTH - ones)
+
+    @pytest.mark.parametrize("word_int,tent,p_zero", EXACT_GRID)
+    def test_no_entry_share(self, word_int, tent, p_zero):
+        lanes = 20000
+        # a window of one mean return (tau = 1): iterates 1 .. cap - 1 read
+        # letters 1 .. cap + depth - 2
+        cap = 1 + round(1.0 / self.mass(word_int, p_zero))
+        exact = no_entry_probability(self.letters(word_int), 1.0 - p_zero,
+                                     cap + self.DEPTH - 2)
+        _, hit = word_first_hit(
+            substream(11, "exact-no-entry", word_int, tent, p_zero), lanes,
+            word_int=word_int, depth=self.DEPTH, tent=tent, p_zero=p_zero,
+            cap=cap, start_j=1)
+        share = 1.0 - hit.mean()
+        z = (share - exact) / math.sqrt(exact * (1.0 - exact) / lanes)
+        assert abs(z) <= 4.0
+
+    @pytest.mark.parametrize("word_int,tent,p_zero", EXACT_GRID)
+    def test_mean_entry_count(self, word_int, tent, p_zero):
+        lanes, start_j = 4000, 3
+        mu = self.mass(word_int, p_zero)
+        window = round(1.0 / mu)
+        counts, = word_hit_count(
+            substream(11, "exact-count", word_int, tent, p_zero), lanes,
+            word_int=word_int, depth=self.DEPTH, tent=tent, p_zero=p_zero,
+            window=window, start_j=start_j)
+        expected = (window - start_j + 1) * mu
+        z = (counts.mean() - expected) / (counts.std(ddof=1)
+                                          / math.sqrt(lanes))
+        assert abs(z) <= 4.0
+
+
 class TestBallHitKernel:
-    def test_matches_brute_force_on_stream(self):
+    def test_matches_brute_force_on_stream(self, script):
         eta, zeta = 0.07, 0.65
         cap = 30
         rows = random_digit_rows(40, 53 + cap - 1, seed=5)
+        script(rows)
         times, hit = ball_first_hit_digits(
-            FakeGen(rows), 40, eta=eta, zeta=zeta, tent=True, p_zero=0.5,
+            None, 40, eta=eta, zeta=zeta, tent=True, p_zero=0.5,
             circle=False, cap=cap, start_j=1,
         )
         for i, row in enumerate(rows):

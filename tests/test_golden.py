@@ -7,7 +7,8 @@ name to the SHA-256 of its run's ``summary.json``, ``data.csv`` and
 ``plot.csv``.  Every run must reproduce those hashes on 1, 2 and 3
 threads.  A refactor leaves them unchanged; a change that moves the RNG
 stream or the report format on purpose regenerates them in the same
-change, and says which bytes moved and why:
+change, and says which bytes moved and why.  This command rewrites the
+hashes and prints which configs moved and which did not:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -56,7 +57,12 @@ def test_report_bytes_match_golden(name, threads, tmp_path):
 if __name__ == "__main__":
     import tempfile
 
+    old = json.loads(HASHES.read_text()) if HASHES.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
         table = {c: report_hashes(c, pathlib.Path(tmp) / c) for c in CONFIGS}
     HASHES.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")
+    moved = [c for c in CONFIGS if old.get(c) != table[c]]
+    kept = [c for c in CONFIGS if c not in moved]
+    print(f"moved ({len(moved)}): {', '.join(moved) or '-'}")
+    print(f"unchanged ({len(kept)}): {', '.join(kept) or '-'}")
     print(f"wrote {HASHES}")
