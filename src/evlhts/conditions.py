@@ -32,7 +32,7 @@ from .errors import DomainError, UnsupportedCombination
 from .evl import pack_word
 from .hts import TargetSet
 from .measures import digit_p_zero
-from .systems import MapKind, MapSystem
+from .systems import DIGIT_KINDS, MapKind, MapSystem
 
 #: Excess below this floor is treated as zero regardless of its CLT band.
 DEFAULT_FLOOR = 0.02
@@ -66,7 +66,7 @@ class ConditionReport:
 
 
 def _require_digit_cylinder(system: MapSystem, target: TargetSet) -> None:
-    if system.kind not in (MapKind.FULL_TENT, MapKind.DOUBLING):
+    if system.kind not in DIGIT_KINDS:
         raise UnsupportedCombination(
             "dependence estimators run on the digit systems"
         )

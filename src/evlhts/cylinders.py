@@ -17,10 +17,10 @@ endpoints are reported with the uniform half-open convention of each map
 (right-closed for the tent cells, left-closed otherwise); the two views
 can disagree only on the measure-zero set of cell boundaries.
 
-Masses are exact: powers of 2 for Lebesgue on the tent/doubling cells
+Masses are exact: on the tent/doubling cells they are products of the
+letter masses of ``measures.digit_p_zero`` -- powers of 2 at p = 1/2
 (carried as an integer base-2 log so deep cylinders never underflow),
-digit products for the Bernoulli measure (carried in log space), and arc
-lengths for the rotation.
+log-space sums otherwise -- and arc lengths for the rotation.
 """
 
 import bisect
@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DomainError, UnsupportedCombination, ZeroMassCylinder
-from .measures import BernoulliDoubling, Lebesgue1D, MeasureModel
-from .systems import FIXED_ONE, MapKind, MapSystem
+from .measures import BernoulliDoubling, Lebesgue1D, MeasureModel, digit_p_zero
+from .systems import DIGIT_KINDS, FIXED_ONE, MapKind, MapSystem
 
 LN2 = math.log(2)
 
@@ -40,20 +40,14 @@ DEFAULT_MAX_DEPTH = 60
 
 @dataclass(frozen=True)
 class Cylinder:
-    """One partition cell: exact endpoints, closures, and mass."""
+    """One partition cell: exact endpoints and mass."""
 
     depth: int
     lo: Fraction
     hi: Fraction
-    closed_left: bool
-    closed_right: bool
     mass: float
     log_mass: float
     log2_mass: int | None = None  # exact when the mass is a power of 2
-
-    @property
-    def width(self) -> float:
-        return float(self.hi - self.lo)
 
 
 @dataclass
@@ -88,16 +82,13 @@ class PartitionContext:
         return got
 
 
-def _letter_log_mass(ctx: PartitionContext) -> tuple[float, float] | None:
-    """Per-letter log masses when the cylinder mass is a letter product."""
-    kind = ctx.system.kind
-    if kind in (MapKind.FULL_TENT, MapKind.DOUBLING) and isinstance(
-        ctx.measure, Lebesgue1D
-    ):
-        return (math.log(0.5), math.log(0.5))
-    if kind is MapKind.DOUBLING and isinstance(ctx.measure, BernoulliDoubling):
-        return (math.log(ctx.measure.p), math.log(1.0 - ctx.measure.p))
-    return None
+def letter_log_masses(ctx: PartitionContext) -> tuple[float, float] | None:
+    """(log p, log(1 - p)) of the letters 0 and 1 on the digit systems;
+    None for the rotation, whose cylinder masses are arc lengths."""
+    if ctx.system.kind not in DIGIT_KINDS:
+        return None
+    p = digit_p_zero(ctx.measure)
+    return (math.log(p), math.log(1.0 - p))
 
 
 def _to_fraction(x) -> Fraction:
@@ -186,31 +177,7 @@ def cylinder_at(ctx: PartitionContext, zeta, n: int) -> Cylinder:
         raise DomainError("depth must be >= 0")
     kind = ctx.system.kind
     if n == 0:
-        return Cylinder(0, Fraction(0), Fraction(1), True, True, 1.0, 0.0, 0)
-    word = cylinder_word(ctx, zeta, n)
-    if kind is MapKind.FULL_TENT:
-        lo, hi = _tent_interval(word)
-        return Cylinder(
-            n, lo, hi, closed_left=(lo == 0), closed_right=True,
-            mass=_pow2_float(-n), log_mass=-n * LN2, log2_mass=-n,
-        )
-    if kind is MapKind.DOUBLING:
-        idx = 0
-        for w in word:
-            idx = (idx << 1) | w
-        lo = Fraction(idx, 1 << n)
-        hi = Fraction(idx + 1, 1 << n)
-        if isinstance(ctx.measure, Lebesgue1D):
-            return Cylinder(
-                n, lo, hi, True, False,
-                mass=_pow2_float(-n), log_mass=-n * LN2, log2_mass=-n,
-            )
-        if isinstance(ctx.measure, BernoulliDoubling):
-            lp = math.log(ctx.measure.p)
-            lq = math.log(1.0 - ctx.measure.p)
-            log_mass = math.fsum(lp if w == 0 else lq for w in word)
-            return Cylinder(n, lo, hi, True, False, math.exp(log_mass), log_mass)
-        raise UnsupportedCombination(type(ctx.measure).__name__)
+        return Cylinder(0, Fraction(0), Fraction(1), 1.0, 0.0, 0)
     if kind is MapKind.ROTATION:
         bounds = ctx.rotation_bounds(n)
         zi = _rotation_fixed(zeta)
@@ -222,9 +189,22 @@ def cylinder_at(ctx: PartitionContext, zeta, n: int) -> Cylinder:
             raise ZeroMassCylinder(f"empty rotation arc at depth {n}")
         return Cylinder(
             n, Fraction(lo_i, FIXED_ONE), Fraction(hi_i, FIXED_ONE),
-            True, False, mass, math.log(mass),
+            mass, math.log(mass),
         )
-    raise UnsupportedCombination(kind)
+    word = cylinder_word(ctx, zeta, n)
+    if kind is MapKind.FULL_TENT:
+        lo, hi = _tent_interval(word)
+    else:
+        idx = 0
+        for w in word:
+            idx = (idx << 1) | w
+        lo = Fraction(idx, 1 << n)
+        hi = Fraction(idx + 1, 1 << n)
+    if digit_p_zero(ctx.measure) == 0.5:
+        return Cylinder(n, lo, hi, _pow2_float(-n), -n * LN2, -n)
+    letter_logs = letter_log_masses(ctx)
+    log_mass = math.fsum(letter_logs[w] for w in word)
+    return Cylinder(n, lo, hi, math.exp(log_mass), log_mass)
 
 
 def _pow2_float(e: int) -> float:
@@ -268,7 +248,7 @@ def gibbs_envelope(
     if n < 1:
         raise DomainError("depth must be >= 1")
     word = cylinder_word(ctx, zeta, n)
-    letter_logs = _letter_log_mass(ctx)
+    letter_logs = letter_log_masses(ctx)
     if letter_logs is not None:
         log_mass = math.fsum(letter_logs[w] for w in word)
     else:

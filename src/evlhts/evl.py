@@ -35,7 +35,7 @@ from .errors import (
 )
 from .measures import EmpiricalOrbit, Lebesgue1D, digit_p_zero
 from .observables import BallObservable, CylinderObservable, GKind, GShape
-from .systems import FIXED_ONE, MapKind, Metric
+from .systems import DIGIT_KINDS, FIXED_ONE, MapKind, Metric
 
 GAMMA_CERT_TOL = 1e-6
 
@@ -186,11 +186,13 @@ def sample_ball_min_distances(
     zeta = obs.zeta_value
     circle = measure.metric is Metric.CIRCLE
 
-    if system.kind in (MapKind.FULL_TENT, MapKind.DOUBLING):
+    if system.kind in DIGIT_KINDS:
         p_zero = digit_p_zero(measure)
         tent = system.kind is MapKind.FULL_TENT
         if iid:
-            if isinstance(measure, Lebesgue1D):
+            # 53 fair digits are a uniform point of the 2^-53 grid, which
+            # is what gen.random() draws in one call
+            if p_zero == 0.5:
                 def kernel(gen, count):
                     return engine.iid_min_distance_uniform(
                         gen, count, n_draws=n_steps, zeta=zeta, circle=circle
@@ -367,7 +369,7 @@ def sample_cylinder_no_entry(
     binomial, which is sampled directly.
     """
     system = obs.ctx.system
-    if system.kind not in (MapKind.FULL_TENT, MapKind.DOUBLING):
+    if system.kind not in DIGIT_KINDS:
         raise UnsupportedCombination(
             "cylinder maxima are implemented for the digit systems"
         )

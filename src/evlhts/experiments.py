@@ -26,7 +26,12 @@ import numpy as np
 from . import evl, hts
 from .conditions import dprime_estimate, mixing_gap_estimate
 from .config import ExperimentConfig
-from .cylinders import PartitionContext, gibbs_envelope, smb_estimate
+from .cylinders import (
+    PartitionContext,
+    gibbs_envelope,
+    letter_log_masses,
+    smb_estimate,
+)
 from .engine import MAX_WORD_DEPTH
 from .errors import ConfigError, UnsupportedCombination
 from .laws import (
@@ -38,10 +43,11 @@ from .laws import (
     ks_statistic,
     sup_distance_on_grid,
 )
-from .measures import BernoulliDoubling, EmpiricalOrbit, Lebesgue1D
+from .measures import BernoulliDoubling, EmpiricalOrbit, Lebesgue1D, digit_p_zero
 from .observables import BallObservable, CylinderObservable, GKind, GShape
 from .rng import substream
 from .systems import (
+    DIGIT_KINDS,
     MapKind,
     doubling,
     full_tent,
@@ -63,8 +69,6 @@ EXPERIMENTS = (
 )
 
 PLOT_HEADER = ("series", "x", "y", "stderr")
-
-_DIGIT_KINDS = (MapKind.FULL_TENT, MapKind.DOUBLING)
 
 
 # ------------------------------------------------------------- plumbing
@@ -165,9 +169,13 @@ def _build_ctx(cfg: ExperimentConfig, system, measure, *needed_depths: int
         raise ConfigError(str(exc)) from exc
 
 
-def _require_word_depths(system, key: str, depths):
-    """Reject tent and doubling cylinders deeper than the word scans run."""
-    if system.kind in _DIGIT_KINDS and any(d > MAX_WORD_DEPTH for d in depths):
+def _require_word_depths(system, key: str, depths, deepest=None):
+    """Reject tent and doubling cylinders deeper than the word scans run;
+    ``deepest`` is the deepest cell ``depths`` lead to, when not their
+    maximum."""
+    if deepest is None:
+        deepest = max(depths)
+    if system.kind in DIGIT_KINDS and deepest > MAX_WORD_DEPTH:
         raise ConfigError(
             f"{key} = {', '.join(map(str, depths))} asks for a cylinder "
             f"deeper than {MAX_WORD_DEPTH}, the deepest tent or doubling "
@@ -281,7 +289,7 @@ def _run_evl_balls(cfg: ExperimentConfig) -> Body:
 def _run_evl_cylinders(cfg: ExperimentConfig) -> Body:
     _require_mode(cfg, "cylinder", "evl-cylinders")
     system = _build_system(cfg)
-    if system.kind not in _DIGIT_KINDS:
+    if system.kind not in DIGIT_KINDS:
         raise ConfigError(
             "cylinder maxima are implemented for the tent and doubling maps"
         )
@@ -296,42 +304,44 @@ def _run_evl_cylinders(cfg: ExperimentConfig) -> Body:
     iid_mode = cfg["evl.iid_mode"]
     seed, threads = cfg["master_seed"], cfg["threads"]
 
+    schedules = [evl.cylinder_schedule(
+        obs, depth=depth, tau=tau, convention=cfg["evl.convention"])
+        for depth in depths for tau in tau_grid]
+    _require_word_depths(system, "evl.n_list", depths,
+                         max(s.event_depth for s in schedules))
+
     per_cell, data_rows, plot_rows = [], [], []
     passed = True
-    for depth in depths:
-        for tau in tau_grid:
-            sched = evl.cylinder_schedule(
-                obs, depth=depth, tau=tau, convention=cfg["evl.convention"])
-            limit = math.exp(-tau)
-            routes = {"dyn": False, "iid": True} if iid_mode \
-                else {"dyn": False}
-            cell = {
-                "depth": depth,
-                "tau": tau,
-                "level": _q(sched.level, exact=True),
-                "event_depth": sched.event_depth,
-                "event_mass": _q(sched.event_mass, exact=True),
-                "window": sched.window,
-                "limit": _q(limit, exact=True),
-            }
-            worst = 0.0
-            for route, iid in routes.items():
-                flags = evl.sample_cylinder_no_entry(
-                    obs, sched, n_samples=samples, seed=seed,
-                    labels=("evl-cylinders", f"n={depth}", f"tau={tau!r}"),
-                    threads=threads, iid=iid)
-                p = float(flags.mean())
-                se = _binom_se(p, samples)
-                cell[route] = _q(p, se)
-                worst = max(worst, abs(p - limit))
-                data_rows.append((depth, tau, route, sched.window, p, se,
-                                  limit))
-                plot_rows.append((f"{route} n={depth}", tau, p, se))
-            cell_pass = worst <= tol
-            cell["max_abs_error"] = _q(worst, exact=True)
-            cell["verdict"] = _verdict(cell_pass)
-            passed = passed and cell_pass
-            per_cell.append(cell)
+    for sched in schedules:
+        depth, tau = sched.depth, sched.tau
+        limit = math.exp(-tau)
+        routes = {"dyn": False, "iid": True} if iid_mode else {"dyn": False}
+        cell = {
+            "depth": depth,
+            "tau": tau,
+            "level": _q(sched.level, exact=True),
+            "event_depth": sched.event_depth,
+            "event_mass": _q(sched.event_mass, exact=True),
+            "window": sched.window,
+            "limit": _q(limit, exact=True),
+        }
+        worst = 0.0
+        for route, iid in routes.items():
+            flags = evl.sample_cylinder_no_entry(
+                obs, sched, n_samples=samples, seed=seed,
+                labels=("evl-cylinders", f"n={depth}", f"tau={tau!r}"),
+                threads=threads, iid=iid)
+            p = float(flags.mean())
+            se = _binom_se(p, samples)
+            cell[route] = _q(p, se)
+            worst = max(worst, abs(p - limit))
+            data_rows.append((depth, tau, route, sched.window, p, se, limit))
+            plot_rows.append((f"{route} n={depth}", tau, p, se))
+        cell_pass = worst <= tol
+        cell["max_abs_error"] = _q(worst, exact=True)
+        cell["verdict"] = _verdict(cell_pass)
+        passed = passed and cell_pass
+        per_cell.append(cell)
 
     for tau in tau_grid:
         plot_rows.append(("limit", tau, math.exp(-tau), ""))
@@ -491,7 +501,7 @@ def _run_kac(cfg: ExperimentConfig) -> Body:
 
 def _run_conditions(cfg: ExperimentConfig) -> Body:
     system = _build_system(cfg)
-    if system.kind not in _DIGIT_KINDS:
+    if system.kind not in DIGIT_KINDS:
         raise ConfigError(
             "the dependence diagnostics run on the tent and doubling maps"
         )
@@ -560,13 +570,6 @@ def _run_conditions(cfg: ExperimentConfig) -> Body:
 
 # ------------------------------------------------------------------ smb
 
-def _entropy_reference(system, measure) -> float:
-    if isinstance(measure, Lebesgue1D):
-        return math.log(2.0)
-    p = measure.p
-    return -(p * math.log(p) + (1.0 - p) * math.log(1.0 - p))
-
-
 def _sampled_cylinder_point(gen, p_zero: float, depth: int) -> Fraction:
     """Interior point of a depth-``depth`` doubling cell drawn from the
     digit-product measure (digit 0 with probability p_zero)."""
@@ -578,24 +581,20 @@ def _sampled_cylinder_point(gen, p_zero: float, depth: int) -> Fraction:
 
 def _run_smb(cfg: ExperimentConfig) -> Body:
     system = _build_system(cfg)
-    if system.kind not in _DIGIT_KINDS:
+    if system.kind not in DIGIT_KINDS:
         raise ConfigError(
             "the information-rate estimate needs a letter-product measure "
             "(tent or doubling map)"
         )
     measure = _build_measure(cfg, system)
-    if isinstance(measure, EmpiricalOrbit):
-        raise ConfigError("the information rate needs a closed-form measure")
     depths = cfg["smb.depth_list"]
     ctx = _build_ctx(cfg, system, measure, *depths)
     zeta = cfg["observable.zeta"]
     tol = cfg["smb.tol"]
-    reference = _entropy_reference(system, measure)
-    uniform = isinstance(measure, Lebesgue1D)
-    if uniform:
-        potential = (math.log(0.5), math.log(0.5))
-    else:
-        potential = (math.log(measure.p), math.log(1.0 - measure.p))
+    p = digit_p_zero(measure)
+    reference = -(p * math.log(p) + (1.0 - p) * math.log(1.0 - p))
+    uniform = p == 0.5
+    potential = letter_log_masses(ctx)
     samples = cfg["smb.samples"]
     seed = cfg["master_seed"]
 
@@ -612,8 +611,8 @@ def _run_smb(cfg: ExperimentConfig) -> Body:
         else:
             gen = substream(seed, "smb", f"depth={depth}")
             draws = [
-                smb_estimate(ctx, _sampled_cylinder_point(
-                    gen, measure.p, depth), depth)
+                smb_estimate(ctx, _sampled_cylinder_point(gen, p, depth),
+                             depth)
                 for _ in range(samples)
             ]
             arr = np.asarray(draws)

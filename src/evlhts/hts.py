@@ -30,7 +30,7 @@ from .errors import (
 from .evl import pack_word
 from .laws import EmpiricalLaw, survival_integral
 from .measures import EmpiricalOrbit, MeasureModel, digit_p_zero
-from .systems import FIXED_ONE, MapKind, MapSystem, Metric
+from .systems import DIGIT_KINDS, FIXED_ONE, MapKind, MapSystem, Metric
 
 #: Default normalized horizon: caps at 50 expected return times.
 DEFAULT_HORIZON = 50.0
@@ -168,7 +168,7 @@ def sample_hit_times(
 
 def _hit_kernel(system, target, cap, start_j, conditional, measure):
     kind = system.kind
-    if kind in (MapKind.FULL_TENT, MapKind.DOUBLING):
+    if kind in DIGIT_KINDS:
         if measure is None:
             raise DomainError("digit systems need the measure for sampling")
         p_zero = digit_p_zero(measure)

@@ -207,9 +207,7 @@ def sup_distance_on_grid(law: EmpiricalLaw, ref: ReferenceLaw, grid) -> float:
 
 @dataclass(frozen=True)
 class LevelTimeComparison:
-    y_grid: tuple
     taus: tuple
-    maxima_probs: tuple  # P(M_n <= u_n(y)) per grid point
     time_survivals: tuple  # G(tau(y)) from the hitting-time law
     sup_diff: float
 
@@ -236,10 +234,7 @@ def check_evl_from_hts(y_grid, maxima_probs, hit_law: EmpiricalLaw,
                 f"tau({y}) = {t} lies beyond the hitting-time horizon"
             ) from exc
     diffs = [abs(p - s) for p, s in zip(maxima_probs, survivals)]
-    return LevelTimeComparison(
-        tuple(y_grid), tuple(taus), tuple(maxima_probs), tuple(survivals),
-        max(diffs),
-    )
+    return LevelTimeComparison(tuple(taus), tuple(survivals), max(diffs))
 
 
 def survival_integral(law: EmpiricalLaw, t) -> float:

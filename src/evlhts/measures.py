@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DomainError, NotAttained, UnsupportedCombination
 from .rng import substream
-from .systems import MapKind, MapSystem, Metric
+from .systems import DIGIT_KINDS, MapKind, MapSystem, Metric
 
 QUANTILE_MASS_TOL = 1e-10
 QUANTILE_BRACKET_MIN = 1e-14
@@ -201,7 +201,8 @@ class BernoulliDoubling(MeasureModel):
 
 def digit_p_zero(measure) -> float:
     """Mass of the digit 0 under a digit-product measure: the one number
-    the tent and doubling kernels need to draw stationary digits."""
+    the tent and doubling systems read off their measure, for the digit
+    draws, the cylinder masses and the entropy.  Lebesgue is p = 1/2."""
     if isinstance(measure, Lebesgue1D):
         return 0.5
     if isinstance(measure, BernoulliDoubling):
@@ -227,9 +228,8 @@ class EmpiricalOrbit(MeasureModel):
         master_seed: int = 0,
         orbit_len: int = 10**6,
         burn_in: int = 10**4,
-        x0: float | None = None,
     ):
-        if system.kind in (MapKind.FULL_TENT, MapKind.DOUBLING):
+        if system.kind in DIGIT_KINDS:
             raise UnsupportedCombination(
                 "empirical orbits of the tent/doubling maps collapse in float "
                 "arithmetic; these maps have closed-form measures"
@@ -239,9 +239,7 @@ class EmpiricalOrbit(MeasureModel):
         self.orbit_len = int(orbit_len)
         self.burn_in = int(burn_in)
         self.master_seed = int(master_seed)
-        if x0 is None:
-            x0 = float(substream(master_seed, "empirical-orbit", "start").random())
-        self._x0 = x0
+        x0 = float(substream(master_seed, "empirical-orbit", "start").random())
         self.orbit = self._run_orbit(x0)
         self._sorted = np.sort(self.orbit)
 

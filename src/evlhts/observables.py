@@ -113,10 +113,6 @@ class BallObservable:
     zeta: float
 
     @property
-    def mode(self) -> str:
-        return "ball"
-
-    @property
     def zeta_value(self) -> float:
         return self.zeta
 
@@ -152,10 +148,6 @@ class CylinderObservable:
         self._ladder: list[float] = [1.0]  # mass of Z_k[zeta], k = 0, 1, ...
 
     @property
-    def mode(self) -> str:
-        return "cylinder"
-
-    @property
     def measure(self) -> MeasureModel:
         return self.ctx.measure
 
@@ -176,18 +168,19 @@ class CylinderObservable:
     def exceedance_depth(self, u: float) -> int:
         """Depth k such that {phi > u} = Z_k[zeta], exactly as sets.
 
-        phi(x) > u iff the ladder mass at the depth of x is below
-        g^{-1}(u), and the ladder is nested, so the exceedance set is the
-        first cylinder whose mass drops below g^{-1}(u).  Levels below
-        g(1) are exceeded everywhere (k = 0); levels at or above sup phi
-        have no exceedance cylinder and raise OutOfRange."""
+        phi(x) > u iff g of the ladder mass at the depth of x exceeds u,
+        and the ladder is nested, so the exceedance set is the first
+        cylinder whose g-value exceeds u.  The comparison stays on the
+        level side: g^{-1}(g(m)) may round above m, which would pass the
+        cell of mass m off as the exceedance set of the level g(m).
+        Levels below g(1) are exceeded everywhere (k = 0); levels at or
+        above sup phi have no exceedance cylinder and raise OutOfRange."""
         if u >= self.g.value_at_zero:
             raise OutOfRange(f"level {u} is not below sup phi")
         if u < self.g.forward(1.0):
             return 0
-        v = self.g.inverse(u)
         k = 1
-        while self.ladder_mass(k) >= v:
+        while self.g.forward(self.ladder_mass(k)) <= u:
             k += 1
             if k > self.ctx.max_depth:
                 raise OutOfRange(

@@ -39,6 +39,10 @@ class Metric(str, Enum):
     CIRCLE = "circle"
 
 
+#: The maps whose cylinders are read off iid binary letters (digits, or
+#: XORs of adjacent digits for the tent) under a digit-product measure.
+DIGIT_KINDS = (MapKind.FULL_TENT, MapKind.DOUBLING)
+
 _METRIC = {
     MapKind.FULL_TENT: Metric.INTERVAL,
     MapKind.DOUBLING: Metric.CIRCLE,

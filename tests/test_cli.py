@@ -39,6 +39,7 @@ def forbid_sampling(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("sampled before the config was checked")
     for owner, name in ((evl, "sample_ball_min_distances"),
+                        (evl, "sample_cylinder_no_entry"),
                         (hts, "sample_hit_times"),
                         (experiments, "dprime_estimate"),
                         (experiments, "mixing_gap_estimate")):
@@ -127,6 +128,21 @@ hts.target = cylinder
 hts.depth_list = 10
 hts.samples = 4000
 """
+
+
+HALF_CYLINDER = "hts.target = cylinder\nhts.depth_list = 6\nhts.samples = 2000"
+# doubling-map configs whose cylinder masses or iid draws follow the digit law
+HALF_CONFIGS = {
+    "evl-balls": "observable.type = g2\nevl.n_list = 256\nevl.samples = 2000\n"
+                 "evl.iid_mode = true\nevl.y_grid = 0.5, 1.0, 2.0",
+    "smb": "smb.depth_list = 8, 50\nsmb.samples = 20",
+    "kac": HALF_CYLINDER,
+    "hts": HALF_CYLINDER,
+    "rts": HALF_CYLINDER,
+    "conditions": "cylinders.max_depth = 6\nconditions.samples = 2000",
+    "evl-cylinders": "observable.mode = cylinder\nobservable.type = g2\n"
+                     "evl.n_list = 8\nevl.samples = 2000\nevl.iid_mode = true",
+}
 
 
 class TestExperimentDrivers:
@@ -249,6 +265,20 @@ class TestExperimentDrivers:
         deep = report.summary["results"]["per_depth"][-1]
         assert abs(deep["estimate"]["value"] - ref) <= 0.05
         assert report.passed
+
+    @pytest.mark.parametrize("experiment", sorted(HALF_CONFIGS))
+    def test_bernoulli_half_is_lebesgue(self, experiment):
+        # Bernoulli(1/2) on the doubling map is Lebesgue measure, so both
+        # names must give the same report
+        lebesgue, bernoulli = [
+            experiments.run(make_config(
+                experiment, f"system.kind = doubling\nobservable.zeta = 0.3\n"
+                f"{HALF_CONFIGS[experiment]}\n{measure}"), write=False)
+            for measure in ("measure.kind = lebesgue",
+                            "measure.kind = bernoulli\nmeasure.p = 0.5")
+        ]
+        assert bernoulli.summary["results"] == lebesgue.summary["results"]
+        assert bernoulli.data_rows == lebesgue.data_rows
 
     def test_smb_tent_exact(self):
         cfg = make_config("smb", "smb.depth_list = 1, 7, 33")
@@ -412,6 +442,10 @@ class TestFilesAndCli:
         pytest.param("rts", TENT_LEBESGUE + "\nhts.depth_list = 6, 64",
                      "hts.depth_list", id="rts-tent-depth-64"),
         ("conditions", "cylinders.max_depth = 64", "cylinders.max_depth"),
+        ("evl-cylinders", "evl.n_list = 8, 64", "evl.n_list"),
+        # the deep convention reads the event one letter below the anchor
+        pytest.param("evl-cylinders", "evl.n_list = 8, 63\nevl.convention = deep",
+                     "evl.n_list", id="evl-cylinders-deep-63"),
     ])
     def test_late_failure_configs_exit_two(self, tmp_path, capsys, monkeypatch,
                                            experiment, line, key):

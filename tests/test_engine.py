@@ -889,7 +889,7 @@ class TestRotationKernels:
                     break
             assert times[i] == want
 
-    def test_min_distance_checkpoints_match_scalar(self):
+    def test_min_distance_matches_scalar_at_each_horizon(self):
         z = 0.77
         zf = round(z * FIXED_ONE)
         starts = np.array([int(0.1 * FIXED_ONE)], dtype=np.uint64)

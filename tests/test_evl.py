@@ -194,6 +194,27 @@ class TestCylinderSchedule:
         assert s.window == int(1.0 / 0.3 ** 3)
         assert s.event_word == (0, 0, 0)
 
+    @pytest.mark.parametrize("convention, offset", [("step", 0), ("deep", 1)])
+    @pytest.mark.parametrize("system, measure", [
+        (full_tent(), Lebesgue1D(Metric.INTERVAL)),
+        (doubling(), BernoulliDoubling(0.3)),
+    ], ids=["tent-lebesgue", "doubling-bernoulli"])
+    @pytest.mark.parametrize("g", [G1, G2, G3], ids=["g1", "g2", "g3"])
+    def test_event_is_the_cell_the_convention_names(self, g, system, measure,
+                                                    convention, offset):
+        # g(ladder mass) and back may round above the mass; the event cell
+        # must still be the one below the anchor, never the anchor itself
+        ctx = PartitionContext(system, measure)
+        misses = []
+        for zeta in (0.1, 0.3, 0.7, 0.77, 1 / 3):
+            obs = CylinderObservable(g, ctx, zeta)
+            for depth in range(2, 40):
+                s = cylinder_schedule(obs, depth=depth, tau=1.0,
+                                      convention=convention)
+                if s.event_depth != depth + offset:
+                    misses.append((zeta, depth, s.event_depth))
+        assert misses == []
+
     def test_validation(self):
         obs = tent_cylinder_obs(G2)
         with pytest.raises(DomainError):
