@@ -13,10 +13,11 @@ length n (so tau = n * m is the expected hit count per block):
   value, not the raw statistic, because the iid part never vanishes.
 
 * ``mixing_gap_estimate`` — long-range decorrelation.  After a gap of
-  t = ceil(n^0.7) steps, the chance of avoiding E for a further window
-  of n steps is compared between orbits started inside E and orbits
-  started from the stationary measure; the difference, scaled by n * m,
-  estimates the dependence surviving the gap.
+  t steps (the ``conditions`` driver takes t = ceil(n^0.7) unless
+  ``conditions.t_grid`` names gaps), the chance of avoiding E for a
+  further window of n steps is compared between orbits started inside E
+  and orbits started from the stationary measure; the difference, scaled
+  by n * m, estimates the dependence surviving the gap.
 
 Both estimators work on the digit systems (tent/doubling), where entry
 counting is exact on the letter register.
@@ -42,12 +43,9 @@ DEFAULT_FLOOR = 0.02
 class ConditionReport:
     """Outcome of one dependence estimator at one (n, k) setting."""
 
-    name: str
     estimate: float
     baseline: float
     sigma: float
-    n_samples: int
-    block_n: int
     window: int
     floor: float = DEFAULT_FLOOR
 
@@ -119,16 +117,8 @@ def dprime_estimate(
     estimate = float(scale * counts.mean())
     sigma = float(scale * counts.std(ddof=1) / math.sqrt(counts.size))
     baseline = block_n * window * target.mass ** 2
-    return ConditionReport(
-        name="short-range-recurrence",
-        estimate=estimate,
-        baseline=baseline,
-        sigma=sigma,
-        n_samples=n_samples,
-        block_n=block_n,
-        window=window,
-        floor=floor,
-    )
+    return ConditionReport(estimate=estimate, baseline=baseline, sigma=sigma,
+                           window=window, floor=floor)
 
 
 def mixing_gap_estimate(
@@ -137,14 +127,14 @@ def mixing_gap_estimate(
     target: TargetSet,
     *,
     block_n: int,
-    gap: int | None = None,
+    gap: int,
     n_samples: int,
     seed: int,
     labels: tuple = ("mixing-gap",),
     threads: int = 1,
     floor: float = DEFAULT_FLOOR,
 ) -> ConditionReport:
-    """Dependence surviving a gap of t = ceil(n^0.7) steps.
+    """Dependence surviving a gap of ``gap`` steps.
 
     Both runs measure the no-entry probability of the window
     [gap, gap + block_n); one conditions the start on the event, the
@@ -154,8 +144,6 @@ def mixing_gap_estimate(
     _require_digit_cylinder(system, target)
     if block_n < 1:
         raise DomainError("block length must be >= 1")
-    if gap is None:
-        gap = int(math.ceil(block_n ** 0.7))
     if gap < 1:
         raise DomainError("gap must be >= 1")
     p_zero = digit_p_zero(measure)
@@ -188,13 +176,5 @@ def mixing_gap_estimate(
         p_cond * (1.0 - p_cond) / n_samples
         + p_free * (1.0 - p_free) / n_samples
     )
-    return ConditionReport(
-        name="mixing-gap",
-        estimate=float(estimate),
-        baseline=0.0,
-        sigma=float(scale * se),
-        n_samples=n_samples,
-        block_n=block_n,
-        window=gap,
-        floor=floor,
-    )
+    return ConditionReport(estimate=float(estimate), baseline=0.0,
+                           sigma=float(scale * se), window=gap, floor=floor)

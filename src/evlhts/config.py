@@ -39,6 +39,14 @@ def _pos_int(text: str) -> int:
     return v
 
 
+def _sample_count(text: str) -> int:
+    """A sample size with a sample standard deviation: at least 2."""
+    v = _int(text)
+    if v < 2:
+        raise ConfigError(f"expected at least 2 samples, got {v}")
+    return v
+
+
 def _nonneg_int(text: str) -> int:
     v = _int(text)
     if v < 0:
@@ -191,7 +199,7 @@ SCHEMA: dict[str, Option] = {
 
     "hts.t_grid": Option(_pos_float_list, (0.25, 0.5, 1.0, 1.5, 2.0, 3.0),
                          "normalized times at which the law is tabulated"),
-    "hts.samples": Option(_pos_int, 10_000, "Monte Carlo samples per target"),
+    "hts.samples": Option(_sample_count, 10_000, "Monte Carlo samples per target"),
     "hts.cap_factor": Option(_pos_float, 50.0, "censoring horizon in mean-return units"),
     "hts.target": Option(_choice("ball", "cylinder"), "cylinder", "target family"),
     "hts.mass_list": Option(_pos_float_list, (0.001,), "ball target masses"),
@@ -204,12 +212,12 @@ SCHEMA: dict[str, Option] = {
     "conditions.k_list": Option(_pos_int_list, (10,), "separation factors for the recurrence scan"),
     "conditions.t_grid": Option(_pos_int_list, (), "explicit gap probes (empty = ceil(n^0.7))"),
     "conditions.block_len": Option(_pos_int, 1024, "block length n of the condition windows"),
-    "conditions.samples": Option(_pos_int, 20_000, "Monte Carlo samples per estimate"),
+    "conditions.samples": Option(_sample_count, 20_000, "Monte Carlo samples per estimate"),
     "conditions.floor": Option(_pos_float, 0.02, "smallest excess treated as a real signal"),
 
     "smb.depth_list": Option(_pos_int_list, (10, 100, 1000, 2000),
                              "depths for the information-rate estimate"),
-    "smb.samples": Option(_pos_int, 200, "sampled cylinders per depth (atomless measures)"),
+    "smb.samples": Option(_sample_count, 200, "sampled cylinders per depth (atomless measures)"),
     "smb.tol": Option(_pos_float, 0.05, "declared band around the entropy reference"),
 
     "equivalence.tol": Option(_pos_float, 0.04, "declared band for the level/time sup-discrepancy"),

@@ -19,14 +19,18 @@ can disagree only on the measure-zero set of cell boundaries.
 
 Masses are exact: on the tent/doubling cells they are products of the
 letter masses of ``measures.digit_p_zero`` -- powers of 2 at p = 1/2
-(carried as an integer base-2 log so deep cylinders never underflow),
-log-space sums otherwise -- and arc lengths for the rotation.
+(carried as an integer base-2 log so deep cylinders never underflow) --
+and arc lengths for the rotation.  Off p = 1/2 one rule gives a word's
+log mass, ``word_log_mass``: the correctly rounded sum of its letter log
+masses, which depends only on how many letters are 1.
 """
 
 import bisect
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+
+import numpy as np
 
 from .errors import DomainError, UnsupportedCombination, ZeroMassCylinder
 from .measures import BernoulliDoubling, Lebesgue1D, MeasureModel, digit_p_zero
@@ -89,6 +93,15 @@ def letter_log_masses(ctx: PartitionContext) -> tuple[float, float] | None:
         return None
     p = digit_p_zero(ctx.measure)
     return (math.log(p), math.log(1.0 - p))
+
+
+def word_log_mass(ctx: PartitionContext, letters) -> float:
+    """log mu of the digit cell with the given letters (0/1 or bools): the
+    ``math.fsum`` of the letter log masses.  The sum is correctly rounded,
+    so it depends only on the count of ones, not on their order."""
+    log0, log1 = letter_log_masses(ctx)
+    ones = int(np.count_nonzero(letters))
+    return math.fsum([log1] * ones + [log0] * (len(letters) - ones))
 
 
 def _to_fraction(x) -> Fraction:
@@ -201,17 +214,9 @@ def cylinder_at(ctx: PartitionContext, zeta, n: int) -> Cylinder:
         lo = Fraction(idx, 1 << n)
         hi = Fraction(idx + 1, 1 << n)
     if digit_p_zero(ctx.measure) == 0.5:
-        return Cylinder(n, lo, hi, _pow2_float(-n), -n * LN2, -n)
-    letter_logs = letter_log_masses(ctx)
-    log_mass = math.fsum(letter_logs[w] for w in word)
+        return Cylinder(n, lo, hi, math.ldexp(1.0, -n), -n * LN2, -n)
+    log_mass = word_log_mass(ctx, word)
     return Cylinder(n, lo, hi, math.exp(log_mass), log_mass)
-
-
-def _pow2_float(e: int) -> float:
-    try:
-        return math.ldexp(1.0, e)
-    except OverflowError:  # pragma: no cover
-        return float("inf")
 
 
 def smb_estimate(ctx: PartitionContext, zeta, n: int) -> float:
@@ -241,18 +246,15 @@ def gibbs_envelope(
     """Ratio mu(Z_n[zeta]) / exp(S_n phi(zeta) - n P) for a potential that
     is constant on each base cell.
 
-    Both the cylinder log mass and the Birkhoff sum are accumulated as
-    per-letter float sums in the same order, so when the potential values
-    equal the letter log masses (and P = 0) the ratio is exactly 1.0.
+    The cylinder log mass and the Birkhoff sum are both correctly rounded
+    sums of per-letter values (at p = 1/2, ``-n * LN2`` is the correctly
+    rounded n copies of log 1/2), so when the potential values equal the
+    letter log masses (and P = 0) the ratio is exactly 1.0.
     """
     if n < 1:
         raise DomainError("depth must be >= 1")
     word = cylinder_word(ctx, zeta, n)
-    letter_logs = letter_log_masses(ctx)
-    if letter_logs is not None:
-        log_mass = math.fsum(letter_logs[w] for w in word)
-    else:
-        log_mass = cylinder_at(ctx, zeta, n).log_mass
+    log_mass = cylinder_at(ctx, zeta, n).log_mass
     if not math.isfinite(log_mass):
         raise ZeroMassCylinder(f"zero-mass cylinder at depth {n}")
     s_n = math.fsum(potential[w] for w in word)

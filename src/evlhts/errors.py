@@ -37,10 +37,6 @@ class CapTooSmall(EvlhtsError):
     """Requested normalized time exceeds the censoring cap of the simulation."""
 
 
-class NonMonotoneInput(EvlhtsError):
-    """Grid input that must be a distribution function is not monotone."""
-
-
 class InsufficientSample(EvlhtsError):
     """Too few observations for the requested statistic."""
 

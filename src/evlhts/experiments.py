@@ -19,7 +19,6 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -31,6 +30,7 @@ from .cylinders import (
     gibbs_envelope,
     letter_log_masses,
     smb_estimate,
+    word_log_mass,
 )
 from .engine import MAX_WORD_DEPTH
 from .errors import ConfigError, UnsupportedCombination
@@ -570,15 +570,6 @@ def _run_conditions(cfg: ExperimentConfig) -> Body:
 
 # ------------------------------------------------------------------ smb
 
-def _sampled_cylinder_point(gen, p_zero: float, depth: int) -> Fraction:
-    """Interior point of a depth-``depth`` doubling cell drawn from the
-    digit-product measure (digit 0 with probability p_zero)."""
-    idx = 0
-    for u in gen.random(depth):
-        idx = (idx << 1) | (1 if u >= p_zero else 0)
-    return Fraction(2 * idx + 1, 1 << (depth + 1))
-
-
 def _run_smb(cfg: ExperimentConfig) -> Body:
     system = _build_system(cfg)
     if system.kind not in DIGIT_KINDS:
@@ -609,13 +600,11 @@ def _run_smb(cfg: ExperimentConfig) -> Body:
             cell = _q(estimate, exact=True)
             d_pass = estimate == reference
         else:
-            gen = substream(seed, "smb", f"depth={depth}")
-            draws = [
-                smb_estimate(ctx, _sampled_cylinder_point(gen, p, depth),
-                             depth)
-                for _ in range(samples)
-            ]
-            arr = np.asarray(draws)
+            # one row of letters per sampled cell: letter 1 (mass 1 - p)
+            # where the uniform is >= p
+            cells = substream(seed, "smb", f"depth={depth}").random(
+                (samples, depth)) >= p
+            arr = np.array([-word_log_mass(ctx, row) / depth for row in cells])
             estimate = float(arr.mean())
             se = float(arr.std(ddof=1) / math.sqrt(arr.size))
             cell = _q(estimate, se)

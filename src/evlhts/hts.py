@@ -259,8 +259,6 @@ class KacReport:
 
     product: float
     band: float
-    n_samples: int
-    mass: float
 
     @property
     def passed(self) -> bool:
@@ -280,7 +278,7 @@ def kac_check(sample: HitSample) -> KacReport:
     mass = sample.target.mass
     product = float(times.mean() * mass)
     se = float(times.std(ddof=1) * mass / math.sqrt(times.size))
-    return KacReport(product, 3.0 * se, int(times.size), mass)
+    return KacReport(product, 3.0 * se)
 
 
 # ---------------------------------------------------- return-vs-hit bridge

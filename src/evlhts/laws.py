@@ -5,25 +5,19 @@ stop scanning at a horizon): censored observations are counted in the
 denominator but carry no location, so the ECDF is exact strictly below
 the cap and undefined above it — queries there raise rather than guess.
 
-Reference laws cover the three classical extreme value families, the
-exponential law, and explicit tabulated curves.  KS comparisons use the
-asymptotic Kolmogorov distribution computed in-house (both series of the
-theta function, switched at the usual lambda = 1.18).
+Reference laws cover the three classical extreme value families and the
+exponential law.  KS comparisons use the asymptotic Kolmogorov
+distribution computed in-house (both series of the theta function,
+switched at the usual lambda = 1.18).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .errors import (
-    CapTooSmall,
-    DomainError,
-    GridMismatch,
-    InsufficientSample,
-    NonMonotoneInput,
-)
+from .errors import CapTooSmall, DomainError, GridMismatch, InsufficientSample
 
 
 @dataclass
@@ -52,15 +46,11 @@ class EmpiricalLaw:
             raise DomainError("observed value beyond the censoring cap")
 
     @classmethod
-    def from_hit_times(cls, times, hit, scale=1.0, cap=None):
+    def from_hit_times(cls, times, hit, scale, cap):
         """Law of scaled hitting times; unhit lanes are censored at cap."""
         times = np.asarray(times)
         hit = np.asarray(hit, dtype=bool)
-        observed = times[hit] * scale
-        n_cens = int((~hit).sum())
-        if cap is None:
-            cap = float(times.max() * scale) if n_cens else None
-        return cls(observed, n_cens, cap)
+        return cls(times[hit] * scale, int((~hit).sum()), cap)
 
     @property
     def n_total(self) -> int:
@@ -95,7 +85,6 @@ class LawKind(str, Enum):
     EV2 = "ev2"
     EV3 = "ev3"
     EXPONENTIAL = "exponential"
-    GRID = "grid"
 
 
 @dataclass(frozen=True)
@@ -104,27 +93,18 @@ class ReferenceLaw:
 
     EV1(y) = exp(-e^-y); EV2 has mass on y > 0 with F = exp(-y^-alpha);
     EV3 has support y <= 0 with F = exp(-(-y)^alpha); the exponential law
-    uses ``rate``; GRID interpolates a tabulated curve linearly.
+    uses ``rate``.
     """
 
     kind: LawKind
     alpha: float = 1.0
     rate: float = 1.0
-    xs: tuple = field(default=())
-    fs: tuple = field(default=())
 
     def __post_init__(self):
         if self.alpha <= 0:
             raise DomainError("alpha must be positive")
         if self.rate <= 0:
             raise DomainError("rate must be positive")
-        if self.kind is LawKind.GRID:
-            if len(self.xs) != len(self.fs) or len(self.xs) < 2:
-                raise DomainError("grid law needs matching xs/fs, >= 2 points")
-            if any(b <= a for a, b in zip(self.xs, self.xs[1:])):
-                raise NonMonotoneInput("grid abscissae must increase")
-            if any(b < a for a, b in zip(self.fs, self.fs[1:])):
-                raise NonMonotoneInput("grid CDF values must not decrease")
 
     def cdf(self, y):
         y = np.asarray(y, dtype=np.float64)
@@ -137,11 +117,9 @@ class ReferenceLaw:
         elif self.kind is LawKind.EV3:
             out = np.where(y <= 0, np.exp(-np.power(np.abs(np.minimum(y, 0.0)),
                                                     self.alpha)), 1.0)
-        elif self.kind is LawKind.EXPONENTIAL:
+        else:
             out = np.where(y >= 0, -np.expm1(-self.rate * np.maximum(y, 0.0)),
                            0.0)
-        else:
-            out = np.interp(y, self.xs, self.fs, left=0.0, right=1.0)
         return out if out.ndim else float(out)
 
 

@@ -40,7 +40,8 @@ class GKind(str, Enum):
 
 @dataclass(frozen=True)
 class GShape:
-    """A strictly decreasing shape g on (0, 1] with its inverse and tau."""
+    """A strictly decreasing shape g on (0, 1] with its clipped inverse
+    (``tail_fraction``) and tau."""
 
     kind: GKind
     alpha: float = 1.0
@@ -68,20 +69,6 @@ class GShape:
         if self.kind is GKind.G2:
             return v ** (-1.0 / self.alpha)
         return self.top - v ** (1.0 / self.alpha)
-
-    def inverse(self, u: float) -> float:
-        """g^{-1}(u); raises OutOfRange when u is below g(1) or above sup."""
-        if self.kind is GKind.G1:
-            if u < 0.0:
-                raise OutOfRange(f"level {u} below g(1) = 0")
-            return math.exp(-u)
-        if self.kind is GKind.G2:
-            if u < 1.0:
-                raise OutOfRange(f"level {u} below g(1) = 1")
-            return u ** (-self.alpha)
-        if not self.top - 1.0 <= u <= self.top:
-            raise OutOfRange(f"level {u} outside [{self.top - 1.0}, {self.top}]")
-        return (self.top - u) ** self.alpha
 
     def tail_fraction(self, u: float) -> float:
         """mu(g(v) > u) as a function of the v-mass: the clipped inverse."""

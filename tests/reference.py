@@ -19,6 +19,10 @@ a kernel against a second implementation that shares none of its tricks:
 * ``no_entry_probability`` is the exact law of a first cylinder entry
   under iid letters, which Monte Carlo runs of the word kernels must
   reproduce up to sampling noise.
+* ``UNIFORM`` is the U[0, 1] law, a reference for the KS machinery: any
+  object with a ``cdf`` serves.
+* ``fraction_smb_rates`` are the ``smb`` experiment's sampled information
+  rates, read back from exact Fraction points of the sampled cells.
 
 ``src/`` must not import this module: it is test code.
 """
@@ -30,9 +34,11 @@ from typing import Callable
 
 import numpy as np
 
-from evlhts.cylinders import PartitionContext, cylinder_word
+from evlhts.cylinders import PartitionContext, cylinder_word, smb_estimate
 from evlhts.errors import DomainError, EvlhtsError
+from evlhts.measures import digit_p_zero
 from evlhts.observables import BallObservable, CylinderObservable
+from evlhts.rng import substream
 from evlhts.systems import FIXED_ONE, WINDOW_BITS, MapKind, MapSystem, Metric
 
 
@@ -333,3 +339,32 @@ def no_entry_probability(word_bits, p_one, n_letters):
     start = np.zeros(depth)
     start[0] = 1.0
     return float(start @ np.linalg.matrix_power(step, n_letters).sum(axis=1))
+
+
+def fraction_smb_rates(ctx: PartitionContext, seed: int, depth: int,
+                       samples: int) -> np.ndarray:
+    """-log mu(Z_depth) / depth for the cells ``smb`` samples at ``depth``.
+
+    Each cell's letters (1 where a uniform is >= p) become the exact
+    Fraction midpoint of its doubling cell, and ``smb_estimate`` follows
+    that point back through the partition to the cell and its mass.
+    """
+    gen = substream(seed, "smb", f"depth={depth}")
+    p = digit_p_zero(ctx.measure)
+    rates = []
+    for _ in range(samples):
+        idx = 0
+        for u in gen.random(depth):
+            idx = (idx << 1) | (1 if u >= p else 0)
+        point = Fraction(2 * idx + 1, 1 << (depth + 1))
+        rates.append(smb_estimate(ctx, point, depth))
+    return np.asarray(rates)
+
+
+class _Uniform:
+    @staticmethod
+    def cdf(y):
+        return np.clip(y, 0.0, 1.0)
+
+
+UNIFORM = _Uniform()

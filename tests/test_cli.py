@@ -11,7 +11,11 @@ from evlhts import config as config_mod
 from evlhts import evl, experiments, hts
 from evlhts.cli import main
 from evlhts.config import ExperimentConfig, SCHEMA, parse_text, resolve
+from evlhts.cylinders import PartitionContext
 from evlhts.errors import ConfigError
+from evlhts.measures import BernoulliDoubling
+from evlhts.systems import doubling
+from reference import fraction_smb_rates
 
 
 GOLDEN = pathlib.Path(__file__).with_name("golden")
@@ -24,6 +28,7 @@ def make_config(experiment, text="", **kw):
 MP_BALL = "system.kind = manneville_pomeau\nhts.target = ball"
 MP_LEBESGUE = "system.kind = manneville_pomeau\nmeasure.kind = lebesgue"
 TENT_LEBESGUE = "system.kind = full_tent\nmeasure.kind = lebesgue"
+ONE_HIT_SAMPLE = "system.kind = doubling\nhts.depth_list = 4\nhts.samples = 1"
 
 
 def override(text, lines):
@@ -266,6 +271,26 @@ class TestExperimentDrivers:
         assert abs(deep["estimate"]["value"] - ref) <= 0.05
         assert report.passed
 
+    @pytest.mark.parametrize("seed", [3, 42, 2026])
+    @pytest.mark.parametrize("p", [0.3, 0.7, 0.01])
+    def test_smb_sampled_rates_match_fraction_route(self, p, seed):
+        depths = (1, 2, 63, 64, 400)
+        samples = 25
+        cfg = make_config("smb", f"""
+            system.kind = doubling
+            measure.kind = bernoulli
+            measure.p = {p}
+            smb.depth_list = {", ".join(map(str, depths))}
+            smb.samples = {samples}
+        """, seed=seed)
+        report = experiments.run(cfg, write=False)
+        ctx = PartitionContext(doubling(), BernoulliDoubling(p))
+        for depth, row in zip(depths, report.data_rows):
+            rates = fraction_smb_rates(ctx, seed, depth, samples)
+            assert row[0] == depth
+            assert row[1] == float(rates.mean())
+            assert row[2] == float(rates.std(ddof=1) / math.sqrt(samples))
+
     @pytest.mark.parametrize("experiment", sorted(HALF_CONFIGS))
     def test_bernoulli_half_is_lebesgue(self, experiment):
         # Bernoulli(1/2) on the doubling map is Lebesgue measure, so both
@@ -446,6 +471,18 @@ class TestFilesAndCli:
         # the deep convention reads the event one letter below the anchor
         pytest.param("evl-cylinders", "evl.n_list = 8, 63\nevl.convention = deep",
                      "evl.n_list", id="evl-cylinders-deep-63"),
+        # one sample has no sample standard deviation to report
+        pytest.param("hts", ONE_HIT_SAMPLE, "hts.samples", id="hts-one-sample"),
+        pytest.param("rts", ONE_HIT_SAMPLE, "hts.samples", id="rts-one-sample"),
+        pytest.param("kac", ONE_HIT_SAMPLE, "hts.samples", id="kac-one-sample"),
+        pytest.param("equivalence", "hts.samples = 1", "hts.samples",
+                     id="equivalence-one-sample"),
+        pytest.param("rotation-subseq", "hts.samples = 1", "hts.samples",
+                     id="rotation-subseq-one-sample"),
+        pytest.param("conditions", "conditions.samples = 1",
+                     "conditions.samples", id="conditions-one-sample"),
+        pytest.param("smb", "smb.samples = 1", "smb.samples",
+                     id="smb-one-sample"),
     ])
     def test_late_failure_configs_exit_two(self, tmp_path, capsys, monkeypatch,
                                            experiment, line, key):

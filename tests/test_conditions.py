@@ -23,7 +23,7 @@ def tent_target(zeta, depth=10):
 
 class TestReportLogic:
     def test_verdicts(self):
-        base = dict(name="x", n_samples=1, block_n=1, window=1)
+        base = dict(window=1)
         elevated = ConditionReport(estimate=0.5, baseline=0.1, sigma=0.01,
                                    **base)
         assert elevated.excess == pytest.approx(0.4)
@@ -88,17 +88,9 @@ class TestShortRangeRecurrence:
 
 
 class TestMixingGap:
-    def test_gap_defaults_to_block_power(self):
-        report = mixing_gap_estimate(
-            full_tent(), LEB, tent_target(0.3), block_n=1024,
-            n_samples=5000, seed=34,
-        )
-        assert report.window == 128  # ceil(1024^0.7)
-        assert report.baseline == 0.0
-
     def test_fast_mixing_is_consistent_with_zero(self):
         report = mixing_gap_estimate(
-            full_tent(), LEB, tent_target(0.3), block_n=1024,
+            full_tent(), LEB, tent_target(0.3), block_n=1024, gap=128,
             n_samples=20_000, seed=34,
         )
         assert report.verdict == "ConsistentWithZero"
@@ -108,7 +100,7 @@ class TestMixingGap:
         # Long-range decorrelation holds at zeta = 0 too: the clustering
         # there is a short-range effect.
         report = mixing_gap_estimate(
-            full_tent(), LEB, tent_target(0.0), block_n=1024,
+            full_tent(), LEB, tent_target(0.0), block_n=1024, gap=128,
             n_samples=20_000, seed=35,
         )
         assert report.verdict == "ConsistentWithZero"
@@ -119,11 +111,12 @@ class TestMixingGap:
             n_samples=2000, seed=36,
         )
         assert report.window == 7
+        assert report.baseline == 0.0
 
     def test_validation(self):
         tgt = tent_target(0.3)
         with pytest.raises(DomainError):
-            mixing_gap_estimate(full_tent(), LEB, tgt, block_n=0,
+            mixing_gap_estimate(full_tent(), LEB, tgt, block_n=0, gap=1,
                                 n_samples=10, seed=1)
         with pytest.raises(DomainError):
             mixing_gap_estimate(full_tent(), LEB, tgt, block_n=64, gap=0,

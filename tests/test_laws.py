@@ -10,7 +10,6 @@ from evlhts.errors import (
     DomainError,
     GridMismatch,
     InsufficientSample,
-    NonMonotoneInput,
 )
 from evlhts.laws import (
     EmpiricalLaw,
@@ -24,8 +23,7 @@ from evlhts.laws import (
     survival_integral,
 )
 from evlhts.observables import GKind, GShape
-
-UNIFORM = ReferenceLaw(LawKind.GRID, xs=(0.0, 1.0), fs=(0.0, 1.0))
+from reference import UNIFORM
 
 
 class TestEmpiricalLaw:
@@ -46,10 +44,10 @@ class TestEmpiricalLaw:
     def test_from_hit_times_scales_and_censors(self):
         times = np.array([3, 10, 7])
         hit = np.array([True, False, True])
-        law = EmpiricalLaw.from_hit_times(times, hit, scale=0.1)
+        law = EmpiricalLaw.from_hit_times(times, hit, scale=0.1, cap=1.0)
         assert law.values.tolist() == pytest.approx([0.3, 0.7])
         assert law.n_censored == 1
-        assert law.cap == pytest.approx(1.0)  # censored lanes sit at the cap
+        assert law.cap == 1.0  # censored lanes sit at the cap
         assert law.n_total == 3
         assert law.cdf(0.5) == pytest.approx(1 / 3)
         assert law.cdf(0.99) == pytest.approx(2 / 3)
@@ -109,12 +107,6 @@ class TestReferenceLaw:
         assert law.cdf(0.0) == 0.0
         assert law.cdf(-1.0) == 0.0
 
-    def test_grid_interpolates(self):
-        law = ReferenceLaw(LawKind.GRID, xs=(0.0, 2.0), fs=(0.0, 1.0))
-        assert law.cdf(1.0) == pytest.approx(0.5)
-        assert law.cdf(-1.0) == 0.0
-        assert law.cdf(3.0) == 1.0
-
     def test_vectorized_cdf(self):
         law = ReferenceLaw(LawKind.EV1)
         out = law.cdf(np.array([0.0, 1.0]))
@@ -126,12 +118,6 @@ class TestReferenceLaw:
             ReferenceLaw(LawKind.EV2, alpha=0.0)
         with pytest.raises(DomainError):
             ReferenceLaw(LawKind.EXPONENTIAL, rate=-1.0)
-        with pytest.raises(DomainError):
-            ReferenceLaw(LawKind.GRID, xs=(0.0,), fs=(0.0,))
-        with pytest.raises(NonMonotoneInput):
-            ReferenceLaw(LawKind.GRID, xs=(0.0, 0.0), fs=(0.0, 1.0))
-        with pytest.raises(NonMonotoneInput):
-            ReferenceLaw(LawKind.GRID, xs=(0.0, 1.0), fs=(0.5, 0.2))
 
 
 class TestKolmogorov:
