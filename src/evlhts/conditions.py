@@ -19,8 +19,10 @@ length n (so tau = n * m is the expected hit count per block):
   and orbits started from the stationary measure; the difference, scaled
   by n * m, estimates the dependence surviving the gap.
 
-Both estimators work on the digit systems (tent/doubling), where entry
-counting is exact on the letter register.
+Both estimators run on tent and doubling cylinder events, where entry
+counting is exact on the letter register: ``hts.word_scan`` turns the
+event into word-scan arguments, and the mixing-gap windows are
+``hts.first_hits`` runs.
 """
 
 import math
@@ -28,12 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import engine
-from .errors import DomainError, UnsupportedCombination
-from .evl import pack_word
+from . import engine, hts
+from .errors import DomainError
 from .hts import TargetSet
-from .measures import digit_p_zero
-from .systems import DIGIT_KINDS, MapKind, MapSystem
+from .systems import MapSystem
 
 #: Excess below this floor is treated as zero regardless of its CLT band.
 DEFAULT_FLOOR = 0.02
@@ -63,17 +63,6 @@ class ConditionReport:
             else "Elevated"
 
 
-def _require_digit_cylinder(system: MapSystem, target: TargetSet) -> None:
-    if system.kind not in DIGIT_KINDS:
-        raise UnsupportedCombination(
-            "dependence estimators run on the digit systems"
-        )
-    if target.kind != "cylinder":
-        raise UnsupportedCombination(
-            "dependence estimators expect a cylinder event"
-        )
-
-
 def dprime_estimate(
     system: MapSystem,
     measure,
@@ -93,21 +82,16 @@ def dprime_estimate(
     start in the event, giving n * m * E[count | start in E]; the iid
     baseline is n * (n//k) * m^2.
     """
-    _require_digit_cylinder(system, target)
+    scan = hts.word_scan(system, measure, target)
     if block_n < 1 or k < 1:
         raise DomainError("block length and separation must be >= 1")
     window = block_n // k
     if window < 1:
         raise DomainError("window block_n // k is empty")
-    p_zero = digit_p_zero(measure)
-    tent = system.kind is MapKind.FULL_TENT
-    word_int = pack_word(target.word)
-    depth = target.depth
 
     def kernel(gen, count):
         return engine.word_hit_count(
-            gen, count, word_int=word_int, depth=depth, tent=tent,
-            p_zero=p_zero, window=window, start_j=1, preload=True,
+            gen, count, **scan, window=window, start_j=1, preload=True,
         )
 
     counts = engine.run_blocked(
@@ -139,37 +123,18 @@ def mixing_gap_estimate(
     Both runs measure the no-entry probability of the window
     [gap, gap + block_n); one conditions the start on the event, the
     other starts stationary.  The report's estimate is
-    n * m * |difference| and its baseline is 0.
+    n * m * |difference| and its baseline is 0.  The word scan rejects a
+    gap below 1 or an empty window.
     """
-    _require_digit_cylinder(system, target)
-    if block_n < 1:
-        raise DomainError("block length must be >= 1")
-    if gap < 1:
-        raise DomainError("gap must be >= 1")
-    p_zero = digit_p_zero(measure)
-    tent = system.kind is MapKind.FULL_TENT
-    word_int = pack_word(target.word)
-    depth = target.depth
-    cap = gap + block_n
-
-    def make_kernel(preload):
-        def kernel(gen, count):
-            times, hit = engine.word_first_hit(
-                gen, count, word_int=word_int, depth=depth, tent=tent,
-                p_zero=p_zero, cap=cap, start_j=gap, preload=preload,
-            )
-            return (~hit,)
-        return kernel
-
-    halves = []
-    for preload, tag in ((True, "cond"), (False, "free")):
-        flags = engine.run_blocked(
-            n_samples, seed, (*labels, tag), make_kernel(preload),
-            threads=threads,
-        )[0]
-        halves.append(flags.astype(np.float64))
-    p_cond = float(halves[0].mean())
-    p_free = float(halves[1].mean())
+    hts.word_scan(system, measure, target)
+    p_cond, p_free = (
+        float((~hts.first_hits(
+            system, target, cap=gap + block_n, n_samples=n_samples,
+            seed=seed, labels=(*labels, tag), threads=threads,
+            conditional=conditional, start_j=gap, measure=measure,
+        )[1]).mean())
+        for conditional, tag in ((True, "cond"), (False, "free"))
+    )
     scale = block_n * target.mass
     estimate = scale * abs(p_cond - p_free)
     se = math.sqrt(

@@ -14,9 +14,10 @@ support of the limit shape the probability is pinned exactly at 0 or 1
 
 Sampling reduces ball maxima to the minimum orbit distance (a sufficient
 statistic for every monotone observable of the distance) and cylinder
-maxima to first entry of the orbit's letter register into the target
-word.  Every sampler has an iid twin drawing from the same marginal,
-giving the independent-baseline route next to the dynamical one.
+maxima to first entry into the event cell, a no-entry run that
+``hts.first_hits`` samples.  Every sampler has an iid twin drawing from
+the same marginal, giving the independent-baseline route next to the
+dynamical one.
 """
 
 import math
@@ -25,7 +26,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import engine
+from . import engine, hts
 from .cylinders import cylinder_word
 from .errors import (
     DegenerateTail,
@@ -343,14 +344,6 @@ def cylinder_schedule(
     )
 
 
-def pack_word(word: tuple) -> int:
-    """Letters to the register integer (first letter = most significant)."""
-    out = 0
-    for w in word:
-        out = (out << 1) | int(w)
-    return out
-
-
 def sample_cylinder_no_entry(
     obs: CylinderObservable,
     schedule: CylinderSchedule,
@@ -364,35 +357,24 @@ def sample_cylinder_no_entry(
     """Indicator of {M_window <= level} per sample (no orbit point in the
     event cell before the window ends).
 
-    The iid route replaces the orbit with ``window`` independent draws
-    from the stationary measure; the count of draws in the cell is then
-    binomial, which is sampled directly.
+    The dynamical route is a first-entry run into the event cell over
+    the window; the iid route replaces the orbit with ``window``
+    independent draws from the stationary measure, so the count of draws
+    in the cell is binomial, which is sampled directly.
     """
-    system = obs.ctx.system
-    if system.kind not in DIGIT_KINDS:
-        raise UnsupportedCombination(
-            "cylinder maxima are implemented for the digit systems"
-        )
-    p_zero = digit_p_zero(obs.ctx.measure)
-    if iid:
-        mass = schedule.event_mass
-        window = schedule.window
+    system, measure = obs.ctx.system, obs.ctx.measure
+    target = hts.cylinder_target(obs.ctx, obs.zeta, schedule.event_depth)
+    hts.word_scan(system, measure, target)
+    if not iid:
+        return ~hts.first_hits(
+            system, target, cap=schedule.window, n_samples=n_samples,
+            seed=seed, labels=(*labels, "dyn"), threads=threads,
+            conditional=False, start_j=0, measure=measure)[1]
+    mass, window = schedule.event_mass, schedule.window
 
-        def kernel(gen, count):
-            return (gen.binomial(window, mass, size=count) == 0,)
-    else:
-        word_int = pack_word(schedule.event_word)
-        tent = system.kind is MapKind.FULL_TENT
+    def kernel(gen, count):
+        return (gen.binomial(window, mass, size=count) == 0,)
 
-        def kernel(gen, count):
-            times, hit = engine.word_first_hit(
-                gen, count, word_int=word_int, depth=schedule.event_depth,
-                tent=tent, p_zero=p_zero, cap=schedule.window, start_j=0,
-            )
-            return (~hit,)
-
-    route = "iid" if iid else "dyn"
-    out = engine.run_blocked(
-        n_samples, seed, (*labels, route), kernel, threads=threads
+    return engine.run_blocked(
+        n_samples, seed, (*labels, "iid"), kernel, threads=threads
     )[0]
-    return out.astype(bool)

@@ -309,6 +309,10 @@ def _run_evl_cylinders(cfg: ExperimentConfig) -> Body:
         for depth in depths for tau in tau_grid]
     _require_word_depths(system, "evl.n_list", depths,
                          max(s.event_depth for s in schedules))
+    if max(s.window for s in schedules) > np.iinfo(np.int64).max:
+        raise ConfigError(
+            f"evl.n_list = {', '.join(map(str, depths))} schedules a window "
+            "of 2^63 steps or more, past the int64 step counter")
 
     per_cell, data_rows, plot_rows = [], [], []
     passed = True
@@ -458,8 +462,9 @@ def _run_kac(cfg: ExperimentConfig) -> Body:
         )
     system = _build_system(cfg)
     measure = _build_measure(cfg, system)
-    if cfg["hts.start_j"] < 1:
-        raise ConfigError("the mean-return identity needs hts.start_j >= 1")
+    if cfg["hts.start_j"] != 1:
+        raise ConfigError("the mean-return identity concerns first "
+                          "returns, which need hts.start_j = 1")
     samples = cfg["hts.samples"]
     tol = cfg["kac.tol"]
     seed, threads = cfg["master_seed"], cfg["threads"]

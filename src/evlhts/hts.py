@@ -7,6 +7,11 @@ at the cap, never discarded, and the normalized law multiplies the times
 by the target mass, so a mass-tau target with a clean exponential limit
 shows rate 1.
 
+Every first-entry run samples here, in ``first_hits``: hitting, return,
+cylinder no-entry (``evl``) and mixing-gap (``conditions``) runs.
+``word_scan`` is the one map from a tent or doubling cylinder to a word
+scan.
+
 Hitting runs start from the stationary measure; return runs condition
 the start on the target itself (exact letter preload for cylinders,
 digit-by-digit CDF inversion for balls under the digit-product measures,
@@ -27,7 +32,6 @@ from .errors import (
     DomainError,
     UnsupportedCombination,
 )
-from .evl import pack_word
 from .laws import EmpiricalLaw, survival_integral
 from .measures import EmpiricalOrbit, MeasureModel, digit_p_zero
 from .systems import DIGIT_KINDS, FIXED_ONE, MapKind, MapSystem, Metric
@@ -156,48 +160,67 @@ def sample_hit_times(
     required for the digit systems (to read the digit frequency) and for
     the intermittent map (the empirical orbit to draw starts from).
     """
-    if cap < 2:
-        raise DomainError("cap must allow at least one step")
-    kernel = _hit_kernel(system, target, cap, start_j, conditional, measure)
-    route = "ret" if conditional else "hit"
-    times, hit = engine.run_blocked(
-        n_samples, seed, (*labels, route), kernel, threads=threads
-    )
+    times, hit = first_hits(
+        system, target, cap=cap, n_samples=n_samples, seed=seed,
+        labels=(*labels, "ret" if conditional else "hit"), threads=threads,
+        conditional=conditional, start_j=start_j, measure=measure)
     return HitSample(times, hit, target, cap, start_j, conditional)
+
+
+def first_hits(system, target, *, cap, n_samples, seed, labels, threads=1,
+               conditional=False, start_j=1, measure=None):
+    """(times, hit) of ``n_samples`` first-entry runs on exactly ``labels``."""
+    kernel = _hit_kernel(system, target, cap, start_j, conditional, measure)
+    return engine.run_blocked(n_samples, seed, labels, kernel, threads=threads)
+
+
+def pack_word(word: tuple) -> int:
+    """Letters to the register integer (first letter = most significant)."""
+    out = 0
+    for w in word:
+        out = (out << 1) | int(w)
+    return out
+
+
+def word_scan(system: MapSystem, measure, target: TargetSet) -> dict:
+    """The word-kernel arguments (word_int, depth, tent, p_zero) that scan
+    the letter register for a tent or doubling cylinder target."""
+    if system.kind not in DIGIT_KINDS or target.kind != "cylinder":
+        raise UnsupportedCombination(
+            "word scans run on tent and doubling cylinder targets")
+    return {"word_int": pack_word(target.word), "depth": target.depth,
+            "tent": system.kind is MapKind.FULL_TENT,
+            "p_zero": digit_p_zero(measure)}
 
 
 def _hit_kernel(system, target, cap, start_j, conditional, measure):
     kind = system.kind
     if kind in DIGIT_KINDS:
-        if measure is None:
-            raise DomainError("digit systems need the measure for sampling")
-        p_zero = digit_p_zero(measure)
-        tent = kind is MapKind.FULL_TENT
         if target.kind == "cylinder":
-            word_int = pack_word(target.word)
-            depth = target.depth
+            scan = word_scan(system, measure, target)
 
             def kernel(gen, count):
                 return engine.word_first_hit(
-                    gen, count, word_int=word_int, depth=depth, tent=tent,
-                    p_zero=p_zero, cap=cap, start_j=start_j,
+                    gen, count, **scan, cap=cap, start_j=start_j,
                     preload=conditional,
                 )
-        else:
-            circle = measure.metric is Metric.CIRCLE
-            eta, zeta, arcs = target.eta, target.zeta_value, target.cdf_arcs
+            return kernel
+        p_zero = digit_p_zero(measure)
+        tent = kind is MapKind.FULL_TENT
+        circle = measure.metric is Metric.CIRCLE
+        eta, zeta, arcs = target.eta, target.zeta_value, target.cdf_arcs
 
-            def kernel(gen, count):
-                initial = None
-                if conditional:
-                    initial = engine.conditional_digit_starts(
-                        gen, count, arcs=arcs, p_zero=p_zero
-                    )
-                return engine.ball_first_hit_digits(
-                    gen, count, eta=eta, zeta=zeta, tent=tent, p_zero=p_zero,
-                    circle=circle, cap=cap, start_j=start_j,
-                    initial_digits=initial,
+        def kernel(gen, count):
+            initial = None
+            if conditional:
+                initial = engine.conditional_digit_starts(
+                    gen, count, arcs=arcs, p_zero=p_zero
                 )
+            return engine.ball_first_hit_digits(
+                gen, count, eta=eta, zeta=zeta, tent=tent, p_zero=p_zero,
+                circle=circle, cap=cap, start_j=start_j,
+                initial_digits=initial,
+            )
         return kernel
 
     if kind is MapKind.ROTATION:
@@ -267,8 +290,8 @@ class KacReport:
 
 def kac_check(sample: HitSample) -> KacReport:
     """Certify mean(return time) * mass = 1 on an uncensored return run."""
-    if not sample.conditional or sample.start_j < 1:
-        raise DomainError("Kac's identity concerns return times (start inside)")
+    if not sample.conditional or sample.start_j != 1:
+        raise DomainError("Kac's identity concerns first returns (start_j 1)")
     if sample.n_censored:
         raise CapTooSmall(
             f"{sample.n_censored} returns censored at cap {sample.cap}; "

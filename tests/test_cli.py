@@ -449,6 +449,8 @@ class TestFilesAndCli:
         ("hts", "hts.start_j = 100000", "hts.start_j"),
         ("rts", "hts.start_j = 100000", "hts.start_j"),
         ("kac", "hts.start_j = 100000", "hts.start_j"),
+        # a late start samples first entries, not the returns Kac concerns
+        ("kac", "hts.start_j = 50", "hts.start_j"),
         ("rotation-subseq", "hts.start_j = 100000", "hts.start_j"),
         ("equivalence", "hts.start_j = 100000", "hts.start_j"),
         # the intermittent map under the Lebesgue measure (the default),
@@ -471,6 +473,9 @@ class TestFilesAndCli:
         # the deep convention reads the event one letter below the anchor
         pytest.param("evl-cylinders", "evl.n_list = 8, 63\nevl.convention = deep",
                      "evl.n_list", id="evl-cylinders-deep-63"),
+        # windows of 2^63 and 2^64 steps overflow the int64 step counter
+        pytest.param("evl-cylinders", "evl.n_list = 63\nevl.tau_grid = 1.0, 2.0",
+                     "evl.n_list", id="evl-cylinders-window-overflow"),
         # one sample has no sample standard deviation to report
         pytest.param("hts", ONE_HIT_SAMPLE, "hts.samples", id="hts-one-sample"),
         pytest.param("rts", ONE_HIT_SAMPLE, "hts.samples", id="rts-one-sample"),

@@ -19,13 +19,13 @@ from evlhts.evl import (
     degenerate_probability,
     g_forward_array,
     gamma_level,
-    pack_word,
     prob_max_below,
     proof_normalizers,
     quantile_normalizers,
     sample_ball_min_distances,
     sample_cylinder_no_entry,
 )
+from evlhts.hts import pack_word
 from evlhts.measures import BernoulliDoubling, EmpiricalOrbit, Lebesgue1D
 from evlhts.observables import BallObservable, CylinderObservable, GKind, GShape
 from evlhts.systems import (
