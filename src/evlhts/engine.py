@@ -8,61 +8,76 @@ pool, and concatenates results in block order — so outputs are
 bit-identical for any thread count.
 
 The expanding digit systems (tent/doubling) are simulated exactly on an
-implicit infinite digit stream: the state per lane is a sliding window of
-its next 53 digits.  One step shifts the window by one digit and takes in
-one fresh digit at the bottom.  The j-th doubling iterate is the window
-read as 0.b1...b53; the j-th tent iterate is that value or its ones'
-complement according to the digit just shifted out.  Direct float64
-iteration of these maps would collapse onto dyadics within 53 steps; the
-window never does, at the price of truncating each reported position to
-53 bits.  That truncation is not always negligible: under a skewed
-Bernoulli measure a 2^-53 sliver can carry real mass (for p = 0.01, about
-0.006 of the mass lies within 2^-53 below 1/2), so ball radii and masses
-at that scale are not resolved.
+implicit infinite digit stream, and the engine holds every digit packed.
+A digit matrix of ``rows`` lanes by ``cols`` digits is a
+(rows, ceil(cols / 64)) uint64 array: digit c of a lane is bit
+63 - (c mod 64) of its word c // 64, and the bits past ``cols`` are 0.
+A lane's window, its next 53 digits b1 .. b53, is such a matrix of one
+word.  One step shifts the window by one digit and takes in one fresh
+digit at the bottom.  The j-th doubling iterate is the window read as
+0.b1...b53; the j-th tent iterate is that value or its ones' complement
+according to the digit just shifted out.  Direct float64 iteration of
+these maps would collapse onto dyadics within 53 steps; the window never
+does, at the price of truncating each reported position to 53 bits.  That
+truncation is not always negligible: under a skewed Bernoulli measure a
+2^-53 sliver can carry real mass (for p = 0.01, about 0.006 of the mass
+lies within 2^-53 below 1/2), so ball radii and masses at that scale are
+not resolved.
 
-The ball kernels scan one digit chunk at a time.  They pack each lane's
-window and the chunk's digits into one row of bytes, read the big-endian
-64-bit word at every byte offset, and cut the windows of eight
-consecutive steps out of each word with one shift and a 53-bit mask.  A
-window is an integer below 2^53, so scaling it by 2^-53 gives the
-position exactly, and the (lanes, columns) position matrix equals the
-per-step float recursion bit for bit.  The minimum-distance kernel takes
-each row's minimum distance; the first-hit kernel marks the positions
-inside the ball.  The last 53 digits of the row are the window carried
-into the next chunk.
+The ball kernels carry one 54-bit context per lane: the window in bits
+52 .. 0, b1 highest, and the digit just shifted out, the tent parity, in
+bit 53.  A chunk lays each lane's context word and its packed fresh digits
+side by side as big-endian bytes, reads the 64-bit word at every byte
+offset b >= 1, and shifts it right by t to get the context after step
+8b - t, for t = 0 .. 7; one shift of every word fills one contiguous
+plane.  A window is an integer below 2^53, so scaling it by 2^-53 gives
+the position exactly, and the positions equal the per-step float
+recursion bit for bit.  The minimum-distance kernel takes each lane's
+minimum distance; the first-hit kernel marks the positions inside the
+ball.  The context after the chunk's last step is carried into the next
+chunk.
 
 Cylinder events need no positions at all.  Letters are the digits
 themselves for the doubling map and adjacent-digit XORs for the tent map,
 and iterate j lies in a depth-d cylinder exactly when letters j .. j+d-1
-spell its word.  The word kernels scan one digit chunk at a time: they
-build the chunk's letters in bulk, AND d shifted column slices of the
-letters (or of their complements) into a (lanes, columns) match matrix,
-and carry the last digit and the last d - 1 letters into the next chunk.
+spell its word.  The word kernels hold a chunk's letters packed in a
+(words, lanes) layout, one contiguous row per 64 columns; tent letters are
+W ^ ((W >> 1) | carry << 63), the carry being the digit before each word.
+They find every match at once with Shift-And (Baeza-Yates and Gonnet,
+1992): the match words are the AND, over k < d, of the letters shifted
+right by k across word boundaries, or of their complements where the
+word's k-th letter from the end is 0.  Each lane carries its last 64
+letters and its last digit into the next chunk, one uint64 each, so a
+chunk need not be a whole number of words.
 
-Every first-hit kernel runs one scan, ``_first_hit``.  The kernel yields
-each chunk's (lanes, columns) matrix of iterates inside its target; the
-scan takes each row's first True column from ``start_j`` on, drops
-finished lanes and censors the lanes still out at the cap.  Rotations
-advance exact 63-bit integer positions, a chunk per numpy op, and the
-intermittent map steps float64 lanes with the scalar map's update.
-Neither draws inside the scan, so their compaction touches no stream.
+Every first-hit kernel runs one scan, ``_first_hit``.  The kernel returns
+each chunk's first column inside its target for every lane, from a given
+column on; the scan turns those into times, drops finished lanes and
+censors the lanes still out at the cap.  The word kernels read the first
+column off the packed match words with a bit smear and a popcount; the
+ball, rotation and intermittent kernels off a boolean (lanes, columns)
+matrix through ``_first_inside``.  Rotations advance exact 63-bit integer
+positions, a chunk per numpy op, and the intermittent map steps float64
+lanes with the scalar map's update.  Neither draws inside the scan, so
+their compaction touches no stream.
 
 The digit draws fix the RNG stream, and with it every report byte:
 
-* each chunk draws one (rows, columns) matrix through ``draw_digits``,
-  whose rows are the lanes still live, in lane order, under either rule;
+* each chunk draws one (rows, columns) digit matrix through
+  ``draw_digits``, whose rows are the lanes still live, in lane order,
+  under either rule;
 * first-hit kernels draw full ``chunk``-width matrices even when fewer
   columns remain, so runs that differ only in the cap share a stream;
   fixed-window kernels draw only the columns that remain;
 * ``draw_digits`` has two rules.  Fair digits (p_zero = 1/2: the tent
-  and doubling maps under Lebesgue) come 64 to a raw 64-bit word.  A
-  (rows, cols) draw takes (rows, ceil(cols / 64)) raw words; digit c of a
-  row is bit 7 - (c mod 8) of byte c // 8 of the row's words read as
-  little-endian bytes, and the bits past ``cols`` are discarded, so the
-  stream is the same on every platform.  Any other p_zero spends one raw
+  and doubling maps under Lebesgue) come 64 to a raw 64-bit word: a
+  (rows, cols) draw takes (rows, ceil(cols / 64)) raw words, and each
+  packed word is its raw word byte-swapped.  So digit c of a row is bit
+  7 - (c mod 8) of byte c // 8 of the row's raw words read as
+  little-endian bytes, on every platform.  Any other p_zero spends one raw
   word per digit and compares it against an integer threshold, which
   equals ``gen.random(shape) >= p_zero`` bit for bit and consumes the
-  generator identically;
+  generator identically; the comparisons are packed once;
 * first-hit kernels drop finished lanes between chunks once more than
   ``_COMPACT_AT`` of the live lanes have hit.  That sets the rows of the
   next draw, so ``_COMPACT_AT`` is part of the stream: changing it
@@ -79,11 +94,12 @@ from .rng import block_slices, substream
 from .systems import FIXED_ONE, WINDOW_BITS
 
 _SCALE = 2.0 ** -WINDOW_BITS
-_POWERS = 2.0 ** -(np.arange(1, WINDOW_BITS + 1, dtype=np.float64))
 _MASK = np.uint64((1 << WINDOW_BITS) - 1)
-#: right shifts 11 - s that bring bits s .. s + 52 of a 64-bit word, counted
-#: from the most significant bit as 0, to the bottom, for s = 1 .. 8
-_SHIFTS = (64 - WINDOW_BITS - np.arange(1, 9)).astype(np.uint64)
+#: right shifts of the word at byte b + 1 that give the contexts after
+#: steps 8b + 1 .. 8b + 8
+_STEP_SHIFTS = np.arange(7, -1, -1, dtype=np.uint64)
+#: the 54 context bits: the window and the tent parity above it
+_CONTEXT_MASK = np.uint64((1 << (WINDOW_BITS + 1)) - 1)
 
 #: fraction of finished lanes that triggers an active-set compaction
 _COMPACT_AT = 0.25
@@ -116,38 +132,69 @@ def run_blocked(n_samples, master_seed, labels, kernel, threads=1):
     )
 
 
+class _Scratch:
+    """Flat byte buffers that a kernel reuses from chunk to chunk.
+
+    ``scratch(name, shape, dtype)`` is a contiguous view of the buffer
+    ``name``, grown only when a larger shape asks for it, so a scan does
+    not hand its temporaries back to the allocator every chunk.
+    """
+
+    def __init__(self):
+        self.buffers = {}
+
+    def __call__(self, name, shape, dtype):
+        dtype = np.dtype(dtype)
+        size = math.prod(shape) * dtype.itemsize
+        buf = self.buffers.get(name)
+        if buf is None or buf.size < size:
+            buf = self.buffers[name] = np.empty(size, dtype=np.uint8)
+        return buf[:size].view(dtype).reshape(shape)
+
+
 # ---------------------------------------------------------------- digits
 
 def draw_digits(gen, rows, cols, p_zero):
-    """Boolean (rows, cols) digit matrix; True is the digit 1, drawn with
-    mass 1 - p_zero.
+    """Packed (rows, ceil(cols / 64)) digit matrix: digit c of a row is bit
+    63 - (c mod 64) of word c // 64, 1 with mass 1 - p_zero, and the bits
+    past ``cols`` are 0.
 
-    Fair digits (p_zero = 1/2) are packed 64 to a raw word: the draw takes
-    (rows, ceil(cols / 64)) raw words, and digit c of a row is bit
-    7 - (c mod 8) of byte c // 8 of the row's words read as little-endian
-    bytes.  The bits past ``cols`` in the last word are discarded.
+    Fair digits (p_zero = 1/2) are 64 to a raw word: the draw takes
+    (rows, ceil(cols / 64)) raw words and byte-swaps them, so digit c of a
+    row is bit 7 - (c mod 8) of byte c // 8 of the row's raw words read as
+    little-endian bytes.
 
-    Any other p_zero spends one raw word per digit: the matrix equals
-    ``gen.random((rows, cols)) >= p_zero`` bit for bit and consumes the
-    generator identically, because numpy's float64 uniform is
+    Any other p_zero spends one raw word per digit: the unpacked matrix
+    equals ``gen.random((rows, cols)) >= p_zero`` bit for bit and consumes
+    the generator identically, because numpy's float64 uniform is
     (raw >> 11) * 2^-53, which reaches p_zero exactly when the raw word
     reaches ceil(p_zero * 2^53) << 11.
     """
+    n_words = (cols + 63) // 64
     if p_zero == 0.5:
-        words = gen.bit_generator.random_raw((rows, (cols + 63) // 64))
-        return np.unpackbits(words.astype("<u8", copy=False).view(np.uint8),
-                             axis=1, count=cols).view(bool)
+        words = gen.bit_generator.random_raw((rows, n_words))
+        words.byteswap(inplace=True)
+        kept = cols % 64
+        if kept:  # clear the last word's bits past cols
+            words[:, -1] &= np.uint64(((1 << kept) - 1) << (64 - kept))
+        return words
     level = np.uint64(math.ceil(p_zero * 2.0 ** 53) << 11)
-    return gen.bit_generator.random_raw((rows, cols)) >= level
+    ones = gen.bit_generator.random_raw((rows, cols)) >= level
+    packed = np.zeros((rows, 8 * n_words), dtype=np.uint8)
+    packed[:, :(cols + 7) // 8] = np.packbits(ones, axis=1)
+    return packed.view(">u8").astype(np.uint64)
+
+
+def _window_ints(digits):
+    """The windows of a (rows, 1) packed digit matrix as the integers
+    b1...b53 below 2^53; as contexts, with tent parity 0."""
+    return digits[:, 0] >> np.uint64(64 - WINDOW_BITS)
 
 
 def window_from_digits(digits):
-    """Pack (rows, 53) leading digits into the float window 0.b1...b53.
-
-    Every partial sum of distinct powers 2^-1..2^-53 is representable, so
-    the dot product is exact.
-    """
-    return digits.astype(np.float64) @ _POWERS
+    """The float windows 0.b1...b53 of a (rows, 1) packed digit matrix;
+    scaling the integer window by 2^-53 is exact."""
+    return _window_ints(digits) * _SCALE
 
 
 def _distances(pos, zeta, circle):
@@ -159,33 +206,46 @@ def _distances(pos, zeta, circle):
     return d
 
 
-def _window_positions(window, fresh, tent):
-    """Positions after each step of one chunk, and the window after it.
+def _window_distances(context, digits, cols, tent, zeta, circle, scratch):
+    """Distances to zeta after each step of one chunk, and the context
+    after the chunk.
 
-    ``window`` (rows x 53) holds each lane's current digits and ``fresh``
-    (rows x cols) the digits the chunk's steps shift in.  Side by side they
-    form one digit row, and the window after step k is its digits
-    k .. k + 52.  The row is packed into bytes, and the big-endian 64-bit
-    word at byte q holds the windows of steps 8q + 1 .. 8q + 8: the one of
-    step 8q + s is that word shifted right by 11 - s and masked to 53 bits.
-    The window is an integer below 2^53, so scaling it by 2^-53 gives the
-    float window exactly.  A tent position is the ones' complement of its
-    window when the digit just shifted out is 1.
+    ``context`` holds each lane's 54-bit context and ``digits`` the packed
+    digits the chunk's steps shift in.  The distances come as an
+    (8, rows, ceil(cols / 8)) array, one contiguous plane per shift:
+    [s, :, b] is the distance after step 8b + s + 1, and the steps past
+    ``cols`` are not steps of the chunk.  Each plane runs from shift to
+    distance while it is small enough to stay in cache.
     """
-    rows, cols = fresh.shape
-    digits = np.concatenate((window, fresh), axis=1)
-    n_words = (cols + 7) // 8
-    packed = np.zeros((rows, n_words + 7), dtype=np.uint8)
-    row_bytes = np.packbits(digits, axis=1)
-    packed[:, :row_bytes.shape[1]] = row_bytes
-    words = np.ndarray((rows, n_words), dtype=">u8", buffer=packed,
-                       strides=(packed.strides[0], 1)).astype(np.uint64)
-    ints = words[:, :, None] >> _SHIFTS  # [:, q, s - 1]: step 8q + s
-    ints &= _MASK
-    ints = ints.reshape(rows, 8 * n_words)[:, :cols]
-    if tent:
-        ints ^= digits[:, :cols] * _MASK
-    return ints * _SCALE, digits[:, cols:]
+    rows = context.size
+    n_words = (cols + 63) // 64
+    n_bytes = (cols + 7) // 8
+    row = scratch("row", (rows, n_words + 1), ">u8")
+    row[:, 0] = context
+    row[:, 1:] = digits[:, :n_words]
+    at_byte = np.ndarray((rows, n_bytes), dtype=">u8", buffer=row, offset=1,
+                         strides=(row.strides[0], 1))
+    words = scratch("words", (rows, n_bytes), np.uint64)
+    np.copyto(words, at_byte)
+    plane = scratch("plane", (rows, n_bytes), np.uint64)
+    flip = scratch("flip", (rows, n_bytes), np.uint64)
+    dist = scratch("dist", (8, rows, n_bytes), np.float64)
+    for s in range(8):
+        np.right_shift(words, _STEP_SHIFTS[s], out=plane)
+        if s == (cols - 1) % 8:
+            after = plane[:, (cols - 1) // 8].copy()
+        if tent:
+            # parity 0 leaves the window w below 2^53; parity 1 makes the
+            # context 2^53 + w, and 2^54 - 1 minus it is the complement of w
+            plane &= _CONTEXT_MASK
+            np.subtract(_CONTEXT_MASK, plane, out=flip)
+            np.minimum(plane, flip, out=plane)
+        else:
+            plane &= _MASK
+        # windows are below 2^53, so the signed view converts exactly
+        np.multiply(plane.view(np.int64), _SCALE, out=dist[s])
+        _distances(dist[s], zeta, circle)
+    return dist, after
 
 
 def digit_window_min_distance(
@@ -202,13 +262,17 @@ def digit_window_min_distance(
     window = draw_digits(gen, count, WINDOW_BITS, p_zero)
     # no digit lies left of the start window (b_0 = 0): no tent flip at j = 0
     best = _distances(window_from_digits(window), zeta, circle)
+    context = _window_ints(window)
+    scratch = _Scratch()
     remaining = n_steps - 1
     while remaining > 0:
         cols = min(chunk, remaining)
-        pos, window = _window_positions(
-            window, draw_digits(gen, count, cols, p_zero), tent
+        d, context = _window_distances(
+            context, draw_digits(gen, count, cols, p_zero), cols, tent, zeta,
+            circle, scratch
         )
-        np.minimum(best, _distances(pos, zeta, circle).min(axis=1), out=best)
+        d[cols - 8 * (d.shape[2] - 1):, :, -1] = np.inf  # past the chunk
+        np.minimum(best, d.min(axis=0).min(axis=1), out=best)
         remaining -= cols
     return (best,)
 
@@ -247,11 +311,12 @@ def iid_min_distance_digits(gen, count, *, n_draws, p_zero, zeta, circle):
 def _first_hit(count, cap, start_j, j, chunk, scan, state, inside_before=None):
     """First iterate in [start_j, cap) inside the target, for ``count`` lanes.
 
-    ``state`` is a tuple of per-lane arrays.  ``scan(state, cols)`` returns
-    a (live lanes, cols) matrix, True where iterate j + c is inside, and the
-    state after those iterates.  ``inside_before`` marks the lanes inside at
-    iterate j - 1.  Returns (times, hit): times[i] = cap and hit[i] = False
-    when the lane never enters by cap - 1.
+    ``state`` is a tuple of per-lane arrays.  ``scan(state, cols, first)``
+    returns, for every live lane, the first column c >= ``first`` whose
+    iterate j + c is inside (``cols`` where none is), and the state after
+    the chunk's ``cols`` iterates.  ``inside_before`` marks the lanes
+    inside at iterate j - 1.  Returns (times, hit): times[i] = cap and
+    hit[i] = False when the lane never enters by cap - 1.
     """
     if cap < 1 or start_j < 0 or start_j >= cap:
         raise DomainError("need 0 <= start_j < cap")
@@ -263,12 +328,10 @@ def _first_hit(count, cap, start_j, j, chunk, scan, state, inside_before=None):
     times[done] = j - 1
     while j < cap and lane.size:
         cols = min(chunk, cap - j)
-        inside, state = scan(state, cols)
-        first = max(start_j - j, 0)
-        inside = inside[:, first:]
-        hits = np.flatnonzero(inside.any(axis=1) & ~done)
+        column, state = scan(state, cols, max(start_j - j, 0))
+        hits = np.flatnonzero((column < cols) & ~done)
         if hits.size:
-            times[lane[hits]] = j + first + inside[hits].argmax(axis=1)
+            times[lane[hits]] = j + column[hits]
             done[hits] = True
         j += cols
         if done.mean() > _COMPACT_AT:
@@ -278,15 +341,27 @@ def _first_hit(count, cap, start_j, j, chunk, scan, state, inside_before=None):
     return times, times < cap
 
 
+def _first_inside(inside, first):
+    """Each row's first True column from ``first`` on; the width where
+    the row has none."""
+    rows, cols = inside.shape
+    column = np.full(rows, cols, dtype=np.int64)
+    if first < cols:
+        inside = inside[:, first:]
+        rows_in = np.flatnonzero(inside.any(axis=1))
+        column[rows_in] = first + inside[rows_in].argmax(axis=1)
+    return column
+
+
 # ----------------------------------------------------- word (cylinder) scans
 
 def _word_scan_start(count, word_int, depth, start_j, preload):
-    """The word's letters (first letter first) and the scan state of
-    ``count`` fresh lanes: (word, prev, tail, consumed).
+    """The scan state of ``count`` fresh lanes, (letters, digit), and the
+    letters read so far.
 
-    ``prev`` is the last digit drawn (b_0 = 0 before any), ``tail`` the
-    last depth - 1 letters and ``consumed`` the letters read so far.  A
-    preloaded lane has already read the word itself.
+    ``letters`` holds the last 64 letters read, the latest in bit 0, and
+    ``digit`` the last digit drawn (b_0 = 0 before any).  A preloaded lane
+    has already read the word itself.
     """
     if not 1 <= depth <= MAX_WORD_DEPTH:
         raise DomainError(
@@ -295,42 +370,88 @@ def _word_scan_start(count, word_int, depth, start_j, preload):
         raise DomainError("word_int must fit in depth letters")
     if preload and start_j == 0:
         raise DomainError("a preloaded start is already inside at j = 0")
-    word = np.array(
-        [(word_int >> (depth - 1 - i)) & 1 for i in range(depth)], dtype=bool
-    )
     if preload:
         # the digit b_depth of a point whose first letters spell the word is
         # the XOR of those letters (tent letter algebra; b_0 = 0)
-        prev = np.full(count, bool(word.sum() % 2))
-        return word, prev, np.tile(word[1:], (count, 1)), depth
-    tail = np.zeros((count, depth - 1), dtype=bool)
-    return word, np.zeros(count, dtype=bool), tail, 0
+        digit = bin(word_int).count("1") & 1
+        return (np.full(count, word_int, dtype=np.uint64),
+                np.full(count, digit, dtype=np.uint64)), depth
+    return (np.zeros(count, dtype=np.uint64),
+            np.zeros(count, dtype=np.uint64)), 0
 
 
-def _word_matches(digits, cols, word, prev, tail, tent):
-    """Match matrix of one chunk, and the scan state after it.
+def _column_masks(n_words, first, cols):
+    """(n_words, 1) masks of the packed columns first .. cols - 1."""
+    masks = []
+    for q in range(n_words):
+        lo = min(max(first - 64 * q, 0), 64)
+        hi = min(max(cols - 64 * q, 0), 64)
+        masks.append(((1 << (hi - lo)) - 1) << (64 - hi) if hi > lo else 0)
+    return np.array(masks, dtype=np.uint64)[:, None]
 
-    Column c of ``digits`` yields letter ``consumed + c``; match[:, c] is
-    True when the len(word) letters ending at that letter spell the word.
-    Tent letters XOR each digit with the one before it, which is ``prev``
-    for column 0; doubling letters are the digits.
+
+def _word_chunk(digits, cols, first, state, word_int, depth, tent):
+    """Packed match words of one chunk, and the scan state after it.
+
+    Bit 63 - (c mod 64) of match word c // 64 (a (words, lanes) array) is
+    set when the ``depth`` letters ending at the chunk's letter c spell the
+    word, for c in first .. cols - 1.  Tent letters XOR each digit with the
+    one before it, which is the carried digit for the chunk's letter 0;
+    doubling letters are the digits.
     """
-    b = digits[:, :cols]
-    depth = word.size
-    ext = np.empty((b.shape[0], depth - 1 + cols), dtype=bool)  # tail, letters
-    ext[:, :depth - 1] = tail
+    carry, digit = state
+    n_words = (cols + 63) // 64
+    ext = np.empty((n_words + 1, carry.size), dtype=np.uint64)
+    ext[0] = carry
+    letters = ext[1:]
+    letters[...] = digits[:, :n_words].T
+    last = letters[(cols - 1) // 64] >> np.uint64(63 - (cols - 1) % 64)
     if tent:
-        np.not_equal(b[:, 0], prev, out=ext[:, depth - 1])
-        np.not_equal(b[:, 1:], b[:, :-1], out=ext[:, depth:])
-        prev = b[:, -1]
-    else:
-        ext[:, depth - 1:] = b
-    flip = ~ext
-    match = (ext if word[0] else flip)[:, :cols].copy()
-    for i in range(1, depth):
-        np.logical_and(match, (ext if word[i] else flip)[:, i:i + cols],
-                       out=match)
-    return match, prev, ext[:, cols:]
+        before = letters >> np.uint64(1)
+        before[0] |= digit << np.uint64(63)
+        before[1:] |= letters[:-1] << np.uint64(63)
+        letters ^= before
+    digit = last & np.uint64(1)
+    # the 64 letters ending at letter cols - 1, which sits in ext[cols // 64]
+    # or ext[cols // 64 + 1]
+    q, r = divmod(cols, 64)
+    carry = ext[q] if r == 0 else (
+        (ext[q] << np.uint64(r)) | (ext[q + 1] >> np.uint64(64 - r)))
+    flip = ~ext if word_int != (1 << depth) - 1 else None
+    match = np.empty_like(letters)
+    term = np.empty_like(letters)
+    spill = np.empty_like(letters)
+    for k in range(depth):
+        # letter k from the end of the word against the letters k back
+        src = ext if (word_int >> k) & 1 else flip
+        if k == 0:
+            match[...] = src[1:]
+            continue
+        np.right_shift(src[1:], np.uint64(k), out=term)
+        np.left_shift(src[:-1], np.uint64(64 - k), out=spill)
+        term |= spill
+        match &= term
+    match &= _column_masks(n_words, first, cols)
+    return match, (carry, digit)
+
+
+def _first_set_column(match, cols):
+    """Each lane's first set column of its packed match words; ``cols``
+    where there is none.
+
+    The first word with a bit set holds the column; smearing its highest
+    set bit down to bit 0 leaves 64 - (column mod 64) bits set.
+    """
+    column = np.full(match.shape[1], cols, dtype=np.int64)
+    nonzero = match != 0
+    lanes = np.flatnonzero(nonzero.any(axis=0))
+    if lanes.size:
+        q = nonzero[:, lanes].argmax(axis=0)
+        v = match[q, lanes]
+        for s in (1, 2, 4, 8, 16, 32):
+            v |= v >> np.uint64(s)
+        column[lanes] = 64 * (q + 1) - np.bitwise_count(v)
+    return column
 
 
 def word_first_hit(
@@ -355,19 +476,18 @@ def word_first_hit(
     conditional start used by return-time runs, because under the product
     measures the letters beyond a fixed prefix stay independent.
     """
-    word, prev, tail, consumed = _word_scan_start(
-        count, word_int, depth, start_j, preload
-    )
+    state, consumed = _word_scan_start(count, word_int, depth, start_j,
+                                       preload)
 
-    def scan(state, cols):
-        prev, tail = state
-        digits = draw_digits(gen, prev.size, chunk, p_zero)
-        match, prev, tail = _word_matches(digits, cols, word, prev, tail, tent)
-        return match, (prev, tail)
+    def scan(state, cols, first):
+        digits = draw_digits(gen, state[0].size, chunk, p_zero)
+        match, state = _word_chunk(digits, cols, first, state, word_int,
+                                   depth, tent)
+        return _first_set_column(match, cols), state
 
     # column c ends the window that starts at j = consumed + c + 1 - depth
     return _first_hit(count, cap, start_j, consumed + 1 - depth, chunk, scan,
-                      (prev, tail))
+                      state)
 
 
 def word_hit_count(
@@ -391,17 +511,17 @@ def word_hit_count(
     """
     if window < start_j:
         raise DomainError("window shorter than start_j")
-    word, prev, tail, consumed = _word_scan_start(
-        count, word_int, depth, start_j, preload
-    )
+    state, consumed = _word_scan_start(count, word_int, depth, start_j,
+                                       preload)
     counts = np.zeros(count, dtype=np.int64)
     total_letters = window + depth
     while consumed < total_letters:
         cols = min(chunk, total_letters - consumed)
         digits = draw_digits(gen, count, cols, p_zero)
-        match, prev, tail = _word_matches(digits, cols, word, prev, tail, tent)
         first = max(start_j + depth - 1 - consumed, 0)
-        counts += np.count_nonzero(match[:, first:], axis=1)
+        match, state = _word_chunk(digits, cols, first, state, word_int,
+                                   depth, tent)
+        counts += np.bitwise_count(match).sum(axis=0, dtype=np.int64)
         consumed += cols
     return (counts,)
 
@@ -424,32 +544,39 @@ def ball_first_hit_digits(
 ):
     """First j in [start_j, cap) with dist(f^j x, zeta) < eta.
 
-    ``initial_digits`` (lanes x 53, boolean) fixes the leading digits of
-    the start point — used by conditional (return-time) starts drawn by
-    inverse-CDF; the tail beyond 53 digits is drawn iid, which misstates
-    the conditional law only on boundary cells of mass O(2^-53).
+    ``initial_digits``, a (lanes, 1) packed digit matrix, fixes the 53
+    leading digits of the start point — used by conditional (return-time)
+    starts drawn by inverse-CDF; the tail beyond 53 digits is drawn iid,
+    which misstates the conditional law only on boundary cells of mass
+    O(2^-53).
     """
     if initial_digits is None:
         window = draw_digits(gen, count, WINDOW_BITS, p_zero)
     else:
-        window = np.asarray(initial_digits, dtype=bool)
-        if window.shape != (count, WINDOW_BITS):
+        window = np.asarray(initial_digits)
+        if window.shape != (count, 1) or window.dtype != np.uint64:
             raise DomainError(
-                f"initial_digits must have shape ({count}, {WINDOW_BITS}); "
-                f"got {window.shape}"
+                f"initial_digits must be a ({count}, 1) packed uint64 digit "
+                f"matrix; got shape {window.shape} of {window.dtype}"
             )
     inside_before = (_distances(window_from_digits(window), zeta, circle) < eta
                      if start_j == 0 else None)
+    scratch = _Scratch()
 
-    def scan(state, cols):
-        window, = state
-        digits = draw_digits(gen, window.shape[0], chunk, p_zero)
-        pos, window = _window_positions(window, digits[:, :cols], tent)
-        return _distances(pos, zeta, circle) < eta, (window,)
+    def scan(state, cols, first):
+        context, = state
+        digits = draw_digits(gen, context.size, chunk, p_zero)
+        d, context = _window_distances(context, digits, cols, tent, zeta,
+                                       circle, scratch)
+        # inside in step order: [:, b, s] is step 8b + s + 1
+        inside = scratch("inside", (context.size, d.shape[2], 8), bool)
+        np.less(d, eta, out=inside.transpose(2, 0, 1))
+        return (_first_inside(inside.reshape(context.size, -1)[:, :cols], first),
+                (context,))
 
     # column c is the position after step c + 1 of the chunk
-    return _first_hit(count, cap, start_j, 1, chunk, scan, (window,),
-                      inside_before)
+    return _first_hit(count, cap, start_j, 1, chunk, scan,
+                      (_window_ints(window),), inside_before)
 
 
 # --------------------------------------------------------------- rotation
@@ -483,10 +610,11 @@ def rotation_first_hit(
         np.subtract(pos, m, out=pos, where=pos >= m)
         return pos
 
-    def scan(state, cols):
+    def scan(state, cols, first):
         s, = state
         pos = advance(s[:, None], offsets[:cols])
-        return (pos >= lo_u) & (pos < hi_u), (advance(s, offsets[cols]),)
+        inside = (pos >= lo_u) & (pos < hi_u)
+        return _first_inside(inside, first), (advance(s, offsets[cols]),)
 
     s = advance(s, np.uint64(start_j * step_fixed % FIXED_ONE))
     return _first_hit(count, cap, start_j, start_j, chunk, scan, (s,))
@@ -541,14 +669,14 @@ def mp_first_hit(gen, count, *, s_exp, eta, zeta, cap, start_j, starts,
     """
     e = 1.0 + s_exp
 
-    def scan(state, cols):
+    def scan(state, cols, first):
         x, = state
         inside = np.empty((x.size, cols), dtype=bool)
         for c in range(cols):
             np.less(np.abs(x - zeta), eta, out=inside[:, c])
             x = x + x**e
             x -= x >= 1.0
-        return inside, (x,)
+        return _first_inside(inside, first), (x,)
 
     return _first_hit(count, cap, start_j, 0, chunk, scan, (starts,))
 
@@ -556,8 +684,8 @@ def mp_first_hit(gen, count, *, s_exp, eta, zeta, cap, start_j, starts,
 # ------------------------------------------------- conditional ball starts
 
 def conditional_digit_starts(gen, count, *, arcs, p_zero):
-    """Leading 53 digits of points drawn from the measure restricted to a
-    union of intervals.
+    """Packed (count, 1) leading 53 digits of points drawn from the measure
+    restricted to a union of intervals.
 
     ``arcs`` is a pair (cdf_lo, cdf_hi) of equal-length sequences giving
     the CDF values of each interval's endpoints.  Sampling picks an
@@ -583,11 +711,11 @@ def conditional_digit_starts(gen, count, *, arcs, p_zero):
     # invert digit by digit: lo/hi bracket the CDF of the current cell
     lo = np.zeros(count)
     hi = np.ones(count)
-    digits = np.empty((count, WINDOW_BITS), dtype=bool)
-    for i in range(WINDOW_BITS):
+    window = np.zeros(count, dtype=np.uint64)
+    for _ in range(WINDOW_BITS):
         split = lo + p_zero * (hi - lo)
         d = level >= split
-        digits[:, i] = d
+        window = (window << np.uint64(1)) | d
         lo = np.where(d, split, lo)
         hi = np.where(d, hi, split)
-    return digits
+    return (window << np.uint64(64 - WINDOW_BITS))[:, None]

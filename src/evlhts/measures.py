@@ -50,6 +50,15 @@ def _unit_to_fixed(x) -> int:
     return frac.numerator << shift
 
 
+def _radius_to_fixed(eta: float) -> int:
+    """floor(eta * 2^128), exactly, for a finite float eta > 0: eta is a
+    53-bit integer times a power of two."""
+    mant, exp = math.frexp(eta)
+    shift = exp - 53 + FIXED_DEPTH
+    mant = int(mant * 2.0 ** 53)
+    return mant << shift if shift >= 0 else mant >> -shift
+
+
 class MeasureModel:
     """Common ball-mass / quantile machinery over an interval CDF."""
 
@@ -69,7 +78,7 @@ class MeasureModel:
         """Fixed-point [lo, hi) pieces of the ball of radius eta."""
         if eta <= 0.0:
             return []
-        eta_fixed = (Fraction(eta) * _FIXED_UNIT).__floor__()
+        eta_fixed = _radius_to_fixed(eta)
         if self.metric is Metric.CIRCLE:
             if 2 * eta_fixed >= _FIXED_UNIT:
                 return [(0, _FIXED_UNIT)]
@@ -197,6 +206,38 @@ class BernoulliDoubling(MeasureModel):
 
     def interval_mass(self, a: int, b: int) -> float:
         return max(self.cdf_fixed(b) - self.cdf_fixed(a), 0.0)
+
+    def ball_masses(self, zeta, radii: np.ndarray) -> np.ndarray:
+        """``ball_mass`` over ``radii``, equal to it bit for bit.
+
+        Every ball is two pieces [a, b), the missing ones [0, 0).  One
+        128-step loop runs ``cdf_fixed`` over all endpoints at once, on the
+        two 64-bit halves of each: running on past a zero prefix only adds
+        exact zeros, and the fsum of two piece masses is their IEEE sum.
+        """
+        zf = _unit_to_fixed(zeta)
+        # radius, endpoint (a, b of either piece), (high, low) half
+        halves = np.zeros((len(radii), 4, 2), dtype=np.uint64)
+        whole = np.zeros((len(radii), 4), dtype=bool)  # the endpoint 2^128
+        for i, r in enumerate(radii):
+            pieces = self._ball_arcs(zf, float(r))
+            for j, x in enumerate(x for piece in pieces for x in piece):
+                if x >= _FIXED_UNIT:
+                    whole[i, j] = True
+                else:
+                    halves[i, j] = divmod(x, 1 << 64)
+        p, q = self.p, 1.0 - self.p
+        total = np.zeros(whole.shape)
+        prefix = np.ones(whole.shape)
+        for i in range(FIXED_DEPTH):
+            half, bit = divmod(i, 64)
+            one = ((halves[:, :, half] >> np.uint64(63 - bit)) & np.uint64(1)) == 1
+            total += np.where(one, prefix * p, 0.0)
+            prefix *= np.where(one, q, p)
+        total[whole] = 1.0
+        cdf = total.reshape(-1, 2, 2)  # radius, piece, (a, b)
+        piece = np.maximum(cdf[:, :, 1] - cdf[:, :, 0], 0.0)
+        return piece[:, 0] + piece[:, 1]
 
 
 def digit_p_zero(measure) -> float:

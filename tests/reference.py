@@ -15,7 +15,9 @@ a kernel against a second implementation that shares none of its tricks:
 * ``ball_evaluate`` and ``cylinder_evaluate`` are the observable phi(x)
   itself; the samplers never evaluate it, because block maxima reduce to
   minimum distances and first cylinder entries.
-* ``reference_digits`` is the engine's digit draw rule, bit by bit.
+* ``reference_digits`` is the engine's digit draw rule, bit by bit, and
+  ``pack_digits`` and ``unpack_digits`` convert between digit tables and
+  the engine's packed words.
 * ``no_entry_probability`` is the exact law of a first cylinder entry
   under iid letters, which Monte Carlo runs of the word kernels must
   reproduce up to sampling noise.
@@ -293,8 +295,29 @@ def stream_word(point: BitStreamPoint, n: int, tent: bool) -> tuple[int, ...]:
 _BYTE_DIGITS = [[(b >> (7 - i)) & 1 for i in range(8)] for b in range(256)]
 
 
+def pack_digits(digits):
+    """Pack a (rows, cols) 0/1 digit table the engine's way: digit c of a
+    row becomes bit 63 - (c mod 64) of its word c // 64, and the bits past
+    ``cols`` are 0."""
+    table = np.asarray(digits, dtype=bool)
+    rows, cols = table.shape
+    n_words = math.ceil(cols / 64)
+    bits = np.zeros((rows, 64 * n_words), dtype=np.uint64)
+    bits[:, :cols] = table
+    weights = np.uint64(1) << np.arange(63, -1, -1, dtype=np.uint64)
+    return (bits.reshape(rows, n_words, 64) * weights).sum(
+        axis=2, dtype=np.uint64)
+
+
+def unpack_digits(words, cols):
+    """The (rows, cols) boolean digit table of a packed digit matrix."""
+    c = np.arange(cols)
+    shifts = (63 - c % 64).astype(np.uint64)
+    return ((words[:, c // 64] >> shifts) & np.uint64(1)).astype(bool)
+
+
 def reference_digits(gen, rows, cols, p_zero):
-    """The (rows, cols) digit matrix that ``engine.draw_digits`` returns.
+    """The packed digit matrix that ``engine.draw_digits`` returns.
 
     Fair digits come 64 to a raw word: byte k of a word is its bits
     8k .. 8k + 7 (little-endian), each byte gives its digits most
@@ -302,7 +325,7 @@ def reference_digits(gen, rows, cols, p_zero):
     other p_zero thresholds one float uniform per digit.
     """
     if p_zero != 0.5:
-        return gen.random((rows, cols)) >= p_zero
+        return pack_digits(gen.random((rows, cols)) >= p_zero)
     words = gen.bit_generator.random_raw((rows, math.ceil(cols / 64)))
     out = np.zeros((rows, cols), dtype=bool)
     for i, row in enumerate(words.tolist()):
@@ -311,7 +334,7 @@ def reference_digits(gen, rows, cols, p_zero):
             for k in range(8):
                 digits += _BYTE_DIGITS[(w >> (8 * k)) & 0xFF]
         out[i] = digits[:cols]
-    return out
+    return pack_digits(out)
 
 
 def no_entry_probability(word_bits, p_one, n_letters):

@@ -4,6 +4,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evlhts import engine
 from evlhts.engine import (
@@ -29,13 +31,15 @@ from reference import (
     FloatPoint,
     iterate,
     no_entry_probability,
+    pack_digits,
     reference_digits,
+    unpack_digits,
 )
 
 
 class ScriptedDigits:
     """A stand-in for ``engine.draw_digits`` that deals out a fixed digit
-    table: each call returns the next ``cols`` digits of every row.
+    table: each call returns the next ``cols`` digits of every row, packed.
 
     Kernels then run on a given digit stream whatever the draw rule, so
     these tests check kernel logic; ``TestDrawDigits`` checks the rule.
@@ -54,7 +58,7 @@ class ScriptedDigits:
             chunk = row[self.cursor:self.cursor + cols]
             out[i, :len(chunk)] = chunk
         self.cursor += cols
-        return out
+        return pack_digits(out)
 
 
 @pytest.fixture
@@ -108,7 +112,7 @@ class TestWindowKernel:
             None, 5, n_steps=1, p_zero=0.5, tent=False,
             zeta=0.3, circle=False,
         )
-        starts = window_from_digits(np.array(rows, dtype=bool))
+        starts = window_from_digits(pack_digits(rows))
         assert got.tolist() == [abs(s - 0.3) for s in starts]
 
     def test_orbit_of_deterministic_point(self, script):
@@ -280,8 +284,8 @@ def reference_word_first_hit(gen, count, *, word_int, depth, tent, p_zero,
     match_from = depth + start_j
     while consumed < total_letters and lane.size:
         cols = min(chunk, total_letters - consumed)
-        digits = reference_digits(gen, lane.size, chunk, p_zero).astype(
-            np.uint64)
+        digits = unpack_digits(reference_digits(gen, lane.size, chunk, p_zero),
+                               chunk).astype(np.uint64)
         for c in range(cols):
             b = digits[:, c]
             if tent:
@@ -320,8 +324,8 @@ def reference_word_hit_count(gen, count, *, word_int, depth, tent, p_zero,
     match_from = depth + start_j
     while consumed < total_letters:
         cols = min(chunk, total_letters - consumed)
-        digits = reference_digits(gen, count, cols, p_zero).astype(
-            np.uint64)
+        digits = unpack_digits(reference_digits(gen, count, cols, p_zero),
+                               cols).astype(np.uint64)
         for c in range(cols):
             b = digits[:, c]
             if tent:
@@ -337,6 +341,14 @@ def reference_word_hit_count(gen, count, *, word_int, depth, tent, p_zero,
 
 
 _TOP = 1.0 - 2.0 ** -53
+_POWERS = 2.0 ** -np.arange(1, 54)
+
+
+def reference_window(packed):
+    """The float windows 0.b1...b53 of packed 53-digit rows, as a dot
+    product of the digits with 2^-1 .. 2^-53 (every partial sum of
+    distinct powers is representable, so it is exact)."""
+    return unpack_digits(packed, 53).astype(np.float64) @ _POWERS
 
 
 def _reference_distances(pos, zeta, circle):
@@ -358,14 +370,15 @@ def reference_digit_window_min_distance(gen, count, *, n_steps, p_zero, tent,
     """Per-step reference for ``digit_window_min_distance``: one float
     window update per orbit step over every lane, digits from
     ``reference_digits``."""
-    v = window_from_digits(reference_digits(gen, count, 53, p_zero))
+    v = reference_window(reference_digits(gen, count, 53, p_zero))
     parity = np.zeros(count, dtype=bool)  # digit left of the window; b_0 = 0
     pos = np.where(parity, _TOP - v, v) if tent else v
     best = _reference_distances(pos, zeta, circle)
     remaining = n_steps - 1
     while remaining > 0:
         cols = min(chunk, remaining)
-        fresh = reference_digits(gen, count, cols, p_zero).astype(np.float64)
+        fresh = unpack_digits(reference_digits(gen, count, cols, p_zero),
+                              cols).astype(np.float64)
         for c in range(cols):
             if tent:
                 parity = v >= 0.5  # the digit shifted out of the window
@@ -382,7 +395,7 @@ def reference_ball_first_hit_digits(gen, count, *, eta, zeta, tent, p_zero,
     """Per-step reference for ``ball_first_hit_digits``."""
     if initial_digits is None:
         initial_digits = reference_digits(gen, count, 53, p_zero)
-    v = window_from_digits(initial_digits)
+    v = reference_window(initial_digits)
     parity = np.zeros(count, dtype=bool)
     times = np.full(count, cap, dtype=np.int64)
     lane = np.arange(count)
@@ -394,8 +407,8 @@ def reference_ball_first_hit_digits(gen, count, *, eta, zeta, tent, p_zero,
     j = 0
     while j < cap - 1 and lane.size:
         cols = min(chunk, cap - 1 - j)
-        fresh = reference_digits(gen, lane.size, chunk, p_zero).astype(
-            np.float64)
+        fresh = unpack_digits(reference_digits(gen, lane.size, chunk, p_zero),
+                              chunk).astype(np.float64)
         for c in range(cols):
             if tent:
                 parity = v >= 0.5
@@ -487,6 +500,53 @@ class TestWordStreamEquivalence:
         assert got_gen.shapes == want_gen.shapes
         rows = [shape[0] for shape in got_gen.shapes]
         assert len(rows) > 1 and rows[-1] < rows[0]
+
+
+@st.composite
+def word_scans(draw):
+    """Arguments of one word-kernel run: any depth and word, the chunk
+    widths around a packed word's 64 columns, and every start rule."""
+    depth = draw(st.integers(1, 63))
+    preload = draw(st.booleans())
+    return dict(
+        word_int=draw(st.integers(0, (1 << depth) - 1)), depth=depth,
+        tent=draw(st.booleans()), p_zero=draw(st.sampled_from([0.5, 0.3])),
+        preload=preload, start_j=draw(st.integers(int(preload), 200)),
+        chunk=draw(st.sampled_from([1, 7, 63, 64, 65, 256])),
+    )
+
+
+class TestWordKernelProperties:
+    """Random words, depths and chunk widths: the packed Shift-And scans
+    equal the per-step register scans, draw for draw."""
+
+    SETTINGS = settings(max_examples=40, deadline=None, derandomize=True,
+                        database=None)
+
+    @SETTINGS
+    @given(kw=word_scans(), lanes=st.integers(1, 40),
+           horizon=st.integers(1, 300), seed=st.integers(0, 2 ** 32))
+    def test_first_hit(self, kw, lanes, horizon, seed):
+        cap = kw["start_j"] + horizon
+        want_gen = RecordingGen(substream(seed, "word-prop"))
+        got_gen = RecordingGen(substream(seed, "word-prop"))
+        want = reference_word_first_hit(want_gen, lanes, cap=cap, **kw)
+        got = word_first_hit(got_gen, lanes, cap=cap, **kw)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+        assert got_gen.shapes == want_gen.shapes
+
+    @SETTINGS
+    @given(kw=word_scans(), lanes=st.integers(1, 40),
+           horizon=st.integers(0, 300), seed=st.integers(0, 2 ** 32))
+    def test_hit_count(self, kw, lanes, horizon, seed):
+        window = kw["start_j"] + horizon
+        want_gen = RecordingGen(substream(seed, "count-prop"))
+        got_gen = RecordingGen(substream(seed, "count-prop"))
+        want, = reference_word_hit_count(want_gen, lanes, window=window, **kw)
+        got, = word_hit_count(got_gen, lanes, window=window, **kw)
+        assert np.array_equal(got, want)
+        assert got_gen.shapes == want_gen.shapes
 
 
 ZETAS = (0.0, 0.5, 1.0 - 2.0 ** -53)
@@ -716,7 +776,9 @@ class TestDrawDigits:
         a = substream(17, "packed", cols)
         b = substream(17, "packed", cols)
         got = draw_digits(a, rows, cols, 0.5)
-        assert got.dtype == bool and got.shape == (rows, cols)
+        assert got.dtype == np.uint64
+        assert got.shape == (rows, math.ceil(cols / 64))
+        # the same words as the byte rule's digits packed, zero past cols
         assert np.array_equal(got, reference_digits(b, rows, cols, 0.5))
         # the draw spent exactly rows * ceil(cols / 64) raw words
         c = substream(17, "packed", cols)
@@ -727,7 +789,8 @@ class TestDrawDigits:
     def test_every_bit_position_is_a_fair_coin(self):
         # one raw word per row: column c is bit position c of every word
         n = 10 ** 5
-        rate = draw_digits(substream(17, "fair-bits"), n, 64, 0.5).mean(axis=0)
+        rate = unpack_digits(draw_digits(substream(17, "fair-bits"), n, 64, 0.5),
+                             64).mean(axis=0)
         z = (rate - 0.5) / math.sqrt(0.25 / n)
         assert np.abs(z).max() <= 4.0
 
@@ -738,8 +801,10 @@ class TestDrawDigits:
         a = substream(17, "digits", p_zero)
         b = substream(17, "digits", p_zero)
         got = draw_digits(a, 64, 100, p_zero)
-        assert got.dtype == bool
-        assert np.array_equal(got, b.random((64, 100)) >= p_zero)
+        assert got.dtype == np.uint64 and got.shape == (64, 2)
+        assert np.array_equal(unpack_digits(got, 100),
+                              b.random((64, 100)) >= p_zero)
+        assert np.array_equal(got, pack_digits(unpack_digits(got, 100)))
         # the generators stand at the same point of the stream
         assert np.array_equal(a.bit_generator.random_raw(4),
                               b.bit_generator.random_raw(4))
@@ -753,7 +818,7 @@ class TestDrawDigits:
         gen = SimpleNamespace(
             bit_generator=SimpleNamespace(random_raw=lambda shape: raw))
         uniforms = (raw >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
-        got = draw_digits(gen, *raw.shape, p_zero)
+        got = unpack_digits(draw_digits(gen, *raw.shape, p_zero), raw.shape[1])
         assert np.array_equal(got, uniforms >= p_zero)
         assert got.tolist() == [[False, False, True, True, True, True]]
 
@@ -854,7 +919,7 @@ class TestBallHitKernel:
         )
         assert hit.all() and (times == 0).all()
 
-    @pytest.mark.parametrize("shape", [(63, 53), (64, 52), (64,)])
+    @pytest.mark.parametrize("shape", [(63, 53), (64, 52), (64,), (64, 53)])
     def test_initial_digits_must_be_lanes_by_window(self, shape):
         with pytest.raises(DomainError, match="initial_digits"):
             ball_first_hit_digits(
@@ -1004,9 +1069,9 @@ class TestConditionalStarts:
     def test_bernoulli_arc_conditional_split(self):
         # restrict Bernoulli(p0 = 0.3) to the cell [1/4, 1/2): CDF 0.09..0.30
         gen = substream(8, "barc")
-        digits = conditional_digit_starts(
+        digits = unpack_digits(conditional_digit_starts(
             gen, 8192, arcs=([0.09], [0.30]), p_zero=0.3
-        )
+        ), 53)
         assert not digits[:, 0].any()  # digit 1 is 0
         assert digits[:, 1].all()  # digit 2 is 1
         # inside the cell the next digit splits 0.3 : 0.7

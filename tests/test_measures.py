@@ -1,5 +1,8 @@
 """Exact masses, quantile inversion, and invariance of the measure layer."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,7 @@ from evlhts.measures import (
     Lebesgue1D,
     MeasureModel,
     _FIXED_UNIT,
+    _radius_to_fixed,
     digit_p_zero,
 )
 from evlhts.rng import substream
@@ -56,6 +60,39 @@ def test_bernoulli_half_is_lebesgue():
     l = Lebesgue1D(Metric.CIRCLE)
     for z in np.linspace(0.001, 0.999, 100):
         assert abs(b.ball_mass(z, 0.17) - l.ball_mass(z, 0.17)) <= 1e-12
+
+
+def test_radius_to_fixed_is_the_exact_floor():
+    gen = substream(4, "radius-floor")
+    radii = np.concatenate([
+        [2.0 ** -1074, 2.0 ** -1022, 2.0 ** -129, 2.0 ** -128, 2.0 ** -75,
+         0.5, 1.0, 3.0],
+        10.0 ** -gen.uniform(0.0, 320.0, 2000), gen.random(500)])
+    for eta in radii.tolist():
+        assert _radius_to_fixed(eta) == math.floor(Fraction(eta) * _FIXED_UNIT)
+
+
+@pytest.mark.parametrize("p", [0.3, 0.01, 0.99])
+@pytest.mark.parametrize("zeta", [0.0, 0.3, 0.5, 1.0 - 2.0 ** -40])
+def test_bernoulli_ball_masses_equal_scalar_ball_mass(p, zeta):
+    # radius 0, the smallest radii, radii of 1/2 and beyond (the whole
+    # circle), and radii whose ball wraps past 0 or 1
+    m = BernoulliDoubling(p)
+    gen = substream(3, "ball-masses", p, zeta)
+    radii = np.concatenate([
+        [0.0, 2.0 ** -1074, 2.0 ** -60, 2.0 ** -53, 0.5, 0.5 - 2.0 ** -54,
+         0.75, 1.0],
+        gen.random(400) * 0.5,
+        10.0 ** -gen.uniform(0.0, 15.0, 400),
+        (np.abs(zeta - np.array([0.0, 1.0]))
+         + gen.uniform(0.0, 0.2, (100, 2))).ravel(),
+        gen.uniform(0.5, 1.0, 100),
+    ])
+    assert radii.size >= 1000
+    got = m.ball_masses(zeta, radii)
+    want = [m.ball_mass(zeta, float(r)) for r in radii]
+    assert got.dtype == np.float64 and got.shape == radii.shape
+    assert got.tolist() == want  # bit for bit, not approximately
 
 
 @pytest.mark.parametrize(
