@@ -27,7 +27,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import engine, hts
-from .cylinders import cylinder_word
 from .errors import (
     DegenerateTail,
     DomainError,
@@ -292,9 +291,7 @@ class CylinderSchedule:
     level: float
     event_depth: int
     event_mass: float
-    event_word: tuple
     window: int
-    convention: str
 
 
 def cylinder_schedule(
@@ -331,16 +328,13 @@ def cylinder_schedule(
         raise DomainError(
             f"window floor(tau / {event_mass}) is empty at tau = {tau}"
         )
-    word = cylinder_word(obs.ctx, obs.zeta, event_depth)
     return CylinderSchedule(
         depth=depth,
         tau=tau,
         level=level,
         event_depth=event_depth,
         event_mass=event_mass,
-        event_word=word,
         window=window,
-        convention=convention,
     )
 
 

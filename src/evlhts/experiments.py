@@ -8,6 +8,11 @@ substream layer, so a report is a pure function of
 (experiment, config values, master_seed) whatever the thread count —
 ``threads`` and ``out_dir`` are deliberately absent from the summary.
 
+Verdict rule: a driver records one check per verdict cell, and the
+top-level verdict is PASS exactly when every recorded check passes.  For
+``conditions`` that means every estimate is ``ConsistentWithZero``;
+``equivalence`` records its one sup check.
+
 Numeric convention inside ``results``: every float is wrapped as
 ``{"value": v, "stderr": s}`` when it carries Monte Carlo error and
 ``{"value": v, "exact": true}`` when it is a deterministic functional of
@@ -56,18 +61,6 @@ from .systems import (
     rotation,
 )
 
-EXPERIMENTS = (
-    "evl-balls",
-    "evl-cylinders",
-    "hts",
-    "rts",
-    "kac",
-    "conditions",
-    "smb",
-    "equivalence",
-    "rotation-subseq",
-)
-
 PLOT_HEADER = ("series", "x", "y", "stderr")
 
 
@@ -88,24 +81,39 @@ def _binom_se(p: float, n: int) -> float:
     return math.sqrt(max(p * (1.0 - p), 0.0) / n)
 
 
-def _verdict(passed: bool) -> str:
-    return "PASS" if passed else "FAIL"
+def _ks_cell(statistic: float, samples: int) -> dict:
+    """A KS statistic beside the 1% critical value of ``samples`` draws."""
+    return {"statistic": _q(statistic, exact=True),
+            "critical_1pct": _q(ks_critical(samples), exact=True)}
 
 
-@dataclass
-class Body:
-    """Driver output before the common summary envelope is added."""
+class _Report:
+    """One driver's rows and the checks behind its verdict."""
 
-    results: dict
-    data_header: tuple
-    data_rows: list
-    plot_rows: list
-    passed: bool
+    def __init__(self, data_header: tuple):
+        self.data_header = data_header
+        self.data_rows, self.plot_rows = [], []
+        self.passed = True
+
+    def verdict(self, ok: bool) -> str:
+        """Record one check; the label of the cell it judges."""
+        self.passed = self.passed and bool(ok)
+        return "PASS" if ok else "FAIL"
+
+    def sampled_cdf(self, series: str, law, grid, samples: int) -> list:
+        """Plot a sampled CDF on ``grid``; its (t, F(t), stderr) points."""
+        points = [(t, f, _binom_se(f, samples))
+                  for t, f in zip(grid, map(law.cdf, grid))]
+        self.plot_rows.extend((series, *point) for point in points)
+        return points
+
+    def reference(self, series: str, grid, cdf):
+        """Plot a limit CDF on ``grid``."""
+        self.plot_rows.extend((series, x, cdf(x), "") for x in grid)
 
 
 @dataclass
 class ExperimentReport:
-    experiment: str
     summary: dict
     data_header: tuple
     data_rows: list
@@ -161,20 +169,16 @@ def _build_g(cfg: ExperimentConfig) -> GShape:
 
 def _build_ctx(cfg: ExperimentConfig, system, measure, *needed_depths: int
                ) -> PartitionContext:
-    depth = max(cfg["cylinders.max_depth"], *(d + 2 for d in needed_depths)) \
-        if needed_depths else cfg["cylinders.max_depth"]
+    depth = max((cfg["cylinders.max_depth"], *(d + 2 for d in needed_depths)))
     try:
         return PartitionContext(system, measure, max_depth=depth)
     except UnsupportedCombination as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def _require_word_depths(system, key: str, depths, deepest=None):
+def _require_word_depths(system, key: str, depths, deepest: int):
     """Reject tent and doubling cylinders deeper than the word scans run;
-    ``deepest`` is the deepest cell ``depths`` lead to, when not their
-    maximum."""
-    if deepest is None:
-        deepest = max(depths)
+    ``deepest`` is the deepest cell ``depths`` lead to."""
     if system.kind in DIGIT_KINDS and deepest > MAX_WORD_DEPTH:
         raise ConfigError(
             f"{key} = {', '.join(map(str, depths))} asks for a cylinder "
@@ -182,10 +186,10 @@ def _require_word_depths(system, key: str, depths, deepest=None):
             "cylinder the word scans run")
 
 
-def _require_mode(cfg: ExperimentConfig, mode: str, experiment: str):
+def _require_mode(cfg: ExperimentConfig, mode: str):
     if cfg["observable.mode"] != mode:
         raise ConfigError(
-            f"the {experiment} experiment needs observable.mode = {mode}"
+            f"the {cfg.experiment} experiment needs observable.mode = {mode}"
         )
 
 
@@ -197,6 +201,11 @@ def _reference_law(g: GShape) -> ReferenceLaw:
     return ReferenceLaw(LawKind.EV3, alpha=g.alpha)
 
 
+def _routes(cfg: ExperimentConfig) -> tuple:
+    """The dynamical sample, and its iid twin when evl.iid_mode asks."""
+    return ("dyn", "iid") if cfg["evl.iid_mode"] else ("dyn",)
+
+
 def _normalizers(cfg: ExperimentConfig, g: GShape, n: int) -> evl.Normalizers:
     if cfg["evl.construction"] == "proof":
         return evl.proof_normalizers(g, n)
@@ -205,8 +214,8 @@ def _normalizers(cfg: ExperimentConfig, g: GShape, n: int) -> evl.Normalizers:
 
 # ------------------------------------------------------------- evl-balls
 
-def _run_evl_balls(cfg: ExperimentConfig) -> Body:
-    _require_mode(cfg, "ball", "evl-balls")
+def _run_evl_balls(cfg: ExperimentConfig) -> tuple[_Report, dict]:
+    _require_mode(cfg, "ball")
     system = _build_system(cfg)
     measure = _build_measure(cfg, system)
     g = _build_g(cfg)
@@ -215,20 +224,16 @@ def _run_evl_balls(cfg: ExperimentConfig) -> Body:
     y_grid = cfg["evl.y_grid"]
     samples = cfg["evl.samples"]
     tol = cfg["evl.tol"]
-    iid_mode = cfg["evl.iid_mode"]
-    seed, threads = cfg["master_seed"], cfg["threads"]
+    out = _Report(("n", "y", "route", "estimate", "stderr", "limit"))
 
-    per_n, data_rows, plot_rows = [], [], []
-    passed = True
+    per_n = []
     for n in cfg["evl.n_list"]:
         norms = _normalizers(cfg, g, n)
-        routes = {"dyn": evl.sample_ball_min_distances(
-            obs, system, n_steps=n, n_samples=samples, seed=seed,
-            labels=("evl-balls", f"n={n}"), threads=threads)}
-        if iid_mode:
-            routes["iid"] = evl.sample_ball_min_distances(
-                obs, system, n_steps=n, n_samples=samples, seed=seed,
-                labels=("evl-balls", f"n={n}"), threads=threads, iid=True)
+        routes = {route: evl.sample_ball_min_distances(
+            obs, system, n_steps=n, n_samples=samples,
+            seed=cfg["master_seed"], labels=("evl-balls", f"n={n}"),
+            threads=cfg["threads"], iid=route == "iid")
+            for route in _routes(cfg)}
 
         maxima = EmpiricalLaw(
             norms.rescale(evl.ball_maxima_values(routes["dyn"], obs)))
@@ -237,8 +242,9 @@ def _run_evl_balls(cfg: ExperimentConfig) -> Body:
         route_diff = 0.0
         points = []
         for y in y_grid:
-            limit = float(np.asarray(ref.cdf(y)))
+            limit = ref.cdf(y)
             degenerate = evl.degenerate_probability(g, y)
+            point = {"y": y, "limit": _q(limit, exact=True)}
             probs = {}
             for route, dmin in routes.items():
                 if degenerate is None:
@@ -247,47 +253,38 @@ def _run_evl_balls(cfg: ExperimentConfig) -> Body:
                 else:
                     p = degenerate
                     cell = _q(p, exact=True)
-                probs[route] = (p, cell)
-                data_rows.append((n, y, route, p, cell.get("stderr", 0.0),
-                                  limit))
-                plot_rows.append((f"{route} n={n}", y, p,
-                                  cell.get("stderr", "")))
-            if iid_mode:
-                route_diff = max(route_diff,
-                                 abs(probs["dyn"][0] - probs["iid"][0]))
-            point = {"y": y, "limit": _q(limit, exact=True)}
-            for route, (_, cell) in probs.items():
+                probs[route] = p
                 point[route] = cell
+                out.data_rows.append((n, y, route, p,
+                                      cell.get("stderr", 0.0), limit))
+                out.plot_rows.append((f"{route} n={n}", y, p,
+                                      cell.get("stderr", "")))
+            if "iid" in routes:
+                route_diff = max(route_diff, abs(probs["dyn"] - probs["iid"]))
             points.append(point)
 
         entry = {
             "n": n,
             "normalizers": {"a": _q(norms.a, exact=True),
                             "b": _q(norms.b, exact=True)},
-            "ks": {"statistic": _q(ks_stat, exact=True),
-                   "critical_1pct": _q(ks_critical(samples), exact=True)},
+            "ks": _ks_cell(ks_stat, samples),
             "grid_sup": _q(grid_sup, exact=True),
             "points": points,
         }
-        n_pass = grid_sup <= tol
-        if iid_mode:
+        if "iid" in routes:
             entry["route_sup_diff"] = _q(route_diff, exact=True)
-            n_pass = n_pass and route_diff <= tol
-        entry["verdict"] = _verdict(n_pass)
-        passed = passed and n_pass
+        # route_diff stays 0 without the iid route
+        entry["verdict"] = out.verdict(grid_sup <= tol and route_diff <= tol)
         per_n.append(entry)
 
-    for y in y_grid:
-        plot_rows.append(("limit", y, float(np.asarray(ref.cdf(y))), ""))
-    results = {"per_n": per_n, "tolerance": tol}
-    header = ("n", "y", "route", "estimate", "stderr", "limit")
-    return Body(results, header, data_rows, plot_rows, passed)
+    out.reference("limit", y_grid, ref.cdf)
+    return out, {"per_n": per_n, "tolerance": tol}
 
 
 # --------------------------------------------------------- evl-cylinders
 
-def _run_evl_cylinders(cfg: ExperimentConfig) -> Body:
-    _require_mode(cfg, "cylinder", "evl-cylinders")
+def _run_evl_cylinders(cfg: ExperimentConfig) -> tuple[_Report, dict]:
+    _require_mode(cfg, "cylinder")
     system = _build_system(cfg)
     if system.kind not in DIGIT_KINDS:
         raise ConfigError(
@@ -301,8 +298,6 @@ def _run_evl_cylinders(cfg: ExperimentConfig) -> Body:
     samples = cfg["evl.samples"]
     tau_grid = cfg["evl.tau_grid"]
     tol = cfg["evl.tol"]
-    iid_mode = cfg["evl.iid_mode"]
-    seed, threads = cfg["master_seed"], cfg["threads"]
 
     schedules = [evl.cylinder_schedule(
         obs, depth=depth, tau=tau, convention=cfg["evl.convention"])
@@ -313,13 +308,13 @@ def _run_evl_cylinders(cfg: ExperimentConfig) -> Body:
         raise ConfigError(
             f"evl.n_list = {', '.join(map(str, depths))} schedules a window "
             "of 2^63 steps or more, past the int64 step counter")
+    out = _Report(("depth", "tau", "route", "window", "no_entry", "stderr",
+                   "limit"))
 
-    per_cell, data_rows, plot_rows = [], [], []
-    passed = True
+    per_cell = []
     for sched in schedules:
         depth, tau = sched.depth, sched.tau
         limit = math.exp(-tau)
-        routes = {"dyn": False, "iid": True} if iid_mode else {"dyn": False}
         cell = {
             "depth": depth,
             "tau": tau,
@@ -330,29 +325,24 @@ def _run_evl_cylinders(cfg: ExperimentConfig) -> Body:
             "limit": _q(limit, exact=True),
         }
         worst = 0.0
-        for route, iid in routes.items():
+        for route in _routes(cfg):
             flags = evl.sample_cylinder_no_entry(
-                obs, sched, n_samples=samples, seed=seed,
+                obs, sched, n_samples=samples, seed=cfg["master_seed"],
                 labels=("evl-cylinders", f"n={depth}", f"tau={tau!r}"),
-                threads=threads, iid=iid)
+                threads=cfg["threads"], iid=route == "iid")
             p = float(flags.mean())
             se = _binom_se(p, samples)
             cell[route] = _q(p, se)
             worst = max(worst, abs(p - limit))
-            data_rows.append((depth, tau, route, sched.window, p, se, limit))
-            plot_rows.append((f"{route} n={depth}", tau, p, se))
-        cell_pass = worst <= tol
+            out.data_rows.append((depth, tau, route, sched.window, p, se,
+                                  limit))
+            out.plot_rows.append((f"{route} n={depth}", tau, p, se))
         cell["max_abs_error"] = _q(worst, exact=True)
-        cell["verdict"] = _verdict(cell_pass)
-        passed = passed and cell_pass
+        cell["verdict"] = out.verdict(worst <= tol)
         per_cell.append(cell)
 
-    for tau in tau_grid:
-        plot_rows.append(("limit", tau, math.exp(-tau), ""))
-    results = {"cells": per_cell, "tolerance": tol}
-    header = ("depth", "tau", "route", "window", "no_entry", "stderr",
-              "limit")
-    return Body(results, header, data_rows, plot_rows, passed)
+    out.reference("limit", tau_grid, lambda tau: math.exp(-tau))
+    return out, {"cells": per_cell, "tolerance": tol}
 
 
 # ------------------------------------------------------------- hts / rts
@@ -373,7 +363,7 @@ def _targets(cfg: ExperimentConfig, system, measure):
     zeta = cfg["observable.zeta"]
     if cfg["hts.target"] == "cylinder":
         depths = cfg["hts.depth_list"]
-        _require_word_depths(system, "hts.depth_list", depths)
+        _require_word_depths(system, "hts.depth_list", depths, max(depths))
         ctx = _build_ctx(cfg, system, measure, *depths)
         pairs = [(f"depth={d}", hts.cylinder_target(ctx, zeta, d))
                  for d in depths]
@@ -383,8 +373,19 @@ def _targets(cfg: ExperimentConfig, system, measure):
     return [(label, t, _hit_cap(cfg, t.mass)) for label, t in pairs]
 
 
-def _run_time_law(cfg: ExperimentConfig, name: str, conditional: bool
-                  ) -> Body:
+def _hit_times(cfg: ExperimentConfig, system, measure, target, cap: int,
+               label: str, conditional: bool) -> hts.HitSample:
+    """hts.samples hitting times, or return times (from step 1 at least)."""
+    return hts.sample_hit_times(
+        system, target, cap=cap, n_samples=cfg["hts.samples"],
+        seed=cfg["master_seed"], labels=(cfg.experiment, label),
+        threads=cfg["threads"], conditional=conditional,
+        start_j=max(cfg["hts.start_j"], int(conditional)), measure=measure)
+
+
+def _run_time_law(cfg: ExperimentConfig) -> tuple[_Report, dict]:
+    """hts, or rts: the same exponential law for return times."""
+    conditional = cfg.experiment == "rts"
     t_grid = cfg["hts.t_grid"]
     cap_factor = cfg["hts.cap_factor"]
     if cap_factor < max(t_grid):
@@ -394,67 +395,43 @@ def _run_time_law(cfg: ExperimentConfig, name: str, conditional: bool
         )
     system = _build_system(cfg)
     measure = _build_measure(cfg, system)
-    start_j = cfg["hts.start_j"]
-    if conditional and start_j < 1:
+    if conditional and cfg["hts.start_j"] < 1:
         raise ConfigError("return times need hts.start_j >= 1")
     samples = cfg["hts.samples"]
     tol = cfg["hts.tol"]
-    seed, threads = cfg["master_seed"], cfg["threads"]
     exp_ref = ReferenceLaw(LawKind.EXPONENTIAL)
+    out = _Report(("target", "t", "cdf", "stderr", "exponential_cdf"))
 
-    per_target, data_rows, plot_rows = [], [], []
-    passed = True
+    per_target = []
     for label, target, cap in _targets(cfg, system, measure):
-        sample = hts.sample_hit_times(
-            system, target, cap=cap, n_samples=samples, seed=seed,
-            labels=(name, label), threads=threads, conditional=conditional,
-            start_j=start_j, measure=measure)
+        sample = _hit_times(cfg, system, measure, target, cap, label,
+                            conditional)
         law = sample.law()
         ks_stat = ks_statistic(law, exp_ref)
         scaled = np.minimum(sample.times, cap) * target.mass
         mean = float(scaled.mean())
         mean_se = float(scaled.std(ddof=1) / math.sqrt(scaled.size))
-        curve = []
-        for t in t_grid:
-            f = law.cdf(t)
-            se = _binom_se(f, samples)
-            curve.append({"t": t, "cdf": _q(f, se)})
-            data_rows.append((label, t, f, se,
-                              float(np.asarray(exp_ref.cdf(t)))))
-            plot_rows.append((label, t, f, se))
-        t_pass = ks_stat <= tol
+        curve = out.sampled_cdf(label, law, t_grid, samples)
+        out.data_rows.extend((label, t, f, se, exp_ref.cdf(t))
+                             for t, f, se in curve)
         per_target.append({
             "target": label,
             "mass": _q(target.mass, exact=True),
             "cap": cap,
             "n_censored": sample.n_censored,
             "mean_normalized": _q(mean, mean_se),
-            "ks": {"statistic": _q(ks_stat, exact=True),
-                   "critical_1pct": _q(ks_critical(samples), exact=True)},
-            "curve": curve,
-            "verdict": _verdict(t_pass),
+            "ks": _ks_cell(ks_stat, samples),
+            "curve": [{"t": t, "cdf": _q(f, se)} for t, f, se in curve],
+            "verdict": out.verdict(ks_stat <= tol),
         })
-        passed = passed and t_pass
 
-    for t in t_grid:
-        plot_rows.append(("exponential", t,
-                          float(np.asarray(exp_ref.cdf(t))), ""))
-    results = {"targets": per_target, "tolerance": tol}
-    header = ("target", "t", "cdf", "stderr", "exponential_cdf")
-    return Body(results, header, data_rows, plot_rows, passed)
-
-
-def _run_hts(cfg: ExperimentConfig) -> Body:
-    return _run_time_law(cfg, "hts", conditional=False)
-
-
-def _run_rts(cfg: ExperimentConfig) -> Body:
-    return _run_time_law(cfg, "rts", conditional=True)
+    out.reference("exponential", t_grid, exp_ref.cdf)
+    return out, {"targets": per_target, "tolerance": tol}
 
 
 # ------------------------------------------------------------------ kac
 
-def _run_kac(cfg: ExperimentConfig) -> Body:
+def _run_kac(cfg: ExperimentConfig) -> tuple[_Report, dict]:
     if cfg["hts.cap_factor"] < 1:
         raise ConfigError(
             f"hts.cap_factor = {cfg['hts.cap_factor']} censors returns short "
@@ -465,21 +442,16 @@ def _run_kac(cfg: ExperimentConfig) -> Body:
     if cfg["hts.start_j"] != 1:
         raise ConfigError("the mean-return identity concerns first "
                           "returns, which need hts.start_j = 1")
-    samples = cfg["hts.samples"]
     tol = cfg["kac.tol"]
-    seed, threads = cfg["master_seed"], cfg["threads"]
+    out = _Report(("target", "statistic", "value", "stderr"))
 
-    per_target, data_rows, plot_rows = [], [], []
-    passed = True
+    per_target = []
     for label, target, cap in _targets(cfg, system, measure):
-        sample = hts.sample_hit_times(
-            system, target, cap=cap, n_samples=samples, seed=seed,
-            labels=("kac", label), threads=threads, conditional=True,
-            start_j=cfg["hts.start_j"], measure=measure)
+        sample = _hit_times(cfg, system, measure, target, cap, label,
+                            conditional=True)
         report = hts.kac_check(sample)
         sigma = report.band / 3.0
         error = abs(report.product - 1.0)
-        t_pass = error <= tol
         per_target.append({
             "target": label,
             "mass": _q(target.mass, exact=True),
@@ -487,24 +459,19 @@ def _run_kac(cfg: ExperimentConfig) -> Body:
             "band_3sigma": _q(report.band, exact=True),
             "abs_error": _q(error, exact=True),
             "within_band": report.passed,
-            "verdict": _verdict(t_pass),
+            "verdict": out.verdict(error <= tol),
         })
-        passed = passed and t_pass
-        data_rows.append((label, "product", report.product, sigma))
-        data_rows.append((label, "abs_error", error, 0.0))
-        law = sample.law()
-        for t in cfg["hts.t_grid"]:
-            f = law.cdf(t)
-            plot_rows.append((label, t, f, _binom_se(f, samples)))
+        out.data_rows.append((label, "product", report.product, sigma))
+        out.data_rows.append((label, "abs_error", error, 0.0))
+        out.sampled_cdf(label, sample.law(), cfg["hts.t_grid"],
+                        cfg["hts.samples"])
 
-    results = {"targets": per_target, "tolerance": tol}
-    header = ("target", "statistic", "value", "stderr")
-    return Body(results, header, data_rows, plot_rows, passed)
+    return out, {"targets": per_target, "tolerance": tol}
 
 
 # ----------------------------------------------------------- conditions
 
-def _run_conditions(cfg: ExperimentConfig) -> Body:
+def _run_conditions(cfg: ExperimentConfig) -> tuple[_Report, dict]:
     system = _build_system(cfg)
     if system.kind not in DIGIT_KINDS:
         raise ConfigError(
@@ -519,36 +486,19 @@ def _run_conditions(cfg: ExperimentConfig) -> Body:
         )
     measure = _build_measure(cfg, system)
     depth = cfg["cylinders.max_depth"]
-    _require_word_depths(system, "cylinders.max_depth", (depth,))
+    _require_word_depths(system, "cylinders.max_depth", (depth,), depth)
     ctx = _build_ctx(cfg, system, measure, depth)
     target = hts.cylinder_target(ctx, cfg["observable.zeta"], depth)
     samples = cfg["conditions.samples"]
     floor = cfg["conditions.floor"]
     seed, threads = cfg["master_seed"], cfg["threads"]
-
-    reports, data_rows, plot_rows = [], [], []
-    passed = True
-    for k in cfg["conditions.k_list"]:
-        rep = dprime_estimate(
-            system, measure, target, block_n=block_n, k=k,
-            n_samples=samples, seed=seed, labels=("conditions", "dprime"),
-            threads=threads, floor=floor)
-        reports.append(("recurrence", k, rep))
-        plot_rows.append(("recurrence", k, rep.estimate, rep.sigma))
-        plot_rows.append(("recurrence-baseline", k, rep.baseline, ""))
-    gaps = cfg["conditions.t_grid"] or \
-        (int(math.ceil(block_n ** 0.7)),)
-    for gap in gaps:
-        rep = mixing_gap_estimate(
-            system, measure, target, block_n=block_n, gap=gap,
-            n_samples=samples, seed=seed,
-            labels=("conditions", "mixing", f"gap={gap}"), threads=threads,
-            floor=floor)
-        reports.append(("mixing-gap", gap, rep))
-        plot_rows.append(("mixing-gap", gap, rep.estimate, rep.sigma))
+    out = _Report(("condition", "parameter", "estimate", "sigma", "baseline",
+                   "verdict"))
 
     entries = []
-    for family, parameter, rep in reports:
+
+    def record(family, parameter, rep):
+        out.verdict(rep.consistent_with_zero)
         entries.append({
             "condition": family,
             "parameter": parameter,
@@ -558,24 +508,37 @@ def _run_conditions(cfg: ExperimentConfig) -> Body:
             "window": rep.window,
             "verdict": rep.verdict,
         })
-        passed = passed and rep.consistent_with_zero
-        data_rows.append((family, parameter, rep.estimate, rep.sigma,
-                          rep.baseline, rep.verdict))
+        out.data_rows.append((family, parameter, rep.estimate, rep.sigma,
+                              rep.baseline, rep.verdict))
+        out.plot_rows.append((family, parameter, rep.estimate, rep.sigma))
 
-    results = {
+    for k in cfg["conditions.k_list"]:
+        rep = dprime_estimate(
+            system, measure, target, block_n=block_n, k=k,
+            n_samples=samples, seed=seed, labels=("conditions", "dprime"),
+            threads=threads, floor=floor)
+        record("recurrence", k, rep)
+        out.plot_rows.append(("recurrence-baseline", k, rep.baseline, ""))
+    gaps = cfg["conditions.t_grid"] or \
+        (int(math.ceil(block_n ** 0.7)),)
+    for gap in gaps:
+        record("mixing-gap", gap, mixing_gap_estimate(
+            system, measure, target, block_n=block_n, gap=gap,
+            n_samples=samples, seed=seed,
+            labels=("conditions", "mixing", f"gap={gap}"), threads=threads,
+            floor=floor))
+
+    return out, {
         "target": {"depth": depth, "mass": _q(target.mass, exact=True)},
         "block_len": block_n,
         "floor": floor,
         "estimates": entries,
     }
-    header = ("condition", "parameter", "estimate", "sigma", "baseline",
-              "verdict")
-    return Body(results, header, data_rows, plot_rows, passed)
 
 
 # ------------------------------------------------------------------ smb
 
-def _run_smb(cfg: ExperimentConfig) -> Body:
+def _run_smb(cfg: ExperimentConfig) -> tuple[_Report, dict]:
     system = _build_system(cfg)
     if system.kind not in DIGIT_KINDS:
         raise ConfigError(
@@ -589,57 +552,50 @@ def _run_smb(cfg: ExperimentConfig) -> Body:
     tol = cfg["smb.tol"]
     p = digit_p_zero(measure)
     reference = -(p * math.log(p) + (1.0 - p) * math.log(1.0 - p))
-    uniform = p == 0.5
     potential = letter_log_masses(ctx)
-    samples = cfg["smb.samples"]
-    seed = cfg["master_seed"]
+    out = _Report(("depth", "estimate", "stderr", "reference", "gibbs_ratio"))
 
-    per_depth, data_rows, plot_rows = [], [], []
-    passed = True
+    per_depth = []
     for depth in depths:
-        if uniform:
+        if p == 0.5:
             # every cell has the same dyadic mass, so one evaluation is the
             # whole distribution
             estimate = smb_estimate(ctx, zeta, depth)
             se = 0.0
             cell = _q(estimate, exact=True)
-            d_pass = estimate == reference
+            close = estimate == reference
         else:
             # one row of letters per sampled cell: letter 1 (mass 1 - p)
             # where the uniform is >= p
-            cells = substream(seed, "smb", f"depth={depth}").random(
-                (samples, depth)) >= p
+            gen = substream(cfg["master_seed"], "smb", f"depth={depth}")
+            cells = gen.random((cfg["smb.samples"], depth)) >= p
             arr = np.array([-word_log_mass(ctx, row) / depth for row in cells])
             estimate = float(arr.mean())
             se = float(arr.std(ddof=1) / math.sqrt(arr.size))
             cell = _q(estimate, se)
-            d_pass = abs(estimate - reference) <= tol
+            close = abs(estimate - reference) <= tol
         gibbs = gibbs_envelope(ctx, zeta, depth, potential)
-        d_pass = d_pass and gibbs == 1.0
         per_depth.append({
             "depth": depth,
             "estimate": cell,
             "gibbs_ratio": _q(gibbs, exact=True),
-            "verdict": _verdict(d_pass),
+            "verdict": out.verdict(close and gibbs == 1.0),
         })
-        passed = passed and d_pass
-        data_rows.append((depth, estimate, se, reference, gibbs))
-        plot_rows.append(("information-rate", depth, estimate, se))
-        plot_rows.append(("entropy", depth, reference, ""))
+        out.data_rows.append((depth, estimate, se, reference, gibbs))
+        out.plot_rows.append(("information-rate", depth, estimate, se))
+        out.plot_rows.append(("entropy", depth, reference, ""))
 
-    results = {
+    return out, {
         "reference_entropy": _q(reference, exact=True),
         "per_depth": per_depth,
         "tolerance": tol,
     }
-    header = ("depth", "estimate", "stderr", "reference", "gibbs_ratio")
-    return Body(results, header, data_rows, plot_rows, passed)
 
 
 # ---------------------------------------------------------- equivalence
 
-def _run_equivalence(cfg: ExperimentConfig) -> Body:
-    _require_mode(cfg, "ball", "equivalence")
+def _run_equivalence(cfg: ExperimentConfig) -> tuple[_Report, dict]:
+    _require_mode(cfg, "ball")
     g = _build_g(cfg)
     n = cfg["evl.n_list"][-1]
     y_grid = cfg["evl.y_grid"]
@@ -657,13 +613,14 @@ def _run_equivalence(cfg: ExperimentConfig) -> Body:
     measure = _build_measure(cfg, system)
     obs = BallObservable(g, measure, cfg["observable.zeta"])
     tol = cfg["equivalence.tol"]
-    seed, threads = cfg["master_seed"], cfg["threads"]
+    out = _Report(("y", "tau", "maxima_prob", "maxima_stderr",
+                   "time_survival", "time_stderr", "abs_diff"))
 
     norms = _normalizers(cfg, g, n)
     samples = cfg["evl.samples"]
     dmin = evl.sample_ball_min_distances(
-        obs, system, n_steps=n, n_samples=samples, seed=seed,
-        labels=("equivalence", "maxima"), threads=threads)
+        obs, system, n_steps=n, n_samples=samples, seed=cfg["master_seed"],
+        labels=("equivalence", "maxima"), threads=cfg["threads"])
     probs = []
     for y in y_grid:
         degenerate = evl.degenerate_probability(g, y)
@@ -671,30 +628,27 @@ def _run_equivalence(cfg: ExperimentConfig) -> Body:
                      else evl.prob_max_below(dmin, obs, norms.level(y)))
 
     target = hts.ball_target(measure, cfg["observable.zeta"], mass=1.0 / n)
-    hit_samples = cfg["hts.samples"]
-    sample = hts.sample_hit_times(
-        system, target, cap=cap, n_samples=hit_samples, seed=seed,
-        labels=("equivalence", "hit"), threads=threads, conditional=False,
-        start_j=cfg["hts.start_j"], measure=measure)
+    sample = _hit_times(cfg, system, measure, target, cap, "hit",
+                        conditional=False)
     comparison = check_evl_from_hts(y_grid, probs, sample.law(), g)
 
-    points, data_rows, plot_rows = [], [], []
+    points = []
     for y, tau, p, s in zip(y_grid, comparison.taus, probs,
                             comparison.time_survivals):
         p_se = _binom_se(p, samples)
-        s_se = _binom_se(s, hit_samples)
+        s_se = _binom_se(s, cfg["hts.samples"])
         points.append({
             "y": y,
             "tau": _q(tau, exact=True),
             "maxima_prob": _q(p, p_se),
             "time_survival": _q(s, s_se),
         })
-        data_rows.append((y, tau, p, p_se, s, s_se, abs(p - s)))
-        plot_rows.append(("maxima", y, p, p_se))
-        plot_rows.append(("hitting", y, s, s_se))
+        out.data_rows.append((y, tau, p, p_se, s, s_se, abs(p - s)))
+        out.plot_rows.append(("maxima", y, p, p_se))
+        out.plot_rows.append(("hitting", y, s, s_se))
 
-    passed = comparison.sup_diff <= tol
-    results = {
+    out.verdict(comparison.sup_diff <= tol)
+    return out, {
         "n": n,
         "target_mass": _q(target.mass, exact=True),
         "sup_discrepancy": _q(comparison.sup_diff, exact=True),
@@ -702,14 +656,11 @@ def _run_equivalence(cfg: ExperimentConfig) -> Body:
         "tolerance": tol,
         "n_censored": sample.n_censored,
     }
-    header = ("y", "tau", "maxima_prob", "maxima_stderr", "time_survival",
-              "time_stderr", "abs_diff")
-    return Body(results, header, data_rows, plot_rows, passed)
 
 
 # ------------------------------------------------------- rotation-subseq
 
-def _run_rotation_subseq(cfg: ExperimentConfig) -> Body:
+def _run_rotation_subseq(cfg: ExperimentConfig) -> tuple[_Report, dict]:
     system = _build_system(cfg)
     if system.kind is not MapKind.ROTATION:
         raise ConfigError(
@@ -725,52 +676,38 @@ def _run_rotation_subseq(cfg: ExperimentConfig) -> Body:
             "lengths; the subsequence law is pinned along 1, 2, 3, 5, 8, ..."
         )
     ctx = _build_ctx(cfg, system, measure, *depths)
-    zeta = cfg["observable.zeta"]
-    samples = cfg["hts.samples"]
     ks_min = cfg["rotation.ks_min"]
-    seed, threads = cfg["master_seed"], cfg["threads"]
     exp_ref = ReferenceLaw(LawKind.EXPONENTIAL)
+    out = _Report(("depth", "mass", "ks_statistic", "n_return_values",
+                   "return_values"))
 
-    targets = [hts.cylinder_target(ctx, zeta, d) for d in depths]
+    targets = [hts.cylinder_target(ctx, cfg["observable.zeta"], d)
+               for d in depths]
     caps = [_hit_cap(cfg, target.mass) for target in targets]
-    per_depth, data_rows, plot_rows = [], [], []
-    passed = True
+    per_depth = []
     for depth, target, cap in zip(depths, targets, caps):
-        hit = hts.sample_hit_times(
-            system, target, cap=cap, n_samples=samples, seed=seed,
-            labels=("rotation-subseq", f"depth={depth}"), threads=threads,
-            conditional=False, start_j=cfg["hts.start_j"], measure=measure)
-        ret = hts.sample_hit_times(
-            system, target, cap=cap, n_samples=samples, seed=seed,
-            labels=("rotation-subseq", f"depth={depth}"), threads=threads,
-            conditional=True, start_j=max(cfg["hts.start_j"], 1),
-            measure=measure)
+        label = f"depth={depth}"
+        hit = _hit_times(cfg, system, measure, target, cap, label,
+                         conditional=False)
+        ret = _hit_times(cfg, system, measure, target, cap, label,
+                         conditional=True)
         law = hit.law()
         ks_stat = ks_statistic(law, exp_ref)
         values = sorted(int(v) for v in np.unique(ret.times[ret.hit]))
-        d_pass = ks_stat >= ks_min and len(values) <= 3
         per_depth.append({
             "depth": depth,
             "mass": _q(target.mass, exact=True),
             "ks_vs_exponential": _q(ks_stat, exact=True),
             "return_values": values,
-            "verdict": _verdict(d_pass),
+            "verdict": out.verdict(ks_stat >= ks_min and len(values) <= 3),
         })
-        passed = passed and d_pass
-        data_rows.append((depth, target.mass, ks_stat, len(values),
-                          " ".join(str(v) for v in values)))
-        for t in cfg["hts.t_grid"]:
-            f = law.cdf(t)
-            plot_rows.append((f"hitting depth={depth}", t, f,
-                              _binom_se(f, samples)))
+        out.data_rows.append((depth, target.mass, ks_stat, len(values),
+                              " ".join(str(v) for v in values)))
+        out.sampled_cdf(f"hitting depth={depth}", law, cfg["hts.t_grid"],
+                        cfg["hts.samples"])
 
-    for t in cfg["hts.t_grid"]:
-        plot_rows.append(("exponential", t,
-                          float(np.asarray(exp_ref.cdf(t))), ""))
-    results = {"per_depth": per_depth, "ks_min": ks_min}
-    header = ("depth", "mass", "ks_statistic", "n_return_values",
-              "return_values")
-    return Body(results, header, data_rows, plot_rows, passed)
+    out.reference("exponential", cfg["hts.t_grid"], exp_ref.cdf)
+    return out, {"per_depth": per_depth, "ks_min": ks_min}
 
 
 # ------------------------------------------------------------ dispatch
@@ -778,14 +715,15 @@ def _run_rotation_subseq(cfg: ExperimentConfig) -> Body:
 _DRIVERS = {
     "evl-balls": _run_evl_balls,
     "evl-cylinders": _run_evl_cylinders,
-    "hts": _run_hts,
-    "rts": _run_rts,
+    "hts": _run_time_law,
+    "rts": _run_time_law,
     "kac": _run_kac,
     "conditions": _run_conditions,
     "smb": _run_smb,
     "equivalence": _run_equivalence,
     "rotation-subseq": _run_rotation_subseq,
 }
+EXPERIMENTS = tuple(_DRIVERS)
 
 
 def run(config: ExperimentConfig, *, write: bool = True) -> ExperimentReport:
@@ -799,30 +737,23 @@ def run(config: ExperimentConfig, *, write: bool = True) -> ExperimentReport:
             f"unknown experiment {config.experiment!r}; choose one of "
             f"{', '.join(EXPERIMENTS)}"
         )
-    body = driver(config)
+    out, results = driver(config)
     summary = {
         "experiment": config.experiment,
         "config": config.echo(),
-        "results": body.results,
-        "verdict": _verdict(body.passed),
+        "results": results,
+        "verdict": out.verdict(out.passed),
     }
     report = ExperimentReport(
-        experiment=config.experiment,
         summary=summary,
-        data_header=body.data_header,
-        data_rows=body.data_rows,
-        plot_rows=body.plot_rows,
-        passed=body.passed,
+        data_header=out.data_header,
+        data_rows=out.data_rows,
+        plot_rows=out.plot_rows,
+        passed=out.passed,
     )
     if write:
         write_report(report, config["out_dir"])
     return report
-
-
-def _csv_cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def _write_csv(path: str, header: tuple, rows: list):
@@ -830,7 +761,8 @@ def _write_csv(path: str, header: tuple, rows: list):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
-            writer.writerow([_csv_cell(cell) for cell in row])
+            writer.writerow([repr(cell) if isinstance(cell, float)
+                             else str(cell) for cell in row])
 
 
 def write_report(report: ExperimentReport, out_dir: str):

@@ -177,7 +177,7 @@ def ks_statistic(law: EmpiricalLaw, ref: ReferenceLaw) -> float:
 
 def sup_distance_on_grid(law: EmpiricalLaw, ref: ReferenceLaw, grid) -> float:
     """max over the grid of |ECDF - reference CDF|."""
-    diffs = [abs(law.cdf(t) - float(np.asarray(ref.cdf(t)))) for t in grid]
+    diffs = [abs(law.cdf(t) - ref.cdf(t)) for t in grid]
     return max(diffs)
 
 

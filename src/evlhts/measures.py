@@ -79,6 +79,8 @@ class MeasureModel:
         if eta <= 0.0:
             return []
         eta_fixed = _radius_to_fixed(eta)
+        if eta_fixed == 0:  # below the fixed-point grid: no cell
+            return []
         if self.metric is Metric.CIRCLE:
             if 2 * eta_fixed >= _FIXED_UNIT:
                 return [(0, _FIXED_UNIT)]

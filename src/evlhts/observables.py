@@ -103,16 +103,6 @@ class BallObservable:
     def zeta_value(self) -> float:
         return self.zeta
 
-    def exceedance_mass(self, u: float) -> float:
-        """mu(phi > u).
-
-        Exact whenever the ball mass grows continuously and strictly in
-        the radius (true for the closed-form measures away from atoms);
-        for orbit-empirical measures it is the same formula evaluated on
-        the approximating measure.
-        """
-        return self.g.tail_fraction(u)
-
     def threshold_radius(self, u: float) -> float:
         """Radius eta with mu(B_eta(zeta)) = mu(phi > u)."""
         v = self.g.tail_fraction(u)
@@ -174,9 +164,3 @@ class CylinderObservable:
                     f"level {u} needs cylinders deeper than {self.ctx.max_depth}"
                 )
         return k
-
-    def exceedance_mass(self, u: float) -> float:
-        """mu(phi > u) = mass of the cylinder {phi > u}."""
-        if u >= self.g.value_at_zero:
-            return 0.0
-        return self.ladder_mass(self.exceedance_depth(u))

@@ -229,12 +229,10 @@ def test_quantile_levels_match_closed_forms():
     log n for the logarithmic one, across five decades."""
     shape_pow = GShape(GKind.G2, alpha=1.0)
     shape_log = GShape(GKind.G1)
-    obs_pow = BallObservable(shape_pow, LEB_TENT, ZETA)
-    obs_log = BallObservable(shape_log, LEB_TENT, ZETA)
     for n in (10, 10**2, 10**3, 10**4, 10**5, 10**6):
-        got = evl.gamma_level(shape_pow, n, tail=obs_pow.exceedance_mass)
+        got = evl.gamma_level(shape_pow, n, tail=shape_pow.tail_fraction)
         assert abs(got - n) <= 1e-9 * n
-        got = evl.gamma_level(shape_log, n, tail=obs_log.exceedance_mass)
+        got = evl.gamma_level(shape_log, n, tail=shape_log.tail_fraction)
         assert abs(got - math.log(n)) <= 1e-9 * math.log(n)
 
 

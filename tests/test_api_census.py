@@ -1,0 +1,121 @@
+"""Every name ``src/evlhts`` defines is read by the program or the harness.
+
+An API that only its own tests call is code the product never runs.  This
+AST census lists each module-level function and class, and each method and
+annotated field of a class, and fails when the name is never read in
+``src/evlhts`` and never named in ``benchmarks/``.  Module-level names
+count as read by a bare-name or attribute load; class members only by an
+attribute load (``obj.name``), since a parameter of the same name says
+nothing about the member.  The harness names spans by strings
+(``"engine.word_first_hit"``), so there every identifier in a string
+counts too.
+"""
+
+import ast
+import pathlib
+import re
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "evlhts"
+BENCHMARKS = ROOT / "benchmarks"
+
+# Defined but deliberately unread, one reason each.
+ALLOWED = {
+    "config.Option.doc": "each key's documentation in the schema",
+    "hts.compare_hts_rts": "the HTS-from-RTS relation, to be wired into rts "
+                           "as a reported check (ROADMAP item 4)",
+}
+
+
+def definitions(module: str, source: str) -> list[tuple[str, bool]]:
+    """(qualified name, is a class member) for each checked definition."""
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.append((f"{module}.{node.name}", False))
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for item in node.body:
+            if isinstance(item, ast.FunctionDef):
+                name = item.name
+            elif isinstance(item, ast.AnnAssign) and \
+                    isinstance(item.target, ast.Name):
+                name = item.target.id
+            else:
+                continue
+            if not (name.startswith("__") and name.endswith("__")):
+                out.append((f"{module}.{node.name}.{name}", True))
+    return out
+
+
+def reads(source: str) -> tuple[set, set]:
+    """(bare names loaded, attribute names loaded) in one source."""
+    names, attrs = set(), set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and \
+                isinstance(node.ctx, ast.Load):
+            attrs.add(node.attr)
+    return names, attrs
+
+
+def mentions(source: str) -> set:
+    """Every identifier a harness source names, in code or in strings."""
+    names, attrs = reads(source)
+    words = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            words.update(re.findall(r"\w+", node.value))
+    return names | attrs | words
+
+
+def unread(sources: dict[str, str], harness: list[str]) -> list[str]:
+    """Definitions in ``sources`` (module -> text) that nothing reads."""
+    names, attrs = set(), set()
+    for text in sources.values():
+        n, a = reads(text)
+        names |= n
+        attrs |= a
+    named = set().union(*(mentions(text) for text in harness))
+    missing = []
+    for module, text in sorted(sources.items()):
+        for qualname, member in definitions(module, text):
+            name = qualname.rsplit(".", 1)[1]
+            seen = name in attrs if member else name in names | attrs
+            if not (seen or name in named):
+                missing.append(qualname)
+    return missing
+
+
+def test_detects_an_unread_name():
+    src = {
+        "m": (
+            "from dataclasses import dataclass\n"
+            "@dataclass\n"
+            "class Box:\n"
+            "    size: int\n"
+            "    label: str\n"
+            "    def area(self):\n"
+            "        return self.size ** 2\n"
+            "def used(label):\n"
+            "    return Box(1, label).area()\n"
+            "def spare():\n"
+            "    return used('x')\n"
+        ),
+    }
+    # ``label`` is read only as a parameter, never as ``box.label``
+    assert unread(src, []) == ["m.Box.label", "m.spare"]
+    assert unread(src, ["SPANS = ('m.spare', 'm.Box.label')\n"]) == []
+
+
+def test_every_name_is_read():
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    harness = [p.read_text() for p in sorted(BENCHMARKS.glob("*.py"))]
+    assert [q for q in unread(sources, harness) if q not in ALLOWED] == []
+
+
+def test_allow_list_is_current():
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    harness = [p.read_text() for p in sorted(BENCHMARKS.glob("*.py"))]
+    assert set(ALLOWED) <= set(unread(sources, harness))

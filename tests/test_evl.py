@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from evlhts.cylinders import PartitionContext
+from evlhts.cylinders import PartitionContext, cylinder_word
 from evlhts.errors import (
     DegenerateTail,
     DomainError,
@@ -123,9 +123,13 @@ class TestGammaLevel:
         # Step tail of the dyadic ladder: solvable exactly when 1/n is a
         # ladder mass, refused otherwise.
         obs = tent_cylinder_obs(G2)
-        assert gamma_level(G2, 8, tail=obs.exceedance_mass) == 4.0
+
+        def tail(u):
+            return obs.ladder_mass(obs.exceedance_depth(u))
+
+        assert gamma_level(G2, 8, tail=tail) == 4.0
         with pytest.raises(DegenerateTail):
-            gamma_level(G2, 3, tail=obs.exceedance_mass)
+            gamma_level(G2, 3, tail=tail)
 
     def test_block_length_validation(self):
         with pytest.raises(DomainError):
@@ -164,7 +168,8 @@ class TestCylinderSchedule:
         assert s.event_depth == 12
         assert s.event_mass == 2.0 ** -12
         assert s.window == 4096
-        assert s.event_word == (1,) + (0,) * 11
+        assert cylinder_word(obs.ctx, obs.zeta, s.event_depth) == \
+            (1,) + (0,) * 11
 
     def test_window_scales_with_tau(self):
         obs = tent_cylinder_obs(G2)
@@ -192,7 +197,7 @@ class TestCylinderSchedule:
         s = cylinder_schedule(obs, depth=3, tau=1.0)
         assert s.event_mass == pytest.approx(0.3 ** 3)
         assert s.window == int(1.0 / 0.3 ** 3)
-        assert s.event_word == (0, 0, 0)
+        assert cylinder_word(ctx, 0.0, s.event_depth) == (0, 0, 0)
 
     @pytest.mark.parametrize("convention, offset", [("step", 0), ("deep", 1)])
     @pytest.mark.parametrize("system, measure", [
@@ -286,7 +291,8 @@ class TestCylinderSampling:
         obs = tent_cylinder_obs(G2)
         sched = cylinder_schedule(obs, depth=8, tau=1.0)
         flags = sample_cylinder_no_entry(obs, sched, n_samples=10_000, seed=5)
-        want = avoid_probability(sched.event_word, sched.window)
+        word = cylinder_word(obs.ctx, obs.zeta, sched.event_depth)
+        want = avoid_probability(word, sched.window)
         assert want == pytest.approx(0.3569, abs=1e-4)  # pins the oracle
         assert flags.mean() == pytest.approx(want, abs=0.02)
 

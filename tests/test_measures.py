@@ -72,6 +72,18 @@ def test_radius_to_fixed_is_the_exact_floor():
         assert _radius_to_fixed(eta) == math.floor(Fraction(eta) * _FIXED_UNIT)
 
 
+@pytest.mark.parametrize("eta", [1e-50, 2.0 ** -129, 5e-324])
+def test_circle_ball_below_the_fixed_grid_is_empty(eta):
+    # floor(eta * 2^128) = 0: the ball holds no fixed-point cell, as on
+    # the interval, rather than the whole circle
+    assert _radius_to_fixed(eta) == 0
+    bern = BernoulliDoubling(0.3)
+    assert bern.ball_mass(0.5, eta) == 0.0
+    assert Lebesgue1D(Metric.CIRCLE).ball_mass(0.5, eta) == 0.0
+    assert Lebesgue1D(Metric.INTERVAL).ball_mass(0.5, eta) == 0.0
+    assert bern.ball_masses(0.5, np.array([eta, eta])).tolist() == [0.0, 0.0]
+
+
 @pytest.mark.parametrize("p", [0.3, 0.01, 0.99])
 @pytest.mark.parametrize("zeta", [0.0, 0.3, 0.5, 1.0 - 2.0 ** -40])
 def test_bernoulli_ball_masses_equal_scalar_ball_mass(p, zeta):

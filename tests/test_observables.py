@@ -116,9 +116,9 @@ class TestBallObservable:
         phi = BallObservable(
             GShape(GKind.G2, alpha=1.0), Lebesgue1D(Metric.INTERVAL), 1.0
         )
-        assert phi.exceedance_mass(10.0) == pytest.approx(0.1)
+        assert phi.g.tail_fraction(10.0) == pytest.approx(0.1)
         assert phi.threshold_radius(10.0) == pytest.approx(0.1, abs=1e-9)
-        assert phi.exceedance_mass(0.5) == 1.0  # below inf of the range
+        assert phi.g.tail_fraction(0.5) == 1.0  # below inf of the range
         assert phi.threshold_radius(math.inf) == 0.0
 
     def test_threshold_radius_on_circle(self):
@@ -171,15 +171,15 @@ class TestCylinderObservable:
         for n in range(1, 13):
             u = phi.g.forward(phi.ladder_mass(n - 1))
             assert phi.exceedance_depth(u) == n
-            assert phi.exceedance_mass(u) == phi.ladder_mass(n)
+            assert phi.ladder_mass(phi.exceedance_depth(u)) == \
+                phi.ladder_mass(n)
 
     def test_exceedance_between_levels(self):
         phi = self.make()
         assert phi.exceedance_depth(7.9) == 3  # 1/7.9 > 2^-3
-        assert phi.exceedance_mass(7.9) == 0.125
+        assert phi.ladder_mass(phi.exceedance_depth(7.9)) == 0.125
         assert phi.exceedance_depth(0.5) == 0
-        assert phi.exceedance_mass(0.5) == 1.0
-        assert phi.exceedance_mass(math.inf) == 0.0
+        assert phi.ladder_mass(phi.exceedance_depth(0.5)) == 1.0
         with pytest.raises(OutOfRange):
             phi.exceedance_depth(math.inf)
 
