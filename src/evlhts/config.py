@@ -109,12 +109,17 @@ def _choice(*options: str) -> Callable[[str], str]:
 def _split_list(text: str) -> list:
     text = text.strip()
     if not text:
-        return []
+        raise ConfigError("expected at least one entry")
     return [piece.strip() for piece in text.split(",")]
 
 
 def _pos_int_list(text: str) -> tuple:
     return tuple(_pos_int(piece) for piece in _split_list(text))
+
+
+def _pos_int_list_or_empty(text: str) -> tuple:
+    """A positive-integer list where an empty value means the default."""
+    return _pos_int_list(text) if text.strip() else ()
 
 
 def _float_list(text: str) -> tuple:
@@ -210,7 +215,7 @@ SCHEMA: dict[str, Option] = {
     "kac.tol": Option(_pos_float, 0.03, "declared band for |mass * mean return - 1|"),
 
     "conditions.k_list": Option(_pos_int_list, (10,), "separation factors for the recurrence scan"),
-    "conditions.t_grid": Option(_pos_int_list, (), "explicit gap probes (empty = ceil(n^0.7))"),
+    "conditions.t_grid": Option(_pos_int_list_or_empty, (), "explicit gap probes (empty = ceil(n^0.7))"),
     "conditions.block_len": Option(_pos_int, 1024, "block length n of the condition windows"),
     "conditions.samples": Option(_sample_count, 20_000, "Monte Carlo samples per estimate"),
     "conditions.floor": Option(_pos_float, 0.02, "smallest excess treated as a real signal"),

@@ -69,15 +69,21 @@ The digit draws fix the RNG stream, and with it every report byte:
 * first-hit kernels draw full ``chunk``-width matrices even when fewer
   columns remain, so runs that differ only in the cap share a stream;
   fixed-window kernels draw only the columns that remain;
-* ``draw_digits`` has two rules.  Fair digits (p_zero = 1/2: the tent
-  and doubling maps under Lebesgue) come 64 to a raw 64-bit word: a
+* ``draw_digits`` has two rules, and both read a row's raw 64-bit words
+  as little-endian bytes on every platform.  Fair digits (p_zero = 1/2:
+  the tent and doubling maps under Lebesgue) come 64 to a raw word: a
   (rows, cols) draw takes (rows, ceil(cols / 64)) raw words, and each
   packed word is its raw word byte-swapped.  So digit c of a row is bit
-  7 - (c mod 8) of byte c // 8 of the row's raw words read as
-  little-endian bytes, on every platform.  Any other p_zero spends one raw
-  word per digit and compares it against an integer threshold, which
-  equals ``gen.random(shape) >= p_zero`` bit for bit and consumes the
-  generator identically; the comparisons are packed once;
+  7 - (c mod 8) of byte c // 8 of the row's raw words.  Any other p_zero
+  comes 8 to a raw word: a (rows, cols) draw takes (rows, ceil(cols / 8))
+  raw words, and digit c of a row is decided by byte c of the row's raw
+  words.  With T = ceil(p_zero * 2^53), a byte above T >> 45 gives 1 and
+  a byte below it gives 0.  A byte equal to it is a tie: after the main
+  draw, one more raw word per tie, in row-major order of the ties, gives
+  1 exactly when its top 45 bits reach T mod 2^45.  A draw without ties
+  takes no further words.  A digit is then 1 with mass 1 - T / 2^53,
+  exactly the law of ``gen.random() >= p_zero``, and the digits are
+  independent;
 * first-hit kernels drop finished lanes between chunks once more than
   ``_COMPACT_AT`` of the live lanes have hit.  That sets the rows of the
   next draw, so ``_COMPACT_AT`` is part of the stream: changing it
@@ -100,6 +106,14 @@ _MASK = np.uint64((1 << WINDOW_BITS) - 1)
 _STEP_SHIFTS = np.arange(7, -1, -1, dtype=np.uint64)
 #: the 54 context bits: the window and the tent parity above it
 _CONTEXT_MASK = np.uint64((1 << (WINDOW_BITS + 1)) - 1)
+
+#: a Bernoulli digit's 53-bit threshold T splits into the level T >> 45 of
+#: its byte lane and the 45 bits below, which a tie word's top bits decide
+_TIE_BITS = 45
+_TIE_MASK = (1 << _TIE_BITS) - 1
+
+#: lanes per tile of the iid uniform draws: a 256 x 512 float tile is 1 MB
+_IID_TILE = 256
 
 #: fraction of finished lanes that triggers an active-set compaction
 _COMPACT_AT = 0.25
@@ -164,11 +178,21 @@ def draw_digits(gen, rows, cols, p_zero):
     row is bit 7 - (c mod 8) of byte c // 8 of the row's raw words read as
     little-endian bytes.
 
-    Any other p_zero spends one raw word per digit: the unpacked matrix
-    equals ``gen.random((rows, cols)) >= p_zero`` bit for bit and consumes
-    the generator identically, because numpy's float64 uniform is
-    (raw >> 11) * 2^-53, which reaches p_zero exactly when the raw word
-    reaches ceil(p_zero * 2^53) << 11.
+    Any other p_zero takes 8 digits from a raw word, one from each byte
+    lane: the draw takes (rows, ceil(cols / 8)) raw words, and digit c of
+    a row is decided by byte c of the row's raw words read as
+    little-endian bytes.  Let T = ceil(p_zero * 2^53), h = T >> 45 and
+    r = T mod 2^45.  A byte above h gives 1, a byte below h gives 0, and a
+    byte equal to h is a tie.  Each tie then takes one more raw word w, in
+    row-major order of the ties, and gives 1 exactly when w >> 19 >= r.
+    The law is exact for 0 <= p_zero < 1: a byte is uniform on 0 .. 255
+    and w >> 19 uniform on 0 .. 2^45 - 1, so
+
+        P(1) = (255 - h) / 256 + (2^45 - r) / 2^53 = 1 - T / 2^53,
+
+    which is the law of ``gen.random() >= p_zero``, whose float64 uniform
+    is (raw >> 11) * 2^-53.  Every digit reads its own byte and a tie its
+    own word, so the digits stay independent.
     """
     n_words = (cols + 63) // 64
     if p_zero == 0.5:
@@ -178,8 +202,16 @@ def draw_digits(gen, rows, cols, p_zero):
         if kept:  # clear the last word's bits past cols
             words[:, -1] &= np.uint64(((1 << kept) - 1) << (64 - kept))
         return words
-    level = np.uint64(math.ceil(p_zero * 2.0 ** 53) << 11)
-    ones = gen.bit_generator.random_raw((rows, cols)) >= level
+    level = math.ceil(p_zero * 2.0 ** 53)
+    high = level >> _TIE_BITS
+    raw = gen.bit_generator.random_raw((rows, (cols + 7) // 8))
+    lanes = raw.astype("<u8", copy=False).view(np.uint8)[:, :cols]
+    ones = lanes > high
+    ties = np.flatnonzero(lanes == high)
+    if ties.size:
+        tie_words = gen.bit_generator.random_raw(ties.size)
+        ones.reshape(-1)[ties] = (tie_words >> np.uint64(64 - _TIE_BITS)
+                                  >= np.uint64(level & _TIE_MASK))
     packed = np.zeros((rows, 8 * n_words), dtype=np.uint8)
     packed[:, :(cols + 7) // 8] = np.packbits(ones, axis=1)
     return packed.view(">u8").astype(np.uint64)
@@ -278,15 +310,26 @@ def digit_window_min_distance(
 
 
 def iid_min_distance_uniform(gen, count, *, n_draws, zeta, circle, chunk=512):
-    """min distance to zeta over n iid uniform points per lane."""
+    """min distance to zeta over n iid uniform points per lane.
+
+    Each chunk of ``chunk`` draws per lane is filled ``_IID_TILE`` lanes
+    at a time into one reused buffer, small enough to stay in cache; the
+    tiles take the stream in the order one (count, chunk) draw would.
+    """
     if n_draws < 1:
         raise DomainError("need at least one draw")
     best = np.full(count, np.inf)
+    buf = np.empty(min(_IID_TILE, count) * min(chunk, n_draws))
     left = n_draws
     while left > 0:
         cols = min(chunk, left)
-        d = _distances(gen.random((count, cols)), zeta, circle)
-        np.minimum(best, d.min(axis=1), out=best)
+        for lo in range(0, count, _IID_TILE):
+            rows = min(_IID_TILE, count - lo)
+            x = buf[:rows * cols].reshape(rows, cols)
+            gen.random(out=x)
+            d = _distances(x, zeta, circle)
+            np.minimum(best[lo:lo + rows], d.min(axis=1),
+                       out=best[lo:lo + rows])
         left -= cols
     return (best,)
 
@@ -294,8 +337,9 @@ def iid_min_distance_uniform(gen, count, *, n_draws, zeta, circle, chunk=512):
 def iid_min_distance_digits(gen, count, *, n_draws, p_zero, zeta, circle):
     """min distance over n iid draws from the digit-product measure.
 
-    Each draw assembles a fresh 53-digit value, so this costs 53x the
-    uniform version; it exists for comparison runs, not bulk sampling.
+    Each draw assembles a fresh 53-digit value from 7 raw words per lane
+    (one more per byte tie), where the uniform version spends one; it
+    exists for comparison runs, not bulk sampling.
     """
     if n_draws < 1:
         raise DomainError("need at least one draw")

@@ -322,10 +322,14 @@ def reference_digits(gen, rows, cols, p_zero):
     Fair digits come 64 to a raw word: byte k of a word is its bits
     8k .. 8k + 7 (little-endian), each byte gives its digits most
     significant bit first, and the row's words follow one another.  Any
-    other p_zero thresholds one float uniform per digit.
+    other p_zero reads one byte per digit, in the same byte order, against
+    the exact threshold T = ceil(p_zero * 2^53): a byte above T // 2^45
+    is a 1, one below it a 0, and one equal to it a tie.  The ties, taken
+    row by row and left to right, then read one raw word each and are a 1
+    when the word's top 45 bits reach T mod 2^45.
     """
     if p_zero != 0.5:
-        return pack_digits(gen.random((rows, cols)) >= p_zero)
+        return _reference_byte_digits(gen, rows, cols, p_zero)
     words = gen.bit_generator.random_raw((rows, math.ceil(cols / 64)))
     out = np.zeros((rows, cols), dtype=bool)
     for i, row in enumerate(words.tolist()):
@@ -334,6 +338,26 @@ def reference_digits(gen, rows, cols, p_zero):
             for k in range(8):
                 digits += _BYTE_DIGITS[(w >> (8 * k)) & 0xFF]
         out[i] = digits[:cols]
+    return pack_digits(out)
+
+
+def _reference_byte_digits(gen, rows, cols, p_zero):
+    """``reference_digits`` for p_zero != 1/2, one digit at a time."""
+    high, rest = divmod(math.ceil(Fraction(p_zero) * 2 ** 53), 2 ** 45)
+    words = gen.bit_generator.random_raw((rows, math.ceil(cols / 8)))
+    out = np.zeros((rows, cols), dtype=bool)
+    ties = []
+    for i, row in enumerate(words.tolist()):
+        for c in range(cols):
+            byte = (row[c // 8] >> (8 * (c % 8))) & 0xFF
+            if byte == high:
+                ties.append((i, c))
+            else:
+                out[i, c] = byte > high
+    if ties:
+        tie_words = gen.bit_generator.random_raw(len(ties)).tolist()
+        for (i, c), w in zip(ties, tie_words):
+            out[i, c] = w >> 19 >= rest
     return pack_digits(out)
 
 

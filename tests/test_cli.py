@@ -75,6 +75,11 @@ class TestConfigParsing:
         table = parse_text("hts.t_grid = linspace:0.5:2.5:5")
         assert table["hts.t_grid"] == (0.5, 1.0, 1.5, 2.0, 2.5)
 
+    def test_empty_list_only_where_it_means_the_default(self):
+        assert parse_text("conditions.t_grid =")["conditions.t_grid"] == ()
+        with pytest.raises(ConfigError, match="smb.depth_list"):
+            parse_text("smb.depth_list =")
+
     def test_unknown_key_suggests_close_match(self):
         with pytest.raises(ConfigError, match="observable.alpha"):
             parse_text("observable.alhpa = 2")
@@ -488,6 +493,23 @@ class TestFilesAndCli:
                      "conditions.samples", id="conditions-one-sample"),
         pytest.param("smb", "smb.samples = 1", "smb.samples",
                      id="smb-one-sample"),
+        # an empty list key: no cell to check, or a max() of nothing
+        pytest.param("smb", "smb.depth_list =", "smb.depth_list",
+                     id="smb-empty-depths"),
+        pytest.param("hts", "hts.depth_list =", "hts.depth_list",
+                     id="hts-empty-depths"),
+        pytest.param("kac", "hts.target = ball\nhts.mass_list =",
+                     "hts.mass_list", id="kac-empty-masses"),
+        pytest.param("evl-balls", "evl.n_list =", "evl.n_list",
+                     id="evl-balls-empty-n"),
+        pytest.param("evl-cylinders", "evl.tau_grid = ", "evl.tau_grid",
+                     id="evl-cylinders-empty-taus"),
+        pytest.param("hts", "hts.t_grid =", "hts.t_grid",
+                     id="hts-empty-t-grid"),
+        pytest.param("conditions", "conditions.k_list =", "conditions.k_list",
+                     id="conditions-empty-k"),
+        pytest.param("evl-balls", "evl.y_grid =", "evl.y_grid",
+                     id="evl-balls-empty-y"),
     ])
     def test_late_failure_configs_exit_two(self, tmp_path, capsys, monkeypatch,
                                            experiment, line, key):

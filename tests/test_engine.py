@@ -247,7 +247,8 @@ class TestWordKernels:
 
 
 class RecordingGen:
-    """A Generator that records the shape of every digit draw."""
+    """A Generator that records the shape of every digit draw: a tuple
+    for a digit matrix, an int for the tie words after a byte-lane draw."""
 
     def __init__(self, gen):
         self.gen = gen
@@ -498,7 +499,9 @@ class TestWordStreamEquivalence:
         got = word_first_hit(got_gen, 2048, **kw)
         assert np.array_equal(got[0], want[0])
         assert got_gen.shapes == want_gen.shapes
-        rows = [shape[0] for shape in got_gen.shapes]
+        # (rows, words) main draws; a byte-lane draw's tie words are 1-d
+        rows = [shape[0] for shape in got_gen.shapes
+                if isinstance(shape, tuple)]
         assert len(rows) > 1 and rows[-1] < rows[0]
 
 
@@ -639,7 +642,9 @@ class TestBallStreamEquivalence:
         got = ball_first_hit_digits(got_gen, 2048, **kw)
         assert np.array_equal(got[0], want[0])
         assert got_gen.shapes == want_gen.shapes
-        rows = [shape[0] for shape in got_gen.shapes]
+        # (rows, words) main draws; a byte-lane draw's tie words are 1-d
+        rows = [shape[0] for shape in got_gen.shapes
+                if isinstance(shape, tuple)]
         assert len(rows) > 2 and rows[-1] < rows[1]
 
 
@@ -769,6 +774,45 @@ class TestOrbitKernelEquivalence:
             assert want[1].mean() > 0.25
 
 
+def reference_iid_min_distance_uniform(gen, count, *, n_draws, zeta, circle,
+                                       chunk=512):
+    """``iid_min_distance_uniform`` with one (count, cols) draw per chunk."""
+    best = np.full(count, np.inf)
+    left = n_draws
+    while left > 0:
+        cols = min(chunk, left)
+        d = _reference_distances(gen.random((count, cols)), zeta, circle)
+        best = np.minimum(best, d.min(axis=1))
+        left -= cols
+    return best
+
+
+class TestIidUniformTiles:
+    @pytest.mark.parametrize("circle", [False, True])
+    @pytest.mark.parametrize("n_draws", [1, 511, 512, 513, 5000])
+    @pytest.mark.parametrize("count", [1, 255, 256, 257, 2048])
+    def test_tiles_equal_one_draw(self, count, n_draws, circle):
+        a = substream(19, "iid-tiles", count, n_draws)
+        b = substream(19, "iid-tiles", count, n_draws)
+        got, = iid_min_distance_uniform(a, count, n_draws=n_draws, zeta=0.8,
+                                        circle=circle)
+        want = reference_iid_min_distance_uniform(b, count, n_draws=n_draws,
+                                                  zeta=0.8, circle=circle)
+        assert np.array_equal(got, want)
+        # both consumed the stream identically
+        assert np.array_equal(a.bit_generator.random_raw(4),
+                              b.bit_generator.random_raw(4))
+
+
+#: p_zero values of the byte-lane rule: the ends of its range and skews
+BYTE_LANE_P = [0.0, 2.0 ** -53, 1.0 - 2.0 ** -53, 0.3, 0.01, 0.99]
+
+
+def threshold(p_zero):
+    """T = ceil(p_zero * 2^53), exactly: a digit is 1 with mass 1 - T/2^53."""
+    return math.ceil(Fraction(p_zero) * 2 ** 53)
+
+
 class TestDrawDigits:
     @pytest.mark.parametrize("cols", [1, 53, 63, 64, 65, 256])
     def test_fair_digits_unpack_raw_words(self, cols):
@@ -794,33 +838,98 @@ class TestDrawDigits:
         z = (rate - 0.5) / math.sqrt(0.25 / n)
         assert np.abs(z).max() <= 4.0
 
-    @pytest.mark.parametrize(
-        "p_zero", [0.3, 0.01, 0.99, 0.0, 1.0 - 2.0 ** -53]
-    )
-    def test_equals_float_threshold_and_stream(self, p_zero):
-        a = substream(17, "digits", p_zero)
-        b = substream(17, "digits", p_zero)
-        got = draw_digits(a, 64, 100, p_zero)
-        assert got.dtype == np.uint64 and got.shape == (64, 2)
-        assert np.array_equal(unpack_digits(got, 100),
-                              b.random((64, 100)) >= p_zero)
-        assert np.array_equal(got, pack_digits(unpack_digits(got, 100)))
-        # the generators stand at the same point of the stream
+    @pytest.mark.parametrize("cols", [1, 53, 100, 256])
+    @pytest.mark.parametrize("p_zero", BYTE_LANE_P)
+    def test_equals_reference_and_stream(self, p_zero, cols):
+        rows = 64
+        a = substream(17, "digits", p_zero, cols)
+        b = substream(17, "digits", p_zero, cols)
+        got = draw_digits(a, rows, cols, p_zero)
+        assert got.dtype == np.uint64
+        assert got.shape == (rows, math.ceil(cols / 64))
+        assert np.array_equal(got, reference_digits(b, rows, cols, p_zero))
+        # the draw spent rows * ceil(cols / 8) raw words, plus one per byte
+        # among the first cols of a row that equals T >> 45
+        c = substream(17, "digits", p_zero, cols)
+        raw = c.bit_generator.random_raw((rows, math.ceil(cols / 8)))
+        lanes = raw.astype("<u8").view(np.uint8)[:, :cols]
+        ties = int((lanes == threshold(p_zero) >> 45).sum())
+        c.bit_generator.random_raw(ties)
         assert np.array_equal(a.bit_generator.random_raw(4),
-                              b.bit_generator.random_raw(4))
+                              c.bit_generator.random_raw(4))
 
-    @pytest.mark.parametrize("p_zero", [0.3, 0.01, 0.99, 2.0 ** -53])
-    def test_raw_words_at_the_threshold(self, p_zero):
-        # raw words spanning the uniforms just below, at and above p_zero
-        level = math.ceil(p_zero * 2.0 ** 53)
-        raw = np.array([[((level + k) << 11) + r for k in (-1, 0, 1)
-                         for r in (0, 2047)]], dtype=np.uint64)
-        gen = SimpleNamespace(
-            bit_generator=SimpleNamespace(random_raw=lambda shape: raw))
-        uniforms = (raw >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
-        got = unpack_digits(draw_digits(gen, *raw.shape, p_zero), raw.shape[1])
-        assert np.array_equal(got, uniforms >= p_zero)
-        assert got.tolist() == [[False, False, True, True, True, True]]
+    @pytest.mark.parametrize("p_zero", [0.3, 0.01, 0.99, 2.0 ** -53,
+                                        1.0 - 2.0 ** -53])
+    def test_scripted_bytes_and_ties(self, p_zero):
+        level = threshold(p_zero)
+        high, rest = level >> 45, level % 2 ** 45
+        below = high - 1 if high > 0 else None
+        above = high + 1 if high < 255 else None
+        # 3 rows of 16 byte lanes: ties in rows 0 and 2 only, so their
+        # tie words pin the row-major order of the ties
+        layout = [
+            [high, below, above, high, above, below, high, high],
+            [below, above, below, above, below, above, below, above],
+            [above, high, below, high, below, above, below, high],
+        ]
+        table = [[high if b is None else b for b in row] * 2
+                 for row in layout]
+        raw = np.array([[int.from_bytes(bytes(row[8 * k:8 * k + 8]), "little")
+                         for k in range(2)] for row in table],
+                       dtype=np.uint64)
+        n_ties = sum(row.count(high) for row in table)
+        # tie words alternate just below the 45-bit remainder (digit 0)
+        # and at it (digit 1)
+        tie_ones = [k % 2 == 1 for k in range(n_ties)]
+        tie_words = np.array([rest << 19 if one
+                              else ((rest - 1) << 19) | (2 ** 19 - 1)
+                              for one in tie_ones], dtype=np.uint64)
+        calls = []
+
+        def random_raw(shape):
+            calls.append(shape)
+            return raw if len(calls) == 1 else tie_words
+
+        gen = SimpleNamespace(bit_generator=SimpleNamespace(
+            random_raw=random_raw))
+        got = unpack_digits(draw_digits(gen, 3, 16, p_zero), 16)
+        assert calls == [(3, 2), n_ties]
+        ties = iter(tie_ones)
+        want = [[next(ties) if b == high else b > high for b in row]
+                for row in table]
+        assert got.tolist() == want
+
+    def test_no_ties_no_extra_word(self):
+        high = threshold(0.3) >> 45
+        raw = np.full((2, 3), int.from_bytes(bytes([high + 1] * 8), "little"),
+                      dtype=np.uint64)
+        raw[1, 2] = int.from_bytes(bytes([high - 1] * 8), "little")
+        calls = []
+
+        def random_raw(shape):
+            calls.append(shape)
+            return raw
+
+        gen = SimpleNamespace(bit_generator=SimpleNamespace(
+            random_raw=random_raw))
+        got = unpack_digits(draw_digits(gen, 2, 24, 0.3), 24)
+        assert calls == [(2, 3)]
+        assert got.sum(axis=1).tolist() == [24, 16]
+
+    @pytest.mark.parametrize("p_zero", [0.3, 0.01])
+    def test_every_byte_lane_has_the_exact_law(self, p_zero):
+        # 10^7 digits, 64 to a row: column c is byte lane c mod 8
+        rows = 156_250
+        words = draw_digits(substream(17, "byte-lanes", p_zero), rows, 64,
+                            p_zero)
+        digits = np.unpackbits(words.astype(">u8").view(np.uint8), axis=1)
+        p_one = 1.0 - threshold(p_zero) / 2.0 ** 53
+        n = digits.size
+        z = (digits.mean() - p_one) / math.sqrt(p_one * (1.0 - p_one) / n)
+        assert abs(z) <= 4.0
+        by_lane = digits.reshape(rows, 8, 8).mean(axis=(0, 1))
+        z = (by_lane - p_one) / math.sqrt(p_one * (1.0 - p_one) / (n / 8))
+        assert np.abs(z).max() <= 4.0
 
 
 #: a word with no short period, and one of period 1
