@@ -144,6 +144,13 @@ def _pos_float_list(text: str) -> tuple:
     return values
 
 
+def _mass_list(text: str) -> tuple:
+    values = _float_list(text)
+    if any(not 0.0 < v <= 1.0 for v in values):
+        raise ConfigError(f"expected entries in (0, 1], got {values}")
+    return values
+
+
 def _angle(text: str) -> object:
     """Rotation angle: the named golden angle or a decimal in (0, 1)."""
     if text == "golden":
@@ -197,7 +204,7 @@ SCHEMA: dict[str, Option] = {
                            "time-scale constants for cylinder levels"),
     "evl.construction": Option(_choice("proof", "quantile"), "quantile",
                                "normalizer route: closed form or tail quantile"),
-    "evl.iid_mode": Option(_bool, False, "also run the independent-draw comparison route"),
+    "evl.iid_mode": Option(_bool, False, "also report the exact law of n independent draws"),
     "evl.convention": Option(_choice("step", "deep"), "step",
                              "cylinder level anchor: depth n-1 cell (step) or depth n (deep)"),
     "evl.tol": Option(_pos_float, 0.03, "declared band for maxima-law discrepancies"),
@@ -207,7 +214,7 @@ SCHEMA: dict[str, Option] = {
     "hts.samples": Option(_sample_count, 10_000, "Monte Carlo samples per target"),
     "hts.cap_factor": Option(_pos_float, 50.0, "censoring horizon in mean-return units"),
     "hts.target": Option(_choice("ball", "cylinder"), "cylinder", "target family"),
-    "hts.mass_list": Option(_pos_float_list, (0.001,), "ball target masses"),
+    "hts.mass_list": Option(_mass_list, (0.001,), "ball target masses"),
     "hts.depth_list": Option(_pos_int_list, (10,), "cylinder target depths"),
     "hts.start_j": Option(_nonneg_int, 1, "first orbit index eligible as a hit"),
     "hts.tol": Option(_pos_float, 0.03, "declared band for the exponential-law distance"),

@@ -312,6 +312,8 @@ def digit_window_min_distance(
 def iid_min_distance_uniform(gen, count, *, n_draws, zeta, circle, chunk=512):
     """min distance to zeta over n iid uniform points per lane.
 
+    ``evl`` computes the iid route exactly; this kernel stays as the exact
+    law's sampled test reference and as a span the benchmark trace names.
     Each chunk of ``chunk`` draws per lane is filled ``_IID_TILE`` lanes
     at a time into one reused buffer, small enough to stay in cache; the
     tiles take the stream in the order one (count, chunk) draw would.
@@ -331,22 +333,6 @@ def iid_min_distance_uniform(gen, count, *, n_draws, zeta, circle, chunk=512):
             np.minimum(best[lo:lo + rows], d.min(axis=1),
                        out=best[lo:lo + rows])
         left -= cols
-    return (best,)
-
-
-def iid_min_distance_digits(gen, count, *, n_draws, p_zero, zeta, circle):
-    """min distance over n iid draws from the digit-product measure.
-
-    Each draw assembles a fresh 53-digit value from 7 raw words per lane
-    (one more per byte tie), where the uniform version spends one; it
-    exists for comparison runs, not bulk sampling.
-    """
-    if n_draws < 1:
-        raise DomainError("need at least one draw")
-    best = np.full(count, np.inf)
-    for _ in range(n_draws):
-        x = window_from_digits(draw_digits(gen, count, WINDOW_BITS, p_zero))
-        np.minimum(best, _distances(x, zeta, circle), out=best)
     return (best,)
 
 

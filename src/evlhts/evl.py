@@ -15,9 +15,10 @@ support of the limit shape the probability is pinned exactly at 0 or 1
 Sampling reduces ball maxima to the minimum orbit distance (a sufficient
 statistic for every monotone observable of the distance) and cylinder
 maxima to first entry into the event cell, a no-entry run that
-``hts.first_hits`` samples.  Every sampler has an iid twin drawing from
-the same marginal, giving the independent-baseline route next to the
-dynamical one.
+``hts.first_hits`` samples.  The independent baseline is not sampled:
+the exceedance set of a level is a ball or cylinder of exact mass m, so
+n independent draws from the same marginal all stay below the level with
+probability (1 - m)^n (``iid_prob_max_below``, ``iid_no_entry``).
 """
 
 import math
@@ -170,12 +171,10 @@ def sample_ball_min_distances(
     seed: int,
     labels: tuple = ("ball-maxima",),
     threads: int = 1,
-    iid: bool = False,
 ) -> np.ndarray:
     """Minimum orbit distance to the target point, one value per sample.
 
-    Dynamical runs start from the stationary measure and iterate the map;
-    iid runs draw every orbit point independently from the same marginal.
+    Every run starts from the stationary measure and iterates the map.
     The output is the sufficient statistic for the block maximum of any
     ball observable at the same center: M_n <= u iff the minimum distance
     clears the exceedance radius of u.
@@ -189,73 +188,42 @@ def sample_ball_min_distances(
     if system.kind in DIGIT_KINDS:
         p_zero = digit_p_zero(measure)
         tent = system.kind is MapKind.FULL_TENT
-        if iid:
-            # 53 fair digits are a uniform point of the 2^-53 grid, which
-            # is what gen.random() draws in one call
-            if p_zero == 0.5:
-                def kernel(gen, count):
-                    return engine.iid_min_distance_uniform(
-                        gen, count, n_draws=n_steps, zeta=zeta, circle=circle
-                    )
-            else:
-                def kernel(gen, count):
-                    return engine.iid_min_distance_digits(
-                        gen, count, n_draws=n_steps, p_zero=p_zero,
-                        zeta=zeta, circle=circle,
-                    )
-        else:
-            def kernel(gen, count):
-                return engine.digit_window_min_distance(
-                    gen, count, n_steps=n_steps, p_zero=p_zero, tent=tent,
-                    zeta=zeta, circle=circle,
-                )
+
+        def kernel(gen, count):
+            return engine.digit_window_min_distance(
+                gen, count, n_steps=n_steps, p_zero=p_zero, tent=tent,
+                zeta=zeta, circle=circle,
+            )
     elif system.kind is MapKind.ROTATION:
         if not isinstance(measure, (Lebesgue1D, EmpiricalOrbit)):
             raise UnsupportedCombination(
                 "rotations preserve length; use a Lebesgue or empirical measure"
             )
         zeta_fixed = round(zeta * FIXED_ONE)
-        if iid:
-            def kernel(gen, count):
-                return engine.iid_min_distance_uniform(
-                    gen, count, n_draws=n_steps, zeta=zeta, circle=circle
-                )
-        else:
-            def kernel(gen, count):
-                return engine.rotation_min_distance(
-                    gen, count, step_fixed=system.fixed_angle,
-                    zeta_fixed=zeta_fixed, n_steps=n_steps,
-                )
+
+        def kernel(gen, count):
+            return engine.rotation_min_distance(
+                gen, count, step_fixed=system.fixed_angle,
+                zeta_fixed=zeta_fixed, n_steps=n_steps,
+            )
     elif system.kind is MapKind.MANNEVILLE_POMEAU:
         if not isinstance(measure, EmpiricalOrbit):
             raise UnsupportedCombination(
                 "intermittent maps need the empirical orbit measure"
             )
         orbit = measure.orbit
-        if iid:
-            def kernel(gen, count):
-                best = np.full(count, np.inf)
-                left = n_steps
-                while left > 0:
-                    cols = min(64, left)
-                    idx = gen.integers(0, orbit.size, size=(count, cols))
-                    d = np.abs(orbit[idx] - zeta)
-                    np.minimum(best, d.min(axis=1), out=best)
-                    left -= cols
-                return (best,)
-        else:
-            def kernel(gen, count):
-                starts = orbit[gen.integers(0, orbit.size, size=count)]
-                return engine.mp_min_distance(
-                    gen, count, s_exp=system.s, zeta=zeta, n_steps=n_steps,
-                    starts=starts,
-                )
+
+        def kernel(gen, count):
+            starts = orbit[gen.integers(0, orbit.size, size=count)]
+            return engine.mp_min_distance(
+                gen, count, s_exp=system.s, zeta=zeta, n_steps=n_steps,
+                starts=starts,
+            )
     else:  # pragma: no cover - enum is exhaustive
         raise UnsupportedCombination(system.kind)
 
-    route = "iid" if iid else "dyn"
     return engine.run_blocked(
-        n_samples, seed, (*labels, route), kernel, threads=threads
+        n_samples, seed, (*labels, "dyn"), kernel, threads=threads
     )[0]
 
 
@@ -265,6 +233,13 @@ def prob_max_below(min_distances: np.ndarray, obs: BallObservable,
     is the open ball whose radius carries the tail mass of u."""
     eta = obs.threshold_radius(u)
     return float(np.mean(np.asarray(min_distances) >= eta))
+
+
+def iid_prob_max_below(obs: BallObservable, u: float, n: int) -> float:
+    """P(M_n <= u) for n independent draws from the measure: none lands in
+    the ball that ``prob_max_below`` counts, exactly."""
+    m = obs.measure.ball_mass(obs.zeta, obs.threshold_radius(u))
+    return math.exp(n * math.log1p(-m))  # 1 - m rounds to 1.0 for tiny m
 
 
 def ball_maxima_values(min_distances: np.ndarray,
@@ -346,29 +321,21 @@ def sample_cylinder_no_entry(
     seed: int,
     labels: tuple = ("cylinder-maxima",),
     threads: int = 1,
-    iid: bool = False,
 ) -> np.ndarray:
     """Indicator of {M_window <= level} per sample (no orbit point in the
-    event cell before the window ends).
-
-    The dynamical route is a first-entry run into the event cell over
-    the window; the iid route replaces the orbit with ``window``
-    independent draws from the stationary measure, so the count of draws
-    in the cell is binomial, which is sampled directly.
-    """
+    event cell before the window ends): a first-entry run into the event
+    cell over the window."""
     system, measure = obs.ctx.system, obs.ctx.measure
     target = hts.cylinder_target(obs.ctx, obs.zeta, schedule.event_depth)
-    hts.word_scan(system, measure, target)
-    if not iid:
-        return ~hts.first_hits(
-            system, target, cap=schedule.window, n_samples=n_samples,
-            seed=seed, labels=(*labels, "dyn"), threads=threads,
-            conditional=False, start_j=0, measure=measure)[1]
-    mass, window = schedule.event_mass, schedule.window
+    hts.word_scan(system, measure, target)  # tent and doubling cells only
+    return ~hts.first_hits(
+        system, target, cap=schedule.window, n_samples=n_samples,
+        seed=seed, labels=(*labels, "dyn"), threads=threads,
+        conditional=False, start_j=0, measure=measure)[1]
 
-    def kernel(gen, count):
-        return (gen.binomial(window, mass, size=count) == 0,)
 
-    return engine.run_blocked(
-        n_samples, seed, (*labels, "iid"), kernel, threads=threads
-    )[0]
+def iid_no_entry(schedule: CylinderSchedule) -> float:
+    """P(M_window <= level) for ``window`` independent draws from the
+    measure: none lands in the event cell, exactly.  Windows reach 2^62
+    steps, so 1 - event_mass must not round to 1.0."""
+    return math.exp(schedule.window * math.log1p(-schedule.event_mass))

@@ -38,7 +38,7 @@ from .cylinders import (
     word_log_mass,
 )
 from .engine import MAX_WORD_DEPTH
-from .errors import ConfigError, UnsupportedCombination
+from .errors import ConfigError, DomainError, UnsupportedCombination
 from .laws import (
     EmpiricalLaw,
     LawKind,
@@ -128,7 +128,10 @@ def _build_system(cfg: ExperimentConfig):
     if kind == "doubling":
         return doubling()
     if kind == "rotation":
-        return rotation(cfg["system.alpha"])
+        try:
+            return rotation(cfg["system.alpha"])
+        except DomainError as exc:
+            raise ConfigError(f"system.alpha: {exc}") from exc
     return manneville_pomeau(cfg["system.s"])
 
 
@@ -202,7 +205,7 @@ def _reference_law(g: GShape) -> ReferenceLaw:
 
 
 def _routes(cfg: ExperimentConfig) -> tuple:
-    """The dynamical sample, and its iid twin when evl.iid_mode asks."""
+    """The dynamical sample, and the exact iid law when evl.iid_mode asks."""
     return ("dyn", "iid") if cfg["evl.iid_mode"] else ("dyn",)
 
 
@@ -226,17 +229,17 @@ def _run_evl_balls(cfg: ExperimentConfig) -> tuple[_Report, dict]:
     tol = cfg["evl.tol"]
     out = _Report(("n", "y", "route", "estimate", "stderr", "limit"))
 
+    routes = _routes(cfg)
     per_n = []
     for n in cfg["evl.n_list"]:
         norms = _normalizers(cfg, g, n)
-        routes = {route: evl.sample_ball_min_distances(
+        dmin = evl.sample_ball_min_distances(
             obs, system, n_steps=n, n_samples=samples,
             seed=cfg["master_seed"], labels=("evl-balls", f"n={n}"),
-            threads=cfg["threads"], iid=route == "iid")
-            for route in _routes(cfg)}
+            threads=cfg["threads"])
 
         maxima = EmpiricalLaw(
-            norms.rescale(evl.ball_maxima_values(routes["dyn"], obs)))
+            norms.rescale(evl.ball_maxima_values(dmin, obs)))
         ks_stat = ks_statistic(maxima, ref)
         grid_sup = sup_distance_on_grid(maxima, ref, y_grid)
         route_diff = 0.0
@@ -245,22 +248,21 @@ def _run_evl_balls(cfg: ExperimentConfig) -> tuple[_Report, dict]:
             limit = ref.cdf(y)
             degenerate = evl.degenerate_probability(g, y)
             point = {"y": y, "limit": _q(limit, exact=True)}
-            probs = {}
-            for route, dmin in routes.items():
-                if degenerate is None:
-                    p = evl.prob_max_below(dmin, obs, norms.level(y))
+            for route in routes:  # "dyn" comes first
+                if degenerate is not None:
+                    p, cell = degenerate, _q(degenerate, exact=True)
+                elif route == "dyn":
+                    p = p_dyn = evl.prob_max_below(dmin, obs, norms.level(y))
                     cell = _q(p, _binom_se(p, samples))
                 else:
-                    p = degenerate
+                    p = evl.iid_prob_max_below(obs, norms.level(y), n)
                     cell = _q(p, exact=True)
-                probs[route] = p
+                    route_diff = max(route_diff, abs(p - p_dyn))
                 point[route] = cell
                 out.data_rows.append((n, y, route, p,
                                       cell.get("stderr", 0.0), limit))
                 out.plot_rows.append((f"{route} n={n}", y, p,
                                       cell.get("stderr", "")))
-            if "iid" in routes:
-                route_diff = max(route_diff, abs(probs["dyn"] - probs["iid"]))
             points.append(point)
 
         entry = {
@@ -326,17 +328,20 @@ def _run_evl_cylinders(cfg: ExperimentConfig) -> tuple[_Report, dict]:
         }
         worst = 0.0
         for route in _routes(cfg):
-            flags = evl.sample_cylinder_no_entry(
-                obs, sched, n_samples=samples, seed=cfg["master_seed"],
-                labels=("evl-cylinders", f"n={depth}", f"tau={tau!r}"),
-                threads=cfg["threads"], iid=route == "iid")
-            p = float(flags.mean())
-            se = _binom_se(p, samples)
-            cell[route] = _q(p, se)
+            if route == "dyn":
+                p = float(evl.sample_cylinder_no_entry(
+                    obs, sched, n_samples=samples, seed=cfg["master_seed"],
+                    labels=("evl-cylinders", f"n={depth}", f"tau={tau!r}"),
+                    threads=cfg["threads"]).mean())
+                cell[route] = _q(p, _binom_se(p, samples))
+            else:
+                p = evl.iid_no_entry(sched)
+                cell[route] = _q(p, exact=True)
             worst = max(worst, abs(p - limit))
-            out.data_rows.append((depth, tau, route, sched.window, p, se,
-                                  limit))
-            out.plot_rows.append((f"{route} n={depth}", tau, p, se))
+            out.data_rows.append((depth, tau, route, sched.window, p,
+                                  cell[route].get("stderr", 0.0), limit))
+            out.plot_rows.append((f"{route} n={depth}", tau, p,
+                                  cell[route].get("stderr", "")))
         cell["max_abs_error"] = _q(worst, exact=True)
         cell["verdict"] = out.verdict(worst <= tol)
         per_cell.append(cell)

@@ -21,6 +21,9 @@ a kernel against a second implementation that shares none of its tricks:
 * ``no_entry_probability`` is the exact law of a first cylinder entry
   under iid letters, which Monte Carlo runs of the word kernels must
   reproduce up to sampling noise.
+* ``iid_digit_min_distances`` samples the minimum distance of n iid draws
+  from a digit-product measure, the law ``evl.iid_prob_max_below`` gives
+  in closed form.
 * ``UNIFORM`` is the U[0, 1] law, a reference for the KS machinery: any
   object with a ``cdf`` serves.
 * ``fraction_smb_rates`` are the ``smb`` experiment's sampled information
@@ -37,6 +40,7 @@ from typing import Callable
 import numpy as np
 
 from evlhts.cylinders import PartitionContext, cylinder_word, smb_estimate
+from evlhts.engine import draw_digits, window_from_digits
 from evlhts.errors import DomainError, EvlhtsError
 from evlhts.measures import digit_p_zero
 from evlhts.observables import BallObservable, CylinderObservable
@@ -359,6 +363,16 @@ def _reference_byte_digits(gen, rows, cols, p_zero):
         for (i, c), w in zip(ties, tie_words):
             out[i, c] = w >> 19 >= rest
     return pack_digits(out)
+
+
+def iid_digit_min_distances(gen, count, *, n_draws, p_zero, zeta, metric):
+    """Minimum distance to zeta over ``n_draws`` independent points of the
+    digit-product measure, per lane; each point is 53 drawn digits."""
+    best = np.full(count, np.inf)
+    for _ in range(n_draws):
+        x = window_from_digits(draw_digits(gen, count, WINDOW_BITS, p_zero))
+        np.minimum(best, distance(metric, x, zeta), out=best)
+    return best
 
 
 def no_entry_probability(word_bits, p_one, n_letters):

@@ -80,6 +80,9 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="smb.depth_list"):
             parse_text("smb.depth_list =")
 
+    def test_ball_masses_reach_the_whole_space(self):
+        assert parse_text("hts.mass_list = 1.0")["hts.mass_list"] == (1.0,)
+
     def test_unknown_key_suggests_close_match(self):
         with pytest.raises(ConfigError, match="observable.alpha"):
             parse_text("observable.alhpa = 2")
@@ -101,6 +104,7 @@ class TestConfigParsing:
         "evl.iid_mode = maybe",
         "evl.tau_grid = 0.5, -1",
         "hts.t_grid = linspace:0:1",
+        "hts.mass_list = 0.001, 1.5",
     ])
     def test_bad_values_rejected(self, line):
         with pytest.raises(ConfigError):
@@ -510,6 +514,14 @@ class TestFilesAndCli:
                      id="conditions-empty-k"),
         pytest.param("evl-balls", "evl.y_grid =", "evl.y_grid",
                      id="evl-balls-empty-y"),
+        # a rational angle makes the rotation periodic
+        pytest.param("rotation-subseq", "system.alpha = 0.5", "system.alpha",
+                     id="rotation-subseq-rational-angle"),
+        pytest.param("evl-balls", "system.kind = rotation\nsystem.alpha = 0.5",
+                     "system.alpha", id="evl-balls-rational-angle"),
+        # a ball cannot carry more than the whole mass
+        pytest.param("hts", "hts.target = ball\nhts.mass_list = 0.001, 1.5",
+                     "hts.mass_list", id="hts-ball-mass-above-one"),
     ])
     def test_late_failure_configs_exit_two(self, tmp_path, capsys, monkeypatch,
                                            experiment, line, key):

@@ -12,13 +12,17 @@ from evlhts.errors import (
     DomainError,
     UnsupportedCombination,
 )
+from evlhts.engine import iid_min_distance_uniform
 from evlhts.evl import (
+    CylinderSchedule,
     Normalizers,
     ball_maxima_values,
     cylinder_schedule,
     degenerate_probability,
     g_forward_array,
     gamma_level,
+    iid_no_entry,
+    iid_prob_max_below,
     prob_max_below,
     proof_normalizers,
     quantile_normalizers,
@@ -28,6 +32,7 @@ from evlhts.evl import (
 from evlhts.hts import pack_word
 from evlhts.measures import BernoulliDoubling, EmpiricalOrbit, Lebesgue1D
 from evlhts.observables import BallObservable, CylinderObservable, GKind, GShape
+from evlhts.rng import substream
 from evlhts.systems import (
     Metric,
     doubling,
@@ -35,6 +40,7 @@ from evlhts.systems import (
     manneville_pomeau,
     rotation,
 )
+from reference import iid_digit_min_distances
 
 G1 = GShape(GKind.G1)
 G2 = GShape(GKind.G2, alpha=1.0)
@@ -281,11 +287,8 @@ class TestCylinderSampling:
     def test_iid_route_matches_binomial_formula(self):
         obs = tent_cylinder_obs(G2)
         sched = cylinder_schedule(obs, depth=8, tau=1.0)
-        flags = sample_cylinder_no_entry(
-            obs, sched, n_samples=10_000, seed=5, iid=True
-        )
         want = (1.0 - 2.0 ** -8) ** 256
-        assert flags.mean() == pytest.approx(want, abs=0.02)
+        assert iid_no_entry(sched) == pytest.approx(want, rel=1e-12)
 
     def test_dynamical_route_matches_exact_word_avoidance(self):
         obs = tent_cylinder_obs(G2)
@@ -320,11 +323,8 @@ class TestBallSampling:
         measure = Lebesgue1D(Metric.CIRCLE)
         obs = BallObservable(G1, measure, 0.25)
         u = -math.log(0.02)  # tail mass 0.02, radius 0.01
-        d = sample_ball_min_distances(
-            obs, doubling(), n_steps=20, n_samples=10_000, seed=3, iid=True
-        )
         want = (1.0 - 0.02) ** 20
-        assert prob_max_below(d, obs, u) == pytest.approx(want, abs=0.02)
+        assert iid_prob_max_below(obs, u, 20) == pytest.approx(want, abs=1e-8)
 
     def test_dynamical_route_at_the_standard_level(self):
         # Level with tail 1/n: the no-exceedance probability approaches
@@ -353,8 +353,6 @@ class TestBallSampling:
         a = sample_ball_min_distances(obs, doubling(), **kw)
         b = sample_ball_min_distances(obs, doubling(), **kw)
         assert np.array_equal(a, b)
-        c = sample_ball_min_distances(obs, doubling(), iid=True, **kw)
-        assert not np.array_equal(a, c)
 
     def test_rotation_wrapper_matches_engine(self):
         from evlhts.engine import rotation_min_distance, run_blocked
@@ -385,11 +383,6 @@ class TestBallSampling:
         )
         assert d.shape == (400,)
         assert np.all((d >= 0) & (d <= 1))
-        iid = sample_ball_min_distances(
-            obs, system, n_steps=50, n_samples=400, seed=6, iid=True
-        )
-        # Both routes see the same marginal: medians in the same ballpark.
-        assert abs(np.median(d) - np.median(iid)) < 0.02
 
     def test_digit_measure_required(self):
         system = doubling()
@@ -399,3 +392,72 @@ class TestBallSampling:
         with pytest.raises(UnsupportedCombination):
             sample_ball_min_distances(obs, system, n_steps=5, n_samples=10,
                                       seed=1)
+
+
+class TestExactIidLaw:
+    """The closed forms (1 - m)^n are the laws the iid draws they replace
+    sample: each agrees with a Monte Carlo of n independent draws from the
+    measure at |z| <= 4."""
+
+    LANES = 20_000
+    N = 50
+    U = -math.log(0.02)  # a g1 level with exceedance mass 0.02
+
+    def check(self, obs, min_distances):
+        exact = iid_prob_max_below(obs, self.U, self.N)
+        assert 0.2 < exact < 0.5
+        share = prob_max_below(min_distances, obs, self.U)
+        z = (share - exact) / math.sqrt(exact * (1.0 - exact) / self.LANES)
+        assert abs(z) <= 4.0
+
+    @pytest.mark.parametrize("metric, zeta", [
+        (Metric.CIRCLE, 0.25),
+        (Metric.INTERVAL, 0.3),
+        (Metric.INTERVAL, 0.004),  # the ball is clipped at 0
+    ])
+    def test_lebesgue_balls(self, metric, zeta):
+        obs = BallObservable(G1, Lebesgue1D(metric), zeta)
+        d, = iid_min_distance_uniform(
+            substream(3, "exact-iid", metric.value, zeta), self.LANES,
+            n_draws=self.N, zeta=zeta, circle=metric is Metric.CIRCLE)
+        self.check(obs, d)
+
+    def test_bernoulli_balls(self):
+        obs = BallObservable(G1, BernoulliDoubling(0.3), 0.3)
+        d = iid_digit_min_distances(
+            substream(3, "exact-iid", "bernoulli"), self.LANES,
+            n_draws=self.N, p_zero=0.3, zeta=0.3, metric=Metric.CIRCLE)
+        self.check(obs, d)
+
+    def test_orbit_measure_balls(self):
+        measure = EmpiricalOrbit(manneville_pomeau(0.5), master_seed=1,
+                                 orbit_len=20_000, burn_in=1000)
+        obs = BallObservable(G1, measure, 0.3)
+        gen = substream(3, "exact-iid", "orbit")
+        idx = gen.integers(0, measure.orbit.size, size=(self.LANES, self.N))
+        d = np.abs(measure.orbit[idx] - 0.3).min(axis=1)
+        self.check(obs, d)
+
+    @pytest.mark.parametrize("obs", [
+        tent_cylinder_obs(G2),
+        CylinderObservable(G2, PartitionContext(
+            doubling(), BernoulliDoubling(0.3)), 0.3),
+    ])
+    def test_cylinder_no_entry(self, obs):
+        sched = cylinder_schedule(obs, depth=8, tau=1.0)
+        exact = iid_no_entry(sched)
+        gen = substream(3, "exact-iid", "binomial")
+        share = np.mean(
+            gen.binomial(sched.window, sched.event_mass, self.LANES) == 0)
+        z = (share - exact) / math.sqrt(exact * (1.0 - exact) / self.LANES)
+        assert abs(z) <= 4.0
+
+    def test_window_of_2_to_62_steps(self):
+        # 1 - 2^-62 rounds to 1.0, so the naive power loses the event
+        mass, window = 2.0 ** -62, 2 ** 62
+        assert (1.0 - mass) ** window == 1.0
+        sched = CylinderSchedule(depth=62, tau=1.0, level=62.0,
+                                 event_depth=62, event_mass=mass,
+                                 window=window)
+        assert iid_no_entry(sched) == pytest.approx(math.exp(-1.0),
+                                                    rel=1e-15)
