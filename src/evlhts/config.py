@@ -203,8 +203,8 @@ SCHEMA: dict[str, Option] = {
     "evl.tau_grid": Option(_pos_float_list, (0.5, 1.0, 2.0),
                            "time-scale constants for cylinder levels"),
     "evl.construction": Option(_choice("proof", "quantile"), "quantile",
-                               "normalizer route: closed form or tail quantile"),
-    "evl.iid_mode": Option(_bool, False, "also report the exact law of n independent draws"),
+                               "normalizer route: closed form, or the quantile g(1/n)"),
+    "evl.iid_mode": Option(_bool, False, "also report the exact law (1 - m)^n of n independent draws"),
     "evl.convention": Option(_choice("step", "deep"), "step",
                              "cylinder level anchor: depth n-1 cell (step) or depth n (deep)"),
     "evl.tol": Option(_pos_float, 0.03, "declared band for maxima-law discrepancies"),

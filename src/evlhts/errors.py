@@ -29,10 +29,6 @@ class ZeroMassCylinder(EvlhtsError):
     """A cylinder carries zero mass, so its log-mass is undefined."""
 
 
-class DegenerateTail(EvlhtsError):
-    """The tail quantile jumped past the requested level (atomic tail)."""
-
-
 class CapTooSmall(EvlhtsError):
     """Requested normalized time exceeds the censoring cap of the simulation."""
 

@@ -1,11 +1,13 @@
 """Block maxima of observables: normalizing levels and Monte Carlo runs.
 
+The observables are tailored to the measure, so {phi > u} has mass
+g^{-1}(u) by construction and nothing here inverts a tail numerically.
 Two routes produce the level u_n for a target y:
 
 * closed-form normalizers read off the shape g (log-shaped observables
   shift by log n, power-shaped ones scale by n^(1/alpha));
-* the quantile route bisects the exceedance tail for the (1 - 1/n)
-  quantile gamma_n and builds the same affine level from it.
+* the quantile route takes the (1 - 1/n) quantile gamma_n = g(1/n) and
+  builds the same affine level from it.
 
 Both express u_n = b_n + y / a_n, so P(M_n <= u_n) plotted in y can be
 compared directly against the three extreme-value shapes.  Outside the
@@ -13,32 +15,31 @@ support of the limit shape the probability is pinned exactly at 0 or 1
 (``degenerate_probability``) instead of read off a meaningless level.
 
 Sampling reduces ball maxima to the minimum orbit distance (a sufficient
-statistic for every monotone observable of the distance) and cylinder
+statistic for every monotone observable of the distance), whose ball
+mass gives the maximum itself (``ball_maxima_values``), and cylinder
 maxima to first entry into the event cell, a no-entry run that
 ``hts.first_hits`` samples.  The independent baseline is not sampled:
 the exceedance set of a level is a ball or cylinder of exact mass m, so
 n independent draws from the same marginal all stay below the level with
-probability (1 - m)^n (``iid_prob_max_below``, ``iid_no_entry``).
+probability (1 - m)^n (``iid_no_exceedance``).
 """
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from . import engine, hts
 from .errors import (
-    DegenerateTail,
     DomainError,
+    OutOfRange,
     UnsupportedCombination,
     ZeroMassCylinder,
 )
 from .measures import EmpiricalOrbit, Lebesgue1D, digit_p_zero
 from .observables import BallObservable, CylinderObservable, GKind, GShape
 from .systems import DIGIT_KINDS, FIXED_ONE, MapKind, Metric
-
-GAMMA_CERT_TOL = 1e-6
 
 
 class Normalizers(NamedTuple):
@@ -69,82 +70,31 @@ def proof_normalizers(g: GShape, n: int) -> Normalizers:
         raise DomainError("block length must be >= 1")
     if g.kind is GKind.G1:
         return Normalizers(1.0, math.log(n))
+    try:  # where n^(1/alpha) overflows, g2's a_n = n^(-1/alpha) is 0
+        scale = n ** (1.0 / g.alpha)
+    except OverflowError:
+        raise OutOfRange(f"{n}^(1/{g.alpha!r}) overflows a float") from None
     if g.kind is GKind.G2:
         return Normalizers(n ** (-1.0 / g.alpha), 0.0)
-    return Normalizers(n ** (1.0 / g.alpha), g.top)
+    return Normalizers(scale, g.top)
 
 
-def gamma_level(
-    g: GShape,
-    n: int,
-    tail: Callable[[float], float] | None = None,
-    tol: float = GAMMA_CERT_TOL,
-) -> float:
-    """(1 - 1/n)-quantile of the observable: inf{u : tail(u) <= 1/n}.
+def quantile_normalizers(g: GShape, n: int) -> Normalizers:
+    """Normalizers built from the (1 - 1/n) quantile gamma_n = g(1/n).
 
-    ``tail`` defaults to the exact exceedance fraction of g; any
-    nonincreasing tail function works.  Bisects to float adjacency, then
-    certifies n * tail(gamma_n) = 1 within ``tol``: a larger residual
-    means the tail jumps across 1/n (step ladders hit this at block
-    lengths that are not reciprocal step masses) and raises
-    ``DegenerateTail``.
+    Same affine shape as ``proof_normalizers`` with gamma_n in place of
+    its closed-form value, so the two routes agree up to rounding.
     """
     if n < 1:
         raise DomainError("block length must be >= 1")
-    if tail is None:
-        tail = g.tail_fraction
-    target = 1.0 / n
-    lo = g.forward(1.0)
-    if tail(lo) <= target:
-        gamma = lo
-    else:
-        if g.kind is GKind.G3:
-            hi = g.top
-        else:
-            hi = max(abs(lo), 1.0)
-            while tail(hi) > target:
-                hi *= 2.0
-                if not math.isfinite(hi):
-                    raise DegenerateTail("tail never reaches 1/n")
-        while True:
-            mid = 0.5 * (lo + hi)
-            if not lo < mid < hi:  # bracket is two adjacent floats
-                break
-            if tail(mid) <= target:
-                hi = mid
-            else:
-                lo = mid
-        gamma = hi
-    residual = abs(n * tail(gamma) - 1.0)
-    if residual > tol:
-        raise DegenerateTail(
-            f"tail jumps across 1/n at the quantile: n*tail = "
-            f"{n * tail(gamma):.6g} at gamma = {gamma!r}"
-        )
-    return gamma
-
-
-def quantile_normalizers(
-    g: GShape,
-    n: int,
-    tail: Callable[[float], float] | None = None,
-) -> Normalizers:
-    """Normalizers built from the sampled quantile instead of closed forms.
-
-    Same affine shape as ``proof_normalizers`` with gamma_n in place of
-    its closed-form value, so the two routes agree to bisection accuracy
-    on exact tails.
-    """
-    gamma = gamma_level(g, n, tail)
+    gamma = g.forward(1.0 / n)
     if g.kind is GKind.G1:
         return Normalizers(1.0, gamma)
     if g.kind is GKind.G2:
-        if gamma <= 0.0:
-            raise DomainError("power-law quantile must be positive")
         return Normalizers(1.0 / gamma, 0.0)
     spread = g.top - gamma
     if spread <= 0.0:
-        raise DegenerateTail("quantile reached the supremum of the observable")
+        raise OutOfRange("quantile reached the supremum of the observable")
     return Normalizers(1.0 / spread, g.top)
 
 
@@ -225,21 +175,6 @@ def sample_ball_min_distances(
     return engine.run_blocked(
         n_samples, seed, (*labels, "dyn"), kernel, threads=threads
     )[0]
-
-
-def prob_max_below(min_distances: np.ndarray, obs: BallObservable,
-                   u: float) -> float:
-    """P(M_n <= u) from sampled minimum distances: the exceedance set of u
-    is the open ball whose radius carries the tail mass of u."""
-    eta = obs.threshold_radius(u)
-    return float(np.mean(np.asarray(min_distances) >= eta))
-
-
-def iid_prob_max_below(obs: BallObservable, u: float, n: int) -> float:
-    """P(M_n <= u) for n independent draws from the measure: none lands in
-    the ball that ``prob_max_below`` counts, exactly."""
-    m = obs.measure.ball_mass(obs.zeta, obs.threshold_radius(u))
-    return math.exp(n * math.log1p(-m))  # 1 - m rounds to 1.0 for tiny m
 
 
 def ball_maxima_values(min_distances: np.ndarray,
@@ -334,8 +269,13 @@ def sample_cylinder_no_entry(
         conditional=False, start_j=0, measure=measure)[1]
 
 
-def iid_no_entry(schedule: CylinderSchedule) -> float:
-    """P(M_window <= level) for ``window`` independent draws from the
-    measure: none lands in the event cell, exactly.  Windows reach 2^62
-    steps, so 1 - event_mass must not round to 1.0."""
-    return math.exp(schedule.window * math.log1p(-schedule.event_mass))
+# ------------------------------------------------------------ iid maxima
+
+def iid_no_exceedance(mass: float, steps: int) -> float:
+    """P(M <= u) for ``steps`` independent draws from the measure when
+    {phi > u} has mass ``mass``: (1 - mass)^steps, exactly.  Windows reach
+    2^62 steps, so 1 - mass must not round to 1.0; at mass 1 every draw
+    exceeds."""
+    if mass >= 1.0:
+        return 0.0
+    return math.exp(steps * math.log1p(-mass))

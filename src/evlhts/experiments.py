@@ -233,6 +233,9 @@ def _run_evl_balls(cfg: ExperimentConfig) -> tuple[_Report, dict]:
     per_n = []
     for n in cfg["evl.n_list"]:
         norms = _normalizers(cfg, g, n)
+        # the maxima law reads ball masses off 53-bit distances: refuse a
+        # ball of mass 1/n that no radius attains before sampling
+        measure.quantile_radius(obs.zeta, 1.0 / n)
         dmin = evl.sample_ball_min_distances(
             obs, system, n_steps=n, n_samples=samples,
             seed=cfg["master_seed"], labels=("evl-balls", f"n={n}"),
@@ -252,10 +255,11 @@ def _run_evl_balls(cfg: ExperimentConfig) -> tuple[_Report, dict]:
                 if degenerate is not None:
                     p, cell = degenerate, _q(degenerate, exact=True)
                 elif route == "dyn":
-                    p = p_dyn = evl.prob_max_below(dmin, obs, norms.level(y))
+                    p = p_dyn = maxima.cdf(y)
                     cell = _q(p, _binom_se(p, samples))
                 else:
-                    p = evl.iid_prob_max_below(obs, norms.level(y), n)
+                    p = evl.iid_no_exceedance(
+                        g.tail_fraction(norms.level(y)), n)
                     cell = _q(p, exact=True)
                     route_diff = max(route_diff, abs(p - p_dyn))
                 point[route] = cell
@@ -335,7 +339,7 @@ def _run_evl_cylinders(cfg: ExperimentConfig) -> tuple[_Report, dict]:
                     threads=cfg["threads"]).mean())
                 cell[route] = _q(p, _binom_se(p, samples))
             else:
-                p = evl.iid_no_entry(sched)
+                p = evl.iid_no_exceedance(sched.event_mass, sched.window)
                 cell[route] = _q(p, exact=True)
             worst = max(worst, abs(p - limit))
             out.data_rows.append((depth, tau, route, sched.window, p,
@@ -622,17 +626,18 @@ def _run_equivalence(cfg: ExperimentConfig) -> tuple[_Report, dict]:
                    "time_survival", "time_stderr", "abs_diff"))
 
     norms = _normalizers(cfg, g, n)
+    target = hts.ball_target(measure, cfg["observable.zeta"], mass=1.0 / n)
     samples = cfg["evl.samples"]
     dmin = evl.sample_ball_min_distances(
         obs, system, n_steps=n, n_samples=samples, seed=cfg["master_seed"],
         labels=("equivalence", "maxima"), threads=cfg["threads"])
+    maxima = EmpiricalLaw(norms.rescale(evl.ball_maxima_values(dmin, obs)))
     probs = []
     for y in y_grid:
         degenerate = evl.degenerate_probability(g, y)
         probs.append(degenerate if degenerate is not None
-                     else evl.prob_max_below(dmin, obs, norms.level(y)))
+                     else maxima.cdf(y))
 
-    target = hts.ball_target(measure, cfg["observable.zeta"], mass=1.0 / n)
     sample = _hit_times(cfg, system, measure, target, cap, "hit",
                         conditional=False)
     comparison = check_evl_from_hts(y_grid, probs, sample.law(), g)

@@ -9,8 +9,9 @@ zeta and g: (0, 1] -> R is strictly decreasing:
   whose cell around zeta still contains x.
 
 Because g is strictly decreasing, {phi > u} is a ball (resp. cylinder)
-around zeta of mass g^{-1}(u), which is what every threshold routine here
-exploits.
+around zeta.  In ball mode its mass is g^{-1}(u) exactly, by construction,
+for every non-atomic measure, so levels, the quantiles g(1/n) and the
+exceedance masses are read off g with no quantile bisection.
 
 Three shape families are provided, one per classical extreme value type:
 
@@ -67,7 +68,12 @@ class GShape:
         if self.kind is GKind.G1:
             return -math.log(v)
         if self.kind is GKind.G2:
-            return v ** (-1.0 / self.alpha)
+            try:
+                return v ** (-1.0 / self.alpha)
+            except OverflowError:
+                raise OutOfRange(
+                    f"g({v!r}) = {v!r}^(-1/{self.alpha!r}) overflows a float"
+                ) from None
         return self.top - v ** (1.0 / self.alpha)
 
     def tail_fraction(self, u: float) -> float:
@@ -102,15 +108,6 @@ class BallObservable:
     @property
     def zeta_value(self) -> float:
         return self.zeta
-
-    def threshold_radius(self, u: float) -> float:
-        """Radius eta with mu(B_eta(zeta)) = mu(phi > u)."""
-        v = self.g.tail_fraction(u)
-        if v <= 0.0:
-            return 0.0
-        if v >= 1.0:
-            return self.measure.diameter
-        return self.measure.quantile_radius(self.zeta, v)
 
 
 @dataclass

@@ -22,7 +22,7 @@ a kernel against a second implementation that shares none of its tricks:
   under iid letters, which Monte Carlo runs of the word kernels must
   reproduce up to sampling noise.
 * ``iid_digit_min_distances`` samples the minimum distance of n iid draws
-  from a digit-product measure, the law ``evl.iid_prob_max_below`` gives
+  from a digit-product measure, the law ``evl.iid_no_exceedance`` gives
   in closed form.
 * ``UNIFORM`` is the U[0, 1] law, a reference for the KS machinery: any
   object with a ``cdf`` serves.

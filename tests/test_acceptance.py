@@ -176,7 +176,7 @@ def test_dynamical_maxima_match_iid_maxima(doubling_minima):
     law_d = EmpiricalLaw(np.sort(norms.rescale(
         evl.ball_maxima_values(doubling_minima, obs))))
     for y in TYPE_GRIDS[GKind.G1]:
-        iid = evl.iid_prob_max_below(obs, norms.level(y), 5000)
+        iid = evl.iid_no_exceedance(shape.tail_fraction(norms.level(y)), 5000)
         assert abs(law_d.cdf(y) - iid) <= 0.03
 
 
@@ -220,15 +220,15 @@ def test_skewed_measure_maxima_agree_with_hitting_law():
 
 
 def test_quantile_levels_match_closed_forms():
-    """The bisected (1 - 1/n)-quantile reproduces the closed forms for the
-    uniform ball ladder to a relative 1e-9: n for the reciprocal shape,
-    log n for the logarithmic one, across five decades."""
+    """The quantile levels gamma_n = g(1/n) of the quantile normalizers
+    reproduce the closed forms to a relative 1e-9: n for the reciprocal
+    shape, log n for the logarithmic one, across five decades."""
     shape_pow = GShape(GKind.G2, alpha=1.0)
     shape_log = GShape(GKind.G1)
     for n in (10, 10**2, 10**3, 10**4, 10**5, 10**6):
-        got = evl.gamma_level(shape_pow, n, tail=shape_pow.tail_fraction)
+        got = 1.0 / evl.quantile_normalizers(shape_pow, n).a
         assert abs(got - n) <= 1e-9 * n
-        got = evl.gamma_level(shape_log, n, tail=shape_log.tail_fraction)
+        got = evl.quantile_normalizers(shape_log, n).b
         assert abs(got - math.log(n)) <= 1e-9 * math.log(n)
 
 

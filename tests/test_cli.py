@@ -535,6 +535,70 @@ class TestFilesAndCli:
         assert key in capsys.readouterr().err
         assert not out.exists()
 
+    def test_iid_route_at_exceedance_mass_one(self, tmp_path):
+        # u_n(-10) = log 1000 - 10 lies below g(1) = 0: every point
+        # exceeds it, so no n independent draws stay below it
+        cfg = tmp_path / "iid.cfg"
+        cfg.write_text("system.kind = doubling\nobservable.type = g1\n"
+                       "observable.zeta = 0.3\nevl.n_list = 1000\n"
+                       "evl.y_grid = -10, 0, 1\nevl.samples = 500\n"
+                       "evl.iid_mode = true\n")
+        out = tmp_path / "out"
+        assert self.run_cli("evl-balls", "--config", str(cfg),
+                            "--out", str(out)) in (0, 1)
+        summary = json.loads((out / "summary.json").read_text())
+        point = summary["results"]["per_n"][0]["points"][0]
+        assert point["y"] == -10.0
+        assert point["iid"] == {"value": 0.0, "exact": True}
+
+    @pytest.mark.parametrize("experiment, text", [
+        # the depth-12 anchor level g(2^-11) = 2^1100
+        pytest.param("evl-cylinders",
+                     "system.kind = full_tent\nobservable.mode = cylinder\n"
+                     "observable.type = g2\nobservable.alpha = 0.01\n"
+                     "observable.zeta = 1.0\nevl.n_list = 12\n",
+                     id="evl-cylinders-anchor-level"),
+        # the quantile level g(1/1000) = 1000^1000
+        pytest.param("evl-balls",
+                     "system.kind = doubling\nobservable.type = g2\n"
+                     "observable.alpha = 0.001\nobservable.zeta = 0.3\n"
+                     "evl.n_list = 1000\n",
+                     id="evl-balls-quantile-level"),
+        # the closed-form scale 1000^1000, whose reciprocal a_n is 0.0
+        pytest.param("evl-balls",
+                     "system.kind = doubling\nobservable.type = g2\n"
+                     "observable.alpha = 0.001\nobservable.zeta = 0.3\n"
+                     "evl.construction = proof\nevl.n_list = 1000\n",
+                     id="evl-balls-proof-g2"),
+        pytest.param("evl-balls",
+                     "system.kind = doubling\nobservable.type = g3\n"
+                     "observable.alpha = 0.001\nobservable.zeta = 0.3\n"
+                     "evl.construction = proof\nevl.n_list = 1000\n"
+                     "evl.y_grid = -1.0\n",
+                     id="evl-balls-proof-g3"),
+    ])
+    def test_level_past_the_float_range_exits_three(self, tmp_path, capsys,
+                                                     experiment, text):
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(text + "evl.samples = 200\n")
+        out = tmp_path / "out"
+        assert self.run_cli(experiment, "--config", str(cfg),
+                            "--out", str(out)) == 3
+        assert "runtime error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unresolvable_ball_stays_out_of_the_verdicts(self, tmp_path):
+        # under Bernoulli(0.01) the ball of mass 1/200 around 0.3 has no
+        # radius: its mass profile jumps past 0.005 within 53-bit distances
+        cfg = tmp_path / "p001.cfg"
+        cfg.write_text(override(
+            (GOLDEN / "evl-balls+bernoulli-iid.cfg").read_text(),
+            "measure.p = 0.01\nevl.n_list = 200"))
+        out = tmp_path / "out"
+        assert self.run_cli("evl-balls", "--config", str(cfg),
+                            "--out", str(out)) in (2, 3)
+        assert not out.exists()
+
     def test_unknown_key_exit_two(self, tmp_path, capsys):
         cfg = tmp_path / "typo.cfg"
         cfg.write_text("observable.alhpa = 2\n")

@@ -7,29 +7,22 @@ import numpy as np
 import pytest
 
 from evlhts.cylinders import PartitionContext, cylinder_word
-from evlhts.errors import (
-    DegenerateTail,
-    DomainError,
-    UnsupportedCombination,
-)
+from evlhts.errors import DomainError, UnsupportedCombination
 from evlhts.engine import iid_min_distance_uniform
 from evlhts.evl import (
-    CylinderSchedule,
     Normalizers,
     ball_maxima_values,
     cylinder_schedule,
     degenerate_probability,
     g_forward_array,
-    gamma_level,
-    iid_no_entry,
-    iid_prob_max_below,
-    prob_max_below,
+    iid_no_exceedance,
     proof_normalizers,
     quantile_normalizers,
     sample_ball_min_distances,
     sample_cylinder_no_entry,
 )
 from evlhts.hts import pack_word
+from evlhts.laws import EmpiricalLaw
 from evlhts.measures import BernoulliDoubling, EmpiricalOrbit, Lebesgue1D
 from evlhts.observables import BallObservable, CylinderObservable, GKind, GShape
 from evlhts.rng import substream
@@ -97,49 +90,43 @@ class TestSupport:
 
 
 class TestGammaLevel:
-    """The bisected quantile must reproduce the closed forms of the smooth
-    tails: tail e^-u gives log n, tail u^-alpha gives n^(1/alpha), tail
-    (top - u)^alpha gives top - n^(-1/alpha)."""
+    """The quantile level gamma_n = g(1/n) must reproduce the closed forms
+    of the smooth tails: tail e^-u gives log n, tail u^-alpha gives
+    n^(1/alpha), tail (top - u)^alpha gives top - n^(-1/alpha)."""
 
     NS = [10, 100, 1000, 10**4, 10**5, 10**6]
 
     def test_log_shape_quantile(self):
         for n in self.NS:
-            assert gamma_level(G1, n) == pytest.approx(math.log(n), rel=1e-9)
+            norms = quantile_normalizers(G1, n)
+            assert norms.a == 1.0
+            assert norms.b == pytest.approx(math.log(n), rel=1e-9)
 
     def test_power_shape_quantile(self):
         for n in self.NS:
-            assert gamma_level(G2, n) == pytest.approx(float(n), rel=1e-9)
+            norms = quantile_normalizers(G2, n)
+            assert norms.b == 0.0
+            assert 1.0 / norms.a == pytest.approx(float(n), rel=1e-9)
         half = GShape(GKind.G2, alpha=0.5)
-        assert gamma_level(half, 100) == pytest.approx(1e4, rel=1e-9)
+        assert 1.0 / quantile_normalizers(half, 100).a == pytest.approx(
+            1e4, rel=1e-9)
 
     def test_bounded_shape_quantile(self):
         quad = GShape(GKind.G3, alpha=2.0, top=1.0)
         for n in self.NS:
-            assert gamma_level(quad, n) == pytest.approx(
-                1.0 - n ** -0.5, rel=1e-9
-            )
+            norms = quantile_normalizers(quad, n)
+            assert norms.b == 1.0
+            assert norms.level(-1.0) == pytest.approx(1.0 - n ** -0.5,
+                                                      rel=1e-9)
 
     def test_smallest_block(self):
         # n = 1: every level exceeds with probability <= 1, so gamma is the
         # bottom of the range.
-        assert gamma_level(G1, 1) == 0.0
-
-    def test_cylinder_ladder_quantile(self):
-        # Step tail of the dyadic ladder: solvable exactly when 1/n is a
-        # ladder mass, refused otherwise.
-        obs = tent_cylinder_obs(G2)
-
-        def tail(u):
-            return obs.ladder_mass(obs.exceedance_depth(u))
-
-        assert gamma_level(G2, 8, tail=tail) == 4.0
-        with pytest.raises(DegenerateTail):
-            gamma_level(G2, 3, tail=tail)
+        assert quantile_normalizers(G1, 1).b == 0.0
 
     def test_block_length_validation(self):
         with pytest.raises(DomainError):
-            gamma_level(G1, 0)
+            quantile_normalizers(G1, 0)
 
 
 class TestQuantileNormalizers:
@@ -288,7 +275,8 @@ class TestCylinderSampling:
         obs = tent_cylinder_obs(G2)
         sched = cylinder_schedule(obs, depth=8, tau=1.0)
         want = (1.0 - 2.0 ** -8) ** 256
-        assert iid_no_entry(sched) == pytest.approx(want, rel=1e-12)
+        assert iid_no_exceedance(sched.event_mass, sched.window) == \
+            pytest.approx(want, rel=1e-12)
 
     def test_dynamical_route_matches_exact_word_avoidance(self):
         obs = tent_cylinder_obs(G2)
@@ -323,8 +311,12 @@ class TestBallSampling:
         measure = Lebesgue1D(Metric.CIRCLE)
         obs = BallObservable(G1, measure, 0.25)
         u = -math.log(0.02)  # tail mass 0.02, radius 0.01
+        assert ball_maxima_values(np.array([0.01]), obs) == pytest.approx([u])
         want = (1.0 - 0.02) ** 20
-        assert iid_prob_max_below(obs, u, 20) == pytest.approx(want, abs=1e-8)
+        assert iid_no_exceedance(obs.g.tail_fraction(u), 20) == \
+            pytest.approx(want, abs=1e-8)
+        # a level below g(1) is exceeded everywhere, though log1p(-1) = -inf
+        assert iid_no_exceedance(obs.g.tail_fraction(-3.0), 20) == 0.0
 
     def test_dynamical_route_at_the_standard_level(self):
         # Level with tail 1/n: the no-exceedance probability approaches
@@ -332,13 +324,12 @@ class TestBallSampling:
         n = 4096
         measure = Lebesgue1D(Metric.CIRCLE)
         obs = BallObservable(G1, measure, 0.3)
-        u = proof_normalizers(G1, n).level(0.0)
+        norms = proof_normalizers(G1, n)
         d = sample_ball_min_distances(
             obs, doubling(), n_steps=n, n_samples=4000, seed=11
         )
-        assert prob_max_below(d, obs, u) == pytest.approx(
-            math.exp(-1.0), abs=0.03
-        )
+        maxima = EmpiricalLaw(norms.rescale(ball_maxima_values(d, obs)))
+        assert maxima.cdf(0.0) == pytest.approx(math.exp(-1.0), abs=0.03)
 
     def test_maxima_values_vectorize_g_of_ball_mass(self):
         measure = Lebesgue1D(Metric.CIRCLE)
@@ -404,9 +395,9 @@ class TestExactIidLaw:
     U = -math.log(0.02)  # a g1 level with exceedance mass 0.02
 
     def check(self, obs, min_distances):
-        exact = iid_prob_max_below(obs, self.U, self.N)
+        exact = iid_no_exceedance(obs.g.tail_fraction(self.U), self.N)
         assert 0.2 < exact < 0.5
-        share = prob_max_below(min_distances, obs, self.U)
+        share = np.mean(ball_maxima_values(min_distances, obs) <= self.U)
         z = (share - exact) / math.sqrt(exact * (1.0 - exact) / self.LANES)
         assert abs(z) <= 4.0
 
@@ -445,7 +436,7 @@ class TestExactIidLaw:
     ])
     def test_cylinder_no_entry(self, obs):
         sched = cylinder_schedule(obs, depth=8, tau=1.0)
-        exact = iid_no_entry(sched)
+        exact = iid_no_exceedance(sched.event_mass, sched.window)
         gen = substream(3, "exact-iid", "binomial")
         share = np.mean(
             gen.binomial(sched.window, sched.event_mass, self.LANES) == 0)
@@ -456,8 +447,5 @@ class TestExactIidLaw:
         # 1 - 2^-62 rounds to 1.0, so the naive power loses the event
         mass, window = 2.0 ** -62, 2 ** 62
         assert (1.0 - mass) ** window == 1.0
-        sched = CylinderSchedule(depth=62, tau=1.0, level=62.0,
-                                 event_depth=62, event_mass=mass,
-                                 window=window)
-        assert iid_no_entry(sched) == pytest.approx(math.exp(-1.0),
-                                                    rel=1e-15)
+        assert iid_no_exceedance(mass, window) == pytest.approx(
+            math.exp(-1.0), rel=1e-15)

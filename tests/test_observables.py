@@ -55,6 +55,8 @@ class TestGShape:
             g1.forward(-0.1)
         with pytest.raises(OutOfRange):
             g1.forward(1.1)
+        with pytest.raises(OutOfRange):  # (2^-11)^-100 = 2^1100
+            GShape(GKind.G2, alpha=0.01).forward(2.0 ** -11)
         with pytest.raises(DomainError):
             GShape(GKind.G2, alpha=0.0)
         with pytest.raises(DomainError):
@@ -111,22 +113,6 @@ class TestBallObservable:
         xs = [0.31, 0.34, 0.45, 0.7, 0.8]  # increasing circle distance from 0.3
         vals = [ball_evaluate(phi, x) for x in xs]
         assert all(a > b for a, b in zip(vals, vals[1:]))
-
-    def test_exceedance_mass_and_radius(self):
-        phi = BallObservable(
-            GShape(GKind.G2, alpha=1.0), Lebesgue1D(Metric.INTERVAL), 1.0
-        )
-        assert phi.g.tail_fraction(10.0) == pytest.approx(0.1)
-        assert phi.threshold_radius(10.0) == pytest.approx(0.1, abs=1e-9)
-        assert phi.g.tail_fraction(0.5) == 1.0  # below inf of the range
-        assert phi.threshold_radius(math.inf) == 0.0
-
-    def test_threshold_radius_on_circle(self):
-        phi = BallObservable(
-            GShape(GKind.G3, alpha=1.0), Lebesgue1D(Metric.CIRCLE), 0.5
-        )
-        # tail of level 0.9 has mass 0.1: a circle ball of radius 0.05
-        assert phi.threshold_radius(0.9) == pytest.approx(0.05, abs=1e-9)
 
     def test_bernoulli_ball(self):
         phi = BallObservable(
