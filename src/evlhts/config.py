@@ -201,9 +201,7 @@ SCHEMA: dict[str, Option] = {
     "evl.y_grid": Option(_float_list, (0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0),
                          "rescaled levels for maxima probabilities"),
     "evl.tau_grid": Option(_pos_float_list, (0.5, 1.0, 2.0),
-                           "time-scale constants for cylinder levels"),
-    "evl.construction": Option(_choice("proof", "quantile"), "quantile",
-                               "normalizer route: closed form, or the quantile g(1/n)"),
+                           "time scales tau; one first-entry scan per depth reads every tau"),
     "evl.iid_mode": Option(_bool, False, "also report the exact law (1 - m)^n of n independent draws"),
     "evl.convention": Option(_choice("step", "deep"), "step",
                              "cylinder level anchor: depth n-1 cell (step) or depth n (deep)"),

@@ -2,26 +2,25 @@
 
 The observables are tailored to the measure, so {phi > u} has mass
 g^{-1}(u) by construction and nothing here inverts a tail numerically.
-Two routes produce the level u_n for a target y:
-
-* closed-form normalizers read off the shape g (log-shaped observables
-  shift by log n, power-shaped ones scale by n^(1/alpha));
-* the quantile route takes the (1 - 1/n) quantile gamma_n = g(1/n) and
-  builds the same affine level from it.
-
-Both express u_n = b_n + y / a_n, so P(M_n <= u_n) plotted in y can be
-compared directly against the three extreme-value shapes.  Outside the
-support of the limit shape the probability is pinned exactly at 0 or 1
-(``degenerate_probability``) instead of read off a meaningless level.
+The level for a target y is u_n = b_n + y / a_n, built from the
+(1 - 1/n) quantile gamma_n = g(1/n): log-shaped observables shift by
+gamma_n, power-shaped ones scale by it, and bounded ones by top - gamma_n.
+So P(M_n <= u_n) plotted in y can be compared directly against the three
+extreme-value shapes.  Outside the support of the limit shape the
+probability is pinned exactly at 0 or 1 (``degenerate_probability``)
+instead of read off a meaningless level.
 
 Sampling reduces ball maxima to the minimum orbit distance (a sufficient
 statistic for every monotone observable of the distance), whose ball
-mass gives the maximum itself (``ball_maxima_values``), and cylinder
-maxima to first entry into the event cell, a no-entry run that
-``hts.first_hits`` samples.  The independent baseline is not sampled:
-the exceedance set of a level is a ball or cylinder of exact mass m, so
-n independent draws from the same marginal all stay below the level with
-probability (1 - m)^n (``iid_no_exceedance``).
+mass gives the maximum itself (``ball_maxima_values``).  Cylinder maxima
+are first entry into the exceedance cylinder: M_w <= u_n exactly when the
+orbit stays out of the event cell for w steps.  At one anchor depth every
+tau shares the event cell and only the window tau / mass changes, so one
+``hts.first_hits`` scan per depth gives the maxima law at every tau.  The
+independent baseline is not sampled: the exceedance set of a level is a
+ball or cylinder of exact mass m, so n independent draws from the same
+marginal all stay below the level with probability (1 - m)^n
+(``iid_no_exceedance``).
 """
 
 import math
@@ -64,26 +63,11 @@ def degenerate_probability(g: GShape, y: float):
     return None
 
 
-def proof_normalizers(g: GShape, n: int) -> Normalizers:
-    """Closed-form (a_n, b_n) for blocks of length n."""
-    if n < 1:
-        raise DomainError("block length must be >= 1")
-    if g.kind is GKind.G1:
-        return Normalizers(1.0, math.log(n))
-    try:  # where n^(1/alpha) overflows, g2's a_n = n^(-1/alpha) is 0
-        scale = n ** (1.0 / g.alpha)
-    except OverflowError:
-        raise OutOfRange(f"{n}^(1/{g.alpha!r}) overflows a float") from None
-    if g.kind is GKind.G2:
-        return Normalizers(n ** (-1.0 / g.alpha), 0.0)
-    return Normalizers(scale, g.top)
-
-
 def quantile_normalizers(g: GShape, n: int) -> Normalizers:
     """Normalizers built from the (1 - 1/n) quantile gamma_n = g(1/n).
 
-    Same affine shape as ``proof_normalizers`` with gamma_n in place of
-    its closed-form value, so the two routes agree up to rounding.
+    These are the closed forms up to rounding: (1, log n) for g1,
+    (n^(-1/alpha), 0) for g2 and (n^(1/alpha), top) for g3.
     """
     if n < 1:
         raise DomainError("block length must be >= 1")
@@ -250,23 +234,39 @@ def cylinder_schedule(
 
 def sample_cylinder_no_entry(
     obs: CylinderObservable,
-    schedule: CylinderSchedule,
+    schedules: list[CylinderSchedule],
     *,
     n_samples: int,
     seed: int,
     labels: tuple = ("cylinder-maxima",),
     threads: int = 1,
 ) -> np.ndarray:
-    """Indicator of {M_window <= level} per sample (no orbit point in the
-    event cell before the window ends): a first-entry run into the event
-    cell over the window."""
+    """Indicators of {M_window <= level}, one column per schedule.
+
+    The schedules must share one event cell, as every tau at one anchor
+    depth does.  Then M_w <= level exactly when the orbit stays out of
+    that cell for w steps, so one first-entry run into the cell, capped at
+    the longest window, gives every column: times[:, None] >= windows.
+    First-hit kernels draw whole chunks whatever the cap, so this scan
+    matches a scan capped at any shorter window bit for bit up to it.
+
+    The columns share one sample, so they are correlated.  Each column
+    keeps its own binomial standard error, and a verdict that takes the
+    worst error over the columns is not biased by the correlation.
+    """
+    cells = {s.event_depth for s in schedules}
+    if len(cells) != 1:
+        raise DomainError(
+            f"schedules must share one event cell; got depths {sorted(cells)}")
     system, measure = obs.ctx.system, obs.ctx.measure
-    target = hts.cylinder_target(obs.ctx, obs.zeta, schedule.event_depth)
+    target = hts.cylinder_target(obs.ctx, obs.zeta, cells.pop())
     hts.word_scan(system, measure, target)  # tent and doubling cells only
-    return ~hts.first_hits(
-        system, target, cap=schedule.window, n_samples=n_samples,
+    windows = np.array([s.window for s in schedules], dtype=np.int64)
+    times = hts.first_hits(
+        system, target, cap=int(windows.max()), n_samples=n_samples,
         seed=seed, labels=(*labels, "dyn"), threads=threads,
-        conditional=False, start_j=0, measure=measure)[1]
+        conditional=False, start_j=0, measure=measure)[0]
+    return times[:, None] >= windows
 
 
 # ------------------------------------------------------------ iid maxima

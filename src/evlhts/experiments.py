@@ -209,12 +209,6 @@ def _routes(cfg: ExperimentConfig) -> tuple:
     return ("dyn", "iid") if cfg["evl.iid_mode"] else ("dyn",)
 
 
-def _normalizers(cfg: ExperimentConfig, g: GShape, n: int) -> evl.Normalizers:
-    if cfg["evl.construction"] == "proof":
-        return evl.proof_normalizers(g, n)
-    return evl.quantile_normalizers(g, n)
-
-
 # ------------------------------------------------------------- evl-balls
 
 def _run_evl_balls(cfg: ExperimentConfig) -> tuple[_Report, dict]:
@@ -232,7 +226,7 @@ def _run_evl_balls(cfg: ExperimentConfig) -> tuple[_Report, dict]:
     routes = _routes(cfg)
     per_n = []
     for n in cfg["evl.n_list"]:
-        norms = _normalizers(cfg, g, n)
+        norms = evl.quantile_normalizers(g, n)
         # the maxima law reads ball masses off 53-bit distances: refuse a
         # ball of mass 1/n that no radius attains before sampling
         measure.quantile_radius(obs.zeta, 1.0 / n)
@@ -305,9 +299,10 @@ def _run_evl_cylinders(cfg: ExperimentConfig) -> tuple[_Report, dict]:
     tau_grid = cfg["evl.tau_grid"]
     tol = cfg["evl.tol"]
 
-    schedules = [evl.cylinder_schedule(
+    by_depth = [[evl.cylinder_schedule(
         obs, depth=depth, tau=tau, convention=cfg["evl.convention"])
-        for depth in depths for tau in tau_grid]
+        for tau in tau_grid] for depth in depths]
+    schedules = [s for row in by_depth for s in row]
     _require_word_depths(system, "evl.n_list", depths,
                          max(s.event_depth for s in schedules))
     if max(s.window for s in schedules) > np.iinfo(np.int64).max:
@@ -317,8 +312,13 @@ def _run_evl_cylinders(cfg: ExperimentConfig) -> tuple[_Report, dict]:
     out = _Report(("depth", "tau", "route", "window", "no_entry", "stderr",
                    "limit"))
 
+    # one first-entry scan per depth gives the no-entry share at every tau
+    no_entry = np.concatenate([evl.sample_cylinder_no_entry(
+        obs, row, n_samples=samples, seed=cfg["master_seed"],
+        labels=("evl-cylinders", f"n={row[0].depth}"),
+        threads=cfg["threads"]).mean(axis=0) for row in by_depth])
     per_cell = []
-    for sched in schedules:
+    for sched, p_dyn in zip(schedules, no_entry):
         depth, tau = sched.depth, sched.tau
         limit = math.exp(-tau)
         cell = {
@@ -333,10 +333,7 @@ def _run_evl_cylinders(cfg: ExperimentConfig) -> tuple[_Report, dict]:
         worst = 0.0
         for route in _routes(cfg):
             if route == "dyn":
-                p = float(evl.sample_cylinder_no_entry(
-                    obs, sched, n_samples=samples, seed=cfg["master_seed"],
-                    labels=("evl-cylinders", f"n={depth}", f"tau={tau!r}"),
-                    threads=cfg["threads"]).mean())
+                p = float(p_dyn)
                 cell[route] = _q(p, _binom_se(p, samples))
             else:
                 p = evl.iid_no_exceedance(sched.event_mass, sched.window)
@@ -625,7 +622,7 @@ def _run_equivalence(cfg: ExperimentConfig) -> tuple[_Report, dict]:
     out = _Report(("y", "tau", "maxima_prob", "maxima_stderr",
                    "time_survival", "time_stderr", "abs_diff"))
 
-    norms = _normalizers(cfg, g, n)
+    norms = evl.quantile_normalizers(g, n)
     target = hts.ball_target(measure, cfg["observable.zeta"], mass=1.0 / n)
     samples = cfg["evl.samples"]
     dmin = evl.sample_ball_min_distances(

@@ -90,11 +90,14 @@ class GShape:
 
     def tau(self, y: float) -> float:
         """Level-to-rate map; +inf / 0 outside the support of the law."""
-        if self.kind is GKind.G1:
-            return math.exp(-y)
-        if self.kind is GKind.G2:
-            return math.inf if y <= 0.0 else y ** (-self.alpha)
-        return 0.0 if y > 0.0 else (-y) ** self.alpha
+        try:
+            if self.kind is GKind.G1:
+                return math.exp(-y)
+            if self.kind is GKind.G2:
+                return math.inf if y <= 0.0 else y ** (-self.alpha)
+            return 0.0 if y > 0.0 else (-y) ** self.alpha
+        except OverflowError:
+            raise OutOfRange(f"tau({y!r}) overflows a float") from None
 
 
 @dataclass

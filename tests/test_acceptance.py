@@ -85,9 +85,9 @@ def _no_entry_probability(ctx, zeta, tau, *, depth, n_samples, label):
     obs = CylinderObservable(GShape(GKind.G2), ctx, zeta)
     sched = evl.cylinder_schedule(obs, depth=depth, tau=tau)
     flags = evl.sample_cylinder_no_entry(
-        obs, sched, n_samples=n_samples, seed=SEED,
+        obs, [sched], n_samples=n_samples, seed=SEED,
         labels=(label, f"tau={tau!r}"),
-    )
+    )[:, 0]
     # the exceedance set of the depth-12 level is the depth-12 cell itself
     assert sched.event_depth == depth
     assert sched.window == int(tau * 2 ** depth)

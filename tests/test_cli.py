@@ -216,6 +216,22 @@ class TestExperimentDrivers:
             assert abs(cell["dyn"]["value"] - math.exp(-cell["tau"])) <= 0.03
         assert report.passed
 
+    def test_evl_cylinders_scans_once_per_depth(self, monkeypatch):
+        calls = []
+        sample = evl.sample_cylinder_no_entry
+
+        def counting(obs, schedules, **kwargs):
+            calls.append((kwargs["labels"], [s.tau for s in schedules]))
+            return sample(obs, schedules, **kwargs)
+
+        monkeypatch.setattr(evl, "sample_cylinder_no_entry", counting)
+        text = (GOLDEN / "evl-cylinders+bernoulli.cfg").read_text()
+        report = experiments.run(make_config("evl-cylinders", text),
+                                 write=False)
+        assert calls == [(("evl-cylinders", "n=1"), [1.0, 2.0]),
+                         (("evl-cylinders", "n=6"), [1.0, 2.0])]
+        assert len(report.summary["results"]["cells"]) == 4
+
     def test_evl_mode_mismatch(self):
         with pytest.raises(ConfigError, match="observable.mode"):
             experiments.run(make_config("evl-cylinders"), write=False)
@@ -564,18 +580,22 @@ class TestFilesAndCli:
                      "observable.alpha = 0.001\nobservable.zeta = 0.3\n"
                      "evl.n_list = 1000\n",
                      id="evl-balls-quantile-level"),
-        # the closed-form scale 1000^1000, whose reciprocal a_n is 0.0
-        pytest.param("evl-balls",
-                     "system.kind = doubling\nobservable.type = g2\n"
-                     "observable.alpha = 0.001\nobservable.zeta = 0.3\n"
-                     "evl.construction = proof\nevl.n_list = 1000\n",
-                     id="evl-balls-proof-g2"),
+        # the quantile 1 - 1000^-1000 rounds to the supremum 1
         pytest.param("evl-balls",
                      "system.kind = doubling\nobservable.type = g3\n"
                      "observable.alpha = 0.001\nobservable.zeta = 0.3\n"
-                     "evl.construction = proof\nevl.n_list = 1000\n"
-                     "evl.y_grid = -1.0\n",
-                     id="evl-balls-proof-g3"),
+                     "evl.n_list = 1000\nevl.y_grid = -1.0\n",
+                     id="evl-balls-g3-supremum"),
+        # the horizon check's tau(y) = 0.001^-200 and exp(800)
+        pytest.param("equivalence",
+                     "system.kind = doubling\nobservable.type = g2\n"
+                     "observable.alpha = 200\nobservable.zeta = 0.3\n"
+                     "evl.n_list = 100\nevl.y_grid = 0.001, 1\n",
+                     id="equivalence-g2-tau"),
+        pytest.param("equivalence",
+                     "system.kind = doubling\nobservable.type = g1\n"
+                     "observable.zeta = 0.3\nevl.y_grid = -800, 1\n",
+                     id="equivalence-g1-tau"),
     ])
     def test_level_past_the_float_range_exits_three(self, tmp_path, capsys,
                                                      experiment, text):

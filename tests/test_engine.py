@@ -1246,6 +1246,25 @@ class TestCapMonotonicity:
         long_, _ = ball_first_hit_digits(substream(13, "mono"), 400, cap=220, **kw)
         assert np.array_equal(short, np.minimum(long_, 40))
 
+    @pytest.mark.parametrize("p_zero", [0.5, 0.3])
+    @pytest.mark.parametrize("kernel, kw", [
+        (word_first_hit, dict(word_int=0b10110100, depth=8, tent=True)),
+        (word_first_hit, dict(word_int=0b10110100, depth=8, tent=False)),
+        (ball_first_hit_digits, dict(eta=2.0 ** -9, zeta=0.3, tent=False,
+                                     circle=False)),
+    ])
+    @pytest.mark.parametrize("short_cap", [128, 300])
+    def test_stationary_scan_prefix(self, kernel, kw, p_zero, short_cap):
+        # a scan capped at the longest window holds every shorter window's
+        # scan, hit flags included, across chunks and compactions
+        kw = dict(kw, p_zero=p_zero, start_j=0)
+        short, short_hit = kernel(substream(16, "prefix"), 2000,
+                                  cap=short_cap, **kw)
+        long_, long_hit = kernel(substream(16, "prefix"), 2000, cap=1024, **kw)
+        assert np.array_equal(short, np.minimum(long_, short_cap))
+        assert np.array_equal(short_hit, long_ < short_cap)
+        assert long_hit.sum() > short_hit.sum()
+
     def test_rotation_first_hit(self):
         kw = dict(step_fixed=rotation("golden").fixed_angle,
                   lo=int(0.6 * FIXED_ONE), hi=int(0.62 * FIXED_ONE), chunk=7)

@@ -16,7 +16,6 @@ from evlhts.evl import (
     degenerate_probability,
     g_forward_array,
     iid_no_exceedance,
-    proof_normalizers,
     quantile_normalizers,
     sample_ball_min_distances,
     sample_cylinder_no_entry,
@@ -47,31 +46,27 @@ def tent_cylinder_obs(g, zeta=Fraction(1)):
 
 class TestNormalizers:
     def test_log_shape(self):
-        norm = proof_normalizers(G1, 100)
-        assert norm == Normalizers(1.0, math.log(100))
-        assert norm.level(0.5) == pytest.approx(math.log(100) + 0.5)
+        norm = quantile_normalizers(G1, 64)
+        assert norm == Normalizers(1.0, math.log(64))
+        assert norm.level(0.5) == pytest.approx(math.log(64) + 0.5)
 
     def test_power_shape(self):
-        assert proof_normalizers(G2, 8) == Normalizers(0.125, 0.0)
-        assert proof_normalizers(G2, 8).level(3.0) == pytest.approx(24.0)
-        root = proof_normalizers(GShape(GKind.G2, alpha=2.0), 16)
-        assert root.a == pytest.approx(0.25)
+        assert quantile_normalizers(G2, 8) == Normalizers(0.125, 0.0)
+        assert quantile_normalizers(G2, 8).level(3.0) == 24.0
+        root = quantile_normalizers(GShape(GKind.G2, alpha=2.0), 16)
+        assert root == Normalizers(0.25, 0.0)
 
     def test_bounded_shape(self):
         g = GShape(GKind.G3, alpha=1.0, top=2.0)
-        norm = proof_normalizers(g, 8)
+        norm = quantile_normalizers(g, 8)
         assert norm == Normalizers(8.0, 2.0)
-        assert norm.level(-1.0) == pytest.approx(2.0 - 0.125)
+        assert norm.level(-1.0) == 2.0 - 0.125
 
     def test_rescale_inverts_level(self):
-        norm = proof_normalizers(G1, 50)
+        norm = quantile_normalizers(G1, 50)
         ys = np.array([-1.0, 0.0, 2.0])
         levels = np.array([norm.level(y) for y in ys])
         assert norm.rescale(levels) == pytest.approx(ys)
-
-    def test_block_length_must_be_positive(self):
-        with pytest.raises(DomainError):
-            proof_normalizers(G1, 0)
 
 
 class TestSupport:
@@ -130,13 +125,15 @@ class TestGammaLevel:
 
 
 class TestQuantileNormalizers:
-    def test_matches_proof_route(self):
-        for g, n in [(G1, 1000), (G2, 512), (GShape(GKind.G2, alpha=2.0), 81),
-                     (GShape(GKind.G3, alpha=2.0, top=1.5), 400)]:
+    def test_matches_closed_forms(self):
+        cases = [(G1, 1000, 1.0, math.log(1000)),
+                 (G2, 512, 1 / 512, 0.0),
+                 (GShape(GKind.G2, alpha=2.0), 81, 1 / 9, 0.0),
+                 (GShape(GKind.G3, alpha=2.0, top=1.5), 400, 20.0, 1.5)]
+        for g, n, a, b in cases:
             got = quantile_normalizers(g, n)
-            want = proof_normalizers(g, n)
-            assert got.a == pytest.approx(want.a, rel=1e-9)
-            assert got.b == pytest.approx(want.b, rel=1e-9, abs=1e-9)
+            assert got.a == pytest.approx(a, rel=1e-9)
+            assert got.b == pytest.approx(b, rel=1e-9, abs=1e-9)
 
 
 class TestGForwardArray:
@@ -280,19 +277,44 @@ class TestCylinderSampling:
 
     def test_dynamical_route_matches_exact_word_avoidance(self):
         obs = tent_cylinder_obs(G2)
-        sched = cylinder_schedule(obs, depth=8, tau=1.0)
-        flags = sample_cylinder_no_entry(obs, sched, n_samples=10_000, seed=5)
-        word = cylinder_word(obs.ctx, obs.zeta, sched.event_depth)
-        want = avoid_probability(word, sched.window)
-        assert want == pytest.approx(0.3569, abs=1e-4)  # pins the oracle
-        assert flags.mean() == pytest.approx(want, abs=0.02)
+        scheds = [cylinder_schedule(obs, depth=8, tau=tau)
+                  for tau in (0.5, 1.0, 2.0)]
+        flags = sample_cylinder_no_entry(obs, scheds, n_samples=10_000,
+                                         seed=5)
+        assert flags.shape == (10_000, 3)
+        word = cylinder_word(obs.ctx, obs.zeta, scheds[0].event_depth)
+        want = [avoid_probability(word, s.window) for s in scheds]
+        assert want[1] == pytest.approx(0.3569, abs=1e-4)  # pins the oracle
+        assert flags.mean(axis=0) == pytest.approx(want, abs=0.02)
+
+    @pytest.mark.parametrize("obs, depth", [
+        (tent_cylinder_obs(G2), 8),
+        (CylinderObservable(G1, PartitionContext(
+            doubling(), BernoulliDoubling(0.3)), 0.7), 6),
+    ])
+    def test_columns_are_nested(self, obs, depth):
+        # no entry by a longer window implies no entry by a shorter one
+        scheds = [cylinder_schedule(obs, depth=depth, tau=tau)
+                  for tau in (0.5, 1.0, 2.0)]
+        flags = sample_cylinder_no_entry(obs, scheds, n_samples=4000, seed=3)
+        assert np.all(flags[:, :-1] >= flags[:, 1:])
+        assert flags[:, 0].sum() > flags[:, -1].sum()
+
+    def test_schedules_must_share_the_event_cell(self):
+        obs = tent_cylinder_obs(G2)
+        scheds = [cylinder_schedule(obs, depth=d, tau=1.0) for d in (6, 8)]
+        with pytest.raises(DomainError):
+            sample_cylinder_no_entry(obs, scheds, n_samples=10, seed=1)
+        with pytest.raises(DomainError):
+            sample_cylinder_no_entry(obs, [], n_samples=10, seed=1)
 
     def test_threads_do_not_change_the_sample(self):
         obs = tent_cylinder_obs(G2)
-        sched = cylinder_schedule(obs, depth=6, tau=1.0)
-        one = sample_cylinder_no_entry(obs, sched, n_samples=5000, seed=9)
+        scheds = [cylinder_schedule(obs, depth=6, tau=tau)
+                  for tau in (1.0, 2.0)]
+        one = sample_cylinder_no_entry(obs, scheds, n_samples=5000, seed=9)
         eight = sample_cylinder_no_entry(
-            obs, sched, n_samples=5000, seed=9, threads=8
+            obs, scheds, n_samples=5000, seed=9, threads=8
         )
         assert np.array_equal(one, eight)
 
@@ -302,7 +324,7 @@ class TestCylinderSampling:
         sched_src = tent_cylinder_obs(G2)
         sched = cylinder_schedule(sched_src, depth=4, tau=1.0)
         with pytest.raises(UnsupportedCombination):
-            sample_cylinder_no_entry(obs, sched, n_samples=10, seed=1)
+            sample_cylinder_no_entry(obs, [sched], n_samples=10, seed=1)
 
 
 class TestBallSampling:
@@ -324,7 +346,7 @@ class TestBallSampling:
         n = 4096
         measure = Lebesgue1D(Metric.CIRCLE)
         obs = BallObservable(G1, measure, 0.3)
-        norms = proof_normalizers(G1, n)
+        norms = quantile_normalizers(G1, n)
         d = sample_ball_min_distances(
             obs, doubling(), n_steps=n, n_samples=4000, seed=11
         )

@@ -83,6 +83,15 @@ class TestGShape:
         assert g3.tau(-2.0) == pytest.approx(4.0)
         assert g3.tau(0.0) == 0.0 and g3.tau(0.5) == 0.0
 
+    @pytest.mark.parametrize("g, y", [
+        (GShape(GKind.G1), -800.0),  # exp(800)
+        (GShape(GKind.G2, alpha=200.0), 0.001),  # 0.001^-200
+        (GShape(GKind.G3, alpha=2.0), -1e200),  # (1e200)^2
+    ])
+    def test_tau_overflow_is_out_of_range(self, g, y):
+        with pytest.raises(OutOfRange, match="overflows"):
+            g.tau(y)
+
 
 class TestBallObservable:
     def test_tent_reciprocal_distance(self):
