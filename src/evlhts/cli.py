@@ -17,7 +17,7 @@ _SYSTEMS = (
     ("doubling", "angle doubling on the circle, exact digit window; "
      "measures: lebesgue, bernoulli"),
     ("rotation", "circle rotation (golden or decimal angle), 63-bit fixed "
-     "point; measures: lebesgue, orbit"),
+     "point; measures: lebesgue"),
     ("manneville_pomeau", "intermittent map x + x^(1+s) mod 1, float64; "
      "measures: orbit"),
 )

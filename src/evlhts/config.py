@@ -187,9 +187,8 @@ SCHEMA: dict[str, Option] = {
     "measure.orbit_len": Option(_pos_int, 1_000_000, "orbit sample size (orbit measure)"),
 
     "observable.type": Option(_choice("g1", "g2", "g3"), "g1",
-                              "shape family: -log v, v^(-1/alpha), D - v^(1/alpha)"),
+                              "shape family: -log v, v^(-1/alpha), 1 - v^(1/alpha)"),
     "observable.alpha": Option(_pos_float, 1.0, "shape exponent for g2/g3"),
-    "observable.D": Option(_float, 1.0, "essential sup of the g3 observable"),
     "observable.mode": Option(_choice("ball", "cylinder"), "ball",
                               "small-mass coordinate: metric balls or partition cells"),
     "observable.zeta": Option(_unit_float, 0.3, "target point of the observable"),
@@ -203,18 +202,14 @@ SCHEMA: dict[str, Option] = {
     "evl.tau_grid": Option(_pos_float_list, (0.5, 1.0, 2.0),
                            "time scales tau; one first-entry scan per depth reads every tau"),
     "evl.iid_mode": Option(_bool, False, "also report the exact law (1 - m)^n of n independent draws"),
-    "evl.convention": Option(_choice("step", "deep"), "step",
-                             "cylinder level anchor: depth n-1 cell (step) or depth n (deep)"),
     "evl.tol": Option(_pos_float, 0.03, "declared band for maxima-law discrepancies"),
 
     "hts.t_grid": Option(_pos_float_list, (0.25, 0.5, 1.0, 1.5, 2.0, 3.0),
                          "normalized times at which the law is tabulated"),
     "hts.samples": Option(_sample_count, 10_000, "Monte Carlo samples per target"),
-    "hts.cap_factor": Option(_pos_float, 50.0, "censoring horizon in mean-return units"),
     "hts.target": Option(_choice("ball", "cylinder"), "cylinder", "target family"),
     "hts.mass_list": Option(_mass_list, (0.001,), "ball target masses"),
     "hts.depth_list": Option(_pos_int_list, (10,), "cylinder target depths"),
-    "hts.start_j": Option(_nonneg_int, 1, "first orbit index eligible as a hit"),
     "hts.tol": Option(_pos_float, 0.03, "declared band for the exponential-law distance"),
 
     "kac.tol": Option(_pos_float, 0.03, "declared band for |mass * mean return - 1|"),

@@ -4,7 +4,7 @@ The observables are tailored to the measure, so {phi > u} has mass
 g^{-1}(u) by construction and nothing here inverts a tail numerically.
 The level for a target y is u_n = b_n + y / a_n, built from the
 (1 - 1/n) quantile gamma_n = g(1/n): log-shaped observables shift by
-gamma_n, power-shaped ones scale by it, and bounded ones by top - gamma_n.
+gamma_n, power-shaped ones scale by it, and bounded ones by 1 - gamma_n.
 So P(M_n <= u_n) plotted in y can be compared directly against the three
 extreme-value shapes.  Outside the support of the limit shape the
 probability is pinned exactly at 0 or 1 (``degenerate_probability``)
@@ -67,7 +67,7 @@ def quantile_normalizers(g: GShape, n: int) -> Normalizers:
     """Normalizers built from the (1 - 1/n) quantile gamma_n = g(1/n).
 
     These are the closed forms up to rounding: (1, log n) for g1,
-    (n^(-1/alpha), 0) for g2 and (n^(1/alpha), top) for g3.
+    (n^(-1/alpha), 0) for g2 and (n^(1/alpha), 1) for g3.
     """
     if n < 1:
         raise DomainError("block length must be >= 1")
@@ -76,10 +76,10 @@ def quantile_normalizers(g: GShape, n: int) -> Normalizers:
         return Normalizers(1.0, gamma)
     if g.kind is GKind.G2:
         return Normalizers(1.0 / gamma, 0.0)
-    spread = g.top - gamma
+    spread = 1.0 - gamma
     if spread <= 0.0:
         raise OutOfRange("quantile reached the supremum of the observable")
-    return Normalizers(1.0 / spread, g.top)
+    return Normalizers(1.0 / spread, 1.0)
 
 
 def g_forward_array(g: GShape, masses: np.ndarray) -> np.ndarray:
@@ -91,7 +91,7 @@ def g_forward_array(g: GShape, masses: np.ndarray) -> np.ndarray:
             return -np.log(m)
         if g.kind is GKind.G2:
             return m ** (-1.0 / g.alpha)
-        return g.top - m ** (1.0 / g.alpha)
+        return 1.0 - m ** (1.0 / g.alpha)
 
 
 # ------------------------------------------------------------ ball maxima
@@ -129,10 +129,9 @@ def sample_ball_min_distances(
                 zeta=zeta, circle=circle,
             )
     elif system.kind is MapKind.ROTATION:
-        if not isinstance(measure, (Lebesgue1D, EmpiricalOrbit)):
+        if not isinstance(measure, Lebesgue1D):
             raise UnsupportedCombination(
-                "rotations preserve length; use a Lebesgue or empirical measure"
-            )
+                "rotations preserve length; use the Lebesgue measure")
         zeta_fixed = round(zeta * FIXED_ONE)
 
         def kernel(gen, count):
@@ -188,31 +187,19 @@ class CylinderSchedule:
     window: int
 
 
-def cylinder_schedule(
-    obs: CylinderObservable,
-    *,
-    depth: int,
-    tau: float,
-    convention: str = "step",
-) -> CylinderSchedule:
+def cylinder_schedule(obs: CylinderObservable, *, depth: int,
+                      tau: float) -> CylinderSchedule:
     """Level/window schedule for cylinder maxima at one anchor depth.
 
-    ``step`` (default) sets u_n = g(mass of the depth n-1 cell), making
-    the exceedance set exactly the depth-n cell; ``deep`` sets
-    u_n = g(mass of the depth-n cell) so the event is the next deeper
-    cell.  Both windows divide tau by the event's own mass.
+    u_n = g(mass of the depth n-1 cell), one cell above the event: the
+    exceedance set is exactly the depth-n cell, and the window divides
+    tau by that cell's mass.
     """
-    if convention not in ("step", "deep"):
-        raise DomainError(f"unknown schedule convention {convention!r}")
     if not (math.isfinite(tau) and tau > 0.0):
         raise DomainError("tau must be finite and positive")
     if depth < 1:
         raise DomainError("anchor depth must be >= 1")
-    anchor = depth - 1 if convention == "step" else depth
-    if anchor == 0:
-        level = obs.g.forward(1.0)
-    else:
-        level = obs.g.forward(obs.ladder_mass(anchor))
+    level = obs.g.forward(obs.ladder_mass(depth - 1))
     event_depth = obs.exceedance_depth(level)
     event_mass = obs.ladder_mass(event_depth)
     if event_mass <= 0.0:

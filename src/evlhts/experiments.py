@@ -38,7 +38,7 @@ from .cylinders import (
     word_log_mass,
 )
 from .engine import MAX_WORD_DEPTH
-from .errors import ConfigError, DomainError, UnsupportedCombination
+from .errors import ConfigError, DomainError, NotAttained, UnsupportedCombination
 from .laws import (
     EmpiricalLaw,
     LawKind,
@@ -159,15 +159,11 @@ def _build_measure(cfg: ExperimentConfig, system):
             burn_in=cfg["measure.burn_in"],
         )
     except UnsupportedCombination as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"measure.kind = {kind}: {exc}") from exc
 
 
 def _build_g(cfg: ExperimentConfig) -> GShape:
-    return GShape(
-        GKind(cfg["observable.type"]),
-        alpha=cfg["observable.alpha"],
-        top=cfg["observable.D"],
-    )
+    return GShape(GKind(cfg["observable.type"]), alpha=cfg["observable.alpha"])
 
 
 def _build_ctx(cfg: ExperimentConfig, system, measure, *needed_depths: int
@@ -187,6 +183,17 @@ def _require_word_depths(system, key: str, depths, deepest: int):
             f"{key} = {', '.join(map(str, depths))} asks for a cylinder "
             f"deeper than {MAX_WORD_DEPTH}, the deepest tent or doubling "
             "cylinder the word scans run")
+
+
+def _ball_target(measure, zeta, mass: float, key: str) -> hts.TargetSet:
+    """The ball of ``mass`` around zeta; a mass that no radius attains is a
+    config error naming the key that asked for it."""
+    try:
+        return hts.ball_target(measure, zeta, mass)
+    except NotAttained as exc:
+        raise ConfigError(
+            f"{key} asks for a ball of mass {mass:g} around {zeta}, which no "
+            f"53-bit radius attains ({exc})") from exc
 
 
 def _require_mode(cfg: ExperimentConfig, mode: str):
@@ -229,7 +236,7 @@ def _run_evl_balls(cfg: ExperimentConfig) -> tuple[_Report, dict]:
         norms = evl.quantile_normalizers(g, n)
         # the maxima law reads ball masses off 53-bit distances: refuse a
         # ball of mass 1/n that no radius attains before sampling
-        measure.quantile_radius(obs.zeta, 1.0 / n)
+        _ball_target(measure, obs.zeta, 1.0 / n, "evl.n_list")
         dmin = evl.sample_ball_min_distances(
             obs, system, n_steps=n, n_samples=samples,
             seed=cfg["master_seed"], labels=("evl-balls", f"n={n}"),
@@ -299,9 +306,8 @@ def _run_evl_cylinders(cfg: ExperimentConfig) -> tuple[_Report, dict]:
     tau_grid = cfg["evl.tau_grid"]
     tol = cfg["evl.tol"]
 
-    by_depth = [[evl.cylinder_schedule(
-        obs, depth=depth, tau=tau, convention=cfg["evl.convention"])
-        for tau in tau_grid] for depth in depths]
+    by_depth = [[evl.cylinder_schedule(obs, depth=depth, tau=tau)
+                 for tau in tau_grid] for depth in depths]
     schedules = [s for row in by_depth for s in row]
     _require_word_depths(system, "evl.n_list", depths,
                          max(s.event_depth for s in schedules))
@@ -353,17 +359,6 @@ def _run_evl_cylinders(cfg: ExperimentConfig) -> tuple[_Report, dict]:
 
 # ------------------------------------------------------------- hts / rts
 
-def _hit_cap(cfg: ExperimentConfig, mass: float) -> int:
-    """Step cap of a target of ``mass``, with hts.start_j checked below it."""
-    cap = hts.default_cap(mass, cfg["hts.cap_factor"])
-    if cfg["hts.start_j"] >= cap:
-        raise ConfigError(
-            f"hts.start_j = {cfg['hts.start_j']} leaves no step below the cap "
-            f"{cap} (hts.cap_factor = {cfg['hts.cap_factor']:g} mean returns "
-            f"of a target of mass {mass:g})")
-    return cap
-
-
 def _targets(cfg: ExperimentConfig, system, measure):
     """(label, TargetSet, cap) triples from the configured target family."""
     zeta = cfg["observable.zeta"]
@@ -374,35 +369,31 @@ def _targets(cfg: ExperimentConfig, system, measure):
         pairs = [(f"depth={d}", hts.cylinder_target(ctx, zeta, d))
                  for d in depths]
     else:
-        pairs = [(f"mass={m!r}", hts.ball_target(measure, zeta, mass=m))
+        pairs = [(f"mass={m!r}", _ball_target(measure, zeta, m,
+                                              "hts.mass_list"))
                  for m in cfg["hts.mass_list"]]
-    return [(label, t, _hit_cap(cfg, t.mass)) for label, t in pairs]
+    return [(label, t, hts.default_cap(t.mass)) for label, t in pairs]
 
 
 def _hit_times(cfg: ExperimentConfig, system, measure, target, cap: int,
                label: str, conditional: bool) -> hts.HitSample:
-    """hts.samples hitting times, or return times (from step 1 at least)."""
+    """hts.samples hitting times, or return times."""
     return hts.sample_hit_times(
         system, target, cap=cap, n_samples=cfg["hts.samples"],
         seed=cfg["master_seed"], labels=(cfg.experiment, label),
-        threads=cfg["threads"], conditional=conditional,
-        start_j=max(cfg["hts.start_j"], int(conditional)), measure=measure)
+        threads=cfg["threads"], conditional=conditional, measure=measure)
 
 
 def _run_time_law(cfg: ExperimentConfig) -> tuple[_Report, dict]:
     """hts, or rts: the same exponential law for return times."""
     conditional = cfg.experiment == "rts"
     t_grid = cfg["hts.t_grid"]
-    cap_factor = cfg["hts.cap_factor"]
-    if cap_factor < max(t_grid):
+    if max(t_grid) > hts.DEFAULT_HORIZON:
         raise ConfigError(
-            f"hts.cap_factor = {cap_factor} censors times at {cap_factor:g} "
-            f"mean returns, short of t = {max(t_grid):g} on hts.t_grid"
-        )
+            f"hts.t_grid reaches t = {max(t_grid):g}, past the censoring "
+            f"horizon of {hts.DEFAULT_HORIZON:g} mean returns")
     system = _build_system(cfg)
     measure = _build_measure(cfg, system)
-    if conditional and cfg["hts.start_j"] < 1:
-        raise ConfigError("return times need hts.start_j >= 1")
     samples = cfg["hts.samples"]
     tol = cfg["hts.tol"]
     exp_ref = ReferenceLaw(LawKind.EXPONENTIAL)
@@ -438,16 +429,8 @@ def _run_time_law(cfg: ExperimentConfig) -> tuple[_Report, dict]:
 # ------------------------------------------------------------------ kac
 
 def _run_kac(cfg: ExperimentConfig) -> tuple[_Report, dict]:
-    if cfg["hts.cap_factor"] < 1:
-        raise ConfigError(
-            f"hts.cap_factor = {cfg['hts.cap_factor']} censors returns short "
-            "of the one mean return that the identity certifies"
-        )
     system = _build_system(cfg)
     measure = _build_measure(cfg, system)
-    if cfg["hts.start_j"] != 1:
-        raise ConfigError("the mean-return identity concerns first "
-                          "returns, which need hts.start_j = 1")
     tol = cfg["kac.tol"]
     out = _Report(("target", "statistic", "value", "stderr"))
 
@@ -606,15 +589,14 @@ def _run_equivalence(cfg: ExperimentConfig) -> tuple[_Report, dict]:
     n = cfg["evl.n_list"][-1]
     y_grid = cfg["evl.y_grid"]
     # hitting times (target mass 1/n) are censored at this many mean returns
-    cap = _hit_cap(cfg, 1.0 / n)
+    cap = hts.default_cap(1.0 / n)
     horizon = cap * (1.0 / n)
     beyond = [y for y in y_grid if horizon < g.tau(y) < math.inf]
     if beyond:
         raise ConfigError(
-            f"hts.cap_factor = {cfg['hts.cap_factor']} censors hitting times "
-            f"at {horizon:g} mean returns, short of tau(y) = "
-            f"{g.tau(beyond[0]):g} at y = {beyond[0]:g} on evl.y_grid"
-        )
+            f"evl.y_grid reaches tau(y) = {g.tau(beyond[0]):g} at "
+            f"y = {beyond[0]:g}, past the {horizon:g} mean returns at which "
+            "hitting times are censored")
     system = _build_system(cfg)
     measure = _build_measure(cfg, system)
     obs = BallObservable(g, measure, cfg["observable.zeta"])
@@ -623,7 +605,8 @@ def _run_equivalence(cfg: ExperimentConfig) -> tuple[_Report, dict]:
                    "time_survival", "time_stderr", "abs_diff"))
 
     norms = evl.quantile_normalizers(g, n)
-    target = hts.ball_target(measure, cfg["observable.zeta"], mass=1.0 / n)
+    target = _ball_target(measure, cfg["observable.zeta"], 1.0 / n,
+                          "evl.n_list")
     samples = cfg["evl.samples"]
     dmin = evl.sample_ball_min_distances(
         obs, system, n_steps=n, n_samples=samples, seed=cfg["master_seed"],
@@ -690,7 +673,7 @@ def _run_rotation_subseq(cfg: ExperimentConfig) -> tuple[_Report, dict]:
 
     targets = [hts.cylinder_target(ctx, cfg["observable.zeta"], d)
                for d in depths]
-    caps = [_hit_cap(cfg, target.mass) for target in targets]
+    caps = [hts.default_cap(target.mass) for target in targets]
     per_depth = []
     for depth, target, cap in zip(depths, targets, caps):
         label = f"depth={depth}"

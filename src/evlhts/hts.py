@@ -1,14 +1,16 @@
 """Hitting and return times to small target sets.
 
 A target is a positive-mass set around a center point: a cylinder of the
-natural partition or a metric ball.  Runs record the first entry time of
-each sampled orbit into the target within a step cap; times are censored
+natural partition or a metric ball.  Hitting and return runs record the
+first entry time r_U(x) = min{j >= 1 : f^j x in U} of each sampled orbit
+within a step cap of 50 mean returns (``default_cap``); times are censored
 at the cap, never discarded, and the normalized law multiplies the times
 by the target mass, so a mass-tau target with a clean exponential limit
 shows rate 1.
 
 Every first-entry run samples here, in ``first_hits``: hitting, return,
-cylinder no-entry (``evl``) and mixing-gap (``conditions``) runs.
+cylinder no-entry (``evl``, from j = 0) and mixing-gap (``conditions``,
+from j = gap) runs.
 ``word_scan`` is the one map from a tent or doubling cylinder to a word
 scan.
 
@@ -77,13 +79,9 @@ def cylinder_target(ctx: PartitionContext, zeta, depth: int) -> TargetSet:
     )
 
 
-def ball_target(measure: MeasureModel, zeta, *, eta: float | None = None,
-                mass: float | None = None) -> TargetSet:
-    """The ball around zeta, specified by radius or by mass (not both)."""
-    if (eta is None) == (mass is None):
-        raise DomainError("give exactly one of eta and mass")
-    if eta is None:
-        eta = measure.quantile_radius(zeta, mass)
+def ball_target(measure: MeasureModel, zeta, mass: float) -> TargetSet:
+    """The smallest ball around zeta that carries ``mass``."""
+    eta = measure.quantile_radius(zeta, mass)
     z = float(zeta)
     mass = measure.ball_mass(zeta, eta)
     if mass <= 0.0:
@@ -106,11 +104,11 @@ def ball_target(measure: MeasureModel, zeta, *, eta: float | None = None,
     )
 
 
-def default_cap(mass: float, horizon: float = DEFAULT_HORIZON) -> int:
-    """Step cap covering ``horizon`` expected return times."""
+def default_cap(mass: float) -> int:
+    """Step cap covering ``DEFAULT_HORIZON`` expected return times."""
     if not 0.0 < mass <= 1.0:
         raise DomainError("target mass must lie in (0, 1]")
-    return max(int(math.ceil(horizon / mass)), 2)
+    return max(int(math.ceil(DEFAULT_HORIZON / mass)), 2)
 
 
 @dataclass
@@ -121,7 +119,6 @@ class HitSample:
     hit: np.ndarray
     target: TargetSet
     cap: int
-    start_j: int
     conditional: bool
 
     @property
@@ -150,10 +147,10 @@ def sample_hit_times(
     labels: tuple = ("hit-times",),
     threads: int = 1,
     conditional: bool = False,
-    start_j: int = 1,
     measure: MeasureModel | None = None,
 ) -> HitSample:
-    """First entry times into the target for ``n_samples`` orbits.
+    """First entry times r = min{j >= 1 : f^j x in U} for ``n_samples``
+    orbits.
 
     ``conditional`` starts the orbit inside the target (return times);
     otherwise starts are stationary (hitting times).  ``measure`` is
@@ -163,13 +160,14 @@ def sample_hit_times(
     times, hit = first_hits(
         system, target, cap=cap, n_samples=n_samples, seed=seed,
         labels=(*labels, "ret" if conditional else "hit"), threads=threads,
-        conditional=conditional, start_j=start_j, measure=measure)
-    return HitSample(times, hit, target, cap, start_j, conditional)
+        conditional=conditional, measure=measure)
+    return HitSample(times, hit, target, cap, conditional)
 
 
 def first_hits(system, target, *, cap, n_samples, seed, labels, threads=1,
                conditional=False, start_j=1, measure=None):
-    """(times, hit) of ``n_samples`` first-entry runs on exactly ``labels``."""
+    """(times, hit) of ``n_samples`` first-entry runs on exactly ``labels``;
+    the first index eligible as an entry is ``start_j``."""
     kernel = _hit_kernel(system, target, cap, start_j, conditional, measure)
     return engine.run_blocked(n_samples, seed, labels, kernel, threads=threads)
 
@@ -290,8 +288,8 @@ class KacReport:
 
 def kac_check(sample: HitSample) -> KacReport:
     """Certify mean(return time) * mass = 1 on an uncensored return run."""
-    if not sample.conditional or sample.start_j != 1:
-        raise DomainError("Kac's identity concerns first returns (start_j 1)")
+    if not sample.conditional:
+        raise DomainError("Kac's identity concerns return times")
     if sample.n_censored:
         raise CapTooSmall(
             f"{sample.n_censored} returns censored at cap {sample.cap}; "

@@ -10,9 +10,9 @@ Three kinds are provided:
   the mass of the prefix b_1 .. b_{i-1} times p.  All endpoint arithmetic
   is done in 128-bit fixed point, so the digit expansion never truncates
   before the certified remainder is below ~1e-19.
-* ``EmpiricalOrbit`` -- a long-orbit surrogate for maps without a closed
-  form invariant density (Manneville-Pomeau); one orbit is generated once,
-  after a burn-in, and all masses are orbit frequencies.
+* ``EmpiricalOrbit`` -- a long-orbit surrogate for the one map without a
+  closed form invariant density (Manneville-Pomeau); one orbit is
+  generated once, after a burn-in, and all masses are orbit frequencies.
 
 Ball masses reduce to CDF differences of the (at most two) arcs or
 segments a metric ball induces on [0, 1].  ``quantile_radius`` inverts the
@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DomainError, NotAttained, UnsupportedCombination
 from .rng import substream
-from .systems import DIGIT_KINDS, MapKind, MapSystem, Metric
+from .systems import MapKind, MapSystem, Metric
 
 QUANTILE_MASS_TOL = 1e-10
 QUANTILE_BRACKET_MIN = 1e-14
@@ -257,7 +257,7 @@ def digit_p_zero(measure) -> float:
 
 
 class EmpiricalOrbit(MeasureModel):
-    """Long-orbit surrogate measure for maps lacking a closed form.
+    """Long-orbit surrogate measure for the intermittent map.
 
     One orbit of length ``orbit_len`` is generated once from a seeded
     start after ``burn_in`` discarded steps; every mass is the frequency
@@ -272,10 +272,10 @@ class EmpiricalOrbit(MeasureModel):
         orbit_len: int = 10**6,
         burn_in: int = 10**4,
     ):
-        if system.kind in DIGIT_KINDS:
+        if system.kind is not MapKind.MANNEVILLE_POMEAU:
             raise UnsupportedCombination(
-                "empirical orbits of the tent/doubling maps collapse in float "
-                "arithmetic; these maps have closed-form measures"
+                "the orbit measure serves the intermittent map only; the "
+                "tent, doubling and rotation maps have closed-form measures"
             )
         self.system = system
         self.metric = system.metric
@@ -287,29 +287,15 @@ class EmpiricalOrbit(MeasureModel):
         self._sorted = np.sort(self.orbit)
 
     def _run_orbit(self, x0: float) -> np.ndarray:
-        kind = self.system.kind
-        n = self.orbit_len + self.burn_in
         out = np.empty(self.orbit_len)
         x = x0
-        if kind is MapKind.MANNEVILLE_POMEAU:
-            e = 1.0 + self.system.s
-            for j in range(n):
-                if j >= self.burn_in:
-                    out[j - self.burn_in] = x
-                x = x + x**e
-                if x >= 1.0:
-                    x -= 1.0
-        elif kind is MapKind.ROTATION:
-            from .systems import FIXED_ONE
-
-            xi = round(x * FIXED_ONE)
-            step = self.system.fixed_angle
-            for j in range(n):
-                if j >= self.burn_in:
-                    out[j - self.burn_in] = xi / FIXED_ONE
-                xi = (xi + step) % FIXED_ONE
-        else:  # pragma: no cover - guarded in __init__
-            raise UnsupportedCombination(kind)
+        e = 1.0 + self.system.s
+        for j in range(self.orbit_len + self.burn_in):
+            if j >= self.burn_in:
+                out[j - self.burn_in] = x
+            x = x + x**e
+            if x >= 1.0:
+                x -= 1.0
         return out
 
     def interval_mass(self, a: int, b: int) -> float:

@@ -17,7 +17,7 @@ Three shape families are provided, one per classical extreme value type:
 
   type 1: g(v) = -log v               range [0, inf)
   type 2: g(v) = v^(-1/alpha)         range [1, inf),   alpha > 0
-  type 3: g(v) = top - v^(1/alpha)    range [top-1, top], alpha > 0
+  type 3: g(v) = 1 - v^(1/alpha)      range [0, 1],      alpha > 0
 
 ``tau`` maps a rescaled level y to the time-scaling constant used when
 comparing maxima with hitting times: exp(-y), y^(-alpha) (infinite for
@@ -46,18 +46,15 @@ class GShape:
 
     kind: GKind
     alpha: float = 1.0
-    top: float = 1.0  # essential sup of the observable (type 3 only)
 
     def __post_init__(self):
         if not (self.alpha > 0 and math.isfinite(self.alpha)):
             raise DomainError(f"alpha must be positive, got {self.alpha}")
-        if not math.isfinite(self.top):
-            raise DomainError(f"top must be finite, got {self.top}")
 
     @property
     def value_at_zero(self) -> float:
         """sup phi: the value assigned to x = zeta (v = 0)."""
-        return self.top if self.kind is GKind.G3 else math.inf
+        return 1.0 if self.kind is GKind.G3 else math.inf
 
     def forward(self, v: float) -> float:
         """g(v) for v in [0, 1]; v = 0 gives the supremum."""
@@ -74,7 +71,7 @@ class GShape:
                 raise OutOfRange(
                     f"g({v!r}) = {v!r}^(-1/{self.alpha!r}) overflows a float"
                 ) from None
-        return self.top - v ** (1.0 / self.alpha)
+        return 1.0 - v ** (1.0 / self.alpha)
 
     def tail_fraction(self, u: float) -> float:
         """mu(g(v) > u) as a function of the v-mass: the clipped inverse."""
@@ -82,11 +79,11 @@ class GShape:
             return 1.0 if u < 0.0 else math.exp(-u)
         if self.kind is GKind.G2:
             return 1.0 if u < 1.0 else u ** (-self.alpha)
-        if u >= self.top:
+        if u >= 1.0:
             return 0.0
-        if u <= self.top - 1.0:
+        if u <= 0.0:
             return 1.0
-        return (self.top - u) ** self.alpha
+        return (1.0 - u) ** self.alpha
 
     def tau(self, y: float) -> float:
         """Level-to-rate map; +inf / 0 outside the support of the law."""

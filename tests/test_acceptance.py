@@ -159,7 +159,7 @@ def test_doubling_ball_maxima_reach_each_limit_type(doubling_minima, kind):
     the matching limit law on a grid covering its support — one shape per
     extreme-value type, all from the same orbit sample."""
     dyn = doubling_minima
-    shape = GShape(kind, alpha=1.0, top=1.0)
+    shape = GShape(kind, alpha=1.0)
     obs = BallObservable(shape, LEB_DBL, ZETA)
     norms = evl.quantile_normalizers(shape, 5000)
     law = EmpiricalLaw(np.sort(norms.rescale(evl.ball_maxima_values(dyn, obs))))

@@ -261,11 +261,6 @@ class TestExperimentDrivers:
         assert abs(target["mean_normalized"]["value"] - 1.0) <= 0.06
         assert report.passed
 
-    def test_rts_rejects_zero_start(self):
-        cfg = make_config("rts", "hts.start_j = 0")
-        with pytest.raises(ConfigError, match="start_j"):
-            experiments.run(cfg, write=False)
-
     def test_conditions_generic_center_consistent(self):
         cfg = make_config("conditions", """
             system.kind = doubling
@@ -460,24 +455,14 @@ class TestFilesAndCli:
         assert summary["verdict"] == "FAIL"
 
     @pytest.mark.parametrize("experiment, line, key", [
-        # g2 gives tau(0.25) = 4, beyond a horizon of 0.5 mean returns
-        ("equivalence", "hts.cap_factor = 0.5", "hts.cap_factor"),
+        # g2 gives tau(0.01) = 100, past the 50 mean returns of the cap
+        ("equivalence", "evl.y_grid = 0.01, 1", "evl.y_grid"),
         # 300 // 5000 leaves an empty window; k = 10 alone would sample
         ("conditions", "conditions.k_list = 5000", "conditions.k_list"),
         ("conditions", "conditions.k_list = 10, 5000", "conditions.k_list"),
-        # horizons of half a mean return: short of the t-grid's 3 mean
-        # returns, and of the mean return that kac certifies
-        ("hts", "hts.cap_factor = 0.5", "hts.cap_factor"),
-        ("rts", "hts.cap_factor = 0.5", "hts.cap_factor"),
-        ("kac", "hts.cap_factor = 0.5", "hts.cap_factor"),
-        # a first eligible index at or past every target's step cap
-        ("hts", "hts.start_j = 100000", "hts.start_j"),
-        ("rts", "hts.start_j = 100000", "hts.start_j"),
-        ("kac", "hts.start_j = 100000", "hts.start_j"),
-        # a late start samples first entries, not the returns Kac concerns
-        ("kac", "hts.start_j = 50", "hts.start_j"),
-        ("rotation-subseq", "hts.start_j = 100000", "hts.start_j"),
-        ("equivalence", "hts.start_j = 100000", "hts.start_j"),
+        # a tabulation time past the 50 mean returns of the cap
+        ("hts", "hts.t_grid = 0.5, 60", "hts.t_grid"),
+        ("rts", "hts.t_grid = 0.5, 60", "hts.t_grid"),
         # the intermittent map under the Lebesgue measure (the default),
         # which it does not preserve: its samplers need the orbit measure
         pytest.param("hts", MP_BALL, "measure.kind", id="hts-mp-lebesgue"),
@@ -488,6 +473,12 @@ class TestFilesAndCli:
                      id="evl-balls-mp-lebesgue"),
         pytest.param("equivalence", MP_LEBESGUE, "measure.kind",
                      id="equivalence-mp-lebesgue"),
+        # the rotation preserves Lebesgue exactly: no orbit measure for it
+        pytest.param("evl-balls", "system.kind = rotation\nmeasure.kind = orbit",
+                     "measure.kind", id="evl-balls-rotation-orbit"),
+        pytest.param("rts", "system.kind = rotation\nhts.target = ball\n"
+                     "measure.kind = orbit", "measure.kind",
+                     id="rts-rotation-orbit"),
         # a tent or doubling cylinder deeper than the word scans' 63 letters
         ("hts", "hts.depth_list = 6, 64", "hts.depth_list"),
         ("kac", "hts.depth_list = 6, 64", "hts.depth_list"),
@@ -495,9 +486,6 @@ class TestFilesAndCli:
                      "hts.depth_list", id="rts-tent-depth-64"),
         ("conditions", "cylinders.max_depth = 64", "cylinders.max_depth"),
         ("evl-cylinders", "evl.n_list = 8, 64", "evl.n_list"),
-        # the deep convention reads the event one letter below the anchor
-        pytest.param("evl-cylinders", "evl.n_list = 8, 63\nevl.convention = deep",
-                     "evl.n_list", id="evl-cylinders-deep-63"),
         # windows of 2^63 and 2^64 steps overflow the int64 step counter
         pytest.param("evl-cylinders", "evl.n_list = 63\nevl.tau_grid = 1.0, 2.0",
                      "evl.n_list", id="evl-cylinders-window-overflow"),
@@ -548,7 +536,9 @@ class TestFilesAndCli:
         out = tmp_path / "out"
         assert self.run_cli(experiment, "--config", str(cfg),
                             "--out", str(out)) == 2
-        assert key in capsys.readouterr().err
+        # an unknown key would name itself: the row must reach the driver
+        err = capsys.readouterr().err
+        assert key in err and "unknown config key" not in err
         assert not out.exists()
 
     def test_iid_route_at_exceedance_mass_one(self, tmp_path):
@@ -607,16 +597,27 @@ class TestFilesAndCli:
         assert "runtime error" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_unresolvable_ball_stays_out_of_the_verdicts(self, tmp_path):
+    @pytest.mark.parametrize("experiment, golden, lines, key", [
+        ("evl-balls", "evl-balls+bernoulli-iid", "evl.n_list = 200",
+         "evl.n_list"),
+        ("hts", "evl-balls+bernoulli-iid",
+         "hts.target = ball\nhts.mass_list = 0.005", "hts.mass_list"),
+        ("equivalence", "equivalence", "evl.n_list = 200", "evl.n_list"),
+    ])
+    def test_unresolvable_ball_stays_out_of_the_verdicts(
+            self, tmp_path, capsys, monkeypatch, experiment, golden, lines,
+            key):
         # under Bernoulli(0.01) the ball of mass 1/200 around 0.3 has no
         # radius: its mass profile jumps past 0.005 within 53-bit distances
+        forbid_sampling(monkeypatch)
         cfg = tmp_path / "p001.cfg"
-        cfg.write_text(override(
-            (GOLDEN / "evl-balls+bernoulli-iid.cfg").read_text(),
-            "measure.p = 0.01\nevl.n_list = 200"))
+        cfg.write_text(override((GOLDEN / f"{golden}.cfg").read_text(),
+                                "measure.p = 0.01\n" + lines))
         out = tmp_path / "out"
-        assert self.run_cli("evl-balls", "--config", str(cfg),
-                            "--out", str(out)) in (2, 3)
+        assert self.run_cli(experiment, "--config", str(cfg),
+                            "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert key in err and "0.005" in err and "53-bit radius" in err
         assert not out.exists()
 
     def test_unknown_key_exit_two(self, tmp_path, capsys):
@@ -624,6 +625,15 @@ class TestFilesAndCli:
         cfg.write_text("observable.alhpa = 2\n")
         assert self.run_cli("kac", "--config", str(cfg)) == 2
         assert "observable.alpha" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", [
+        "hts.start_j = 1", "hts.cap_factor = 50", "evl.convention = step",
+        "observable.D = 1"])
+    def test_removed_key_is_unknown(self, tmp_path, capsys, line):
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text(line + "\n")
+        assert self.run_cli("validate", "--config", str(cfg)) == 2
+        assert "unknown config key" in capsys.readouterr().err
 
     def test_validate_command(self, tmp_path, capsys):
         good = tmp_path / "good.cfg"

@@ -36,7 +36,7 @@ from reference import iid_digit_min_distances
 
 G1 = GShape(GKind.G1)
 G2 = GShape(GKind.G2, alpha=1.0)
-G3 = GShape(GKind.G3, alpha=1.0, top=1.0)
+G3 = GShape(GKind.G3, alpha=1.0)
 
 
 def tent_cylinder_obs(g, zeta=Fraction(1)):
@@ -57,10 +57,9 @@ class TestNormalizers:
         assert root == Normalizers(0.25, 0.0)
 
     def test_bounded_shape(self):
-        g = GShape(GKind.G3, alpha=1.0, top=2.0)
-        norm = quantile_normalizers(g, 8)
-        assert norm == Normalizers(8.0, 2.0)
-        assert norm.level(-1.0) == 2.0 - 0.125
+        norm = quantile_normalizers(G3, 8)
+        assert norm == Normalizers(8.0, 1.0)
+        assert norm.level(-1.0) == 1.0 - 0.125
 
     def test_rescale_inverts_level(self):
         norm = quantile_normalizers(G1, 50)
@@ -87,7 +86,7 @@ class TestSupport:
 class TestGammaLevel:
     """The quantile level gamma_n = g(1/n) must reproduce the closed forms
     of the smooth tails: tail e^-u gives log n, tail u^-alpha gives
-    n^(1/alpha), tail (top - u)^alpha gives top - n^(-1/alpha)."""
+    n^(1/alpha), tail (1 - u)^alpha gives 1 - n^(-1/alpha)."""
 
     NS = [10, 100, 1000, 10**4, 10**5, 10**6]
 
@@ -107,7 +106,7 @@ class TestGammaLevel:
             1e4, rel=1e-9)
 
     def test_bounded_shape_quantile(self):
-        quad = GShape(GKind.G3, alpha=2.0, top=1.0)
+        quad = GShape(GKind.G3, alpha=2.0)
         for n in self.NS:
             norms = quantile_normalizers(quad, n)
             assert norms.b == 1.0
@@ -129,7 +128,7 @@ class TestQuantileNormalizers:
         cases = [(G1, 1000, 1.0, math.log(1000)),
                  (G2, 512, 1 / 512, 0.0),
                  (GShape(GKind.G2, alpha=2.0), 81, 1 / 9, 0.0),
-                 (GShape(GKind.G3, alpha=2.0, top=1.5), 400, 20.0, 1.5)]
+                 (GShape(GKind.G3, alpha=2.0), 400, 20.0, 1.0)]
         for g, n, a, b in cases:
             got = quantile_normalizers(g, n)
             assert got.a == pytest.approx(a, rel=1e-9)
@@ -140,7 +139,7 @@ class TestGForwardArray:
     def test_matches_scalar(self):
         masses = np.array([1.0, 0.5, 0.125, 1e-6])
         for g in (G1, G2, GShape(GKind.G2, alpha=2.0),
-                  GShape(GKind.G3, alpha=2.0, top=1.5)):
+                  GShape(GKind.G3, alpha=2.0)):
             want = [g.forward(float(m)) for m in masses]
             assert g_forward_array(g, masses) == pytest.approx(want, rel=1e-14)
 
@@ -166,9 +165,9 @@ class TestCylinderSchedule:
         assert cylinder_schedule(obs, depth=12, tau=0.5).window == 2048
         assert cylinder_schedule(obs, depth=12, tau=2.0).window == 8192
 
-    def test_deep_convention(self):
+    def test_one_anchor_deeper(self):
         obs = tent_cylinder_obs(G2)
-        s = cylinder_schedule(obs, depth=12, tau=1.0, convention="deep")
+        s = cylinder_schedule(obs, depth=13, tau=1.0)
         assert s.level == 4096.0
         assert s.event_depth == 13
         assert s.window == 8192
@@ -189,24 +188,21 @@ class TestCylinderSchedule:
         assert s.window == int(1.0 / 0.3 ** 3)
         assert cylinder_word(ctx, 0.0, s.event_depth) == (0, 0, 0)
 
-    @pytest.mark.parametrize("convention, offset", [("step", 0), ("deep", 1)])
     @pytest.mark.parametrize("system, measure", [
         (full_tent(), Lebesgue1D(Metric.INTERVAL)),
         (doubling(), BernoulliDoubling(0.3)),
     ], ids=["tent-lebesgue", "doubling-bernoulli"])
     @pytest.mark.parametrize("g", [G1, G2, G3], ids=["g1", "g2", "g3"])
-    def test_event_is_the_cell_the_convention_names(self, g, system, measure,
-                                                    convention, offset):
+    def test_event_is_the_cell_below_the_anchor(self, g, system, measure):
         # g(ladder mass) and back may round above the mass; the event cell
         # must still be the one below the anchor, never the anchor itself
         ctx = PartitionContext(system, measure)
         misses = []
         for zeta in (0.1, 0.3, 0.7, 0.77, 1 / 3):
             obs = CylinderObservable(g, ctx, zeta)
-            for depth in range(2, 40):
-                s = cylinder_schedule(obs, depth=depth, tau=1.0,
-                                      convention=convention)
-                if s.event_depth != depth + offset:
+            for depth in range(2, 41):
+                s = cylinder_schedule(obs, depth=depth, tau=1.0)
+                if s.event_depth != depth:
                     misses.append((zeta, depth, s.event_depth))
         assert misses == []
 
@@ -220,8 +216,6 @@ class TestCylinderSchedule:
             cylinder_schedule(obs, depth=5, tau=math.inf)
         with pytest.raises(DomainError):
             cylinder_schedule(obs, depth=1, tau=0.3)  # window floor = 0
-        with pytest.raises(DomainError):
-            cylinder_schedule(obs, depth=5, tau=1.0, convention="sideways")
 
 
 class TestPackWord:
@@ -405,6 +399,14 @@ class TestBallSampling:
         with pytest.raises(UnsupportedCombination):
             sample_ball_min_distances(obs, system, n_steps=5, n_samples=10,
                                       seed=1)
+
+    def test_rotation_needs_lebesgue(self):
+        orbit_measure = EmpiricalOrbit(manneville_pomeau(0.2), orbit_len=1000,
+                                       burn_in=10)
+        obs = BallObservable(G1, orbit_measure, 0.5)
+        with pytest.raises(UnsupportedCombination, match="Lebesgue"):
+            sample_ball_min_distances(obs, rotation("golden"), n_steps=5,
+                                      n_samples=10, seed=1)
 
 
 class TestExactIidLaw:

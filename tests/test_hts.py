@@ -14,6 +14,7 @@ from evlhts.hts import (
     compare_hts_rts,
     cylinder_target,
     default_cap,
+    first_hits,
     hts_curve_from_rts,
     kac_check,
     sample_hit_times,
@@ -68,22 +69,17 @@ class TestTargets:
         assert hi[0] == pytest.approx(0.255, rel=1e-9)
 
     def test_ball_target_wraps_on_the_circle(self):
-        tgt = ball_target(LEB_C, 0.002, eta=0.005)
+        tgt = ball_target(LEB_C, 0.002, mass=0.01)
+        assert tgt.eta == pytest.approx(0.005, rel=1e-9)
         lo, hi = tgt.cdf_arcs
         assert len(lo) == 2  # pieces on both sides of 0
         widths = [b - a for a, b in zip(lo, hi)]
         assert sum(widths) == pytest.approx(0.01, rel=1e-9)
 
-    def test_ball_target_needs_exactly_one_size(self):
-        with pytest.raises(DomainError):
-            ball_target(LEB_C, 0.5)
-        with pytest.raises(DomainError):
-            ball_target(LEB_C, 0.5, eta=0.1, mass=0.2)
-
     def test_default_cap(self):
         assert default_cap(0.5) == 100
         assert default_cap(2.0 ** -10) == 51200
-        assert default_cap(0.25, horizon=10.0) == 40
+        assert default_cap(0.3) == 167  # ceil(50 / 0.3)
         with pytest.raises(DomainError):
             default_cap(0.0)
         with pytest.raises(DomainError):
@@ -174,7 +170,7 @@ class TestDigitBallReturns:
 
     def test_bernoulli_ball(self):
         bern = BernoulliDoubling(0.3)
-        tgt = ball_target(bern, 0.3, eta=0.01)
+        tgt = ball_target(bern, 0.3, mass=0.01)
         sample = sample_hit_times(
             doubling(), tgt, cap=default_cap(tgt.mass), n_samples=5000,
             seed=8, conditional=True, measure=bern,
@@ -185,11 +181,11 @@ class TestDigitBallReturns:
     def test_conditional_start_is_inside(self):
         # With start_j = 0 a conditioned start must register time 0.
         tgt = ball_target(LEB_C, 0.3, mass=0.02)
-        sample = sample_hit_times(
+        times, hit = first_hits(
             doubling(), tgt, cap=100, n_samples=300, seed=9,
-            conditional=True, start_j=0, measure=LEB_C,
+            labels=("inside",), conditional=True, start_j=0, measure=LEB_C,
         )
-        assert np.all(sample.times == 0)
+        assert np.all(hit) and np.all(times == 0)
 
     def test_tent_ball_hitting_law_is_exponential(self):
         tgt = ball_target(LEB_I, 0.3, mass=2.0 ** -10)

@@ -183,9 +183,12 @@ def test_digit_p_zero_of_each_measure():
         digit_p_zero(orbit)
 
 
-def test_empirical_orbit_rejects_collapsing_maps():
-    with pytest.raises(UnsupportedCombination):
-        EmpiricalOrbit(doubling(), orbit_len=100, burn_in=10)
+def test_empirical_orbit_serves_the_intermittent_map_only():
+    # float orbits of the tent and doubling maps collapse, and the rotation
+    # preserves Lebesgue exactly
+    for system in (doubling(), rotation()):
+        with pytest.raises(UnsupportedCombination, match="intermittent"):
+            EmpiricalOrbit(system, orbit_len=100, burn_in=10)
 
 
 def test_empirical_orbit_seed_consistency():
@@ -211,7 +214,8 @@ def test_empirical_orbit_invariance():
 
 
 def test_empirical_orbit_quantile_resolves_to_atom_size():
-    m = EmpiricalOrbit(rotation(), master_seed=5, orbit_len=50_000, burn_in=100)
+    m = EmpiricalOrbit(manneville_pomeau(0.5), master_seed=5, orbit_len=50_000,
+                       burn_in=100)
     r = m.quantile_radius(0.5, 0.2)
     assert abs(m.ball_mass(0.5, r) - 0.2) <= 1.5 / 50_000
 

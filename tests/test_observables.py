@@ -15,7 +15,7 @@ ALL_SHAPES = [
     GShape(GKind.G2, alpha=1.0),
     GShape(GKind.G2, alpha=2.3),
     GShape(GKind.G3, alpha=0.5),
-    GShape(GKind.G3, alpha=1.0, top=2.0),
+    GShape(GKind.G3, alpha=1.0),
     GShape(GKind.G3, alpha=2.3),
 ]
 
@@ -24,7 +24,7 @@ class TestGShape:
     @pytest.mark.parametrize("g", ALL_SHAPES)
     def test_round_trip(self, g):
         # tail_fraction is g^-1 on the range of g.  Type 3 levels near the
-        # top lose relative precision to float cancellation in top - u, so
+        # top lose relative precision to float cancellation in 1 - u, so
         # tiny masses are only tested for the unbounded shapes
         vs = [0.01, 0.3, 0.999, 1.0]
         if g.kind is not GKind.G3:
@@ -38,15 +38,15 @@ class TestGShape:
     def test_values_at_zero_mass(self):
         assert GShape(GKind.G1).forward(0.0) == math.inf
         assert GShape(GKind.G2).forward(0.0) == math.inf
-        assert GShape(GKind.G3, top=2.0).forward(0.0) == 2.0
-        assert GShape(GKind.G3, top=2.0).value_at_zero == 2.0
+        assert GShape(GKind.G3).forward(0.0) == 1.0
+        assert GShape(GKind.G3).value_at_zero == 1.0
 
     def test_hand_values(self):
         assert GShape(GKind.G1).forward(0.125) == pytest.approx(3 * math.log(2))
         assert GShape(GKind.G2, alpha=1.0).forward(0.1) == pytest.approx(10.0)
         assert GShape(GKind.G2, alpha=2.0).forward(0.25) == pytest.approx(2.0)
         assert GShape(GKind.G3, alpha=1.0).forward(0.3) == pytest.approx(0.7)
-        assert GShape(GKind.G3, alpha=2.0, top=1.0).forward(0.25) == \
+        assert GShape(GKind.G3, alpha=2.0).forward(0.25) == \
             pytest.approx(0.5)
 
     def test_domain_errors(self):
@@ -67,7 +67,7 @@ class TestGShape:
         assert g2.tail_fraction(0.5) == 1.0  # below g(1): exceeded everywhere
         assert g2.tail_fraction(10.0) == pytest.approx(0.1)
         assert g2.tail_fraction(math.inf) == 0.0
-        g3 = GShape(GKind.G3, alpha=1.0, top=1.0)
+        g3 = GShape(GKind.G3, alpha=1.0)
         assert g3.tail_fraction(-0.5) == 1.0
         assert g3.tail_fraction(0.9) == pytest.approx(0.1)
         assert g3.tail_fraction(1.0) == 0.0
