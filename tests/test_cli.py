@@ -602,6 +602,10 @@ class TestFilesAndCli:
          "evl.n_list"),
         ("hts", "evl-balls+bernoulli-iid",
          "hts.target = ball\nhts.mass_list = 0.005", "hts.mass_list"),
+        ("rts", "evl-balls+bernoulli-iid",
+         "hts.target = ball\nhts.mass_list = 0.005", "hts.mass_list"),
+        ("kac", "evl-balls+bernoulli-iid",
+         "hts.target = ball\nhts.mass_list = 0.005", "hts.mass_list"),
         ("equivalence", "equivalence", "evl.n_list = 200", "evl.n_list"),
     ])
     def test_unresolvable_ball_stays_out_of_the_verdicts(

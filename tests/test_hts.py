@@ -178,12 +178,17 @@ class TestDigitBallReturns:
         report = kac_check(sample)
         assert report.passed
 
-    def test_conditional_start_is_inside(self):
+    @pytest.mark.parametrize("system, measure, target", [
+        (doubling(), LEB_C, lambda: ball_target(LEB_C, 0.3, mass=0.02)),
+        (doubling(), BernoulliDoubling(0.3),
+         lambda: ball_target(BernoulliDoubling(0.3), 0.3, mass=0.02)),
+        (full_tent(), LEB_I, lambda: ball_target(LEB_I, 0.3, mass=0.02)),
+    ], ids=["circle-ball", "bernoulli-ball", "tent-ball"])
+    def test_conditional_start_is_inside(self, system, measure, target):
         # With start_j = 0 a conditioned start must register time 0.
-        tgt = ball_target(LEB_C, 0.3, mass=0.02)
         times, hit = first_hits(
-            doubling(), tgt, cap=100, n_samples=300, seed=9,
-            labels=("inside",), conditional=True, start_j=0, measure=LEB_C,
+            system, target(), cap=100, n_samples=300, seed=9,
+            labels=("inside",), conditional=True, start_j=0, measure=measure,
         )
         assert np.all(hit) and np.all(times == 0)
 

@@ -17,7 +17,13 @@ from evlhts.measures import (
     digit_p_zero,
 )
 from evlhts.rng import substream
-from evlhts.systems import Metric, doubling, manneville_pomeau, rotation
+from evlhts.systems import (
+    Metric,
+    doubling,
+    full_tent,
+    manneville_pomeau,
+    rotation,
+)
 from reference import BitStreamPoint
 
 
@@ -183,12 +189,13 @@ def test_digit_p_zero_of_each_measure():
         digit_p_zero(orbit)
 
 
-def test_empirical_orbit_serves_the_intermittent_map_only():
+@pytest.mark.parametrize("system", [full_tent(), doubling(), rotation()],
+                         ids=["tent", "doubling", "rotation"])
+def test_empirical_orbit_serves_the_intermittent_map_only(system):
     # float orbits of the tent and doubling maps collapse, and the rotation
     # preserves Lebesgue exactly
-    for system in (doubling(), rotation()):
-        with pytest.raises(UnsupportedCombination, match="intermittent"):
-            EmpiricalOrbit(system, orbit_len=100, burn_in=10)
+    with pytest.raises(UnsupportedCombination, match="intermittent"):
+        EmpiricalOrbit(system, orbit_len=100, burn_in=10)
 
 
 def test_empirical_orbit_seed_consistency():
