@@ -27,14 +27,24 @@ not resolved.
 The ball kernels carry one 54-bit context per lane: the window in bits
 52 .. 0, b1 highest, and the digit just shifted out, the tent parity, in
 bit 53.  A chunk lays each lane's context word and its packed fresh digits
-side by side as big-endian bytes, reads the 64-bit word at every byte
-offset b >= 1, and shifts it right by t to get the context after step
-8b - t, for t = 0 .. 7; one shift of every word fills one contiguous
-plane.  A window is an integer below 2^53, so scaling it by 2^-53 gives
-the position exactly, and the positions equal the per-step float
-recursion bit for bit.  The minimum-distance kernel takes each lane's
-minimum distance; the first-hit kernel marks the positions inside the
-ball.  The context after the chunk's last step is carried into the next
+side by side as big-endian bytes and reads the 64-bit word at every byte
+offset b >= 1.  Shifting it left by 11 - t lifts the window w after step
+8b - t, t = 0 .. 7, to bits 63 .. 11, as in a packed digit word; the tent
+shifts one bit less and lets the parity, then bit 63, complement the
+window.  One shift of every word fills one contiguous plane, and
+subtracting the word of a window v leaves (w - v) mod 2^53 on top.  The
+kernels take no float per step, yet equal the per-step float recursion
+bit for bit.  The position w 2^-53 is exact, so the float distance d to
+zeta depends on w alone, and as rounding is monotone, d and 1 - d are
+monotone on either side of c = ceil(zeta 2^53).  So the windows that the
+float test d < eta (min(d, 1 - d) < eta on the circle) accepts form at
+most two cyclic intervals, found once per ball by bisecting that test,
+and the first-hit kernel tests each window against them.  The fold 1 - d
+takes over on one side of c only and carries that side's trend across the
+seam 2^53 = 0, so the float distance rises, then falls, along the offsets
+(w - c) mod 2^53: the minimum-distance kernel keeps each lane's least and
+greatest offset and takes the float distance of those two windows at the
+end.  The context after the chunk's last step is carried into the next
 chunk.
 
 Cylinder events need no positions at all.  Letters are the digits
@@ -55,11 +65,12 @@ each chunk's first column inside its target for every lane, from a given
 column on; the scan turns those into times, drops finished lanes and
 censors the lanes still out at the cap.  The word kernels read the first
 column off the packed match words with a bit smear and a popcount; the
-ball, rotation and intermittent kernels off a boolean (lanes, columns)
-matrix through ``_first_inside``.  Rotations advance exact 63-bit integer
-positions, a chunk per numpy op, and the intermittent map steps float64
-lanes with the scalar map's update.  Neither draws inside the scan, so
-their compaction touches no stream.
+ball, rotation and intermittent kernels off boolean planes through
+``_first_inside``, eight for a ball chunk and one for the others.
+Rotations advance exact 63-bit integer positions, a chunk per numpy op,
+and the intermittent map steps float64 lanes with the scalar map's
+update.  Neither draws inside the scan, so their compaction touches no
+stream.
 
 The digit draws fix the RNG stream, and with it every report byte:
 
@@ -100,12 +111,11 @@ from .rng import block_slices, substream
 from .systems import FIXED_ONE, WINDOW_BITS
 
 _SCALE = 2.0 ** -WINDOW_BITS
-_MASK = np.uint64((1 << WINDOW_BITS) - 1)
-#: right shifts of the word at byte b + 1 that give the contexts after
-#: steps 8b + 1 .. 8b + 8
-_STEP_SHIFTS = np.arange(7, -1, -1, dtype=np.uint64)
-#: the 54 context bits: the window and the tent parity above it
-_CONTEXT_MASK = np.uint64((1 << (WINDOW_BITS + 1)) - 1)
+#: bits below the window in a window word
+_LOW = 64 - WINDOW_BITS
+#: left shifts of the word at byte b + 1 that lift the context after step
+#: 8b + s + 1, s = 0 .. 7, to the top: its tent parity to bit 63
+_TOP_SHIFTS = np.arange(3, 11, dtype=np.uint64)
 
 #: a Bernoulli digit's 53-bit threshold T splits into the level T >> 45 of
 #: its byte lane and the 45 bits below, which a tie word's top bits decide
@@ -217,18 +227,6 @@ def draw_digits(gen, rows, cols, p_zero):
     return packed.view(">u8").astype(np.uint64)
 
 
-def _window_ints(digits):
-    """The windows of a (rows, 1) packed digit matrix as the integers
-    b1...b53 below 2^53; as contexts, with tent parity 0."""
-    return digits[:, 0] >> np.uint64(64 - WINDOW_BITS)
-
-
-def window_from_digits(digits):
-    """The float windows 0.b1...b53 of a (rows, 1) packed digit matrix;
-    scaling the integer window by 2^-53 is exact."""
-    return _window_ints(digits) * _SCALE
-
-
 def _distances(pos, zeta, circle):
     """Distances of the positions ``pos`` to zeta, written over ``pos``."""
     d = np.subtract(pos, zeta, out=pos)
@@ -238,16 +236,17 @@ def _distances(pos, zeta, circle):
     return d
 
 
-def _window_distances(context, digits, cols, tent, zeta, circle, scratch):
-    """Distances to zeta after each step of one chunk, and the context
-    after the chunk.
+def _window_planes(context, digits, cols, tent, scratch):
+    """The window words after each step of one chunk, and the context after
+    the chunk.
 
     ``context`` holds each lane's 54-bit context and ``digits`` the packed
-    digits the chunk's steps shift in.  The distances come as an
-    (8, rows, ceil(cols / 8)) array, one contiguous plane per shift:
-    [s, :, b] is the distance after step 8b + s + 1, and the steps past
-    ``cols`` are not steps of the chunk.  Each plane runs from shift to
-    distance while it is small enough to stay in cache.
+    digits the chunk's steps shift in.  The words come as an iterator of
+    (s, plane), s = 0 .. 7, over one reused (rows, ceil(cols / 8)) uint64
+    plane, so a caller works on each plane while it is in cache: [:, b] of
+    plane s holds in bits 63 .. 11 the window after step 8b + s + 1,
+    complemented where the tent parity is 1; the bits below are not part
+    of it.  A step past ``cols`` repeats step 1.
     """
     rows = context.size
     n_words = (cols + 63) // 64
@@ -259,25 +258,28 @@ def _window_distances(context, digits, cols, tent, zeta, circle, scratch):
                          strides=(row.strides[0], 1))
     words = scratch("words", (rows, n_bytes), np.uint64)
     np.copyto(words, at_byte)
-    plane = scratch("plane", (rows, n_bytes), np.uint64)
-    flip = scratch("flip", (rows, n_bytes), np.uint64)
-    dist = scratch("dist", (8, rows, n_bytes), np.float64)
-    for s in range(8):
-        np.right_shift(words, _STEP_SHIFTS[s], out=plane)
-        if s == (cols - 1) % 8:
-            after = plane[:, (cols - 1) // 8].copy()
-        if tent:
-            # parity 0 leaves the window w below 2^53; parity 1 makes the
-            # context 2^53 + w, and 2^54 - 1 minus it is the complement of w
-            plane &= _CONTEXT_MASK
-            np.subtract(_CONTEXT_MASK, plane, out=flip)
-            np.minimum(plane, flip, out=plane)
-        else:
-            plane &= _MASK
-        # windows are below 2^53, so the signed view converts exactly
-        np.multiply(plane.view(np.int64), _SCALE, out=dist[s])
-        _distances(dist[s], zeta, circle)
-    return dist, after
+    after = words[:, (cols - 1) // 8] >> np.uint64(7 - (cols - 1) % 8)
+
+    def planes():
+        plane = scratch("plane", (rows, n_bytes), np.uint64)
+        flip = scratch("flip", (rows, n_bytes), np.int64)
+        for s in range(8):
+            if tent:
+                # the parity, now bit 63, spread over the word by an
+                # arithmetic shift, complements the window below it
+                np.left_shift(words, _TOP_SHIFTS[s], out=plane)
+                np.right_shift(plane.view(np.int64), 63, out=flip)
+                plane <<= np.uint64(1)
+                plane ^= flip.view(np.uint64)
+            else:
+                np.left_shift(words, _TOP_SHIFTS[s] + np.uint64(1), out=plane)
+            if s == 0:
+                step_one = plane[:, 0].copy()
+            elif 8 * (n_bytes - 1) + s >= cols:
+                plane[:, -1] = step_one
+            yield s, plane
+
+    return planes(), after
 
 
 def digit_window_min_distance(
@@ -287,26 +289,37 @@ def digit_window_min_distance(
 
     The minimum orbit distance is a sufficient statistic for every ball
     observable around zeta: the running maximum of phi is phi at the
-    closest visit.
+    closest visit.  Each lane keeps its least and greatest window offset
+    from zeta, and the closest visit is one of those two windows.
     """
     if n_steps < 1:
         raise DomainError("need at least one orbit point")
-    window = draw_digits(gen, count, WINDOW_BITS, p_zero)
+    # window words less the word of ceil(zeta 2^53) are offsets from zeta
+    centre = np.uint64((math.ceil(zeta * 2.0 ** WINDOW_BITS) << _LOW) % 2**64)
+    window = draw_digits(gen, count, WINDOW_BITS, p_zero)[:, 0]
     # no digit lies left of the start window (b_0 = 0): no tent flip at j = 0
-    best = _distances(window_from_digits(window), zeta, circle)
-    context = _window_ints(window)
+    context = window >> np.uint64(_LOW)
+    low = window - centre
+    high = low.copy()
     scratch = _Scratch()
     remaining = n_steps - 1
     while remaining > 0:
         cols = min(chunk, remaining)
-        d, context = _window_distances(
-            context, draw_digits(gen, count, cols, p_zero), cols, tent, zeta,
-            circle, scratch
+        planes, context = _window_planes(
+            context, draw_digits(gen, count, cols, p_zero), cols, tent, scratch
         )
-        d[cols - 8 * (d.shape[2] - 1):, :, -1] = np.inf  # past the chunk
-        np.minimum(best, d.min(axis=0).min(axis=1), out=best)
+        least = scratch("least", (count, (cols + 7) // 8), np.uint64)
+        most = scratch("most", least.shape, np.uint64)
+        least[...] = low[:, None]
+        most[...] = high[:, None]
+        for _, offsets in planes:
+            offsets -= centre
+            np.minimum(least, offsets, out=least)
+            np.maximum(most, offsets, out=most)
+        low, high = least.min(axis=1), most.max(axis=1)
         remaining -= cols
-    return (best,)
+    nearest = ((np.stack([low, high]) + centre) >> np.uint64(_LOW)) * _SCALE
+    return (_distances(nearest, zeta, circle).min(axis=0),)
 
 
 def iid_min_distance_uniform(gen, count, *, n_draws, zeta, circle, chunk=512):
@@ -371,15 +384,22 @@ def _first_hit(count, cap, start_j, j, chunk, scan, state, inside_before=None):
     return times, times < cap
 
 
-def _first_inside(inside, first):
-    """Each row's first True column from ``first`` on; the width where
-    the row has none."""
-    rows, cols = inside.shape
+def _first_inside(inside, first, cols):
+    """Each lane's first inside column in ``first`` .. ``cols`` - 1; ``cols``
+    where the lane has none.
+
+    ``inside`` is a (k, lanes, ceil(cols / k)) boolean array whose [s, :, b]
+    is column k b + s; the columns outside the range are cleared in place.
+    """
+    k, rows, n = inside.shape
+    inside[:, :, :first // k] = False
+    inside[:first % k, :, first // k:first // k + 1] = False
+    inside[cols - k * (n - 1):, :, -1] = False
     column = np.full(rows, cols, dtype=np.int64)
-    if first < cols:
-        inside = inside[:, first:]
-        rows_in = np.flatnonzero(inside.any(axis=1))
-        column[rows_in] = first + inside[rows_in].argmax(axis=1)
+    by_group = inside.any(axis=0)
+    rows_in = np.flatnonzero(by_group.any(axis=1))
+    b = by_group[rows_in].argmax(axis=1)
+    column[rows_in] = k * b + inside[:, rows_in, b].argmax(axis=0)
     return column
 
 
@@ -589,24 +609,62 @@ def ball_first_hit_digits(
                 f"initial_digits must be a ({count}, 1) packed uint64 digit "
                 f"matrix; got shape {window.shape} of {window.dtype}"
             )
-    inside_before = (_distances(window_from_digits(window), zeta, circle) < eta
-                     if start_j == 0 else None)
+    pieces = _ball_windows(zeta, eta, circle)
+    window = window[:, 0]
+    inside_before = (_in_ball(window, pieces, np.empty(count, dtype=bool),
+                              np.empty_like(window)) if start_j == 0 else None)
     scratch = _Scratch()
 
     def scan(state, cols, first):
         context, = state
         digits = draw_digits(gen, context.size, chunk, p_zero)
-        d, context = _window_distances(context, digits, cols, tent, zeta,
-                                       circle, scratch)
-        # inside in step order: [:, b, s] is step 8b + s + 1
-        inside = scratch("inside", (context.size, d.shape[2], 8), bool)
-        np.less(d, eta, out=inside.transpose(2, 0, 1))
-        return (_first_inside(inside.reshape(context.size, -1)[:, :cols], first),
-                (context,))
+        planes, context = _window_planes(context, digits, cols, tent, scratch)
+        # [s, :, b] is step 8b + s + 1, column 8b + s
+        shape = (context.size, (cols + 7) // 8)
+        inside = scratch("inside", (8, *shape), bool)
+        offsets = scratch("offsets", shape, np.uint64)
+        for s, plane in planes:
+            _in_ball(plane, pieces, inside[s], offsets)
+        return _first_inside(inside, first, cols), (context,)
 
     # column c is the position after step c + 1 of the chunk
     return _first_hit(count, cap, start_j, 1, chunk, scan,
-                      (_window_ints(window),), inside_before)
+                      (window >> np.uint64(_LOW),), inside_before)
+
+
+def _ball_windows(zeta, eta, circle):
+    """The windows w with dist(w 2^-53, zeta) < eta under ``_distances``,
+    as cyclic intervals (start, width) mod 2^53 (module docstring)."""
+    top, c = 1 << WINDOW_BITS, math.ceil(zeta * 2.0 ** WINDOW_BITS)
+
+    def first(lo, hi, holds):
+        """The least w in [lo, hi) from which holds(dist) is true."""
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if holds(abs(mid * _SCALE - zeta)):
+                hi = mid
+            else:
+                lo = mid + 1
+        return lo
+
+    # [lo, hi) around c, from the monotone sides of d; on the circle also
+    # [b, 2^53) and [0, a), where 1 - d < eta
+    ends = [(first(0, c, lambda d: d < eta),
+             first(c, top, lambda d: d >= eta))]
+    if circle:
+        ends.append((first(c, top, lambda d: 1.0 - d < eta),
+                     top + first(0, c, lambda d: 1.0 - d >= eta)))
+    return [(lo % top, hi - lo) for lo, hi in ends if hi > lo]
+
+
+def _in_ball(words, pieces, out, offsets):
+    """Marks in ``out`` the window words w in one of the cyclic intervals
+    ``pieces``: (w - start) mod 2^53 < width."""
+    out[...] = False
+    for start, width in pieces:
+        np.subtract(words, np.uint64(start << _LOW), out=offsets)
+        out |= offsets <= np.uint64((width << _LOW) - 1)
+    return out
 
 
 # --------------------------------------------------------------- rotation
@@ -644,7 +702,8 @@ def rotation_first_hit(
         s, = state
         pos = advance(s[:, None], offsets[:cols])
         inside = (pos >= lo_u) & (pos < hi_u)
-        return _first_inside(inside, first), (advance(s, offsets[cols]),)
+        return (_first_inside(inside[None], first, cols),
+                (advance(s, offsets[cols]),))
 
     s = advance(s, np.uint64(start_j * step_fixed % FIXED_ONE))
     return _first_hit(count, cap, start_j, start_j, chunk, scan, (s,))
@@ -706,7 +765,7 @@ def mp_first_hit(gen, count, *, s_exp, eta, zeta, cap, start_j, starts,
             np.less(np.abs(x - zeta), eta, out=inside[:, c])
             x = x + x**e
             x -= x >= 1.0
-        return _first_inside(inside, first), (x,)
+        return _first_inside(inside[None], first, cols), (x,)
 
     return _first_hit(count, cap, start_j, 0, chunk, scan, (starts,))
 

@@ -63,6 +63,11 @@ from .systems import (
 
 PLOT_HEADER = ("series", "x", "y", "stderr")
 
+#: lane-steps (samples x cap for a hit run, samples x window for a
+#: fixed-window scan) past which a run is refused before sampling; the
+#: largest gate run, equivalence at n = 5000, schedules 2.5e9
+MAX_LANE_STEPS = 10 ** 11
+
 
 # ------------------------------------------------------------- plumbing
 
@@ -196,6 +201,15 @@ def _ball_target(measure, zeta, mass: float, key: str) -> hts.TargetSet:
             f"53-bit radius attains ({exc})") from exc
 
 
+def _require_budget(key: str, samples: int, steps: int):
+    """Refuse ``samples`` lanes of up to ``steps`` steps each past
+    ``MAX_LANE_STEPS``, naming the key that set the steps."""
+    if samples * steps > MAX_LANE_STEPS:
+        raise ConfigError(
+            f"{key} schedules {samples} x {steps} = {samples * steps:.3g} "
+            f"lane-steps, past the ceiling of {MAX_LANE_STEPS:.0e}")
+
+
 def _require_mode(cfg: ExperimentConfig, mode: str):
     if cfg["observable.mode"] != mode:
         raise ConfigError(
@@ -231,6 +245,7 @@ def _run_evl_balls(cfg: ExperimentConfig) -> tuple[_Report, dict]:
     out = _Report(("n", "y", "route", "estimate", "stderr", "limit"))
 
     routes = _routes(cfg)
+    _require_budget("evl.n_list", samples, max(cfg["evl.n_list"]))
     per_n = []
     for n in cfg["evl.n_list"]:
         norms = evl.quantile_normalizers(g, n)
@@ -311,10 +326,8 @@ def _run_evl_cylinders(cfg: ExperimentConfig) -> tuple[_Report, dict]:
     schedules = [s for row in by_depth for s in row]
     _require_word_depths(system, "evl.n_list", depths,
                          max(s.event_depth for s in schedules))
-    if max(s.window for s in schedules) > np.iinfo(np.int64).max:
-        raise ConfigError(
-            f"evl.n_list = {', '.join(map(str, depths))} schedules a window "
-            "of 2^63 steps or more, past the int64 step counter")
+    # a window past the budget is also past the int64 step counter
+    _require_budget("evl.n_list", samples, max(s.window for s in schedules))
     out = _Report(("depth", "tau", "route", "window", "no_entry", "stderr",
                    "limit"))
 
@@ -363,16 +376,18 @@ def _targets(cfg: ExperimentConfig, system, measure):
     """(label, TargetSet, cap) triples from the configured target family."""
     zeta = cfg["observable.zeta"]
     if cfg["hts.target"] == "cylinder":
-        depths = cfg["hts.depth_list"]
-        _require_word_depths(system, "hts.depth_list", depths, max(depths))
+        key, depths = "hts.depth_list", cfg["hts.depth_list"]
+        _require_word_depths(system, key, depths, max(depths))
         ctx = _build_ctx(cfg, system, measure, *depths)
         pairs = [(f"depth={d}", hts.cylinder_target(ctx, zeta, d))
                  for d in depths]
     else:
-        pairs = [(f"mass={m!r}", _ball_target(measure, zeta, m,
-                                              "hts.mass_list"))
-                 for m in cfg["hts.mass_list"]]
-    return [(label, t, hts.default_cap(t.mass)) for label, t in pairs]
+        key = "hts.mass_list"
+        pairs = [(f"mass={m!r}", _ball_target(measure, zeta, m, key))
+                 for m in cfg[key]]
+    out = [(label, t, hts.default_cap(t.mass)) for label, t in pairs]
+    _require_budget(key, cfg["hts.samples"], max(cap for _, _, cap in out))
+    return out
 
 
 def _hit_times(cfg: ExperimentConfig, system, measure, target, cap: int,
@@ -501,6 +516,11 @@ def _run_conditions(cfg: ExperimentConfig) -> tuple[_Report, dict]:
                               rep.baseline, rep.verdict))
         out.plot_rows.append((family, parameter, rep.estimate, rep.sigma))
 
+    gaps = cfg["conditions.t_grid"] or \
+        (int(math.ceil(block_n ** 0.7)),)
+    # the longest run: a mixing gap plus the block after it
+    _require_budget("conditions.block_len and conditions.t_grid", samples,
+                    block_n + max(gaps))
     for k in cfg["conditions.k_list"]:
         rep = dprime_estimate(
             system, measure, target, block_n=block_n, k=k,
@@ -508,8 +528,6 @@ def _run_conditions(cfg: ExperimentConfig) -> tuple[_Report, dict]:
             threads=threads, floor=floor)
         record("recurrence", k, rep)
         out.plot_rows.append(("recurrence-baseline", k, rep.baseline, ""))
-    gaps = cfg["conditions.t_grid"] or \
-        (int(math.ceil(block_n ** 0.7)),)
     for gap in gaps:
         record("mixing-gap", gap, mixing_gap_estimate(
             system, measure, target, block_n=block_n, gap=gap,
@@ -608,6 +626,7 @@ def _run_equivalence(cfg: ExperimentConfig) -> tuple[_Report, dict]:
     target = _ball_target(measure, cfg["observable.zeta"], 1.0 / n,
                           "evl.n_list")
     samples = cfg["evl.samples"]
+    _require_budget("evl.n_list", max(samples, cfg["hts.samples"]), cap)
     dmin = evl.sample_ball_min_distances(
         obs, system, n_steps=n, n_samples=samples, seed=cfg["master_seed"],
         labels=("equivalence", "maxima"), threads=cfg["threads"])
@@ -674,6 +693,7 @@ def _run_rotation_subseq(cfg: ExperimentConfig) -> tuple[_Report, dict]:
     targets = [hts.cylinder_target(ctx, cfg["observable.zeta"], d)
                for d in depths]
     caps = [hts.default_cap(target.mass) for target in targets]
+    _require_budget("hts.depth_list", cfg["hts.samples"], max(caps))
     per_depth = []
     for depth, target, cap in zip(depths, targets, caps):
         label = f"depth={depth}"

@@ -17,7 +17,8 @@ a kernel against a second implementation that shares none of its tricks:
   minimum distances and first cylinder entries.
 * ``reference_digits`` is the engine's digit draw rule, bit by bit, and
   ``pack_digits`` and ``unpack_digits`` convert between digit tables and
-  the engine's packed words.
+  the engine's packed words; ``window_from_digits`` reads the float
+  window 0.b1...b53 off packed words.
 * ``no_entry_probability`` is the exact law of a first cylinder entry
   under iid letters, which Monte Carlo runs of the word kernels must
   reproduce up to sampling noise.
@@ -40,7 +41,7 @@ from typing import Callable
 import numpy as np
 
 from evlhts.cylinders import PartitionContext, cylinder_word, smb_estimate
-from evlhts.engine import draw_digits, window_from_digits
+from evlhts.engine import draw_digits
 from evlhts.errors import DomainError, EvlhtsError
 from evlhts.measures import digit_p_zero
 from evlhts.observables import BallObservable, CylinderObservable
@@ -363,6 +364,12 @@ def _reference_byte_digits(gen, rows, cols, p_zero):
         for (i, c), w in zip(ties, tie_words):
             out[i, c] = w >> 19 >= rest
     return pack_digits(out)
+
+
+def window_from_digits(packed):
+    """The float windows 0.b1...b53 of a (rows, 1) packed digit matrix;
+    scaling the integer window by 2^-53 is exact."""
+    return (packed[:, 0] >> np.uint64(64 - WINDOW_BITS)) * 2.0 ** -WINDOW_BITS
 
 
 def iid_digit_min_distances(gen, count, *, n_draws, p_zero, zeta, metric):

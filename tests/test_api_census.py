@@ -9,6 +9,11 @@ attribute load (``obj.name``), since a parameter of the same name says
 nothing about the member.  The harness names spans by strings
 (``"engine.word_first_hit"``), so there every identifier in a string
 counts too.
+
+The census is a lower bound.  A class member is matched by its name, not
+by its owner: it passes when an attribute of that name is read off any
+object, so ``Foo.size`` counts as read wherever some array's ``.size`` is.
+A member that only shares a common name can be dead and still pass.
 """
 
 import ast

@@ -3,6 +3,7 @@
 import json
 import math
 import pathlib
+import time
 
 import numpy as np
 import pytest
@@ -526,6 +527,11 @@ class TestFilesAndCli:
         # a ball cannot carry more than the whole mass
         pytest.param("hts", "hts.target = ball\nhts.mass_list = 0.001, 1.5",
                      "hts.mass_list", id="hts-ball-mass-above-one"),
+        # past the lane-step ceiling: a cap of 5e13 steps, a window of 2^62
+        pytest.param("hts", "hts.target = ball\nhts.mass_list = 1e-12",
+                     "hts.mass_list", id="hts-ball-cap-past-budget"),
+        pytest.param("evl-cylinders", "evl.n_list = 63\nevl.tau_grid = 0.5",
+                     "evl.n_list", id="evl-cylinders-window-past-budget"),
     ])
     def test_late_failure_configs_exit_two(self, tmp_path, capsys, monkeypatch,
                                            experiment, line, key):
@@ -534,8 +540,11 @@ class TestFilesAndCli:
         cfg.write_text(override((GOLDEN / f"{experiment}.cfg").read_text(),
                                 line))
         out = tmp_path / "out"
+        start = time.perf_counter()
         assert self.run_cli(experiment, "--config", str(cfg),
                             "--out", str(out)) == 2
+        # refused before any work: each row exits within seconds
+        assert time.perf_counter() - start < 5.0
         # an unknown key would name itself: the row must reach the driver
         err = capsys.readouterr().err
         assert key in err and "unknown config key" not in err

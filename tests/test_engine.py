@@ -21,7 +21,6 @@ from evlhts.engine import (
     run_blocked,
     word_first_hit,
     word_hit_count,
-    window_from_digits,
 )
 from evlhts.errors import DomainError
 from evlhts.rng import BLOCK, substream
@@ -34,6 +33,7 @@ from reference import (
     pack_digits,
     reference_digits,
     unpack_digits,
+    window_from_digits,
 )
 
 
@@ -125,6 +125,22 @@ class TestWindowKernel:
         )
         # the orbit min distance to 0 is reached at the second step
         assert got[0] <= 2.0 ** -52
+
+    def test_far_branch_holds_the_float_minimum(self, script):
+        # zeta = 2^-54 lies halfway between the windows 0 and 1.  The orbit
+        # visits the window 2^53 - 1 at j = 0 and the window 3 at j = 53:
+        # both lie two windows from c = 1, one on each side.  On the circle
+        # the fold rounds the far one to 2^-52, below the 2.5 * 2^-53 of
+        # window 3, so one nearest-window candidate could miss the minimum.
+        zeta = 2.0 ** -54
+        rows = [[1] * 53 + [0] * 51 + [1, 1]]
+        script(rows)
+        got, = digit_window_min_distance(
+            None, 1, n_steps=54, p_zero=0.5, tent=False, zeta=zeta,
+            circle=True,
+        )
+        want = scalar_min_distance(rows[0], 54, False, zeta, True)
+        assert got[0] == want == 2.0 ** -52
 
 
 class TestWordKernels:
@@ -584,17 +600,53 @@ class TestBallStreamEquivalence:
     LANES = 160
     ETA = 0.001
 
+    def check(self, reference, kernel, label, **kw):
+        """The kernel's outputs and draw shapes equal the reference's."""
+        want_gen = RecordingGen(substream(2024, *label))
+        got_gen = RecordingGen(substream(2024, *label))
+        want = reference(want_gen, self.LANES, **kw)
+        got = kernel(got_gen, self.LANES, **kw)
+        assert len(got) == len(want)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert got_gen.shapes == want_gen.shapes
+
     @pytest.mark.parametrize("tent,circle,zeta,p_zero,chunk", WINDOW_GRID)
     def test_min_distance(self, tent, circle, zeta, p_zero, chunk):
         label = ("window-eq", tent, circle, zeta, p_zero, chunk)
-        kw = dict(n_steps=403, p_zero=p_zero, tent=tent, zeta=zeta,
-                  circle=circle, chunk=chunk)
-        want_gen = RecordingGen(substream(2024, *label))
-        got_gen = RecordingGen(substream(2024, *label))
-        want, = reference_digit_window_min_distance(want_gen, self.LANES, **kw)
-        got, = digit_window_min_distance(got_gen, self.LANES, **kw)
-        assert np.array_equal(got, want)
-        assert got_gen.shapes == want_gen.shapes
+        self.check(reference_digit_window_min_distance,
+                   digit_window_min_distance, label, n_steps=403,
+                   p_zero=p_zero, tent=tent, zeta=zeta, circle=circle,
+                   chunk=chunk)
+
+    @pytest.mark.parametrize("tent,circle,zeta,eta", [
+        # zeta with bits below 2^-53
+        (False, True, 0.3, ETA), (True, False, 0.3, ETA),
+        # zeta = 1 on the interval: every window lies below it
+        (False, False, 1.0, ETA), (True, False, 1.0, ETA),
+        # a radius of one window: only the window at zeta is inside
+        (False, True, 0.5, 2.0 ** -53), (True, False, 0.25, 2.0 ** -53),
+        # radius 1/2 on the circle leaves out the antipode 0.75 alone;
+        # radius 0.6 takes in the whole circle
+        (False, True, 0.25, 0.5), (True, True, 0.3, 0.6),
+    ])
+    def test_ball_edges(self, tent, circle, zeta, eta):
+        label = ("ball-edge", tent, circle, zeta, eta)
+        common = dict(zeta=zeta, tent=tent, p_zero=0.3, circle=circle)
+        self.check(reference_ball_first_hit_digits, ball_first_hit_digits,
+                   label, eta=eta, cap=403, start_j=0, **common)
+        self.check(reference_digit_window_min_distance,
+                   digit_window_min_distance, label, n_steps=403, **common)
+
+    @pytest.mark.parametrize("tent", [False, True])
+    def test_horizon_one_past_a_byte(self, tent):
+        # the last chunk has 9 steps: 7 of its second byte's 8 steps pad
+        label = ("ball-horizon", tent)
+        common = dict(zeta=0.5, tent=tent, p_zero=0.3, circle=True)
+        self.check(reference_ball_first_hit_digits, ball_first_hit_digits,
+                   label, eta=0.002, cap=1 + 256 + 9, **common)
+        self.check(reference_digit_window_min_distance,
+                   digit_window_min_distance, label, n_steps=1 + 256 + 9,
+                   **common)
 
     @pytest.mark.parametrize("n_steps", [1, 2, 9])
     def test_min_distance_short_horizons(self, n_steps):
@@ -623,13 +675,8 @@ class TestBallStreamEquivalence:
                 substream(2024, "starts", *label), self.LANES,
                 arcs=([0.2, 0.7], [0.3, 0.95]), p_zero=p_zero,
             )
-        want_gen = RecordingGen(substream(2024, *label))
-        got_gen = RecordingGen(substream(2024, *label))
-        want = reference_ball_first_hit_digits(want_gen, self.LANES, **kw)
-        got = ball_first_hit_digits(got_gen, self.LANES, **kw)
-        assert np.array_equal(got[0], want[0])
-        assert np.array_equal(got[1], want[1])
-        assert got_gen.shapes == want_gen.shapes
+        self.check(reference_ball_first_hit_digits, ball_first_hit_digits,
+                   label, **kw)
 
     @pytest.mark.parametrize("chunk", [7, 256])
     @pytest.mark.parametrize("tent", [False, True])
@@ -647,6 +694,71 @@ class TestBallStreamEquivalence:
                 if isinstance(shape, tuple)]
         assert len(rows) > 2 and rows[-1] < rows[1]
 
+
+
+WINDOWS = 1 << 53
+
+
+def float_distances(windows, zeta, circle):
+    """The float distances of the integer windows to zeta, as the per-step
+    reference scan computes them."""
+    pos = np.array(windows, dtype=np.int64) * 2.0 ** -53
+    return _reference_distances(pos, zeta, circle)
+
+
+def zetas():
+    """Centres at both ends, at 1/2, on the window grid and anywhere."""
+    return st.one_of(
+        st.sampled_from([0.0, 1.0, 0.5, 1.0 - 2.0 ** -53, 2.0 ** -54]),
+        st.integers(0, WINDOWS).map(lambda k: k * 2.0 ** -53),
+        st.floats(0.0, 1.0),
+    )
+
+
+class TestBallWindows:
+    """The window intervals of a ball accept exactly what the float test
+    accepts, and the nearest-offset candidates hold the float minimum."""
+
+    SETTINGS = settings(max_examples=200, deadline=None, derandomize=True,
+                        database=None)
+
+    @SETTINGS
+    @given(zeta=zetas(),
+           eta=st.one_of(st.sampled_from([2.0 ** -54, 2.0 ** -53, 0.5, 0.6]),
+                         st.floats(2.0 ** -60, 1.5)),
+           circle=st.booleans(),
+           windows=st.lists(st.integers(0, WINDOWS - 1), max_size=20),
+           low_bits=st.integers(0, 2 ** 11 - 1))
+    def test_intervals_are_the_float_predicate(self, zeta, eta, circle,
+                                               windows, low_bits):
+        pieces = engine._ball_windows(zeta, eta, circle)
+        ends = {0, math.ceil(zeta * WINDOWS)}
+        ends |= {e for start, width in pieces for e in (start, start + width)}
+        probes = sorted({(e + k) % WINDOWS for e in ends for k in range(-3, 4)}
+                        | set(windows))
+        want = (float_distances(probes, zeta, circle) < eta).tolist()
+        assert [any((w - start) % WINDOWS < width for start, width in pieces)
+                for w in probes] == want
+        # the kernels test window words: the bits below a window do not count
+        words = np.array([w << 11 | low_bits for w in probes], dtype=np.uint64)
+        got = engine._in_ball(words, pieces, np.empty(words.size, dtype=bool),
+                              np.empty_like(words))
+        assert got.tolist() == want
+
+    @SETTINGS
+    @given(zeta=zetas(), circle=st.booleans(),
+           picks=st.lists(st.tuples(st.booleans(), st.one_of(
+               st.integers(-40, 40), st.integers(0, WINDOWS - 1))),
+               min_size=1, max_size=20))
+    def test_closest_window_is_at_an_extreme_offset(self, zeta, circle,
+                                                    picks):
+        # windows near c, near the seam 2^53 = 0, and anywhere
+        c = math.ceil(zeta * WINDOWS)
+        windows = [(c * near_c + k) % WINDOWS for near_c, k in picks]
+        offsets = sorted((w - c) % WINDOWS for w in windows)
+        extremes = [(c + o) % WINDOWS for o in (offsets[0], offsets[-1])]
+        assert (float_distances(extremes, zeta, circle).min()
+                == float_distances(windows, zeta, circle).min())
 
 
 def reference_rotation_first_hit(gen, count, *, step_fixed, lo, hi, cap,
