@@ -11,11 +11,12 @@ partition P0:
   n+1 arcs cut by the backward orbit of 0 (the classical three-distance
   structure), computed here in exact 63-bit fixed point.
 
-Membership is decided by the itinerary (the exact letter sequence of the
-orbit through P0), which is self-consistent at every point.  Interval
-endpoints are reported with the uniform half-open convention of each map
-(right-closed for the tent cells, left-closed otherwise); the two views
-can disagree only on the measure-zero set of cell boundaries.
+A tent or doubling cell is its word: the itinerary of a point (the exact
+letter sequence of its orbit through P0), packed into an int with the
+first letter in the highest bit, as the engine's word kernels scan it.
+The doubling word has the closed form floor(x 2^n) mod 2^n; the tent word
+follows x in exact rational arithmetic.  Cells carry no endpoints.  A
+rotation cell is its arc, two ints on the 2^63 grid.
 
 Masses are exact: on the tent/doubling cells they are products of the
 letter masses of ``measures.digit_p_zero`` -- powers of 2 at p = 1/2
@@ -30,8 +31,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import DomainError, UnsupportedCombination, ZeroMassCylinder
 from .measures import BernoulliDoubling, Lebesgue1D, MeasureModel, digit_p_zero
 from .systems import DIGIT_KINDS, FIXED_ONE, MapKind, MapSystem
@@ -44,14 +43,16 @@ DEFAULT_MAX_DEPTH = 60
 
 @dataclass(frozen=True)
 class Cylinder:
-    """One partition cell: exact endpoints and mass."""
+    """One partition cell and its exact mass.  A tent or doubling cell is
+    its packed word (``cylinder_word``); a rotation cell is its fixed-point
+    arc [lo, hi) on the 2^63 grid."""
 
     depth: int
-    lo: Fraction
-    hi: Fraction
     mass: float
     log_mass: float
     log2_mass: int | None = None  # exact when the mass is a power of 2
+    word: int | None = None
+    arc: tuple[int, int] | None = None
 
 
 @dataclass
@@ -95,71 +96,41 @@ def letter_log_masses(ctx: PartitionContext) -> tuple[float, float] | None:
     return (math.log(p), math.log(1.0 - p))
 
 
-def word_log_mass(ctx: PartitionContext, letters) -> float:
-    """log mu of the digit cell with the given letters (0/1 or bools): the
-    ``math.fsum`` of the letter log masses.  The sum is correctly rounded,
-    so it depends only on the count of ones, not on their order."""
+def word_log_mass(ctx: PartitionContext, ones: int, depth: int) -> float:
+    """log mu of a depth-``depth`` digit cell whose word has ``ones`` letters
+    1: the ``math.fsum`` of the letter log masses.  The sum is correctly
+    rounded, so the count of ones is all it reads of the word."""
     log0, log1 = letter_log_masses(ctx)
-    ones = int(np.count_nonzero(letters))
-    return math.fsum([log1] * ones + [log0] * (len(letters) - ones))
+    return math.fsum([log1] * ones + [log0] * (depth - ones))
 
 
-def _to_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, (int, float)):
-        return Fraction(float(x))
-    raise DomainError(f"cannot take exact value of {type(x).__name__}")
+def cylinder_word(ctx: PartitionContext, x, n: int) -> int:
+    """Itinerary of ``x`` through the base partition for ``n`` steps, packed
+    into an int with the first letter in the highest of its ``n`` bits.
 
-
-HALF = Fraction(1, 2)
-
-
-def cylinder_word(ctx: PartitionContext, x, n: int) -> tuple[int, ...]:
-    """Itinerary of ``x`` through the base partition for ``n`` steps.
-
-    Letters are 0 for the left base cell and 1 for the right one.  Points
-    are followed in exact rational arithmetic.
+    Letters are 0 for the left base cell and 1 for the right one.  The
+    doubling word is floor(x 2^n) mod 2^n, which reads the circle's 1 as
+    0; the tent follows x in exact rational arithmetic.
     """
     if n < 0:
         raise DomainError("word length must be >= 0")
-    kind = ctx.system.kind
-    if kind is MapKind.FULL_TENT:
-        v = _to_fraction(x)
-        if not 0 <= v <= 1:
-            raise DomainError("point outside [0, 1]")
-        letters = []
-        for _ in range(n):
-            if v <= HALF:
-                letters.append(0)
-                v = 2 * v
-            else:
-                letters.append(1)
-                v = 2 - 2 * v
-        return tuple(letters)
-    if kind is MapKind.DOUBLING:
-        v = _to_fraction(x)
-        if v == 1:
-            v = Fraction(0)
-        letters = []
-        for _ in range(n):
-            v = 2 * v
-            if v >= 1:
-                letters.append(1)
-                v -= 1
-            else:
-                letters.append(0)
-        return tuple(letters)
-    if kind is MapKind.ROTATION:
-        xi = _rotation_fixed(x)
-        a = ctx.system.fixed_angle
-        thr = FIXED_ONE - a
-        letters = []
-        for _ in range(n):
-            letters.append(0 if xi < thr else 1)
-            xi = (xi + a) % FIXED_ONE
-        return tuple(letters)
-    raise UnsupportedCombination(kind)
+    if ctx.system.kind not in DIGIT_KINDS:
+        raise UnsupportedCombination(ctx.system.kind)
+    if not isinstance(x, (int, float, Fraction)):
+        raise DomainError(f"cannot take exact value of {type(x).__name__}")
+    num, den = x.as_integer_ratio()
+    if not 0 <= num <= den:
+        raise DomainError("point outside [0, 1]")
+    if ctx.system.kind is MapKind.DOUBLING:
+        return ((num << n) // den) % (1 << n)
+    word = 0
+    for _ in range(n):  # x = num / den; 2x > 1 is letter 1, x -> 2 - 2x
+        num *= 2
+        word <<= 1
+        if num > den:
+            word |= 1
+            num = 2 * den - num
+    return word
 
 
 def _rotation_fixed(x) -> int:
@@ -169,54 +140,25 @@ def _rotation_fixed(x) -> int:
     return round(v * FIXED_ONE) % FIXED_ONE
 
 
-def _tent_interval(word) -> tuple[Fraction, Fraction]:
-    """Exact endpoints of the tent cell with the given itinerary."""
-    lo, hi = Fraction(0), Fraction(1)
-    orient = 1
-    for w in word:
-        mid = (lo + hi) / 2
-        if (w == 0) == (orient > 0):
-            hi = mid
-        else:
-            lo = mid
-        if w == 1:
-            orient = -orient
-    return lo, hi
-
-
 def cylinder_at(ctx: PartitionContext, zeta, n: int) -> Cylinder:
     """The depth-``n`` cylinder around ``zeta`` with its exact mass."""
     if not 0 <= n:
         raise DomainError("depth must be >= 0")
-    kind = ctx.system.kind
-    if n == 0:
-        return Cylinder(0, Fraction(0), Fraction(1), 1.0, 0.0, 0)
-    if kind is MapKind.ROTATION:
+    if ctx.system.kind is MapKind.ROTATION:
         bounds = ctx.rotation_bounds(n)
         zi = _rotation_fixed(zeta)
         i = bisect.bisect_right(bounds, zi) - 1
-        lo_i = bounds[i]
-        hi_i = bounds[i + 1] if i + 1 < len(bounds) else FIXED_ONE
-        mass = (hi_i - lo_i) / FIXED_ONE
+        lo = bounds[i]
+        hi = bounds[i + 1] if i + 1 < len(bounds) else FIXED_ONE
+        mass = (hi - lo) / FIXED_ONE
         if mass <= 0.0:
             raise ZeroMassCylinder(f"empty rotation arc at depth {n}")
-        return Cylinder(
-            n, Fraction(lo_i, FIXED_ONE), Fraction(hi_i, FIXED_ONE),
-            mass, math.log(mass),
-        )
+        return Cylinder(n, mass, math.log(mass), arc=(lo, hi))
     word = cylinder_word(ctx, zeta, n)
-    if kind is MapKind.FULL_TENT:
-        lo, hi = _tent_interval(word)
-    else:
-        idx = 0
-        for w in word:
-            idx = (idx << 1) | w
-        lo = Fraction(idx, 1 << n)
-        hi = Fraction(idx + 1, 1 << n)
     if digit_p_zero(ctx.measure) == 0.5:
-        return Cylinder(n, lo, hi, math.ldexp(1.0, -n), -n * LN2, -n)
-    log_mass = word_log_mass(ctx, word)
-    return Cylinder(n, lo, hi, math.exp(log_mass), log_mass)
+        return Cylinder(n, math.ldexp(1.0, -n), -n * LN2, -n, word=word)
+    log_mass = word_log_mass(ctx, word.bit_count(), n)
+    return Cylinder(n, math.exp(log_mass), log_mass, word=word)
 
 
 def smb_estimate(ctx: PartitionContext, zeta, n: int) -> float:
@@ -247,16 +189,19 @@ def gibbs_envelope(
     is constant on each base cell.
 
     The cylinder log mass and the Birkhoff sum are both correctly rounded
-    sums of per-letter values (at p = 1/2, ``-n * LN2`` is the correctly
-    rounded n copies of log 1/2), so when the potential values equal the
-    letter log masses (and P = 0) the ratio is exactly 1.0.
+    sums of per-letter values, so both follow from the count of ones in
+    the word (at p = 1/2, ``-n * LN2`` is the correctly rounded n copies of
+    log 1/2); when the potential values equal the letter log masses (and
+    P = 0) the ratio is exactly 1.0.
     """
     if n < 1:
         raise DomainError("depth must be >= 1")
-    word = cylinder_word(ctx, zeta, n)
-    log_mass = cylinder_at(ctx, zeta, n).log_mass
-    if not math.isfinite(log_mass):
+    cyl = cylinder_at(ctx, zeta, n)
+    if cyl.word is None:
+        raise UnsupportedCombination("Gibbs envelopes read tent or doubling words")
+    if not math.isfinite(cyl.log_mass):
         raise ZeroMassCylinder(f"zero-mass cylinder at depth {n}")
-    s_n = math.fsum(potential[w] for w in word)
-    return math.exp(log_mass - (s_n - n * pressure))
+    ones = cyl.word.bit_count()
+    s_n = math.fsum([potential[1]] * ones + [potential[0]] * (n - ones))
+    return math.exp(cyl.log_mass - (s_n - n * pressure))
 

@@ -156,6 +156,9 @@ def _build_measure(cfg: ExperimentConfig, system):
                     "measure.kind = bernoulli is invariant only for the "
                     "doubling map"
                 )
+            # Bernoulli(1/2) is Lebesgue: one class rounds its ball masses
+            if cfg["measure.p"] == 0.5:
+                return Lebesgue1D(system.metric)
             return BernoulliDoubling(cfg["measure.p"])
         return EmpiricalOrbit(
             system,
@@ -572,11 +575,12 @@ def _run_smb(cfg: ExperimentConfig) -> tuple[_Report, dict]:
             cell = _q(estimate, exact=True)
             close = estimate == reference
         else:
-            # one row of letters per sampled cell: letter 1 (mass 1 - p)
+            # the count of ones of each sampled cell: letter 1 (mass 1 - p)
             # where the uniform is >= p
             gen = substream(cfg["master_seed"], "smb", f"depth={depth}")
-            cells = gen.random((cfg["smb.samples"], depth)) >= p
-            arr = np.array([-word_log_mass(ctx, row) / depth for row in cells])
+            ones = (gen.random((cfg["smb.samples"], depth)) >= p).sum(axis=1)
+            arr = np.array([-word_log_mass(ctx, int(k), depth) / depth
+                            for k in ones])
             estimate = float(arr.mean())
             se = float(arr.std(ddof=1) / math.sqrt(arr.size))
             cell = _q(estimate, se)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine
-from .cylinders import PartitionContext, cylinder_at, cylinder_word
+from .cylinders import PartitionContext, cylinder_at
 from .errors import (
     CapTooSmall,
     DomainError,
@@ -49,7 +49,7 @@ class TargetSet:
     kind: str  # "cylinder" | "ball"
     mass: float
     zeta_value: float
-    word: tuple = ()  # cylinder letters (digit systems)
+    word: int | None = None  # packed cylinder letters (digit systems)
     depth: int = 0
     arc: tuple | None = None  # fixed-point [lo, hi) (rotation targets)
     eta: float = 0.0  # ball radius
@@ -61,21 +61,13 @@ def cylinder_target(ctx: PartitionContext, zeta, depth: int) -> TargetSet:
     cyl = cylinder_at(ctx, zeta, depth)
     if cyl.mass <= 0.0:
         raise DomainError(f"cylinder at depth {depth} has zero sampled mass")
-    word = cylinder_word(ctx, zeta, depth)
-    arc = None
-    if ctx.system.kind is MapKind.ROTATION:
-        lo = cyl.lo * FIXED_ONE
-        hi = cyl.hi * FIXED_ONE
-        arc = (int(lo), int(hi))
-        if arc[0] != lo or arc[1] != hi:  # grid cells are exact by build
-            raise DomainError("rotation cell endpoints left the fixed grid")
     return TargetSet(
         kind="cylinder",
         mass=cyl.mass,
         zeta_value=float(zeta),
-        word=word,
+        word=cyl.word,
         depth=depth,
-        arc=arc,
+        arc=cyl.arc,
     )
 
 
@@ -172,21 +164,13 @@ def first_hits(system, target, *, cap, n_samples, seed, labels, threads=1,
     return engine.run_blocked(n_samples, seed, labels, kernel, threads=threads)
 
 
-def pack_word(word: tuple) -> int:
-    """Letters to the register integer (first letter = most significant)."""
-    out = 0
-    for w in word:
-        out = (out << 1) | int(w)
-    return out
-
-
 def word_scan(system: MapSystem, measure, target: TargetSet) -> dict:
     """The word-kernel arguments (word_int, depth, tent, p_zero) that scan
     the letter register for a tent or doubling cylinder target."""
     if system.kind not in DIGIT_KINDS or target.kind != "cylinder":
         raise UnsupportedCombination(
             "word scans run on tent and doubling cylinder targets")
-    return {"word_int": pack_word(target.word), "depth": target.depth,
+    return {"word_int": target.word, "depth": target.depth,
             "tent": system.kind is MapKind.FULL_TENT,
             "p_zero": digit_p_zero(measure)}
 

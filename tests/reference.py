@@ -12,6 +12,9 @@ a kernel against a second implementation that shares none of its tricks:
   (with b_0 = 0).  ``FloatPoint`` holds a float, which the tent and
   doubling maps drain by one digit per step, so it serves short orbits.
 * ``iterate`` applies a map to either kind of point.
+* ``itinerary`` is a point's cylinder letters, one exact step at a time,
+  and ``tent_interval`` the endpoints of a tent cell; ``cylinder_word``
+  packs the same letters without either.
 * ``ball_evaluate`` and ``cylinder_evaluate`` are the observable phi(x)
   itself; the samplers never evaluate it, because block maxima reduce to
   minimum distances and first cylinder entries.
@@ -40,7 +43,7 @@ from typing import Callable
 
 import numpy as np
 
-from evlhts.cylinders import PartitionContext, cylinder_word, smb_estimate
+from evlhts.cylinders import PartitionContext, smb_estimate
 from evlhts.engine import draw_digits
 from evlhts.errors import DomainError, EvlhtsError
 from evlhts.measures import digit_p_zero
@@ -242,6 +245,63 @@ def iterate(system: MapSystem, point: PointRep, n: int) -> PointRep:
     raise DomainError(f"unknown map kind {kind!r}")
 
 
+def itinerary(ctx: PartitionContext, x, n: int) -> tuple[int, ...]:
+    """Itinerary of ``x`` through the base partition for ``n`` steps, one
+    letter at a time: 0 for the left base cell, 1 for the right one.
+
+    Tent and doubling points are followed in exact rational arithmetic
+    (the doubling map reads the circle's 1 as 0), rotation points on the
+    2^63 fixed-point grid.  ``cylinder_word`` packs the same tent and
+    doubling letters into an int.
+    """
+    if not 0 <= x <= 1:
+        raise DomainError("point outside [0, 1]")
+    kind = ctx.system.kind
+    letters = []
+    if kind is MapKind.ROTATION:
+        xi = round(float(x) * FIXED_ONE) % FIXED_ONE
+        a = ctx.system.fixed_angle
+        for _ in range(n):
+            letters.append(0 if xi < FIXED_ONE - a else 1)
+            xi = (xi + a) % FIXED_ONE
+        return tuple(letters)
+    v = Fraction(x)
+    if kind is MapKind.DOUBLING and v == 1:
+        v = Fraction(0)
+    for _ in range(n):
+        if kind is MapKind.FULL_TENT:
+            letters.append(0 if v <= Fraction(1, 2) else 1)
+            v = 2 * v if letters[-1] == 0 else 2 - 2 * v
+        else:
+            v = 2 * v
+            letters.append(1 if v >= 1 else 0)
+            v -= letters[-1]
+    return tuple(letters)
+
+
+def tent_interval(word) -> tuple[Fraction, Fraction]:
+    """Exact endpoints of the closure of the tent cell with the given
+    letters; which endpoints the cell itself holds depends on its
+    orientation, so the endpoints alone do not give a boundary point's
+    word."""
+    lo, hi = Fraction(0), Fraction(1)
+    orient = 1
+    for w in word:
+        mid = (lo + hi) / 2
+        if (w == 0) == (orient > 0):
+            hi = mid
+        else:
+            lo = mid
+        if w == 1:
+            orient = -orient
+    return lo, hi
+
+
+def unpack_word(word: int, n: int) -> tuple[int, ...]:
+    """The letters of an ``n``-letter packed word, first letter first."""
+    return tuple((word >> (n - 1 - i)) & 1 for i in range(n))
+
+
 def max_depth_in(ctx: PartitionContext, x, zeta) -> int:
     """Largest n <= max_depth with x in the depth-n cylinder around zeta.
 
@@ -250,8 +310,8 @@ def max_depth_in(ctx: PartitionContext, x, zeta) -> int:
     overflow marker: the true depth is only known to be >= max_depth.
     """
     cap = ctx.max_depth
-    wx = cylinder_word(ctx, x, cap)
-    wz = cylinder_word(ctx, zeta, cap)
+    wx = itinerary(ctx, x, cap)
+    wz = itinerary(ctx, zeta, cap)
     depth = 0
     while depth < cap and wx[depth] == wz[depth]:
         depth += 1
@@ -283,7 +343,7 @@ def stream_word(point: BitStreamPoint, n: int, tent: bool) -> tuple[int, ...]:
 
     The doubling letters are the digits; the tent letter at step j is the
     leading digit of the j-th iterate.  This matches the interval rule of
-    ``cylinder_word`` everywhere except possibly on the measure-zero set of
+    ``itinerary`` everywhere except possibly on the measure-zero set of
     dyadic cell boundaries.
     """
     if not tent:

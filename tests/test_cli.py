@@ -146,7 +146,12 @@ hts.samples = 4000
 
 
 HALF_CYLINDER = "hts.target = cylinder\nhts.depth_list = 6\nhts.samples = 2000"
-# doubling-map configs whose cylinder masses or iid draws follow the digit law
+# a centre where the two names once rounded the same ball to two masses
+HALF_BALL_ZETA = "observable.zeta = 0.123456789\n"
+HALF_BALL = HALF_BALL_ZETA + (
+    "hts.target = ball\nhts.mass_list = 0.01\nhts.samples = 2000")
+# doubling-map configs whose cylinder masses, ball masses or iid draws
+# follow the digit law; "<experiment>+<variant>" names a second config
 HALF_CONFIGS = {
     "evl-balls": "observable.type = g2\nevl.n_list = 256\nevl.samples = 2000\n"
                  "evl.iid_mode = true\nevl.y_grid = 0.5, 1.0, 2.0",
@@ -157,6 +162,11 @@ HALF_CONFIGS = {
     "conditions": "cylinders.max_depth = 6\nconditions.samples = 2000",
     "evl-cylinders": "observable.mode = cylinder\nobservable.type = g2\n"
                      "evl.n_list = 8\nevl.samples = 2000\nevl.iid_mode = true",
+    "kac+ball": HALF_BALL,
+    "hts+ball": HALF_BALL,
+    "rts+ball": HALF_BALL,
+    "equivalence": HALF_BALL_ZETA + "observable.type = g2\nevl.n_list = 256\n"
+                                    "evl.samples = 2000\nhts.samples = 2000",
 }
 
 
@@ -318,8 +328,10 @@ class TestExperimentDrivers:
         # names must give the same report
         lebesgue, bernoulli = [
             experiments.run(make_config(
-                experiment, f"system.kind = doubling\nobservable.zeta = 0.3\n"
-                f"{HALF_CONFIGS[experiment]}\n{measure}"), write=False)
+                experiment.split("+", 1)[0],
+                override("system.kind = doubling\nobservable.zeta = 0.3",
+                         f"{HALF_CONFIGS[experiment]}\n{measure}")),
+                write=False)
             for measure in ("measure.kind = lebesgue",
                             "measure.kind = bernoulli\nmeasure.p = 0.5")
         ]

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evlhts.cylinders import (
     PartitionContext,
@@ -21,7 +23,14 @@ from evlhts.systems import (
     manneville_pomeau,
     rotation,
 )
-from reference import BitStreamPoint, max_depth_in, stream_word
+from reference import (
+    BitStreamPoint,
+    itinerary,
+    max_depth_in,
+    stream_word,
+    tent_interval,
+    unpack_word,
+)
 
 LN2 = math.log(2)
 
@@ -38,15 +47,55 @@ def rotation_ctx(**kw):
     return PartitionContext(rotation("golden"), Lebesgue1D(Metric.CIRCLE), **kw)
 
 
+def cell_interval(cyl):
+    """Exact endpoints of a tent cell's closure, read off its word."""
+    return tent_interval(unpack_word(cyl.word, cyl.depth))
+
+
+# points whose words the exact itinerary reads: floats, dyadics k / 2^j
+# (j <= 12, so boundary orbits reach 1/2, 1 and 0), thirds, and 0 and 1
+POINTS = st.one_of(
+    st.floats(0.0, 1.0),
+    st.integers(0, 12).flatmap(
+        lambda j: st.integers(0, 2 ** j).map(lambda k: Fraction(k, 2 ** j))),
+    st.sampled_from([Fraction(1, 3), Fraction(2, 3), 1 / 3, 2 / 3,
+                     0, 1, 0.0, 1.0]),
+)
+
+
 class TestWords:
     def test_tent_word_of_one(self):
         ctx = tent_ctx()
-        assert cylinder_word(ctx, 1.0, 5) == (1, 0, 0, 0, 0)
+        assert cylinder_word(ctx, 1.0, 5) == 0b10000
 
     def test_tent_word_of_half(self):
         # 1/2 -> 1 -> 0 -> 0 ...
         ctx = tent_ctx()
-        assert cylinder_word(ctx, 0.5, 5) == (0, 1, 0, 0, 0)
+        assert cylinder_word(ctx, 0.5, 5) == 0b01000
+
+    def test_tent_word_is_not_the_gray_code_on_boundaries(self):
+        # 3/4 -> 1/2 -> 1 -> 0: the cell index of the right-closed dyadic
+        # cell (22/32, 24/32] would give the Gray code 11100, but the cell
+        # around 3/4 switches closedness with its orientation
+        assert cylinder_word(tent_ctx(), 0.75, 5) == 0b10100
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(tent=st.booleans(), x=POINTS,
+           n=st.one_of(st.integers(1, 80), st.just(2000)))
+    def test_packed_word_is_the_itinerary(self, tent, x, n):
+        ctx = tent_ctx() if tent else doubling_ctx()
+        word = cylinder_word(ctx, x, n)
+        assert 0 <= word < 1 << n
+        assert unpack_word(word, n) == itinerary(ctx, x, n)
+
+    @pytest.mark.parametrize("x", [1.5, -0.25, 1 + 2.0 ** -52, -2.0 ** -60,
+                                   Fraction(4, 3)])
+    @pytest.mark.parametrize("ctx", [tent_ctx(), doubling_ctx()],
+                             ids=["tent", "doubling"])
+    def test_point_outside_unit_interval_rejected(self, ctx, x):
+        with pytest.raises(DomainError):
+            cylinder_word(ctx, x, 5)
 
     def test_tent_stream_word_matches_float_word(self):
         # agreement holds until the orbit hits the cell boundary 1/2, which
@@ -54,7 +103,7 @@ class TestWords:
         ctx = tent_ctx()
         for v in [1.0, 0.3, 0.7, 0.123456789]:
             ws = stream_word(BitStreamPoint.from_float(v), 40, tent=True)
-            wf = cylinder_word(ctx, v, 40)
+            wf = unpack_word(cylinder_word(ctx, v, 40), 40)
             assert ws == wf, v
 
     def test_tent_stream_word_at_boundary_orbit(self):
@@ -62,52 +111,67 @@ class TestWords:
         # there, the digit rule letter 1, and the two agree again after
         ws = stream_word(BitStreamPoint.from_float(0.8125), 8, tent=True)
         wf = cylinder_word(tent_ctx(), 0.8125, 8)
-        assert wf == (1, 0, 1, 0, 1, 0, 0, 0)
+        assert wf == 0b10101000
         assert ws == (1, 0, 1, 1, 1, 0, 0, 0)
 
     def test_doubling_word_is_digit_string(self):
         ctx = doubling_ctx()
-        assert cylinder_word(ctx, 0.3, 5) == (0, 1, 0, 0, 1)
+        assert cylinder_word(ctx, 0.3, 5) == 0b01001
         assert stream_word(BitStreamPoint.from_float(0.3), 5, tent=False) == \
             (0, 1, 0, 0, 1)
 
     def test_rotation_word_tracks_base_arc(self):
+        # the depth-8 arc around x is the set of fixed-point points whose
+        # first 8 rotation steps visit the same base arcs as x
         ctx = rotation_ctx()
-        af = ctx.system.alpha  # exact rational angle
-        x = 0.2
-        expect = []
-        pos = Fraction(x)
-        for _ in range(8):
-            expect.append(0 if pos < 1 - af else 1)
-            pos = (pos + af) % 1
-        assert cylinder_word(ctx, x, 8) == tuple(expect)
+        a = ctx.system.fixed_angle
+
+        def letters(xi):
+            out = []
+            for _ in range(8):
+                out.append(0 if xi < FIXED_ONE - a else 1)
+                xi = (xi + a) % FIXED_ONE
+            return out
+
+        lo, hi = cylinder_at(ctx, 0.2, 8).arc
+        expect = letters(round(0.2 * FIXED_ONE))
+        assert letters(lo) == letters(hi - 1) == expect
+        assert letters((lo - 1) % FIXED_ONE) != expect
+        assert letters(hi % FIXED_ONE) != expect
+
+    def test_rotation_has_no_letter_word(self):
+        with pytest.raises(UnsupportedCombination):
+            cylinder_word(rotation_ctx(), 0.2, 8)
 
 
 class TestCylinderAt:
     def test_tent_cylinder_around_one(self):
         cyl = cylinder_at(tent_ctx(), 1.0, 3)
-        assert (cyl.lo, cyl.hi) == (Fraction(7, 8), Fraction(1))
+        assert cyl.word == 0b100
+        assert cell_interval(cyl) == (Fraction(7, 8), Fraction(1))
         assert cyl.mass == 0.125 and cyl.log2_mass == -3
 
     def test_tent_cylinder_around_half(self):
         cyl = cylinder_at(tent_ctx(), 0.5, 3)
-        assert (cyl.lo, cyl.hi) == (Fraction(3, 8), Fraction(1, 2))
+        assert cyl.word == 0b010
+        assert cell_interval(cyl) == (Fraction(3, 8), Fraction(1, 2))
         assert cyl.mass == 0.125
 
     def test_tent_interior_word_cell(self):
         # {x <= 1/2, Tx > 1/2} = (1/4, 1/2]
         cyl = cylinder_at(tent_ctx(), 0.3, 2)
-        assert (cyl.lo, cyl.hi) == (Fraction(1, 4), Fraction(1, 2))
+        assert cyl.word == 0b01
+        assert cell_interval(cyl) == (Fraction(1, 4), Fraction(1, 2))
 
     def test_doubling_bernoulli_mass_is_digit_product(self):
         ctx = doubling_ctx(BernoulliDoubling(0.3))
         cyl = cylinder_at(ctx, 0.25, 3)  # digits 0,1,0
-        assert (cyl.lo, cyl.hi) == (Fraction(1, 4), Fraction(3, 8))
+        assert cyl.word == 0b010  # the cell [2/8, 3/8)
         assert cyl.mass == pytest.approx(0.3 * 0.7 * 0.3, rel=1e-12)
 
     def test_depth_zero_is_everything(self):
         cyl = cylinder_at(tent_ctx(), 0.77, 0)
-        assert cyl.mass == 1.0 and cyl.lo == 0 and cyl.hi == 1
+        assert cyl.mass == 1.0 and cyl.word == 0 and cyl.log2_mass == 0
 
     def test_nesting(self):
         for ctx, z in [
@@ -119,7 +183,10 @@ class TestCylinderAt:
             prev = cylinder_at(ctx, z, 0)
             for n in range(1, 13):
                 cyl = cylinder_at(ctx, z, n)
-                assert prev.lo <= cyl.lo and cyl.hi <= prev.hi
+                if cyl.arc is None:  # a word extends its parent's word
+                    assert cyl.word >> 1 == prev.word
+                else:
+                    assert prev.arc[0] <= cyl.arc[0] < cyl.arc[1] <= prev.arc[1]
                 assert cyl.mass <= prev.mass
                 prev = cyl
 
@@ -154,12 +221,8 @@ class TestRotationPartition:
         ctx = rotation_ctx()
         x, z = 0.331, 0.337
         for n in range(1, 25):
-            cx = cylinder_at(ctx, x, n)
-            same_arc = (cx.lo, cx.hi) == (
-                cylinder_at(ctx, z, n).lo,
-                cylinder_at(ctx, z, n).hi,
-            )
-            same_word = cylinder_word(ctx, x, n) == cylinder_word(ctx, z, n)
+            same_arc = cylinder_at(ctx, x, n).arc == cylinder_at(ctx, z, n).arc
+            same_word = itinerary(ctx, x, n) == itinerary(ctx, z, n)
             assert same_arc == same_word, n
 
 
@@ -207,7 +270,7 @@ class TestInformationRates:
         p = 0.3
         ctx = doubling_ctx(BernoulliDoubling(p))
         z = 0.415
-        word = cylinder_word(ctx, z, 300)
+        word = itinerary(ctx, z, 300)
         direct = -math.fsum(
             math.log(p) if w == 0 else math.log(1 - p) for w in word
         ) / 300
@@ -232,6 +295,11 @@ class TestGibbsEnvelope:
         ctx = tent_ctx()
         pot = (math.log(0.3), math.log(0.7))  # wrong letter masses for Lebesgue
         assert gibbs_envelope(ctx, 0.813, 50, pot) > 10.0
+
+    def test_rotation_rejected(self):
+        # a rotation cell is an arc: it has no letter word to sum over
+        with pytest.raises(UnsupportedCombination):
+            gibbs_envelope(rotation_ctx(), 0.2, 5, (0.0, 0.0))
 
     def test_pressure_shift(self):
         ctx = tent_ctx()
@@ -264,6 +332,7 @@ class TestCellEnumeration:
         ctx = tent_ctx()
         cells = [cylinder_at(ctx, (2 * k + 1) / 16, 3)
                  for k in range(8)]
-        assert len({(c.lo, c.hi) for c in cells}) == 8
-        assert sorted(c.lo for c in cells) == [Fraction(k, 8) for k in range(8)]
+        assert len({c.word for c in cells}) == 8
+        assert sorted(cell_interval(c)[0] for c in cells) == \
+            [Fraction(k, 8) for k in range(8)]
         assert all(c.mass == 0.125 for c in cells)

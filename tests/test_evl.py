@@ -20,7 +20,6 @@ from evlhts.evl import (
     sample_ball_min_distances,
     sample_cylinder_no_entry,
 )
-from evlhts.hts import pack_word
 from evlhts.laws import EmpiricalLaw
 from evlhts.measures import BernoulliDoubling, EmpiricalOrbit, Lebesgue1D
 from evlhts.observables import BallObservable, CylinderObservable, GKind, GShape
@@ -32,7 +31,7 @@ from evlhts.systems import (
     manneville_pomeau,
     rotation,
 )
-from reference import iid_digit_min_distances
+from reference import iid_digit_min_distances, itinerary
 
 G1 = GShape(GKind.G1)
 G2 = GShape(GKind.G2, alpha=1.0)
@@ -157,8 +156,7 @@ class TestCylinderSchedule:
         assert s.event_depth == 12
         assert s.event_mass == 2.0 ** -12
         assert s.window == 4096
-        assert cylinder_word(obs.ctx, obs.zeta, s.event_depth) == \
-            (1,) + (0,) * 11
+        assert cylinder_word(obs.ctx, obs.zeta, s.event_depth) == 1 << 11
 
     def test_window_scales_with_tau(self):
         obs = tent_cylinder_obs(G2)
@@ -186,7 +184,7 @@ class TestCylinderSchedule:
         s = cylinder_schedule(obs, depth=3, tau=1.0)
         assert s.event_mass == pytest.approx(0.3 ** 3)
         assert s.window == int(1.0 / 0.3 ** 3)
-        assert cylinder_word(ctx, 0.0, s.event_depth) == (0, 0, 0)
+        assert cylinder_word(ctx, 0.0, s.event_depth) == 0
 
     @pytest.mark.parametrize("system, measure", [
         (full_tent(), Lebesgue1D(Metric.INTERVAL)),
@@ -216,13 +214,6 @@ class TestCylinderSchedule:
             cylinder_schedule(obs, depth=5, tau=math.inf)
         with pytest.raises(DomainError):
             cylinder_schedule(obs, depth=1, tau=0.3)  # window floor = 0
-
-
-class TestPackWord:
-    def test_values(self):
-        assert pack_word((1, 0, 1)) == 5
-        assert pack_word((0, 0, 1)) == 1
-        assert pack_word(()) == 0
 
 
 def avoid_probability(word, positions):
@@ -276,7 +267,7 @@ class TestCylinderSampling:
         flags = sample_cylinder_no_entry(obs, scheds, n_samples=10_000,
                                          seed=5)
         assert flags.shape == (10_000, 3)
-        word = cylinder_word(obs.ctx, obs.zeta, scheds[0].event_depth)
+        word = itinerary(obs.ctx, obs.zeta, scheds[0].event_depth)
         want = [avoid_probability(word, s.window) for s in scheds]
         assert want[1] == pytest.approx(0.3569, abs=1e-4)  # pins the oracle
         assert flags.mean(axis=0) == pytest.approx(want, abs=0.02)

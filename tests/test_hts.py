@@ -49,7 +49,7 @@ class TestTargets:
     def test_tent_cylinder_target(self):
         tgt = tent_cylinder(10)
         assert tgt.mass == 2.0 ** -10
-        assert tgt.word == (1,) + (0,) * 9
+        assert tgt.word == 1 << 9  # letters 1, 0, ..., 0
         assert tgt.depth == 10
         assert tgt.arc is None
 
