@@ -1,11 +1,14 @@
 """Sample-parallel Monte Carlo kernels.
 
-Every kernel simulates one block of independent samples with numpy array
-operations (lanes = samples), consuming a dedicated Generator.
-``run_blocked`` slices a run into fixed-size blocks, gives block i the
-substream keyed by (seed, labels..., i), executes blocks on a thread
-pool, and concatenates results in block order — so outputs are
-bit-identical for any thread count.
+Every kernel simulates independent samples with numpy array operations
+(lanes = samples).  ``run_blocked`` slices a run into fixed-size blocks,
+gives block i the substream keyed by (seed, labels..., i), executes
+blocks on a thread pool, and concatenates results in block order — so
+outputs are bit-identical for any thread count.  The digit kernels draw
+as they scan, so each block runs its own scan on its own substream.  The
+rotation and intermittent kernels draw nothing after their starts: each
+block only draws its starts, and one scan then steps every lane of the
+run, with no generator.
 
 The expanding digit systems (tent/doubling) are simulated exactly on an
 implicit infinite digit stream, and the engine holds every digit packed.
@@ -67,10 +70,13 @@ censors the lanes still out at the cap.  The word kernels read the first
 column off the packed match words with a bit smear and a popcount; the
 ball, rotation and intermittent kernels off boolean planes through
 ``_first_inside``, eight for a ball chunk and one for the others.
-Rotations advance exact 63-bit integer positions, a chunk per numpy op,
-and the intermittent map steps float64 lanes with the scalar map's
-update.  Neither draws inside the scan, so their compaction touches no
-stream.
+Rotations advance exact 63-bit integer positions, a chunk per numpy op.
+The intermittent map steps float64 lanes with numpy's array pow, which
+can differ from Python's scalar float pow (``EmpiricalOrbit`` uses that)
+in the last bit, but gives each lane the same result at any position in
+an array of any length.  So each lane of either map follows one orbit
+whatever lanes run beside it, and neither compaction nor running a whole
+run's lanes in one scan changes a value.
 
 The digit draws fix the RNG stream, and with it every report byte:
 
@@ -675,9 +681,10 @@ def rotation_starts(gen, count):
 
 
 def rotation_first_hit(
-    gen, count, *, step_fixed, lo, hi, cap, start_j=1, starts=None, chunk=64
+    gen, count, *, step_fixed, lo, hi, cap, start_j=1, starts, chunk=64
 ):
-    """First j in [start_j, cap) with the rotated position in [lo, hi).
+    """First j in [start_j, cap) with the rotated position in [lo, hi),
+    for the ``count`` lanes that start at ``starts``; ``gen`` is unused.
 
     Positions are 63-bit integers; the step is the quantized angle, so
     the sweep is exact and matches the scalar map for every lane.  A chunk
@@ -686,7 +693,6 @@ def rotation_first_hit(
     """
     if not 0 <= lo < hi <= FIXED_ONE:
         raise DomainError("arc must satisfy 0 <= lo < hi <= 2^63")
-    s = rotation_starts(gen, count) if starts is None else starts
     m = np.uint64(FIXED_ONE)
     lo_u, hi_u = np.uint64(lo), np.uint64(hi)
     offsets = np.array([k * step_fixed % FIXED_ONE for k in range(chunk + 1)],
@@ -705,17 +711,17 @@ def rotation_first_hit(
         return (_first_inside(inside[None], first, cols),
                 (advance(s, offsets[cols]),))
 
-    s = advance(s, np.uint64(start_j * step_fixed % FIXED_ONE))
+    s = advance(starts, np.uint64(start_j * step_fixed % FIXED_ONE))
     return _first_hit(count, cap, start_j, start_j, chunk, scan, (s,))
 
 
 def rotation_min_distance(gen, count, *, step_fixed, zeta_fixed, n_steps,
-                          starts=None):
-    """Circle distance minimum dist(f^j x, zeta) over j < n_steps."""
+                          starts):
+    """Circle distance minimum dist(f^j x, zeta) over j < n_steps, for the
+    ``count`` lanes that start at ``starts``; ``gen`` is unused."""
     if n_steps < 1:
         raise DomainError("need at least one orbit point")
-    s = rotation_starts(gen, count) if starts is None else starts.copy()
-    s = s.astype(np.uint64)
+    s = starts.astype(np.uint64)
     step = np.uint64(step_fixed)
     z = np.uint64(zeta_fixed)
     m = np.uint64(FIXED_ONE)  # fits in uint64, unlike in int64
@@ -735,7 +741,8 @@ def mp_min_distance(gen, count, *, s_exp, zeta, n_steps, starts):
     """Minimum interval distance to zeta along intermittent-map orbits.
 
     ``starts`` come from the caller (stationary draws from the empirical
-    invariant measure); the update matches the scalar map exactly.
+    invariant measure); ``gen`` is unused.  The update is numpy's array
+    pow, which depends on a lane's start alone, not on its position.
     """
     if n_steps < 1:
         raise DomainError("need at least one orbit point")
@@ -751,7 +758,8 @@ def mp_min_distance(gen, count, *, s_exp, zeta, n_steps, starts):
 
 def mp_first_hit(gen, count, *, s_exp, eta, zeta, cap, start_j, starts,
                  chunk=64):
-    """First j in [start_j, cap) with |f^j x - zeta| < eta (intermittent).
+    """First j in [start_j, cap) with |f^j x - zeta| < eta (intermittent),
+    for the ``count`` lanes that start at ``starts``; ``gen`` is unused.
 
     Each step of a chunk writes one column of the chunk's inside matrix, so
     no float (lanes, chunk) matrix is kept.

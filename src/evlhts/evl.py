@@ -23,6 +23,7 @@ marginal all stay below the level with probability (1 - m)^n
 (``iid_no_exceedance``).
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -119,6 +120,7 @@ def sample_ball_min_distances(
     zeta = obs.zeta_value
     circle = measure.metric is Metric.CIRCLE
 
+    labels = (*labels, "dyn")
     if system.kind in DIGIT_KINDS:
         p_zero = digit_p_zero(measure)
         tent = system.kind is MapKind.FULL_TENT
@@ -128,17 +130,20 @@ def sample_ball_min_distances(
                 gen, count, n_steps=n_steps, p_zero=p_zero, tent=tent,
                 zeta=zeta, circle=circle,
             )
-    elif system.kind is MapKind.ROTATION:
+        return engine.run_blocked(n_samples, seed, labels, kernel,
+                                  threads=threads)[0]
+    # The orbit maps draw only their starts, block by block; one scan then
+    # steps every lane.
+    if system.kind is MapKind.ROTATION:
         if not isinstance(measure, Lebesgue1D):
             raise UnsupportedCombination(
                 "rotations preserve length; use the Lebesgue measure")
-        zeta_fixed = round(zeta * FIXED_ONE)
 
-        def kernel(gen, count):
-            return engine.rotation_min_distance(
-                gen, count, step_fixed=system.fixed_angle,
-                zeta_fixed=zeta_fixed, n_steps=n_steps,
-            )
+        def draw(gen, count):
+            return (engine.rotation_starts(gen, count),)
+        scan = functools.partial(
+            engine.rotation_min_distance, step_fixed=system.fixed_angle,
+            zeta_fixed=round(zeta * FIXED_ONE))
     elif system.kind is MapKind.MANNEVILLE_POMEAU:
         if not isinstance(measure, EmpiricalOrbit):
             raise UnsupportedCombination(
@@ -146,18 +151,15 @@ def sample_ball_min_distances(
             )
         orbit = measure.orbit
 
-        def kernel(gen, count):
-            starts = orbit[gen.integers(0, orbit.size, size=count)]
-            return engine.mp_min_distance(
-                gen, count, s_exp=system.s, zeta=zeta, n_steps=n_steps,
-                starts=starts,
-            )
+        def draw(gen, count):
+            return (orbit[gen.integers(0, orbit.size, size=count)],)
+        scan = functools.partial(engine.mp_min_distance, s_exp=system.s,
+                                 zeta=zeta)
     else:  # pragma: no cover - enum is exhaustive
         raise UnsupportedCombination(system.kind)
-
-    return engine.run_blocked(
-        n_samples, seed, (*labels, "dyn"), kernel, threads=threads
-    )[0]
+    starts = engine.run_blocked(n_samples, seed, labels, draw,
+                                threads=threads)[0]
+    return scan(None, n_samples, n_steps=n_steps, starts=starts)[0]
 
 
 def ball_maxima_values(min_distances: np.ndarray,

@@ -22,6 +22,7 @@ intermittent map).  Kac's identity — mean return time times target mass
 equals 1 — is checked from the same samples with a CLT band.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -159,9 +160,21 @@ def sample_hit_times(
 def first_hits(system, target, *, cap, n_samples, seed, labels, threads=1,
                conditional=False, start_j=1, measure=None):
     """(times, hit) of ``n_samples`` first-entry runs on exactly ``labels``;
-    the first index eligible as an entry is ``start_j``."""
-    kernel = _hit_kernel(system, target, cap, start_j, conditional, measure)
-    return engine.run_blocked(n_samples, seed, labels, kernel, threads=threads)
+    the first index eligible as an entry is ``start_j``.
+
+    The digit maps scan block by block, drawing as they go.  The rotation
+    and the intermittent map draw only their starts, block by block, and
+    one scan then steps all ``n_samples`` lanes.
+    """
+    if system.kind in DIGIT_KINDS:
+        kernel = _digit_hit_kernel(system, target, cap, start_j, conditional,
+                                   measure)
+        return engine.run_blocked(n_samples, seed, labels, kernel,
+                                  threads=threads)
+    draw, scan = _orbit_hit_scan(system, target, conditional, measure)
+    starts = engine.run_blocked(n_samples, seed, labels, draw,
+                                threads=threads)[0]
+    return scan(None, n_samples, cap=cap, start_j=start_j, starts=starts)
 
 
 def word_scan(system: MapSystem, measure, target: TargetSet) -> dict:
@@ -175,38 +188,41 @@ def word_scan(system: MapSystem, measure, target: TargetSet) -> dict:
             "p_zero": digit_p_zero(measure)}
 
 
-def _hit_kernel(system, target, cap, start_j, conditional, measure):
-    kind = system.kind
-    if kind in DIGIT_KINDS:
-        if target.kind == "cylinder":
-            scan = word_scan(system, measure, target)
-
-            def kernel(gen, count):
-                return engine.word_first_hit(
-                    gen, count, **scan, cap=cap, start_j=start_j,
-                    preload=conditional,
-                )
-            return kernel
-        p_zero = digit_p_zero(measure)
-        tent = kind is MapKind.FULL_TENT
-        circle = measure.metric is Metric.CIRCLE
-        eta, zeta, arcs = target.eta, target.zeta_value, target.cdf_arcs
+def _digit_hit_kernel(system, target, cap, start_j, conditional, measure):
+    """The block kernel of a tent or doubling first-hit run."""
+    if target.kind == "cylinder":
+        scan = word_scan(system, measure, target)
 
         def kernel(gen, count):
-            initial = None
-            if conditional:
-                initial = engine.conditional_digit_starts(
-                    gen, count, arcs=arcs, p_zero=p_zero
-                )
-            return engine.ball_first_hit_digits(
-                gen, count, eta=eta, zeta=zeta, tent=tent, p_zero=p_zero,
-                circle=circle, cap=cap, start_j=start_j,
-                initial_digits=initial,
+            return engine.word_first_hit(
+                gen, count, **scan, cap=cap, start_j=start_j,
+                preload=conditional,
             )
         return kernel
+    p_zero = digit_p_zero(measure)
+    tent = system.kind is MapKind.FULL_TENT
+    circle = measure.metric is Metric.CIRCLE
+    eta, zeta, arcs = target.eta, target.zeta_value, target.cdf_arcs
 
-    if kind is MapKind.ROTATION:
-        step = system.fixed_angle
+    def kernel(gen, count):
+        initial = None
+        if conditional:
+            initial = engine.conditional_digit_starts(
+                gen, count, arcs=arcs, p_zero=p_zero
+            )
+        return engine.ball_first_hit_digits(
+            gen, count, eta=eta, zeta=zeta, tent=tent, p_zero=p_zero,
+            circle=circle, cap=cap, start_j=start_j,
+            initial_digits=initial,
+        )
+    return kernel
+
+
+def _orbit_hit_scan(system, target, conditional, measure):
+    """(draw, scan) of a rotation or intermittent first-hit run:
+    ``draw(gen, count)`` gives one block's starts and ``scan`` is the
+    first-hit kernel, bound to the target, that steps every lane at once."""
+    if system.kind is MapKind.ROTATION:
         if target.kind == "cylinder":
             lo, hi = target.arc
         else:
@@ -216,17 +232,15 @@ def _hit_kernel(system, target, cap, start_j, conditional, measure):
             width = min(round(2 * target.eta * FIXED_ONE), FIXED_ONE)
             lo, hi = 0, max(int(width), 1)
 
-        def kernel(gen, count):
-            starts = None
+        def draw(gen, count):
             if conditional:
-                starts = gen.integers(lo, hi, size=count, dtype=np.uint64)
-            return engine.rotation_first_hit(
-                gen, count, step_fixed=step, lo=lo, hi=hi, cap=cap,
-                start_j=start_j, starts=starts,
-            )
-        return kernel
+                return (gen.integers(lo, hi, size=count, dtype=np.uint64),)
+            return (engine.rotation_starts(gen, count),)
+        return draw, functools.partial(
+            engine.rotation_first_hit, step_fixed=system.fixed_angle, lo=lo,
+            hi=hi)
 
-    if kind is MapKind.MANNEVILLE_POMEAU:
+    if system.kind is MapKind.MANNEVILLE_POMEAU:
         if target.kind != "ball":
             raise UnsupportedCombination(
                 "the intermittent map has no partition cylinders here"
@@ -239,21 +253,17 @@ def _hit_kernel(system, target, cap, start_j, conditional, measure):
             inside = np.flatnonzero(np.abs(orbit - zeta) < eta)
             if inside.size == 0:
                 raise DomainError("no orbit point falls in the target ball")
+
+            def draw(gen, count):
+                return (orbit[inside[gen.integers(0, inside.size,
+                                                  size=count)]],)
         else:
-            inside = None
+            def draw(gen, count):
+                return (orbit[gen.integers(0, orbit.size, size=count)],)
+        return draw, functools.partial(
+            engine.mp_first_hit, s_exp=system.s, eta=eta, zeta=zeta)
 
-        def kernel(gen, count):
-            if inside is None:
-                starts = orbit[gen.integers(0, orbit.size, size=count)]
-            else:
-                starts = orbit[inside[gen.integers(0, inside.size, size=count)]]
-            return engine.mp_first_hit(
-                gen, count, s_exp=system.s, eta=eta, zeta=zeta, cap=cap,
-                start_j=start_j, starts=starts,
-            )
-        return kernel
-
-    raise UnsupportedCombination(kind)  # pragma: no cover - exhaustive
+    raise UnsupportedCombination(system.kind)  # pragma: no cover - exhaustive
 
 
 # ------------------------------------------------------------------- Kac

@@ -163,8 +163,9 @@ def ks_statistic(law: EmpiricalLaw, ref: ReferenceLaw) -> float:
     """One-sample KS distance sup_t |F_n(t) - F(t)| (full-sample laws only)."""
     if law.n_censored:
         raise CapTooSmall(
-            "KS needs the whole sample; rerun with a larger horizon "
-            f"({law.n_censored} censored)"
+            f"KS needs the whole sample, but {law.n_censored} of "
+            f"{law.n_total} times are censored at the fixed cap of "
+            f"{law.cap:.3g} mean returns"
         )
     x = law.values
     n = x.size

@@ -32,6 +32,9 @@ a kernel against a second implementation that shares none of its tricks:
   object with a ``cdf`` serves.
 * ``fraction_smb_rates`` are the ``smb`` experiment's sampled information
   rates, read back from exact Fraction points of the sampled cells.
+* ``per_block_orbit_hits`` and ``per_block_orbit_min_distances`` run the
+  rotation and intermittent kernels block by block, each block on its own
+  starts, as the samplers did before they stepped a whole run in one scan.
 
 ``src/`` must not import this module: it is test code.
 """
@@ -44,7 +47,15 @@ from typing import Callable
 import numpy as np
 
 from evlhts.cylinders import PartitionContext, smb_estimate
-from evlhts.engine import draw_digits
+from evlhts.engine import (
+    draw_digits,
+    mp_first_hit,
+    mp_min_distance,
+    rotation_first_hit,
+    rotation_min_distance,
+    rotation_starts,
+    run_blocked,
+)
 from evlhts.errors import DomainError, EvlhtsError
 from evlhts.measures import digit_p_zero
 from evlhts.observables import BallObservable, CylinderObservable
@@ -487,6 +498,58 @@ def fraction_smb_rates(ctx: PartitionContext, seed: int, depth: int,
         point = Fraction(2 * idx + 1, 1 << (depth + 1))
         rates.append(smb_estimate(ctx, point, depth))
     return np.asarray(rates)
+
+
+def per_block_orbit_hits(system, target, *, cap, n_samples, seed, labels,
+                         conditional, start_j=1, measure=None, threads=1):
+    """``hts.first_hits`` on the rotation or the intermittent map, with the
+    first-hit kernel run once per block on that block's starts."""
+    if system.kind is MapKind.ROTATION:
+        if target.kind == "cylinder":
+            lo, hi = target.arc
+        else:
+            width = min(round(2 * target.eta * FIXED_ONE), FIXED_ONE)
+            lo, hi = 0, max(int(width), 1)
+
+        def kernel(gen, count):
+            starts = (gen.integers(lo, hi, size=count, dtype=np.uint64)
+                      if conditional else rotation_starts(gen, count))
+            return rotation_first_hit(
+                gen, count, step_fixed=system.fixed_angle, lo=lo, hi=hi,
+                cap=cap, start_j=start_j, starts=starts)
+    else:
+        orbit, zeta, eta = measure.orbit, target.zeta_value, target.eta
+        inside = (np.flatnonzero(np.abs(orbit - zeta) < eta) if conditional
+                  else np.arange(orbit.size))
+
+        def kernel(gen, count):
+            starts = orbit[inside[gen.integers(0, inside.size, size=count)]]
+            return mp_first_hit(
+                gen, count, s_exp=system.s, eta=eta, zeta=zeta, cap=cap,
+                start_j=start_j, starts=starts)
+    return run_blocked(n_samples, seed, labels, kernel, threads=threads)
+
+
+def per_block_orbit_min_distances(obs: BallObservable, system, *, n_steps,
+                                  n_samples, seed, labels, threads=1):
+    """``evl.sample_ball_min_distances`` on the rotation or the intermittent
+    map, with the kernel run once per block on that block's starts."""
+    zeta = obs.zeta_value
+    if system.kind is MapKind.ROTATION:
+        def kernel(gen, count):
+            return rotation_min_distance(
+                gen, count, step_fixed=system.fixed_angle,
+                zeta_fixed=round(zeta * FIXED_ONE), n_steps=n_steps,
+                starts=rotation_starts(gen, count))
+    else:
+        orbit = obs.measure.orbit
+
+        def kernel(gen, count):
+            return mp_min_distance(
+                gen, count, s_exp=system.s, zeta=zeta, n_steps=n_steps,
+                starts=orbit[gen.integers(0, orbit.size, size=count)])
+    return run_blocked(n_samples, seed, (*labels, "dyn"), kernel,
+                       threads=threads)[0]
 
 
 class _Uniform:

@@ -618,6 +618,22 @@ class TestFilesAndCli:
         assert "runtime error" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_censored_ks_names_the_fixed_cap(self, tmp_path, capsys):
+        # at ball mass 0.5 some laminar phases of the intermittent map
+        # outlast the cap of 50 mean returns; no key moves that cap
+        cfg = tmp_path / "censored.cfg"
+        cfg.write_text(override(
+            (GOLDEN / "hts+intermittent.cfg").read_text(),
+            "hts.mass_list = 0.5"))
+        out = tmp_path / "out"
+        assert self.run_cli("hts", "--config", str(cfg),
+                            "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert "of 4200 times are censored" in err
+        assert "fixed cap of 50 mean returns" in err
+        assert "larger horizon" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("experiment, golden, lines, key", [
         ("evl-balls", "evl-balls+bernoulli-iid", "evl.n_list = 200",
          "evl.n_list"),

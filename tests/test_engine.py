@@ -18,6 +18,7 @@ from evlhts.engine import (
     mp_min_distance,
     rotation_first_hit,
     rotation_min_distance,
+    rotation_starts,
     run_blocked,
     word_first_hit,
     word_hit_count,
@@ -762,11 +763,10 @@ class TestBallWindows:
 
 
 def reference_rotation_first_hit(gen, count, *, step_fixed, lo, hi, cap,
-                                 start_j=1, starts=None, chunk=64):
+                                 start_j=1, starts, chunk=64):
     """Per-step reference for ``rotation_first_hit``: one rotation step per
     iteration over every live lane."""
-    s = (gen.integers(0, FIXED_ONE, size=count, dtype=np.uint64)
-         if starts is None else starts.copy())
+    s = starts.copy()
     step = np.uint64(step_fixed)
     m = np.uint64(FIXED_ONE)
     lo_u, hi_u = np.uint64(lo), np.uint64(hi)
@@ -847,21 +847,20 @@ class TestOrbitKernelEquivalence:
         step = rotation(angle).fixed_angle
         lo, hi = int(0.2 * FIXED_ONE), int(0.23 * FIXED_ONE)
         label = ("rot-eq", angle, start_j, cap, conditional, chunk)
-        starts = None
         if conditional:
             # starts inside the arc, as for return times
             starts = substream(7, "starts", *label).integers(
                 lo, hi, size=self.LANES, dtype=np.uint64)
+        else:
+            starts = rotation_starts(substream(7, *label), self.LANES)
         kw = dict(step_fixed=step, lo=lo, hi=hi, cap=cap, start_j=start_j,
                   starts=starts, chunk=chunk)
-        want = reference_rotation_first_hit(substream(7, *label), self.LANES,
-                                            **kw)
-        kept = None if starts is None else starts.copy()
-        got = rotation_first_hit(substream(7, *label), self.LANES, **kw)
+        want = reference_rotation_first_hit(None, self.LANES, **kw)
+        kept = starts.copy()
+        got = rotation_first_hit(None, self.LANES, **kw)
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
-        if conditional:
-            assert np.array_equal(starts, kept)  # the caller's starts stay put
+        assert np.array_equal(starts, kept)  # the caller's starts stay put
         if cap == 300:
             assert want[1].mean() > 0.25
 
@@ -1201,15 +1200,15 @@ class TestRotationKernels:
     def test_min_distance_needs_a_step(self):
         with pytest.raises(DomainError):
             rotation_min_distance(
-                substream(1, "z"), 2, step_fixed=self.step, zeta_fixed=0,
-                n_steps=0,
+                None, 2, step_fixed=self.step, zeta_fixed=0, n_steps=0,
+                starts=rotation_starts(substream(1, "z"), 2),
             )
 
     def test_start_must_precede_cap(self):
         with pytest.raises(DomainError):
             rotation_first_hit(
-                substream(1, "z"), 2, step_fixed=self.step, lo=0, hi=10,
-                cap=5, start_j=5,
+                None, 2, step_fixed=self.step, lo=0, hi=10, cap=5, start_j=5,
+                starts=rotation_starts(substream(1, "z"), 2),
             )
 
 
@@ -1379,10 +1378,10 @@ class TestCapMonotonicity:
 
     def test_rotation_first_hit(self):
         kw = dict(step_fixed=rotation("golden").fixed_angle,
-                  lo=int(0.6 * FIXED_ONE), hi=int(0.62 * FIXED_ONE), chunk=7)
-        short, _ = rotation_first_hit(substream(14, "mono"), 500, cap=30, **kw)
-        long_, _ = rotation_first_hit(substream(14, "mono"), 500, cap=200,
-                                      **kw)
+                  lo=int(0.6 * FIXED_ONE), hi=int(0.62 * FIXED_ONE), chunk=7,
+                  starts=rotation_starts(substream(14, "mono"), 500))
+        short, _ = rotation_first_hit(None, 500, cap=30, **kw)
+        long_, _ = rotation_first_hit(None, 500, cap=200, **kw)
         assert np.array_equal(short, np.minimum(long_, 30))
 
     def test_mp_first_hit(self):

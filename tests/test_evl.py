@@ -31,7 +31,11 @@ from evlhts.systems import (
     manneville_pomeau,
     rotation,
 )
-from reference import iid_digit_min_distances, itinerary
+from reference import (
+    iid_digit_min_distances,
+    itinerary,
+    per_block_orbit_min_distances,
+)
 
 G1 = GShape(GKind.G1)
 G2 = GShape(GKind.G2, alpha=1.0)
@@ -353,22 +357,11 @@ class TestBallSampling:
         assert np.array_equal(a, b)
 
     def test_rotation_wrapper_matches_engine(self):
-        from evlhts.engine import rotation_min_distance, run_blocked
-
         system = rotation("golden")
         obs = BallObservable(G1, Lebesgue1D(Metric.CIRCLE), 0.0)
-        got = sample_ball_min_distances(
-            obs, system, n_steps=100, n_samples=500, seed=4,
-            labels=("x",),
-        )
-
-        def kernel(gen, count):
-            return rotation_min_distance(
-                gen, count, step_fixed=system.fixed_angle, zeta_fixed=0,
-                n_steps=100,
-            )
-
-        want = run_blocked(500, 4, ("x", "dyn"), kernel)[0]
+        kw = dict(n_steps=100, n_samples=500, seed=4, labels=("x",))
+        got = sample_ball_min_distances(obs, system, **kw)
+        want = per_block_orbit_min_distances(obs, system, **kw)
         assert np.array_equal(got, want)
 
     def test_intermittent_smoke(self):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from evlhts.cylinders import PartitionContext
+from evlhts.evl import sample_ball_min_distances
 from evlhts.errors import CapTooSmall, DomainError, UnsupportedCombination
 from evlhts.hts import (
     HitSample,
@@ -27,6 +28,8 @@ from evlhts.laws import (
     ks_statistic,
 )
 from evlhts.measures import BernoulliDoubling, EmpiricalOrbit, Lebesgue1D
+from evlhts.observables import BallObservable, GKind, GShape
+from evlhts.rng import BLOCK
 from evlhts.systems import (
     FIXED_ONE,
     Metric,
@@ -35,6 +38,7 @@ from evlhts.systems import (
     manneville_pomeau,
     rotation,
 )
+from reference import per_block_orbit_hits, per_block_orbit_min_distances
 
 LEB_I = Lebesgue1D(Metric.INTERVAL)
 LEB_C = Lebesgue1D(Metric.CIRCLE)
@@ -268,6 +272,63 @@ class TestIntermittent:
         tgt = tent_cylinder(4)
         with pytest.raises(UnsupportedCombination):
             sample_hit_times(system, tgt, cap=100, n_samples=10, seed=1)
+
+
+class TestOneOrbitScan:
+    """The rotation and intermittent runs draw each block's starts and then
+    step every lane in one scan.  That equals the per-block route bit for
+    bit, since a lane's orbit depends on its start alone, not on the lanes
+    beside it; for the intermittent map this rests on numpy's array pow.
+    Two full blocks and a ragged one of 5."""
+
+    N = 2 * BLOCK + 5
+
+    @pytest.fixture(scope="class")
+    def intermittent(self):
+        system = manneville_pomeau(0.5)
+        return system, EmpiricalOrbit(system, master_seed=3,
+                                      orbit_len=50_000, burn_in=1000)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("conditional", [False, True])
+    @pytest.mark.parametrize("case", ["rotation-ball", "rotation-cylinder",
+                                      "intermittent"])
+    def test_first_hits_match_per_block_runs(self, intermittent, case,
+                                             conditional, threads):
+        if case == "intermittent":
+            system, measure = intermittent
+            target = ball_target(measure, 0.3, mass=0.02)
+        elif case == "rotation-ball":
+            system, measure = rotation("golden"), None
+            target = ball_target(LEB_C, 0.3, mass=0.02)
+        else:
+            system, measure = rotation("golden"), None
+            target = cylinder_target(PartitionContext(system, LEB_C), 0.3, 80)
+        kw = dict(cap=default_cap(target.mass), n_samples=self.N, seed=11,
+                  labels=("one-scan", case), conditional=conditional,
+                  measure=measure, threads=threads)
+        times, hit = first_hits(system, target, **kw)
+        want_times, want_hit = per_block_orbit_hits(system, target, **kw)
+        assert np.array_equal(times, want_times)
+        assert np.array_equal(hit, want_hit)
+        # the scan runs past its first chunk and compacts its lanes
+        assert hit.mean() > 0.25 and times.max() > 64
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("case", ["rotation", "intermittent"])
+    def test_min_distances_match_per_block_runs(self, intermittent, case,
+                                                threads):
+        if case == "intermittent":
+            system, measure = intermittent
+        else:
+            system, measure = rotation("golden"), LEB_C
+        obs = BallObservable(GShape(GKind.G1), measure, 0.3)
+        kw = dict(n_steps=300, n_samples=self.N, seed=12,
+                  labels=("one-scan", case), threads=threads)
+        got = sample_ball_min_distances(obs, system, **kw)
+        want = per_block_orbit_min_distances(obs, system, **kw)
+        assert np.array_equal(got, want)
+        assert np.unique(got).size > 100
 
 
 class TestBridge:

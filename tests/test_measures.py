@@ -198,6 +198,25 @@ def test_empirical_orbit_serves_the_intermittent_map_only(system):
         EmpiricalOrbit(system, orbit_len=100, burn_in=10)
 
 
+@pytest.mark.parametrize("burn_in", [0, 37])
+def test_empirical_orbit_is_the_scalar_orbit(burn_in):
+    # x -> x + x^(1+s) mod 1 with Python's float pow, one point at a time,
+    # from the seeded start; the first burn_in points are dropped
+    s, n = 0.5, 500
+    x = float(substream(4, "empirical-orbit", "start").random())
+    want = []
+    for j in range(burn_in + n):
+        if j >= burn_in:
+            want.append(x)
+        x = x + x ** (1.0 + s)
+        if x >= 1.0:
+            x -= 1.0
+    got = EmpiricalOrbit(manneville_pomeau(s), master_seed=4, orbit_len=n,
+                         burn_in=burn_in).orbit
+    assert got.dtype == np.float64 and got.shape == (n,)
+    assert got.tobytes() == np.array(want).tobytes()
+
+
 def test_empirical_orbit_seed_consistency():
     # ball masses from two independent orbits agree within Monte Carlo
     # scatter (observed gaps ~3e-4 at 2e5 points; bound leaves headroom
