@@ -82,7 +82,8 @@ The digit draws fix the RNG stream, and with it every report byte:
 
 * each chunk draws one (rows, columns) digit matrix through
   ``draw_digits``, whose rows are the lanes still live, in lane order,
-  under either rule;
+  under either rule.  The ball kernels pass their ``_Scratch``, so a
+  Bernoulli matrix is a view of it, valid until the kernel's next draw;
 * first-hit kernels draw full ``chunk``-width matrices even when fewer
   columns remain, so runs that differ only in the cap share a stream;
   fixed-window kernels draw only the columns that remain;
@@ -184,10 +185,14 @@ class _Scratch:
 
 # ---------------------------------------------------------------- digits
 
-def draw_digits(gen, rows, cols, p_zero):
+def draw_digits(gen, rows, cols, p_zero, scratch=None):
     """Packed (rows, ceil(cols / 64)) digit matrix: digit c of a row is bit
     63 - (c mod 64) of word c // 64, 1 with mass 1 - p_zero, and the bits
     past ``cols`` are 0.
+
+    At p_zero != 1/2 the temporaries and the matrix live in ``scratch``,
+    a ``_Scratch``, when one is given: the matrix is then valid until the
+    next draw on it.  Scratch or not, the draw takes the same raw words.
 
     Fair digits (p_zero = 1/2) are 64 to a raw word: the draw takes
     (rows, ceil(cols / 64)) raw words and byte-swaps them, so digit c of a
@@ -218,19 +223,25 @@ def draw_digits(gen, rows, cols, p_zero):
         if kept:  # clear the last word's bits past cols
             words[:, -1] &= np.uint64(((1 << kept) - 1) << (64 - kept))
         return words
+    scratch = scratch or _Scratch()
     level = math.ceil(p_zero * 2.0 ** 53)
     high = level >> _TIE_BITS
-    raw = gen.bit_generator.random_raw((rows, (cols + 7) // 8))
+    n_bytes = (cols + 7) // 8
+    raw = gen.bit_generator.random_raw((rows, n_bytes))
     lanes = raw.astype("<u8", copy=False).view(np.uint8)[:, :cols]
-    ones = lanes > high
-    ties = np.flatnonzero(lanes == high)
+    ones = np.greater(lanes, high, out=scratch("draw.one", (rows, cols), bool))
+    ties = np.flatnonzero(
+        np.equal(lanes, high, out=scratch("draw.tie", (rows, cols), bool)))
     if ties.size:
         tie_words = gen.bit_generator.random_raw(ties.size)
         ones.reshape(-1)[ties] = (tie_words >> np.uint64(64 - _TIE_BITS)
                                   >= np.uint64(level & _TIE_MASK))
-    packed = np.zeros((rows, 8 * n_words), dtype=np.uint8)
-    packed[:, :(cols + 7) // 8] = np.packbits(ones, axis=1)
-    return packed.view(">u8").astype(np.uint64)
+    packed = scratch("draw.packed", (rows, 8 * n_words), np.uint8)
+    packed[:, n_bytes:] = 0
+    packed[:, :n_bytes] = np.packbits(ones, axis=1)
+    words = scratch("draw.words", (rows, n_words), np.uint64)
+    np.copyto(words, packed.view(">u8"))
+    return words
 
 
 def _distances(pos, zeta, circle):
@@ -312,8 +323,8 @@ def digit_window_min_distance(
     while remaining > 0:
         cols = min(chunk, remaining)
         planes, context = _window_planes(
-            context, draw_digits(gen, count, cols, p_zero), cols, tent, scratch
-        )
+            context, draw_digits(gen, count, cols, p_zero, scratch), cols,
+            tent, scratch)
         least = scratch("least", (count, (cols + 7) // 8), np.uint64)
         most = scratch("most", least.shape, np.uint64)
         least[...] = low[:, None]
@@ -623,7 +634,7 @@ def ball_first_hit_digits(
 
     def scan(state, cols, first):
         context, = state
-        digits = draw_digits(gen, context.size, chunk, p_zero)
+        digits = draw_digits(gen, context.size, chunk, p_zero, scratch)
         planes, context = _window_planes(context, digits, cols, tent, scratch)
         # [s, :, b] is step 8b + s + 1, column 8b + s
         shape = (context.size, (cols + 7) // 8)
@@ -666,10 +677,15 @@ def _ball_windows(zeta, eta, circle):
 def _in_ball(words, pieces, out, offsets):
     """Marks in ``out`` the window words w in one of the cyclic intervals
     ``pieces``: (w - start) mod 2^53 < width."""
-    out[...] = False
-    for start, width in pieces:
+    if not pieces:
+        out[...] = False
+    for k, (start, width) in enumerate(pieces):
         np.subtract(words, np.uint64(start << _LOW), out=offsets)
-        out |= offsets <= np.uint64((width << _LOW) - 1)
+        last = np.uint64((width << _LOW) - 1)
+        if k:
+            out |= offsets <= last
+        else:
+            np.less_equal(offsets, last, out=out)
     return out
 
 

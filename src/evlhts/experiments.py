@@ -48,7 +48,8 @@ from .laws import (
     ks_statistic,
     sup_distance_on_grid,
 )
-from .measures import BernoulliDoubling, EmpiricalOrbit, Lebesgue1D, digit_p_zero
+from .measures import (FIXED_DEPTH, BernoulliDoubling, EmpiricalOrbit,
+                       Lebesgue1D, digit_p_zero)
 from .observables import BallObservable, CylinderObservable, GKind, GShape
 from .rng import substream
 from .systems import (
@@ -194,8 +195,12 @@ def _require_word_depths(system, key: str, depths, deepest: int):
 
 
 def _ball_target(measure, zeta, mass: float, key: str) -> hts.TargetSet:
-    """The ball of ``mass`` around zeta; a mass that no radius attains is a
-    config error naming the key that asked for it."""
+    """The ball of ``mass`` around zeta.  A centre off the fixed-point
+    grid, or a mass no radius attains, is a config error naming its key."""
+    if not math.ldexp(zeta, FIXED_DEPTH).is_integer():
+        raise ConfigError(
+            f"observable.zeta = {zeta!r} is finer than the 2^-{FIXED_DEPTH} "
+            "grid on which ball masses are exact")
     try:
         return hts.ball_target(measure, zeta, mass)
     except NotAttained as exc:

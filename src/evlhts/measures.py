@@ -21,7 +21,6 @@ ball mass by bisection and certifies |mass - gamma| <= 1e-10, raising
 """
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -43,20 +42,16 @@ def _unit_to_fixed(x) -> int:
     v = float(x)
     if not 0.0 <= v <= 1.0:
         raise DomainError(f"point {v!r} outside [0, 1]")
-    frac = Fraction(v)
-    shift = FIXED_DEPTH - (frac.denominator.bit_length() - 1)
-    if shift < 0:
+    scaled = math.ldexp(v, FIXED_DEPTH)  # exact: v is a 53-bit float
+    if not scaled.is_integer():
         raise DomainError("point finer than the fixed-point working depth")
-    return frac.numerator << shift
+    return int(scaled)
 
 
 def _radius_to_fixed(eta: float) -> int:
-    """floor(eta * 2^128), exactly, for a finite float eta > 0: eta is a
-    53-bit integer times a power of two."""
-    mant, exp = math.frexp(eta)
-    shift = exp - 53 + FIXED_DEPTH
-    mant = int(mant * 2.0 ** 53)
-    return mant << shift if shift >= 0 else mant >> -shift
+    """floor(eta * 2^128), exactly, for a float 0 < eta < 2^896: scaling
+    by 2^128 is exact, and ``int`` takes the floor."""
+    return int(math.ldexp(eta, FIXED_DEPTH))
 
 
 class MeasureModel:
@@ -212,34 +207,48 @@ class BernoulliDoubling(MeasureModel):
     def ball_masses(self, zeta, radii: np.ndarray) -> np.ndarray:
         """``ball_mass`` over ``radii``, equal to it bit for bit.
 
-        Every ball is two pieces [a, b), the missing ones [0, 0).  One
-        128-step loop runs ``cdf_fixed`` over all endpoints at once, on the
-        two 64-bit halves of each: running on past a zero prefix only adds
-        exact zeros, and the fsum of two piece masses is their IEEE sum.
+        floor(r 2^128) = h 2^64 + l, with h = floor(r 2^64) and
+        l = floor(frac(r 2^64) 2^64), each an exact float.  zeta -+ it mod
+        2^128 carry and borrow across uint64 (high, low) halves, in the
+        cases of ``_ball_arcs``: r <= 0 or below 2^-128 is empty, r >= 1/2
+        the whole circle, and hi <= lo the pieces [lo, 2^128) and [0, hi).
+        ``cdf_fixed``'s recursion then runs on all endpoints at once, with
+        its operations in its order, and stops after the lowest digit 1 of
+        any endpoint: a later digit 0 adds an exact +0.0.  A piece has mass
+        max(F(b) - F(a), 0), and the fsum of two pieces is their IEEE sum.
         """
-        zf = _unit_to_fixed(zeta)
-        # radius, endpoint (a, b of either piece), (high, low) half
-        halves = np.zeros((len(radii), 4, 2), dtype=np.uint64)
-        whole = np.zeros((len(radii), 4), dtype=bool)  # the endpoint 2^128
-        for i, r in enumerate(radii):
-            pieces = self._ball_arcs(zf, float(r))
-            for j, x in enumerate(x for piece in pieces for x in piece):
-                if x >= _FIXED_UNIT:
-                    whole[i, j] = True
-                else:
-                    halves[i, j] = divmod(x, 1 << 64)
+        zh, zl = map(np.uint64, divmod(_unit_to_fixed(zeta) % _FIXED_UNIT,
+                                       1 << 64))
+        r = np.asarray(radii, dtype=np.float64)
+        whole = r >= 0.5
+        frac, eh = np.modf(np.ldexp(np.where((r > 0.0) & ~whole, r, 0.0), 64))
+        eh, el = eh.astype(np.uint64), np.ldexp(frac, 64).astype(np.uint64)
+        lo_l, hi_l = zl - el, zl + el
+        lo_h, hi_h = zh - eh - (zl < el), zh + eh + (hi_l < zl)
+        # the endpoints lo then hi: digit i is bit 63 - i mod 64 of half
+        # i // 64, read through int64 views by an arithmetic shift and & 1
+        halves = np.concatenate([lo_h, hi_h]), np.concatenate([lo_l, hi_l])
+        seen = (int(np.bitwise_or.reduce(halves[0])) << 64
+                | int(np.bitwise_or.reduce(halves[1])))
+        halves = [half.view(np.int64) for half in halves]
         p, q = self.p, 1.0 - self.p
-        total = np.zeros(whole.shape)
-        prefix = np.ones(whole.shape)
-        for i in range(FIXED_DEPTH):
-            half, bit = divmod(i, 64)
-            one = ((halves[:, :, half] >> np.uint64(63 - bit)) & np.uint64(1)) == 1
-            total += np.where(one, prefix * p, 0.0)
-            prefix *= np.where(one, q, p)
-        total[whole] = 1.0
-        cdf = total.reshape(-1, 2, 2)  # radius, piece, (a, b)
-        piece = np.maximum(cdf[:, :, 1] - cdf[:, :, 0], 0.0)
-        return piece[:, 0] + piece[:, 1]
+        factors = np.array([p, q])
+        total, prefix = np.zeros(2 * r.size), np.ones(2 * r.size)
+        step, bit = np.empty(2 * r.size), np.empty(2 * r.size)
+        digit = np.empty(2 * r.size, dtype=np.intp)
+        for i in range(FIXED_DEPTH + 1 - (seen & -seen).bit_length()
+                       if seen else 0):
+            np.right_shift(halves[i // 64], 63 - i % 64, out=digit)
+            digit &= 1
+            np.multiply(prefix, p, out=step)
+            np.copyto(bit, digit)
+            total += np.multiply(step, bit, out=bit)  # prefix p at a 1
+            prefix *= np.take(factors, digit, out=step, mode="clip")
+        f_lo, f_hi = total.reshape(2, -1)
+        wrap = (lo_h > hi_h) | ((lo_h == hi_h) & (lo_l >= hi_l))
+        return np.select([whole, (eh | el) == 0, wrap],
+                         [1.0, 0.0, np.maximum(1.0 - f_lo, 0.0) + f_hi],
+                         np.maximum(f_hi - f_lo, 0.0))
 
 
 def digit_p_zero(measure) -> float:

@@ -539,6 +539,23 @@ class TestFilesAndCli:
         # a ball cannot carry more than the whole mass
         pytest.param("hts", "hts.target = ball\nhts.mass_list = 0.001, 1.5",
                      "hts.mass_list", id="hts-ball-mass-above-one"),
+        # a ball centre finer than the 2^-128 grid of the exact ball masses
+        pytest.param("evl-balls", "observable.zeta = 1e-300",
+                     "observable.zeta", id="evl-balls-fine-zeta"),
+        pytest.param("evl-balls", TENT_LEBESGUE + "\nobservable.zeta = 1e-300",
+                     "observable.zeta", id="evl-balls-tent-fine-zeta"),
+        pytest.param("evl-balls", "system.kind = rotation\nmeasure.kind = "
+                     "lebesgue\nobservable.zeta = 1e-300", "observable.zeta",
+                     id="evl-balls-rotation-fine-zeta"),
+        pytest.param("evl-balls", MP_BALL + "\nmeasure.kind = orbit\n"
+                     "measure.orbit_len = 20000\nobservable.zeta = 1e-300",
+                     "observable.zeta", id="evl-balls-mp-fine-zeta"),
+        pytest.param("rts", TENT_LEBESGUE + "\nhts.target = ball\n"
+                     "observable.zeta = 1e-300", "observable.zeta",
+                     id="rts-tent-ball-fine-zeta"),
+        pytest.param("equivalence",
+                     TENT_LEBESGUE + "\nobservable.zeta = 1e-300",
+                     "observable.zeta", id="equivalence-tent-fine-zeta"),
         # past the lane-step ceiling: a cap of 5e13 steps, a window of 2^62
         pytest.param("hts", "hts.target = ball\nhts.mass_list = 1e-12",
                      "hts.mass_list", id="hts-ball-cap-past-budget"),

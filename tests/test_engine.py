@@ -50,7 +50,7 @@ class ScriptedDigits:
         self.rows = [list(r) for r in rows]
         self.cursor = 0
 
-    def __call__(self, gen, rows, cols, p_zero):
+    def __call__(self, gen, rows, cols, p_zero, scratch=None):
         assert rows == len(self.rows), "lane count changed mid-stream"
         # Kernels draw full-width chunks but only read the columns that
         # remain, so pad past the scripted table with digit 0.
@@ -729,7 +729,8 @@ class TestBallWindows:
                          st.floats(2.0 ** -60, 1.5)),
            circle=st.booleans(),
            windows=st.lists(st.integers(0, WINDOWS - 1), max_size=20),
-           low_bits=st.integers(0, 2 ** 11 - 1))
+           low_bits=st.one_of(st.sampled_from([0, 2 ** 11 - 1]),
+                              st.integers(0, 2 ** 11 - 1)))
     def test_intervals_are_the_float_predicate(self, zeta, eta, circle,
                                                windows, low_bits):
         pieces = engine._ball_windows(zeta, eta, circle)
@@ -968,6 +969,22 @@ class TestDrawDigits:
         c.bit_generator.random_raw(ties)
         assert np.array_equal(a.bit_generator.random_raw(4),
                               c.bit_generator.random_raw(4))
+
+    @pytest.mark.parametrize("p_zero", [0.3, 0.01, 0.999])
+    def test_scratch_reuse_equals_fresh_draws(self, p_zero):
+        # one scratch through shapes that shrink and grow back: each draw
+        # equals a fresh draw on a twin substream, and leaves its generator
+        # where the twin's stands, tie words included
+        scratch = engine._Scratch()
+        a = substream(17, "scratch", p_zero)
+        b = substream(17, "scratch", p_zero)
+        for rows, cols in [(2048, 256), (7, 53), (3000, 129), (1, 1),
+                           (2048, 256)]:
+            got = draw_digits(a, rows, cols, p_zero, scratch)
+            want = draw_digits(b, rows, cols, p_zero)
+            assert got.dtype == np.uint64 and got.shape == want.shape
+            assert np.array_equal(got, want)
+            assert a.bit_generator.random_raw() == b.bit_generator.random_raw()
 
     @pytest.mark.parametrize("p_zero", [0.3, 0.01, 0.99, 2.0 ** -53,
                                         1.0 - 2.0 ** -53])

@@ -91,15 +91,21 @@ def test_circle_ball_below_the_fixed_grid_is_empty(eta):
 
 
 @pytest.mark.parametrize("p", [0.3, 0.01, 0.99])
-@pytest.mark.parametrize("zeta", [0.0, 0.3, 0.5, 1.0 - 2.0 ** -40])
+@pytest.mark.parametrize("zeta", [0.0, 0.3, 0.5, 1.0 - 2.0 ** -40,
+                                  2.0 ** -60, 2.0 ** -100, 1.0])
 def test_bernoulli_ball_masses_equal_scalar_ball_mass(p, zeta):
-    # radius 0, the smallest radii, radii of 1/2 and beyond (the whole
-    # circle), and radii whose ball wraps past 0 or 1
+    # radius 0 and below, the smallest radii, radii at the 64-bit halves'
+    # seams and the grid's last cell, one whose low half carries into the
+    # high half at zeta = 2^-100, radii of 1/2 and beyond (the whole
+    # circle), and radii whose ball wraps past 0 or 1; centres at 2^-60 and
+    # 2^-100, on either side of the halves' seam, and 1.0, which is 0 on
+    # the circle
     m = BernoulliDoubling(p)
     gen = substream(3, "ball-masses", p, zeta)
     radii = np.concatenate([
         [0.0, 2.0 ** -1074, 2.0 ** -60, 2.0 ** -53, 0.5, 0.5 - 2.0 ** -54,
-         0.75, 1.0],
+         0.75, 1.0, 2.0 ** -128, 2.0 ** -76, 2.0 ** -75, 2.0 ** -64,
+         2.0 ** -63, -1.0, 2.0 ** -64 - 2.0 ** -100],
         gen.random(400) * 0.5,
         10.0 ** -gen.uniform(0.0, 15.0, 400),
         (np.abs(zeta - np.array([0.0, 1.0]))
