@@ -70,7 +70,8 @@ censors the lanes still out at the cap.  The word kernels read the first
 column off the packed match words with a bit smear and a popcount; the
 ball, rotation and intermittent kernels off boolean planes through
 ``_first_inside``, eight for a ball chunk and one for the others.
-Rotations advance exact 63-bit integer positions, a chunk per numpy op.
+Rotations advance exact 63-bit integer positions, doubled onto the
+wrapping 2^64 grid, a chunk per numpy op.
 The intermittent map steps float64 lanes with numpy's array pow, which
 can differ from Python's scalar float pow (``EmpiricalOrbit`` uses that)
 in the last bit, but gives each lane the same result at any position in
@@ -82,8 +83,9 @@ The digit draws fix the RNG stream, and with it every report byte:
 
 * each chunk draws one (rows, columns) digit matrix through
   ``draw_digits``, whose rows are the lanes still live, in lane order,
-  under either rule.  The ball kernels pass their ``_Scratch``, so a
-  Bernoulli matrix is a view of it, valid until the kernel's next draw;
+  under either rule.  Each kernel passes its ``_Scratch``, so a Bernoulli
+  matrix is a view of it, valid until the kernel's next draw: a kernel
+  copies or shifts each draw into its own arrays before the next;
 * first-hit kernels draw full ``chunk``-width matrices even when fewer
   columns remain, so runs that differ only in the cap share a stream;
   fixed-window kernels draw only the columns that remain;
@@ -185,14 +187,13 @@ class _Scratch:
 
 # ---------------------------------------------------------------- digits
 
-def draw_digits(gen, rows, cols, p_zero, scratch=None):
+def draw_digits(gen, rows, cols, p_zero, scratch):
     """Packed (rows, ceil(cols / 64)) digit matrix: digit c of a row is bit
     63 - (c mod 64) of word c // 64, 1 with mass 1 - p_zero, and the bits
     past ``cols`` are 0.
 
     At p_zero != 1/2 the temporaries and the matrix live in ``scratch``,
-    a ``_Scratch``, when one is given: the matrix is then valid until the
-    next draw on it.  Scratch or not, the draw takes the same raw words.
+    a ``_Scratch``: the matrix is then valid until the next draw on it.
 
     Fair digits (p_zero = 1/2) are 64 to a raw word: the draw takes
     (rows, ceil(cols / 64)) raw words and byte-swaps them, so digit c of a
@@ -223,7 +224,6 @@ def draw_digits(gen, rows, cols, p_zero, scratch=None):
         if kept:  # clear the last word's bits past cols
             words[:, -1] &= np.uint64(((1 << kept) - 1) << (64 - kept))
         return words
-    scratch = scratch or _Scratch()
     level = math.ceil(p_zero * 2.0 ** 53)
     high = level >> _TIE_BITS
     n_bytes = (cols + 7) // 8
@@ -313,12 +313,12 @@ def digit_window_min_distance(
         raise DomainError("need at least one orbit point")
     # window words less the word of ceil(zeta 2^53) are offsets from zeta
     centre = np.uint64((math.ceil(zeta * 2.0 ** WINDOW_BITS) << _LOW) % 2**64)
-    window = draw_digits(gen, count, WINDOW_BITS, p_zero)[:, 0]
+    scratch = _Scratch()
+    window = draw_digits(gen, count, WINDOW_BITS, p_zero, scratch)[:, 0]
     # no digit lies left of the start window (b_0 = 0): no tent flip at j = 0
     context = window >> np.uint64(_LOW)
     low = window - centre
     high = low.copy()
-    scratch = _Scratch()
     remaining = n_steps - 1
     while remaining > 0:
         cols = min(chunk, remaining)
@@ -545,9 +545,10 @@ def word_first_hit(
     """
     state, consumed = _word_scan_start(count, word_int, depth, start_j,
                                        preload)
+    scratch = _Scratch()
 
     def scan(state, cols, first):
-        digits = draw_digits(gen, state[0].size, chunk, p_zero)
+        digits = draw_digits(gen, state[0].size, chunk, p_zero, scratch)
         match, state = _word_chunk(digits, cols, first, state, word_int,
                                    depth, tent)
         return _first_set_column(match, cols), state
@@ -582,9 +583,10 @@ def word_hit_count(
                                        preload)
     counts = np.zeros(count, dtype=np.int64)
     total_letters = window + depth
+    scratch = _Scratch()
     while consumed < total_letters:
         cols = min(chunk, total_letters - consumed)
-        digits = draw_digits(gen, count, cols, p_zero)
+        digits = draw_digits(gen, count, cols, p_zero, scratch)
         first = max(start_j + depth - 1 - consumed, 0)
         match, state = _word_chunk(digits, cols, first, state, word_int,
                                    depth, tent)
@@ -617,8 +619,9 @@ def ball_first_hit_digits(
     which misstates the conditional law only on boundary cells of mass
     O(2^-53).
     """
+    scratch = _Scratch()
     if initial_digits is None:
-        window = draw_digits(gen, count, WINDOW_BITS, p_zero)
+        window = draw_digits(gen, count, WINDOW_BITS, p_zero, scratch)
     else:
         window = np.asarray(initial_digits)
         if window.shape != (count, 1) or window.dtype != np.uint64:
@@ -630,7 +633,6 @@ def ball_first_hit_digits(
     window = window[:, 0]
     inside_before = (_in_ball(window, pieces, np.empty(count, dtype=bool),
                               np.empty_like(window)) if start_j == 0 else None)
-    scratch = _Scratch()
 
     def scan(state, cols, first):
         context, = state
@@ -703,52 +705,49 @@ def rotation_first_hit(
     for the ``count`` lanes that start at ``starts``; ``gen`` is unused.
 
     Positions are 63-bit integers; the step is the quantized angle, so
-    the sweep is exact and matches the scalar map for every lane.  A chunk
-    adds offsets[k] = k * step mod 2^63 to the chunk's first positions;
-    both terms lie below 2^63, so the uint64 sum cannot wrap.
+    the sweep is exact and matches the scalar map for every lane.  The
+    scan runs on the doubled grid of 2^64 points, where uint64 addition
+    wraps as the map does: a chunk adds offsets[k] = 2 k step mod 2^64 to
+    the chunk's first positions.  Doubled, [lo, hi) is the cyclic arc
+    (pos - 2 lo) mod 2^64 < 2 (hi - lo), which holds the whole circle too.
     """
     if not 0 <= lo < hi <= FIXED_ONE:
         raise DomainError("arc must satisfy 0 <= lo < hi <= 2^63")
-    m = np.uint64(FIXED_ONE)
-    lo_u, hi_u = np.uint64(lo), np.uint64(hi)
-    offsets = np.array([k * step_fixed % FIXED_ONE for k in range(chunk + 1)],
+    lo_u, last = np.uint64(2 * lo), np.uint64(2 * (hi - lo) - 1)
+    offsets = np.array([2 * k * step_fixed % 2**64 for k in range(chunk + 1)],
                        dtype=np.uint64)
-
-    def advance(s, by):
-        """Positions s + by mod 2^63, for offsets ``by`` below 2^63."""
-        pos = s + by
-        np.subtract(pos, m, out=pos, where=pos >= m)
-        return pos
 
     def scan(state, cols, first):
         s, = state
-        pos = advance(s[:, None], offsets[:cols])
-        inside = (pos >= lo_u) & (pos < hi_u)
-        return (_first_inside(inside[None], first, cols),
-                (advance(s, offsets[cols]),))
+        pos = s[:, None] + offsets[:cols]
+        pos -= lo_u
+        inside = pos <= last
+        del pos  # free the positions before the first-column search
+        return _first_inside(inside[None], first, cols), (s + offsets[cols],)
 
-    s = advance(starts, np.uint64(start_j * step_fixed % FIXED_ONE))
+    s = (starts << np.uint64(1)) + np.uint64(2 * start_j * step_fixed % 2**64)
     return _first_hit(count, cap, start_j, start_j, chunk, scan, (s,))
 
 
 def rotation_min_distance(gen, count, *, step_fixed, zeta_fixed, n_steps,
                           starts):
     """Circle distance minimum dist(f^j x, zeta) over j < n_steps, for the
-    ``count`` lanes that start at ``starts``; ``gen`` is unused."""
+    ``count`` lanes that start at ``starts``; ``gen`` is unused.  Offsets d
+    on the doubled 2^64 grid are at circle distance min(d, -d); doubling
+    commutes with rounding to float, so the distances are the 2^63 grid's."""
     if n_steps < 1:
         raise DomainError("need at least one orbit point")
-    s = starts.astype(np.uint64)
-    step = np.uint64(step_fixed)
-    z = np.uint64(zeta_fixed)
-    m = np.uint64(FIXED_ONE)  # fits in uint64, unlike in int64
-    best = np.full(count, FIXED_ONE, dtype=np.uint64)
+    s = starts << np.uint64(1)
+    step = np.uint64(2 * step_fixed % 2**64)
+    z = np.uint64(2 * zeta_fixed % 2**64)
+    best = np.full(count, 2**64 - 1, dtype=np.uint64)
+    diff = np.empty_like(s)
     for _ in range(n_steps):
-        diff = np.maximum(s, z) - np.minimum(s, z)
-        np.minimum(diff, m - diff, out=diff)
+        np.subtract(s, z, out=diff)
+        np.minimum(diff, -diff, out=diff)
         np.minimum(best, diff, out=best)
         s += step
-        s[s >= m] -= m
-    return (best * (1.0 / FIXED_ONE),)
+    return (best * 2.0 ** -64,)
 
 
 # ----------------------------------------------------------- intermittent

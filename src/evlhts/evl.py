@@ -6,9 +6,9 @@ The level for a target y is u_n = b_n + y / a_n, built from the
 (1 - 1/n) quantile gamma_n = g(1/n): log-shaped observables shift by
 gamma_n, power-shaped ones scale by it, and bounded ones by 1 - gamma_n.
 So P(M_n <= u_n) plotted in y can be compared directly against the three
-extreme-value shapes.  Outside the support of the limit shape the
-probability is pinned exactly at 0 or 1 (``degenerate_probability``)
-instead of read off a meaningless level.
+extreme-value shapes, each the shape's own ``GShape.limit_cdf``.  Outside
+the support of the limit law the probability is pinned exactly at 0 or 1
+(``GShape.pinned``) instead of read off a meaningless level.
 
 Sampling reduces ball maxima to the minimum orbit distance (a sufficient
 statistic for every monotone observable of the distance), whose ball
@@ -55,15 +55,6 @@ class Normalizers(NamedTuple):
         return self.a * (np.asarray(values, dtype=np.float64) - self.b)
 
 
-def degenerate_probability(g: GShape, y: float):
-    """Exact limit value at y outside the open support, else None."""
-    if g.kind is GKind.G2 and y <= 0.0:
-        return 0.0
-    if g.kind is GKind.G3 and y >= 0.0:
-        return 1.0
-    return None
-
-
 def quantile_normalizers(g: GShape, n: int) -> Normalizers:
     """Normalizers built from the (1 - 1/n) quantile gamma_n = g(1/n).
 
@@ -81,18 +72,6 @@ def quantile_normalizers(g: GShape, n: int) -> Normalizers:
     if spread <= 0.0:
         raise OutOfRange("quantile reached the supremum of the observable")
     return Normalizers(1.0 / spread, 1.0)
-
-
-def g_forward_array(g: GShape, masses: np.ndarray) -> np.ndarray:
-    """Vectorized g(mass); zero masses map to the supremum (+inf for
-    unbounded shapes)."""
-    m = np.asarray(masses, dtype=np.float64)
-    with np.errstate(divide="ignore"):
-        if g.kind is GKind.G1:
-            return -np.log(m)
-        if g.kind is GKind.G2:
-            return m ** (-1.0 / g.alpha)
-        return 1.0 - m ** (1.0 / g.alpha)
 
 
 # ------------------------------------------------------------ ball maxima
@@ -166,7 +145,7 @@ def ball_maxima_values(min_distances: np.ndarray,
                        obs: BallObservable) -> np.ndarray:
     """Observable values of the block maxima (g of the closest ball mass)."""
     masses = obs.measure.ball_masses(obs.zeta_value, np.asarray(min_distances))
-    return g_forward_array(obs.g, masses)
+    return obs.g.forward_array(masses)
 
 
 # -------------------------------------------------------- cylinder maxima

@@ -41,9 +41,8 @@ from .engine import MAX_WORD_DEPTH
 from .errors import ConfigError, DomainError, NotAttained, UnsupportedCombination
 from .laws import (
     EmpiricalLaw,
-    LawKind,
-    ReferenceLaw,
     check_evl_from_hts,
+    exponential_cdf,
     ks_critical,
     ks_statistic,
     sup_distance_on_grid,
@@ -225,12 +224,15 @@ def _require_mode(cfg: ExperimentConfig, mode: str):
         )
 
 
-def _reference_law(g: GShape) -> ReferenceLaw:
-    if g.kind is GKind.G1:
-        return ReferenceLaw(LawKind.EV1)
-    if g.kind is GKind.G2:
-        return ReferenceLaw(LawKind.EV2, alpha=g.alpha)
-    return ReferenceLaw(LawKind.EV3, alpha=g.alpha)
+def _require_below_sup(g: GShape, mass: float, setting: str):
+    """Refuse a level g(mass) that rounds to sup phi, where no level has
+    an exceedance set: g3 at a small enough mass or alpha."""
+    level = g.forward(mass)
+    if level >= g.value_at_zero:
+        raise ConfigError(
+            f"{setting} asks for the level g({mass:g}) = {level!r} with "
+            f"observable.alpha = {g.alpha!r}: it rounds to the supremum of "
+            "the observable, where no level has an exceedance set")
 
 
 def _routes(cfg: ExperimentConfig) -> tuple:
@@ -246,14 +248,15 @@ def _run_evl_balls(cfg: ExperimentConfig) -> tuple[_Report, dict]:
     measure = _build_measure(cfg, system)
     g = _build_g(cfg)
     obs = BallObservable(g, measure, cfg["observable.zeta"])
-    ref = _reference_law(g)
     y_grid = cfg["evl.y_grid"]
     samples = cfg["evl.samples"]
     tol = cfg["evl.tol"]
     out = _Report(("n", "y", "route", "estimate", "stderr", "limit"))
 
     routes = _routes(cfg)
-    _require_budget("evl.n_list", samples, max(cfg["evl.n_list"]))
+    n_max = max(cfg["evl.n_list"])
+    _require_below_sup(g, 1.0 / n_max, f"evl.n_list = {n_max}")
+    _require_budget("evl.n_list", samples, n_max)
     per_n = []
     for n in cfg["evl.n_list"]:
         norms = evl.quantile_normalizers(g, n)
@@ -267,13 +270,13 @@ def _run_evl_balls(cfg: ExperimentConfig) -> tuple[_Report, dict]:
 
         maxima = EmpiricalLaw(
             norms.rescale(evl.ball_maxima_values(dmin, obs)))
-        ks_stat = ks_statistic(maxima, ref)
-        grid_sup = sup_distance_on_grid(maxima, ref, y_grid)
+        ks_stat = ks_statistic(maxima, g.limit_cdf)
+        grid_sup = sup_distance_on_grid(maxima, g.limit_cdf, y_grid)
         route_diff = 0.0
         points = []
         for y in y_grid:
-            limit = ref.cdf(y)
-            degenerate = evl.degenerate_probability(g, y)
+            limit = g.limit_cdf(y)
+            degenerate = g.pinned(y)
             point = {"y": y, "limit": _q(limit, exact=True)}
             for route in routes:  # "dyn" comes first
                 if degenerate is not None:
@@ -307,7 +310,7 @@ def _run_evl_balls(cfg: ExperimentConfig) -> tuple[_Report, dict]:
         entry["verdict"] = out.verdict(grid_sup <= tol and route_diff <= tol)
         per_n.append(entry)
 
-    out.reference("limit", y_grid, ref.cdf)
+    out.reference("limit", y_grid, g.limit_cdf)
     return out, {"per_n": per_n, "tolerance": tol}
 
 
@@ -325,6 +328,9 @@ def _run_evl_cylinders(cfg: ExperimentConfig) -> tuple[_Report, dict]:
     depths = cfg["evl.n_list"]
     ctx = _build_ctx(cfg, system, measure, *depths)
     obs = CylinderObservable(g, ctx, cfg["observable.zeta"])
+    # the deepest anchor has the highest level
+    _require_below_sup(g, obs.ladder_mass(max(depths) - 1),
+                       f"evl.n_list = {max(depths)}")
     samples = cfg["evl.samples"]
     tau_grid = cfg["evl.tau_grid"]
     tol = cfg["evl.tol"]
@@ -419,7 +425,6 @@ def _run_time_law(cfg: ExperimentConfig) -> tuple[_Report, dict]:
     measure = _build_measure(cfg, system)
     samples = cfg["hts.samples"]
     tol = cfg["hts.tol"]
-    exp_ref = ReferenceLaw(LawKind.EXPONENTIAL)
     out = _Report(("target", "t", "cdf", "stderr", "exponential_cdf"))
 
     per_target = []
@@ -427,12 +432,12 @@ def _run_time_law(cfg: ExperimentConfig) -> tuple[_Report, dict]:
         sample = _hit_times(cfg, system, measure, target, cap, label,
                             conditional)
         law = sample.law()
-        ks_stat = ks_statistic(law, exp_ref)
+        ks_stat = ks_statistic(law, exponential_cdf)
         scaled = np.minimum(sample.times, cap) * target.mass
         mean = float(scaled.mean())
         mean_se = float(scaled.std(ddof=1) / math.sqrt(scaled.size))
         curve = out.sampled_cdf(label, law, t_grid, samples)
-        out.data_rows.extend((label, t, f, se, exp_ref.cdf(t))
+        out.data_rows.extend((label, t, f, se, exponential_cdf(t))
                              for t, f, se in curve)
         per_target.append({
             "target": label,
@@ -445,7 +450,7 @@ def _run_time_law(cfg: ExperimentConfig) -> tuple[_Report, dict]:
             "verdict": out.verdict(ks_stat <= tol),
         })
 
-    out.reference("exponential", t_grid, exp_ref.cdf)
+    out.reference("exponential", t_grid, exponential_cdf)
     return out, {"targets": per_target, "tolerance": tol}
 
 
@@ -614,6 +619,7 @@ def _run_equivalence(cfg: ExperimentConfig) -> tuple[_Report, dict]:
     _require_mode(cfg, "ball")
     g = _build_g(cfg)
     n = cfg["evl.n_list"][-1]
+    _require_below_sup(g, 1.0 / n, f"evl.n_list = {n}")
     y_grid = cfg["evl.y_grid"]
     # hitting times (target mass 1/n) are censored at this many mean returns
     cap = hts.default_cap(1.0 / n)
@@ -642,7 +648,7 @@ def _run_equivalence(cfg: ExperimentConfig) -> tuple[_Report, dict]:
     maxima = EmpiricalLaw(norms.rescale(evl.ball_maxima_values(dmin, obs)))
     probs = []
     for y in y_grid:
-        degenerate = evl.degenerate_probability(g, y)
+        degenerate = g.pinned(y)
         probs.append(degenerate if degenerate is not None
                      else maxima.cdf(y))
 
@@ -695,7 +701,6 @@ def _run_rotation_subseq(cfg: ExperimentConfig) -> tuple[_Report, dict]:
         )
     ctx = _build_ctx(cfg, system, measure, *depths)
     ks_min = cfg["rotation.ks_min"]
-    exp_ref = ReferenceLaw(LawKind.EXPONENTIAL)
     out = _Report(("depth", "mass", "ks_statistic", "n_return_values",
                    "return_values"))
 
@@ -711,7 +716,7 @@ def _run_rotation_subseq(cfg: ExperimentConfig) -> tuple[_Report, dict]:
         ret = _hit_times(cfg, system, measure, target, cap, label,
                          conditional=True)
         law = hit.law()
-        ks_stat = ks_statistic(law, exp_ref)
+        ks_stat = ks_statistic(law, exponential_cdf)
         values = sorted(int(v) for v in np.unique(ret.times[ret.hit]))
         per_depth.append({
             "depth": depth,
@@ -725,7 +730,7 @@ def _run_rotation_subseq(cfg: ExperimentConfig) -> tuple[_Report, dict]:
         out.sampled_cdf(f"hitting depth={depth}", law, cfg["hts.t_grid"],
                         cfg["hts.samples"])
 
-    out.reference("exponential", cfg["hts.t_grid"], exp_ref.cdf)
+    out.reference("exponential", cfg["hts.t_grid"], exponential_cdf)
     return out, {"per_depth": per_depth, "ks_min": ks_min}
 
 

@@ -1,19 +1,19 @@
-"""Empirical distributions, reference laws, and KS-type comparisons.
+"""Empirical distributions, the exponential law, and KS-type comparisons.
 
 Empirical laws may be right-censored at a known cap (hitting-time runs
 stop scanning at a horizon): censored observations are counted in the
 denominator but carry no location, so the ECDF is exact strictly below
 the cap and undefined above it — queries there raise rather than guess.
 
-Reference laws cover the three classical extreme value families and the
-exponential law.  KS comparisons use the asymptotic Kolmogorov
-distribution computed in-house (both series of the theta function,
-switched at the usual lambda = 1.18).
+The hitting-time limit is the unit exponential law (``exponential_cdf``);
+each maxima limit is its shape's ``GShape.limit_cdf``.  The comparisons
+take a limit as a CDF callable.  KS comparisons use the asymptotic
+Kolmogorov distribution computed in-house (both series of the theta
+function, switched at the usual lambda = 1.18).
 """
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -80,47 +80,12 @@ class EmpiricalLaw:
         return 1.0 - self.cdf(t)
 
 
-class LawKind(str, Enum):
-    EV1 = "ev1"
-    EV2 = "ev2"
-    EV3 = "ev3"
-    EXPONENTIAL = "exponential"
-
-
-@dataclass(frozen=True)
-class ReferenceLaw:
-    """A target distribution function.
-
-    EV1(y) = exp(-e^-y); EV2 has mass on y > 0 with F = exp(-y^-alpha);
-    EV3 has support y <= 0 with F = exp(-(-y)^alpha); the exponential law
-    uses ``rate``.
-    """
-
-    kind: LawKind
-    alpha: float = 1.0
-    rate: float = 1.0
-
-    def __post_init__(self):
-        if self.alpha <= 0:
-            raise DomainError("alpha must be positive")
-        if self.rate <= 0:
-            raise DomainError("rate must be positive")
-
-    def cdf(self, y):
-        y = np.asarray(y, dtype=np.float64)
-        if self.kind is LawKind.EV1:
-            out = np.exp(-np.exp(-y))
-        elif self.kind is LawKind.EV2:
-            with np.errstate(divide="ignore"):
-                out = np.where(y > 0, np.exp(-np.power(np.maximum(y, 1e-300),
-                                                       -self.alpha)), 0.0)
-        elif self.kind is LawKind.EV3:
-            out = np.where(y <= 0, np.exp(-np.power(np.abs(np.minimum(y, 0.0)),
-                                                    self.alpha)), 1.0)
-        else:
-            out = np.where(y >= 0, -np.expm1(-self.rate * np.maximum(y, 0.0)),
-                           0.0)
-        return out if out.ndim else float(out)
+def exponential_cdf(t):
+    """The unit exponential CDF 1 - e^-t (0 for t < 0), elementwise; a
+    float for scalar t."""
+    t = np.asarray(t, dtype=np.float64)
+    out = np.where(t >= 0, -np.expm1(-np.maximum(t, 0.0)), 0.0)
+    return out if out.ndim else float(out)
 
 
 # ------------------------------------------------------------------ KS
@@ -159,7 +124,7 @@ def ks_critical(n: int, significance: float = 0.01) -> float:
     return hi / math.sqrt(n)
 
 
-def ks_statistic(law: EmpiricalLaw, ref: ReferenceLaw) -> float:
+def ks_statistic(law: EmpiricalLaw, cdf) -> float:
     """One-sample KS distance sup_t |F_n(t) - F(t)| (full-sample laws only)."""
     if law.n_censored:
         raise CapTooSmall(
@@ -169,16 +134,16 @@ def ks_statistic(law: EmpiricalLaw, ref: ReferenceLaw) -> float:
         )
     x = law.values
     n = x.size
-    f = np.asarray(ref.cdf(x))
+    f = np.asarray(cdf(x))
     grid = np.arange(n, dtype=np.float64)
     d_plus = np.max((grid + 1.0) / n - f)
     d_minus = np.max(f - grid / n)
     return float(max(d_plus, d_minus))
 
 
-def sup_distance_on_grid(law: EmpiricalLaw, ref: ReferenceLaw, grid) -> float:
-    """max over the grid of |ECDF - reference CDF|."""
-    diffs = [abs(law.cdf(t) - ref.cdf(t)) for t in grid]
+def sup_distance_on_grid(law: EmpiricalLaw, cdf, grid) -> float:
+    """max over the grid of |ECDF - limit CDF|."""
+    diffs = [abs(law.cdf(t) - cdf(t)) for t in grid]
     return max(diffs)
 
 

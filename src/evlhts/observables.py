@@ -21,12 +21,16 @@ Three shape families are provided, one per classical extreme value type:
 
 ``tau`` maps a rescaled level y to the time-scaling constant used when
 comparing maxima with hitting times: exp(-y), y^(-alpha) (infinite for
-y <= 0), and (-y)^alpha (zero for y > 0) respectively.
+y <= 0), and (-y)^alpha (zero for y > 0) respectively.  Each shape owns
+its limit law G = exp(-tau) (``limit_cdf``) and G's exact value outside
+its open support (``pinned``).
 """
 
 import math
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 from .cylinders import PartitionContext, cylinder_at
 from .errors import DomainError, OutOfRange
@@ -42,7 +46,7 @@ class GKind(str, Enum):
 @dataclass(frozen=True)
 class GShape:
     """A strictly decreasing shape g on (0, 1] with its clipped inverse
-    (``tail_fraction``) and tau."""
+    (``tail_fraction``), tau and its limit law."""
 
     kind: GKind
     alpha: float = 1.0
@@ -73,6 +77,17 @@ class GShape:
                 ) from None
         return 1.0 - v ** (1.0 / self.alpha)
 
+    def forward_array(self, masses: np.ndarray) -> np.ndarray:
+        """Vectorized g(mass); zero masses map to the supremum (+inf for
+        unbounded shapes)."""
+        m = np.asarray(masses, dtype=np.float64)
+        with np.errstate(divide="ignore"):
+            if self.kind is GKind.G1:
+                return -np.log(m)
+            if self.kind is GKind.G2:
+                return m ** (-1.0 / self.alpha)
+            return 1.0 - m ** (1.0 / self.alpha)
+
     def tail_fraction(self, u: float) -> float:
         """mu(g(v) > u) as a function of the v-mass: the clipped inverse."""
         if self.kind is GKind.G1:
@@ -95,6 +110,29 @@ class GShape:
             return 0.0 if y > 0.0 else (-y) ** self.alpha
         except OverflowError:
             raise OutOfRange(f"tau({y!r}) overflows a float") from None
+
+    def limit_cdf(self, y):
+        """G(y) = exp(-tau(y)) elementwise, a float for scalar y: Gumbel,
+        Frechet (0 for y <= 0) or Weibull (1 for y > 0)."""
+        y = np.asarray(y, dtype=np.float64)
+        if self.kind is GKind.G1:
+            out = np.exp(-np.exp(-y))
+        elif self.kind is GKind.G2:
+            with np.errstate(divide="ignore"):
+                out = np.where(y > 0, np.exp(-np.power(np.maximum(y, 1e-300),
+                                                       -self.alpha)), 0.0)
+        else:
+            out = np.where(y <= 0, np.exp(-np.power(np.abs(np.minimum(y, 0.0)),
+                                                    self.alpha)), 1.0)
+        return out if out.ndim else float(out)
+
+    def pinned(self, y: float):
+        """The exact limit value at y outside the open support, else None."""
+        if self.kind is GKind.G2 and y <= 0.0:
+            return 0.0
+        if self.kind is GKind.G3 and y >= 0.0:
+            return 1.0
+        return None
 
 
 @dataclass

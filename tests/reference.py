@@ -28,8 +28,8 @@ a kernel against a second implementation that shares none of its tricks:
 * ``iid_digit_min_distances`` samples the minimum distance of n iid draws
   from a digit-product measure, the law ``evl.iid_no_exceedance`` gives
   in closed form.
-* ``UNIFORM`` is the U[0, 1] law, a reference for the KS machinery: any
-  object with a ``cdf`` serves.
+* ``uniform_cdf`` is the U[0, 1] CDF, a reference for the KS machinery:
+  any CDF callable serves.
 * ``fraction_smb_rates`` are the ``smb`` experiment's sampled information
   rates, read back from exact Fraction points of the sampled cells.
 * ``per_block_orbit_hits`` and ``per_block_orbit_min_distances`` run the
@@ -48,6 +48,7 @@ import numpy as np
 
 from evlhts.cylinders import PartitionContext, smb_estimate
 from evlhts.engine import (
+    _Scratch,
     draw_digits,
     mp_first_hit,
     mp_min_distance,
@@ -447,8 +448,10 @@ def iid_digit_min_distances(gen, count, *, n_draws, p_zero, zeta, metric):
     """Minimum distance to zeta over ``n_draws`` independent points of the
     digit-product measure, per lane; each point is 53 drawn digits."""
     best = np.full(count, np.inf)
+    scratch = _Scratch()
     for _ in range(n_draws):
-        x = window_from_digits(draw_digits(gen, count, WINDOW_BITS, p_zero))
+        x = window_from_digits(
+            draw_digits(gen, count, WINDOW_BITS, p_zero, scratch))
         np.minimum(best, distance(metric, x, zeta), out=best)
     return best
 
@@ -552,10 +555,5 @@ def per_block_orbit_min_distances(obs: BallObservable, system, *, n_steps,
                        threads=threads)[0]
 
 
-class _Uniform:
-    @staticmethod
-    def cdf(y):
-        return np.clip(y, 0.0, 1.0)
-
-
-UNIFORM = _Uniform()
+def uniform_cdf(y):
+    return np.clip(y, 0.0, 1.0)

@@ -33,9 +33,8 @@ from evlhts.hts import (
 )
 from evlhts.laws import (
     EmpiricalLaw,
-    LawKind,
-    ReferenceLaw,
     check_evl_from_hts,
+    exponential_cdf,
     ks_statistic,
     sup_distance_on_grid,
 )
@@ -146,11 +145,6 @@ TYPE_GRIDS = {
     GKind.G2: np.linspace(0.1, 5.0, 25),
     GKind.G3: np.linspace(-2.0, -0.05, 25),
 }
-TYPE_REFS = {
-    GKind.G1: ReferenceLaw(LawKind.EV1),
-    GKind.G2: ReferenceLaw(LawKind.EV2, alpha=1.0),
-    GKind.G3: ReferenceLaw(LawKind.EV3, alpha=1.0),
-}
 
 
 @pytest.mark.parametrize("kind", [GKind.G1, GKind.G2, GKind.G3])
@@ -163,7 +157,8 @@ def test_doubling_ball_maxima_reach_each_limit_type(doubling_minima, kind):
     obs = BallObservable(shape, LEB_DBL, ZETA)
     norms = evl.quantile_normalizers(shape, 5000)
     law = EmpiricalLaw(np.sort(norms.rescale(evl.ball_maxima_values(dyn, obs))))
-    assert sup_distance_on_grid(law, TYPE_REFS[kind], TYPE_GRIDS[kind]) <= 0.03
+    grid = TYPE_GRIDS[kind]
+    assert sup_distance_on_grid(law, shape.limit_cdf, grid) <= 0.03
 
 
 def test_dynamical_maxima_match_iid_maxima(doubling_minima):
@@ -328,8 +323,7 @@ def test_rotation_cylinder_hitting_law_is_not_exponential():
         labels=("gate-rotation",),
     )
     assert hit.n_censored == 0
-    exponential = ReferenceLaw(LawKind.EXPONENTIAL, rate=1.0)
-    assert ks_statistic(hit.law(), exponential) >= 0.1
+    assert ks_statistic(hit.law(), exponential_cdf) >= 0.1
 
     ret = sample_hit_times(
         rot, target, cap=cap, n_samples=10000, seed=SEED,

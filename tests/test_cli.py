@@ -556,6 +556,16 @@ class TestFilesAndCli:
         pytest.param("equivalence",
                      TENT_LEBESGUE + "\nobservable.zeta = 1e-300",
                      "observable.zeta", id="equivalence-tent-fine-zeta"),
+        # a g3 level that rounds to sup phi = 1 has no exceedance set: the
+        # anchor level 1 - 2^-63, and the quantile 1 - n^(-1e8)
+        pytest.param("evl-cylinders", "observable.type = g3\nevl.n_list = 64",
+                     "evl.n_list", id="evl-cylinders-g3-supremum"),
+        pytest.param("evl-balls", "observable.type = g3\n"
+                     "observable.alpha = 1e-8", "observable.alpha",
+                     id="evl-balls-g3-supremum"),
+        pytest.param("equivalence", "observable.type = g3\n"
+                     "observable.alpha = 1e-8", "observable.alpha",
+                     id="equivalence-g3-supremum"),
         # past the lane-step ceiling: a cap of 5e13 steps, a window of 2^62
         pytest.param("hts", "hts.target = ball\nhts.mass_list = 1e-12",
                      "hts.mass_list", id="hts-ball-cap-past-budget"),
@@ -608,12 +618,6 @@ class TestFilesAndCli:
                      "observable.alpha = 0.001\nobservable.zeta = 0.3\n"
                      "evl.n_list = 1000\n",
                      id="evl-balls-quantile-level"),
-        # the quantile 1 - 1000^-1000 rounds to the supremum 1
-        pytest.param("evl-balls",
-                     "system.kind = doubling\nobservable.type = g3\n"
-                     "observable.alpha = 0.001\nobservable.zeta = 0.3\n"
-                     "evl.n_list = 1000\nevl.y_grid = -1.0\n",
-                     id="evl-balls-g3-supremum"),
         # the horizon check's tau(y) = 0.001^-200 and exp(800)
         pytest.param("equivalence",
                      "system.kind = doubling\nobservable.type = g2\n"

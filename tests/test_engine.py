@@ -50,7 +50,7 @@ class ScriptedDigits:
         self.rows = [list(r) for r in rows]
         self.cursor = 0
 
-    def __call__(self, gen, rows, cols, p_zero, scratch=None):
+    def __call__(self, gen, rows, cols, p_zero, scratch):
         assert rows == len(self.rows), "lane count changed mid-stream"
         # Kernels draw full-width chunks but only read the columns that
         # remain, so pad past the scripted table with digit 0.
@@ -931,7 +931,7 @@ class TestDrawDigits:
         rows = 7
         a = substream(17, "packed", cols)
         b = substream(17, "packed", cols)
-        got = draw_digits(a, rows, cols, 0.5)
+        got = draw_digits(a, rows, cols, 0.5, engine._Scratch())
         assert got.dtype == np.uint64
         assert got.shape == (rows, math.ceil(cols / 64))
         # the same words as the byte rule's digits packed, zero past cols
@@ -945,8 +945,9 @@ class TestDrawDigits:
     def test_every_bit_position_is_a_fair_coin(self):
         # one raw word per row: column c is bit position c of every word
         n = 10 ** 5
-        rate = unpack_digits(draw_digits(substream(17, "fair-bits"), n, 64, 0.5),
-                             64).mean(axis=0)
+        words = draw_digits(substream(17, "fair-bits"), n, 64, 0.5,
+                            engine._Scratch())
+        rate = unpack_digits(words, 64).mean(axis=0)
         z = (rate - 0.5) / math.sqrt(0.25 / n)
         assert np.abs(z).max() <= 4.0
 
@@ -956,7 +957,7 @@ class TestDrawDigits:
         rows = 64
         a = substream(17, "digits", p_zero, cols)
         b = substream(17, "digits", p_zero, cols)
-        got = draw_digits(a, rows, cols, p_zero)
+        got = draw_digits(a, rows, cols, p_zero, engine._Scratch())
         assert got.dtype == np.uint64
         assert got.shape == (rows, math.ceil(cols / 64))
         assert np.array_equal(got, reference_digits(b, rows, cols, p_zero))
@@ -981,7 +982,7 @@ class TestDrawDigits:
         for rows, cols in [(2048, 256), (7, 53), (3000, 129), (1, 1),
                            (2048, 256)]:
             got = draw_digits(a, rows, cols, p_zero, scratch)
-            want = draw_digits(b, rows, cols, p_zero)
+            want = draw_digits(b, rows, cols, p_zero, engine._Scratch())
             assert got.dtype == np.uint64 and got.shape == want.shape
             assert np.array_equal(got, want)
             assert a.bit_generator.random_raw() == b.bit_generator.random_raw()
@@ -1020,7 +1021,8 @@ class TestDrawDigits:
 
         gen = SimpleNamespace(bit_generator=SimpleNamespace(
             random_raw=random_raw))
-        got = unpack_digits(draw_digits(gen, 3, 16, p_zero), 16)
+        got = unpack_digits(
+            draw_digits(gen, 3, 16, p_zero, engine._Scratch()), 16)
         assert calls == [(3, 2), n_ties]
         ties = iter(tie_ones)
         want = [[next(ties) if b == high else b > high for b in row]
@@ -1040,7 +1042,8 @@ class TestDrawDigits:
 
         gen = SimpleNamespace(bit_generator=SimpleNamespace(
             random_raw=random_raw))
-        got = unpack_digits(draw_digits(gen, 2, 24, 0.3), 24)
+        got = unpack_digits(draw_digits(gen, 2, 24, 0.3, engine._Scratch()),
+                            24)
         assert calls == [(2, 3)]
         assert got.sum(axis=1).tolist() == [24, 16]
 
@@ -1049,7 +1052,7 @@ class TestDrawDigits:
         # 10^7 digits, 64 to a row: column c is byte lane c mod 8
         rows = 156_250
         words = draw_digits(substream(17, "byte-lanes", p_zero), rows, 64,
-                            p_zero)
+                            p_zero, engine._Scratch())
         digits = np.unpackbits(words.astype(">u8").view(np.uint8), axis=1)
         p_one = 1.0 - threshold(p_zero) / 2.0 ** 53
         n = digits.size
@@ -1213,6 +1216,48 @@ class TestRotationKernels:
                 mins.append(best)
             pos = (pos + self.step) % FIXED_ONE
         assert out == pytest.approx(mins, rel=1e-15)
+
+    @settings(max_examples=80, deadline=None, derandomize=True,
+              database=None)
+    @given(step=st.integers(1, FIXED_ONE - 1), data=st.data(),
+           start_j=st.sampled_from([0, 1, 5]),
+           seed=st.integers(0, 2 ** 32))
+    def test_first_hit_on_any_arc(self, step, data, start_j, seed):
+        # arcs reaching 0 or 2^63, and the whole circle, against the
+        # per-step scan on the 2^63 grid
+        lo = data.draw(st.one_of(st.just(0), st.integers(0, FIXED_ONE - 1)))
+        hi = data.draw(st.one_of(st.just(FIXED_ONE),
+                                 st.integers(lo + 1, FIXED_ONE)))
+        starts = rotation_starts(substream(seed, "any-arc"), 64)
+        starts[:2] = [0, FIXED_ONE - 1]
+        kw = dict(step_fixed=step, lo=lo, hi=hi, cap=150, start_j=start_j,
+                  starts=starts, chunk=7)
+        want = reference_rotation_first_hit(None, 64, **kw)
+        got = rotation_first_hit(None, 64, **kw)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+
+    @settings(max_examples=80, deadline=None, derandomize=True,
+              database=None)
+    @given(step=st.integers(1, FIXED_ONE - 1),
+           zeta=st.one_of(st.sampled_from([0, FIXED_ONE]),
+                          st.integers(0, FIXED_ONE)),
+           n_steps=st.integers(1, 40), seed=st.integers(0, 2 ** 32))
+    def test_min_distance_equals_the_2_63_grid(self, step, zeta, n_steps,
+                                               seed):
+        # bit for bit: doubling commutes with rounding to float
+        starts = rotation_starts(substream(seed, "any-zeta"), 8)
+        starts[:2] = [0, FIXED_ONE - 1]
+        got = rotation_min_distance(None, 8, step_fixed=step, zeta_fixed=zeta,
+                                    n_steps=n_steps, starts=starts)[0]
+        want = []
+        for s0 in starts.tolist():
+            best = FIXED_ONE
+            for j in range(n_steps):
+                d = abs((s0 + j * step) % FIXED_ONE - zeta)
+                best = min(best, d, FIXED_ONE - d)
+            want.append(float(best) * 2.0 ** -63)
+        assert got.tolist() == want
 
     def test_min_distance_needs_a_step(self):
         with pytest.raises(DomainError):

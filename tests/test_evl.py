@@ -13,8 +13,6 @@ from evlhts.evl import (
     Normalizers,
     ball_maxima_values,
     cylinder_schedule,
-    degenerate_probability,
-    g_forward_array,
     iid_no_exceedance,
     quantile_normalizers,
     sample_ball_min_distances,
@@ -73,17 +71,17 @@ class TestNormalizers:
 
 class TestSupport:
     def test_power_shape_rejects_nonpositive_y(self):
-        assert degenerate_probability(G2, 0.0) == 0.0
-        assert degenerate_probability(G2, -3.0) == 0.0
-        assert degenerate_probability(G2, 1.0) is None
+        assert G2.pinned(0.0) == 0.0
+        assert G2.pinned(-3.0) == 0.0
+        assert G2.pinned(1.0) is None
 
     def test_bounded_shape_rejects_nonnegative_y(self):
-        assert degenerate_probability(G3, 0.0) == 1.0
-        assert degenerate_probability(G3, 2.0) == 1.0
-        assert degenerate_probability(G3, -1.0) is None
+        assert G3.pinned(0.0) == 1.0
+        assert G3.pinned(2.0) == 1.0
+        assert G3.pinned(-1.0) is None
 
     def test_log_shape_supports_all_y(self):
-        assert degenerate_probability(G1, -100.0) is None
+        assert G1.pinned(-100.0) is None
 
 
 class TestGammaLevel:
@@ -144,12 +142,12 @@ class TestGForwardArray:
         for g in (G1, G2, GShape(GKind.G2, alpha=2.0),
                   GShape(GKind.G3, alpha=2.0)):
             want = [g.forward(float(m)) for m in masses]
-            assert g_forward_array(g, masses) == pytest.approx(want, rel=1e-14)
+            assert g.forward_array(masses) == pytest.approx(want, rel=1e-14)
 
     def test_zero_mass(self):
-        assert g_forward_array(G1, np.array([0.0]))[0] == math.inf
-        assert g_forward_array(G2, np.array([0.0]))[0] == math.inf
-        assert g_forward_array(G3, np.array([0.0]))[0] == 1.0
+        assert G1.forward_array(np.array([0.0]))[0] == math.inf
+        assert G2.forward_array(np.array([0.0]))[0] == math.inf
+        assert G3.forward_array(np.array([0.0]))[0] == 1.0
 
 
 class TestCylinderSchedule:

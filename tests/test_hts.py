@@ -22,8 +22,7 @@ from evlhts.hts import (
 )
 from evlhts.laws import (
     EmpiricalLaw,
-    LawKind,
-    ReferenceLaw,
+    exponential_cdf,
     ks_critical,
     ks_statistic,
 )
@@ -203,7 +202,7 @@ class TestDigitBallReturns:
             seed=10, measure=LEB_I,
         )
         assert sample.n_censored == 0
-        stat = ks_statistic(sample.law(), ReferenceLaw(LawKind.EXPONENTIAL))
+        stat = ks_statistic(sample.law(), exponential_cdf)
         assert stat <= ks_critical(4000, 0.01)
 
 
@@ -214,7 +213,7 @@ class TestCylinderHittingLaw:
             full_tent(), tgt, cap=default_cap(tgt.mass), n_samples=4000,
             seed=4, measure=LEB_I,
         )
-        stat = ks_statistic(sample.law(), ReferenceLaw(LawKind.EXPONENTIAL))
+        stat = ks_statistic(sample.law(), exponential_cdf)
         assert stat <= ks_critical(4000, 0.01)
 
 
@@ -240,7 +239,7 @@ class TestRotation:
             rotation("golden"), tgt, cap=default_cap(tgt.mass),
             n_samples=3000, seed=6,
         )
-        stat = ks_statistic(sample.law(), ReferenceLaw(LawKind.EXPONENTIAL))
+        stat = ks_statistic(sample.law(), exponential_cdf)
         assert stat > 0.1
 
     def test_ball_returns(self):

@@ -13,9 +13,8 @@ from evlhts.errors import (
 )
 from evlhts.laws import (
     EmpiricalLaw,
-    LawKind,
-    ReferenceLaw,
     check_evl_from_hts,
+    exponential_cdf,
     kolmogorov_sf,
     ks_critical,
     ks_statistic,
@@ -23,7 +22,7 @@ from evlhts.laws import (
     survival_integral,
 )
 from evlhts.observables import GKind, GShape
-from reference import UNIFORM
+from reference import uniform_cdf
 
 
 class TestEmpiricalLaw:
@@ -78,46 +77,45 @@ class TestEmpiricalLaw:
 
 
 class TestReferenceLaw:
+    """The limit laws: each shape's ``limit_cdf`` and ``exponential_cdf``."""
+
     def test_ev1_values(self):
-        law = ReferenceLaw(LawKind.EV1)
-        assert law.cdf(0.0) == pytest.approx(math.exp(-1.0), rel=1e-15)
-        assert law.cdf(3.0) == pytest.approx(math.exp(-math.exp(-3.0)), rel=1e-15)
-        assert law.cdf(-50.0) == 0.0
+        law = GShape(GKind.G1)
+        assert law.limit_cdf(0.0) == pytest.approx(math.exp(-1.0), rel=1e-15)
+        assert law.limit_cdf(3.0) == pytest.approx(math.exp(-math.exp(-3.0)),
+                                                    rel=1e-15)
+        assert law.limit_cdf(-50.0) == 0.0
 
     def test_ev2_values(self):
-        law = ReferenceLaw(LawKind.EV2, alpha=1.0)
-        assert law.cdf(1.0) == pytest.approx(math.exp(-1.0), rel=1e-15)
-        assert law.cdf(2.0) == pytest.approx(math.exp(-0.5), rel=1e-15)
-        assert law.cdf(0.0) == 0.0
-        assert law.cdf(-3.0) == 0.0
-        half = ReferenceLaw(LawKind.EV2, alpha=0.5)
-        assert half.cdf(4.0) == pytest.approx(math.exp(-0.5), rel=1e-15)
+        law = GShape(GKind.G2, alpha=1.0)
+        assert law.limit_cdf(1.0) == pytest.approx(math.exp(-1.0), rel=1e-15)
+        assert law.limit_cdf(2.0) == pytest.approx(math.exp(-0.5), rel=1e-15)
+        assert law.limit_cdf(0.0) == 0.0
+        assert law.limit_cdf(-3.0) == 0.0
+        half = GShape(GKind.G2, alpha=0.5)
+        assert half.limit_cdf(4.0) == pytest.approx(math.exp(-0.5), rel=1e-15)
 
     def test_ev3_values(self):
-        law = ReferenceLaw(LawKind.EV3, alpha=1.0)
-        assert law.cdf(0.0) == 1.0
-        assert law.cdf(1.0) == 1.0
-        assert law.cdf(-1.0) == pytest.approx(math.exp(-1.0), rel=1e-15)
-        quad = ReferenceLaw(LawKind.EV3, alpha=2.0)
-        assert quad.cdf(-2.0) == pytest.approx(math.exp(-4.0), rel=1e-15)
+        law = GShape(GKind.G3, alpha=1.0)
+        assert law.limit_cdf(0.0) == 1.0
+        assert law.limit_cdf(1.0) == 1.0
+        assert law.limit_cdf(-1.0) == pytest.approx(math.exp(-1.0), rel=1e-15)
+        quad = GShape(GKind.G3, alpha=2.0)
+        assert quad.limit_cdf(-2.0) == pytest.approx(math.exp(-4.0), rel=1e-15)
 
     def test_exponential_values(self):
-        law = ReferenceLaw(LawKind.EXPONENTIAL, rate=2.0)
-        assert law.cdf(1.0) == pytest.approx(-math.expm1(-2.0), rel=1e-15)
-        assert law.cdf(0.0) == 0.0
-        assert law.cdf(-1.0) == 0.0
+        assert exponential_cdf(2.0) == pytest.approx(-math.expm1(-2.0),
+                                                     rel=1e-15)
+        assert exponential_cdf(0.0) == 0.0
+        assert exponential_cdf(-1.0) == 0.0
 
     def test_vectorized_cdf(self):
-        law = ReferenceLaw(LawKind.EV1)
-        out = law.cdf(np.array([0.0, 1.0]))
+        law = GShape(GKind.G1)
+        out = law.limit_cdf(np.array([0.0, 1.0]))
         assert out.shape == (2,)
-        assert isinstance(law.cdf(0.0), float)
-
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            ReferenceLaw(LawKind.EV2, alpha=0.0)
-        with pytest.raises(DomainError):
-            ReferenceLaw(LawKind.EXPONENTIAL, rate=-1.0)
+        assert isinstance(law.limit_cdf(0.0), float)
+        assert exponential_cdf(np.array([0.0, 1.0])).shape == (2,)
+        assert isinstance(exponential_cdf(1.0), float)
 
 
 class TestKolmogorov:
@@ -151,25 +149,24 @@ class TestKsStatistic:
     def test_exact_uniform_lattice(self):
         # x_i = i/10: D+ = 0 and D- = 0.1 exactly against U[0, 1].
         law = EmpiricalLaw(np.arange(1, 11) / 10.0)
-        assert ks_statistic(law, UNIFORM) == pytest.approx(0.1, rel=1e-14)
+        assert ks_statistic(law, uniform_cdf) == pytest.approx(0.1, rel=1e-14)
 
     def test_refuses_censored(self):
         law = EmpiricalLaw([0.5], n_censored=1, cap=2.0)
         with pytest.raises(CapTooSmall):
-            ks_statistic(law, UNIFORM)
+            ks_statistic(law, uniform_cdf)
 
     def test_exponential_sample_passes(self):
         gen = np.random.default_rng(20260814)
         law = EmpiricalLaw(gen.exponential(size=4000))
         critical = ks_critical(4000, 0.01)
-        right = ReferenceLaw(LawKind.EXPONENTIAL, rate=1.0)
-        assert ks_statistic(law, right) <= critical
-        wrong = ReferenceLaw(LawKind.EXPONENTIAL, rate=2.0)
-        assert ks_statistic(law, wrong) > critical
+        assert ks_statistic(law, exponential_cdf) <= critical
+        # the rate-2 law
+        assert ks_statistic(law, lambda t: exponential_cdf(2.0 * t)) > critical
 
     def test_sup_distance_on_grid(self):
         law = EmpiricalLaw(np.arange(1, 11) / 10.0)
-        d = sup_distance_on_grid(law, UNIFORM, [0.05, 0.5, 0.95])
+        d = sup_distance_on_grid(law, uniform_cdf, [0.05, 0.5, 0.95])
         assert d == pytest.approx(0.05, rel=1e-12)
 
 

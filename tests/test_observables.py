@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evlhts.cylinders import PartitionContext
 from evlhts.errors import DomainError, OutOfRange
@@ -8,6 +10,16 @@ from evlhts.measures import BernoulliDoubling, Lebesgue1D
 from evlhts.observables import BallObservable, CylinderObservable, GKind, GShape
 from evlhts.systems import Metric, doubling, full_tent
 from reference import ball_evaluate, cylinder_evaluate, cylinder_evaluate_ex
+
+# Levels with 1e-6 <= |y| <= 50, and both zeros: for alpha in [0.1, 10]
+# every finite nonzero tau(y) is then a normal float.  At a smaller |y|,
+# (-y)^alpha can underflow to 0 inside the support of the law, which is
+# rounding, not the edge of the support.
+LEVELS = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.builds(math.copysign, st.floats(1e-6, 50.0),
+              st.sampled_from([1.0, -1.0])),
+)
 
 ALL_SHAPES = [
     GShape(GKind.G1),
@@ -82,6 +94,26 @@ class TestGShape:
         g3 = GShape(GKind.G3, alpha=2.0)
         assert g3.tau(-2.0) == pytest.approx(4.0)
         assert g3.tau(0.0) == 0.0 and g3.tau(0.5) == 0.0
+
+    @settings(max_examples=500, deadline=None, derandomize=True,
+              database=None)
+    @given(kind=st.sampled_from(list(GKind)), alpha=st.floats(0.1, 10.0),
+           y=LEVELS)
+    def test_limit_law_is_exp_of_minus_tau(self, kind, alpha, y):
+        # numpy's exp and power may differ from math's in the last bit, so
+        # neither side is written through the other
+        g = GShape(kind, alpha=alpha)
+        tau = g.tau(y)
+        if 0.0 < tau < math.inf:
+            assert g.limit_cdf(y) == pytest.approx(math.exp(-tau), rel=1e-12,
+                                                   abs=1e-300)
+        pinned = g.pinned(y)
+        if tau == math.inf:
+            assert pinned is not None and pinned == 0.0
+        elif tau == 0.0:
+            assert pinned is not None and pinned == 1.0
+        else:
+            assert pinned is None
 
     @pytest.mark.parametrize("g, y", [
         (GShape(GKind.G1), -800.0),  # exp(800)
