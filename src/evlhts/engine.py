@@ -1,14 +1,17 @@
 """Sample-parallel Monte Carlo kernels.
 
 Every kernel simulates independent samples with numpy array operations
-(lanes = samples).  ``run_blocked`` slices a run into fixed-size blocks,
-gives block i the substream keyed by (seed, labels..., i), executes
-blocks on a thread pool, and concatenates results in block order — so
-outputs are bit-identical for any thread count.  The digit kernels draw
-as they scan, so each block runs its own scan on its own substream.  The
-rotation and intermittent kernels draw nothing after their starts: each
-block only draws its starts, and one scan then steps every lane of the
-run, with no generator.
+(lanes = samples).  A run's lanes fall into fixed-size blocks
+(``rng.block_slices``), and block i draws from the substream keyed by
+(seed, labels..., i), so outputs are bit-identical for any thread count.
+The digit first-hit kernels take every block's generator and scan all the
+blocks of a run in one pass on the calling thread, each block drawing its
+own digits as it goes.  ``run_blocked`` runs a kernel once per block on a
+thread pool and concatenates results in block order; it serves the
+fixed-window digit kernels ``word_hit_count`` and
+``digit_window_min_distance``, and the start draws of the rotation and
+intermittent kernels.  Those two maps draw nothing after their starts, so
+one scan then steps every lane of the run, with no generator.
 
 The expanding digit systems (tent/doubling) are simulated exactly on an
 implicit infinite digit stream, and the engine holds every digit packed.
@@ -41,14 +44,20 @@ bit for bit.  The position w 2^-53 is exact, so the float distance d to
 zeta depends on w alone, and as rounding is monotone, d and 1 - d are
 monotone on either side of c = ceil(zeta 2^53).  So the windows that the
 float test d < eta (min(d, 1 - d) < eta on the circle) accepts form at
-most two cyclic intervals, found once per ball by bisecting that test,
-and the first-hit kernel tests each window against them.  The fold 1 - d
-takes over on one side of c only and carries that side's trend across the
-seam 2^53 = 0, so the float distance rises, then falls, along the offsets
-(w - c) mod 2^53: the minimum-distance kernel keeps each lane's least and
-greatest offset and takes the float distance of those two windows at the
-end.  The context after the chunk's last step is carried into the next
-chunk.
+most two cyclic intervals, found once per ball by bisecting that test.
+The fold 1 - d takes over on one side of c only and carries that side's
+trend across the seam 2^53 = 0, so the float distance rises, then falls,
+along the offsets (w - c) mod 2^53: the minimum-distance kernel keeps each
+lane's least and greatest offset and takes the float distance of those
+two windows at the end.  The first-hit kernel tests only candidate words
+against the intervals.  In the word at byte offset b, bits 60 .. 41 hold
+the tent parity and the 12-bit prefix of the window after each step
+8b - t, and a window inside an interval has its prefix in the interval's
+prefix range.  A table of 2^20 flags, built once per run, marks each value
+of those bits for which some step's prefix (complemented where the tent
+parity is 1) lies in a range; one lookup per word picks out the rare
+candidates, and only their 8 steps take the exact interval test.  The
+context after the chunk's last step is carried into the next chunk.
 
 Cylinder events need no positions at all.  Letters are the digits
 themselves for the doubling map and adjacent-digit XORs for the tent map,
@@ -60,16 +69,23 @@ They find every match at once with Shift-And (Baeza-Yates and Gonnet,
 1992): the match words are the AND, over k < d, of the letters shifted
 right by k across word boundaries, or of their complements where the
 word's k-th letter from the end is 0.  Each lane carries its last 64
-letters and its last digit into the next chunk, one uint64 each, so a
+digits into the next chunk in one uint64, which give the up to 62 letters
+before the chunk's first that a word of at most 63 letters reads, so a
 chunk need not be a whole number of words.
 
-Every first-hit kernel runs one scan, ``_first_hit``.  The kernel returns
-each chunk's first column inside its target for every lane, from a given
-column on; the scan turns those into times, drops finished lanes and
-censors the lanes still out at the cap.  The word kernels read the first
-column off the packed match words with a bit smear and a popcount; the
-ball, rotation and intermittent kernels off boolean planes through
-``_first_inside``, eight for a ball chunk and one for the others.
+Every first-hit kernel runs one scan, ``_first_hit``, over all the lanes
+of a run.  It walks the live lanes in tiles, runs of consecutive whole
+blocks holding at most ``rng.BLOCK`` live lanes, so a chunk's temporaries
+stay at one block's size however many blocks a run has, and the few lanes
+left late in a run share one tile.  The intermittent kernel, which takes
+a Python step per tile and iterate, keeps every lane in one tile.  The
+kernel returns each chunk's first column inside its target for every lane
+of a tile, from a given column on; the scan turns those into times, drops
+finished lanes and censors the lanes still out at the cap.  The word
+kernels read the first column off the packed match words with a bit
+smear and a popcount, the ball kernel off its candidates' steps, and the
+rotation and intermittent kernels off one boolean plane through
+``_first_inside``.
 Rotations advance exact 63-bit integer positions, doubled onto the
 wrapping 2^64 grid, a chunk per numpy op.
 The intermittent map steps float64 lanes with numpy's array pow, which
@@ -81,11 +97,12 @@ run's lanes in one scan changes a value.
 
 The digit draws fix the RNG stream, and with it every report byte:
 
-* each chunk draws one (rows, columns) digit matrix through
-  ``draw_digits``, whose rows are the lanes still live, in lane order,
-  under either rule.  Each kernel passes its ``_Scratch``, so a Bernoulli
-  matrix is a view of it, valid until the kernel's next draw: a kernel
-  copies or shifts each draw into its own arrays before the next;
+* each chunk draws one (rows, columns) digit matrix per block through
+  ``draw_digits`` on the block's generator, whose rows are the block's
+  lanes still live, in lane order, under either rule.  Each kernel passes
+  its ``_Scratch``, so a Bernoulli matrix is a view of it, valid until the
+  kernel's next draw: a kernel copies or shifts each draw into its own
+  arrays before the next;
 * first-hit kernels draw full ``chunk``-width matrices even when fewer
   columns remain, so runs that differ only in the cap share a stream;
   fixed-window kernels draw only the columns that remain;
@@ -104,10 +121,11 @@ The digit draws fix the RNG stream, and with it every report byte:
   takes no further words.  A digit is then 1 with mass 1 - T / 2^53,
   exactly the law of ``gen.random() >= p_zero``, and the digits are
   independent;
-* first-hit kernels drop finished lanes between chunks once more than
-  ``_COMPACT_AT`` of the live lanes have hit.  That sets the rows of the
-  next draw, so ``_COMPACT_AT`` is part of the stream: changing it
-  changes every result.
+* first-hit kernels drop a block's finished lanes between chunks once
+  more than ``_COMPACT_AT`` of the block's live lanes have hit, and a
+  block with no live lane left draws no more.  That sets the rows of each
+  block's next draw, so ``_COMPACT_AT`` is part of the stream: changing
+  it changes every result.  Tiles only group the draws; they move none.
 """
 
 import math
@@ -116,7 +134,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .errors import DomainError
-from .rng import block_slices, substream
+from .rng import BLOCK, block_slices, substream
 from .systems import FIXED_ONE, WINDOW_BITS
 
 _SCALE = 2.0 ** -WINDOW_BITS
@@ -125,6 +143,11 @@ _LOW = 64 - WINDOW_BITS
 #: left shifts of the word at byte b + 1 that lift the context after step
 #: 8b + s + 1, s = 0 .. 7, to the top: its tent parity to bit 63
 _TOP_SHIFTS = np.arange(3, 11, dtype=np.uint64)
+#: window prefix bits per step in the ball kernel's prefix table; the
+#: table reads a byte-offset word from bit 60, b1 of its first step, down
+#: past the last step's prefix to bit _FIELD_SHIFT = 41
+_PREFIX_BITS = 12
+_FIELD_SHIFT = WINDOW_BITS - _PREFIX_BITS
 
 #: a Bernoulli digit's 53-bit threshold T splits into the level T >> 45 of
 #: its byte lane and the 45 bits below, which a tie word's top bits decide
@@ -141,24 +164,28 @@ _COMPACT_AT = 0.25
 MAX_WORD_DEPTH = 63
 
 
+def block_substreams(n_samples, master_seed, labels):
+    """The generator of every block of ``rng.block_slices(n_samples)``:
+    block i draws from the substream keyed by (seed, labels..., i)."""
+    return [substream(master_seed, *labels, index)
+            for index, _, _ in block_slices(n_samples)]
+
+
 def run_blocked(n_samples, master_seed, labels, kernel, threads=1):
     """Run ``kernel(gen, count)`` over every block and concatenate.
 
     ``kernel`` must return a tuple of 1-d arrays of length ``count`` (or
     2-d with ``count`` rows).  Results are concatenated in block order.
+    The digit first-hit kernels do not come here: they take every block's
+    generator and scan the whole run at once.
     """
-    slices = block_slices(n_samples)
-
-    def job(item):
-        index, _start, count = item
-        gen = substream(master_seed, *labels, index)
-        return kernel(gen, count)
-
+    gens = block_substreams(n_samples, master_seed, labels)
+    counts = [count for _, _, count in block_slices(n_samples)]
     if threads <= 1:
-        parts = [job(item) for item in slices]
+        parts = [kernel(gen, count) for gen, count in zip(gens, counts)]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(job, slices))
+            parts = list(pool.map(kernel, gens, counts))
     width = len(parts[0])
     return tuple(
         np.concatenate([p[i] for p in parts], axis=0) for i in range(width)
@@ -253,17 +280,14 @@ def _distances(pos, zeta, circle):
     return d
 
 
-def _window_planes(context, digits, cols, tent, scratch):
-    """The window words after each step of one chunk, and the context after
+def _window_words(context, digits, cols, scratch):
+    """The word at every byte offset of one chunk, and the context after
     the chunk.
 
     ``context`` holds each lane's 54-bit context and ``digits`` the packed
-    digits the chunk's steps shift in.  The words come as an iterator of
-    (s, plane), s = 0 .. 7, over one reused (rows, ceil(cols / 8)) uint64
-    plane, so a caller works on each plane while it is in cache: [:, b] of
-    plane s holds in bits 63 .. 11 the window after step 8b + s + 1,
-    complemented where the tent parity is 1; the bits below are not part
-    of it.  A step past ``cols`` repeats step 1.
+    digits the chunk's steps shift in.  [:, b] of the (rows, ceil(cols / 8))
+    uint64 words is the word at byte offset b + 1, which holds the windows
+    after steps 8b + 1 .. 8b + 8 (``_lift``).
     """
     rows = context.size
     n_words = (cols + 63) // 64
@@ -275,28 +299,40 @@ def _window_planes(context, digits, cols, tent, scratch):
                          strides=(row.strides[0], 1))
     words = scratch("words", (rows, n_bytes), np.uint64)
     np.copyto(words, at_byte)
-    after = words[:, (cols - 1) // 8] >> np.uint64(7 - (cols - 1) % 8)
+    return words, words[:, (cols - 1) // 8] >> np.uint64(7 - (cols - 1) % 8)
 
-    def planes():
-        plane = scratch("plane", (rows, n_bytes), np.uint64)
-        flip = scratch("flip", (rows, n_bytes), np.int64)
-        for s in range(8):
-            if tent:
-                # the parity, now bit 63, spread over the word by an
-                # arithmetic shift, complements the window below it
-                np.left_shift(words, _TOP_SHIFTS[s], out=plane)
-                np.right_shift(plane.view(np.int64), 63, out=flip)
-                plane <<= np.uint64(1)
-                plane ^= flip.view(np.uint64)
-            else:
-                np.left_shift(words, _TOP_SHIFTS[s] + np.uint64(1), out=plane)
-            if s == 0:
-                step_one = plane[:, 0].copy()
-            elif 8 * (n_bytes - 1) + s >= cols:
-                plane[:, -1] = step_one
-            yield s, plane
 
-    return planes(), after
+def _lift(words, shift, tent, out, flip):
+    """Writes into ``out`` the window after step s + 1 of each byte-offset
+    word in bits 63 .. 11, complemented where the tent parity is 1; the
+    bits below are not part of it.  ``shift`` is ``_TOP_SHIFTS[s]``, or
+    a column of them to lift every step at once; ``flip`` is int64
+    scratch."""
+    if tent:
+        # the parity, now bit 63, spread over the word by an arithmetic
+        # shift, complements the window below it
+        np.left_shift(words, shift, out=out)
+        np.right_shift(out.view(np.int64), 63, out=flip)
+        out <<= np.uint64(1)
+        out ^= flip.view(np.uint64)
+    else:
+        np.left_shift(words, shift + np.uint64(1), out=out)
+    return out
+
+
+def _window_planes(words, cols, tent, scratch):
+    """The windows after each step of one chunk, as 8 planes (s = 0 .. 7)
+    over one reused uint64 buffer: [:, b] of plane s is the window after
+    step 8b + s + 1 (``_lift``).  A step past ``cols`` repeats step 1."""
+    plane = scratch("plane", words.shape, np.uint64)
+    flip = scratch("flip", words.shape, np.int64)
+    for s in range(8):
+        _lift(words, _TOP_SHIFTS[s], tent, plane, flip)
+        if s == 0:
+            step_one = plane[:, 0].copy()
+        elif 8 * (words.shape[1] - 1) + s >= cols:
+            plane[:, -1] = step_one
+        yield plane
 
 
 def digit_window_min_distance(
@@ -322,14 +358,14 @@ def digit_window_min_distance(
     remaining = n_steps - 1
     while remaining > 0:
         cols = min(chunk, remaining)
-        planes, context = _window_planes(
+        words, context = _window_words(
             context, draw_digits(gen, count, cols, p_zero, scratch), cols,
-            tent, scratch)
-        least = scratch("least", (count, (cols + 7) // 8), np.uint64)
-        most = scratch("most", least.shape, np.uint64)
+            scratch)
+        least = scratch("least", words.shape, np.uint64)
+        most = scratch("most", words.shape, np.uint64)
         least[...] = low[:, None]
         most[...] = high[:, None]
-        for _, offsets in planes:
+        for offsets in _window_planes(words, cols, tent, scratch):
             offsets -= centre
             np.minimum(least, offsets, out=least)
             np.maximum(most, offsets, out=most)
@@ -368,67 +404,124 @@ def iid_min_distance_uniform(gen, count, *, n_draws, zeta, circle, chunk=512):
 
 # ------------------------------------------------------------ first hits
 
-def _first_hit(count, cap, start_j, j, chunk, scan, state, inside_before=None):
-    """First iterate in [start_j, cap) inside the target, for ``count`` lanes.
+def _first_hit(sizes, cap, start_j, j, chunk, scan, state, inside_before=None):
+    """First iterate in [start_j, cap) inside the target, for the lanes of
+    consecutive blocks of ``sizes`` lanes each.
 
-    ``state`` is a tuple of per-lane arrays.  ``scan(state, cols, first)``
-    returns, for every live lane, the first column c >= ``first`` whose
-    iterate j + c is inside (``cols`` where none is), and the state after
-    the chunk's ``cols`` iterates.  ``inside_before`` marks the lanes
-    inside at iterate j - 1.  Returns (times, hit): times[i] = cap and
-    hit[i] = False when the lane never enters by cap - 1.
+    ``state`` is a tuple of per-lane arrays, which the scan overwrites.
+    Each chunk walks the live lanes in tiles (``_tiles``):
+    ``scan(tile, state, cols, first)`` takes a tile's (block, live lanes)
+    pairs and its lanes' state, and returns, for each of those lanes, the
+    first column c >= ``first`` whose iterate j + c is inside (``cols``
+    where none is), and their state after the chunk's ``cols`` iterates.
+    ``inside_before`` marks the lanes inside at iterate j - 1.  A block
+    drops its finished lanes between chunks once more than ``_COMPACT_AT``
+    of its live lanes have hit; the live lanes move down in place, so a
+    run holds no per-lane array beyond its first ones.  Returns (times,
+    hit): times[i] = cap and hit[i] = False when the lane never enters by
+    cap - 1.
     """
     if cap < 1 or start_j < 0 or start_j >= cap:
         raise DomainError("need 0 <= start_j < cap")
+    count = sum(sizes)
     times = np.full(count, cap, dtype=np.int64)
     lane = np.arange(count)
     done = np.zeros(count, dtype=bool)
     if inside_before is not None:
         done |= inside_before
     times[done] = j - 1
+    live = list(sizes)
     while j < cap and lane.size:
         cols = min(chunk, cap - j)
-        column, state = scan(state, cols, max(start_j - j, 0))
-        hits = np.flatnonzero((column < cols) & ~done)
-        if hits.size:
-            times[lane[hits]] = j + column[hits]
+        for lo, tile in _tiles(live):
+            hi = lo + sum(rows for _, rows in tile)
+            found, after = scan(tile, tuple(a[lo:hi] for a in state), cols,
+                                max(start_j - j, 0))
+            for a, b in zip(state, after):
+                a[lo:hi] = b
+            hits = lo + np.flatnonzero((found < cols) & ~done[lo:hi])
+            times[lane[hits]] = j + found[hits - lo]
             done[hits] = True
         j += cols
-        if done.mean() > _COMPACT_AT:
-            keep = ~done
-            lane, done = lane[keep], done[keep]
-            state = tuple(a[keep] for a in state)
+        arrays = (lane, done, *state)
+        src = dst = 0
+        for k, rows in enumerate(live):
+            finished = done[src:src + rows]
+            n_done = np.count_nonzero(finished)
+            # the share in floats, as done.mean() takes it
+            keep = slice(None)
+            if rows and n_done / rows > _COMPACT_AT:
+                keep, live[k] = ~finished, rows - n_done
+            if live[k] != rows or dst != src:
+                for a in arrays:
+                    a[dst:dst + live[k]] = a[src:src + rows][keep]
+            src, dst = src + rows, dst + live[k]
+        lane, done, *state = (a[:dst] for a in arrays)
     return times, times < cap
 
 
-def _first_inside(inside, first, cols):
-    """Each lane's first inside column in ``first`` .. ``cols`` - 1; ``cols``
-    where the lane has none.
+def _tiles(live):
+    """(first row, [(block, live lanes), ...]) of each tile: a run of
+    consecutive blocks, whole, that hold at most ``BLOCK`` live lanes, or
+    one block that holds more."""
+    tile, lo, size = [], 0, 0
+    for k, rows in enumerate(live):
+        if not rows:
+            continue
+        if tile and size + rows > BLOCK:
+            yield lo, tile
+            tile, lo, size = [], lo + size, 0
+        tile.append((k, rows))
+        size += rows
+    if tile:
+        yield lo, tile
 
-    ``inside`` is a (k, lanes, ceil(cols / k)) boolean array whose [s, :, b]
-    is column k b + s; the columns outside the range are cleared in place.
-    """
-    k, rows, n = inside.shape
-    inside[:, :, :first // k] = False
-    inside[:first % k, :, first // k:first // k + 1] = False
-    inside[cols - k * (n - 1):, :, -1] = False
-    column = np.full(rows, cols, dtype=np.int64)
-    by_group = inside.any(axis=0)
-    rows_in = np.flatnonzero(by_group.any(axis=1))
-    b = by_group[rows_in].argmax(axis=1)
-    column[rows_in] = k * b + inside[:, rows_in, b].argmax(axis=0)
+
+def _block_sizes(count, gens=None):
+    """Lanes per block of a ``count``-lane run, checked against ``gens``,
+    the run's block generators, where given."""
+    sizes = [size for _, _, size in block_slices(count)]
+    if gens is not None and len(gens) != len(sizes):
+        raise DomainError(f"{count} lanes take {len(sizes)} block "
+                          f"generators; got {len(gens)}")
+    return sizes
+
+
+def _tile_digits(gens, tile, cols, p_zero, scratch):
+    """One chunk's packed digits for a tile: each block's draw on its own
+    generator, stacked in block order."""
+    n_rows = sum(rows for _, rows in tile)
+    digits = scratch("tile", (n_rows, (cols + 63) // 64), np.uint64)
+    lo = 0
+    for k, rows in tile:
+        digits[lo:lo + rows] = draw_digits(gens[k], rows, cols, p_zero,
+                                           scratch)
+        lo += rows
+    return digits
+
+
+def _first_inside(inside, first, cols):
+    """Each lane's first inside column in ``first`` .. ``cols`` - 1 of the
+    (lanes, cols) boolean ``inside``; ``cols`` where the lane has none."""
+    column = np.full(inside.shape[0], cols, dtype=np.int64)
+    inside = inside[:, first:]
+    rows_in = np.flatnonzero(inside.any(axis=1))
+    if rows_in.size:
+        column[rows_in] = first + inside[rows_in].argmax(axis=1)
     return column
 
 
 # ----------------------------------------------------- word (cylinder) scans
 
-def _word_scan_start(count, word_int, depth, start_j, preload):
-    """The scan state of ``count`` fresh lanes, (letters, digit), and the
-    letters read so far.
+def _word_scan_start(count, word_int, depth, start_j, preload, tent):
+    """The scan state of ``count`` fresh lanes, (digits,), and the letters
+    read so far.
 
-    ``letters`` holds the last 64 letters read, the latest in bit 0, and
-    ``digit`` the last digit drawn (b_0 = 0 before any).  A preloaded lane
-    has already read the word itself.
+    ``digits`` holds each lane's last 64 digits drawn, the latest in bit
+    0; digits before the first (b_0 = 0 and earlier) are 0.  A preloaded
+    lane has already read the word itself: its digits are the word's
+    letters for the doubling map, and for the tent map, whose letters are
+    the Gray code of its digits, the letters Gray-decoded.
     """
     if not 1 <= depth <= MAX_WORD_DEPTH:
         raise DomainError(
@@ -437,14 +530,12 @@ def _word_scan_start(count, word_int, depth, start_j, preload):
         raise DomainError("word_int must fit in depth letters")
     if preload and start_j == 0:
         raise DomainError("a preloaded start is already inside at j = 0")
-    if preload:
-        # the digit b_depth of a point whose first letters spell the word is
-        # the XOR of those letters (tent letter algebra; b_0 = 0)
-        digit = bin(word_int).count("1") & 1
-        return (np.full(count, word_int, dtype=np.uint64),
-                np.full(count, digit, dtype=np.uint64)), depth
-    return (np.zeros(count, dtype=np.uint64),
-            np.zeros(count, dtype=np.uint64)), 0
+    if not preload:
+        return (np.zeros(count, dtype=np.uint64),), 0
+    digits = word_int
+    for shift in (1, 2, 4, 8, 16, 32) if tent else ():
+        digits ^= digits >> shift
+    return (np.full(count, digits, dtype=np.uint64),), depth
 
 
 def _column_masks(n_words, first, cols):
@@ -457,37 +548,38 @@ def _column_masks(n_words, first, cols):
     return np.array(masks, dtype=np.uint64)[:, None]
 
 
-def _word_chunk(digits, cols, first, state, word_int, depth, tent):
+def _word_chunk(digits, cols, first, state, word_int, depth, tent, scratch):
     """Packed match words of one chunk, and the scan state after it.
 
-    Bit 63 - (c mod 64) of match word c // 64 (a (words, lanes) array) is
-    set when the ``depth`` letters ending at the chunk's letter c spell the
-    word, for c in first .. cols - 1.  Tent letters XOR each digit with the
-    one before it, which is the carried digit for the chunk's letter 0;
-    doubling letters are the digits.
+    Bit 63 - (c mod 64) of match word c // 64 (a (words, lanes) array in
+    ``scratch``) is set when the ``depth`` letters ending at the chunk's
+    letter c spell the word, for c in first .. cols - 1.  Tent letters XOR
+    each digit with the one before it; doubling letters are the digits.
+    The carried digits give the letters before the chunk's first.
     """
-    carry, digit = state
+    carry, = state
     n_words = (cols + 63) // 64
-    ext = np.empty((n_words + 1, carry.size), dtype=np.uint64)
+    ext = scratch("ext", (n_words + 1, carry.size), np.uint64)
     ext[0] = carry
+    ext[1:] = digits[:, :n_words].T
     letters = ext[1:]
-    letters[...] = digits[:, :n_words].T
-    last = letters[(cols - 1) // 64] >> np.uint64(63 - (cols - 1) % 64)
-    if tent:
-        before = letters >> np.uint64(1)
-        before[0] |= digit << np.uint64(63)
-        before[1:] |= letters[:-1] << np.uint64(63)
-        letters ^= before
-    digit = last & np.uint64(1)
-    # the 64 letters ending at letter cols - 1, which sits in ext[cols // 64]
+    match = scratch("match", letters.shape, np.uint64)
+    term = scratch("term", ext.shape, np.uint64)
+    spill = scratch("spill", ext.shape, np.uint64)
+    # the 64 digits ending at digit cols - 1, which sits in ext[cols // 64]
     # or ext[cols // 64 + 1]
     q, r = divmod(cols, 64)
-    carry = ext[q] if r == 0 else (
+    carry = ext[q].copy() if r == 0 else (
         (ext[q] << np.uint64(r)) | (ext[q + 1] >> np.uint64(64 - r)))
-    flip = ~ext if word_int != (1 << depth) - 1 else None
-    match = np.empty_like(letters)
-    term = np.empty_like(letters)
-    spill = np.empty_like(letters)
+    if tent:
+        # ext[0]'s top letter lacks the digit before it; a word of at most
+        # 63 letters reads only the 62 letters below it
+        before = np.right_shift(ext, np.uint64(1), out=term)
+        before[1:] |= np.left_shift(ext[:-1], np.uint64(63), out=spill[1:])
+        ext ^= before
+    flip = (np.invert(ext, out=scratch("flip", ext.shape, np.uint64))
+            if word_int != (1 << depth) - 1 else None)
+    term, spill = term[1:], spill[1:]
     for k in range(depth):
         # letter k from the end of the word against the letters k back
         src = ext if (word_int >> k) & 1 else flip
@@ -499,7 +591,7 @@ def _word_chunk(digits, cols, first, state, word_int, depth, tent):
         term |= spill
         match &= term
     match &= _column_masks(n_words, first, cols)
-    return match, (carry, digit)
+    return match, (carry,)
 
 
 def _first_set_column(match, cols):
@@ -522,7 +614,7 @@ def _first_set_column(match, cols):
 
 
 def word_first_hit(
-    gen,
+    gens,
     count,
     *,
     word_int,
@@ -534,7 +626,9 @@ def word_first_hit(
     preload=False,
     chunk=256,
 ):
-    """First j in [start_j, cap) whose iterate lies in the target cylinder.
+    """First j in [start_j, cap) whose iterate lies in the target cylinder,
+    for the ``count`` lanes of ``rng.block_slices(count)``; ``gens`` holds
+    each block's generator.
 
     The cylinder is the depth-``depth`` cell whose letters spell
     ``word_int`` (most significant bit = first letter).  With ``preload``
@@ -543,18 +637,19 @@ def word_first_hit(
     conditional start used by return-time runs, because under the product
     measures the letters beyond a fixed prefix stay independent.
     """
+    sizes = _block_sizes(count, gens)
     state, consumed = _word_scan_start(count, word_int, depth, start_j,
-                                       preload)
+                                       preload, tent)
     scratch = _Scratch()
 
-    def scan(state, cols, first):
-        digits = draw_digits(gen, state[0].size, chunk, p_zero, scratch)
+    def scan(tile, state, cols, first):
+        digits = _tile_digits(gens, tile, chunk, p_zero, scratch)
         match, state = _word_chunk(digits, cols, first, state, word_int,
-                                   depth, tent)
+                                   depth, tent, scratch)
         return _first_set_column(match, cols), state
 
     # column c ends the window that starts at j = consumed + c + 1 - depth
-    return _first_hit(count, cap, start_j, consumed + 1 - depth, chunk, scan,
+    return _first_hit(sizes, cap, start_j, consumed + 1 - depth, chunk, scan,
                       state)
 
 
@@ -580,7 +675,7 @@ def word_hit_count(
     if window < start_j:
         raise DomainError("window shorter than start_j")
     state, consumed = _word_scan_start(count, word_int, depth, start_j,
-                                       preload)
+                                       preload, tent)
     counts = np.zeros(count, dtype=np.int64)
     total_letters = window + depth
     scratch = _Scratch()
@@ -589,7 +684,7 @@ def word_hit_count(
         digits = draw_digits(gen, count, cols, p_zero, scratch)
         first = max(start_j + depth - 1 - consumed, 0)
         match, state = _word_chunk(digits, cols, first, state, word_int,
-                                   depth, tent)
+                                   depth, tent, scratch)
         counts += np.bitwise_count(match).sum(axis=0, dtype=np.int64)
         consumed += cols
     return (counts,)
@@ -598,7 +693,7 @@ def word_hit_count(
 # ------------------------------------------------------------- ball scans
 
 def ball_first_hit_digits(
-    gen,
+    gens,
     count,
     *,
     eta,
@@ -611,17 +706,23 @@ def ball_first_hit_digits(
     initial_digits=None,
     chunk=256,
 ):
-    """First j in [start_j, cap) with dist(f^j x, zeta) < eta.
+    """First j in [start_j, cap) with dist(f^j x, zeta) < eta, for the
+    ``count`` lanes of ``rng.block_slices(count)``; ``gens`` holds each
+    block's generator.
 
     ``initial_digits``, a (lanes, 1) packed digit matrix, fixes the 53
     leading digits of the start point — used by conditional (return-time)
     starts drawn by inverse-CDF; the tail beyond 53 digits is drawn iid,
     which misstates the conditional law only on boundary cells of mass
-    O(2^-53).
+    O(2^-53).  Without it each block first draws its lanes' start windows.
     """
+    sizes = _block_sizes(count, gens)
     scratch = _Scratch()
     if initial_digits is None:
-        window = draw_digits(gen, count, WINDOW_BITS, p_zero, scratch)
+        window = np.empty(count, dtype=np.uint64)
+        for (_, lo, size), gen in zip(block_slices(count), gens):
+            window[lo:lo + size] = draw_digits(gen, size, WINDOW_BITS, p_zero,
+                                               scratch)[:, 0]
     else:
         window = np.asarray(initial_digits)
         if window.shape != (count, 1) or window.dtype != np.uint64:
@@ -629,26 +730,86 @@ def ball_first_hit_digits(
                 f"initial_digits must be a ({count}, 1) packed uint64 digit "
                 f"matrix; got shape {window.shape} of {window.dtype}"
             )
+        window = window[:, 0]
     pieces = _ball_windows(zeta, eta, circle)
-    window = window[:, 0]
+    table = _prefix_table(pieces, tent)
     inside_before = (_in_ball(window, pieces, np.empty(count, dtype=bool),
                               np.empty_like(window)) if start_j == 0 else None)
 
-    def scan(state, cols, first):
+    def scan(tile, state, cols, first):
         context, = state
-        digits = draw_digits(gen, context.size, chunk, p_zero, scratch)
-        planes, context = _window_planes(context, digits, cols, tent, scratch)
-        # [s, :, b] is step 8b + s + 1, column 8b + s
-        shape = (context.size, (cols + 7) // 8)
-        inside = scratch("inside", (8, *shape), bool)
-        offsets = scratch("offsets", shape, np.uint64)
-        for s, plane in planes:
-            _in_ball(plane, pieces, inside[s], offsets)
-        return _first_inside(inside, first, cols), (context,)
+        digits = _tile_digits(gens, tile, chunk, p_zero, scratch)
+        words, context = _window_words(context, digits, cols, scratch)
+        return (_ball_column(words, table, pieces, tent, first, cols, scratch),
+                (context,))
 
     # column c is the position after step c + 1 of the chunk
-    return _first_hit(count, cap, start_j, 1, chunk, scan,
+    return _first_hit(sizes, cap, start_j, 1, chunk, scan,
                       (window >> np.uint64(_LOW),), inside_before)
+
+
+def _prefix_table(pieces, tent):
+    """Flags over the 2^20 values of a byte-offset word's bits 60 .. 41,
+    set where the 12-bit window prefix after one of the byte's 8 steps, s,
+    lies in the prefix range of one of the cyclic intervals ``pieces``.
+
+    Step s reads the bits as s of earlier steps, then its tent parity, its
+    prefix, and 7 - s bits below: a (2^s, 2, 4096, 2^(7 - s)) view.  A tent
+    window whose parity is 1 is complemented, and so is its prefix.
+    """
+    top = 1 << _PREFIX_BITS
+    ranges = []
+    for start, width in pieces:
+        end = start + width - 1
+        if end >> WINDOW_BITS:  # the interval wraps past 2^53
+            ranges += [(start >> _FIELD_SHIFT, top - 1),
+                       (0, (end - (1 << WINDOW_BITS)) >> _FIELD_SHIFT)]
+        else:
+            ranges.append((start >> _FIELD_SHIFT, end >> _FIELD_SHIFT))
+    table = np.zeros(1 << (_PREFIX_BITS + 8), dtype=bool)
+    for s in range(8):
+        by_step = table.reshape(1 << s, 2, top, 1 << (7 - s))
+        for lo, hi in ranges:
+            by_step[:, 0, lo:hi + 1] = True
+            if tent:
+                lo, hi = top - 1 - hi, top - 1 - lo
+            by_step[:, 1, lo:hi + 1] = True
+    return table
+
+
+def _ball_column(words, table, pieces, tent, first, cols, scratch):
+    """Each lane's first column in ``first`` .. ``cols`` - 1 whose window
+    lies in ``pieces``; ``cols`` where there is none.
+
+    ``words`` are the chunk's byte-offset words (``_window_words``); only
+    those whose bits 60 .. 41 ``table`` flags take the exact test, at all
+    8 steps at once.  The candidates come in lane order and, within a
+    lane, in byte order, so a lane's first candidate with a step inside
+    holds its first column.
+    """
+    field = np.right_shift(words.view(np.int64), _FIELD_SHIFT,
+                           out=scratch("field", words.shape, np.int64))
+    field &= table.size - 1
+    candidate = np.take(table, field, mode="wrap",
+                        out=scratch("candidate", words.shape, bool))
+    at = np.flatnonzero(candidate)
+    column = np.full(words.shape[0], cols, dtype=np.int64)
+    if not at.size:
+        return column
+    lane, b = np.divmod(at, words.shape[1])
+    steps = 8 * b + np.arange(8)[:, None]  # [s, i] is column 8 b + s
+    lifted = _lift(words.reshape(-1)[at], _TOP_SHIFTS[:, None], tent,
+                   np.empty(steps.shape, np.uint64),
+                   np.empty(steps.shape, np.int64))
+    inside = _in_ball(lifted, pieces, np.empty(steps.shape, bool),
+                      np.empty_like(lifted))
+    inside &= (steps >= first) & (steps < cols)
+    hit = inside.any(axis=0)
+    lane, steps = lane[hit], 8 * b[hit] + inside[:, hit].argmax(axis=0)
+    lead = np.ones(lane.size, dtype=bool)
+    lead[1:] = lane[1:] != lane[:-1]
+    column[lane[lead]] = steps[lead]
+    return column
 
 
 def _ball_windows(zeta, eta, circle):
@@ -716,17 +877,20 @@ def rotation_first_hit(
     lo_u, last = np.uint64(2 * lo), np.uint64(2 * (hi - lo) - 1)
     offsets = np.array([2 * k * step_fixed % 2**64 for k in range(chunk + 1)],
                        dtype=np.uint64)
+    scratch = _Scratch()
 
-    def scan(state, cols, first):
+    def scan(tile, state, cols, first):
         s, = state
-        pos = s[:, None] + offsets[:cols]
+        pos = np.add(s[:, None], offsets[:cols],
+                     out=scratch("pos", (s.size, cols), np.uint64))
         pos -= lo_u
-        inside = pos <= last
-        del pos  # free the positions before the first-column search
-        return _first_inside(inside[None], first, cols), (s + offsets[cols],)
+        inside = np.less_equal(pos, last,
+                               out=scratch("inside", pos.shape, bool))
+        return _first_inside(inside, first, cols), (s + offsets[cols],)
 
     s = (starts << np.uint64(1)) + np.uint64(2 * start_j * step_fixed % 2**64)
-    return _first_hit(count, cap, start_j, start_j, chunk, scan, (s,))
+    return _first_hit(_block_sizes(count), cap, start_j, start_j, chunk, scan,
+                      (s,))
 
 
 def rotation_min_distance(gen, count, *, step_fixed, zeta_fixed, n_steps,
@@ -780,17 +944,19 @@ def mp_first_hit(gen, count, *, s_exp, eta, zeta, cap, start_j, starts,
     no float (lanes, chunk) matrix is kept.
     """
     e = 1.0 + s_exp
+    scratch = _Scratch()
 
-    def scan(state, cols, first):
+    def scan(tile, state, cols, first):
         x, = state
-        inside = np.empty((x.size, cols), dtype=bool)
+        inside = scratch("inside", (x.size, cols), bool)
         for c in range(cols):
             np.less(np.abs(x - zeta), eta, out=inside[:, c])
             x = x + x**e
             x -= x >= 1.0
-        return _first_inside(inside[None], first, cols), (x,)
+        return _first_inside(inside, first, cols), (x,)
 
-    return _first_hit(count, cap, start_j, 0, chunk, scan, (starts,))
+    # every lane in one tile: each iterate takes a Python step per tile
+    return _first_hit([count], cap, start_j, 0, chunk, scan, (starts.copy(),))
 
 
 # ------------------------------------------------- conditional ball starts

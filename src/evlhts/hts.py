@@ -37,6 +37,7 @@ from .errors import (
 )
 from .laws import EmpiricalLaw, survival_integral
 from .measures import EmpiricalOrbit, MeasureModel, digit_p_zero
+from .rng import block_slices
 from .systems import DIGIT_KINDS, FIXED_ONE, MapKind, MapSystem, Metric
 
 #: Default normalized horizon: caps at 50 expected return times.
@@ -162,15 +163,17 @@ def first_hits(system, target, *, cap, n_samples, seed, labels, threads=1,
     """(times, hit) of ``n_samples`` first-entry runs on exactly ``labels``;
     the first index eligible as an entry is ``start_j``.
 
-    The digit maps scan block by block, drawing as they go.  The rotation
-    and the intermittent map draw only their starts, block by block, and
-    one scan then steps all ``n_samples`` lanes.
+    Every block of ``rng.block_slices(n_samples)`` draws from its own
+    substream.  The digit maps draw as they scan: one kernel call takes
+    every block's generator and scans all the blocks in one pass on the
+    calling thread, whatever ``threads`` is.  The rotation and the
+    intermittent map draw only their starts, block by block, and one scan
+    then steps all ``n_samples`` lanes.
     """
     if system.kind in DIGIT_KINDS:
-        kernel = _digit_hit_kernel(system, target, cap, start_j, conditional,
-                                   measure)
-        return engine.run_blocked(n_samples, seed, labels, kernel,
-                                  threads=threads)
+        gens = engine.block_substreams(n_samples, seed, labels)
+        return _digit_first_hits(system, target, gens, n_samples, cap,
+                                 start_j, conditional, measure)
     draw, scan = _orbit_hit_scan(system, target, conditional, measure)
     starts = engine.run_blocked(n_samples, seed, labels, draw,
                                 threads=threads)[0]
@@ -188,34 +191,27 @@ def word_scan(system: MapSystem, measure, target: TargetSet) -> dict:
             "p_zero": digit_p_zero(measure)}
 
 
-def _digit_hit_kernel(system, target, cap, start_j, conditional, measure):
-    """The block kernel of a tent or doubling first-hit run."""
+def _digit_first_hits(system, target, gens, count, cap, start_j,
+                      conditional, measure):
+    """A tent or doubling first-hit run of ``count`` lanes on the block
+    generators ``gens``."""
     if target.kind == "cylinder":
-        scan = word_scan(system, measure, target)
-
-        def kernel(gen, count):
-            return engine.word_first_hit(
-                gen, count, **scan, cap=cap, start_j=start_j,
-                preload=conditional,
-            )
-        return kernel
+        return engine.word_first_hit(
+            gens, count, **word_scan(system, measure, target), cap=cap,
+            start_j=start_j, preload=conditional)
     p_zero = digit_p_zero(measure)
-    tent = system.kind is MapKind.FULL_TENT
-    circle = measure.metric is Metric.CIRCLE
-    eta, zeta, arcs = target.eta, target.zeta_value, target.cdf_arcs
-
-    def kernel(gen, count):
-        initial = None
-        if conditional:
-            initial = engine.conditional_digit_starts(
-                gen, count, arcs=arcs, p_zero=p_zero
-            )
-        return engine.ball_first_hit_digits(
-            gen, count, eta=eta, zeta=zeta, tent=tent, p_zero=p_zero,
-            circle=circle, cap=cap, start_j=start_j,
-            initial_digits=initial,
-        )
-    return kernel
+    initial = None
+    if conditional:
+        # each block draws its starts before its scan's digits
+        initial = np.concatenate([
+            engine.conditional_digit_starts(gen, size, arcs=target.cdf_arcs,
+                                            p_zero=p_zero)
+            for gen, (_, _, size) in zip(gens, block_slices(count))])
+    return engine.ball_first_hit_digits(
+        gens, count, eta=target.eta, zeta=target.zeta_value,
+        tent=system.kind is MapKind.FULL_TENT, p_zero=p_zero,
+        circle=measure.metric is Metric.CIRCLE, cap=cap, start_j=start_j,
+        initial_digits=initial)
 
 
 def _orbit_hit_scan(system, target, conditional, measure):

@@ -35,6 +35,11 @@ a kernel against a second implementation that shares none of its tricks:
 * ``per_block_orbit_hits`` and ``per_block_orbit_min_distances`` run the
   rotation and intermittent kernels block by block, each block on its own
   starts, as the samplers did before they stepped a whole run in one scan.
+  ``per_block_digit_hits`` runs the tent and doubling first-hit kernels
+  block by block, each block alone on its own generator, as the samplers
+  did before one scan stepped every block of a run.
+* ``RecordingGen`` wraps a generator and records the shape of every draw,
+  so a test can compare two kernels draw for draw.
 
 ``src/`` must not import this module: it is test code.
 """
@@ -49,6 +54,8 @@ import numpy as np
 from evlhts.cylinders import PartitionContext, smb_estimate
 from evlhts.engine import (
     _Scratch,
+    ball_first_hit_digits,
+    conditional_digit_starts,
     draw_digits,
     mp_first_hit,
     mp_min_distance,
@@ -56,11 +63,13 @@ from evlhts.engine import (
     rotation_min_distance,
     rotation_starts,
     run_blocked,
+    word_first_hit,
 )
 from evlhts.errors import DomainError, EvlhtsError
+from evlhts.hts import word_scan
 from evlhts.measures import digit_p_zero
 from evlhts.observables import BallObservable, CylinderObservable
-from evlhts.rng import substream
+from evlhts.rng import block_slices, substream
 from evlhts.systems import FIXED_ONE, WINDOW_BITS, MapKind, MapSystem, Metric
 
 
@@ -533,6 +542,31 @@ def per_block_orbit_hits(system, target, *, cap, n_samples, seed, labels,
     return run_blocked(n_samples, seed, labels, kernel, threads=threads)
 
 
+def per_block_digit_hits(system, target, gens, *, cap, n_samples,
+                         conditional, start_j=1, measure):
+    """``hts.first_hits`` on the tent or doubling map, with the first-hit
+    kernel run once per block, alone, on that block's generator from
+    ``gens``: a ball block draws its conditional starts first."""
+    parts = []
+    slices = block_slices(n_samples)
+    for gen, (_, _, count) in zip(gens, slices, strict=True):
+        if target.kind == "cylinder":
+            parts.append(word_first_hit(
+                [gen], count, **word_scan(system, measure, target), cap=cap,
+                start_j=start_j, preload=conditional))
+            continue
+        p_zero = digit_p_zero(measure)
+        initial = (conditional_digit_starts(gen, count, arcs=target.cdf_arcs,
+                                            p_zero=p_zero)
+                   if conditional else None)
+        parts.append(ball_first_hit_digits(
+            [gen], count, eta=target.eta, zeta=target.zeta_value,
+            tent=system.kind is MapKind.FULL_TENT, p_zero=p_zero,
+            circle=measure.metric is Metric.CIRCLE, cap=cap,
+            start_j=start_j, initial_digits=initial))
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+
+
 def per_block_orbit_min_distances(obs: BallObservable, system, *, n_steps,
                                   n_samples, seed, labels, threads=1):
     """``evl.sample_ball_min_distances`` on the rotation or the intermittent
@@ -557,3 +591,21 @@ def per_block_orbit_min_distances(obs: BallObservable, system, *, n_steps,
 
 def uniform_cdf(y):
     return np.clip(y, 0.0, 1.0)
+
+
+class RecordingGen:
+    """A Generator that records the shape of every digit draw: a tuple
+    for a digit matrix, an int for the tie words after a byte-lane draw."""
+
+    def __init__(self, gen):
+        self.gen = gen
+        self.bit_generator = self
+        self.shapes = []
+
+    def random(self, shape):
+        self.shapes.append(shape)
+        return self.gen.random(shape)
+
+    def random_raw(self, shape):
+        self.shapes.append(shape)
+        return self.gen.bit_generator.random_raw(shape)

@@ -1,5 +1,7 @@
 """Short-range recurrence and mixing-gap dependence estimators."""
 
+import tracemalloc
+
 import pytest
 
 from evlhts.conditions import (
@@ -112,6 +114,24 @@ class TestMixingGap:
         )
         assert report.window == 7
         assert report.baseline == 0.0
+
+    def test_memory_stays_per_tile(self):
+        # the benchmark's periodic conditions run: 100,000 lanes in one
+        # scan hold their times, lane numbers, done flags and carried
+        # digits (3.1 MB traced).  Per-block scans peaked at 1.83 MB;
+        # buffering the whole run's digits reached 12.3 MB, and a
+        # whole-run column array with copying compaction 7.0 MB.
+        measure = Lebesgue1D(Metric.CIRCLE)
+        target = cylinder_target(PartitionContext(doubling(), measure), 0.0,
+                                 10)
+        tracemalloc.start()
+        try:
+            mixing_gap_estimate(doubling(), measure, target, block_n=1000,
+                                gap=126, n_samples=100_000, seed=7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 1.83e6
 
     def test_validation(self):
         tgt = tent_target(0.3)

@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction
 from types import SimpleNamespace
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from evlhts import engine
 from evlhts.engine import (
     ball_first_hit_digits,
+    block_substreams,
     conditional_digit_starts,
     digit_window_min_distance,
     draw_digits,
@@ -29,6 +31,7 @@ from evlhts.systems import FIXED_ONE, manneville_pomeau, rotation
 from reference import (
     BitStreamPoint,
     FloatPoint,
+    RecordingGen,
     iterate,
     no_entry_probability,
     pack_digits,
@@ -68,6 +71,15 @@ def script(monkeypatch):
     def install(rows):
         monkeypatch.setattr(engine, "draw_digits", ScriptedDigits(rows))
     return install
+
+
+def one_block(kernel):
+    """A digit first-hit kernel called as a one-block kernel: ``gen`` is
+    the generator of the run's only block."""
+    @functools.wraps(kernel)
+    def run(gen, count, **kw):
+        return kernel([gen], count, **kw)
+    return run
 
 
 def random_digit_rows(n_rows, n_digits, seed):
@@ -168,7 +180,7 @@ class TestWordKernels:
         rows = random_digit_rows(50, cap - 1 + depth, seed=7)
         script(rows)
         times, hit = word_first_hit(
-            None, 50, word_int=word_int, depth=depth, tent=tent,
+            [None], 50, word_int=word_int, depth=depth, tent=tent,
             p_zero=0.5, cap=cap, start_j=start_j,
         )
         for i, row in enumerate(rows):
@@ -183,7 +195,7 @@ class TestWordKernels:
         rows = [[1, 1, 1, 1] + [0] * 20, [0, 1, 1, 1] + [1] * 20]
         script(rows)
         times, hit = word_first_hit(
-            None, 2, word_int=0b1111, depth=depth, tent=False,
+            [None], 2, word_int=0b1111, depth=depth, tent=False,
             p_zero=0.5, cap=20, start_j=0,
         )
         assert times[0] == 0 and hit[0]
@@ -198,7 +210,7 @@ class TestWordKernels:
         ]
         script(rows)
         times, hit = word_first_hit(
-            None, 2, word_int=0b11, depth=depth, tent=False,
+            [None], 2, word_int=0b11, depth=depth, tent=False,
             p_zero=0.5, cap=9, start_j=1, preload=True,
         )
         # preloaded letters are (1, 1); lane letters continue from there:
@@ -228,9 +240,9 @@ class TestWordKernels:
 
     def test_geometric_law_with_compaction(self):
         # depth-1 target: hits are iid coin flips, so T is geometric(1/2)
-        gen = substream(99, "geom")
+        gens = block_substreams(8192, 99, ("geom",))
         times, hit = word_first_hit(
-            gen, 8192, word_int=0b1, depth=1, tent=False, p_zero=0.5,
+            gens, 8192, word_int=0b1, depth=1, tent=False, p_zero=0.5,
             cap=200, start_j=1,
         )
         assert hit.all()
@@ -239,9 +251,9 @@ class TestWordKernels:
 
     def test_kac_mean_return_for_cylinder(self):
         # conditional starts inside a depth-3 cell: E[return] = 1/mass = 8
-        gen = substream(7, "kac-unit")
+        gens = block_substreams(8192, 7, ("kac-unit",))
         times, hit = word_first_hit(
-            gen, 8192, word_int=0b101, depth=3, tent=True, p_zero=0.5,
+            gens, 8192, word_int=0b101, depth=3, tent=True, p_zero=0.5,
             cap=800, start_j=1, preload=True,
         )
         assert hit.all()
@@ -250,35 +262,17 @@ class TestWordKernels:
     def test_register_depth_cap(self):
         with pytest.raises(DomainError):
             word_first_hit(
-                substream(1, "x"), 4, word_int=0, depth=64, tent=False,
+                [substream(1, "x")], 4, word_int=0, depth=64, tent=False,
                 p_zero=0.5, cap=10,
             )
 
     @pytest.mark.parametrize("word_int", [-1, 0b1000])
     def test_word_must_fit_its_depth(self, word_int):
-        for kernel, horizon in ((word_first_hit, "cap"),
+        for kernel, horizon in ((one_block(word_first_hit), "cap"),
                                 (word_hit_count, "window")):
             with pytest.raises(DomainError, match="fit"):
                 kernel(substream(1, "x"), 4, word_int=word_int, depth=3,
                        tent=False, p_zero=0.5, **{horizon: 10})
-
-
-class RecordingGen:
-    """A Generator that records the shape of every digit draw: a tuple
-    for a digit matrix, an int for the tie words after a byte-lane draw."""
-
-    def __init__(self, gen):
-        self.gen = gen
-        self.bit_generator = self
-        self.shapes = []
-
-    def random(self, shape):
-        self.shapes.append(shape)
-        return self.gen.random(shape)
-
-    def random_raw(self, shape):
-        self.shapes.append(shape)
-        return self.gen.bit_generator.random_raw(shape)
 
 
 def reference_word_first_hit(gen, count, *, word_int, depth, tent, p_zero,
@@ -482,7 +476,7 @@ class TestWordStreamEquivalence:
         got_gen = RecordingGen(substream(2024, *label))
         want = reference_word_first_hit(want_gen, self.LANES, cap=cap,
                                         start_j=start_j, **kw)
-        got = word_first_hit(got_gen, self.LANES, cap=cap, start_j=start_j,
+        got = word_first_hit([got_gen], self.LANES, cap=cap, start_j=start_j,
                              **kw)
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
@@ -513,7 +507,7 @@ class TestWordStreamEquivalence:
         want_gen = RecordingGen(substream(5, "compact", tent, chunk))
         got_gen = RecordingGen(substream(5, "compact", tent, chunk))
         want = reference_word_first_hit(want_gen, 2048, **kw)
-        got = word_first_hit(got_gen, 2048, **kw)
+        got = word_first_hit([got_gen], 2048, **kw)
         assert np.array_equal(got[0], want[0])
         assert got_gen.shapes == want_gen.shapes
         # (rows, words) main draws; a byte-lane draw's tie words are 1-d
@@ -551,7 +545,7 @@ class TestWordKernelProperties:
         want_gen = RecordingGen(substream(seed, "word-prop"))
         got_gen = RecordingGen(substream(seed, "word-prop"))
         want = reference_word_first_hit(want_gen, lanes, cap=cap, **kw)
-        got = word_first_hit(got_gen, lanes, cap=cap, **kw)
+        got = word_first_hit([got_gen], lanes, cap=cap, **kw)
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
         assert got_gen.shapes == want_gen.shapes
@@ -633,7 +627,8 @@ class TestBallStreamEquivalence:
     def test_ball_edges(self, tent, circle, zeta, eta):
         label = ("ball-edge", tent, circle, zeta, eta)
         common = dict(zeta=zeta, tent=tent, p_zero=0.3, circle=circle)
-        self.check(reference_ball_first_hit_digits, ball_first_hit_digits,
+        self.check(reference_ball_first_hit_digits,
+                   one_block(ball_first_hit_digits),
                    label, eta=eta, cap=403, start_j=0, **common)
         self.check(reference_digit_window_min_distance,
                    digit_window_min_distance, label, n_steps=403, **common)
@@ -643,7 +638,8 @@ class TestBallStreamEquivalence:
         # the last chunk has 9 steps: 7 of its second byte's 8 steps pad
         label = ("ball-horizon", tent)
         common = dict(zeta=0.5, tent=tent, p_zero=0.3, circle=True)
-        self.check(reference_ball_first_hit_digits, ball_first_hit_digits,
+        self.check(reference_ball_first_hit_digits,
+                   one_block(ball_first_hit_digits),
                    label, eta=0.002, cap=1 + 256 + 9, **common)
         self.check(reference_digit_window_min_distance,
                    digit_window_min_distance, label, n_steps=1 + 256 + 9,
@@ -676,7 +672,8 @@ class TestBallStreamEquivalence:
                 substream(2024, "starts", *label), self.LANES,
                 arcs=([0.2, 0.7], [0.3, 0.95]), p_zero=p_zero,
             )
-        self.check(reference_ball_first_hit_digits, ball_first_hit_digits,
+        self.check(reference_ball_first_hit_digits,
+                   one_block(ball_first_hit_digits),
                    label, **kw)
 
     @pytest.mark.parametrize("chunk", [7, 256])
@@ -687,7 +684,7 @@ class TestBallStreamEquivalence:
         want_gen = RecordingGen(substream(5, "ball-compact", tent, chunk))
         got_gen = RecordingGen(substream(5, "ball-compact", tent, chunk))
         want = reference_ball_first_hit_digits(want_gen, 2048, **kw)
-        got = ball_first_hit_digits(got_gen, 2048, **kw)
+        got = ball_first_hit_digits([got_gen], 2048, **kw)
         assert np.array_equal(got[0], want[0])
         assert got_gen.shapes == want_gen.shapes
         # (rows, words) main draws; a byte-lane draw's tie words are 1-d
@@ -761,6 +758,81 @@ class TestBallWindows:
         extremes = [(c + o) % WINDOWS for o in (offsets[0], offsets[-1])]
         assert (float_distances(extremes, zeta, circle).min()
                 == float_distances(windows, zeta, circle).min())
+
+
+PREFIX_CELL = 1 << 41  # windows that share one 12-bit prefix
+FIELD_MASK = (1 << 20) - 1
+# a piece wrapping past 2^53, two that cover every prefix (the whole
+# circle, and all but one prefix cell less a window), and one window
+EDGE_PIECES = [(WINDOWS - 3, 10), (0, WINDOWS),
+               (7, WINDOWS - PREFIX_CELL + 1), (12345, 1)]
+
+
+@st.composite
+def window_pieces(draw):
+    """One or two cyclic window intervals (start, width) of a ball."""
+    piece = st.one_of(
+        st.sampled_from(EDGE_PIECES),
+        st.tuples(st.integers(0, WINDOWS - 1), st.integers(1, WINDOWS)),
+        st.integers(1, WINDOWS - 1).flatmap(lambda start: st.tuples(
+            st.just(start), st.integers(WINDOWS - start + 1, WINDOWS))),
+        st.tuples(st.integers(0, WINDOWS - 1), st.integers(1, 3)),
+    )
+    return draw(st.lists(piece, min_size=1, max_size=2))
+
+
+def lifted_inside(word, s, tent, pieces):
+    """Whether the window after step s + 1 of a byte-offset word is in a
+    piece, by the kernels' own lift and interval test."""
+    lifted = engine._lift(np.array([word], dtype=np.uint64),
+                          engine._TOP_SHIFTS[s], tent,
+                          np.empty(1, dtype=np.uint64),
+                          np.empty(1, dtype=np.int64))
+    return bool(engine._in_ball(lifted, pieces, np.empty(1, dtype=bool),
+                                np.empty(1, dtype=np.uint64))[0])
+
+
+class TestPrefixTable:
+    """The ball kernel's prefilter drops no window inside the ball: every
+    byte-offset word whose window lies in a piece after one of its 8 steps
+    has its bits 60 .. 41 flagged in the prefix table."""
+
+    SETTINGS = settings(max_examples=200, deadline=None, derandomize=True,
+                        database=None)
+
+    @SETTINGS
+    @given(pieces=window_pieces(), tent=st.booleans(), data=st.data())
+    def test_every_word_inside_is_a_candidate(self, pieces, tent, data):
+        table = engine._prefix_table(pieces, tent)
+        for _ in range(8):
+            start, width = data.draw(st.sampled_from(pieces))
+            window = (start + data.draw(st.integers(0, width - 1))) % WINDOWS
+            s = data.draw(st.integers(0, 7))
+            parity = data.draw(st.integers(0, 1))
+            raw = window ^ (WINDOWS - 1) if tent and parity else window
+            # the bits of earlier steps above the parity, later digits below
+            above = data.draw(st.integers(0, (1 << (3 + s)) - 1))
+            below = data.draw(st.integers(0, (1 << (7 - s)) - 1))
+            word = (above << (61 - s) | parity << (60 - s) | raw << (7 - s)
+                    | below)
+            assert lifted_inside(word, s, tent, pieces)
+            assert table[(word >> 41) & FIELD_MASK]
+        # and any word: a step inside means a candidate
+        word = data.draw(st.integers(0, 2 ** 64 - 1))
+        if any(lifted_inside(word, s, tent, pieces) for s in range(8)):
+            assert table[(word >> 41) & FIELD_MASK]
+
+    @pytest.mark.parametrize("tent", [False, True])
+    def test_pieces_over_every_prefix_flag_every_field(self, tent):
+        for piece in EDGE_PIECES[1:3]:
+            assert engine._prefix_table([piece], tent).all()
+
+    @pytest.mark.parametrize("tent", [False, True])
+    def test_one_window_flags_few_fields(self, tent):
+        # one prefix at each step, either parity, any other bits: at most
+        # 8 * 2 * 2^7 of the 2^20 fields
+        table = engine._prefix_table([EDGE_PIECES[3]], tent)
+        assert 0 < table.sum() <= 8 * 2 * 2 ** 7
 
 
 def reference_rotation_first_hit(gen, count, *, step_fixed, lo, hi, cap,
@@ -1102,7 +1174,9 @@ class TestExactCylinderLaw:
         exact = no_entry_probability(self.letters(word_int), 1.0 - p_zero,
                                      cap + self.DEPTH - 2)
         _, hit = word_first_hit(
-            substream(11, "exact-no-entry", word_int, tent, p_zero), lanes,
+            block_substreams(lanes, 11,
+                             ("exact-no-entry", word_int, tent, p_zero)),
+            lanes,
             word_int=word_int, depth=self.DEPTH, tent=tent, p_zero=p_zero,
             cap=cap, start_j=1)
         share = 1.0 - hit.mean()
@@ -1131,7 +1205,7 @@ class TestBallHitKernel:
         rows = random_digit_rows(40, 53 + cap - 1, seed=5)
         script(rows)
         times, hit = ball_first_hit_digits(
-            None, 40, eta=eta, zeta=zeta, tent=True, p_zero=0.5,
+            [None], 40, eta=eta, zeta=zeta, tent=True, p_zero=0.5,
             circle=False, cap=cap, start_j=1,
         )
         for i, row in enumerate(rows):
@@ -1154,7 +1228,7 @@ class TestBallHitKernel:
             gen, 64, arcs=([0.45], [0.55]), p_zero=0.5
         )
         times, hit = ball_first_hit_digits(
-            gen, 64, eta=eta, zeta=zeta, tent=False, p_zero=0.5,
+            [gen], 64, eta=eta, zeta=zeta, tent=False, p_zero=0.5,
             circle=False, cap=10, start_j=0, initial_digits=digits,
         )
         assert hit.all() and (times == 0).all()
@@ -1163,7 +1237,7 @@ class TestBallHitKernel:
     def test_initial_digits_must_be_lanes_by_window(self, shape):
         with pytest.raises(DomainError, match="initial_digits"):
             ball_first_hit_digits(
-                substream(1, "shape"), 64, eta=0.1, zeta=0.5, tent=False,
+                [substream(1, "shape")], 64, eta=0.1, zeta=0.5, tent=False,
                 p_zero=0.5, circle=False, cap=10,
                 initial_digits=np.zeros(shape, dtype=bool),
             )
@@ -1401,29 +1475,31 @@ class TestCapMonotonicity:
 
     def test_word_first_hit(self):
         kw = dict(word_int=0b101, depth=3, tent=True, p_zero=0.5, chunk=8)
-        short, _ = word_first_hit(substream(11, "mono"), 500, cap=30, **kw)
-        long_, _ = word_first_hit(substream(11, "mono"), 500, cap=200, **kw)
+        short, _ = word_first_hit([substream(11, "mono")], 500, cap=30, **kw)
+        long_, _ = word_first_hit([substream(11, "mono")], 500, cap=200, **kw)
         assert np.array_equal(short, np.minimum(long_, 30))
 
     def test_word_first_hit_preloaded(self):
         kw = dict(word_int=0b01, depth=2, tent=False, p_zero=0.3,
                   preload=True, chunk=8)
-        short, _ = word_first_hit(substream(12, "mono"), 500, cap=25, **kw)
-        long_, _ = word_first_hit(substream(12, "mono"), 500, cap=160, **kw)
+        short, _ = word_first_hit([substream(12, "mono")], 500, cap=25, **kw)
+        long_, _ = word_first_hit([substream(12, "mono")], 500, cap=160, **kw)
         assert np.array_equal(short, np.minimum(long_, 25))
 
     def test_ball_first_hit(self):
         kw = dict(eta=0.05, zeta=0.3, tent=True, p_zero=0.5, circle=False,
                   chunk=8)
-        short, _ = ball_first_hit_digits(substream(13, "mono"), 400, cap=40, **kw)
-        long_, _ = ball_first_hit_digits(substream(13, "mono"), 400, cap=220, **kw)
+        short, _ = ball_first_hit_digits([substream(13, "mono")], 400, cap=40, **kw)
+        long_, _ = ball_first_hit_digits([substream(13, "mono")], 400, cap=220, **kw)
         assert np.array_equal(short, np.minimum(long_, 40))
 
     @pytest.mark.parametrize("p_zero", [0.5, 0.3])
     @pytest.mark.parametrize("kernel, kw", [
-        (word_first_hit, dict(word_int=0b10110100, depth=8, tent=True)),
-        (word_first_hit, dict(word_int=0b10110100, depth=8, tent=False)),
-        (ball_first_hit_digits, dict(eta=2.0 ** -9, zeta=0.3, tent=False,
+        (one_block(word_first_hit),
+         dict(word_int=0b10110100, depth=8, tent=True)),
+        (one_block(word_first_hit),
+         dict(word_int=0b10110100, depth=8, tent=False)),
+        (one_block(ball_first_hit_digits), dict(eta=2.0 ** -9, zeta=0.3, tent=False,
                                      circle=False)),
     ])
     @pytest.mark.parametrize("short_cap", [128, 300])

@@ -6,7 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from evlhts import engine
 from evlhts.cylinders import PartitionContext
+from evlhts.engine import block_substreams
 from evlhts.evl import sample_ball_min_distances
 from evlhts.errors import CapTooSmall, DomainError, UnsupportedCombination
 from evlhts.hts import (
@@ -28,7 +30,7 @@ from evlhts.laws import (
 )
 from evlhts.measures import BernoulliDoubling, EmpiricalOrbit, Lebesgue1D
 from evlhts.observables import BallObservable, GKind, GShape
-from evlhts.rng import BLOCK
+from evlhts.rng import BLOCK, block_slices, substream
 from evlhts.systems import (
     FIXED_ONE,
     Metric,
@@ -37,7 +39,12 @@ from evlhts.systems import (
     manneville_pomeau,
     rotation,
 )
-from reference import per_block_orbit_hits, per_block_orbit_min_distances
+from reference import (
+    RecordingGen,
+    per_block_digit_hits,
+    per_block_orbit_hits,
+    per_block_orbit_min_distances,
+)
 
 LEB_I = Lebesgue1D(Metric.INTERVAL)
 LEB_C = Lebesgue1D(Metric.CIRCLE)
@@ -328,6 +335,104 @@ class TestOneOrbitScan:
         want = per_block_orbit_min_distances(obs, system, **kw)
         assert np.array_equal(got, want)
         assert np.unique(got).size > 100
+
+
+def _cylinder(system, measure, zeta, depth):
+    return cylinder_target(PartitionContext(system, measure), zeta, depth)
+
+
+BERNOULLI = BernoulliDoubling(0.3)
+# id: (system, measure, target, conditional, start_j, cap); no cap is a
+# whole number of 256-step chunks
+DIGIT_RUNS = {
+    "tent-cylinder-hit": lambda: (
+        full_tent(), LEB_I, _cylinder(full_tent(), LEB_I, 0.3, 8), False, 1,
+        3000),
+    "tent-cylinder-from-zero": lambda: (
+        full_tent(), LEB_I, _cylinder(full_tent(), LEB_I, 0.3, 8), False, 0,
+        777),
+    "bernoulli-cylinder-return": lambda: (
+        doubling(), BERNOULLI, _cylinder(doubling(), BERNOULLI, 0.3, 6), True,
+        1, 1000),
+    "doubling-cylinder-past-a-chunk": lambda: (
+        doubling(), LEB_C, _cylinder(doubling(), LEB_C, 0.3, 8), True, 300,
+        300 + 777),
+    "circle-ball-two-pieces": lambda: (
+        doubling(), LEB_C, ball_target(LEB_C, 0.0, mass=0.004), False, 1,
+        2000),
+    "circle-ball-two-pieces-return": lambda: (
+        doubling(), LEB_C, ball_target(LEB_C, 0.0, mass=0.004), True, 1,
+        2000),
+    "tent-ball-from-zero": lambda: (
+        full_tent(), LEB_I, ball_target(LEB_I, 0.3, mass=0.01), False, 0,
+        999),
+    "bernoulli-ball-return": lambda: (
+        doubling(), BERNOULLI, ball_target(BERNOULLI, 0.3, mass=0.005), True,
+        1, 1500),
+    "bernoulli-ball-past-a-chunk": lambda: (
+        doubling(), BERNOULLI, ball_target(BERNOULLI, 0.3, mass=0.005), True,
+        300, 300 + 555),
+    # about a quarter of the lanes hit in the first chunk, so the blocks
+    # compact at the first chunk or the second
+    "compaction-split": lambda: (
+        doubling(), LEB_C, ball_target(LEB_C, 0.3, mass=0.00112), False, 1,
+        1200),
+}
+
+
+class TestOneDigitScan:
+    """A tent or doubling first-hit run scans all its blocks in one pass.
+    Each block still draws exactly what it drew when it ran alone: its
+    starts, then one digit matrix per chunk over its own live lanes, which
+    it compacts on its own done share.  Four full blocks and a ragged one
+    of 5."""
+
+    N = 4 * BLOCK + 5
+    SEED = 21
+
+    def run(self, monkeypatch, case):
+        """(times, hit) of one scan, checked against each block run alone,
+        and the draw shapes of every block."""
+        system, measure, target, conditional, start_j, cap = DIGIT_RUNS[case]()
+        labels = ("one-digit-scan", case)
+        scanned = []
+
+        def recording(*args):
+            scanned[:] = [RecordingGen(gen) for gen in block_substreams(*args)]
+            return scanned
+
+        monkeypatch.setattr(engine, "block_substreams", recording)
+        kw = dict(cap=cap, n_samples=self.N, conditional=conditional,
+                  start_j=start_j, measure=measure)
+        times, hit = first_hits(system, target, seed=self.SEED, labels=labels,
+                                threads=2, **kw)
+        alone = [RecordingGen(substream(self.SEED, *labels, index))
+                 for index, _, _ in block_slices(self.N)]
+        want_times, want_hit = per_block_digit_hits(system, target, alone,
+                                                    **kw)
+        assert np.array_equal(times, want_times)
+        assert np.array_equal(hit, want_hit)
+        shapes = [gen.shapes for gen in scanned]
+        assert shapes == [gen.shapes for gen in alone]
+        return hit, shapes
+
+    @pytest.mark.parametrize("case", sorted(DIGIT_RUNS))
+    def test_one_scan_equals_each_block_alone(self, monkeypatch, case):
+        hit, _ = self.run(monkeypatch, case)
+        assert 0.0 < hit.mean()
+
+    def test_blocks_compact_and_empty_on_their_own(self, monkeypatch):
+        def rows(shapes):
+            # (rows, words) draws; a byte-lane draw's tie words are 1-d
+            return [shape[0] for shape in shapes if isinstance(shape, tuple)]
+
+        _, shapes = self.run(monkeypatch, "compaction-split")
+        first_drop = {next(i for i, r in enumerate(rows(s)) if r < BLOCK)
+                      for s in shapes[:4]}
+        assert len(first_drop) > 1
+        # the block of 5 lanes stops drawing while the full blocks go on
+        _, shapes = self.run(monkeypatch, "tent-cylinder-hit")
+        assert len(shapes[-1]) < min(len(s) for s in shapes[:-1])
 
 
 class TestBridge:
