@@ -115,7 +115,6 @@ def mixing_gap_estimate(
     n_samples: int,
     seed: int,
     labels: tuple = ("mixing-gap",),
-    threads: int = 1,
     floor: float = DEFAULT_FLOOR,
 ) -> ConditionReport:
     """Dependence surviving a gap of ``gap`` steps.
@@ -130,8 +129,8 @@ def mixing_gap_estimate(
     p_cond, p_free = (
         float((~hts.first_hits(
             system, target, cap=gap + block_n, n_samples=n_samples,
-            seed=seed, labels=(*labels, tag), threads=threads,
-            conditional=conditional, start_j=gap, measure=measure,
+            seed=seed, labels=(*labels, tag), conditional=conditional,
+            start_j=gap, measure=measure,
         )[1]).mean())
         for conditional, tag in ((True, "cond"), (False, "free"))
     )

@@ -6,12 +6,13 @@ Every kernel simulates independent samples with numpy array operations
 (seed, labels..., i), so outputs are bit-identical for any thread count.
 The digit first-hit kernels take every block's generator and scan all the
 blocks of a run in one pass on the calling thread, each block drawing its
-own digits as it goes.  ``run_blocked`` runs a kernel once per block on a
-thread pool and concatenates results in block order; it serves the
-fixed-window digit kernels ``word_hit_count`` and
-``digit_window_min_distance``, and the start draws of the rotation and
-intermittent kernels.  Those two maps draw nothing after their starts, so
-one scan then steps every lane of the run, with no generator.
+starts, return-time ball starts included, then its digits as it goes.
+``run_blocked`` runs a kernel once per block on a thread pool and
+concatenates results in block order; it serves the fixed-window digit
+kernels ``word_hit_count`` and ``digit_window_min_distance``, and
+``hts.orbit_starts``, which draws the rotation and intermittent starts.
+Those two maps draw nothing after their starts, so one scan then steps
+every lane of the run and takes no generator.
 
 The expanding digit systems (tent/doubling) are simulated exactly on an
 implicit infinite digit stream, and the engine holds every digit packed.
@@ -177,7 +178,9 @@ def run_blocked(n_samples, master_seed, labels, kernel, threads=1):
     ``kernel`` must return a tuple of 1-d arrays of length ``count`` (or
     2-d with ``count`` rows).  Results are concatenated in block order.
     The digit first-hit kernels do not come here: they take every block's
-    generator and scan the whole run at once.
+    generator, draw each block's starts and scan the whole run at once.
+    The rotation and intermittent starts come here, from
+    ``hts.orbit_starts``.
     """
     gens = block_substreams(n_samples, master_seed, labels)
     counts = [count for _, _, count in block_slices(n_samples)]
@@ -703,34 +706,28 @@ def ball_first_hit_digits(
     circle,
     cap,
     start_j=1,
-    initial_digits=None,
+    arcs=None,
     chunk=256,
 ):
     """First j in [start_j, cap) with dist(f^j x, zeta) < eta, for the
     ``count`` lanes of ``rng.block_slices(count)``; ``gens`` holds each
     block's generator.
 
-    ``initial_digits``, a (lanes, 1) packed digit matrix, fixes the 53
-    leading digits of the start point — used by conditional (return-time)
-    starts drawn by inverse-CDF; the tail beyond 53 digits is drawn iid,
-    which misstates the conditional law only on boundary cells of mass
-    O(2^-53).  Without it each block first draws its lanes' start windows.
+    Each block first draws its lanes' start windows on its generator:
+    stationary ones, or given the target's CDF ``arcs``, conditional
+    (return-time) ones by inverse CDF (``conditional_digit_starts``).
+    These fix the 53 leading digits of the start point; the tail beyond 53
+    digits is drawn iid, which misstates the conditional law only on
+    boundary cells of mass O(2^-53).
     """
     sizes = _block_sizes(count, gens)
     scratch = _Scratch()
-    if initial_digits is None:
-        window = np.empty(count, dtype=np.uint64)
-        for (_, lo, size), gen in zip(block_slices(count), gens):
-            window[lo:lo + size] = draw_digits(gen, size, WINDOW_BITS, p_zero,
-                                               scratch)[:, 0]
-    else:
-        window = np.asarray(initial_digits)
-        if window.shape != (count, 1) or window.dtype != np.uint64:
-            raise DomainError(
-                f"initial_digits must be a ({count}, 1) packed uint64 digit "
-                f"matrix; got shape {window.shape} of {window.dtype}"
-            )
-        window = window[:, 0]
+    window = np.empty(count, dtype=np.uint64)
+    for (_, lo, size), gen in zip(block_slices(count), gens):
+        starts = (draw_digits(gen, size, WINDOW_BITS, p_zero, scratch)
+                  if arcs is None else
+                  conditional_digit_starts(gen, size, arcs=arcs, p_zero=p_zero))
+        window[lo:lo + size] = starts[:, 0]
     pieces = _ball_windows(zeta, eta, circle)
     table = _prefix_table(pieces, tent)
     inside_before = (_in_ball(window, pieces, np.empty(count, dtype=bool),
@@ -854,16 +851,11 @@ def _in_ball(words, pieces, out, offsets):
 
 # --------------------------------------------------------------- rotation
 
-def rotation_starts(gen, count):
-    """Stationary (uniform) fixed-point positions on the 2^63 grid."""
-    return gen.integers(0, FIXED_ONE, size=count, dtype=np.uint64)
-
-
 def rotation_first_hit(
-    gen, count, *, step_fixed, lo, hi, cap, start_j=1, starts, chunk=64
+    count, *, step_fixed, lo, hi, cap, start_j=1, starts, chunk=64
 ):
     """First j in [start_j, cap) with the rotated position in [lo, hi),
-    for the ``count`` lanes that start at ``starts``; ``gen`` is unused.
+    for the ``count`` lanes that start at ``starts``.
 
     Positions are 63-bit integers; the step is the quantized angle, so
     the sweep is exact and matches the scalar map for every lane.  The
@@ -893,18 +885,17 @@ def rotation_first_hit(
                       (s,))
 
 
-def rotation_min_distance(gen, count, *, step_fixed, zeta_fixed, n_steps,
-                          starts):
+def rotation_min_distance(*, step_fixed, zeta_fixed, n_steps, starts):
     """Circle distance minimum dist(f^j x, zeta) over j < n_steps, for the
-    ``count`` lanes that start at ``starts``; ``gen`` is unused.  Offsets d
-    on the doubled 2^64 grid are at circle distance min(d, -d); doubling
-    commutes with rounding to float, so the distances are the 2^63 grid's."""
+    lanes that start at ``starts``.  Offsets d on the doubled 2^64 grid are
+    at circle distance min(d, -d); doubling commutes with rounding to
+    float, so the distances are the 2^63 grid's."""
     if n_steps < 1:
         raise DomainError("need at least one orbit point")
     s = starts << np.uint64(1)
     step = np.uint64(2 * step_fixed % 2**64)
     z = np.uint64(2 * zeta_fixed % 2**64)
-    best = np.full(count, 2**64 - 1, dtype=np.uint64)
+    best = np.full_like(s, 2**64 - 1)
     diff = np.empty_like(s)
     for _ in range(n_steps):
         np.subtract(s, z, out=diff)
@@ -916,12 +907,12 @@ def rotation_min_distance(gen, count, *, step_fixed, zeta_fixed, n_steps,
 
 # ----------------------------------------------------------- intermittent
 
-def mp_min_distance(gen, count, *, s_exp, zeta, n_steps, starts):
+def mp_min_distance(*, s_exp, zeta, n_steps, starts):
     """Minimum interval distance to zeta along intermittent-map orbits.
 
     ``starts`` come from the caller (stationary draws from the empirical
-    invariant measure); ``gen`` is unused.  The update is numpy's array
-    pow, which depends on a lane's start alone, not on its position.
+    invariant measure).  The update is numpy's array pow, which depends on
+    a lane's start alone, not on its position.
     """
     if n_steps < 1:
         raise DomainError("need at least one orbit point")
@@ -935,10 +926,9 @@ def mp_min_distance(gen, count, *, s_exp, zeta, n_steps, starts):
     return (best,)
 
 
-def mp_first_hit(gen, count, *, s_exp, eta, zeta, cap, start_j, starts,
-                 chunk=64):
+def mp_first_hit(count, *, s_exp, eta, zeta, cap, start_j, starts, chunk=64):
     """First j in [start_j, cap) with |f^j x - zeta| < eta (intermittent),
-    for the ``count`` lanes that start at ``starts``; ``gen`` is unused.
+    for the ``count`` lanes that start at ``starts``.
 
     Each step of a chunk writes one column of the chunk's inside matrix, so
     no float (lanes, chunk) matrix is kept.

@@ -23,7 +23,6 @@ marginal all stay below the level with probability (1 - m)^n
 (``iid_no_exceedance``).
 """
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -34,10 +33,9 @@ from . import engine, hts
 from .errors import (
     DomainError,
     OutOfRange,
-    UnsupportedCombination,
     ZeroMassCylinder,
 )
-from .measures import EmpiricalOrbit, Lebesgue1D, digit_p_zero
+from .measures import digit_p_zero
 from .observables import BallObservable, CylinderObservable, GKind, GShape
 from .systems import DIGIT_KINDS, FIXED_ONE, MapKind, Metric
 
@@ -95,14 +93,12 @@ def sample_ball_min_distances(
     """
     if n_steps < 1:
         raise DomainError("need at least one orbit point")
-    measure = obs.measure
-    zeta = obs.zeta_value
-    circle = measure.metric is Metric.CIRCLE
-
+    measure, zeta = obs.measure, obs.zeta_value
     labels = (*labels, "dyn")
     if system.kind in DIGIT_KINDS:
         p_zero = digit_p_zero(measure)
         tent = system.kind is MapKind.FULL_TENT
+        circle = measure.metric is Metric.CIRCLE
 
         def kernel(gen, count):
             return engine.digit_window_min_distance(
@@ -113,32 +109,14 @@ def sample_ball_min_distances(
                                   threads=threads)[0]
     # The orbit maps draw only their starts, block by block; one scan then
     # steps every lane.
+    starts = hts.orbit_starts(system, measure, n_samples, seed, labels,
+                              threads)
     if system.kind is MapKind.ROTATION:
-        if not isinstance(measure, Lebesgue1D):
-            raise UnsupportedCombination(
-                "rotations preserve length; use the Lebesgue measure")
-
-        def draw(gen, count):
-            return (engine.rotation_starts(gen, count),)
-        scan = functools.partial(
-            engine.rotation_min_distance, step_fixed=system.fixed_angle,
-            zeta_fixed=round(zeta * FIXED_ONE))
-    elif system.kind is MapKind.MANNEVILLE_POMEAU:
-        if not isinstance(measure, EmpiricalOrbit):
-            raise UnsupportedCombination(
-                "intermittent maps need the empirical orbit measure"
-            )
-        orbit = measure.orbit
-
-        def draw(gen, count):
-            return (orbit[gen.integers(0, orbit.size, size=count)],)
-        scan = functools.partial(engine.mp_min_distance, s_exp=system.s,
-                                 zeta=zeta)
-    else:  # pragma: no cover - enum is exhaustive
-        raise UnsupportedCombination(system.kind)
-    starts = engine.run_blocked(n_samples, seed, labels, draw,
-                                threads=threads)[0]
-    return scan(None, n_samples, n_steps=n_steps, starts=starts)[0]
+        return engine.rotation_min_distance(
+            step_fixed=system.fixed_angle, zeta_fixed=round(zeta * FIXED_ONE),
+            n_steps=n_steps, starts=starts)[0]
+    return engine.mp_min_distance(s_exp=system.s, zeta=zeta, n_steps=n_steps,
+                                  starts=starts)[0]
 
 
 def ball_maxima_values(min_distances: np.ndarray,
@@ -207,7 +185,6 @@ def sample_cylinder_no_entry(
     n_samples: int,
     seed: int,
     labels: tuple = ("cylinder-maxima",),
-    threads: int = 1,
 ) -> np.ndarray:
     """Indicators of {M_window <= level}, one column per schedule.
 
@@ -232,8 +209,8 @@ def sample_cylinder_no_entry(
     windows = np.array([s.window for s in schedules], dtype=np.int64)
     times = hts.first_hits(
         system, target, cap=int(windows.max()), n_samples=n_samples,
-        seed=seed, labels=(*labels, "dyn"), threads=threads,
-        conditional=False, start_j=0, measure=measure)[0]
+        seed=seed, labels=(*labels, "dyn"), conditional=False, start_j=0,
+        measure=measure)[0]
     return times[:, None] >= windows
 
 

@@ -348,8 +348,8 @@ def _run_evl_cylinders(cfg: ExperimentConfig) -> tuple[_Report, dict]:
     # one first-entry scan per depth gives the no-entry share at every tau
     no_entry = np.concatenate([evl.sample_cylinder_no_entry(
         obs, row, n_samples=samples, seed=cfg["master_seed"],
-        labels=("evl-cylinders", f"n={row[0].depth}"),
-        threads=cfg["threads"]).mean(axis=0) for row in by_depth])
+        labels=("evl-cylinders", f"n={row[0].depth}")).mean(axis=0)
+        for row in by_depth])
     per_cell = []
     for sched, p_dyn in zip(schedules, no_entry):
         depth, tau = sched.depth, sched.tau
@@ -545,8 +545,7 @@ def _run_conditions(cfg: ExperimentConfig) -> tuple[_Report, dict]:
         record("mixing-gap", gap, mixing_gap_estimate(
             system, measure, target, block_n=block_n, gap=gap,
             n_samples=samples, seed=seed,
-            labels=("conditions", "mixing", f"gap={gap}"), threads=threads,
-            floor=floor))
+            labels=("conditions", "mixing", f"gap={gap}"), floor=floor))
 
     return out, {
         "target": {"depth": depth, "mass": _q(target.mass, exact=True)},

@@ -10,19 +10,19 @@ shows rate 1.
 
 Every first-entry run samples here, in ``first_hits``: hitting, return,
 cylinder no-entry (``evl``, from j = 0) and mixing-gap (``conditions``,
-from j = gap) runs.
-``word_scan`` is the one map from a tent or doubling cylinder to a word
-scan.
+from j = gap) runs.  ``word_scan`` is the one map from a tent or doubling
+cylinder to a word scan, and ``orbit_starts`` the one draw of rotation
+and intermittent starts, which ``evl`` shares.
 
 Hitting runs start from the stationary measure; return runs condition
-the start on the target itself (exact letter preload for cylinders,
-digit-by-digit CDF inversion for balls under the digit-product measures,
-uniform arc points for rotations, orbit points inside the set for the
-intermittent map).  Kac's identity — mean return time times target mass
-equals 1 — is checked from the same samples with a CLT band.
+the start on the target itself.  The digit kernels draw these starts
+themselves: an exact letter preload for cylinders, and digit-by-digit CDF
+inversion for balls under the digit-product measures.  ``orbit_starts``
+draws uniform arc points for rotations and orbit points inside the ball
+for the intermittent map.  Kac's identity — mean return time times target
+mass equals 1 — is checked from the same samples with a CLT band.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -36,8 +36,7 @@ from .errors import (
     UnsupportedCombination,
 )
 from .laws import EmpiricalLaw, survival_integral
-from .measures import EmpiricalOrbit, MeasureModel, digit_p_zero
-from .rng import block_slices
+from .measures import EmpiricalOrbit, Lebesgue1D, MeasureModel, digit_p_zero
 from .systems import DIGIT_KINDS, FIXED_ONE, MapKind, MapSystem, Metric
 
 #: Default normalized horizon: caps at 50 expected return times.
@@ -167,17 +166,73 @@ def first_hits(system, target, *, cap, n_samples, seed, labels, threads=1,
     substream.  The digit maps draw as they scan: one kernel call takes
     every block's generator and scans all the blocks in one pass on the
     calling thread, whatever ``threads`` is.  The rotation and the
-    intermittent map draw only their starts, block by block, and one scan
-    then steps all ``n_samples`` lanes.
+    intermittent map draw only their starts, in ``orbit_starts``, and one
+    scan then steps all ``n_samples`` lanes.
     """
     if system.kind in DIGIT_KINDS:
         gens = engine.block_substreams(n_samples, seed, labels)
         return _digit_first_hits(system, target, gens, n_samples, cap,
                                  start_j, conditional, measure)
-    draw, scan = _orbit_hit_scan(system, target, conditional, measure)
-    starts = engine.run_blocked(n_samples, seed, labels, draw,
-                                threads=threads)[0]
-    return scan(None, n_samples, cap=cap, start_j=start_j, starts=starts)
+    if system.kind is MapKind.MANNEVILLE_POMEAU and target.kind != "ball":
+        raise UnsupportedCombination(
+            "the intermittent map has no partition cylinders here")
+    starts = orbit_starts(system, measure, n_samples, seed, labels, threads,
+                          inside=target if conditional else None)
+    if system.kind is MapKind.ROTATION:
+        lo, hi = _rotation_arc(target)
+        return engine.rotation_first_hit(
+            n_samples, step_fixed=system.fixed_angle, lo=lo, hi=hi, cap=cap,
+            start_j=start_j, starts=starts)
+    return engine.mp_first_hit(
+        n_samples, s_exp=system.s, eta=target.eta, zeta=target.zeta_value,
+        cap=cap, start_j=start_j, starts=starts)
+
+
+def orbit_starts(system, measure, n_samples, seed, labels, threads,
+                 inside=None):
+    """The start of each of ``n_samples`` rotation or intermittent lanes,
+    drawn block by block through ``engine.run_blocked``: stationary, or
+    uniform on the target ``inside``.
+
+    Rotation starts are uniform points of the 2^63 grid, on the circle
+    (Lebesgue; ``measure`` may be None) or on the target's arc
+    (``_rotation_arc``).  Intermittent starts are uniform picks from the
+    empirical orbit, or from its points inside the target ball.
+    """
+    if system.kind is MapKind.ROTATION:
+        if not (measure is None or isinstance(measure, Lebesgue1D)):
+            raise UnsupportedCombination(
+                "rotations preserve length; use the Lebesgue measure")
+        lo, hi = (0, FIXED_ONE) if inside is None else _rotation_arc(inside)
+
+        def draw(gen, count):
+            return (gen.integers(lo, hi, size=count, dtype=np.uint64),)
+    elif system.kind is MapKind.MANNEVILLE_POMEAU:
+        if not isinstance(measure, EmpiricalOrbit):
+            raise UnsupportedCombination(
+                "intermittent maps need the empirical orbit measure")
+        points = measure.orbit
+        if inside is not None:
+            points = points[np.abs(points - inside.zeta_value) < inside.eta]
+            if points.size == 0:
+                raise DomainError("no orbit point falls in the target ball")
+
+        def draw(gen, count):
+            return (points[gen.integers(0, points.size, size=count)],)
+    else:  # pragma: no cover - the digit maps draw their own starts
+        raise UnsupportedCombination(system.kind)
+    return engine.run_blocked(n_samples, seed, labels, draw,
+                              threads=threads)[0]
+
+
+def _rotation_arc(target):
+    """The fixed-point arc [lo, hi) of a rotation target.  A ball shifts to
+    the arc [0, width): uniform starts are shift-invariant, so stationary
+    sampling is unchanged and conditional starts are uniform on the arc."""
+    if target.kind == "cylinder":
+        return target.arc
+    width = min(round(2 * target.eta * FIXED_ONE), FIXED_ONE)
+    return 0, max(int(width), 1)
 
 
 def word_scan(system: MapSystem, measure, target: TargetSet) -> dict:
@@ -199,67 +254,11 @@ def _digit_first_hits(system, target, gens, count, cap, start_j,
         return engine.word_first_hit(
             gens, count, **word_scan(system, measure, target), cap=cap,
             start_j=start_j, preload=conditional)
-    p_zero = digit_p_zero(measure)
-    initial = None
-    if conditional:
-        # each block draws its starts before its scan's digits
-        initial = np.concatenate([
-            engine.conditional_digit_starts(gen, size, arcs=target.cdf_arcs,
-                                            p_zero=p_zero)
-            for gen, (_, _, size) in zip(gens, block_slices(count))])
     return engine.ball_first_hit_digits(
         gens, count, eta=target.eta, zeta=target.zeta_value,
-        tent=system.kind is MapKind.FULL_TENT, p_zero=p_zero,
+        tent=system.kind is MapKind.FULL_TENT, p_zero=digit_p_zero(measure),
         circle=measure.metric is Metric.CIRCLE, cap=cap, start_j=start_j,
-        initial_digits=initial)
-
-
-def _orbit_hit_scan(system, target, conditional, measure):
-    """(draw, scan) of a rotation or intermittent first-hit run:
-    ``draw(gen, count)`` gives one block's starts and ``scan`` is the
-    first-hit kernel, bound to the target, that steps every lane at once."""
-    if system.kind is MapKind.ROTATION:
-        if target.kind == "cylinder":
-            lo, hi = target.arc
-        else:
-            # Shift coordinates so the ball becomes the arc [0, width):
-            # uniform starts are shift-invariant, so stationary sampling
-            # is unchanged and conditional starts are uniform on the arc.
-            width = min(round(2 * target.eta * FIXED_ONE), FIXED_ONE)
-            lo, hi = 0, max(int(width), 1)
-
-        def draw(gen, count):
-            if conditional:
-                return (gen.integers(lo, hi, size=count, dtype=np.uint64),)
-            return (engine.rotation_starts(gen, count),)
-        return draw, functools.partial(
-            engine.rotation_first_hit, step_fixed=system.fixed_angle, lo=lo,
-            hi=hi)
-
-    if system.kind is MapKind.MANNEVILLE_POMEAU:
-        if target.kind != "ball":
-            raise UnsupportedCombination(
-                "the intermittent map has no partition cylinders here"
-            )
-        if not isinstance(measure, EmpiricalOrbit):
-            raise DomainError("intermittent runs need the empirical orbit")
-        orbit = measure.orbit
-        eta, zeta = target.eta, target.zeta_value
-        if conditional:
-            inside = np.flatnonzero(np.abs(orbit - zeta) < eta)
-            if inside.size == 0:
-                raise DomainError("no orbit point falls in the target ball")
-
-            def draw(gen, count):
-                return (orbit[inside[gen.integers(0, inside.size,
-                                                  size=count)]],)
-        else:
-            def draw(gen, count):
-                return (orbit[gen.integers(0, orbit.size, size=count)],)
-        return draw, functools.partial(
-            engine.mp_first_hit, s_exp=system.s, eta=eta, zeta=zeta)
-
-    raise UnsupportedCombination(system.kind)  # pragma: no cover - exhaustive
+        arcs=target.cdf_arcs if conditional else None)
 
 
 # ------------------------------------------------------------------- Kac

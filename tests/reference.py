@@ -55,13 +55,11 @@ from evlhts.cylinders import PartitionContext, smb_estimate
 from evlhts.engine import (
     _Scratch,
     ball_first_hit_digits,
-    conditional_digit_starts,
     draw_digits,
     mp_first_hit,
     mp_min_distance,
     rotation_first_hit,
     rotation_min_distance,
-    rotation_starts,
     run_blocked,
     word_first_hit,
 )
@@ -525,10 +523,11 @@ def per_block_orbit_hits(system, target, *, cap, n_samples, seed, labels,
 
         def kernel(gen, count):
             starts = (gen.integers(lo, hi, size=count, dtype=np.uint64)
-                      if conditional else rotation_starts(gen, count))
+                      if conditional else
+                      gen.integers(0, FIXED_ONE, size=count, dtype=np.uint64))
             return rotation_first_hit(
-                gen, count, step_fixed=system.fixed_angle, lo=lo, hi=hi,
-                cap=cap, start_j=start_j, starts=starts)
+                count, step_fixed=system.fixed_angle, lo=lo, hi=hi, cap=cap,
+                start_j=start_j, starts=starts)
     else:
         orbit, zeta, eta = measure.orbit, target.zeta_value, target.eta
         inside = (np.flatnonzero(np.abs(orbit - zeta) < eta) if conditional
@@ -537,7 +536,7 @@ def per_block_orbit_hits(system, target, *, cap, n_samples, seed, labels,
         def kernel(gen, count):
             starts = orbit[inside[gen.integers(0, inside.size, size=count)]]
             return mp_first_hit(
-                gen, count, s_exp=system.s, eta=eta, zeta=zeta, cap=cap,
+                count, s_exp=system.s, eta=eta, zeta=zeta, cap=cap,
                 start_j=start_j, starts=starts)
     return run_blocked(n_samples, seed, labels, kernel, threads=threads)
 
@@ -555,15 +554,12 @@ def per_block_digit_hits(system, target, gens, *, cap, n_samples,
                 [gen], count, **word_scan(system, measure, target), cap=cap,
                 start_j=start_j, preload=conditional))
             continue
-        p_zero = digit_p_zero(measure)
-        initial = (conditional_digit_starts(gen, count, arcs=target.cdf_arcs,
-                                            p_zero=p_zero)
-                   if conditional else None)
         parts.append(ball_first_hit_digits(
             [gen], count, eta=target.eta, zeta=target.zeta_value,
-            tent=system.kind is MapKind.FULL_TENT, p_zero=p_zero,
+            tent=system.kind is MapKind.FULL_TENT,
+            p_zero=digit_p_zero(measure),
             circle=measure.metric is Metric.CIRCLE, cap=cap,
-            start_j=start_j, initial_digits=initial))
+            start_j=start_j, arcs=target.cdf_arcs if conditional else None))
     return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
@@ -575,15 +571,16 @@ def per_block_orbit_min_distances(obs: BallObservable, system, *, n_steps,
     if system.kind is MapKind.ROTATION:
         def kernel(gen, count):
             return rotation_min_distance(
-                gen, count, step_fixed=system.fixed_angle,
+                step_fixed=system.fixed_angle,
                 zeta_fixed=round(zeta * FIXED_ONE), n_steps=n_steps,
-                starts=rotation_starts(gen, count))
+                starts=gen.integers(0, FIXED_ONE, size=count,
+                                    dtype=np.uint64))
     else:
         orbit = obs.measure.orbit
 
         def kernel(gen, count):
             return mp_min_distance(
-                gen, count, s_exp=system.s, zeta=zeta, n_steps=n_steps,
+                s_exp=system.s, zeta=zeta, n_steps=n_steps,
                 starts=orbit[gen.integers(0, orbit.size, size=count)])
     return run_blocked(n_samples, seed, (*labels, "dyn"), kernel,
                        threads=threads)[0]

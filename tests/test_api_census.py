@@ -14,6 +14,15 @@ The census is a lower bound.  A class member is matched by its name, not
 by its owner: it passes when an attribute of that name is read off any
 object, so ``Foo.size`` counts as read wherever some array's ``.size`` is.
 A member that only shares a common name can be dead and still pass.
+
+A second census checks parameters: every module-level function and
+method must read each parameter it declares, since a parameter that
+nothing reads is an argument every caller passes for nothing.  A
+method's receiver (``self``, ``cls``) and a body that only raises
+``NotImplementedError`` are exempt.  Reads inside nested functions count
+for the function that declares the parameter, and the nested functions
+themselves, such as the kernels' ``scan`` callbacks whose signature the
+first-hit scan fixes, are not checked.
 """
 
 import ast
@@ -93,6 +102,41 @@ def unread(sources: dict[str, str], harness: list[str]) -> list[str]:
     return missing
 
 
+def _raises_not_implemented(fn: ast.FunctionDef) -> bool:
+    body = [st for st in fn.body if not (isinstance(st, ast.Expr) and
+                                         isinstance(st.value, ast.Constant))]
+    return (len(body) == 1 and isinstance(body[0], ast.Raise)
+            and "NotImplementedError" in ast.unparse(body[0]))
+
+
+def unread_parameters(module: str, source: str) -> list[str]:
+    """``module.function.parameter`` (or ``module.Class.method.parameter``)
+    for each parameter that its function never reads."""
+    functions = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef):
+            functions.append((f"{module}.{node.name}", node, False))
+        elif isinstance(node, ast.ClassDef):
+            functions += [
+                (f"{module}.{node.name}.{item.name}", item, not any(
+                    isinstance(d, ast.Name) and d.id == "staticmethod"
+                    for d in item.decorator_list))
+                for item in node.body if isinstance(item, ast.FunctionDef)]
+    missing = []
+    for qualname, fn, bound in functions:
+        if _raises_not_implemented(fn):
+            continue
+        a = fn.args
+        params = [*a.posonlyargs, *a.args][bound:] + [*a.kwonlyargs]
+        params += [p for p in (a.vararg, a.kwarg) if p is not None]
+        loaded = {node.id for stmt in fn.body for node in ast.walk(stmt)
+                  if isinstance(node, ast.Name)
+                  and isinstance(node.ctx, ast.Load)}
+        missing += [f"{qualname}.{p.arg}" for p in params
+                    if p.arg not in loaded]
+    return missing
+
+
 def test_detects_an_unread_name():
     src = {
         "m": (
@@ -124,3 +168,29 @@ def test_allow_list_is_current():
     sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
     harness = [p.read_text() for p in sorted(BENCHMARKS.glob("*.py"))]
     assert set(ALLOWED) <= set(unread(sources, harness))
+
+
+def test_detects_an_unread_parameter():
+    src = (
+        "class Shape:\n"
+        "    def area(self, scale):\n"
+        "        raise NotImplementedError\n"
+        "    def grow(self, by, unused):\n"
+        "        return by\n"
+        "    @staticmethod\n"
+        "    def make(kind):\n"
+        "        return Shape()\n"
+        "def kernel(gen, count, *, cap, **extra):\n"
+        "    def scan(tile, cols):\n"
+        "        return gen, cols\n"
+        "    return scan(count, cap)\n"
+    )
+    # ``gen`` is read only in the nested ``scan``, whose own unread
+    # ``tile`` is not checked
+    assert unread_parameters("m", src) == [
+        "m.Shape.grow.unused", "m.Shape.make.kind", "m.kernel.extra"]
+
+
+def test_every_parameter_is_read():
+    assert [q for p in sorted(SRC.glob("*.py"))
+            for q in unread_parameters(p.stem, p.read_text())] == []

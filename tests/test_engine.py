@@ -20,7 +20,6 @@ from evlhts.engine import (
     mp_min_distance,
     rotation_first_hit,
     rotation_min_distance,
-    rotation_starts,
     run_blocked,
     word_first_hit,
     word_hit_count,
@@ -39,6 +38,12 @@ from reference import (
     unpack_digits,
     window_from_digits,
 )
+
+
+def grid_starts(gen, count):
+    """Uniform starts on the rotation's 2^63 grid, as ``hts.orbit_starts``
+    draws them."""
+    return gen.integers(0, FIXED_ONE, size=count, dtype=np.uint64)
 
 
 class ScriptedDigits:
@@ -402,12 +407,15 @@ def reference_digit_window_min_distance(gen, count, *, n_steps, p_zero, tent,
 
 
 def reference_ball_first_hit_digits(gen, count, *, eta, zeta, tent, p_zero,
-                                    circle, cap, start_j=1,
-                                    initial_digits=None, chunk=256):
-    """Per-step reference for ``ball_first_hit_digits``."""
-    if initial_digits is None:
-        initial_digits = reference_digits(gen, count, 53, p_zero)
-    v = reference_window(initial_digits)
+                                    circle, cap, start_j=1, arcs=None,
+                                    chunk=256):
+    """Per-step reference for ``ball_first_hit_digits``: with ``arcs`` the
+    conditional starts come first, on the same generator."""
+    if arcs is None:
+        v = reference_window(reference_digits(gen, count, 53, p_zero))
+    else:
+        v = reference_window(conditional_digit_starts(gen, count, arcs=arcs,
+                                                      p_zero=p_zero))
     parity = np.zeros(count, dtype=bool)
     times = np.full(count, cap, dtype=np.int64)
     lane = np.arange(count)
@@ -667,11 +675,8 @@ class TestBallStreamEquivalence:
                   circle=circle, cap=start_j + 403, start_j=start_j,
                   chunk=chunk)
         if conditional:
-            # starts drawn from the measure restricted to a CDF interval
-            kw["initial_digits"] = conditional_digit_starts(
-                substream(2024, "starts", *label), self.LANES,
-                arcs=([0.2, 0.7], [0.3, 0.95]), p_zero=p_zero,
-            )
+            # starts drawn from the measure restricted to two CDF intervals
+            kw["arcs"] = ([0.2, 0.7], [0.3, 0.95])
         self.check(reference_ball_first_hit_digits,
                    one_block(ball_first_hit_digits),
                    label, **kw)
@@ -835,7 +840,7 @@ class TestPrefixTable:
         assert 0 < table.sum() <= 8 * 2 * 2 ** 7
 
 
-def reference_rotation_first_hit(gen, count, *, step_fixed, lo, hi, cap,
+def reference_rotation_first_hit(count, *, step_fixed, lo, hi, cap,
                                  start_j=1, starts, chunk=64):
     """Per-step reference for ``rotation_first_hit``: one rotation step per
     iteration over every live lane."""
@@ -868,7 +873,7 @@ def reference_rotation_first_hit(gen, count, *, step_fixed, lo, hi, cap,
     return times, times < cap
 
 
-def reference_mp_first_hit(gen, count, *, s_exp, eta, zeta, cap, start_j,
+def reference_mp_first_hit(count, *, s_exp, eta, zeta, cap, start_j,
                            starts, chunk=64):
     """Per-step reference for ``mp_first_hit``."""
     x = starts.copy()
@@ -925,12 +930,12 @@ class TestOrbitKernelEquivalence:
             starts = substream(7, "starts", *label).integers(
                 lo, hi, size=self.LANES, dtype=np.uint64)
         else:
-            starts = rotation_starts(substream(7, *label), self.LANES)
+            starts = grid_starts(substream(7, *label), self.LANES)
         kw = dict(step_fixed=step, lo=lo, hi=hi, cap=cap, start_j=start_j,
                   starts=starts, chunk=chunk)
-        want = reference_rotation_first_hit(None, self.LANES, **kw)
+        want = reference_rotation_first_hit(self.LANES, **kw)
         kept = starts.copy()
-        got = rotation_first_hit(None, self.LANES, **kw)
+        got = rotation_first_hit(self.LANES, **kw)
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
         assert np.array_equal(starts, kept)  # the caller's starts stay put
@@ -948,9 +953,9 @@ class TestOrbitKernelEquivalence:
             starts = gen.random(self.LANES)
         kw = dict(s_exp=0.6, eta=eta, zeta=zeta, cap=cap, start_j=start_j,
                   starts=starts, chunk=chunk)
-        want = reference_mp_first_hit(None, self.LANES, **kw)
+        want = reference_mp_first_hit(self.LANES, **kw)
         kept = starts.copy()
-        got = mp_first_hit(None, self.LANES, **kw)
+        got = mp_first_hit(self.LANES, **kw)
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
         assert np.array_equal(starts, kept)  # the caller's starts stay put
@@ -1221,26 +1226,13 @@ class TestBallHitKernel:
             assert hit[i] == (want < cap)
 
     def test_conditional_initial_digits_are_respected(self):
-        # starts forced inside the ball: with start_j = 0 they hit at once
-        zeta, eta = 0.5, 0.05
-        gen = substream(3, "cond")
-        digits = conditional_digit_starts(
-            gen, 64, arcs=([0.45], [0.55]), p_zero=0.5
-        )
+        # starts drawn inside the ball: with start_j = 0 they hit at once
         times, hit = ball_first_hit_digits(
-            [gen], 64, eta=eta, zeta=zeta, tent=False, p_zero=0.5,
-            circle=False, cap=10, start_j=0, initial_digits=digits,
+            [substream(3, "cond")], 64, eta=0.05, zeta=0.5, tent=False,
+            p_zero=0.5, circle=False, cap=10, start_j=0,
+            arcs=([0.45], [0.55]),
         )
         assert hit.all() and (times == 0).all()
-
-    @pytest.mark.parametrize("shape", [(63, 53), (64, 52), (64,), (64, 53)])
-    def test_initial_digits_must_be_lanes_by_window(self, shape):
-        with pytest.raises(DomainError, match="initial_digits"):
-            ball_first_hit_digits(
-                [substream(1, "shape")], 64, eta=0.1, zeta=0.5, tent=False,
-                p_zero=0.5, circle=False, cap=10,
-                initial_digits=np.zeros(shape, dtype=bool),
-            )
 
 
 class TestRotationKernels:
@@ -1256,7 +1248,7 @@ class TestRotationKernels:
         )
         cap = 300
         times, hit = rotation_first_hit(
-            substream(1, "rot"), 4, step_fixed=self.step, lo=lo, hi=hi,
+            4, step_fixed=self.step, lo=lo, hi=hi,
             cap=cap, start_j=1, starts=starts,
         )
         for i, s0 in enumerate(starts.tolist()):
@@ -1274,8 +1266,7 @@ class TestRotationKernels:
         starts = np.array([int(0.1 * FIXED_ONE)], dtype=np.uint64)
         out = [
             rotation_min_distance(
-                substream(1, "rotmd"), 1, step_fixed=self.step, zeta_fixed=zf,
-                n_steps=n, starts=starts,
+                step_fixed=self.step, zeta_fixed=zf, n_steps=n, starts=starts,
             )[0][0]
             for n in (1, 5, 55)
         ]
@@ -1302,12 +1293,12 @@ class TestRotationKernels:
         lo = data.draw(st.one_of(st.just(0), st.integers(0, FIXED_ONE - 1)))
         hi = data.draw(st.one_of(st.just(FIXED_ONE),
                                  st.integers(lo + 1, FIXED_ONE)))
-        starts = rotation_starts(substream(seed, "any-arc"), 64)
+        starts = grid_starts(substream(seed, "any-arc"), 64)
         starts[:2] = [0, FIXED_ONE - 1]
         kw = dict(step_fixed=step, lo=lo, hi=hi, cap=150, start_j=start_j,
                   starts=starts, chunk=7)
-        want = reference_rotation_first_hit(None, 64, **kw)
-        got = rotation_first_hit(None, 64, **kw)
+        want = reference_rotation_first_hit(64, **kw)
+        got = rotation_first_hit(64, **kw)
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
 
@@ -1320,9 +1311,9 @@ class TestRotationKernels:
     def test_min_distance_equals_the_2_63_grid(self, step, zeta, n_steps,
                                                seed):
         # bit for bit: doubling commutes with rounding to float
-        starts = rotation_starts(substream(seed, "any-zeta"), 8)
+        starts = grid_starts(substream(seed, "any-zeta"), 8)
         starts[:2] = [0, FIXED_ONE - 1]
-        got = rotation_min_distance(None, 8, step_fixed=step, zeta_fixed=zeta,
+        got = rotation_min_distance(step_fixed=step, zeta_fixed=zeta,
                                     n_steps=n_steps, starts=starts)[0]
         want = []
         for s0 in starts.tolist():
@@ -1336,15 +1327,15 @@ class TestRotationKernels:
     def test_min_distance_needs_a_step(self):
         with pytest.raises(DomainError):
             rotation_min_distance(
-                None, 2, step_fixed=self.step, zeta_fixed=0, n_steps=0,
-                starts=rotation_starts(substream(1, "z"), 2),
+                step_fixed=self.step, zeta_fixed=0, n_steps=0,
+                starts=grid_starts(substream(1, "z"), 2),
             )
 
     def test_start_must_precede_cap(self):
         with pytest.raises(DomainError):
             rotation_first_hit(
-                None, 2, step_fixed=self.step, lo=0, hi=10, cap=5, start_j=5,
-                starts=rotation_starts(substream(1, "z"), 2),
+                2, step_fixed=self.step, lo=0, hi=10, cap=5, start_j=5,
+                starts=grid_starts(substream(1, "z"), 2),
             )
 
 
@@ -1365,7 +1356,7 @@ class TestIntermittentKernels:
     def test_min_distance_matches_single_lane_reference(self, ):
         starts = np.array([0.123, 0.5, 0.9111])
         (got,) = mp_min_distance(
-            None, 3, s_exp=0.6, zeta=0.33, n_steps=12, starts=starts
+            s_exp=0.6, zeta=0.33, n_steps=12, starts=starts
         )
         for i, x0 in enumerate(starts):
             orbit = np_mp_orbit(x0, 1.6, 12)
@@ -1376,7 +1367,7 @@ class TestIntermittentKernels:
         system = manneville_pomeau(0.6)
         starts = np.array([0.123, 0.77])
         (got,) = mp_min_distance(
-            None, 2, s_exp=0.6, zeta=0.33, n_steps=10, starts=starts
+            s_exp=0.6, zeta=0.33, n_steps=10, starts=starts
         )
         for i, x0 in enumerate(starts):
             best = math.inf
@@ -1388,7 +1379,7 @@ class TestIntermittentKernels:
     def test_first_hit_matches_single_lane_reference(self):
         starts = np.array([0.123, 0.77])
         times, hit = mp_first_hit(
-            None, 2, s_exp=0.6, eta=0.05, zeta=0.4, cap=200, start_j=1,
+            2, s_exp=0.6, eta=0.05, zeta=0.4, cap=200, start_j=1,
             starts=starts,
         )
         for i, x0 in enumerate(starts):
@@ -1517,15 +1508,15 @@ class TestCapMonotonicity:
     def test_rotation_first_hit(self):
         kw = dict(step_fixed=rotation("golden").fixed_angle,
                   lo=int(0.6 * FIXED_ONE), hi=int(0.62 * FIXED_ONE), chunk=7,
-                  starts=rotation_starts(substream(14, "mono"), 500))
-        short, _ = rotation_first_hit(None, 500, cap=30, **kw)
-        long_, _ = rotation_first_hit(None, 500, cap=200, **kw)
+                  starts=grid_starts(substream(14, "mono"), 500))
+        short, _ = rotation_first_hit(500, cap=30, **kw)
+        long_, _ = rotation_first_hit(500, cap=200, **kw)
         assert np.array_equal(short, np.minimum(long_, 30))
 
     def test_mp_first_hit(self):
         starts = substream(15, "mono").random(500)
         kw = dict(s_exp=0.5, eta=0.02, zeta=0.3, start_j=1, starts=starts,
                   chunk=7)
-        short, _ = mp_first_hit(None, 500, cap=30, **kw)
-        long_, _ = mp_first_hit(None, 500, cap=200, **kw)
+        short, _ = mp_first_hit(500, cap=30, **kw)
+        long_, _ = mp_first_hit(500, cap=200, **kw)
         assert np.array_equal(short, np.minimum(long_, 30))

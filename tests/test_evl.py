@@ -295,16 +295,6 @@ class TestCylinderSampling:
         with pytest.raises(DomainError):
             sample_cylinder_no_entry(obs, [], n_samples=10, seed=1)
 
-    def test_threads_do_not_change_the_sample(self):
-        obs = tent_cylinder_obs(G2)
-        scheds = [cylinder_schedule(obs, depth=6, tau=tau)
-                  for tau in (1.0, 2.0)]
-        one = sample_cylinder_no_entry(obs, scheds, n_samples=5000, seed=9)
-        eight = sample_cylinder_no_entry(
-            obs, scheds, n_samples=5000, seed=9, threads=8
-        )
-        assert np.array_equal(one, eight)
-
     def test_rotation_context_rejected(self):
         ctx = PartitionContext(rotation("golden"), Lebesgue1D(Metric.CIRCLE))
         obs = CylinderObservable(G2, ctx, 0.0)

@@ -280,6 +280,15 @@ class TestIntermittent:
             sample_hit_times(system, tgt, cap=100, n_samples=10, seed=1)
 
 
+def test_rotation_needs_lebesgue():
+    # hitting runs share evl's start sampler and its measure check
+    target = ball_target(LEB_C, 0.3, mass=0.02)
+    with pytest.raises(UnsupportedCombination, match="Lebesgue"):
+        first_hits(rotation("golden"), target, cap=100, n_samples=10, seed=1,
+                   labels=("rotation-measure",),
+                   measure=BernoulliDoubling(0.3))
+
+
 class TestOneOrbitScan:
     """The rotation and intermittent runs draw each block's starts and then
     step every lane in one scan.  That equals the per-block route bit for
