@@ -4,12 +4,12 @@ Every kernel simulates independent samples with numpy array operations
 (lanes = samples).  A run's lanes fall into fixed-size blocks
 (``rng.block_slices``), and block i draws from the substream keyed by
 (seed, labels..., i), so outputs are bit-identical for any thread count.
-The digit first-hit kernels take every block's generator and scan all the
-blocks of a run in one pass on the calling thread, each block drawing its
-starts, return-time ball starts included, then its digits as it goes.
-``run_blocked`` runs a kernel once per block on a thread pool and
-concatenates results in block order; it serves the fixed-window digit
-kernels ``word_hit_count`` and ``digit_window_min_distance``, and
+The digit first-hit kernels and ``digit_window_min_distance`` take every
+block's generator and scan all the blocks of a run in one call on the
+calling thread, each block drawing its starts, return-time ball starts
+included, then its digits as it goes.  ``run_blocked`` runs a kernel once
+per block on a thread pool and concatenates results in block order; it
+serves the fixed-window word kernel ``word_hit_count`` and
 ``hts.orbit_starts``, which draws the rotation and intermittent starts.
 Those two maps draw nothing after their starts, so one scan then steps
 every lane of the run and takes no generator.
@@ -50,15 +50,29 @@ The fold 1 - d takes over on one side of c only and carries that side's
 trend across the seam 2^53 = 0, so the float distance rises, then falls,
 along the offsets (w - c) mod 2^53: the minimum-distance kernel keeps each
 lane's least and greatest offset and takes the float distance of those
-two windows at the end.  The first-hit kernel tests only candidate words
-against the intervals.  In the word at byte offset b, bits 60 .. 41 hold
-the tent parity and the 12-bit prefix of the window after each step
-8b - t, and a window inside an interval has its prefix in the interval's
-prefix range.  A table of 2^20 flags, built once per run, marks each value
-of those bits for which some step's prefix (complemented where the tent
-parity is 1) lies in a range; one lookup per word picks out the rare
-candidates, and only their 8 steps take the exact interval test.  The
-context after the chunk's last step is carried into the next chunk.
+two windows at the end.
+
+Both ball kernels lift only candidate words.  In the word at byte offset
+b, bits 60 .. 41 hold the tent parity and the 12-bit prefix of the window
+after each step 8b - t (complemented where the parity is 1).  A table over
+the 2^20 values of those bits, built once per run, picks out the rare
+candidates with one lookup per word, and only their 8 steps are lifted.
+A window inside an interval has its prefix in the interval's prefix range,
+so the first-hit kernel's table flags the values for which some step's
+prefix lies in a range.  For the minimum-distance kernel, let Q be the
+prefix of the centre word C = c << 11, and d = (P - Q) mod 4096 for a
+step's prefix P.  The top 12 bits of the step's offset (w - C) mod 2^64
+are d, or d - 1 mod 4096 where the bits of w below its prefix fall below
+C's.  So the step can lower the lane's least offset low only if
+d <= (low >> 52) + 1, and raise its greatest offset high only if d = 0 or
+4096 - d <= 4096 - (high >> 52).  The table holds the least
+min(d, 4096 - d) over a word's 8 steps, capped at 255, and a word is a
+candidate when its entry is at most the lane's threshold
+min(255, max((low >> 52) + 1, 4096 - (high >> 52))).  That drops no step
+that moves low or high, so both come out bit for bit as from every step.
+A lane that has seen one window bounds nothing, so each block's first
+chunk lifts every word.  The context after a chunk's last step is carried
+into the next chunk.
 
 Cylinder events need no positions at all.  Letters are the digits
 themselves for the doubling map and adjacent-digit XORs for the tent map,
@@ -177,9 +191,10 @@ def run_blocked(n_samples, master_seed, labels, kernel, threads=1):
 
     ``kernel`` must return a tuple of 1-d arrays of length ``count`` (or
     2-d with ``count`` rows).  Results are concatenated in block order.
-    The digit first-hit kernels do not come here: they take every block's
-    generator, draw each block's starts and scan the whole run at once.
-    The rotation and intermittent starts come here, from
+    The digit first-hit kernels and ``digit_window_min_distance`` do not
+    come here: they take every block's generator, draw each block's starts
+    and scan the whole run in one call.  ``word_hit_count`` runs come here,
+    and so do the rotation and intermittent starts, from
     ``hts.orbit_starts``.
     """
     gens = block_substreams(n_samples, master_seed, labels)
@@ -339,43 +354,121 @@ def _window_planes(words, cols, tent, scratch):
 
 
 def digit_window_min_distance(
-    gen, count, *, n_steps, p_zero, tent, zeta, circle, chunk=256
+    gens, count, *, n_steps, p_zero, tent, zeta, circle, chunk=256
 ):
-    """min_{0 <= j < n_steps} dist(f^j x, zeta) for stationary digit starts.
+    """min_{0 <= j < n_steps} dist(f^j x, zeta) for stationary digit starts,
+    for the ``count`` lanes of ``rng.block_slices(count)``; ``gens`` holds
+    each block's generator.
 
     The minimum orbit distance is a sufficient statistic for every ball
     observable around zeta: the running maximum of phi is phi at the
     closest visit.  Each lane keeps its least and greatest window offset
-    from zeta, and the closest visit is one of those two windows.
+    from zeta, and the closest visit is one of those two windows.  Each
+    block draws its start windows, then one digit matrix per chunk, on its
+    own generator.  The first chunk lifts every step of every word; later
+    chunks lift only the words that ``_distance_table`` lets through the
+    lane's threshold (``_thresholds``), which hold every step that can
+    move an extreme offset (module docstring).
     """
     if n_steps < 1:
         raise DomainError("need at least one orbit point")
+    _block_sizes(count, gens)
     # window words less the word of ceil(zeta 2^53) are offsets from zeta
     centre = np.uint64((math.ceil(zeta * 2.0 ** WINDOW_BITS) << _LOW) % 2**64)
+    table = _distance_table(centre, tent)
     scratch = _Scratch()
-    window = draw_digits(gen, count, WINDOW_BITS, p_zero, scratch)[:, 0]
-    # no digit lies left of the start window (b_0 = 0): no tent flip at j = 0
-    context = window >> np.uint64(_LOW)
-    low = window - centre
-    high = low.copy()
-    remaining = n_steps - 1
-    while remaining > 0:
-        cols = min(chunk, remaining)
-        words, context = _window_words(
-            context, draw_digits(gen, count, cols, p_zero, scratch), cols,
-            scratch)
-        least = scratch("least", words.shape, np.uint64)
-        most = scratch("most", words.shape, np.uint64)
-        least[...] = low[:, None]
-        most[...] = high[:, None]
-        for offsets in _window_planes(words, cols, tent, scratch):
-            offsets -= centre
-            np.minimum(least, offsets, out=least)
-            np.maximum(most, offsets, out=most)
-        low, high = least.min(axis=1), most.max(axis=1)
-        remaining -= cols
+    low = np.empty(count, dtype=np.uint64)
+    high = np.empty(count, dtype=np.uint64)
+    for (_, lo, size), gen in zip(block_slices(count), gens):
+        least, most = low[lo:lo + size], high[lo:lo + size]
+        window = draw_digits(gen, size, WINDOW_BITS, p_zero, scratch)[:, 0]
+        # no digit lies left of the start window (b_0 = 0): no tent flip at
+        # j = 0
+        context = window >> np.uint64(_LOW)
+        np.subtract(window, centre, out=least)
+        most[...] = least
+        for done in range(0, n_steps - 1, chunk):
+            cols = min(chunk, n_steps - 1 - done)
+            words, context = _window_words(
+                context, draw_digits(gen, size, cols, p_zero, scratch), cols,
+                scratch)
+            if done:
+                _filtered_extremes(words, cols, tent, centre, table, least,
+                                   most, scratch)
+            else:  # one window per lane bounds nothing yet
+                _dense_extremes(words, cols, tent, centre, least, most,
+                                scratch)
     nearest = ((np.stack([low, high]) + centre) >> np.uint64(_LOW)) * _SCALE
-    return (_distances(nearest, zeta, circle).min(axis=0),)
+    return _distances(nearest, zeta, circle).min(axis=0)
+
+
+def _dense_extremes(words, cols, tent, centre, low, high, scratch):
+    """Lowers ``low`` and raises ``high`` in place to the least and greatest
+    offset of any window of the chunk's ``words``, all 8 steps of each."""
+    for offsets in _window_planes(words, cols, tent, scratch):
+        offsets -= centre
+        np.minimum(low, offsets.min(axis=1), out=low)
+        np.maximum(high, offsets.max(axis=1), out=high)
+
+
+def _filtered_extremes(words, cols, tent, centre, table, low, high, scratch):
+    """``_dense_extremes`` by the exact lift of the candidate words alone:
+    those whose ``table`` entry is at most the lane's threshold.  The
+    lifts take the buffers of ``_window_planes``, which a filtered chunk
+    does not use."""
+    candidate = np.less_equal(_look_up(table, words, scratch),
+                              _thresholds(low, high)[:, None],
+                              out=scratch("candidate", words.shape, bool))
+    at = np.flatnonzero(candidate)
+    if not at.size:
+        return
+    lane, b = np.divmod(at, words.shape[1])
+    offsets = _lift(words.reshape(-1)[at], _TOP_SHIFTS[:, None], tent,
+                    scratch("plane", (8, at.size), np.uint64),
+                    scratch("flip", (8, at.size), np.int64))
+    offsets -= centre
+    # the last word's steps past cols repeat its step 1
+    if cols % 8:
+        last = b == words.shape[1] - 1
+        offsets[cols % 8:, last] = offsets[0, last]
+    np.minimum.at(low, lane, offsets.min(axis=0))
+    np.maximum.at(high, lane, offsets.max(axis=0))
+
+
+def _distance_table(centre, tent):
+    """The least cyclic prefix distance to the centre over a byte's 8 steps,
+    capped at 255, for the 2^20 values of a byte-offset word's bits
+    60 .. 41, in the ``_prefix_table`` layout.
+
+    Step s of a word has the 12-bit window prefix P (complemented where
+    the tent parity is 1), and the centre word C the prefix Q; its entry
+    is min(d, 4096 - d) for d = (P - Q) mod 4096.  Step s reads the 13
+    bits 19 - s .. 7 - s of the field, so the table over steps 0 .. s is
+    the table over steps 0 .. s - 1 read at the bits above the lowest,
+    lowered by step s's entry for the lowest 13 bits.
+    """
+    top = 1 << _PREFIX_BITS
+    d = (np.arange(top) - (int(centre) >> (64 - _PREFIX_BITS))) % top
+    near = np.minimum(np.minimum(d, top - d), 255).astype(np.uint8)
+    # one step's entry by its tent parity and prefix
+    step = np.concatenate([near, near[::-1] if tent else near])
+    table = step
+    for _ in range(7):
+        table = np.repeat(table, 2)
+        by_step = table.reshape(-1, step.size)
+        np.minimum(by_step, step, out=by_step)
+    return table
+
+
+def _thresholds(low, high):
+    """Each lane's greatest ``_distance_table`` entry of a word that can
+    hold a step below its least offset ``low`` or above its greatest
+    offset ``high`` (module docstring):
+    min(255, max((low >> 52) + 1, 4096 - (high >> 52)))."""
+    top = np.uint64(64 - _PREFIX_BITS)
+    below = (low >> top) + np.uint64(1)
+    above = np.uint64(1 << _PREFIX_BITS) - (high >> top)
+    return np.minimum(np.maximum(below, above), 255).astype(np.uint8)
 
 
 def iid_min_distance_uniform(gen, count, *, n_draws, zeta, circle, chunk=512):
@@ -488,6 +581,13 @@ def _block_sizes(count, gens=None):
         raise DomainError(f"{count} lanes take {len(sizes)} block "
                           f"generators; got {len(gens)}")
     return sizes
+
+
+def _check_starts(count, starts):
+    """An orbit first-hit run of ``count`` lanes takes one start per lane."""
+    if starts.size != count:
+        raise DomainError(f"{count} lanes take {count} starts; "
+                          f"got {starts.size}")
 
 
 def _tile_digits(gens, tile, cols, p_zero, scratch):
@@ -784,12 +884,7 @@ def _ball_column(words, table, pieces, tent, first, cols, scratch):
     lane, in byte order, so a lane's first candidate with a step inside
     holds its first column.
     """
-    field = np.right_shift(words.view(np.int64), _FIELD_SHIFT,
-                           out=scratch("field", words.shape, np.int64))
-    field &= table.size - 1
-    candidate = np.take(table, field, mode="wrap",
-                        out=scratch("candidate", words.shape, bool))
-    at = np.flatnonzero(candidate)
+    at = np.flatnonzero(_look_up(table, words, scratch))
     column = np.full(words.shape[0], cols, dtype=np.int64)
     if not at.size:
         return column
@@ -807,6 +902,18 @@ def _ball_column(words, table, pieces, tent, first, cols, scratch):
     lead[1:] = lane[1:] != lane[:-1]
     column[lane[lead]] = steps[lead]
     return column
+
+
+def _look_up(table, words, scratch):
+    """The entry of a 2^20-entry prefix table for bits 60 .. 41 of each
+    byte-offset word, in ``scratch``."""
+    # the fields take the buffer of _window_planes' flips, which a chunk
+    # that looks its words up does not lift
+    field = np.right_shift(words.view(np.int64), _FIELD_SHIFT,
+                           out=scratch("flip", words.shape, np.int64))
+    field &= table.size - 1
+    return np.take(table, field, mode="wrap",
+                   out=scratch("entry", words.shape, table.dtype))
 
 
 def _ball_windows(zeta, eta, circle):
@@ -866,6 +973,7 @@ def rotation_first_hit(
     """
     if not 0 <= lo < hi <= FIXED_ONE:
         raise DomainError("arc must satisfy 0 <= lo < hi <= 2^63")
+    _check_starts(count, starts)
     lo_u, last = np.uint64(2 * lo), np.uint64(2 * (hi - lo) - 1)
     offsets = np.array([2 * k * step_fixed % 2**64 for k in range(chunk + 1)],
                        dtype=np.uint64)
@@ -902,7 +1010,7 @@ def rotation_min_distance(*, step_fixed, zeta_fixed, n_steps, starts):
         np.minimum(diff, -diff, out=diff)
         np.minimum(best, diff, out=best)
         s += step
-    return (best * 2.0 ** -64,)
+    return best * 2.0 ** -64
 
 
 # ----------------------------------------------------------- intermittent
@@ -923,7 +1031,7 @@ def mp_min_distance(*, s_exp, zeta, n_steps, starts):
         x = x + x**e
         x -= x >= 1.0
         np.minimum(best, np.abs(x - zeta), out=best)
-    return (best,)
+    return best
 
 
 def mp_first_hit(count, *, s_exp, eta, zeta, cap, start_j, starts, chunk=64):
@@ -933,6 +1041,7 @@ def mp_first_hit(count, *, s_exp, eta, zeta, cap, start_j, starts, chunk=64):
     Each step of a chunk writes one column of the chunk's inside matrix, so
     no float (lanes, chunk) matrix is kept.
     """
+    _check_starts(count, starts)
     e = 1.0 + s_exp
     scratch = _Scratch()
 

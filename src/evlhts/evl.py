@@ -96,17 +96,11 @@ def sample_ball_min_distances(
     measure, zeta = obs.measure, obs.zeta_value
     labels = (*labels, "dyn")
     if system.kind in DIGIT_KINDS:
-        p_zero = digit_p_zero(measure)
-        tent = system.kind is MapKind.FULL_TENT
-        circle = measure.metric is Metric.CIRCLE
-
-        def kernel(gen, count):
-            return engine.digit_window_min_distance(
-                gen, count, n_steps=n_steps, p_zero=p_zero, tent=tent,
-                zeta=zeta, circle=circle,
-            )
-        return engine.run_blocked(n_samples, seed, labels, kernel,
-                                  threads=threads)[0]
+        return engine.digit_window_min_distance(
+            engine.block_substreams(n_samples, seed, labels), n_samples,
+            n_steps=n_steps, p_zero=digit_p_zero(measure),
+            tent=system.kind is MapKind.FULL_TENT, zeta=zeta,
+            circle=measure.metric is Metric.CIRCLE)
     # The orbit maps draw only their starts, block by block; one scan then
     # steps every lane.
     starts = hts.orbit_starts(system, measure, n_samples, seed, labels,
@@ -114,9 +108,9 @@ def sample_ball_min_distances(
     if system.kind is MapKind.ROTATION:
         return engine.rotation_min_distance(
             step_fixed=system.fixed_angle, zeta_fixed=round(zeta * FIXED_ONE),
-            n_steps=n_steps, starts=starts)[0]
+            n_steps=n_steps, starts=starts)
     return engine.mp_min_distance(s_exp=system.s, zeta=zeta, n_steps=n_steps,
-                                  starts=starts)[0]
+                                  starts=starts)
 
 
 def ball_maxima_values(min_distances: np.ndarray,

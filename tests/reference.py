@@ -564,26 +564,25 @@ def per_block_digit_hits(system, target, gens, *, cap, n_samples,
 
 
 def per_block_orbit_min_distances(obs: BallObservable, system, *, n_steps,
-                                  n_samples, seed, labels, threads=1):
+                                  n_samples, seed, labels):
     """``evl.sample_ball_min_distances`` on the rotation or the intermittent
     map, with the kernel run once per block on that block's starts."""
     zeta = obs.zeta_value
-    if system.kind is MapKind.ROTATION:
-        def kernel(gen, count):
-            return rotation_min_distance(
+    parts = []
+    for index, _, count in block_slices(n_samples):
+        gen = substream(seed, *labels, "dyn", index)
+        if system.kind is MapKind.ROTATION:
+            parts.append(rotation_min_distance(
                 step_fixed=system.fixed_angle,
                 zeta_fixed=round(zeta * FIXED_ONE), n_steps=n_steps,
                 starts=gen.integers(0, FIXED_ONE, size=count,
-                                    dtype=np.uint64))
-    else:
-        orbit = obs.measure.orbit
-
-        def kernel(gen, count):
-            return mp_min_distance(
+                                    dtype=np.uint64)))
+        else:
+            orbit = obs.measure.orbit
+            parts.append(mp_min_distance(
                 s_exp=system.s, zeta=zeta, n_steps=n_steps,
-                starts=orbit[gen.integers(0, orbit.size, size=count)])
-    return run_blocked(n_samples, seed, (*labels, "dyn"), kernel,
-                       threads=threads)[0]
+                starts=orbit[gen.integers(0, orbit.size, size=count)]))
+    return np.concatenate(parts)
 
 
 def uniform_cdf(y):

@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -25,7 +26,7 @@ from evlhts.engine import (
     word_hit_count,
 )
 from evlhts.errors import DomainError
-from evlhts.rng import BLOCK, substream
+from evlhts.rng import BLOCK, block_slices, substream
 from evlhts.systems import FIXED_ONE, manneville_pomeau, rotation
 from reference import (
     BitStreamPoint,
@@ -79,8 +80,8 @@ def script(monkeypatch):
 
 
 def one_block(kernel):
-    """A digit first-hit kernel called as a one-block kernel: ``gen`` is
-    the generator of the run's only block."""
+    """A digit kernel that takes every block's generator, called as a
+    one-block kernel: ``gen`` is the generator of the run's only block."""
     @functools.wraps(kernel)
     def run(gen, count, **kw):
         return kernel([gen], count, **kw)
@@ -113,8 +114,8 @@ class TestWindowKernel:
         n_steps = 25
         rows = random_digit_rows(7, 53 + n_steps - 1, seed=42 + tent)
         script(rows)
-        got, = digit_window_min_distance(
-            None, 7, n_steps=n_steps, p_zero=0.5, tent=tent,
+        got = digit_window_min_distance(
+            [None], 7, n_steps=n_steps, p_zero=0.5, tent=tent,
             zeta=0.71234, circle=circle,
         )
         want = [
@@ -126,8 +127,8 @@ class TestWindowKernel:
     def test_single_step_is_start_distance(self, script):
         rows = random_digit_rows(5, 53, seed=3)
         script(rows)
-        got, = digit_window_min_distance(
-            None, 5, n_steps=1, p_zero=0.5, tent=False,
+        got = digit_window_min_distance(
+            [None], 5, n_steps=1, p_zero=0.5, tent=False,
             zeta=0.3, circle=False,
         )
         starts = window_from_digits(pack_digits(rows))
@@ -137,8 +138,8 @@ class TestWindowKernel:
         # all-ones digits = the point 1 - 2^-53; tent sends it next to 0
         rows = [[1] * 60]
         script(rows)
-        got, = digit_window_min_distance(
-            None, 1, n_steps=8, p_zero=0.5, tent=True,
+        got = digit_window_min_distance(
+            [None], 1, n_steps=8, p_zero=0.5, tent=True,
             zeta=0.0, circle=False,
         )
         # the orbit min distance to 0 is reached at the second step
@@ -153,8 +154,8 @@ class TestWindowKernel:
         zeta = 2.0 ** -54
         rows = [[1] * 53 + [0] * 51 + [1, 1]]
         script(rows)
-        got, = digit_window_min_distance(
-            None, 1, n_steps=54, p_zero=0.5, tent=False, zeta=zeta,
+        got = digit_window_min_distance(
+            [None], 1, n_steps=54, p_zero=0.5, tent=False, zeta=zeta,
             circle=True,
         )
         want = scalar_min_distance(rows[0], 54, False, zeta, True)
@@ -383,18 +384,19 @@ def _reference_step(v, new_bit_float):
 
 
 def reference_digit_window_min_distance(gen, count, *, n_steps, p_zero, tent,
-                                        zeta, circle, chunk=256):
+                                        zeta, circle, chunk=256,
+                                        draw=reference_digits):
     """Per-step reference for ``digit_window_min_distance``: one float
-    window update per orbit step over every lane, digits from
-    ``reference_digits``."""
-    v = reference_window(reference_digits(gen, count, 53, p_zero))
+    window update per orbit step over every lane, digits from ``draw``
+    (``reference_digits`` unless a test passes an equal, faster rule)."""
+    v = reference_window(draw(gen, count, 53, p_zero))
     parity = np.zeros(count, dtype=bool)  # digit left of the window; b_0 = 0
     pos = np.where(parity, _TOP - v, v) if tent else v
     best = _reference_distances(pos, zeta, circle)
     remaining = n_steps - 1
     while remaining > 0:
         cols = min(chunk, remaining)
-        fresh = unpack_digits(reference_digits(gen, count, cols, p_zero),
+        fresh = unpack_digits(draw(gen, count, cols, p_zero),
                               cols).astype(np.float64)
         for c in range(cols):
             if tent:
@@ -403,7 +405,7 @@ def reference_digit_window_min_distance(gen, count, *, n_steps, p_zero, tent,
             pos = np.where(parity, _TOP - v, v) if tent else v
             np.minimum(best, _reference_distances(pos, zeta, circle), out=best)
         remaining -= cols
-    return (best,)
+    return best
 
 
 def reference_ball_first_hit_digits(gen, count, *, eta, zeta, tent, p_zero,
@@ -609,15 +611,18 @@ class TestBallStreamEquivalence:
         got_gen = RecordingGen(substream(2024, *label))
         want = reference(want_gen, self.LANES, **kw)
         got = kernel(got_gen, self.LANES, **kw)
-        assert len(got) == len(want)
-        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        if isinstance(want, tuple):  # a first-hit kernel's (times, hit)
+            assert len(got) == len(want)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        else:
+            assert np.array_equal(got, want)
         assert got_gen.shapes == want_gen.shapes
 
     @pytest.mark.parametrize("tent,circle,zeta,p_zero,chunk", WINDOW_GRID)
     def test_min_distance(self, tent, circle, zeta, p_zero, chunk):
         label = ("window-eq", tent, circle, zeta, p_zero, chunk)
         self.check(reference_digit_window_min_distance,
-                   digit_window_min_distance, label, n_steps=403,
+                   one_block(digit_window_min_distance), label, n_steps=403,
                    p_zero=p_zero, tent=tent, zeta=zeta, circle=circle,
                    chunk=chunk)
 
@@ -639,7 +644,8 @@ class TestBallStreamEquivalence:
                    one_block(ball_first_hit_digits),
                    label, eta=eta, cap=403, start_j=0, **common)
         self.check(reference_digit_window_min_distance,
-                   digit_window_min_distance, label, n_steps=403, **common)
+                   one_block(digit_window_min_distance), label, n_steps=403,
+                   **common)
 
     @pytest.mark.parametrize("tent", [False, True])
     def test_horizon_one_past_a_byte(self, tent):
@@ -650,8 +656,8 @@ class TestBallStreamEquivalence:
                    one_block(ball_first_hit_digits),
                    label, eta=0.002, cap=1 + 256 + 9, **common)
         self.check(reference_digit_window_min_distance,
-                   digit_window_min_distance, label, n_steps=1 + 256 + 9,
-                   **common)
+                   one_block(digit_window_min_distance), label,
+                   n_steps=1 + 256 + 9, **common)
 
     @pytest.mark.parametrize("n_steps", [1, 2, 9])
     def test_min_distance_short_horizons(self, n_steps):
@@ -659,8 +665,8 @@ class TestBallStreamEquivalence:
                   circle=False, chunk=7)
         want_gen = RecordingGen(substream(3, "window-short", n_steps))
         got_gen = RecordingGen(substream(3, "window-short", n_steps))
-        want, = reference_digit_window_min_distance(want_gen, self.LANES, **kw)
-        got, = digit_window_min_distance(got_gen, self.LANES, **kw)
+        want = reference_digit_window_min_distance(want_gen, self.LANES, **kw)
+        got = digit_window_min_distance([got_gen], self.LANES, **kw)
         assert np.array_equal(got, want)
         assert got_gen.shapes == want_gen.shapes
 
@@ -697,6 +703,66 @@ class TestBallStreamEquivalence:
                 if isinstance(shape, tuple)]
         assert len(rows) > 2 and rows[-1] < rows[1]
 
+
+def fast_reference_digits(gen, rows, cols, p_zero):
+    """``reference_digits`` by ``draw_digits``, which ``TestDrawDigits``
+    holds equal to it, at numpy speed for runs of thousands of steps."""
+    return draw_digits(gen, rows, cols, p_zero, engine._Scratch())
+
+
+#: ``ball-scan``'s Bernoulli(0.3) ball centre at seed 7
+#: (``benchmarks/workloads.bernoulli_centre``)
+SEED_7_CENTRE = 0.9293204839727804
+#: a centre on a 12-bit window prefix edge: the window 1365 * 2^41
+PREFIX_EDGE = 1365 / 4096
+
+
+class TestLongHorizonMinDistance:
+    """``digit_window_min_distance`` over a full block and a partial one,
+    long enough that every chunk after the first lifts only its prefix-table
+    candidates, equals the per-step float recursion block by block, with
+    the same draws.  3004 fresh digits end the last chunk mid-byte."""
+
+    LANES = BLOCK + 301
+    N_STEPS = 3005
+
+    @pytest.mark.parametrize("tent,p_zero,circle,zeta", [
+        (False, 0.5, False, 0.0), (True, 0.3, True, 0.0),
+        (True, 0.5, False, 1.0), (False, 0.3, True, 1.0),
+        (False, 0.5, True, PREFIX_EDGE), (True, 0.3, False, PREFIX_EDGE),
+        (False, 0.3, False, SEED_7_CENTRE), (True, 0.5, True, SEED_7_CENTRE),
+    ])
+    def test_matches_the_per_step_scan_per_block(self, tent, p_zero, circle,
+                                                 zeta):
+        label = ("window-long", tent, p_zero, circle, zeta)
+        kw = dict(n_steps=self.N_STEPS, p_zero=p_zero, tent=tent, zeta=zeta,
+                  circle=circle)
+        gens = [RecordingGen(gen)
+                for gen in block_substreams(self.LANES, 31, label)]
+        got = digit_window_min_distance(gens, self.LANES, **kw)
+        for gen, (index, lo, count) in zip(gens, block_slices(self.LANES),
+                                           strict=True):
+            want_gen = RecordingGen(substream(31, *label, index))
+            want = reference_digit_window_min_distance(
+                want_gen, count, draw=fast_reference_digits, **kw)
+            assert np.array_equal(got[lo:lo + count], want)
+            assert gen.shapes == want_gen.shapes
+
+    def test_peak_memory(self):
+        # the run's own allocations at ball-scan's size, 4.6 MiB: the chunk
+        # temporaries, which the filtered chunks share with the dense first
+        # chunk, the 1 MiB distance table and the per-lane offsets
+        lanes = 10_000
+        gens = block_substreams(lanes, 7, ("window-memory",))
+        tracemalloc.start()
+        try:
+            digit_window_min_distance(gens, lanes, n_steps=5000, p_zero=0.3,
+                                      tent=False, zeta=SEED_7_CENTRE,
+                                      circle=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2 ** 20
 
 
 WINDOWS = 1 << 53
@@ -838,6 +904,125 @@ class TestPrefixTable:
         # 8 * 2 * 2^7 of the 2^20 fields
         table = engine._prefix_table([EDGE_PIECES[3]], tent)
         assert 0 < table.sum() <= 8 * 2 * 2 ** 7
+
+
+def lifted_offset(word, s, tent, centre):
+    """The offset (w - C) mod 2^64 from the centre word C of the window w
+    after step s + 1 of a byte-offset word, by the kernels' own lift."""
+    lifted = engine._lift(np.array([word], dtype=np.uint64),
+                          engine._TOP_SHIFTS[s], tent,
+                          np.empty(1, dtype=np.uint64),
+                          np.empty(1, dtype=np.int64))
+    return (int(lifted[0]) - centre) % 2 ** 64
+
+
+@st.composite
+def distance_centres(draw):
+    """The centre word ceil(zeta 2^53) << 11 mod 2^64 of a centre on or
+    beside a 12-bit prefix edge k 2^41, at either end, or at zeta = 1.0,
+    whose window 2^53 wraps to the word 0."""
+    window = draw(st.one_of(
+        st.sampled_from([0, WINDOWS - 1, WINDOWS]),
+        st.tuples(st.integers(0, (1 << 12) - 1), st.integers(-1, 1)).map(
+            lambda ke: (ke[0] * PREFIX_CELL + ke[1]) % WINDOWS),
+        st.integers(0, WINDOWS - 1)))
+    zeta = window / WINDOWS
+    return (math.ceil(zeta * 2.0 ** 53) << 11) % 2 ** 64
+
+
+def offsets_past(offset):
+    """Offsets just above ``offset``, a few prefix cells above it, or
+    anywhere above it."""
+    return st.one_of(st.sampled_from([1, 2]), st.integers(1, 1 << 53),
+                     st.integers(1, 2 ** 64)).map(
+        lambda gap: min(offset + gap, 2 ** 64 - 1))
+
+
+def offsets_between(lo, hi):
+    """Offsets in [lo, hi], in the prefix cell of either end or anywhere: a
+    lane's least offset sits near 0 and its greatest near 2^64 once it has
+    run a while."""
+    return st.one_of(st.integers(lo, min(hi, lo + (1 << 52))),
+                     st.integers(max(lo, hi - (1 << 52)), hi),
+                     st.integers(lo, hi))
+
+
+class TestDistanceTable:
+    """The min-distance kernel's prefilter drops no step that moves an
+    extreme offset: a step whose offset lies below a lane's least offset
+    ``low`` or above its greatest ``high`` sits in a word whose distance
+    table entry is at most the lane's threshold."""
+
+    SETTINGS = settings(max_examples=100, deadline=None, derandomize=True,
+                        database=None)
+
+    @staticmethod
+    def threshold(low, high):
+        return int(engine._thresholds(np.array([low], dtype=np.uint64),
+                                      np.array([high], dtype=np.uint64))[0])
+
+    @SETTINGS
+    @given(centre=distance_centres(), tent=st.booleans(), data=st.data())
+    def test_a_step_past_an_extreme_passes_the_threshold(self, centre, tent,
+                                                          data):
+        table = engine._distance_table(np.uint64(centre), tent)
+        q, r = divmod(centre >> 11, PREFIX_CELL)
+        for _ in range(6):
+            # a window a few prefix cells from the centre's, or anywhere,
+            # with the bits below its prefix below, at or above the centre's
+            cell = data.draw(st.one_of(st.integers(-300, 300),
+                                       st.integers(0, 4095)))
+            rest = data.draw(st.one_of(
+                st.sampled_from([0, PREFIX_CELL - 1]),
+                st.integers(-1, 1).map(lambda e: (r + e) % PREFIX_CELL),
+                st.integers(0, PREFIX_CELL - 1)))
+            window = (q + cell) % 4096 * PREFIX_CELL + rest
+            s = data.draw(st.integers(0, 7))
+            parity = data.draw(st.integers(0, 1))
+            raw = window ^ (WINDOWS - 1) if tent and parity else window
+            above = data.draw(st.integers(0, (1 << (3 + s)) - 1))
+            below = data.draw(st.integers(0, (1 << (7 - s)) - 1))
+            word = (above << (61 - s) | parity << (60 - s) | raw << (7 - s)
+                    | below)
+            offset = lifted_offset(word, s, tent, centre)
+            entry = table[(word >> 41) & FIELD_MASK]
+            # a lane whose least offset lies above the step's
+            if offset < 2 ** 64 - 1:
+                low = data.draw(offsets_past(offset))
+                high = data.draw(offsets_between(low, 2 ** 64 - 1))
+                assert entry <= self.threshold(low, high)
+            # a lane whose greatest offset lies below it
+            if offset:
+                high = 2 ** 64 - 1 - data.draw(
+                    offsets_past(2 ** 64 - 1 - offset))
+                low = data.draw(offsets_between(0, high))
+                assert entry <= self.threshold(low, high)
+        # and any word against any lane
+        word = data.draw(st.integers(0, 2 ** 64 - 1))
+        low = data.draw(st.integers(0, 2 ** 64 - 1))
+        high = data.draw(st.integers(low, 2 ** 64 - 1))
+        offsets = [lifted_offset(word, s, tent, centre) for s in range(8)]
+        if any(o < low or o > high for o in offsets):
+            assert table[(word >> 41) & FIELD_MASK] <= self.threshold(low,
+                                                                      high)
+
+    @pytest.mark.parametrize("tent", [False, True])
+    def test_entries_are_the_least_step_distance(self, tent):
+        # step s reads its tent parity at field bit 19 - s and its prefix
+        # below it; a tent prefix under parity 1 is complemented
+        fields = np.random.default_rng(5).integers(0, 1 << 20, 300).tolist()
+        for centre in (0, 1365 << 52 | 12345 << 11, 2 ** 64 - 2 ** 11):
+            table = engine._distance_table(np.uint64(centre), tent)
+            q = centre >> 52
+            for field in fields:
+                least = 255
+                for s in range(8):
+                    prefix = field >> (7 - s) & 4095
+                    if tent and field >> (19 - s) & 1:
+                        prefix ^= 4095
+                    d = (prefix - q) % 4096
+                    least = min(least, d, 4096 - d)
+                assert table[field] == least
 
 
 def reference_rotation_first_hit(count, *, step_fixed, lo, hi, cap,
@@ -1267,7 +1452,7 @@ class TestRotationKernels:
         out = [
             rotation_min_distance(
                 step_fixed=self.step, zeta_fixed=zf, n_steps=n, starts=starts,
-            )[0][0]
+            )[0]
             for n in (1, 5, 55)
         ]
         best = math.inf
@@ -1314,7 +1499,7 @@ class TestRotationKernels:
         starts = grid_starts(substream(seed, "any-zeta"), 8)
         starts[:2] = [0, FIXED_ONE - 1]
         got = rotation_min_distance(step_fixed=step, zeta_fixed=zeta,
-                                    n_steps=n_steps, starts=starts)[0]
+                                    n_steps=n_steps, starts=starts)
         want = []
         for s0 in starts.tolist():
             best = FIXED_ONE
@@ -1355,7 +1540,7 @@ def np_mp_orbit(x0, e, n):
 class TestIntermittentKernels:
     def test_min_distance_matches_single_lane_reference(self, ):
         starts = np.array([0.123, 0.5, 0.9111])
-        (got,) = mp_min_distance(
+        got = mp_min_distance(
             s_exp=0.6, zeta=0.33, n_steps=12, starts=starts
         )
         for i, x0 in enumerate(starts):
@@ -1366,7 +1551,7 @@ class TestIntermittentKernels:
         # ulp-level pow differences grow with the horizon; stay short
         system = manneville_pomeau(0.6)
         starts = np.array([0.123, 0.77])
-        (got,) = mp_min_distance(
+        got = mp_min_distance(
             s_exp=0.6, zeta=0.33, n_steps=10, starts=starts
         )
         for i, x0 in enumerate(starts):
@@ -1391,6 +1576,20 @@ class TestIntermittentKernels:
                     break
             assert times[i] == want
             assert hit[i] == (want < 200)
+
+
+@pytest.mark.parametrize("kernel", [
+    lambda count, starts: rotation_first_hit(
+        count, step_fixed=rotation("golden").fixed_angle, lo=0, hi=10,
+        cap=5, starts=grid_starts(substream(1, "z"), starts)),
+    lambda count, starts: mp_first_hit(
+        count, s_exp=0.5, eta=0.1, zeta=0.3, cap=5, start_j=1,
+        starts=np.linspace(0.1, 0.9, starts)),
+], ids=["rotation_first_hit", "mp_first_hit"])
+@pytest.mark.parametrize("count,starts", [(2, 3), (5, 3)])
+def test_orbit_first_hit_takes_one_start_per_lane(kernel, count, starts):
+    with pytest.raises(DomainError, match=f"{count} lanes .* got {starts}"):
+        kernel(count, starts)
 
 
 class TestConditionalStarts:

@@ -339,8 +339,8 @@ class TestOneOrbitScan:
             system, measure = rotation("golden"), LEB_C
         obs = BallObservable(GShape(GKind.G1), measure, 0.3)
         kw = dict(n_steps=300, n_samples=self.N, seed=12,
-                  labels=("one-scan", case), threads=threads)
-        got = sample_ball_min_distances(obs, system, **kw)
+                  labels=("one-scan", case))
+        got = sample_ball_min_distances(obs, system, threads=threads, **kw)
         want = per_block_orbit_min_distances(obs, system, **kw)
         assert np.array_equal(got, want)
         assert np.unique(got).size > 100
