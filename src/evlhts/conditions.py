@@ -73,7 +73,6 @@ def dprime_estimate(
     n_samples: int,
     seed: int,
     labels: tuple = ("dprime",),
-    threads: int = 1,
     floor: float = DEFAULT_FLOOR,
 ) -> ConditionReport:
     """Short-range recurrence statistic at separation factor ``k``.
@@ -88,15 +87,10 @@ def dprime_estimate(
     window = block_n // k
     if window < 1:
         raise DomainError("window block_n // k is empty")
-
-    def kernel(gen, count):
-        return engine.word_hit_count(
-            gen, count, **scan, window=window, start_j=1, preload=True,
-        )
-
-    counts = engine.run_blocked(
-        n_samples, seed, (*labels, f"k{k}"), kernel, threads=threads
-    )[0].astype(np.float64)
+    counts = engine.word_hit_count(
+        engine.block_substreams(n_samples, seed, (*labels, f"k{k}")),
+        n_samples, **scan, window=window, start_j=1, preload=True,
+    ).astype(np.float64)
     scale = block_n * target.mass
     estimate = float(scale * counts.mean())
     sigma = float(scale * counts.std(ddof=1) / math.sqrt(counts.size))

@@ -4,12 +4,13 @@ Every kernel simulates independent samples with numpy array operations
 (lanes = samples).  A run's lanes fall into fixed-size blocks
 (``rng.block_slices``), and block i draws from the substream keyed by
 (seed, labels..., i), so outputs are bit-identical for any thread count.
-The digit first-hit kernels and ``digit_window_min_distance`` take every
-block's generator and scan all the blocks of a run in one call on the
-calling thread, each block drawing its starts, return-time ball starts
-included, then its digits as it goes.  ``run_blocked`` runs a kernel once
-per block on a thread pool and concatenates results in block order; it
-serves the fixed-window word kernel ``word_hit_count`` and
+Every digit kernel takes every block's generator and runs all the blocks
+of a run in one call on the calling thread, each block drawing its
+starts, return-time ball starts included, then its digits as it goes:
+the first-hit kernels step the blocks side by side, the fixed-window
+kernels ``digit_window_min_distance`` and ``word_hit_count`` one after
+another.  ``run_blocked`` runs a kernel once per block on a thread pool
+and concatenates results in block order; it serves only
 ``hts.orbit_starts``, which draws the rotation and intermittent starts.
 Those two maps draw nothing after their starts, so one scan then steps
 every lane of the run and takes no generator.
@@ -52,27 +53,30 @@ along the offsets (w - c) mod 2^53: the minimum-distance kernel keeps each
 lane's least and greatest offset and takes the float distance of those
 two windows at the end.
 
-Both ball kernels lift only candidate words.  In the word at byte offset
-b, bits 60 .. 41 hold the tent parity and the 12-bit prefix of the window
-after each step 8b - t (complemented where the parity is 1).  A table over
-the 2^20 values of those bits, built once per run, picks out the rare
-candidates with one lookup per word, and only their 8 steps are lifted.
-A window inside an interval has its prefix in the interval's prefix range,
-so the first-hit kernel's table flags the values for which some step's
-prefix lies in a range.  For the minimum-distance kernel, let Q be the
-prefix of the centre word C = c << 11, and d = (P - Q) mod 4096 for a
-step's prefix P.  The top 12 bits of the step's offset (w - C) mod 2^64
-are d, or d - 1 mod 4096 where the bits of w below its prefix fall below
-C's.  So the step can lower the lane's least offset low only if
-d <= (low >> 52) + 1, and raise its greatest offset high only if d = 0 or
-4096 - d <= 4096 - (high >> 52).  The table holds the least
-min(d, 4096 - d) over a word's 8 steps, capped at 255, and a word is a
-candidate when its entry is at most the lane's threshold
-min(255, max((low >> 52) + 1, 4096 - (high >> 52))).  That drops no step
-that moves low or high, so both come out bit for bit as from every step.
-A lane that has seen one window bounds nothing, so each block's first
-chunk lifts every word.  The context after a chunk's last step is carried
-into the next chunk.
+Both ball kernels lift only candidate words, picked by one table and a
+bound.  In the word at byte offset b, bits 60 .. 41 hold the tent parity
+and the 12-bit prefix of the window after each step 8b - t (complemented
+where the parity is 1).  Let Q be the prefix of the centre word
+C = c << 11, and d = (P - Q) mod 4096 for a step's prefix P.  A table
+over the 2^20 values of those bits, built once per run, holds the least
+min(d, 4096 - d) over a word's 8 steps, capped at 255.  A word is a
+candidate when its entry is at most the bound, found with one lookup per
+word, and only the candidates' 8 steps are lifted.  The first-hit
+kernel's bound is one per ball: the greatest capped min(d, 4096 - d) over
+the prefix cells of its intervals, and -1, which no entry meets, for a
+ball with no window.  A window inside an interval has its prefix among
+the interval's cells, so a word with a step inside has an entry at most
+the bound, and the exact interval test then decides.  The
+minimum-distance kernel's bound is one per lane.  The top 12 bits of a
+step's offset (w - C) mod 2^64 are d, or d - 1 mod 4096 where the bits of
+w below its prefix fall below C's.  So the step can lower the lane's
+least offset low only if d <= (low >> 52) + 1, and raise its greatest
+offset high only if d = 0 or 4096 - d <= 4096 - (high >> 52).  The
+lane's threshold min(255, max((low >> 52) + 1, 4096 - (high >> 52)))
+therefore drops no step that moves low or high, so both come out bit for
+bit as from every step.  A lane that has seen one window bounds nothing,
+so each block's first chunk lifts every word.  The context after a
+chunk's last step is carried into the next chunk.
 
 Cylinder events need no positions at all.  Letters are the digits
 themselves for the doubling map and adjacent-digit XORs for the tent map,
@@ -191,10 +195,9 @@ def run_blocked(n_samples, master_seed, labels, kernel, threads=1):
 
     ``kernel`` must return a tuple of 1-d arrays of length ``count`` (or
     2-d with ``count`` rows).  Results are concatenated in block order.
-    The digit first-hit kernels and ``digit_window_min_distance`` do not
-    come here: they take every block's generator, draw each block's starts
-    and scan the whole run in one call.  ``word_hit_count`` runs come here,
-    and so do the rotation and intermittent starts, from
+    The digit kernels do not come here: they take every block's
+    generator, draw each block's starts and scan the whole run in one
+    call.  Only the rotation and intermittent starts come here, from
     ``hts.orbit_starts``.
     """
     gens = block_substreams(n_samples, master_seed, labels)
@@ -338,21 +341,6 @@ def _lift(words, shift, tent, out, flip):
     return out
 
 
-def _window_planes(words, cols, tent, scratch):
-    """The windows after each step of one chunk, as 8 planes (s = 0 .. 7)
-    over one reused uint64 buffer: [:, b] of plane s is the window after
-    step 8b + s + 1 (``_lift``).  A step past ``cols`` repeats step 1."""
-    plane = scratch("plane", words.shape, np.uint64)
-    flip = scratch("flip", words.shape, np.int64)
-    for s in range(8):
-        _lift(words, _TOP_SHIFTS[s], tent, plane, flip)
-        if s == 0:
-            step_one = plane[:, 0].copy()
-        elif 8 * (words.shape[1] - 1) + s >= cols:
-            plane[:, -1] = step_one
-        yield plane
-
-
 def digit_window_min_distance(
     gens, count, *, n_steps, p_zero, tent, zeta, circle, chunk=256
 ):
@@ -404,8 +392,19 @@ def digit_window_min_distance(
 
 def _dense_extremes(words, cols, tent, centre, low, high, scratch):
     """Lowers ``low`` and raises ``high`` in place to the least and greatest
-    offset of any window of the chunk's ``words``, all 8 steps of each."""
-    for offsets in _window_planes(words, cols, tent, scratch):
+    offset of any window of the chunk's ``words``, all 8 steps of each.
+
+    Step s = 0 .. 7 fills one plane over one reused uint64 buffer: [:, b]
+    is the window after step 8b + s + 1 (``_lift``).  A step past ``cols``
+    repeats step 1."""
+    offsets = scratch("plane", words.shape, np.uint64)
+    flip = scratch("flip", words.shape, np.int64)
+    for s in range(8):
+        _lift(words, _TOP_SHIFTS[s], tent, offsets, flip)
+        if s == 0:
+            step_one = offsets[:, 0].copy()
+        elif 8 * (words.shape[1] - 1) + s >= cols:
+            offsets[:, -1] = step_one
         offsets -= centre
         np.minimum(low, offsets.min(axis=1), out=low)
         np.maximum(high, offsets.max(axis=1), out=high)
@@ -413,19 +412,12 @@ def _dense_extremes(words, cols, tent, centre, low, high, scratch):
 
 def _filtered_extremes(words, cols, tent, centre, table, low, high, scratch):
     """``_dense_extremes`` by the exact lift of the candidate words alone:
-    those whose ``table`` entry is at most the lane's threshold.  The
-    lifts take the buffers of ``_window_planes``, which a filtered chunk
-    does not use."""
-    candidate = np.less_equal(_look_up(table, words, scratch),
-                              _thresholds(low, high)[:, None],
-                              out=scratch("candidate", words.shape, bool))
-    at = np.flatnonzero(candidate)
-    if not at.size:
+    those whose ``table`` entry is at most the lane's threshold."""
+    found = _candidates(words, table, _thresholds(low, high)[:, None], tent,
+                        scratch)
+    if found is None:
         return
-    lane, b = np.divmod(at, words.shape[1])
-    offsets = _lift(words.reshape(-1)[at], _TOP_SHIFTS[:, None], tent,
-                    scratch("plane", (8, at.size), np.uint64),
-                    scratch("flip", (8, at.size), np.int64))
+    lane, b, offsets = found
     offsets -= centre
     # the last word's steps past cols repeat its step 1
     if cols % 8:
@@ -435,21 +427,54 @@ def _filtered_extremes(words, cols, tent, centre, table, low, high, scratch):
     np.maximum.at(high, lane, offsets.max(axis=0))
 
 
-def _distance_table(centre, tent):
-    """The least cyclic prefix distance to the centre over a byte's 8 steps,
-    capped at 255, for the 2^20 values of a byte-offset word's bits
-    60 .. 41, in the ``_prefix_table`` layout.
+def _candidates(words, table, bound, tent, scratch):
+    """The candidate words of a chunk and the windows after their steps.
 
-    Step s of a word has the 12-bit window prefix P (complemented where
-    the tent parity is 1), and the centre word C the prefix Q; its entry
-    is min(d, 4096 - d) for d = (P - Q) mod 4096.  Step s reads the 13
-    bits 19 - s .. 7 - s of the field, so the table over steps 0 .. s is
-    the table over steps 0 .. s - 1 read at the bits above the lowest,
-    lowered by step s's entry for the lowest 13 bits.
+    A byte-offset word (``_window_words``) is a candidate where the
+    ``table`` entry for its bits 60 .. 41 is at most ``bound``: one number,
+    or a column of one per lane.  Returns the candidates' lanes and byte
+    offsets b, in lane order and, within a lane, in byte order, and the
+    (8, candidates) windows after their steps 8b + 1 .. 8b + 8 (``_lift``)
+    in ``scratch``; None where no word is a candidate.
     """
+    field = np.right_shift(words.view(np.int64), _FIELD_SHIFT,
+                           out=scratch("flip", words.shape, np.int64))
+    field &= table.size - 1
+    entry = np.take(table, field, mode="wrap",
+                    out=scratch("entry", words.shape, table.dtype))
+    at = np.flatnonzero(np.less_equal(
+        entry, bound, out=scratch("candidate", words.shape, bool)))
+    if not at.size:
+        return None
+    lane, b = np.divmod(at, words.shape[1])
+    # the lifts take the buffers of the field and of _dense_extremes
+    lifted = _lift(words.reshape(-1)[at], _TOP_SHIFTS[:, None], tent,
+                   scratch("plane", (8, at.size), np.uint64),
+                   scratch("flip", (8, at.size), np.int64))
+    return lane, b, lifted
+
+
+def _prefix_distances(centre):
+    """min(d, 4096 - d), capped at 255, for d = (P - Q) mod 4096, over the
+    12-bit window prefixes P; Q is the prefix of the centre word."""
     top = 1 << _PREFIX_BITS
     d = (np.arange(top) - (int(centre) >> (64 - _PREFIX_BITS))) % top
-    near = np.minimum(np.minimum(d, top - d), 255).astype(np.uint8)
+    return np.minimum(np.minimum(d, top - d), 255).astype(np.uint8)
+
+
+def _distance_table(centre, tent):
+    """The least ``_prefix_distances`` entry over a byte's 8 steps, for the
+    2^20 values of a byte-offset word's bits 60 .. 41.
+
+    Step s reads the bits as s of earlier steps, then its tent parity, its
+    12-bit window prefix P, and 7 - s bits below: a (2^s, 2, 4096,
+    2^(7 - s)) view.  A tent window whose parity is 1 is complemented, and
+    so is its prefix.  Step s reads the 13 bits 19 - s .. 7 - s of the
+    field, so the table over steps 0 .. s is the table over steps
+    0 .. s - 1 read at the bits above the lowest, lowered by step s's entry
+    for the lowest 13 bits.
+    """
+    near = _prefix_distances(centre)
     # one step's entry by its tent parity and prefix
     step = np.concatenate([near, near[::-1] if tent else near])
     table = step
@@ -495,7 +520,7 @@ def iid_min_distance_uniform(gen, count, *, n_draws, zeta, circle, chunk=512):
             np.minimum(best[lo:lo + rows], d.min(axis=1),
                        out=best[lo:lo + rows])
         left -= cols
-    return (best,)
+    return best
 
 
 # ------------------------------------------------------------ first hits
@@ -757,7 +782,7 @@ def word_first_hit(
 
 
 def word_hit_count(
-    gen,
+    gens,
     count,
     *,
     word_int,
@@ -769,28 +794,33 @@ def word_hit_count(
     preload=False,
     chunk=256,
 ):
-    """Number of j in [start_j, window] with the iterate in the cylinder.
+    """Number of j in [start_j, window] with the iterate in the cylinder,
+    for the ``count`` lanes of ``rng.block_slices(count)``; ``gens`` holds
+    each block's generator.
 
     Inclusive right end: short-range recurrence estimators count entries
     in a window of fixed length.  No compaction: every lane runs the full
-    window.
+    window, block after block, each on its own draws.
     """
     if window < start_j:
         raise DomainError("window shorter than start_j")
-    state, consumed = _word_scan_start(count, word_int, depth, start_j,
-                                       preload, tent)
+    _block_sizes(count, gens)
     counts = np.zeros(count, dtype=np.int64)
     total_letters = window + depth
     scratch = _Scratch()
-    while consumed < total_letters:
-        cols = min(chunk, total_letters - consumed)
-        digits = draw_digits(gen, count, cols, p_zero, scratch)
-        first = max(start_j + depth - 1 - consumed, 0)
-        match, state = _word_chunk(digits, cols, first, state, word_int,
-                                   depth, tent, scratch)
-        counts += np.bitwise_count(match).sum(axis=0, dtype=np.int64)
-        consumed += cols
-    return (counts,)
+    for (_, lo, size), gen in zip(block_slices(count), gens):
+        state, consumed = _word_scan_start(size, word_int, depth, start_j,
+                                           preload, tent)
+        while consumed < total_letters:
+            cols = min(chunk, total_letters - consumed)
+            digits = draw_digits(gen, size, cols, p_zero, scratch)
+            first = max(start_j + depth - 1 - consumed, 0)
+            match, state = _word_chunk(digits, cols, first, state, word_int,
+                                       depth, tent, scratch)
+            counts[lo:lo + size] += np.bitwise_count(match).sum(
+                axis=0, dtype=np.int64)
+            consumed += cols
+    return counts
 
 
 # ------------------------------------------------------------- ball scans
@@ -829,7 +859,9 @@ def ball_first_hit_digits(
                   conditional_digit_starts(gen, size, arcs=arcs, p_zero=p_zero))
         window[lo:lo + size] = starts[:, 0]
     pieces = _ball_windows(zeta, eta, circle)
-    table = _prefix_table(pieces, tent)
+    centre = np.uint64((math.ceil(zeta * 2.0 ** WINDOW_BITS) << _LOW) % 2**64)
+    table = _distance_table(centre, tent)
+    bound = _ball_bound(pieces, centre)
     inside_before = (_in_ball(window, pieces, np.empty(count, dtype=bool),
                               np.empty_like(window)) if start_j == 0 else None)
 
@@ -837,64 +869,43 @@ def ball_first_hit_digits(
         context, = state
         digits = _tile_digits(gens, tile, chunk, p_zero, scratch)
         words, context = _window_words(context, digits, cols, scratch)
-        return (_ball_column(words, table, pieces, tent, first, cols, scratch),
-                (context,))
+        return (_ball_column(words, table, bound, pieces, tent, first, cols,
+                             scratch), (context,))
 
     # column c is the position after step c + 1 of the chunk
     return _first_hit(sizes, cap, start_j, 1, chunk, scan,
                       (window >> np.uint64(_LOW),), inside_before)
 
 
-def _prefix_table(pieces, tent):
-    """Flags over the 2^20 values of a byte-offset word's bits 60 .. 41,
-    set where the 12-bit window prefix after one of the byte's 8 steps, s,
-    lies in the prefix range of one of the cyclic intervals ``pieces``.
-
-    Step s reads the bits as s of earlier steps, then its tent parity, its
-    prefix, and 7 - s bits below: a (2^s, 2, 4096, 2^(7 - s)) view.  A tent
-    window whose parity is 1 is complemented, and so is its prefix.
-    """
-    top = 1 << _PREFIX_BITS
-    ranges = []
-    for start, width in pieces:
-        end = start + width - 1
-        if end >> WINDOW_BITS:  # the interval wraps past 2^53
-            ranges += [(start >> _FIELD_SHIFT, top - 1),
-                       (0, (end - (1 << WINDOW_BITS)) >> _FIELD_SHIFT)]
-        else:
-            ranges.append((start >> _FIELD_SHIFT, end >> _FIELD_SHIFT))
-    table = np.zeros(1 << (_PREFIX_BITS + 8), dtype=bool)
-    for s in range(8):
-        by_step = table.reshape(1 << s, 2, top, 1 << (7 - s))
-        for lo, hi in ranges:
-            by_step[:, 0, lo:hi + 1] = True
-            if tent:
-                lo, hi = top - 1 - hi, top - 1 - lo
-            by_step[:, 1, lo:hi + 1] = True
-    return table
+def _ball_bound(pieces, centre):
+    """The greatest ``_prefix_distances`` entry over the prefix cells of
+    the cyclic intervals ``pieces``, which wrap past the last cell to the
+    first: every window inside has a ``_distance_table`` entry at most
+    this (module docstring).  -1, which no entry meets, without pieces."""
+    near = _prefix_distances(centre)
+    return max((int(near.take(np.arange(
+        start >> _FIELD_SHIFT, ((start + width - 1) >> _FIELD_SHIFT) + 1),
+        mode="wrap").max()) for start, width in pieces), default=-1)
 
 
-def _ball_column(words, table, pieces, tent, first, cols, scratch):
+def _ball_column(words, table, bound, pieces, tent, first, cols, scratch):
     """Each lane's first column in ``first`` .. ``cols`` - 1 whose window
     lies in ``pieces``; ``cols`` where there is none.
 
     ``words`` are the chunk's byte-offset words (``_window_words``); only
-    those whose bits 60 .. 41 ``table`` flags take the exact test, at all
-    8 steps at once.  The candidates come in lane order and, within a
-    lane, in byte order, so a lane's first candidate with a step inside
-    holds its first column.
+    the candidates, whose ``table`` entry is at most ``bound``
+    (``_ball_bound``), take the exact test, at all 8 steps at once.  The
+    candidates come in lane order and, within a lane, in byte order, so a
+    lane's first candidate with a step inside holds its first column.
     """
-    at = np.flatnonzero(_look_up(table, words, scratch))
     column = np.full(words.shape[0], cols, dtype=np.int64)
-    if not at.size:
+    found = _candidates(words, table, bound, tent, scratch)
+    if found is None:
         return column
-    lane, b = np.divmod(at, words.shape[1])
+    lane, b, lifted = found
     steps = 8 * b + np.arange(8)[:, None]  # [s, i] is column 8 b + s
-    lifted = _lift(words.reshape(-1)[at], _TOP_SHIFTS[:, None], tent,
-                   np.empty(steps.shape, np.uint64),
-                   np.empty(steps.shape, np.int64))
-    inside = _in_ball(lifted, pieces, np.empty(steps.shape, bool),
-                      np.empty_like(lifted))
+    inside = _in_ball(lifted, pieces, scratch("inside", steps.shape, bool),
+                      scratch("offsets", steps.shape, np.uint64))
     inside &= (steps >= first) & (steps < cols)
     hit = inside.any(axis=0)
     lane, steps = lane[hit], 8 * b[hit] + inside[:, hit].argmax(axis=0)
@@ -902,18 +913,6 @@ def _ball_column(words, table, pieces, tent, first, cols, scratch):
     lead[1:] = lane[1:] != lane[:-1]
     column[lane[lead]] = steps[lead]
     return column
-
-
-def _look_up(table, words, scratch):
-    """The entry of a 2^20-entry prefix table for bits 60 .. 41 of each
-    byte-offset word, in ``scratch``."""
-    # the fields take the buffer of _window_planes' flips, which a chunk
-    # that looks its words up does not lift
-    field = np.right_shift(words.view(np.int64), _FIELD_SHIFT,
-                           out=scratch("flip", words.shape, np.int64))
-    field &= table.size - 1
-    return np.take(table, field, mode="wrap",
-                   out=scratch("entry", words.shape, table.dtype))
 
 
 def _ball_windows(zeta, eta, circle):

@@ -508,7 +508,7 @@ def _run_conditions(cfg: ExperimentConfig) -> tuple[_Report, dict]:
     target = hts.cylinder_target(ctx, cfg["observable.zeta"], depth)
     samples = cfg["conditions.samples"]
     floor = cfg["conditions.floor"]
-    seed, threads = cfg["master_seed"], cfg["threads"]
+    seed = cfg["master_seed"]
     out = _Report(("condition", "parameter", "estimate", "sigma", "baseline",
                    "verdict"))
 
@@ -538,7 +538,7 @@ def _run_conditions(cfg: ExperimentConfig) -> tuple[_Report, dict]:
         rep = dprime_estimate(
             system, measure, target, block_n=block_n, k=k,
             n_samples=samples, seed=seed, labels=("conditions", "dprime"),
-            threads=threads, floor=floor)
+            floor=floor)
         record("recurrence", k, rep)
         out.plot_rows.append(("recurrence-baseline", k, rep.baseline, ""))
     for gap in gaps:

@@ -232,8 +232,8 @@ class TestWordKernels:
         word = (1, 1)
         rows = random_digit_rows(40, window + depth, seed=11)
         script(rows)
-        counts, = word_hit_count(
-            None, 40, word_int=0b11, depth=depth, tent=False,
+        counts = word_hit_count(
+            [None], 40, word_int=0b11, depth=depth, tent=False,
             p_zero=0.5, window=window, start_j=1,
         )
         for i, row in enumerate(rows):
@@ -275,7 +275,7 @@ class TestWordKernels:
     @pytest.mark.parametrize("word_int", [-1, 0b1000])
     def test_word_must_fit_its_depth(self, word_int):
         for kernel, horizon in ((one_block(word_first_hit), "cap"),
-                                (word_hit_count, "window")):
+                                (one_block(word_hit_count), "window")):
             with pytest.raises(DomainError, match="fit"):
                 kernel(substream(1, "x"), 4, word_int=word_int, depth=3,
                        tent=False, p_zero=0.5, **{horizon: 10})
@@ -355,7 +355,7 @@ def reference_word_hit_count(gen, count, *, word_int, depth, tent, p_zero,
             consumed += 1
             if consumed >= match_from:
                 counts += reg == target
-    return (counts,)
+    return counts
 
 
 _TOP = 1.0 - 2.0 ** -53
@@ -499,12 +499,28 @@ class TestWordStreamEquivalence:
         window = start_j + 400
         want_gen = RecordingGen(substream(2024, *label))
         got_gen = RecordingGen(substream(2024, *label))
-        want, = reference_word_hit_count(want_gen, self.LANES, window=window,
-                                         start_j=start_j, **kw)
-        got, = word_hit_count(got_gen, self.LANES, window=window,
-                              start_j=start_j, **kw)
+        want = reference_word_hit_count(want_gen, self.LANES, window=window,
+                                        start_j=start_j, **kw)
+        got = word_hit_count([got_gen], self.LANES, window=window,
+                             start_j=start_j, **kw)
         assert np.array_equal(got, want)
         assert got_gen.shapes == want_gen.shapes
+
+    @pytest.mark.parametrize("p_zero", [0.5, 0.3])
+    def test_hit_count_runs_each_block_on_its_generator(self, p_zero):
+        # a full block and a partial one, over two chunks
+        lanes, label = BLOCK + 37, ("count-blocks", p_zero)
+        kw = self.kwargs(3, True, True, p_zero, 256)
+        got_gens = [RecordingGen(g)
+                    for g in block_substreams(lanes, 8, label)]
+        want_gens = [RecordingGen(g)
+                     for g in block_substreams(lanes, 8, label)]
+        got = word_hit_count(got_gens, lanes, window=300, **kw)
+        want = np.concatenate([
+            reference_word_hit_count(gen, size, window=300, **kw)
+            for gen, (_, _, size) in zip(want_gens, block_slices(lanes))])
+        assert np.array_equal(got, want)
+        assert [g.shapes for g in got_gens] == [g.shapes for g in want_gens]
 
     @pytest.mark.parametrize("chunk", [7, 256])
     @pytest.mark.parametrize("tent", [False, True])
@@ -567,8 +583,8 @@ class TestWordKernelProperties:
         window = kw["start_j"] + horizon
         want_gen = RecordingGen(substream(seed, "count-prop"))
         got_gen = RecordingGen(substream(seed, "count-prop"))
-        want, = reference_word_hit_count(want_gen, lanes, window=window, **kw)
-        got, = word_hit_count(got_gen, lanes, window=window, **kw)
+        want = reference_word_hit_count(want_gen, lanes, window=window, **kw)
+        got = word_hit_count([got_gen], lanes, window=window, **kw)
         assert np.array_equal(got, want)
         assert got_gen.shapes == want_gen.shapes
 
@@ -863,59 +879,6 @@ def lifted_inside(word, s, tent, pieces):
                                 np.empty(1, dtype=np.uint64))[0])
 
 
-class TestPrefixTable:
-    """The ball kernel's prefilter drops no window inside the ball: every
-    byte-offset word whose window lies in a piece after one of its 8 steps
-    has its bits 60 .. 41 flagged in the prefix table."""
-
-    SETTINGS = settings(max_examples=200, deadline=None, derandomize=True,
-                        database=None)
-
-    @SETTINGS
-    @given(pieces=window_pieces(), tent=st.booleans(), data=st.data())
-    def test_every_word_inside_is_a_candidate(self, pieces, tent, data):
-        table = engine._prefix_table(pieces, tent)
-        for _ in range(8):
-            start, width = data.draw(st.sampled_from(pieces))
-            window = (start + data.draw(st.integers(0, width - 1))) % WINDOWS
-            s = data.draw(st.integers(0, 7))
-            parity = data.draw(st.integers(0, 1))
-            raw = window ^ (WINDOWS - 1) if tent and parity else window
-            # the bits of earlier steps above the parity, later digits below
-            above = data.draw(st.integers(0, (1 << (3 + s)) - 1))
-            below = data.draw(st.integers(0, (1 << (7 - s)) - 1))
-            word = (above << (61 - s) | parity << (60 - s) | raw << (7 - s)
-                    | below)
-            assert lifted_inside(word, s, tent, pieces)
-            assert table[(word >> 41) & FIELD_MASK]
-        # and any word: a step inside means a candidate
-        word = data.draw(st.integers(0, 2 ** 64 - 1))
-        if any(lifted_inside(word, s, tent, pieces) for s in range(8)):
-            assert table[(word >> 41) & FIELD_MASK]
-
-    @pytest.mark.parametrize("tent", [False, True])
-    def test_pieces_over_every_prefix_flag_every_field(self, tent):
-        for piece in EDGE_PIECES[1:3]:
-            assert engine._prefix_table([piece], tent).all()
-
-    @pytest.mark.parametrize("tent", [False, True])
-    def test_one_window_flags_few_fields(self, tent):
-        # one prefix at each step, either parity, any other bits: at most
-        # 8 * 2 * 2^7 of the 2^20 fields
-        table = engine._prefix_table([EDGE_PIECES[3]], tent)
-        assert 0 < table.sum() <= 8 * 2 * 2 ** 7
-
-
-def lifted_offset(word, s, tent, centre):
-    """The offset (w - C) mod 2^64 from the centre word C of the window w
-    after step s + 1 of a byte-offset word, by the kernels' own lift."""
-    lifted = engine._lift(np.array([word], dtype=np.uint64),
-                          engine._TOP_SHIFTS[s], tent,
-                          np.empty(1, dtype=np.uint64),
-                          np.empty(1, dtype=np.int64))
-    return (int(lifted[0]) - centre) % 2 ** 64
-
-
 @st.composite
 def distance_centres(draw):
     """The centre word ceil(zeta 2^53) << 11 mod 2^64 of a centre on or
@@ -928,6 +891,77 @@ def distance_centres(draw):
         st.integers(0, WINDOWS - 1)))
     zeta = window / WINDOWS
     return (math.ceil(zeta * 2.0 ** 53) << 11) % 2 ** 64
+
+
+class TestPrefixTable:
+    """The ball kernel's prefilter drops no window inside the ball: every
+    byte-offset word whose window lies in a piece after one of its 8 steps
+    has a prefix-distance table entry at most the ball's bound, whatever
+    the centre."""
+
+    SETTINGS = settings(max_examples=200, deadline=None, derandomize=True,
+                        database=None)
+
+    @staticmethod
+    def candidates(pieces, centre, tent):
+        """Each field's flag: its entry is at most the ball's bound."""
+        centre = np.uint64(centre)
+        return (engine._distance_table(centre, tent)
+                <= engine._ball_bound(pieces, centre))
+
+    @SETTINGS
+    @given(pieces=window_pieces(), centre=distance_centres(),
+           tent=st.booleans(), data=st.data())
+    def test_every_word_inside_is_a_candidate(self, pieces, centre, tent,
+                                              data):
+        flagged = self.candidates(pieces, centre, tent)
+        for _ in range(8):
+            start, width = data.draw(st.sampled_from(pieces))
+            window = (start + data.draw(st.integers(0, width - 1))) % WINDOWS
+            s = data.draw(st.integers(0, 7))
+            parity = data.draw(st.integers(0, 1))
+            raw = window ^ (WINDOWS - 1) if tent and parity else window
+            # the bits of earlier steps above the parity, later digits below
+            above = data.draw(st.integers(0, (1 << (3 + s)) - 1))
+            below = data.draw(st.integers(0, (1 << (7 - s)) - 1))
+            word = (above << (61 - s) | parity << (60 - s) | raw << (7 - s)
+                    | below)
+            assert lifted_inside(word, s, tent, pieces)
+            assert flagged[(word >> 41) & FIELD_MASK]
+        # and any word: a step inside means a candidate
+        word = data.draw(st.integers(0, 2 ** 64 - 1))
+        if any(lifted_inside(word, s, tent, pieces) for s in range(8)):
+            assert flagged[(word >> 41) & FIELD_MASK]
+
+    @pytest.mark.parametrize("tent", [False, True])
+    def test_pieces_over_every_prefix_flag_every_field(self, tent):
+        for piece in EDGE_PIECES[1:3]:
+            for centre in (0, 12345 << 11, 2 ** 63, (WINDOWS - 1) << 11):
+                assert self.candidates([piece], centre, tent).all()
+
+    @pytest.mark.parametrize("tent", [False, True])
+    def test_one_window_flags_few_fields(self, tent):
+        # the centre in the window's prefix cell: one prefix at each step,
+        # either parity, any other bits: at most 8 * 2 * 2^7 of the 2^20
+        # fields
+        window = EDGE_PIECES[3][0]
+        flagged = self.candidates([EDGE_PIECES[3]], window << 11, tent)
+        assert 0 < flagged.sum() <= 8 * 2 * 2 ** 7
+
+    @pytest.mark.parametrize("tent", [False, True])
+    def test_no_piece_flags_no_field(self, tent):
+        assert engine._ball_bound([], np.uint64(0)) == -1
+        assert not self.candidates([], 0, tent).any()
+
+
+def lifted_offset(word, s, tent, centre):
+    """The offset (w - C) mod 2^64 from the centre word C of the window w
+    after step s + 1 of a byte-offset word, by the kernels' own lift."""
+    lifted = engine._lift(np.array([word], dtype=np.uint64),
+                          engine._TOP_SHIFTS[s], tent,
+                          np.empty(1, dtype=np.uint64),
+                          np.empty(1, dtype=np.int64))
+    return (int(lifted[0]) - centre) % 2 ** 64
 
 
 def offsets_past(offset):
@@ -1168,8 +1202,8 @@ class TestIidUniformTiles:
     def test_tiles_equal_one_draw(self, count, n_draws, circle):
         a = substream(19, "iid-tiles", count, n_draws)
         b = substream(19, "iid-tiles", count, n_draws)
-        got, = iid_min_distance_uniform(a, count, n_draws=n_draws, zeta=0.8,
-                                        circle=circle)
+        got = iid_min_distance_uniform(a, count, n_draws=n_draws, zeta=0.8,
+                                       circle=circle)
         want = reference_iid_min_distance_uniform(b, count, n_draws=n_draws,
                                                   zeta=0.8, circle=circle)
         assert np.array_equal(got, want)
@@ -1378,8 +1412,9 @@ class TestExactCylinderLaw:
         lanes, start_j = 4000, 3
         mu = self.mass(word_int, p_zero)
         window = round(1.0 / mu)
-        counts, = word_hit_count(
-            substream(11, "exact-count", word_int, tent, p_zero), lanes,
+        counts = word_hit_count(
+            block_substreams(lanes, 11,
+                             ("exact-count", word_int, tent, p_zero)), lanes,
             word_int=word_int, depth=self.DEPTH, tent=tent, p_zero=p_zero,
             window=window, start_j=start_j)
         expected = (window - start_j + 1) * mu
@@ -1418,6 +1453,18 @@ class TestBallHitKernel:
             arcs=([0.45], [0.55]),
         )
         assert hit.all() and (times == 0).all()
+
+    @pytest.mark.parametrize("start_j", [0, 1])
+    @pytest.mark.parametrize("tent", [False, True])
+    def test_ball_without_a_window_censors_every_lane(self, tent, start_j):
+        # 0.3 lies off the window grid, 2^-54 from the nearest window
+        zeta, eta, cap, lanes = 0.3, 2.0 ** -60, 300, BLOCK + 5
+        assert engine._ball_windows(zeta, eta, False) == []
+        times, hit = ball_first_hit_digits(
+            block_substreams(lanes, 3, ("no-window", tent)), lanes, eta=eta,
+            zeta=zeta, tent=tent, p_zero=0.5, circle=False, cap=cap,
+            start_j=start_j)
+        assert not hit.any() and (times == cap).all()
 
 
 class TestRotationKernels:

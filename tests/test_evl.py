@@ -404,7 +404,7 @@ class TestExactIidLaw:
     ])
     def test_lebesgue_balls(self, metric, zeta):
         obs = BallObservable(G1, Lebesgue1D(metric), zeta)
-        d, = iid_min_distance_uniform(
+        d = iid_min_distance_uniform(
             substream(3, "exact-iid", metric.value, zeta), self.LANES,
             n_draws=self.N, zeta=zeta, circle=metric is Metric.CIRCLE)
         self.check(obs, d)
