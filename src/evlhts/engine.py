@@ -118,8 +118,9 @@ The digit draws fix the RNG stream, and with it every report byte:
 
 * each chunk draws one (rows, columns) digit matrix per block through
   ``draw_digits`` on the block's generator, whose rows are the block's
-  lanes still live, in lane order, under either rule.  Each kernel passes
-  its ``_Scratch``, so a Bernoulli matrix is a view of it, valid until the
+  lanes still live, in lane order, under either rule.  The first-hit
+  kernels write each block's draw straight into its rows of the tile's
+  matrix; the others into their ``_Scratch``, where it is valid until the
   kernel's next draw: a kernel copies or shifts each draw into its own
   arrays before the next;
 * first-hit kernels draw full ``chunk``-width matrices even when fewer
@@ -131,15 +132,24 @@ The digit draws fix the RNG stream, and with it every report byte:
   (rows, cols) draw takes (rows, ceil(cols / 64)) raw words, and each
   packed word is its raw word byte-swapped.  So digit c of a row is bit
   7 - (c mod 8) of byte c // 8 of the row's raw words.  Any other p_zero
-  comes 8 to a raw word: a (rows, cols) draw takes (rows, ceil(cols / 8))
-  raw words, and digit c of a row is decided by byte c of the row's raw
-  words.  With T = ceil(p_zero * 2^53), a byte above T >> 45 gives 1 and
-  a byte below it gives 0.  A byte equal to it is a tie: after the main
-  draw, one more raw word per tie, in row-major order of the ties, gives
-  1 exactly when its top 45 bits reach T mod 2^45.  A draw without ties
-  takes no further words.  A digit is then 1 with mass 1 - T / 2^53,
-  exactly the law of ``gen.random() >= p_zero``, and the digits are
-  independent;
+  comes 8 to a 16-bit lane, 32 to a raw word: a (rows, cols) draw takes
+  (rows, ceil(ceil(cols / 8) / 4)) raw words, and lane i of a row, its
+  bytes 2i and 2i + 1 read little-endian, gives digits 8i .. 8i + 7 as
+  one byte, the first digit its most significant bit.  The lane is the
+  first 16 bits of a uniform U, and the byte is the one whose interval of
+  the exact CDF of 8 digits, in byte-value order, holds U (Knuth and Yao,
+  1976).  One table lookup decides it, except in the cells of width 2^-16
+  that a CDF boundary splits: 255 of 65,536 at p_zero = 0.3, a single
+  cell holding all 255 boundaries at p_zero = 2^-53.  Those lanes are
+  ties.  After the main draw, one more raw word per tie, in row-major
+  order of the ties, gives U's next 64 bits.  A tie word equal to the top
+  64 bits of a boundary that has further bits does not decide; once every
+  tie has its word, each such tie, in row-major order, takes further
+  words one at a time until it is decided.  A draw without ties takes no
+  further words.  Each byte then has exactly the mass of its interval,
+  q^(8 - a) (1 - q)^a for a ones, q = ceil(p_zero 2^53) / 2^53: the
+  digits are independent, each 1 with mass 1 - q, the law of
+  ``gen.random() >= p_zero``;
 * first-hit kernels drop a block's finished lanes between chunks once
   more than ``_COMPACT_AT`` of the block's live lanes have hit, and a
   block with no live lane left draws no more.  That sets the rows of each
@@ -147,6 +157,8 @@ The digit draws fix the RNG stream, and with it every report byte:
   it changes every result.  Tiles only group the draws; they move none.
 """
 
+import functools
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 
@@ -168,10 +180,20 @@ _TOP_SHIFTS = np.arange(3, 11, dtype=np.uint64)
 _PREFIX_BITS = 12
 _FIELD_SHIFT = WINDOW_BITS - _PREFIX_BITS
 
-#: a Bernoulli digit's 53-bit threshold T splits into the level T >> 45 of
-#: its byte lane and the 45 bits below, which a tie word's top bits decide
-_TIE_BITS = 45
-_TIE_MASK = (1 << _TIE_BITS) - 1
+#: a Bernoulli draw reads each raw word as 4 little-endian 16-bit lanes,
+#: each giving a byte of 8 digits by inverting their CDF (``_ByteLaw``),
+#: whose boundaries are integers over 2^(8 * 53): a boundary's cell is its
+#: top 16 bits, the bits below _CELL_SHIFT its offset in the cell
+_LANE_BITS = 16
+_CELL_SHIFT = 8 * 53 - _LANE_BITS
+#: an offset, padded to whole words of 64 bits, is read word by word
+_OFFSET_BITS = 7 * 64
+_OFFSET_PAD = _OFFSET_BITS - _CELL_SHIFT
+#: the bit of a ``_ByteLaw`` table entry that marks a tie cell
+_TIE_FLAG = 0x100
+#: uint64 in the platform's opposite byte order: assigning through it
+#: byte-swaps
+_SWAPPED = np.dtype(np.uint64).newbyteorder()
 
 #: lanes per tile of the iid uniform draws: a 256 x 512 float tile is 1 MB
 _IID_TILE = 256
@@ -235,61 +257,169 @@ class _Scratch:
 
 # ---------------------------------------------------------------- digits
 
-def draw_digits(gen, rows, cols, p_zero, scratch):
+class _ByteLaw:
+    """The exact law of 8 Bernoulli digits, inverted over 16-bit lanes.
+
+    With q = T / 2^53, T = ceil(p_zero * 2^53), byte b of 8 digits (the
+    first its most significant bit) with a ones has the atom
+    q^(8 - a) (1 - q)^a.  Ordered by byte value, the atoms put boundaries
+    B_1 <= ... <= B_255 on [0, 1], integers over 2^424 here, and a uniform
+    U gives the byte b with B_b <= U < B_(b + 1).  A lane v is U's first 16
+    bits.  ``table[v]`` is the byte of the cell [v, v + 1) 2^-16's least
+    point: the number of boundaries at or below v 2^-16.  Where a boundary
+    lies strictly inside the cell, the entry also has ``_TIE_FLAG`` set,
+    and U's further bits decide.  ``offsets[j]`` is boundary j + 1's
+    distance from its cell's start in units of 2^-464, 7 words of 64 bits
+    below the lane; ``cell``, ``top`` and ``more`` give its cell (-1 at a
+    cell edge), its first such word, and whether any bit follows it.  They
+    are padded past boundary 255 to be read at any index below
+    255 + ``most``, the most boundaries one cell holds.
+    """
+
+    def __init__(self, p_zero):
+        zero = math.ceil(p_zero * 2.0 ** 53)
+        one = 2 ** 53 - zero
+        bounds = list(itertools.accumulate(
+            zero ** (8 - b.bit_count()) * one ** b.bit_count()
+            for b in range(255)))
+        cells = np.array([b >> _CELL_SHIFT for b in bounds])
+        inside = np.array([b % (1 << _CELL_SHIFT) != 0 for b in bounds])
+        # cell v's least point passes the boundaries with ceil(B 2^16) <= v:
+        # byte b fills the cells from ceil(B_b 2^16) to ceil(B_(b + 1) 2^16)
+        edges = np.concatenate(([0], cells + inside, [1 << _LANE_BITS]))
+        self.table = np.repeat(np.arange(256, dtype=np.uint16),
+                               np.diff(edges))
+        self.table[cells[inside]] |= _TIE_FLAG
+        self.offsets = [(b % (1 << _CELL_SHIFT)) << _OFFSET_PAD
+                        for b in bounds]
+        self.most = max(np.unique(cells[inside], return_counts=True)[1],
+                        default=0)
+        size = len(bounds) + self.most
+        self.cell = np.full(size, -1, dtype=np.int64)
+        self.cell[:len(bounds)][inside] = cells[inside]
+        self.top = np.zeros(size, dtype=np.uint64)
+        self.top[:len(bounds)] = [o >> (_OFFSET_BITS - 64)
+                                  for o in self.offsets]
+        self.more = np.zeros(size, dtype=bool)
+        self.more[:len(bounds)] = [o % (1 << (_OFFSET_BITS - 64)) != 0
+                                   for o in self.offsets]
+
+    def resolve(self, gen, cells, low):
+        """The bytes of tie lanes ``cells``, whose entries give ``low``.
+
+        Each tie takes one raw word w, in order, as U's next 64 bits, and
+        passes a boundary of its cell whose top word is below w, or equals
+        w with no bit after it.  A tie whose w equals the top word of a
+        boundary with further bits is undecided by it; after every tie has
+        its word, each such tie in order takes further words until it is
+        decided (``_decide``).
+        """
+        words = gen.bit_generator.random_raw(cells.size)[:, None]
+        low = low.astype(np.int64)
+        # the boundaries that cell might hold, one row per tie
+        at = low[:, None] + np.arange(self.most)
+        inside = self.cell[at] == cells[:, None]
+        top, more = self.top[at], self.more[at]
+        even = inside & (top == words)
+        byte = low + ((inside & (top < words)) | (even & ~more)).sum(axis=1)
+        for k in np.flatnonzero((even & more).any(axis=1)):
+            byte[k] = self._decide(gen, int(cells[k]), int(low[k]),
+                                   int(words[k, 0]))
+        return byte
+
+    def _decide(self, gen, cell, low, word):
+        """The byte of a tie in ``cell`` whose first tie word is ``word``.
+
+        U's offset in the cell, read 64 bits at a time, is known to lie in
+        [u, u + 1) 2^-bits.  A boundary at or below u 2^-bits is passed, one
+        at or above (u + 1) 2^-bits is not; while one lies between, the tie
+        takes one more raw word.  After 7 words the offsets are integers at
+        the scale read, so every boundary is decided.
+        """
+        offsets = [o for j, o in enumerate(self.offsets[low:], low)
+                   if self.cell[j] == cell]
+        u, bits = word, 64
+        while True:
+            shift = _OFFSET_BITS - bits
+            if all(o <= u << shift or o >= (u + 1) << shift for o in offsets):
+                return low + sum(o <= u << shift for o in offsets)
+            u = (u << 64) | int(gen.bit_generator.random_raw(1)[0])
+            bits += 64
+
+
+@functools.lru_cache(maxsize=8)
+def _byte_law(p_zero):
+    """The ``_ByteLaw`` of p_zero, built on its first draw."""
+    return _ByteLaw(p_zero)
+
+
+def draw_digits(gen, rows, cols, p_zero, scratch=None, out=None):
     """Packed (rows, ceil(cols / 64)) digit matrix: digit c of a row is bit
     63 - (c mod 64) of word c // 64, 1 with mass 1 - p_zero, and the bits
     past ``cols`` are 0.
 
-    At p_zero != 1/2 the temporaries and the matrix live in ``scratch``,
-    a ``_Scratch``: the matrix is then valid until the next draw on it.
+    The matrix is written to ``out``, given (rows, ceil(cols / 64)) uint64
+    rows, else to ``scratch``, a ``_Scratch`` (a fresh one if None), where
+    it is valid until the next draw on it; the temporaries live in
+    ``scratch``.  Both rules read a row's raw 64-bit words as
+    little-endian bytes on every platform.
 
     Fair digits (p_zero = 1/2) are 64 to a raw word: the draw takes
-    (rows, ceil(cols / 64)) raw words and byte-swaps them, so digit c of a
-    row is bit 7 - (c mod 8) of byte c // 8 of the row's raw words read as
-    little-endian bytes.
+    (rows, ceil(cols / 64)) raw words and writes each byte-swapped, so
+    digit c of a row is bit 7 - (c mod 8) of byte c // 8 of its raw words.
 
-    Any other p_zero takes 8 digits from a raw word, one from each byte
-    lane: the draw takes (rows, ceil(cols / 8)) raw words, and digit c of
-    a row is decided by byte c of the row's raw words read as
-    little-endian bytes.  Let T = ceil(p_zero * 2^53), h = T >> 45 and
-    r = T mod 2^45.  A byte above h gives 1, a byte below h gives 0, and a
-    byte equal to h is a tie.  Each tie then takes one more raw word w, in
-    row-major order of the ties, and gives 1 exactly when w >> 19 >= r.
-    The law is exact for 0 <= p_zero < 1: a byte is uniform on 0 .. 255
-    and w >> 19 uniform on 0 .. 2^45 - 1, so
-
-        P(1) = (255 - h) / 256 + (2^45 - r) / 2^53 = 1 - T / 2^53,
-
-    which is the law of ``gen.random() >= p_zero``, whose float64 uniform
-    is (raw >> 11) * 2^-53.  Every digit reads its own byte and a tie its
-    own word, so the digits stay independent.
+    Any other p_zero takes 8 digits from each 16-bit lane of a raw word:
+    the draw takes (rows, ceil(ceil(cols / 8) / 4)) raw words, and lane i
+    of a row, its bytes 2i and 2i + 1 read little-endian, gives digits
+    8i .. 8i + 7, the first as the byte's most significant bit.  The lanes
+    from ceil(cols / 8) on are drawn and unused.  Let q = T / 2^53, with
+    T = ceil(p_zero * 2^53).  A lane v is the first 16 bits of a uniform
+    U, and its byte is the one whose interval [B_b, B_(b + 1)) of the exact
+    CDF of 8 digits, each 0 with mass q, holds U (``_ByteLaw``).  Mostly
+    v alone decides it, by one table lookup.  A lane whose cell
+    [v, v + 1) 2^-16 holds a boundary strictly inside is a tie: after the
+    main draw each tie takes one more raw word, in row-major order of the
+    ties, as U's next 64 bits.  A tie word equal to the top 64 bits of a
+    boundary that has further bits (probability below 2^-56 per tie) does
+    not decide; once every tie has its word, each undecided tie in
+    row-major order takes further words, one at a time, until it is
+    decided.  A draw without ties takes no further words.  The bits read
+    are those of one uniform U per lane, so the byte is b with mass
+    B_(b + 1) - B_b = q^(8 - a) (1 - q)^a for a ones in b exactly: the
+    digits are independent and each is 1 with mass 1 - T / 2^53, the law
+    of ``gen.random() >= p_zero``, whose float64 uniform is
+    (raw >> 11) 2^-53.
     """
     n_words = (cols + 63) // 64
+    if scratch is None:
+        scratch = _Scratch()
+    if out is None:
+        out = scratch("draw.words", (rows, n_words), np.uint64)
     if p_zero == 0.5:
-        words = gen.bit_generator.random_raw((rows, n_words))
-        words.byteswap(inplace=True)
+        out.view(_SWAPPED)[...] = gen.bit_generator.random_raw((rows, n_words))
         kept = cols % 64
         if kept:  # clear the last word's bits past cols
-            words[:, -1] &= np.uint64(((1 << kept) - 1) << (64 - kept))
-        return words
-    level = math.ceil(p_zero * 2.0 ** 53)
-    high = level >> _TIE_BITS
-    n_bytes = (cols + 7) // 8
-    raw = gen.bit_generator.random_raw((rows, n_bytes))
-    lanes = raw.astype("<u8", copy=False).view(np.uint8)[:, :cols]
-    ones = np.greater(lanes, high, out=scratch("draw.one", (rows, cols), bool))
-    ties = np.flatnonzero(
-        np.equal(lanes, high, out=scratch("draw.tie", (rows, cols), bool)))
-    if ties.size:
-        tie_words = gen.bit_generator.random_raw(ties.size)
-        ones.reshape(-1)[ties] = (tie_words >> np.uint64(64 - _TIE_BITS)
-                                  >= np.uint64(level & _TIE_MASK))
+            out[:, -1] &= np.uint64(((1 << kept) - 1) << (64 - kept))
+        return out
+    law = _byte_law(p_zero)
+    n_lanes = (cols + 7) // 8
+    raw = gen.bit_generator.random_raw((rows, (n_lanes + 3) // 4))
+    lanes = raw.astype("<u8", copy=False).view("<u2")[:, :n_lanes]
+    looked = np.take(law.table, lanes, mode="clip",
+                     out=scratch("draw.looked", (rows, n_lanes), np.uint16))
     packed = scratch("draw.packed", (rows, 8 * n_words), np.uint8)
-    packed[:, n_bytes:] = 0
-    packed[:, :n_bytes] = np.packbits(ones, axis=1)
-    words = scratch("draw.words", (rows, n_words), np.uint64)
-    np.copyto(words, packed.view(">u8"))
-    return words
+    packed[:, n_lanes:] = 0
+    np.copyto(packed[:, :n_lanes], looked, casting="unsafe")
+    ties = np.flatnonzero(np.greater_equal(
+        looked, _TIE_FLAG, out=scratch("draw.tie", (rows, n_lanes), bool)))
+    if ties.size:
+        row, lane = np.divmod(ties, n_lanes)
+        packed[row, lane] = law.resolve(gen, lanes[row, lane],
+                                        packed[row, lane])
+    if cols % 8:  # clear the last byte's bits past cols
+        packed[:, n_lanes - 1] &= np.uint8((0xFF << (8 - cols % 8)) & 0xFF)
+    np.copyto(out, packed.view(">u8"))
+    return out
 
 
 def _distances(pos, zeta, circle):
@@ -617,13 +747,13 @@ def _check_starts(count, starts):
 
 def _tile_digits(gens, tile, cols, p_zero, scratch):
     """One chunk's packed digits for a tile: each block's draw on its own
-    generator, stacked in block order."""
+    generator, written straight into its rows, in block order."""
     n_rows = sum(rows for _, rows in tile)
     digits = scratch("tile", (n_rows, (cols + 63) // 64), np.uint64)
     lo = 0
     for k, rows in tile:
-        digits[lo:lo + rows] = draw_digits(gens[k], rows, cols, p_zero,
-                                           scratch)
+        draw_digits(gens[k], rows, cols, p_zero, scratch,
+                    out=digits[lo:lo + rows])
         lo += rows
     return digits
 

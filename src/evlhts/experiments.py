@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import evl, hts
+from . import engine, evl, hts
 from .conditions import dprime_estimate, mixing_gap_estimate
 from .config import ExperimentConfig
 from .cylinders import (
@@ -37,7 +37,6 @@ from .cylinders import (
     smb_estimate,
     word_log_mass,
 )
-from .engine import MAX_WORD_DEPTH
 from .errors import ConfigError, DomainError, NotAttained, UnsupportedCombination
 from .laws import (
     EmpiricalLaw,
@@ -186,11 +185,11 @@ def _build_ctx(cfg: ExperimentConfig, system, measure, *needed_depths: int
 def _require_word_depths(system, key: str, depths, deepest: int):
     """Reject tent and doubling cylinders deeper than the word scans run;
     ``deepest`` is the deepest cell ``depths`` lead to."""
-    if system.kind in DIGIT_KINDS and deepest > MAX_WORD_DEPTH:
+    if system.kind in DIGIT_KINDS and deepest > engine.MAX_WORD_DEPTH:
         raise ConfigError(
             f"{key} = {', '.join(map(str, depths))} asks for a cylinder "
-            f"deeper than {MAX_WORD_DEPTH}, the deepest tent or doubling "
-            "cylinder the word scans run")
+            f"deeper than {engine.MAX_WORD_DEPTH}, the deepest tent or "
+            "doubling cylinder the word scans run")
 
 
 def _ball_target(measure, zeta, mass: float, key: str) -> hts.TargetSet:
@@ -584,10 +583,11 @@ def _run_smb(cfg: ExperimentConfig) -> tuple[_Report, dict]:
             cell = _q(estimate, exact=True)
             close = estimate == reference
         else:
-            # the count of ones of each sampled cell: letter 1 (mass 1 - p)
-            # where the uniform is >= p
+            # the count of ones of each sampled cell, whose letters are
+            # engine digits: 1 with mass 1 - p
             gen = substream(cfg["master_seed"], "smb", f"depth={depth}")
-            ones = (gen.random((cfg["smb.samples"], depth)) >= p).sum(axis=1)
+            letters = engine.draw_digits(gen, cfg["smb.samples"], depth, p)
+            ones = np.bitwise_count(letters).sum(axis=1)
             arr = np.array([-word_log_mass(ctx, int(k), depth) / depth
                             for k in ones])
             estimate = float(arr.mean())

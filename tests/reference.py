@@ -21,7 +21,10 @@ a kernel against a second implementation that shares none of its tricks:
 * ``reference_digits`` is the engine's digit draw rule, bit by bit, and
   ``pack_digits`` and ``unpack_digits`` convert between digit tables and
   the engine's packed words; ``window_from_digits`` reads the float
-  window 0.b1...b53 off packed words.
+  window 0.b1...b53 off packed words.  ``byte_cdf`` is the exact CDF of
+  a byte of 8 Bernoulli digits in Fractions, ``inverted_byte`` the byte
+  that an interval of uniforms decides, and ``lane_bytes`` that of every
+  16-bit lane.
 * ``no_entry_probability`` is the exact law of a first cylinder entry
   under iid letters, which Monte Carlo runs of the word kernels must
   reproduce up to sampling noise.
@@ -44,6 +47,8 @@ a kernel against a second implementation that shares none of its tricks:
 ``src/`` must not import this module: it is test code.
 """
 
+import bisect
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -406,11 +411,12 @@ def reference_digits(gen, rows, cols, p_zero):
     Fair digits come 64 to a raw word: byte k of a word is its bits
     8k .. 8k + 7 (little-endian), each byte gives its digits most
     significant bit first, and the row's words follow one another.  Any
-    other p_zero reads one byte per digit, in the same byte order, against
-    the exact threshold T = ceil(p_zero * 2^53): a byte above T // 2^45
-    is a 1, one below it a 0, and one equal to it a tie.  The ties, taken
-    row by row and left to right, then read one raw word each and are a 1
-    when the word's top 45 bits reach T mod 2^45.
+    other p_zero reads a row's raw words as 16-bit lanes in the same
+    order, lane i giving the byte of digits 8i .. 8i + 7 by inverting the
+    exact CDF of 8 digits (``inverted_byte``).  The lanes whose cell holds
+    a CDF boundary strictly inside, taken row by row and left to right,
+    then read one raw word each, and those still undecided read further
+    words one at a time, in the same order.
     """
     if p_zero != 0.5:
         return _reference_byte_digits(gen, rows, cols, p_zero)
@@ -425,24 +431,66 @@ def reference_digits(gen, rows, cols, p_zero):
     return pack_digits(out)
 
 
+@functools.lru_cache(maxsize=None)
+def byte_cdf(p_zero):
+    """B_0 = 0 <= B_1 <= ... <= B_256 = 1, the CDF of a byte of 8 digits
+    in byte-value order, each digit 0 with mass q = ceil(p_zero 2^53) /
+    2^53 and independent, exactly."""
+    q = Fraction(math.ceil(Fraction(p_zero) * 2 ** 53), 2 ** 53)
+    bounds = [Fraction(0)]
+    for b in range(256):
+        a = bin(b).count("1")
+        bounds.append(bounds[-1] + q ** (8 - a) * (1 - q) ** a)
+    assert bounds[-1] == 1
+    return tuple(bounds)
+
+
+def inverted_byte(bounds, lo, width):
+    """The byte of every uniform in [lo, lo + width), or None when a
+    boundary lies strictly inside, so that the interval does not decide."""
+    first = bisect.bisect_right(bounds, lo)
+    if first < len(bounds) and bounds[first] < lo + width:
+        return None
+    return first - 1
+
+
+@functools.lru_cache(maxsize=None)
+def lane_bytes(p_zero):
+    """``inverted_byte`` of each 16-bit lane's cell, in integers over
+    2^424, where every boundary is one."""
+    bounds = [int(b * 2 ** 424) for b in byte_cdf(p_zero)]
+    return tuple(inverted_byte(bounds, v << 408, 1 << 408)
+                 for v in range(2 ** 16))
+
+
 def _reference_byte_digits(gen, rows, cols, p_zero):
-    """``reference_digits`` for p_zero != 1/2, one digit at a time."""
-    high, rest = divmod(math.ceil(Fraction(p_zero) * 2 ** 53), 2 ** 45)
-    words = gen.bit_generator.random_raw((rows, math.ceil(cols / 8)))
-    out = np.zeros((rows, cols), dtype=bool)
+    """``reference_digits`` for p_zero != 1/2, one lane at a time."""
+    bounds = byte_cdf(p_zero)
+    n_lanes = math.ceil(cols / 8)
+    words = gen.bit_generator.random_raw((rows, math.ceil(n_lanes / 4)))
+    table = np.zeros((rows, 8 * n_lanes), dtype=bool)
     ties = []
     for i, row in enumerate(words.tolist()):
-        for c in range(cols):
-            byte = (row[c // 8] >> (8 * (c % 8))) & 0xFF
-            if byte == high:
-                ties.append((i, c))
+        for lane in range(n_lanes):
+            v = (row[lane // 4] >> (16 * (lane % 4))) & 0xFFFF
+            byte = lane_bytes(p_zero)[v]
+            if byte is None:
+                ties.append((i, lane, Fraction(v, 2 ** 16)))
             else:
-                out[i, c] = byte > high
+                table[i, 8 * lane:8 * lane + 8] = _BYTE_DIGITS[byte]
+    width = Fraction(1, 2 ** 80)
     if ties:
         tie_words = gen.bit_generator.random_raw(len(ties)).tolist()
-        for (i, c), w in zip(ties, tie_words):
-            out[i, c] = w >> 19 >= rest
-    return pack_digits(out)
+        ties = [(i, lane, lo + w * width)
+                for (i, lane, lo), w in zip(ties, tie_words)]
+    for i, lane, lo in ties:
+        byte, step = inverted_byte(bounds, lo, width), width
+        while byte is None:
+            step /= 2 ** 64
+            lo += gen.bit_generator.random_raw(1).tolist()[0] * step
+            byte = inverted_byte(bounds, lo, step)
+        table[i, 8 * lane:8 * lane + 8] = _BYTE_DIGITS[byte]
+    return pack_digits(table[:, :cols])
 
 
 def window_from_digits(packed):
@@ -494,17 +542,20 @@ def fraction_smb_rates(ctx: PartitionContext, seed: int, depth: int,
                        samples: int) -> np.ndarray:
     """-log mu(Z_depth) / depth for the cells ``smb`` samples at ``depth``.
 
-    Each cell's letters (1 where a uniform is >= p) become the exact
-    Fraction midpoint of its doubling cell, and ``smb_estimate`` follows
-    that point back through the partition to the cell and its mass.
+    Each cell's letters, the digits of one row of ``reference_digits``,
+    become the exact Fraction midpoint of its doubling cell, and
+    ``smb_estimate`` follows that point back through the partition to the
+    cell and its mass.
     """
     gen = substream(seed, "smb", f"depth={depth}")
-    p = digit_p_zero(ctx.measure)
+    letters = unpack_digits(
+        reference_digits(gen, samples, depth, digit_p_zero(ctx.measure)),
+        depth)
     rates = []
-    for _ in range(samples):
+    for row in letters.tolist():
         idx = 0
-        for u in gen.random(depth):
-            idx = (idx << 1) | (1 if u >= p else 0)
+        for letter in row:
+            idx = (idx << 1) | letter
         point = Fraction(2 * idx + 1, 1 << (depth + 1))
         rates.append(smb_estimate(ctx, point, depth))
     return np.asarray(rates)
@@ -591,7 +642,8 @@ def uniform_cdf(y):
 
 class RecordingGen:
     """A Generator that records the shape of every digit draw: a tuple
-    for a digit matrix, an int for the tie words after a byte-lane draw."""
+    for a digit matrix, an int for the tie and further words after a
+    Bernoulli draw."""
 
     def __init__(self, gen):
         self.gen = gen

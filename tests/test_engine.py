@@ -32,7 +32,10 @@ from reference import (
     BitStreamPoint,
     FloatPoint,
     RecordingGen,
+    byte_cdf,
+    inverted_byte,
     iterate,
+    lane_bytes,
     no_entry_probability,
     pack_digits,
     reference_digits,
@@ -59,16 +62,19 @@ class ScriptedDigits:
         self.rows = [list(r) for r in rows]
         self.cursor = 0
 
-    def __call__(self, gen, rows, cols, p_zero, scratch):
+    def __call__(self, gen, rows, cols, p_zero, scratch=None, out=None):
         assert rows == len(self.rows), "lane count changed mid-stream"
         # Kernels draw full-width chunks but only read the columns that
         # remain, so pad past the scripted table with digit 0.
-        out = np.zeros((rows, cols), dtype=bool)
+        table = np.zeros((rows, cols), dtype=bool)
         for i, row in enumerate(self.rows):
             chunk = row[self.cursor:self.cursor + cols]
-            out[i, :len(chunk)] = chunk
+            table[i, :len(chunk)] = chunk
         self.cursor += cols
-        return pack_digits(out)
+        if out is None:
+            return pack_digits(table)
+        out[...] = pack_digits(table)
+        return out
 
 
 @pytest.fixture
@@ -1212,7 +1218,7 @@ class TestIidUniformTiles:
                               b.bit_generator.random_raw(4))
 
 
-#: p_zero values of the byte-lane rule: the ends of its range and skews
+#: p_zero values of the Bernoulli rule: the ends of its range and skews
 BYTE_LANE_P = [0.0, 2.0 ** -53, 1.0 - 2.0 ** -53, 0.3, 0.01, 0.99]
 
 
@@ -1257,12 +1263,14 @@ class TestDrawDigits:
         assert got.dtype == np.uint64
         assert got.shape == (rows, math.ceil(cols / 64))
         assert np.array_equal(got, reference_digits(b, rows, cols, p_zero))
-        # the draw spent rows * ceil(cols / 8) raw words, plus one per byte
-        # among the first cols of a row that equals T >> 45
+        # the draw spent rows * ceil(ceil(cols / 8) / 4) raw words, plus one
+        # per digit lane whose cell a CDF boundary splits
         c = substream(17, "digits", p_zero, cols)
-        raw = c.bit_generator.random_raw((rows, math.ceil(cols / 8)))
-        lanes = raw.astype("<u8").view(np.uint8)[:, :cols]
-        ties = int((lanes == threshold(p_zero) >> 45).sum())
+        n_lanes = math.ceil(cols / 8)
+        raw = c.bit_generator.random_raw((rows, math.ceil(n_lanes / 4)))
+        lanes = raw.astype("<u8").view("<u2")[:, :n_lanes]
+        ties = sum(lane_bytes(p_zero)[v] is None
+                   for v in lanes.ravel().tolist())
         c.bit_generator.random_raw(ties)
         assert np.array_equal(a.bit_generator.random_raw(4),
                               c.bit_generator.random_raw(4))
@@ -1286,50 +1294,68 @@ class TestDrawDigits:
     @pytest.mark.parametrize("p_zero", [0.3, 0.01, 0.99, 2.0 ** -53,
                                         1.0 - 2.0 ** -53])
     def test_scripted_bytes_and_ties(self, p_zero):
-        level = threshold(p_zero)
-        high, rest = level >> 45, level % 2 ** 45
-        below = high - 1 if high > 0 else None
-        above = high + 1 if high < 255 else None
-        # 3 rows of 16 byte lanes: ties in rows 0 and 2 only, so their
-        # tie words pin the row-major order of the ties
+        bounds = byte_cdf(p_zero)
+        by_lane = lane_bytes(p_zero)
+        tie = by_lane.index(None)
+        # a cell below the tie cell and one above it, where there are
+        below = next((v for v in range(tie - 1, -1, -1)
+                      if by_lane[v] is not None), None)
+        above = next((v for v in range(tie + 1, 2 ** 16)
+                      if by_lane[v] is not None), None)
+        # 3 rows of 8 lanes: ties in rows 0 and 2 only, so their tie words
+        # pin the row-major order of the ties
         layout = [
-            [high, below, above, high, above, below, high, high],
+            [tie, below, above, tie, above, below, tie, tie],
             [below, above, below, above, below, above, below, above],
-            [above, high, below, high, below, above, below, high],
+            [above, tie, below, tie, below, above, below, tie],
         ]
-        table = [[high if b is None else b for b in row] * 2
-                 for row in layout]
-        raw = np.array([[int.from_bytes(bytes(row[8 * k:8 * k + 8]), "little")
-                         for k in range(2)] for row in table],
-                       dtype=np.uint64)
-        n_ties = sum(row.count(high) for row in table)
-        # tie words alternate just below the 45-bit remainder (digit 0)
-        # and at it (digit 1)
-        tie_ones = [k % 2 == 1 for k in range(n_ties)]
-        tie_words = np.array([rest << 19 if one
-                              else ((rest - 1) << 19) | (2 ** 19 - 1)
-                              for one in tie_ones], dtype=np.uint64)
+        table = [[tie if v is None else v for v in row] for row in layout]
+        raw = np.array([[sum(v << 16 * i
+                             for i, v in enumerate(row[4 * k:4 * k + 4]))
+                         for k in range(2)] for row in table], dtype=np.uint64)
+        n_ties = sum(row.count(tie) for row in table)
+        # tie words cycle through words that decide the byte alone:
+        # around the top word of the cell's first boundary, and the ends
+        first = next(b for b in bounds if b * 2 ** 16 > tie)
+        top = math.floor((first * 2 ** 16 - tie) * 2 ** 64)
+
+        def tie_byte(w):
+            return inverted_byte(bounds, Fraction(tie, 2 ** 16)
+                                 + Fraction(w, 2 ** 80), Fraction(1, 2 ** 80))
+
+        choices = [w for w in (top - 1, top + 1, 2 ** 63, 0, 2 ** 64 - 1)
+                   if 0 <= w < 2 ** 64 and tie_byte(w) is not None]
+        assert len({tie_byte(w) for w in choices}) > 1
+        tie_words = [choices[k % len(choices)] for k in range(n_ties)]
         calls = []
 
         def random_raw(shape):
             calls.append(shape)
-            return raw if len(calls) == 1 else tie_words
+            return raw if len(calls) == 1 else np.array(tie_words,
+                                                        dtype=np.uint64)
 
         gen = SimpleNamespace(bit_generator=SimpleNamespace(
             random_raw=random_raw))
         got = unpack_digits(
-            draw_digits(gen, 3, 16, p_zero, engine._Scratch()), 16)
+            draw_digits(gen, 3, 64, p_zero, engine._Scratch()), 64)
         assert calls == [(3, 2), n_ties]
-        ties = iter(tie_ones)
-        want = [[next(ties) if b == high else b > high for b in row]
-                for row in table]
+        words = iter(tie_words)
+        want = []
+        for row in table:
+            digits = []
+            for v in row:
+                byte = tie_byte(next(words)) if v == tie else by_lane[v]
+                digits += [(byte >> (7 - i)) & 1 == 1 for i in range(8)]
+            want.append(digits)
         assert got.tolist() == want
 
     def test_no_ties_no_extra_word(self):
-        high = threshold(0.3) >> 45
-        raw = np.full((2, 3), int.from_bytes(bytes([high + 1] * 8), "little"),
-                      dtype=np.uint64)
-        raw[1, 2] = int.from_bytes(bytes([high - 1] * 8), "little")
+        by_lane = lane_bytes(0.3)
+        assert by_lane[0] == 0 and by_lane[2 ** 16 - 1] == 255
+        # 3 digit lanes and an unused fourth lane in a tie cell
+        tie = by_lane.index(None)
+        raw = np.full((2, 1), 0xFFFF_FFFF_FFFF | tie << 48, dtype=np.uint64)
+        raw[1, 0] = 0xFFFF_FFFF | tie << 48
         calls = []
 
         def random_raw(shape):
@@ -1340,8 +1366,97 @@ class TestDrawDigits:
             random_raw=random_raw))
         got = unpack_digits(draw_digits(gen, 2, 24, 0.3, engine._Scratch()),
                             24)
-        assert calls == [(2, 3)]
+        assert calls == [(2, 1)]
         assert got.sum(axis=1).tolist() == [24, 16]
+
+    @pytest.mark.parametrize("p_zero", [0.3, 2.0 ** -53])
+    @pytest.mark.parametrize("equal_words", [1, 2])
+    @pytest.mark.parametrize("past", [False, True])
+    def test_equal_tie_word_takes_further_words(self, p_zero, equal_words,
+                                                past):
+        # a boundary with bits past its top word, inside a tie cell; at
+        # 2^-53 every boundary lies in cell 0, and this is the greatest
+        bounds = byte_cdf(p_zero)
+        boundary = next(b for b in reversed(bounds[1:-1])
+                        if (b * 2 ** 80).denominator > 1)
+        cell = math.floor(boundary * 2 ** 16)
+        offset = boundary * 2 ** 16 - cell
+        words = [math.floor(offset * 2 ** (64 * (k + 1))) % 2 ** 64
+                 for k in range(equal_words + 1)]
+        # row 0's tie word equals the boundary's top word (and so do the
+        # further words but the last); row 1's tie word passes it, so row
+        # 1 is decided and row 0 takes its further words after both
+        last = words[equal_words] + (1 if past else -1)
+        assert 0 <= last < 2 ** 64
+        script = [np.array([[cell], [cell]], dtype=np.uint64),
+                  np.array([words[0], words[0] + 1], dtype=np.uint64),
+                  *[np.array([w], dtype=np.uint64)
+                    for w in words[1:equal_words] + [last]]]
+        calls = []
+
+        def random_raw(shape):
+            calls.append(shape)
+            return script[len(calls) - 1]
+
+        gen = SimpleNamespace(bit_generator=SimpleNamespace(
+            random_raw=random_raw))
+        got = unpack_digits(draw_digits(gen, 2, 8, p_zero, engine._Scratch()),
+                            8)
+        assert calls == [(2, 1), 2] + [1] * equal_words
+        point = Fraction(cell, 2 ** 16) + sum(
+            Fraction(w, 2 ** (16 + 64 * (k + 1)))
+            for k, w in enumerate(words[:equal_words] + [last]))
+        width = Fraction(1, 2 ** (16 + 64 * (equal_words + 1)))
+        byte = inverted_byte(bounds, point, width)
+        # the boundary's own byte starts at it
+        assert (byte == bounds.index(boundary)) == past
+        row_1 = inverted_byte(bounds, Fraction(cell, 2 ** 16)
+                              + Fraction(words[0] + 1, 2 ** 80),
+                              Fraction(1, 2 ** 80))
+        assert [int("".join(str(int(d)) for d in row), 2)
+                for row in got] == [byte, row_1]
+
+    @pytest.mark.parametrize("p_zero", BYTE_LANE_P)
+    def test_table_gives_each_byte_its_exact_atom(self, p_zero):
+        # each byte's whole cells and its shares of the split cells, in
+        # units of 2^-464, equal its atom q^(8 - a) (1 - q)^a exactly
+        law = engine._byte_law(p_zero)
+        entry = law.table.astype(np.int64)
+        low, split = entry & 0xFF, entry >= 0x100
+        mass = [n << 448 for n in
+                np.bincount(low[~split], minlength=256).tolist()]
+        for v in np.flatnonzero(split).tolist():
+            cuts = [o for o, c in zip(law.offsets, law.cell.tolist())
+                    if c == v]
+            assert cuts and all(0 < o < 2 ** 448 for o in cuts)
+            edges = [0, *cuts, 2 ** 448]
+            for k in range(len(cuts) + 1):
+                mass[low[v] + k] += edges[k + 1] - edges[k]
+        t = threshold(p_zero)
+        assert mass == [t ** (8 - a) * (2 ** 53 - t) ** a << 40
+                        for a in (b.bit_count() for b in range(256))]
+
+    @pytest.mark.parametrize("p_zero", [0.3, 0.01])
+    def test_digit_and_pair_frequencies(self, p_zero):
+        # 10^7 digits, 64 to a row; pairs inside a byte, (2k, 2k + 1), and
+        # across bytes and lanes, (8i + 7, 8i + 8), each a set of disjoint
+        # pairs, so their counts are multinomial under independence
+        rows = 156_250
+        words = draw_digits(substream(23, "pairs", p_zero), rows, 64,
+                            p_zero, engine._Scratch())
+        digits = np.unpackbits(words.astype(">u8").view(np.uint8), axis=1)
+        q = threshold(p_zero) / 2.0 ** 53
+        n = digits.size
+        z = (digits.mean() - (1 - q)) / math.sqrt(q * (1 - q) / n)
+        assert abs(z) <= 4.0
+        for first in (np.arange(0, 64, 2), np.arange(7, 63, 8)):
+            pairs = 2 * digits[:, first] + digits[:, first + 1]
+            counts = np.bincount(pairs.ravel(), minlength=4)
+            want = np.array([q * q, q * (1 - q), (1 - q) * q,
+                             (1 - q) * (1 - q)])
+            z = (counts - pairs.size * want) / np.sqrt(
+                pairs.size * want * (1 - want))
+            assert np.abs(z).max() <= 4.0, z
 
     @pytest.mark.parametrize("p_zero", [0.3, 0.01])
     def test_every_byte_lane_has_the_exact_law(self, p_zero):
