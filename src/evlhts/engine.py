@@ -103,16 +103,17 @@ of a tile, from a given column on; the scan turns those into times, drops
 finished lanes and censors the lanes still out at the cap.  The word
 kernels read the first column off the packed match words with a bit
 smear and a popcount, the ball kernel off its candidates' steps, and the
-rotation and intermittent kernels off one boolean plane through
-``_first_inside``.
+rotation and intermittent kernels off a (cols, lanes) boolean plane
+through ``_first_inside``: row c holds column c of every lane.
 Rotations advance exact 63-bit integer positions, doubled onto the
 wrapping 2^64 grid, a chunk per numpy op.
-The intermittent map steps float64 lanes with numpy's array pow, which
-can differ from Python's scalar float pow (``EmpiricalOrbit`` uses that)
-in the last bit, but gives each lane the same result at any position in
-an array of any length.  So each lane of either map follows one orbit
-whatever lanes run beside it, and neither compaction nor running a whole
-run's lanes in one scan changes a value.
+The intermittent map steps float64 lanes in place (``_mp_step``) with
+numpy's array pow, which can differ from Python's scalar float pow
+(``EmpiricalOrbit`` uses that) in the last bit, but gives each lane the
+same result at any position in an array of any length or forward stride.
+So each lane of either map follows one orbit whatever lanes run beside
+it, and neither compaction nor running a whole run's lanes in one scan
+changes a value.
 
 The digit draws fix the RNG stream, and with it every report byte:
 
@@ -217,10 +218,7 @@ def run_blocked(n_samples, master_seed, labels, kernel, threads=1):
 
     ``kernel`` must return a tuple of 1-d arrays of length ``count`` (or
     2-d with ``count`` rows).  Results are concatenated in block order.
-    The digit kernels do not come here: they take every block's
-    generator, draw each block's starts and scan the whole run in one
-    call.  Only the rotation and intermittent starts come here, from
-    ``hts.orbit_starts``.
+    Only ``hts.orbit_starts`` comes here (module docstring).
     """
     gens = block_substreams(n_samples, master_seed, labels)
     counts = [count for _, _, count in block_slices(n_samples)]
@@ -422,9 +420,9 @@ def draw_digits(gen, rows, cols, p_zero, scratch=None, out=None):
     return out
 
 
-def _distances(pos, zeta, circle):
-    """Distances of the positions ``pos`` to zeta, written over ``pos``."""
-    d = np.subtract(pos, zeta, out=pos)
+def _distances(pos, zeta, circle, out):
+    """Distances of the positions ``pos`` to zeta, written to ``out``."""
+    d = np.subtract(pos, zeta, out=out)
     np.abs(d, out=d)
     if circle:
         np.minimum(d, 1.0 - d, out=d)
@@ -517,7 +515,7 @@ def digit_window_min_distance(
                 _dense_extremes(words, cols, tent, centre, least, most,
                                 scratch)
     nearest = ((np.stack([low, high]) + centre) >> np.uint64(_LOW)) * _SCALE
-    return _distances(nearest, zeta, circle).min(axis=0)
+    return _distances(nearest, zeta, circle, nearest).min(axis=0)
 
 
 def _dense_extremes(words, cols, tent, centre, low, high, scratch):
@@ -646,7 +644,7 @@ def iid_min_distance_uniform(gen, count, *, n_draws, zeta, circle, chunk=512):
             rows = min(_IID_TILE, count - lo)
             x = buf[:rows * cols].reshape(rows, cols)
             gen.random(out=x)
-            d = _distances(x, zeta, circle)
+            d = _distances(x, zeta, circle, x)
             np.minimum(best[lo:lo + rows], d.min(axis=1),
                        out=best[lo:lo + rows])
         left -= cols
@@ -760,12 +758,13 @@ def _tile_digits(gens, tile, cols, p_zero, scratch):
 
 def _first_inside(inside, first, cols):
     """Each lane's first inside column in ``first`` .. ``cols`` - 1 of the
-    (lanes, cols) boolean ``inside``; ``cols`` where the lane has none."""
-    column = np.full(inside.shape[0], cols, dtype=np.int64)
-    inside = inside[:, first:]
-    rows_in = np.flatnonzero(inside.any(axis=1))
-    if rows_in.size:
-        column[rows_in] = first + inside[rows_in].argmax(axis=1)
+    (cols, lanes) boolean ``inside``, whose row c holds column c of every
+    lane; ``cols`` where the lane has none."""
+    column = np.full(inside.shape[1], cols, dtype=np.int64)
+    inside = inside[first:]
+    lanes_in = np.flatnonzero(inside.any(axis=0))
+    if lanes_in.size:
+        column[lanes_in] = first + inside[:, lanes_in].argmax(axis=0)
     return column
 
 
@@ -797,13 +796,11 @@ def _word_scan_start(count, word_int, depth, start_j, preload, tent):
 
 
 def _column_masks(n_words, first, cols):
-    """(n_words, 1) masks of the packed columns first .. cols - 1."""
-    masks = []
-    for q in range(n_words):
-        lo = min(max(first - 64 * q, 0), 64)
-        hi = min(max(cols - 64 * q, 0), 64)
-        masks.append(((1 << (hi - lo)) - 1) << (64 - hi) if hi > lo else 0)
-    return np.array(masks, dtype=np.uint64)[:, None]
+    """(n_words, 1) masks of the packed columns first .. cols - 1: the
+    words of one run of set bits, column 0 the row's first bit."""
+    bits = ((1 << max(cols - first, 0)) - 1) << (64 * n_words - cols)
+    return np.array([(bits >> 64 * q) % 2**64 for q in range(n_words)][::-1],
+                    dtype=np.uint64)[:, None]
 
 
 def _word_chunk(digits, cols, first, state, word_int, depth, tent, scratch):
@@ -854,11 +851,8 @@ def _word_chunk(digits, cols, first, state, word_int, depth, tent, scratch):
 
 def _first_set_column(match, cols):
     """Each lane's first set column of its packed match words; ``cols``
-    where there is none.
-
-    The first word with a bit set holds the column; smearing its highest
-    set bit down to bit 0 leaves 64 - (column mod 64) bits set.
-    """
+    where there is none.  Smearing the highest set bit of the first nonzero
+    word down to bit 0 leaves 64 - (column mod 64) bits set."""
     column = np.full(match.shape[1], cols, dtype=np.int64)
     nonzero = match != 0
     lanes = np.flatnonzero(nonzero.any(axis=0))
@@ -1096,28 +1090,28 @@ def rotation_first_hit(
     Positions are 63-bit integers; the step is the quantized angle, so
     the sweep is exact and matches the scalar map for every lane.  The
     scan runs on the doubled grid of 2^64 points, where uint64 addition
-    wraps as the map does: a chunk adds offsets[k] = 2 k step mod 2^64 to
-    the chunk's first positions.  Doubled, [lo, hi) is the cyclic arc
-    (pos - 2 lo) mod 2^64 < 2 (hi - lo), which holds the whole circle too.
+    wraps as the map does, each position less 2 lo: a chunk adds
+    offsets[k] = 2 k step mod 2^64 to its first positions, and [lo, hi) is
+    the cyclic arc below 2 (hi - lo), which holds the whole circle too.
     """
     if not 0 <= lo < hi <= FIXED_ONE:
         raise DomainError("arc must satisfy 0 <= lo < hi <= 2^63")
     _check_starts(count, starts)
-    lo_u, last = np.uint64(2 * lo), np.uint64(2 * (hi - lo) - 1)
+    last = np.uint64(2 * (hi - lo) - 1)
     offsets = np.array([2 * k * step_fixed % 2**64 for k in range(chunk + 1)],
                        dtype=np.uint64)
     scratch = _Scratch()
 
     def scan(tile, state, cols, first):
         s, = state
-        pos = np.add(s[:, None], offsets[:cols],
-                     out=scratch("pos", (s.size, cols), np.uint64))
-        pos -= lo_u
+        pos = np.add(offsets[:cols, None], s,
+                     out=scratch("pos", (cols, s.size), np.uint64))
         inside = np.less_equal(pos, last,
                                out=scratch("inside", pos.shape, bool))
         return _first_inside(inside, first, cols), (s + offsets[cols],)
 
-    s = (starts << np.uint64(1)) + np.uint64(2 * start_j * step_fixed % 2**64)
+    s = (starts << np.uint64(1)) + np.uint64(
+        (2 * start_j * step_fixed - 2 * lo) % 2**64)
     return _first_hit(_block_sizes(count), cap, start_j, start_j, chunk, scan,
                       (s,))
 
@@ -1144,22 +1138,28 @@ def rotation_min_distance(*, step_fixed, zeta_fixed, n_steps, starts):
 
 # ----------------------------------------------------------- intermittent
 
-def mp_min_distance(*, s_exp, zeta, n_steps, starts):
-    """Minimum interval distance to zeta along intermittent-map orbits.
+def _mp_step(x, e, tmp):
+    """x + x^e mod 1 of every lane, in place, through ``tmp``.  For x in
+    [0, 1) the sum is at most 2 - 2^-52, so subtracting its floor, 0 or 1,
+    is exact: bit for bit ``x = x + x**e; x -= x >= 1.0``."""
+    np.power(x, e, out=tmp)
+    x += tmp
+    x -= np.floor(x, out=tmp)
 
-    ``starts`` come from the caller (stationary draws from the empirical
-    invariant measure).  The update is numpy's array pow, which depends on
-    a lane's start alone, not on its position.
+
+def mp_min_distance(*, s_exp, zeta, n_steps, starts):
+    """Minimum interval distance to zeta along the intermittent-map orbits
+    from ``starts`` (stationary draws from the empirical invariant
+    measure), stepped by ``_mp_step``: a lane's minimum depends on its
+    start alone, not on its position.
     """
     if n_steps < 1:
         raise DomainError("need at least one orbit point")
-    x = starts.copy()
-    e = 1.0 + s_exp
-    best = np.abs(x - zeta)
+    x, tmp, e = starts.copy(), np.empty_like(starts), 1.0 + s_exp
+    best = _distances(x, zeta, False, np.empty_like(x))
     for _ in range(n_steps - 1):
-        x = x + x**e
-        x -= x >= 1.0
-        np.minimum(best, np.abs(x - zeta), out=best)
+        _mp_step(x, e, tmp)
+        np.minimum(best, _distances(x, zeta, False, tmp), out=best)
     return best
 
 
@@ -1167,8 +1167,8 @@ def mp_first_hit(count, *, s_exp, eta, zeta, cap, start_j, starts, chunk=64):
     """First j in [start_j, cap) with |f^j x - zeta| < eta (intermittent),
     for the ``count`` lanes that start at ``starts``.
 
-    Each step of a chunk writes one column of the chunk's inside matrix, so
-    no float (lanes, chunk) matrix is kept.
+    Each step writes one row of the chunk's (cols, lanes) inside plane and
+    steps the lanes in place: a step allocates nothing.
     """
     _check_starts(count, starts)
     e = 1.0 + s_exp
@@ -1176,11 +1176,11 @@ def mp_first_hit(count, *, s_exp, eta, zeta, cap, start_j, starts, chunk=64):
 
     def scan(tile, state, cols, first):
         x, = state
-        inside = scratch("inside", (x.size, cols), bool)
-        for c in range(cols):
-            np.less(np.abs(x - zeta), eta, out=inside[:, c])
-            x = x + x**e
-            x -= x >= 1.0
+        inside = scratch("inside", (cols, x.size), bool)
+        tmp = scratch("tmp", x.shape, np.float64)
+        for row in inside:
+            np.less(_distances(x, zeta, False, tmp), eta, out=row)
+            _mp_step(x, e, tmp)
         return _first_inside(inside, first, cols), (x,)
 
     # every lane in one tile: each iterate takes a Python step per tile

@@ -1126,6 +1126,38 @@ def reference_mp_first_hit(count, *, s_exp, eta, zeta, cap, start_j,
     return times, times < cap
 
 
+def reference_first_inside(inside, first, cols):
+    """Per-lane scan of a (cols, lanes) plane: ``engine._first_inside``."""
+    return np.array([
+        next((c for c in range(first, cols) if inside[c, lane]), cols)
+        for lane in range(inside.shape[1])])
+
+
+class TestFirstInside:
+    """``engine._first_inside`` reads a (cols, lanes) plane, whose row c
+    holds column c of every lane, from column ``first`` on."""
+
+    @pytest.mark.parametrize("cols", [1, 7, 64])
+    @pytest.mark.parametrize("first_at", ["zero", "middle", "last"])
+    def test_matches_per_lane_scan(self, cols, first_at):
+        first = {"zero": 0, "middle": cols // 2, "last": cols - 1}[first_at]
+        scratch = engine._Scratch()
+        # a chunk's plane, then a shorter one over its stale bytes, as a
+        # scan's last chunk takes it
+        scratch("inside", (64, 300), bool)[...] = True
+        inside = scratch("inside", (cols, 300), bool)
+        gen = substream(5, "first-inside", cols, first)
+        np.less(gen.random(inside.shape), 0.05, out=inside)
+        inside[:, :4] = False  # lane 0 has no hit
+        inside[:first, 1] = True  # lane 1 hits only before first
+        inside[first, 2] = True
+        inside[cols - 1, 3] = True
+        got = engine._first_inside(inside, first, cols)
+        assert np.array_equal(got, reference_first_inside(inside, first,
+                                                          cols))
+        assert got[:4].tolist() == [cols, cols, first, cols - 1]
+
+
 # Starts around the chunk boundary at 64; the caps end mid-chunk at both
 # chunk widths, and 66 leaves a single eligible iterate at start_j = 65.
 ORBIT_GRID = [
@@ -1738,6 +1770,98 @@ class TestIntermittentKernels:
                     break
             assert times[i] == want
             assert hit[i] == (want < 200)
+
+    @pytest.mark.parametrize("s_exp", [0.2, 0.5, 0.6])
+    def test_min_distance_equals_per_step_reference(self, s_exp):
+        starts = substream(7, "mp-min", s_exp).random(2048)
+        kept = starts.copy()
+        got = mp_min_distance(s_exp=s_exp, zeta=0.3, n_steps=300,
+                              starts=starts)
+        x, want = starts, np.abs(starts - 0.3)
+        for _ in range(299):
+            x = reference_mp_step(x, 1.0 + s_exp)
+            want = np.minimum(want, np.abs(x - 0.3))
+        assert np.array_equal(got, want)
+        assert np.array_equal(starts, kept)  # the caller's starts stay put
+
+
+def reference_mp_step(x, e):
+    """The per-step intermittent update that ``engine._mp_step`` replaces."""
+    x = x + x**e
+    x -= x >= 1.0
+    return x
+
+
+def mp_step(x, e):
+    """``engine._mp_step`` on a copy of ``x``."""
+    x = x.copy()
+    engine._mp_step(x, e, np.empty_like(x))
+    return x
+
+
+def root_starts(e):
+    """The starts near the root of x + x^e = 1 whose numpy sum x + x**e is
+    exactly 1.0: the floor wrap's edge, where the sum is 1 and wraps to
+    0."""
+    lo, hi = 0.0, 1.0
+    for _ in range(80):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if mid + mid**e < 1.0 else (lo, mid)
+    xs = lo + np.arange(-64, 64) * np.spacing(lo)
+    return xs[xs + xs**e == 1.0]
+
+
+class TestMpStep:
+    """``engine._mp_step`` steps in place with a floor wrap; it must equal
+    the per-step reference bit for bit, and rests on numpy's array pow
+    giving a lane the same bits wherever it sits in an array."""
+
+    @pytest.mark.parametrize("s_exp", [0.2, 0.5, 0.6])
+    def test_equals_reference_on_random_lanes(self, s_exp):
+        x = substream(3, "mp-step", s_exp).random(10**6)
+        for _ in range(3):
+            want = reference_mp_step(x, 1.0 + s_exp)
+            got = mp_step(x, 1.0 + s_exp)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            x = want
+
+    @pytest.mark.parametrize("s_exp", [0.2, 0.5, 0.6])
+    def test_equals_reference_at_edges(self, s_exp):
+        e = 1.0 + s_exp
+        on_one = root_starts(e)
+        # at s = 0.5 no start near the root puts the sum on 1.0
+        assert on_one.size or s_exp == 0.5
+        assert (mp_step(on_one, e) == 0.0).all()
+        x = np.concatenate([[0.0, 5e-324, np.nextafter(1.0, 0.0), 0.5],
+                            on_one])
+        for _ in range(4):
+            want = reference_mp_step(x, e)
+            got = mp_step(x, e)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            assert ((0.0 <= got) & (got < 1.0)).all()
+            x = want
+
+    @pytest.mark.parametrize("e", [1.2, 1.5, 1.6])
+    def test_array_pow_is_position_independent(self, e):
+        # numpy's SIMD pow can differ from Python's float pow in the last
+        # bit, so the kernels' bits are compared with numpy's own
+        gen = substream(3, "pow-position", e)
+        inputs = gen.random(64)
+        want = np.power(inputs, e)
+        for length in range(1, 41):
+            fill = gen.random(length)
+            for offset in range(min(16, length)):
+                a = fill.copy()
+                out = np.empty_like(a)
+                for v, w in zip(inputs, want):
+                    a[offset] = v
+                    assert np.power(a, e)[offset] == w
+                    assert np.power(a, e, out=out)[offset] == w
+        # a forward-strided view takes the same loop; a reversed one need
+        # not (numpy falls back to its scalar pow), and no kernel passes one
+        strided = np.empty(3 * inputs.size + 1)
+        strided[1::3] = inputs
+        assert np.array_equal(np.power(strided[1::3], e), want)
 
 
 @pytest.mark.parametrize("kernel", [
