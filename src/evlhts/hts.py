@@ -17,7 +17,9 @@ and intermittent starts, which ``evl`` shares.
 Hitting runs start from the stationary measure; return runs condition
 the start on the target itself.  The digit kernels draw these starts
 themselves: an exact letter preload for cylinders, and digit-by-digit CDF
-inversion for balls under the digit-product measures.  ``orbit_starts``
+inversion for balls under the digit-product measures, on the CDFs at the
+ends of the measure's fixed-point ball arcs (``MeasureModel.ball_cdfs``).
+A ball target carries only its radius and mass.  ``orbit_starts``
 draws uniform arc points for rotations and orbit points inside the ball
 for the intermittent map.  Kac's identity — mean return time times target
 mass equals 1 — is checked from the same samples with a CLT band.
@@ -54,7 +56,6 @@ class TargetSet:
     depth: int = 0
     arc: tuple | None = None  # fixed-point [lo, hi) (rotation targets)
     eta: float = 0.0  # ball radius
-    cdf_arcs: tuple | None = None  # ((cdf lo...), (cdf hi...)) of ball pieces
 
 
 def cylinder_target(ctx: PartitionContext, zeta, depth: int) -> TargetSet:
@@ -73,28 +74,14 @@ def cylinder_target(ctx: PartitionContext, zeta, depth: int) -> TargetSet:
 
 
 def ball_target(measure: MeasureModel, zeta, mass: float) -> TargetSet:
-    """The smallest ball around zeta that carries ``mass``."""
+    """The smallest ball around zeta that carries ``mass``: its radius and
+    its mass, both read off the measure's fixed-point arcs.  Return
+    runs ask the measure for the arcs' CDFs (``MeasureModel.ball_cdfs``)."""
     eta = measure.quantile_radius(zeta, mass)
-    z = float(zeta)
     mass = measure.ball_mass(zeta, eta)
     if mass <= 0.0:
         raise DomainError("ball carries no mass")
-    if measure.metric is Metric.CIRCLE:
-        lo, hi = (z - eta) % 1.0, (z + eta) % 1.0
-        pieces = [(lo, hi)] if lo < hi else [(lo, 1.0), (0.0, hi)]
-        if 2 * eta >= 1.0:
-            pieces = [(0.0, 1.0)]
-    else:
-        pieces = [(max(z - eta, 0.0), min(z + eta, 1.0))]
-    cdf_lo = tuple(measure.cdf(a) for a, _ in pieces)
-    cdf_hi = tuple(measure.cdf(b) for _, b in pieces)
-    return TargetSet(
-        kind="ball",
-        mass=mass,
-        zeta_value=z,
-        eta=eta,
-        cdf_arcs=(cdf_lo, cdf_hi),
-    )
+    return TargetSet(kind="ball", mass=mass, zeta_value=float(zeta), eta=eta)
 
 
 def default_cap(mass: float) -> int:
@@ -258,7 +245,8 @@ def _digit_first_hits(system, target, gens, count, cap, start_j,
         gens, count, eta=target.eta, zeta=target.zeta_value,
         tent=system.kind is MapKind.FULL_TENT, p_zero=digit_p_zero(measure),
         circle=measure.metric is Metric.CIRCLE, cap=cap, start_j=start_j,
-        arcs=target.cdf_arcs if conditional else None)
+        arcs=(measure.ball_cdfs(target.zeta_value, target.eta)
+              if conditional else None))
 
 
 # ------------------------------------------------------------------- Kac

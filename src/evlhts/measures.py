@@ -14,10 +14,14 @@ Three kinds are provided:
   closed form invariant density (Manneville-Pomeau); one orbit is
   generated once, after a burn-in, and all masses are orbit frequencies.
 
-Ball masses reduce to CDF differences of the (at most two) arcs or
-segments a metric ball induces on [0, 1].  ``quantile_radius`` inverts the
-ball mass by bisection and certifies |mass - gamma| <= 1e-10, raising
-``NotAttained`` on flat spots of the mass profile.
+A metric ball is laid out once, by ``MeasureModel._ball_arcs``: the (at
+most two) arcs or segments it induces on [0, 1], with exact 2^-128
+fixed-point endpoints.  Those arcs give the ball's mass (``ball_mass``, the
+sum of the pieces' ``interval_mass``), its quantile radius
+(``quantile_radius``, which inverts ``ball_mass`` by bisection, certifies
+|mass - gamma| <= 1e-10 and raises ``NotAttained`` on flat spots of the
+mass profile) and the CDFs at its endpoints that return-time starts invert
+(``ball_cdfs``).
 """
 
 import math
@@ -97,6 +101,14 @@ class MeasureModel:
         zf = _unit_to_fixed(zeta)
         return math.fsum(self.interval_mass(a, b) for a, b in self._ball_arcs(zf, eta))
 
+    def ball_cdfs(self, zeta, eta: float) -> tuple[tuple, tuple]:
+        """(F(lo)..., F(hi)...) over the pieces [lo, hi) of the ball of
+        radius ``eta``, F(x) = ``interval_mass(0, x)``: the CDF table that
+        ``engine.conditional_digit_starts`` inverts."""
+        arcs = self._ball_arcs(_unit_to_fixed(zeta), eta)
+        return (tuple(self.interval_mass(0, a) for a, _ in arcs),
+                tuple(self.interval_mass(0, b) for _, b in arcs))
+
     def ball_masses(self, zeta, radii: np.ndarray) -> np.ndarray:
         """Vector of ``ball_mass`` over ``radii`` (subclasses may vectorize)."""
         return np.array([self.ball_mass(zeta, float(r)) for r in radii], dtype=np.float64)
@@ -113,10 +125,8 @@ class MeasureModel:
             raise DomainError(f"mass {gamma!r} outside [0, 1]")
         if gamma == 0.0:
             return 0.0
-        zf = _unit_to_fixed(zeta)
-
         def mass(r: float) -> float:
-            return math.fsum(self.interval_mass(a, b) for a, b in self._ball_arcs(zf, r))
+            return self.ball_mass(zeta, r)
 
         lo, hi = 0.0, self.diameter
         if mass(hi) < gamma - QUANTILE_MASS_TOL:
@@ -151,9 +161,6 @@ class Lebesgue1D(MeasureModel):
 
     def interval_mass(self, a: int, b: int) -> float:
         return (b - a) / _FIXED_UNIT
-
-    def cdf(self, x) -> float:
-        return _unit_to_fixed(x) / _FIXED_UNIT
 
     def ball_masses(self, zeta, radii: np.ndarray) -> np.ndarray:
         # Closed form: length of B_r(zeta) clipped to the space.
@@ -197,9 +204,6 @@ class BernoulliDoubling(MeasureModel):
             if prefix == 0.0:
                 break
         return total
-
-    def cdf(self, x) -> float:
-        return self.cdf_fixed(_unit_to_fixed(x))
 
     def interval_mass(self, a: int, b: int) -> float:
         return max(self.cdf_fixed(b) - self.cdf_fixed(a), 0.0)
@@ -290,7 +294,6 @@ class EmpiricalOrbit(MeasureModel):
         self.metric = system.metric
         self.orbit_len = int(orbit_len)
         self.burn_in = int(burn_in)
-        self.master_seed = int(master_seed)
         x0 = float(substream(master_seed, "empirical-orbit", "start").random())
         self.orbit = self._run_orbit(x0)
         self._sorted = np.sort(self.orbit)
@@ -320,9 +323,6 @@ class EmpiricalOrbit(MeasureModel):
         i = np.searchsorted(self._sorted, lo, side="left")
         j = np.searchsorted(self._sorted, hi, side="left")
         return (j - i) / self.orbit_len
-
-    def cdf(self, x) -> float:
-        return np.searchsorted(self._sorted, float(x), side="left") / self.orbit_len
 
     def _quantile_tol(self) -> float:
         return 1.5 / self.orbit_len

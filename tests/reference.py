@@ -610,7 +610,9 @@ def per_block_digit_hits(system, target, gens, *, cap, n_samples,
             tent=system.kind is MapKind.FULL_TENT,
             p_zero=digit_p_zero(measure),
             circle=measure.metric is Metric.CIRCLE, cap=cap,
-            start_j=start_j, arcs=target.cdf_arcs if conditional else None))
+            start_j=start_j,
+            arcs=(measure.ball_cdfs(target.zeta_value, target.eta)
+                  if conditional else None)))
     return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 

@@ -74,17 +74,34 @@ class TestTargets:
         tgt = ball_target(LEB_C, 0.25, mass=0.01)
         assert tgt.eta == pytest.approx(0.005, rel=1e-9)
         assert tgt.mass == pytest.approx(0.01, rel=1e-9)
-        lo, hi = tgt.cdf_arcs
+        lo, hi = LEB_C.ball_cdfs(tgt.zeta_value, tgt.eta)
         assert lo[0] == pytest.approx(0.245, rel=1e-9)
         assert hi[0] == pytest.approx(0.255, rel=1e-9)
 
     def test_ball_target_wraps_on_the_circle(self):
         tgt = ball_target(LEB_C, 0.002, mass=0.01)
         assert tgt.eta == pytest.approx(0.005, rel=1e-9)
-        lo, hi = tgt.cdf_arcs
+        lo, hi = LEB_C.ball_cdfs(tgt.zeta_value, tgt.eta)
         assert len(lo) == 2  # pieces on both sides of 0
         widths = [b - a for a, b in zip(lo, hi)]
         assert sum(widths) == pytest.approx(0.01, rel=1e-9)
+
+    @pytest.mark.parametrize("measure,zeta,mass,want", [
+        (LEB_C, 0.3, 0.001,  # doubling, as in the ball rts benchmark step
+         (["0x1.32b020c49ba33p-2"], ["0x1.33b645a1cac33p-2"])),
+        (BernoulliDoubling(0.3), 0.3, 0.001,
+         (["0x1.986c974d4fb45p-4"], ["0x1.9c852ac20c855p-4"])),
+        (LEB_I, 0.3, 0.01,  # tent
+         (["0x1.2e147ae147ab3p-2"], ["0x1.3851eb851ebb3p-2"])),
+        (LEB_C, 0.25, 0.01,
+         (["0x1.f5c28f5c28f00p-3"], ["0x1.051eb851eb880p-2"])),
+    ], ids=["doubling", "doubling-bernoulli", "tent", "circle"])
+    def test_ball_start_cdfs_are_pinned(self, measure, zeta, mass, want):
+        # return runs invert these start CDFs, so they are pinned bit for bit
+        tgt = ball_target(measure, zeta, mass)
+        got = measure.ball_cdfs(tgt.zeta_value, tgt.eta)
+        assert got == tuple(tuple(float.fromhex(v) for v in side)
+                            for side in want)
 
     def test_default_cap(self):
         assert default_cap(0.5) == 100

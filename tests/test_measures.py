@@ -14,6 +14,7 @@ from evlhts.measures import (
     MeasureModel,
     _FIXED_UNIT,
     _radius_to_fixed,
+    _unit_to_fixed,
     digit_p_zero,
 )
 from evlhts.rng import substream
@@ -47,10 +48,11 @@ def test_bernoulli_cdf_hand_values():
     # Cross-checked by direct Monte Carlo (1e6 digit streams, Philox key
     # 20260814): F(3/4) ~ 0.510123 +- 0.0005.
     m = BernoulliDoubling(0.3)
-    assert m.cdf(0.25) == pytest.approx(0.09, abs=1e-15)
-    assert m.cdf(0.5) == pytest.approx(0.3, abs=1e-15)
-    assert m.cdf(0.75) == pytest.approx(0.51, abs=1e-15)
-    assert m.cdf(0.0) == 0.0 and m.cdf(1.0) == 1.0
+    quarter = _FIXED_UNIT // 4
+    assert m.cdf_fixed(quarter) == pytest.approx(0.09, abs=1e-15)
+    assert m.cdf_fixed(2 * quarter) == pytest.approx(0.3, abs=1e-15)
+    assert m.cdf_fixed(3 * quarter) == pytest.approx(0.51, abs=1e-15)
+    assert m.cdf_fixed(0) == 0.0 and m.cdf_fixed(_FIXED_UNIT) == 1.0
 
 
 def test_bernoulli_ball_at_zero():
@@ -172,11 +174,14 @@ def test_quantile_jump_raises_not_attained():
 
 def test_pushforward_invariance_two_preimage_exact():
     # doubling map: f^{-1}[a,b) = [a/2,b/2) u [1/2+a/2, 1/2+b/2); Bernoulli
-    # self-similarity makes the identity exact up to float rounding.
+    # self-similarity makes the identity exact up to float rounding.  The
+    # preimages are exact on the fixed-point grid.
     m = BernoulliDoubling(0.3)
+    F, half = m.cdf_fixed, _FIXED_UNIT // 2
     for a, b in [(0.0, 0.25), (0.125, 0.625), (0.3, 0.9)]:
-        direct = m.cdf(b) - m.cdf(a)
-        pull = (m.cdf(b / 2) - m.cdf(a / 2)) + (m.cdf(0.5 + b / 2) - m.cdf(0.5 + a / 2))
+        a, b = _unit_to_fixed(a), _unit_to_fixed(b)
+        direct = F(b) - F(a)
+        pull = (F(b // 2) - F(a // 2)) + (F(half + b // 2) - F(half + a // 2))
         assert abs(direct - pull) <= 1e-14
 
     # tent map: f^{-1}[a,b] = [a/2,b/2] u [1-b/2, 1-a/2] under Lebesgue.
@@ -185,6 +190,46 @@ def test_pushforward_invariance_two_preimage_exact():
         direct = b - a
         pull = (b / 2 - a / 2) + ((1 - a / 2) - (1 - b / 2))
         assert abs(direct - pull) <= 1e-14
+
+
+def _exact_pieces(metric, zeta, eta):
+    """The ball's pieces in exact rationals: [zeta - eta, zeta + eta)
+    clipped to [0, 1] on the interval, split at 0 on the circle."""
+    z, e = Fraction(zeta), Fraction(eta)
+    if metric is Metric.INTERVAL:
+        return [(max(z - e, 0), min(z + e, 1))]
+    lo, hi = (z - e) % 1, (z + e) % 1
+    return [(lo, hi)] if lo < hi else [(lo, Fraction(1)), (Fraction(0), hi)]
+
+
+@pytest.mark.parametrize("measure,zeta,n_pieces", [
+    (Lebesgue1D(Metric.INTERVAL), 0.0, 1),  # clipped at 0
+    (Lebesgue1D(Metric.INTERVAL), 0.3, 1),
+    (Lebesgue1D(Metric.INTERVAL), 1.0, 1),  # clipped at 1
+    (Lebesgue1D(Metric.CIRCLE), 0.002, 2),  # across the seam at 0
+    (Lebesgue1D(Metric.CIRCLE), 0.3, 1),
+    (Lebesgue1D(Metric.CIRCLE), 0.999, 2),  # across the seam at 1
+    (BernoulliDoubling(0.3), 0.002, 2),
+    (BernoulliDoubling(0.3), 0.3, 1),
+    (BernoulliDoubling(0.3), 0.999, 1),
+], ids=["interval-0", "interval-0.3", "interval-1", "circle-0.002",
+        "circle-0.3", "circle-0.999", "bernoulli-0.002", "bernoulli-0.3",
+        "bernoulli-0.999"])
+def test_ball_cdfs_read_the_ball_arcs(measure, zeta, n_pieces):
+    # each fixed-point endpoint is exactly zeta -+ eta (eta >= 2^-76), its
+    # CDF is interval_mass(0, .), and the pieces' widths sum to ball_mass
+    eta = measure.quantile_radius(zeta, 0.01)
+    arcs = measure._ball_arcs(_unit_to_fixed(zeta), eta)
+    assert [(Fraction(a, _FIXED_UNIT), Fraction(b, _FIXED_UNIT))
+            for a, b in arcs] == _exact_pieces(measure.metric, zeta, eta)
+    assert len(arcs) == n_pieces
+    lo, hi = measure.ball_cdfs(zeta, eta)
+    assert lo == tuple(measure.interval_mass(0, a) for a, _ in arcs)
+    assert hi == tuple(measure.interval_mass(0, b) for _, b in arcs)
+    if isinstance(measure, Lebesgue1D):  # the correctly rounded endpoints
+        assert lo == tuple(float(Fraction(a, _FIXED_UNIT)) for a, _ in arcs)
+    widths = [b - a for a, b in zip(lo, hi)]
+    assert abs(math.fsum(widths) - measure.ball_mass(zeta, eta)) <= 1e-15
 
 
 def test_digit_p_zero_of_each_measure():
