@@ -6,14 +6,14 @@ Every kernel simulates independent samples with numpy array operations
 (seed, labels..., i), so outputs are bit-identical for any thread count.
 Every digit kernel takes every block's generator and runs all the blocks
 of a run in one call on the calling thread, each block drawing its
-starts, return-time ball starts included, then its digits as it goes:
-the first-hit kernels step the blocks side by side, the fixed-window
-kernels ``digit_window_min_distance`` and ``word_hit_count`` one after
-another.  ``run_blocked`` runs a kernel once per block on a thread pool
-and concatenates results in block order; it serves only
-``hts.orbit_starts``, which draws the rotation and intermittent starts.
-Those two maps draw nothing after their starts, so one scan then steps
-every lane of the run and takes no generator.
+starts, return-time ball starts included, then its digits as it goes.
+The word scans step the blocks side by side in tiles of two blocks, the
+ball first-hit scan in tiles of one, and ``digit_window_min_distance``
+runs them one after another.  ``run_blocked`` runs a kernel once per
+block on a thread pool and concatenates results in block order; it
+serves only ``hts.orbit_starts``, which draws the rotation and
+intermittent starts.  Those two maps draw nothing after their starts, so
+one scan then steps every lane of the run and takes no generator.
 
 The expanding digit systems (tent/doubling) are simulated exactly on an
 implicit infinite digit stream, and the engine holds every digit packed.
@@ -82,7 +82,8 @@ Cylinder events need no positions at all.  Letters are the digits
 themselves for the doubling map and adjacent-digit XORs for the tent map,
 and iterate j lies in a depth-d cylinder exactly when letters j .. j+d-1
 spell its word.  The word kernels hold a chunk's letters packed in a
-(words, lanes) layout, one contiguous row per 64 columns; tent letters are
+(words, lanes) layout, one contiguous row per 64 columns, into which each
+block draws its lanes' columns through a transposed view; tent letters are
 W ^ ((W >> 1) | carry << 63), the carry being the digit before each word.
 They find every match at once with Shift-And (Baeza-Yates and Gonnet,
 1992): the match words are the AND, over k < d, of the letters shifted
@@ -94,19 +95,20 @@ chunk need not be a whole number of words.
 
 Every first-hit kernel runs one scan, ``_first_hit``, over all the lanes
 of a run.  It walks the live lanes in tiles, runs of consecutive whole
-blocks holding at most ``rng.BLOCK`` live lanes, so a chunk's temporaries
-stay at one block's size however many blocks a run has, and the few lanes
-left late in a run share one tile.  The intermittent kernel, which takes
-a Python step per tile and iterate, keeps every lane in one tile.  The
-kernel returns each chunk's first column inside its target for every lane
-of a tile, from a given column on; the scan turns those into times, drops
-finished lanes and censors the lanes still out at the cap.  The word
-kernels read the first column off the packed match words with a bit
-smear and a popcount, the ball kernel off its candidates' steps, and the
-rotation and intermittent kernels off a (cols, lanes) boolean plane
-through ``_first_inside``: row c holds column c of every lane.
-Rotations advance exact 63-bit integer positions, doubled onto the
-wrapping 2^64 grid, a chunk per numpy op.
+blocks holding at most the kernel's tile of live lanes: ``_WORD_TILE``,
+two blocks' worth, for the word scans, ``rng.BLOCK`` for the others.  So
+a chunk's temporaries stay at one tile's size however many blocks a run
+has, and the few lanes left late in a run share one tile.  The
+intermittent kernel, which takes a Python step per tile and iterate,
+keeps every lane in one tile.  The kernel returns each chunk's first
+column inside its target for every lane of a tile, from a given column
+on; the scan turns those into times, drops finished lanes and censors
+the lanes still out at the cap.  The word kernels read the first column
+off the packed match words with a bit smear and a popcount, the ball
+kernel off its candidates' steps, and the rotation and intermittent
+kernels off a (cols, lanes) boolean plane through ``_first_inside``: row
+c holds column c of every lane.  Rotations advance exact 63-bit integer
+positions, doubled onto the wrapping 2^64 grid, a chunk per numpy op.
 The intermittent map steps float64 lanes in place (``_mp_step``) with
 numpy's array pow, which can differ from Python's scalar float pow
 (``EmpiricalOrbit`` uses that) in the last bit, but gives each lane the
@@ -120,10 +122,10 @@ The digit draws fix the RNG stream, and with it every report byte:
 * each chunk draws one (rows, columns) digit matrix per block through
   ``draw_digits`` on the block's generator, whose rows are the block's
   lanes still live, in lane order, under either rule.  The first-hit
-  kernels write each block's draw straight into its rows of the tile's
-  matrix; the others into their ``_Scratch``, where it is valid until the
-  kernel's next draw: a kernel copies or shifts each draw into its own
-  arrays before the next;
+  kernels and ``word_hit_count`` write each block's draw straight into
+  its lanes of the tile's matrix, the word scans into a transposed view of
+  their letter buffer; ``digit_window_min_distance`` into its
+  ``_Scratch``, where it is valid until the kernel's next draw;
 * first-hit kernels draw full ``chunk``-width matrices even when fewer
   columns remain, so runs that differ only in the cap share a stream;
   fixed-window kernels draw only the columns that remain;
@@ -201,6 +203,9 @@ _IID_TILE = 256
 
 #: fraction of finished lanes that triggers an active-set compaction
 _COMPACT_AT = 0.25
+
+#: live lanes per tile of the word scans; other first-hit scans take BLOCK
+_WORD_TILE = 2 * BLOCK
 
 #: deepest cylinder the word scans run: a word must fit one uint64 register
 MAX_WORD_DEPTH = 63
@@ -653,12 +658,14 @@ def iid_min_distance_uniform(gen, count, *, n_draws, zeta, circle, chunk=512):
 
 # ------------------------------------------------------------ first hits
 
-def _first_hit(sizes, cap, start_j, j, chunk, scan, state, inside_before=None):
+def _first_hit(sizes, cap, start_j, j, chunk, scan, state, inside_before=None,
+               most=BLOCK):
     """First iterate in [start_j, cap) inside the target, for the lanes of
     consecutive blocks of ``sizes`` lanes each.
 
     ``state`` is a tuple of per-lane arrays, which the scan overwrites.
-    Each chunk walks the live lanes in tiles (``_tiles``):
+    Each chunk walks the live lanes in tiles of at most ``most`` of them
+    (``_tiles``): two blocks for the word scans, one for the others.
     ``scan(tile, state, cols, first)`` takes a tile's (block, live lanes)
     pairs and its lanes' state, and returns, for each of those lanes, the
     first column c >= ``first`` whose iterate j + c is inside (``cols``
@@ -682,7 +689,7 @@ def _first_hit(sizes, cap, start_j, j, chunk, scan, state, inside_before=None):
     live = list(sizes)
     while j < cap and lane.size:
         cols = min(chunk, cap - j)
-        for lo, tile in _tiles(live):
+        for lo, tile in _tiles(live, most):
             hi = lo + sum(rows for _, rows in tile)
             found, after = scan(tile, tuple(a[lo:hi] for a in state), cols,
                                 max(start_j - j, 0))
@@ -709,15 +716,16 @@ def _first_hit(sizes, cap, start_j, j, chunk, scan, state, inside_before=None):
     return times, times < cap
 
 
-def _tiles(live):
+def _tiles(live, most):
     """(first row, [(block, live lanes), ...]) of each tile: a run of
-    consecutive blocks, whole, that hold at most ``BLOCK`` live lanes, or
-    one block that holds more."""
+    consecutive blocks, whole, that hold at most ``most`` live lanes (two
+    blocks' for the word scans, one for the ball scan), or one block that
+    holds more."""
     tile, lo, size = [], 0, 0
     for k, rows in enumerate(live):
         if not rows:
             continue
-        if tile and size + rows > BLOCK:
+        if tile and size + rows > most:
             yield lo, tile
             tile, lo, size = [], lo + size, 0
         tile.append((k, rows))
@@ -743,11 +751,10 @@ def _check_starts(count, starts):
                           f"got {starts.size}")
 
 
-def _tile_digits(gens, tile, cols, p_zero, scratch):
+def _tile_digits(gens, tile, cols, p_zero, scratch, digits):
     """One chunk's packed digits for a tile: each block's draw on its own
-    generator, written straight into its rows, in block order."""
-    n_rows = sum(rows for _, rows in tile)
-    digits = scratch("tile", (n_rows, (cols + 63) // 64), np.uint64)
+    generator, written straight into its rows of ``digits``, a
+    (lanes, words) array or view, in block order."""
     lo = 0
     for k, rows in tile:
         draw_digits(gens[k], rows, cols, p_zero, scratch,
@@ -803,22 +810,28 @@ def _column_masks(n_words, first, cols):
                     dtype=np.uint64)[:, None]
 
 
-def _word_chunk(digits, cols, first, state, word_int, depth, tent, scratch):
+def _word_letters(gens, tile, width, p_zero, state, scratch):
+    """A tile's (words + 1, lanes) letter buffer: the carried digits, then
+    each block's ``width`` digits drawn into its lanes' columns."""
+    ext = scratch("ext", ((width + 63) // 64 + 1, state[0].size), np.uint64)
+    ext[0] = state[0]
+    _tile_digits(gens, tile, width, p_zero, scratch, ext[1:].T)
+    return ext
+
+
+def _word_chunk(ext, cols, first, word_int, depth, tent, scratch):
     """Packed match words of one chunk, and the scan state after it.
 
     Bit 63 - (c mod 64) of match word c // 64 (a (words, lanes) array in
     ``scratch``) is set when the ``depth`` letters ending at the chunk's
-    letter c spell the word, for c in first .. cols - 1.  Tent letters XOR
+    letter c spell the word, for c in first .. cols - 1, read off the
+    ``_word_letters`` buffer ``ext``, which it overwrites.  Tent letters XOR
     each digit with the one before it; doubling letters are the digits.
     The carried digits give the letters before the chunk's first.
     """
-    carry, = state
     n_words = (cols + 63) // 64
-    ext = scratch("ext", (n_words + 1, carry.size), np.uint64)
-    ext[0] = carry
-    ext[1:] = digits[:, :n_words].T
-    letters = ext[1:]
-    match = scratch("match", letters.shape, np.uint64)
+    ext = ext[:n_words + 1]
+    match = scratch("match", ext[1:].shape, np.uint64)
     term = scratch("term", ext.shape, np.uint64)
     spill = scratch("spill", ext.shape, np.uint64)
     # the 64 digits ending at digit cols - 1, which sits in ext[cols // 64]
@@ -895,14 +908,14 @@ def word_first_hit(
     scratch = _Scratch()
 
     def scan(tile, state, cols, first):
-        digits = _tile_digits(gens, tile, chunk, p_zero, scratch)
-        match, state = _word_chunk(digits, cols, first, state, word_int,
-                                   depth, tent, scratch)
+        ext = _word_letters(gens, tile, chunk, p_zero, state, scratch)
+        match, state = _word_chunk(ext, cols, first, word_int, depth, tent,
+                                   scratch)
         return _first_set_column(match, cols), state
 
     # column c ends the window that starts at j = consumed + c + 1 - depth
     return _first_hit(sizes, cap, start_j, consumed + 1 - depth, chunk, scan,
-                      state)
+                      state, most=_WORD_TILE)
 
 
 def word_hit_count(
@@ -924,25 +937,26 @@ def word_hit_count(
 
     Inclusive right end: short-range recurrence estimators count entries
     in a window of fixed length.  No compaction: every lane runs the full
-    window, block after block, each on its own draws.
+    window.  The blocks run in tiles of two, as in ``word_first_hit``, one
+    tile after another, each block on its own draws.
     """
     if window < start_j:
         raise DomainError("window shorter than start_j")
-    _block_sizes(count, gens)
     counts = np.zeros(count, dtype=np.int64)
     total_letters = window + depth
     scratch = _Scratch()
-    for (_, lo, size), gen in zip(block_slices(count), gens):
-        state, consumed = _word_scan_start(size, word_int, depth, start_j,
+    for lo, tile in _tiles(_block_sizes(count, gens), _WORD_TILE):
+        hi = lo + sum(rows for _, rows in tile)
+        state, consumed = _word_scan_start(hi - lo, word_int, depth, start_j,
                                            preload, tent)
         while consumed < total_letters:
             cols = min(chunk, total_letters - consumed)
-            digits = draw_digits(gen, size, cols, p_zero, scratch)
-            first = max(start_j + depth - 1 - consumed, 0)
-            match, state = _word_chunk(digits, cols, first, state, word_int,
-                                       depth, tent, scratch)
-            counts[lo:lo + size] += np.bitwise_count(match).sum(
-                axis=0, dtype=np.int64)
+            ext = _word_letters(gens, tile, cols, p_zero, state, scratch)
+            match, state = _word_chunk(
+                ext, cols, max(start_j + depth - 1 - consumed, 0), word_int,
+                depth, tent, scratch)
+            counts[lo:hi] += np.bitwise_count(match).sum(axis=0,
+                                                         dtype=np.int64)
             consumed += cols
     return counts
 
@@ -991,7 +1005,8 @@ def ball_first_hit_digits(
 
     def scan(tile, state, cols, first):
         context, = state
-        digits = _tile_digits(gens, tile, chunk, p_zero, scratch)
+        digits = _tile_digits(gens, tile, chunk, p_zero, scratch, scratch(
+            "tile", (context.size, (chunk + 63) // 64), np.uint64))
         words, context = _window_words(context, digits, cols, scratch)
         return (_ball_column(words, table, bound, pieces, tent, first, cols,
                              scratch), (context,))

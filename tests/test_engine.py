@@ -548,6 +548,62 @@ class TestWordStreamEquivalence:
         assert len(rows) > 1 and rows[-1] < rows[0]
 
 
+class TestWordTiles:
+    """The word scans step whole blocks side by side in tiles; how many
+    blocks a tile holds groups the draws and moves none of them."""
+
+    LANES = 3 * BLOCK + 17
+
+    def run(self, monkeypatch, blocks, kernel, label, **kw):
+        monkeypatch.setattr(engine, "_WORD_TILE", blocks * BLOCK)
+        gens = [RecordingGen(g)
+                for g in block_substreams(self.LANES, 11, label)]
+        return kernel(gens, self.LANES, **kw), [g.shapes for g in gens]
+
+    @pytest.mark.parametrize("preload", [False, True])
+    @pytest.mark.parametrize("p_zero", [0.5, 0.3])
+    @pytest.mark.parametrize("tent", [False, True])
+    def test_tile_width_moves_no_draw(self, monkeypatch, tent, p_zero,
+                                      preload):
+        # depth 8: some lanes hit in each chunk, so blocks compact apart,
+        # and some are censored at a cap (and a window) that ends mid-chunk
+        kw = dict(word_int=0b10110011, depth=8, tent=tent, p_zero=p_zero,
+                  preload=preload)
+        label = ("word-tiles", tent, p_zero, preload)
+        runs = [
+            (self.run(monkeypatch, blocks, word_first_hit, label,
+                      cap=2 * 256 + 77, **kw),
+             self.run(monkeypatch, blocks, word_hit_count, label,
+                      window=256 + 77, **kw))
+            for blocks in (1, 2, 3)
+        ]
+        (want_first, want_shapes), (want_counts, want_count_shapes) = runs[0]
+        assert 0 < want_first[1].mean() < 1
+        for (first, shapes), (counts, count_shapes) in runs[1:]:
+            assert np.array_equal(first[0], want_first[0])  # times
+            assert np.array_equal(first[1], want_first[1])  # hit flags
+            assert shapes == want_shapes
+            assert np.array_equal(counts, want_counts)
+            assert count_shapes == want_count_shapes
+
+    def test_hit_count_memory_is_per_tile(self):
+        # the D' run of ``conditions``: window 100 at depth 10 on fair
+        # digits.  The peak grows by the int64 counts per added lane; a
+        # run holding its letters or carried digits for every lane at once
+        # would add at least 8 bytes more.
+        peaks = []
+        for lanes in (50_000, 100_000):
+            gens = block_substreams(lanes, 7, ("count-memory",))
+            tracemalloc.start()
+            try:
+                word_hit_count(gens, lanes, word_int=0, depth=10, tent=False,
+                               p_zero=0.5, window=100, preload=True)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 16 * 50_000
+
+
 @st.composite
 def word_scans(draw):
     """Arguments of one word-kernel run: any depth and word, the chunk
@@ -1306,6 +1362,26 @@ class TestDrawDigits:
         c.bit_generator.random_raw(ties)
         assert np.array_equal(a.bit_generator.random_raw(4),
                               c.bit_generator.random_raw(4))
+
+    @pytest.mark.parametrize("cols", [1, 53, 64, 100, 256])
+    @pytest.mark.parametrize("p_zero", [0.5, 0.3])
+    def test_transposed_out_equals_contiguous_draw(self, p_zero, cols):
+        # a word scan's letter buffer: one column per lane of a
+        # (words + 1, lanes) array; the draw fills its block's columns
+        # below row 0, which holds the carried digits
+        rows, words = 37, math.ceil(cols / 64)
+        a = substream(17, "transposed", p_zero, cols)
+        b = substream(17, "transposed", p_zero, cols)
+        buf = np.full((words + 1, rows + 9), 7, dtype=np.uint64)
+        out = buf[1:, 4:4 + rows].T
+        got = draw_digits(a, rows, cols, p_zero, engine._Scratch(), out=out)
+        want = draw_digits(b, rows, cols, p_zero, engine._Scratch())
+        assert got is out
+        assert np.array_equal(out, want)
+        outside = np.ones(buf.shape, dtype=bool)
+        outside[1:, 4:4 + rows] = False
+        assert (buf[outside] == 7).all()
+        assert a.bit_generator.random_raw() == b.bit_generator.random_raw()
 
     @pytest.mark.parametrize("p_zero", [0.3, 0.01, 0.999])
     def test_scratch_reuse_equals_fresh_draws(self, p_zero):
