@@ -10,16 +10,15 @@ import sys
 from . import config as config_mod
 from . import experiments
 from .errors import ConfigError, EvlhtsError
+from .measures import MEASURES
 
 _SYSTEMS = (
     ("full_tent", "piecewise-linear tent on [0,1], interval metric, "
-     "exact digit window; measures: lebesgue"),
-    ("doubling", "angle doubling on the circle, exact digit window; "
-     "measures: lebesgue, bernoulli"),
+     "exact digit window"),
+    ("doubling", "angle doubling on the circle, exact digit window"),
     ("rotation", "circle rotation (golden or decimal angle), 63-bit fixed "
-     "point; measures: lebesgue"),
-    ("manneville_pomeau", "intermittent map x + x^(1+s) mod 1, float64; "
-     "measures: orbit"),
+     "point"),
+    ("manneville_pomeau", "intermittent map x + x^(1+s) mod 1, float64"),
 )
 
 
@@ -46,8 +45,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_list_systems() -> int:
-    for name, blurb in _SYSTEMS:
-        print(f"{name:18s} {blurb}")
+    for kind, blurb in _SYSTEMS:  # a MapKind equals its value
+        measures = ", ".join(name for name, cls in MEASURES.items()
+                             if kind in cls.maps)
+        print(f"{kind:18s} {blurb}; measures: {measures}")
     return 0
 
 

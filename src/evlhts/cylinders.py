@@ -19,7 +19,7 @@ follows x in exact rational arithmetic.  Cells carry no endpoints.  A
 rotation cell is its arc, two ints on the 2^63 grid.
 
 Masses are exact: on the tent/doubling cells they are products of the
-letter masses of ``measures.digit_p_zero`` -- powers of 2 at p = 1/2
+letter masses of the measure's ``p_zero`` -- powers of 2 at p = 1/2
 (carried as an integer base-2 log so deep cylinders never underflow) --
 and arc lengths for the rotation.  Off p = 1/2 one rule gives a word's
 log mass, ``word_log_mass``: the correctly rounded sum of its letter log
@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DomainError, UnsupportedCombination, ZeroMassCylinder
-from .measures import BernoulliDoubling, Lebesgue1D, MeasureModel, digit_p_zero
+from .measures import MeasureModel, require_invariant
 from .systems import DIGIT_KINDS, FIXED_ONE, MapKind, MapSystem
 
 LN2 = math.log(2)
@@ -65,17 +65,11 @@ class PartitionContext:
     _rotation_bounds: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        kind = self.system.kind
-        if kind is MapKind.MANNEVILLE_POMEAU:
+        if self.system.kind is MapKind.MANNEVILLE_POMEAU:
             raise UnsupportedCombination(
                 "no Markov partition is provided for the intermittent map"
             )
-        if kind is MapKind.ROTATION and not isinstance(self.measure, Lebesgue1D):
-            raise UnsupportedCombination("rotation cylinders require Lebesgue")
-        if isinstance(self.measure, BernoulliDoubling) and kind is not MapKind.DOUBLING:
-            raise UnsupportedCombination(
-                "the Bernoulli digit measure is invariant only for the doubling map"
-            )
+        require_invariant(self.measure, self.system)
 
     def rotation_bounds(self, depth: int) -> list[int]:
         """Sorted fixed-point boundary set {-k alpha mod 1 : k <= depth}."""
@@ -87,12 +81,9 @@ class PartitionContext:
         return got
 
 
-def letter_log_masses(ctx: PartitionContext) -> tuple[float, float] | None:
-    """(log p, log(1 - p)) of the letters 0 and 1 on the digit systems;
-    None for the rotation, whose cylinder masses are arc lengths."""
-    if ctx.system.kind not in DIGIT_KINDS:
-        return None
-    p = digit_p_zero(ctx.measure)
+def letter_log_masses(ctx: PartitionContext) -> tuple[float, float]:
+    """(log p, log(1 - p)) of the letters 0 and 1 on the digit systems."""
+    p = ctx.measure.p_zero
     return (math.log(p), math.log(1.0 - p))
 
 
@@ -155,7 +146,7 @@ def cylinder_at(ctx: PartitionContext, zeta, n: int) -> Cylinder:
             raise ZeroMassCylinder(f"empty rotation arc at depth {n}")
         return Cylinder(n, mass, math.log(mass), arc=(lo, hi))
     word = cylinder_word(ctx, zeta, n)
-    if digit_p_zero(ctx.measure) == 0.5:
+    if ctx.measure.p_zero == 0.5:
         return Cylinder(n, math.ldexp(1.0, -n), -n * LN2, -n, word=word)
     log_mass = word_log_mass(ctx, word.bit_count(), n)
     return Cylinder(n, math.exp(log_mass), log_mass, word=word)

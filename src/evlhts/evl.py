@@ -35,7 +35,7 @@ from .errors import (
     OutOfRange,
     ZeroMassCylinder,
 )
-from .measures import digit_p_zero
+from .measures import require_invariant
 from .observables import BallObservable, CylinderObservable, GKind, GShape
 from .systems import DIGIT_KINDS, FIXED_ONE, MapKind, Metric
 
@@ -94,11 +94,12 @@ def sample_ball_min_distances(
     if n_steps < 1:
         raise DomainError("need at least one orbit point")
     measure, zeta = obs.measure, obs.zeta_value
+    require_invariant(measure, system)
     labels = (*labels, "dyn")
     if system.kind in DIGIT_KINDS:
         return engine.digit_window_min_distance(
             engine.block_substreams(n_samples, seed, labels), n_samples,
-            n_steps=n_steps, p_zero=digit_p_zero(measure),
+            n_steps=n_steps, p_zero=measure.p_zero,
             tent=system.kind is MapKind.FULL_TENT, zeta=zeta,
             circle=measure.metric is Metric.CIRCLE)
     # The orbit maps draw only their starts, block by block; one scan then

@@ -46,8 +46,8 @@ from .laws import (
     ks_statistic,
     sup_distance_on_grid,
 )
-from .measures import (FIXED_DEPTH, BernoulliDoubling, EmpiricalOrbit,
-                       Lebesgue1D, digit_p_zero)
+from .measures import (FIXED_DEPTH, MEASURES, BernoulliDoubling,
+                       EmpiricalOrbit, Lebesgue1D, require_invariant)
 from .observables import BallObservable, CylinderObservable, GKind, GShape
 from .rng import substream
 from .systems import (
@@ -142,31 +142,17 @@ def _build_system(cfg: ExperimentConfig):
 def _build_measure(cfg: ExperimentConfig, system):
     kind = cfg["measure.kind"]
     try:
-        if kind == "lebesgue":
-            if system.kind is MapKind.MANNEVILLE_POMEAU:
-                raise ConfigError(
-                    "measure.kind = lebesgue is not invariant for the "
-                    "intermittent map; use measure.kind = orbit"
-                )
-            return Lebesgue1D(system.metric)
-        if kind == "bernoulli":
-            if system.kind is not MapKind.DOUBLING:
-                raise ConfigError(
-                    "measure.kind = bernoulli is invariant only for the "
-                    "doubling map"
-                )
-            # Bernoulli(1/2) is Lebesgue: one class rounds its ball masses
-            if cfg["measure.p"] == 0.5:
-                return Lebesgue1D(system.metric)
-            return BernoulliDoubling(cfg["measure.p"])
-        return EmpiricalOrbit(
-            system,
-            master_seed=cfg["master_seed"],
-            orbit_len=cfg["measure.orbit_len"],
-            burn_in=cfg["measure.burn_in"],
-        )
+        require_invariant(MEASURES[kind], system)  # before an orbit runs
     except UnsupportedCombination as exc:
         raise ConfigError(f"measure.kind = {kind}: {exc}") from exc
+    if kind == "orbit":
+        return EmpiricalOrbit(system, master_seed=cfg["master_seed"],
+                              orbit_len=cfg["measure.orbit_len"],
+                              burn_in=cfg["measure.burn_in"])
+    # Bernoulli(1/2) is Lebesgue: one class rounds its ball masses
+    if kind == "bernoulli" and cfg["measure.p"] != 0.5:
+        return BernoulliDoubling(cfg["measure.p"])
+    return Lebesgue1D(system.metric)
 
 
 def _build_g(cfg: ExperimentConfig) -> GShape:
@@ -214,6 +200,13 @@ def _require_budget(key: str, samples: int, steps: int):
         raise ConfigError(
             f"{key} schedules {samples} x {steps} = {samples * steps:.3g} "
             f"lane-steps, past the ceiling of {MAX_LANE_STEPS:.0e}")
+
+
+def _require_digit_map(cfg: ExperimentConfig, system):
+    if system.kind not in DIGIT_KINDS:
+        raise ConfigError(
+            f"the {cfg.experiment} experiment runs on the tent and doubling "
+            f"maps; got system.kind = {system.kind.value}")
 
 
 def _require_mode(cfg: ExperimentConfig, mode: str):
@@ -318,10 +311,7 @@ def _run_evl_balls(cfg: ExperimentConfig) -> tuple[_Report, dict]:
 def _run_evl_cylinders(cfg: ExperimentConfig) -> tuple[_Report, dict]:
     _require_mode(cfg, "cylinder")
     system = _build_system(cfg)
-    if system.kind not in DIGIT_KINDS:
-        raise ConfigError(
-            "cylinder maxima are implemented for the tent and doubling maps"
-        )
+    _require_digit_map(cfg, system)
     measure = _build_measure(cfg, system)
     g = _build_g(cfg)
     depths = cfg["evl.n_list"]
@@ -489,10 +479,7 @@ def _run_kac(cfg: ExperimentConfig) -> tuple[_Report, dict]:
 
 def _run_conditions(cfg: ExperimentConfig) -> tuple[_Report, dict]:
     system = _build_system(cfg)
-    if system.kind not in DIGIT_KINDS:
-        raise ConfigError(
-            "the dependence diagnostics run on the tent and doubling maps"
-        )
+    _require_digit_map(cfg, system)
     block_n = cfg["conditions.block_len"]
     empty = [k for k in cfg["conditions.k_list"] if block_n // k < 1]
     if empty:
@@ -558,17 +545,13 @@ def _run_conditions(cfg: ExperimentConfig) -> tuple[_Report, dict]:
 
 def _run_smb(cfg: ExperimentConfig) -> tuple[_Report, dict]:
     system = _build_system(cfg)
-    if system.kind not in DIGIT_KINDS:
-        raise ConfigError(
-            "the information-rate estimate needs a letter-product measure "
-            "(tent or doubling map)"
-        )
+    _require_digit_map(cfg, system)
     measure = _build_measure(cfg, system)
     depths = cfg["smb.depth_list"]
     ctx = _build_ctx(cfg, system, measure, *depths)
     zeta = cfg["observable.zeta"]
     tol = cfg["smb.tol"]
-    p = digit_p_zero(measure)
+    p = measure.p_zero
     reference = -(p * math.log(p) + (1.0 - p) * math.log(1.0 - p))
     potential = letter_log_masses(ctx)
     out = _Report(("depth", "estimate", "stderr", "reference", "gibbs_ratio"))

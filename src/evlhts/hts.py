@@ -10,19 +10,20 @@ shows rate 1.
 
 Every first-entry run samples here, in ``first_hits``: hitting, return,
 cylinder no-entry (``evl``, from j = 0) and mixing-gap (``conditions``,
-from j = gap) runs.  ``word_scan`` is the one map from a tent or doubling
-cylinder to a word scan, and ``orbit_starts`` the one draw of rotation
-and intermittent starts, which ``evl`` shares.
+from j = gap) runs; it refuses a measure that is not invariant for the
+map (``measures.require_invariant``).  ``word_scan`` is the one map from a
+tent or doubling cylinder to a word scan, reading the measure's
+``p_zero``, and ``orbit_starts`` the one draw of rotation and
+intermittent starts, which ``evl`` shares.
 
 Hitting runs start from the stationary measure; return runs condition
 the start on the target itself.  The digit kernels draw these starts
 themselves: an exact letter preload for cylinders, and digit-by-digit CDF
 inversion for balls under the digit-product measures, on the CDFs at the
 ends of the measure's fixed-point ball arcs (``MeasureModel.ball_cdfs``).
-A ball target carries only its radius and mass.  ``orbit_starts``
-draws uniform arc points for rotations and orbit points inside the ball
-for the intermittent map.  Kac's identity — mean return time times target
-mass equals 1 — is checked from the same samples with a CLT band.
+A ball target carries only its radius and mass.  Kac's identity — mean
+return time times target mass equals 1 — is checked from the same
+samples with a CLT band.
 """
 
 import math
@@ -38,7 +39,7 @@ from .errors import (
     UnsupportedCombination,
 )
 from .laws import EmpiricalLaw, survival_integral
-from .measures import EmpiricalOrbit, Lebesgue1D, MeasureModel, digit_p_zero
+from .measures import MeasureModel, require_invariant
 from .systems import DIGIT_KINDS, FIXED_ONE, MapKind, MapSystem, Metric
 
 #: Default normalized horizon: caps at 50 expected return times.
@@ -156,6 +157,7 @@ def first_hits(system, target, *, cap, n_samples, seed, labels, threads=1,
     intermittent map draw only their starts, in ``orbit_starts``, and one
     scan then steps all ``n_samples`` lanes.
     """
+    require_invariant(measure, system)
     if system.kind in DIGIT_KINDS:
         gens = engine.block_substreams(n_samples, seed, labels)
         return _digit_first_hits(system, target, gens, n_samples, cap,
@@ -179,25 +181,20 @@ def orbit_starts(system, measure, n_samples, seed, labels, threads,
                  inside=None):
     """The start of each of ``n_samples`` rotation or intermittent lanes,
     drawn block by block through ``engine.run_blocked``: stationary, or
-    uniform on the target ``inside``.
+    uniform on the target ``inside``.  Its callers check the pair of map
+    and ``measure`` (``measures.require_invariant``).
 
-    Rotation starts are uniform points of the 2^63 grid, on the circle
-    (Lebesgue; ``measure`` may be None) or on the target's arc
-    (``_rotation_arc``).  Intermittent starts are uniform picks from the
-    empirical orbit, or from its points inside the target ball.
+    Rotation starts are uniform points of the 2^63 grid, on the circle or
+    on the target's arc (``_rotation_arc``).  Intermittent starts are
+    uniform picks from the empirical orbit, or from its points inside the
+    target ball.
     """
     if system.kind is MapKind.ROTATION:
-        if not (measure is None or isinstance(measure, Lebesgue1D)):
-            raise UnsupportedCombination(
-                "rotations preserve length; use the Lebesgue measure")
         lo, hi = (0, FIXED_ONE) if inside is None else _rotation_arc(inside)
 
         def draw(gen, count):
             return (gen.integers(lo, hi, size=count, dtype=np.uint64),)
-    elif system.kind is MapKind.MANNEVILLE_POMEAU:
-        if not isinstance(measure, EmpiricalOrbit):
-            raise UnsupportedCombination(
-                "intermittent maps need the empirical orbit measure")
+    else:  # the intermittent map
         points = measure.orbit
         if inside is not None:
             points = points[np.abs(points - inside.zeta_value) < inside.eta]
@@ -206,8 +203,6 @@ def orbit_starts(system, measure, n_samples, seed, labels, threads,
 
         def draw(gen, count):
             return (points[gen.integers(0, points.size, size=count)],)
-    else:  # pragma: no cover - the digit maps draw their own starts
-        raise UnsupportedCombination(system.kind)
     return engine.run_blocked(n_samples, seed, labels, draw,
                               threads=threads)[0]
 
@@ -228,9 +223,10 @@ def word_scan(system: MapSystem, measure, target: TargetSet) -> dict:
     if system.kind not in DIGIT_KINDS or target.kind != "cylinder":
         raise UnsupportedCombination(
             "word scans run on tent and doubling cylinder targets")
+    require_invariant(measure, system)
     return {"word_int": target.word, "depth": target.depth,
             "tent": system.kind is MapKind.FULL_TENT,
-            "p_zero": digit_p_zero(measure)}
+            "p_zero": measure.p_zero}
 
 
 def _digit_first_hits(system, target, gens, count, cap, start_j,
@@ -243,7 +239,7 @@ def _digit_first_hits(system, target, gens, count, cap, start_j,
             start_j=start_j, preload=conditional)
     return engine.ball_first_hit_digits(
         gens, count, eta=target.eta, zeta=target.zeta_value,
-        tent=system.kind is MapKind.FULL_TENT, p_zero=digit_p_zero(measure),
+        tent=system.kind is MapKind.FULL_TENT, p_zero=measure.p_zero,
         circle=measure.metric is Metric.CIRCLE, cap=cap, start_j=start_j,
         arcs=(measure.ball_cdfs(target.zeta_value, target.eta)
               if conditional else None))

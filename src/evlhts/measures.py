@@ -1,6 +1,6 @@
 """Stationary measures paired with the maps.
 
-Three kinds are provided:
+Three kinds are provided, keyed by their ``measure.kind`` in ``MEASURES``:
 
 * ``Lebesgue1D`` -- the acip of the tent, doubling and rotation maps.
 * ``BernoulliDoubling(p)`` -- the (p, 1-p) Bernoulli measure on binary
@@ -13,6 +13,10 @@ Three kinds are provided:
 * ``EmpiricalOrbit`` -- a long-orbit surrogate for the one map without a
   closed form invariant density (Manneville-Pomeau); one orbit is
   generated once, after a burn-in, and all masses are orbit frequencies.
+
+Each measure states the maps it is invariant for, which
+``require_invariant`` checks, and its ``p_zero``: the mass of the digit 0,
+all the tent and doubling systems read off it (None if digits are not iid).
 
 A metric ball is laid out once, by ``MeasureModel._ball_arcs``: the (at
 most two) arcs or segments it induces on [0, 1], with exact 2^-128
@@ -62,6 +66,11 @@ class MeasureModel:
     """Common ball-mass / quantile machinery over an interval CDF."""
 
     metric: Metric
+    # What the package reads off a measure: a name for messages, the maps
+    # it is invariant for, and the mass of the digit 0 if digits are iid.
+    name: str = "unnamed"
+    maps: tuple[MapKind, ...] = ()
+    p_zero: float | None = None
 
     # -- kind-specific primitives -------------------------------------
     def interval_mass(self, a: int, b: int) -> float:
@@ -156,6 +165,10 @@ class MeasureModel:
 class Lebesgue1D(MeasureModel):
     """Normalized length on [0, 1], as interval or circle."""
 
+    name = "Lebesgue"
+    maps = (MapKind.FULL_TENT, MapKind.DOUBLING, MapKind.ROTATION)
+    p_zero = 0.5
+
     def __init__(self, metric: Metric = Metric.INTERVAL):
         self.metric = metric
 
@@ -163,12 +176,22 @@ class Lebesgue1D(MeasureModel):
         return (b - a) / _FIXED_UNIT
 
     def ball_masses(self, zeta, radii: np.ndarray) -> np.ndarray:
-        # Closed form: length of B_r(zeta) clipped to the space.
+        """``ball_mass`` over ``radii``, bit for bit: e = floor(r 2^128)
+        2^-128 is an exact float, each piece is rounded once (clipped at 1,
+        z > 1/2 makes 1 - z exact), and a circle ball that wraps is the
+        IEEE sum of its two pieces, as ``math.fsum`` of two floats is."""
+        z = _unit_to_fixed(zeta) / _FIXED_UNIT
         r = np.asarray(radii, dtype=np.float64)
+        e = np.ldexp(np.floor(np.ldexp(np.maximum(r, 0.0), FIXED_DEPTH)),
+                     -FIXED_DEPTH)
         if self.metric is Metric.CIRCLE:
-            return np.minimum(2.0 * r, 1.0)
-        z = float(zeta)
-        return np.minimum(z + r, 1.0) - np.maximum(z - r, 0.0)
+            z %= 1.0
+            return np.select(
+                [e >= 0.5, e > z, e > 1.0 - z],
+                [1.0, (e - z) + (z + e), ((1.0 - z) + e) + ((z - 1.0) + e)],
+                e + e)
+        return np.select([e > z, e > 1.0 - z],
+                         [np.minimum(z + e, 1.0), (1.0 - z) + e], e + e)
 
 
 class BernoulliDoubling(MeasureModel):
@@ -179,10 +202,13 @@ class BernoulliDoubling(MeasureModel):
     is singular with respect to Lebesgue whenever p != 1/2.
     """
 
+    name = "Bernoulli digit"
+    maps = (MapKind.DOUBLING,)
+
     def __init__(self, p: float):
         if not 0.0 < p < 1.0:
             raise DomainError(f"digit mass p={p!r} outside (0, 1)")
-        self.p = float(p)
+        self.p_zero = float(p)
         self.metric = Metric.CIRCLE
 
     def cdf_fixed(self, x: int) -> float:
@@ -191,7 +217,7 @@ class BernoulliDoubling(MeasureModel):
             return 0.0
         if x >= _FIXED_UNIT:
             return 1.0
-        p, q = self.p, 1.0 - self.p
+        p, q = self.p_zero, 1.0 - self.p_zero
         total = 0.0
         prefix = 1.0
         for i in range(FIXED_DEPTH):
@@ -235,7 +261,7 @@ class BernoulliDoubling(MeasureModel):
         seen = (int(np.bitwise_or.reduce(halves[0])) << 64
                 | int(np.bitwise_or.reduce(halves[1])))
         halves = [half.view(np.int64) for half in halves]
-        p, q = self.p, 1.0 - self.p
+        p, q = self.p_zero, 1.0 - self.p_zero
         factors = np.array([p, q])
         total, prefix = np.zeros(2 * r.size), np.ones(2 * r.size)
         step, bit = np.empty(2 * r.size), np.empty(2 * r.size)
@@ -255,20 +281,6 @@ class BernoulliDoubling(MeasureModel):
                          np.maximum(f_hi - f_lo, 0.0))
 
 
-def digit_p_zero(measure) -> float:
-    """Mass of the digit 0 under a digit-product measure: the one number
-    the tent and doubling systems read off their measure, for the digit
-    draws, the cylinder masses and the entropy.  Lebesgue is p = 1/2."""
-    if isinstance(measure, Lebesgue1D):
-        return 0.5
-    if isinstance(measure, BernoulliDoubling):
-        return measure.p
-    raise UnsupportedCombination(
-        "digit systems need a digit-product measure; got "
-        f"{type(measure).__name__}"
-    )
-
-
 class EmpiricalOrbit(MeasureModel):
     """Long-orbit surrogate measure for the intermittent map.
 
@@ -278,6 +290,9 @@ class EmpiricalOrbit(MeasureModel):
     the atom size 1.5 / orbit_len of the empirical CDF.
     """
 
+    name = "intermittent-map orbit"
+    maps = (MapKind.MANNEVILLE_POMEAU,)
+
     def __init__(
         self,
         system: MapSystem,
@@ -285,11 +300,7 @@ class EmpiricalOrbit(MeasureModel):
         orbit_len: int = 10**6,
         burn_in: int = 10**4,
     ):
-        if system.kind is not MapKind.MANNEVILLE_POMEAU:
-            raise UnsupportedCombination(
-                "the orbit measure serves the intermittent map only; the "
-                "tent, doubling and rotation maps have closed-form measures"
-            )
+        require_invariant(self, system)  # before the orbit runs
         self.system = system
         self.metric = system.metric
         self.orbit_len = int(orbit_len)
@@ -318,11 +329,25 @@ class EmpiricalOrbit(MeasureModel):
         return out
 
     def interval_mass(self, a: int, b: int) -> float:
-        lo = a / _FIXED_UNIT
-        hi = b / _FIXED_UNIT
-        i = np.searchsorted(self._sorted, lo, side="left")
-        j = np.searchsorted(self._sorted, hi, side="left")
+        i, j = np.searchsorted(self._sorted, [a / _FIXED_UNIT, b / _FIXED_UNIT])
         return (j - i) / self.orbit_len
 
     def _quantile_tol(self) -> float:
         return 1.5 / self.orbit_len
+
+
+#: The measures by their ``measure.kind``.
+MEASURES = {"lebesgue": Lebesgue1D, "bernoulli": BernoulliDoubling,
+            "orbit": EmpiricalOrbit}
+
+
+def require_invariant(measure, system: MapSystem) -> None:
+    """Raise ``UnsupportedCombination`` unless ``measure`` (or its class) is
+    invariant for the map of ``system``.  A rotation, whose starts are
+    uniform and which reads no mass, may run with no measure."""
+    kind = system.kind
+    if kind not in ((MapKind.ROTATION,) if measure is None else measure.maps):
+        takes = " or ".join(m.name for m in MEASURES.values() if kind in m.maps)
+        got = "no measure" if measure is None else f"the {measure.name} measure"
+        raise UnsupportedCombination(
+            f"the {kind.value} map takes the {takes} measure; got {got}")

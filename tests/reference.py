@@ -70,7 +70,6 @@ from evlhts.engine import (
 )
 from evlhts.errors import DomainError, EvlhtsError
 from evlhts.hts import word_scan
-from evlhts.measures import digit_p_zero
 from evlhts.observables import BallObservable, CylinderObservable
 from evlhts.rng import block_slices, substream
 from evlhts.systems import FIXED_ONE, WINDOW_BITS, MapKind, MapSystem, Metric
@@ -549,7 +548,7 @@ def fraction_smb_rates(ctx: PartitionContext, seed: int, depth: int,
     """
     gen = substream(seed, "smb", f"depth={depth}")
     letters = unpack_digits(
-        reference_digits(gen, samples, depth, digit_p_zero(ctx.measure)),
+        reference_digits(gen, samples, depth, ctx.measure.p_zero),
         depth)
     rates = []
     for row in letters.tolist():
@@ -608,7 +607,7 @@ def per_block_digit_hits(system, target, gens, *, cap, n_samples,
         parts.append(ball_first_hit_digits(
             [gen], count, eta=target.eta, zeta=target.zeta_value,
             tent=system.kind is MapKind.FULL_TENT,
-            p_zero=digit_p_zero(measure),
+            p_zero=measure.p_zero,
             circle=measure.metric is Metric.CIRCLE, cap=cap,
             start_j=start_j,
             arcs=(measure.ball_cdfs(target.zeta_value, target.eta)

@@ -1,0 +1,115 @@
+"""The pairing of maps and measures, read end to end from one table.
+
+``PAIRS`` states which ``measure.kind`` each ``system.kind`` takes.  For
+every pair, a tiny ``evl-balls`` run either runs or exits 2 with a message
+naming ``measure.kind``, and the library's entry points -- the measure's
+own constructor, ``PartitionContext``, ``hts.first_hits`` and
+``evl.sample_ball_min_distances`` -- refuse exactly the pairs the table
+refuses, with ``UnsupportedCombination``.
+"""
+
+import pytest
+
+from evlhts import evl, hts
+from evlhts.cli import main
+from evlhts.cylinders import PartitionContext
+from evlhts.errors import UnsupportedCombination
+from evlhts.measures import (MEASURES, BernoulliDoubling, EmpiricalOrbit,
+                             Lebesgue1D)
+from evlhts.observables import BallObservable, GKind, GShape
+from evlhts.systems import (MapKind, doubling, full_tent, manneville_pomeau,
+                            rotation)
+
+PAIRS = {
+    "full_tent": {"lebesgue"},
+    "doubling": {"lebesgue", "bernoulli"},
+    "rotation": {"lebesgue"},
+    "manneville_pomeau": {"orbit"},
+}
+SYSTEMS = {"full_tent": full_tent(), "doubling": doubling(),
+           "rotation": rotation("golden"),
+           "manneville_pomeau": manneville_pomeau(0.5)}
+CASES = [(system, measure, p) for system in PAIRS for measure in MEASURES
+         for p in ((0.3, 0.5) if measure == "bernoulli" else (None,))]
+IDS = [f"{s}-{m}" + ("" if p is None else f"-{p}") for s, m, p in CASES]
+ORBIT = EmpiricalOrbit(SYSTEMS["manneville_pomeau"], orbit_len=20_000,
+                       burn_in=100)
+
+
+def test_the_measures_state_the_table():
+    assert {kind.value: {name for name, cls in MEASURES.items()
+                         if kind in cls.maps}
+            for kind in MapKind} == PAIRS
+
+
+@pytest.mark.parametrize("system, measure, p", CASES, ids=IDS)
+def test_cli_runs_or_names_measure_kind(tmp_path, capsys, system, measure, p):
+    lines = [f"system.kind = {system}", f"measure.kind = {measure}",
+             "observable.type = g1", "observable.zeta = 0.3",
+             "evl.n_list = 16", "evl.samples = 50", "evl.y_grid = 0.0, 1.0",
+             "measure.orbit_len = 20000", "measure.burn_in = 100"]
+    if p is not None:
+        lines.append(f"measure.p = {p}")
+    cfg = tmp_path / "pair.cfg"
+    cfg.write_text("\n".join(lines) + "\n")
+    code = main(["evl-balls", "--config", str(cfg),
+                 "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    if measure in PAIRS[system]:
+        assert code in (0, 1), err
+    else:
+        assert code == 2
+        assert f"measure.kind = {measure}" in err
+
+
+def _measure(system, measure, p):
+    """The library measure of a pair: the orbit measure is built once, on
+    the intermittent map, and then offered to every map."""
+    if measure == "orbit":
+        return ORBIT
+    if measure == "bernoulli" and p != 0.5:
+        return BernoulliDoubling(p)
+    return Lebesgue1D(SYSTEMS[system].metric)
+
+
+def _refused(call) -> bool:
+    try:
+        call()
+    except UnsupportedCombination:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("system, measure, p", CASES, ids=IDS)
+def test_library_refuses_exactly_the_table(system, measure, p):
+    allowed = measure in PAIRS[system]
+    if measure == "bernoulli" and p == 0.5:  # built as Lebesgue
+        allowed = "lebesgue" in PAIRS[system]
+    sys_, mu = SYSTEMS[system], _measure(system, measure, p)
+    if measure == "orbit":
+        assert _refused(lambda: EmpiricalOrbit(sys_, orbit_len=10,
+                                               burn_in=0)) is not allowed
+    # no Markov partition for the intermittent map, whatever the measure
+    assert _refused(lambda: PartitionContext(sys_, mu)) is not (
+        allowed and sys_.kind is not MapKind.MANNEVILLE_POMEAU)
+    target = hts.TargetSet("ball", mass=0.05, zeta_value=0.3, eta=0.025)
+    assert _refused(lambda: hts.first_hits(
+        sys_, target, cap=20, n_samples=4, seed=1, labels=("pair",),
+        measure=mu)) is not allowed
+    obs = BallObservable(GShape(GKind.G1), mu, 0.3)
+    assert _refused(lambda: evl.sample_ball_min_distances(
+        obs, sys_, n_steps=5, n_samples=4, seed=1)) is not allowed
+
+
+@pytest.mark.parametrize("system", ["full_tent", "doubling"])
+def test_a_digit_run_needs_a_digit_measure(system):
+    # no measure, or the orbit measure: refused, never an AttributeError
+    target = hts.TargetSet("ball", mass=0.05, zeta_value=0.3, eta=0.025)
+    cell = hts.cylinder_target(
+        PartitionContext(SYSTEMS[system], Lebesgue1D()), 0.3, 4)
+    for mu in (None, ORBIT):
+        with pytest.raises(UnsupportedCombination):
+            hts.first_hits(SYSTEMS[system], target, cap=20, n_samples=4,
+                           seed=1, labels=("pair",), measure=mu)
+        with pytest.raises(UnsupportedCombination):
+            hts.word_scan(SYSTEMS[system], mu, cell)

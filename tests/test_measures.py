@@ -15,7 +15,6 @@ from evlhts.measures import (
     _FIXED_UNIT,
     _radius_to_fixed,
     _unit_to_fixed,
-    digit_p_zero,
 )
 from evlhts.rng import substream
 from evlhts.systems import (
@@ -92,33 +91,51 @@ def test_circle_ball_below_the_fixed_grid_is_empty(eta):
     assert bern.ball_masses(0.5, np.array([eta, eta])).tolist() == [0.0, 0.0]
 
 
-@pytest.mark.parametrize("p", [0.3, 0.01, 0.99])
-@pytest.mark.parametrize("zeta", [0.0, 0.3, 0.5, 1.0 - 2.0 ** -40,
-                                  2.0 ** -60, 2.0 ** -100, 1.0])
-def test_bernoulli_ball_masses_equal_scalar_ball_mass(p, zeta):
+# One small orbit serves every centre: its masses are orbit frequencies.
+_ORBIT = EmpiricalOrbit(manneville_pomeau(0.5), orbit_len=2000, burn_in=10)
+_CENTRES = [0.0, 0.3, 0.5, 1.0 - 2.0 ** -40, 2.0 ** -60, 2.0 ** -100, 1.0]
+
+
+def _assert_ball_masses_exact(measure, zeta):
+    """Every measure's ``ball_masses`` is its ``ball_mass``, bit for bit."""
     # radius 0 and below, the smallest radii, radii at the 64-bit halves'
     # seams and the grid's last cell, one whose low half carries into the
     # high half at zeta = 2^-100, radii of 1/2 and beyond (the whole
-    # circle), and radii whose ball wraps past 0 or 1; centres at 2^-60 and
-    # 2^-100, on either side of the halves' seam, and 1.0, which is 0 on
-    # the circle
-    m = BernoulliDoubling(p)
-    gen = substream(3, "ball-masses", p, zeta)
+    # circle), and radii whose ball wraps past 0 or 1, or is clipped at the
+    # interval's ends; centres at 2^-60 and 2^-100, on either side of the
+    # halves' seam, and 1.0, which is 0 on the circle; the distances to 0
+    # and 1 themselves, and the floats beside them
+    gen = substream(3, "ball-masses", measure.p_zero, zeta)
+    ends = np.abs(zeta - np.array([0.0, 1.0]))
     radii = np.concatenate([
         [0.0, 2.0 ** -1074, 2.0 ** -60, 2.0 ** -53, 0.5, 0.5 - 2.0 ** -54,
          0.75, 1.0, 2.0 ** -128, 2.0 ** -76, 2.0 ** -75, 2.0 ** -64,
          2.0 ** -63, -1.0, 2.0 ** -64 - 2.0 ** -100],
         gen.random(400) * 0.5,
         10.0 ** -gen.uniform(0.0, 15.0, 400),
-        (np.abs(zeta - np.array([0.0, 1.0]))
-         + gen.uniform(0.0, 0.2, (100, 2))).ravel(),
+        (ends + gen.uniform(0.0, 0.2, (100, 2))).ravel(),
         gen.uniform(0.5, 1.0, 100),
+        ends, np.nextafter(ends, 0.0), np.nextafter(ends, 1.0),
     ])
     assert radii.size >= 1000
-    got = m.ball_masses(zeta, radii)
-    want = [m.ball_mass(zeta, float(r)) for r in radii]
+    got = measure.ball_masses(zeta, radii)
+    want = [measure.ball_mass(zeta, float(r)) for r in radii]
     assert got.dtype == np.float64 and got.shape == radii.shape
     assert got.tolist() == want  # bit for bit, not approximately
+
+
+@pytest.mark.parametrize("p", [0.3, 0.01, 0.99])
+@pytest.mark.parametrize("zeta", _CENTRES)
+def test_bernoulli_ball_masses_equal_scalar_ball_mass(p, zeta):
+    _assert_ball_masses_exact(BernoulliDoubling(p), zeta)
+
+
+@pytest.mark.parametrize("measure", [
+    Lebesgue1D(Metric.INTERVAL), Lebesgue1D(Metric.CIRCLE), _ORBIT,
+], ids=["lebesgue-interval", "lebesgue-circle", "orbit"])
+@pytest.mark.parametrize("zeta", _CENTRES)
+def test_ball_masses_equal_scalar_ball_mass(measure, zeta):
+    _assert_ball_masses_exact(measure, zeta)
 
 
 @pytest.mark.parametrize(
@@ -232,12 +249,11 @@ def test_ball_cdfs_read_the_ball_arcs(measure, zeta, n_pieces):
     assert abs(math.fsum(widths) - measure.ball_mass(zeta, eta)) <= 1e-15
 
 
-def test_digit_p_zero_of_each_measure():
-    assert digit_p_zero(Lebesgue1D(Metric.CIRCLE)) == 0.5
-    assert digit_p_zero(BernoulliDoubling(0.3)) == 0.3
-    orbit = EmpiricalOrbit(manneville_pomeau(0.5), orbit_len=1000, burn_in=10)
-    with pytest.raises(UnsupportedCombination, match="digit-product"):
-        digit_p_zero(orbit)
+def test_p_zero_of_each_measure():
+    assert Lebesgue1D(Metric.CIRCLE).p_zero == 0.5
+    assert Lebesgue1D(Metric.INTERVAL).p_zero == 0.5
+    assert BernoulliDoubling(0.3).p_zero == 0.3
+    assert _ORBIT.p_zero is None  # orbit digits are not iid
 
 
 @pytest.mark.parametrize("system", [full_tent(), doubling(), rotation()],
