@@ -42,16 +42,18 @@ shifts one bit less and lets the parity, then bit 63, complement the
 window.  One shift of every word fills one contiguous plane, and
 subtracting the word of a window v leaves (w - v) mod 2^53 on top.  The
 kernels take no float per step, yet equal the per-step float recursion
-bit for bit.  The position w 2^-53 is exact, so the float distance d to
+bit for bit.  The first-hit kernel takes the ball as the measure lays it
+out (``MeasureModel.ball_arcs``): at most two pieces [lo, hi) of the
+2^-128 grid.  The window w lies at w 2^75 on that grid, so a piece holds
+the windows from ceil(lo 2^-75) up to ceil(hi 2^-75), one integer ceil
+per endpoint.  The position w 2^-53 is exact, so the float distance d to
 zeta depends on w alone, and as rounding is monotone, d and 1 - d are
-monotone on either side of c = ceil(zeta 2^53).  So the windows that the
-float test d < eta (min(d, 1 - d) < eta on the circle) accepts form at
-most two cyclic intervals, found once per ball by bisecting that test.
-The fold 1 - d takes over on one side of c only and carries that side's
-trend across the seam 2^53 = 0, so the float distance rises, then falls,
-along the offsets (w - c) mod 2^53: the minimum-distance kernel keeps each
-lane's least and greatest offset and takes the float distance of those
-two windows at the end.
+monotone on either side of c = ceil(zeta 2^53).  The fold 1 - d (the
+circle's min(d, 1 - d)) takes over on one side of c only and carries that
+side's trend across the seam 2^53 = 0, so the float distance rises, then
+falls, along the offsets (w - c) mod 2^53: the minimum-distance kernel
+keeps each lane's least and greatest offset and takes the float distance
+of those two windows at the end.
 
 Both ball kernels lift only candidate words, picked by one table and a
 bound.  In the word at byte offset b, bits 60 .. 41 hold the tent parity
@@ -63,10 +65,10 @@ min(d, 4096 - d) over a word's 8 steps, capped at 255.  A word is a
 candidate when its entry is at most the bound, found with one lookup per
 word, and only the candidates' 8 steps are lifted.  The first-hit
 kernel's bound is one per ball: the greatest capped min(d, 4096 - d) over
-the prefix cells of its intervals, and -1, which no entry meets, for a
-ball with no window.  A window inside an interval has its prefix among
-the interval's cells, so a word with a step inside has an entry at most
-the bound, and the exact interval test then decides.  The
+the prefix cells of its window intervals, and -1, which no entry meets,
+for a ball with no window.  A window inside an interval has its prefix
+among the interval's cells, so a word with a step inside has an entry at
+most the bound, and the exact interval test then decides.  The
 minimum-distance kernel's bound is one per lane.  The top 12 bits of a
 step's offset (w - C) mod 2^64 are d, or d - 1 mod 4096 where the bits of
 w below its prefix fall below C's.  So the step can lower the lane's
@@ -129,30 +131,11 @@ The digit draws fix the RNG stream, and with it every report byte:
 * first-hit kernels draw full ``chunk``-width matrices even when fewer
   columns remain, so runs that differ only in the cap share a stream;
   fixed-window kernels draw only the columns that remain;
-* ``draw_digits`` has two rules, and both read a row's raw 64-bit words
-  as little-endian bytes on every platform.  Fair digits (p_zero = 1/2:
-  the tent and doubling maps under Lebesgue) come 64 to a raw word: a
-  (rows, cols) draw takes (rows, ceil(cols / 64)) raw words, and each
-  packed word is its raw word byte-swapped.  So digit c of a row is bit
-  7 - (c mod 8) of byte c // 8 of the row's raw words.  Any other p_zero
-  comes 8 to a 16-bit lane, 32 to a raw word: a (rows, cols) draw takes
-  (rows, ceil(ceil(cols / 8) / 4)) raw words, and lane i of a row, its
-  bytes 2i and 2i + 1 read little-endian, gives digits 8i .. 8i + 7 as
-  one byte, the first digit its most significant bit.  The lane is the
-  first 16 bits of a uniform U, and the byte is the one whose interval of
-  the exact CDF of 8 digits, in byte-value order, holds U (Knuth and Yao,
-  1976).  One table lookup decides it, except in the cells of width 2^-16
-  that a CDF boundary splits: 255 of 65,536 at p_zero = 0.3, a single
-  cell holding all 255 boundaries at p_zero = 2^-53.  Those lanes are
-  ties.  After the main draw, one more raw word per tie, in row-major
-  order of the ties, gives U's next 64 bits.  A tie word equal to the top
-  64 bits of a boundary that has further bits does not decide; once every
-  tie has its word, each such tie, in row-major order, takes further
-  words one at a time until it is decided.  A draw without ties takes no
-  further words.  Each byte then has exactly the mass of its interval,
-  q^(8 - a) (1 - q)^a for a ones, q = ceil(p_zero 2^53) / 2^53: the
-  digits are independent, each 1 with mass 1 - q, the law of
-  ``gen.random() >= p_zero``;
+* ``draw_digits`` has two rules, stated with the raw words each takes in
+  its docstring: fair digits (p_zero = 1/2) come 64 to a raw word, and any
+  other p_zero 8 to a 16-bit lane, by inverting the exact CDF of 8 digits
+  (Knuth and Yao, 1976), with further raw words for the lanes whose cell a
+  CDF boundary splits (255 of 65,536 at p_zero = 0.3);
 * first-hit kernels drop a block's finished lanes between chunks once
   more than ``_COMPACT_AT`` of the block's live lanes have hit, and a
   block with no live lane left draws no more.  That sets the rows of each
@@ -168,6 +151,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .errors import DomainError
+from .measures import FIXED_DEPTH
 from .rng import BLOCK, block_slices, substream
 from .systems import FIXED_ONE, WINDOW_BITS
 
@@ -967,36 +951,36 @@ def ball_first_hit_digits(
     gens,
     count,
     *,
-    eta,
+    arcs,
     zeta,
     tent,
     p_zero,
-    circle,
     cap,
     start_j=1,
-    arcs=None,
+    cdfs=None,
     chunk=256,
 ):
-    """First j in [start_j, cap) with dist(f^j x, zeta) < eta, for the
-    ``count`` lanes of ``rng.block_slices(count)``; ``gens`` holds each
-    block's generator.
+    """First j in [start_j, cap) whose window w has w 2^75 in one of the
+    ball's fixed-point pieces ``arcs`` (``MeasureModel.ball_arcs``), for
+    the ``count`` lanes of ``rng.block_slices(count)``; ``gens`` holds each
+    block's generator.  The centre ``zeta`` only centres the prefix filter.
 
     Each block first draws its lanes' start windows on its generator:
-    stationary ones, or given the target's CDF ``arcs``, conditional
-    (return-time) ones by inverse CDF (``conditional_digit_starts``).
-    These fix the 53 leading digits of the start point; the tail beyond 53
-    digits is drawn iid, which misstates the conditional law only on
-    boundary cells of mass O(2^-53).
+    stationary ones, or given the CDFs ``cdfs`` at the arcs' ends,
+    conditional (return-time) ones by inverse CDF
+    (``conditional_digit_starts``).  These fix the 53 leading digits of the
+    start point; the tail beyond 53 digits is drawn iid, which misstates
+    the conditional law only on boundary cells of mass O(2^-53).
     """
     sizes = _block_sizes(count, gens)
     scratch = _Scratch()
     window = np.empty(count, dtype=np.uint64)
     for (_, lo, size), gen in zip(block_slices(count), gens):
         starts = (draw_digits(gen, size, WINDOW_BITS, p_zero, scratch)
-                  if arcs is None else
-                  conditional_digit_starts(gen, size, arcs=arcs, p_zero=p_zero))
+                  if cdfs is None else
+                  conditional_digit_starts(gen, size, cdfs=cdfs, p_zero=p_zero))
         window[lo:lo + size] = starts[:, 0]
-    pieces = _ball_windows(zeta, eta, circle)
+    pieces = _arc_windows(arcs)
     centre = np.uint64((math.ceil(zeta * 2.0 ** WINDOW_BITS) << _LOW) % 2**64)
     table = _distance_table(centre, tent)
     bound = _ball_bound(pieces, centre)
@@ -1014,6 +998,15 @@ def ball_first_hit_digits(
     # column c is the position after step c + 1 of the chunk
     return _first_hit(sizes, cap, start_j, 1, chunk, scan,
                       (window >> np.uint64(_LOW),), inside_before)
+
+
+def _arc_windows(arcs):
+    """The windows w with w 2^75 in one of the fixed-point pieces [lo, hi)
+    of ``arcs``, as intervals (start, width) of the 2^53 grid: those from
+    ceil(lo 2^-75) up to ceil(hi 2^-75)."""
+    shift = FIXED_DEPTH - WINDOW_BITS
+    ends = [(-(-lo >> shift), -(-hi >> shift)) for lo, hi in arcs]
+    return [(lo, hi - lo) for lo, hi in ends if hi > lo]
 
 
 def _ball_bound(pieces, centre):
@@ -1054,43 +1047,13 @@ def _ball_column(words, table, bound, pieces, tent, first, cols, scratch):
     return column
 
 
-def _ball_windows(zeta, eta, circle):
-    """The windows w with dist(w 2^-53, zeta) < eta under ``_distances``,
-    as cyclic intervals (start, width) mod 2^53 (module docstring)."""
-    top, c = 1 << WINDOW_BITS, math.ceil(zeta * 2.0 ** WINDOW_BITS)
-
-    def first(lo, hi, holds):
-        """The least w in [lo, hi) from which holds(dist) is true."""
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if holds(abs(mid * _SCALE - zeta)):
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
-
-    # [lo, hi) around c, from the monotone sides of d; on the circle also
-    # [b, 2^53) and [0, a), where 1 - d < eta
-    ends = [(first(0, c, lambda d: d < eta),
-             first(c, top, lambda d: d >= eta))]
-    if circle:
-        ends.append((first(c, top, lambda d: 1.0 - d < eta),
-                     top + first(0, c, lambda d: 1.0 - d >= eta)))
-    return [(lo % top, hi - lo) for lo, hi in ends if hi > lo]
-
-
 def _in_ball(words, pieces, out, offsets):
-    """Marks in ``out`` the window words w in one of the cyclic intervals
+    """Marks in ``out`` the window words w in one of the intervals
     ``pieces``: (w - start) mod 2^53 < width."""
-    if not pieces:
-        out[...] = False
-    for k, (start, width) in enumerate(pieces):
+    out[...] = False
+    for start, width in pieces:
         np.subtract(words, np.uint64(start << _LOW), out=offsets)
-        last = np.uint64((width << _LOW) - 1)
-        if k:
-            out |= offsets <= last
-        else:
-            np.less_equal(offsets, last, out=out)
+        out |= offsets <= np.uint64((width << _LOW) - 1)
     return out
 
 
@@ -1204,19 +1167,19 @@ def mp_first_hit(count, *, s_exp, eta, zeta, cap, start_j, starts, chunk=64):
 
 # ------------------------------------------------- conditional ball starts
 
-def conditional_digit_starts(gen, count, *, arcs, p_zero):
+def conditional_digit_starts(gen, count, *, cdfs, p_zero):
     """Packed (count, 1) leading 53 digits of points drawn from the measure
     restricted to a union of intervals.
 
-    ``arcs`` is a pair (cdf_lo, cdf_hi) of equal-length sequences giving
-    the CDF values of each interval's endpoints.  Sampling picks an
-    interval proportionally to its mass, draws a uniform CDF level inside
+    ``cdfs`` is a pair (cdf_lo, cdf_hi) of equal-length sequences giving
+    the CDF values of each interval's endpoints (``MeasureModel.ball_cdfs``).
+    Sampling picks an interval proportionally to its mass, draws a uniform CDF level inside
     it, and inverts one digit at a time: within any dyadic cell the digit
     measure splits mass p_zero : 1 - p_zero, so the split point of the
     current CDF bracket is linear for every digit-product measure
     (Lebesgue is the p = 1/2 case).
     """
-    cdf_lo, cdf_hi = arcs
+    cdf_lo, cdf_hi = cdfs
     cdf_lo = np.asarray(cdf_lo, dtype=np.float64)
     cdf_hi = np.asarray(cdf_hi, dtype=np.float64)
     widths = cdf_hi - cdf_lo

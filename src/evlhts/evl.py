@@ -101,7 +101,7 @@ def sample_ball_min_distances(
             engine.block_substreams(n_samples, seed, labels), n_samples,
             n_steps=n_steps, p_zero=measure.p_zero,
             tent=system.kind is MapKind.FULL_TENT, zeta=zeta,
-            circle=measure.metric is Metric.CIRCLE)
+            circle=system.metric is Metric.CIRCLE)
     # The orbit maps draw only their starts, block by block; one scan then
     # steps every lane.
     starts = hts.orbit_starts(system, measure, n_samples, seed, labels,

@@ -16,12 +16,16 @@ tent or doubling cylinder to a word scan, reading the measure's
 ``p_zero``, and ``orbit_starts`` the one draw of rotation and
 intermittent starts, which ``evl`` shares.
 
+A ball target carries only its radius and mass.  The measure lays it out
+once, as fixed-point arcs (``MeasureModel.ball_arcs``): the set whose mass
+normalizes a run's times, whose windows the digit kernels count as hit,
+and whose orbit points intermittent return runs start from.
+
 Hitting runs start from the stationary measure; return runs condition
 the start on the target itself.  The digit kernels draw these starts
 themselves: an exact letter preload for cylinders, and digit-by-digit CDF
 inversion for balls under the digit-product measures, on the CDFs at the
-ends of the measure's fixed-point ball arcs (``MeasureModel.ball_cdfs``).
-A ball target carries only its radius and mass.  Kac's identity — mean
+ends of the arcs (``MeasureModel.ball_cdfs``).  Kac's identity — mean
 return time times target mass equals 1 — is checked from the same
 samples with a CLT band.
 """
@@ -40,7 +44,7 @@ from .errors import (
 )
 from .laws import EmpiricalLaw, survival_integral
 from .measures import MeasureModel, require_invariant
-from .systems import DIGIT_KINDS, FIXED_ONE, MapKind, MapSystem, Metric
+from .systems import DIGIT_KINDS, FIXED_ONE, MapKind, MapSystem
 
 #: Default normalized horizon: caps at 50 expected return times.
 DEFAULT_HORIZON = 50.0
@@ -187,7 +191,7 @@ def orbit_starts(system, measure, n_samples, seed, labels, threads,
     Rotation starts are uniform points of the 2^63 grid, on the circle or
     on the target's arc (``_rotation_arc``).  Intermittent starts are
     uniform picks from the empirical orbit, or from its points inside the
-    target ball.
+    target ball's arcs (``EmpiricalOrbit.points_in``).
     """
     if system.kind is MapKind.ROTATION:
         lo, hi = (0, FIXED_ONE) if inside is None else _rotation_arc(inside)
@@ -197,7 +201,8 @@ def orbit_starts(system, measure, n_samples, seed, labels, threads,
     else:  # the intermittent map
         points = measure.orbit
         if inside is not None:
-            points = points[np.abs(points - inside.zeta_value) < inside.eta]
+            points = measure.points_in(
+                measure.ball_arcs(inside.zeta_value, inside.eta))
             if points.size == 0:
                 raise DomainError("no orbit point falls in the target ball")
 
@@ -237,12 +242,12 @@ def _digit_first_hits(system, target, gens, count, cap, start_j,
         return engine.word_first_hit(
             gens, count, **word_scan(system, measure, target), cap=cap,
             start_j=start_j, preload=conditional)
+    zeta, eta = target.zeta_value, target.eta
     return engine.ball_first_hit_digits(
-        gens, count, eta=target.eta, zeta=target.zeta_value,
+        gens, count, arcs=measure.ball_arcs(zeta, eta), zeta=zeta,
         tent=system.kind is MapKind.FULL_TENT, p_zero=measure.p_zero,
-        circle=measure.metric is Metric.CIRCLE, cap=cap, start_j=start_j,
-        arcs=(measure.ball_cdfs(target.zeta_value, target.eta)
-              if conditional else None))
+        cap=cap, start_j=start_j,
+        cdfs=measure.ball_cdfs(zeta, eta) if conditional else None)
 
 
 # ------------------------------------------------------------------- Kac

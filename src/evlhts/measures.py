@@ -18,14 +18,16 @@ Each measure states the maps it is invariant for, which
 ``require_invariant`` checks, and its ``p_zero``: the mass of the digit 0,
 all the tent and doubling systems read off it (None if digits are not iid).
 
-A metric ball is laid out once, by ``MeasureModel._ball_arcs``: the (at
+A metric ball is laid out once, by ``MeasureModel.ball_arcs``: the (at
 most two) arcs or segments it induces on [0, 1], with exact 2^-128
-fixed-point endpoints.  Those arcs give the ball's mass (``ball_mass``, the
-sum of the pieces' ``interval_mass``), its quantile radius
-(``quantile_radius``, which inverts ``ball_mass`` by bisection, certifies
-|mass - gamma| <= 1e-10 and raises ``NotAttained`` on flat spots of the
-mass profile) and the CDFs at its endpoints that return-time starts invert
-(``ball_cdfs``).
+fixed-point endpoints.  Those arcs give the ball's mass
+(``ball_mass``, the sum of the pieces' ``interval_mass``), its quantile
+radius (``quantile_radius``, which inverts ``ball_mass`` by bisection,
+certifies |mass - gamma| <= 1e-10 and raises ``NotAttained`` on flat spots
+of the mass profile), the CDFs at its endpoints that return-time starts
+invert (``ball_cdfs``), the windows the digit first-hit kernel counts as
+inside (``engine.ball_first_hit_digits``) and the orbit points that
+intermittent return runs start from (``EmpiricalOrbit.points_in``).
 """
 
 import math
@@ -65,12 +67,13 @@ def _radius_to_fixed(eta: float) -> int:
 class MeasureModel:
     """Common ball-mass / quantile machinery over an interval CDF."""
 
-    metric: Metric
     # What the package reads off a measure: a name for messages, the maps
-    # it is invariant for, and the mass of the digit 0 if digits are iid.
+    # it is invariant for, the mass of the digit 0 if digits are iid, and
+    # its metric (each measure's own: a class states none).
     name: str = "unnamed"
     maps: tuple[MapKind, ...] = ()
     p_zero: float | None = None
+    metric: Metric | None = None
 
     # -- kind-specific primitives -------------------------------------
     def interval_mass(self, a: int, b: int) -> float:
@@ -82,8 +85,12 @@ class MeasureModel:
     def diameter(self) -> float:
         return 0.5 if self.metric is Metric.CIRCLE else 1.0
 
-    def _ball_arcs(self, zeta_fixed: int, eta: float) -> list[tuple[int, int]]:
-        """Fixed-point [lo, hi) pieces of the ball of radius eta."""
+    def ball_arcs(self, zeta, eta: float) -> list[tuple[int, int]]:
+        """Fixed-point [lo, hi) pieces of the ball of radius eta: the points
+        of [zeta - e, zeta + e), e = floor(eta 2^128) 2^-128, clipped to
+        [0, 1] on the interval and split at 0 on the circle, where e >= 1/2
+        is the whole circle."""
+        zeta_fixed = _unit_to_fixed(zeta)
         if eta <= 0.0:
             return []
         eta_fixed = _radius_to_fixed(eta)
@@ -107,14 +114,14 @@ class MeasureModel:
         The measures here are non-atomic, so open/closed balls carry the
         same mass and the result is a CDF difference per arc piece.
         """
-        zf = _unit_to_fixed(zeta)
-        return math.fsum(self.interval_mass(a, b) for a, b in self._ball_arcs(zf, eta))
+        return math.fsum(self.interval_mass(a, b)
+                         for a, b in self.ball_arcs(zeta, eta))
 
     def ball_cdfs(self, zeta, eta: float) -> tuple[tuple, tuple]:
         """(F(lo)..., F(hi)...) over the pieces [lo, hi) of the ball of
         radius ``eta``, F(x) = ``interval_mass(0, x)``: the CDF table that
         ``engine.conditional_digit_starts`` inverts."""
-        arcs = self._ball_arcs(_unit_to_fixed(zeta), eta)
+        arcs = self.ball_arcs(zeta, eta)
         return (tuple(self.interval_mass(0, a) for a, _ in arcs),
                 tuple(self.interval_mass(0, b) for _, b in arcs))
 
@@ -240,7 +247,7 @@ class BernoulliDoubling(MeasureModel):
         floor(r 2^128) = h 2^64 + l, with h = floor(r 2^64) and
         l = floor(frac(r 2^64) 2^64), each an exact float.  zeta -+ it mod
         2^128 carry and borrow across uint64 (high, low) halves, in the
-        cases of ``_ball_arcs``: r <= 0 or below 2^-128 is empty, r >= 1/2
+        cases of ``ball_arcs``: r <= 0 or below 2^-128 is empty, r >= 1/2
         the whole circle, and hi <= lo the pieces [lo, 2^128) and [0, hi).
         ``cdf_fixed``'s recursion then runs on all endpoints at once, with
         its operations in its order, and stops after the lowest digit 1 of
@@ -300,9 +307,9 @@ class EmpiricalOrbit(MeasureModel):
         orbit_len: int = 10**6,
         burn_in: int = 10**4,
     ):
+        self.metric = system.metric
         require_invariant(self, system)  # before the orbit runs
         self.system = system
-        self.metric = system.metric
         self.orbit_len = int(orbit_len)
         self.burn_in = int(burn_in)
         x0 = float(substream(master_seed, "empirical-orbit", "start").random())
@@ -332,6 +339,14 @@ class EmpiricalOrbit(MeasureModel):
         i, j = np.searchsorted(self._sorted, [a / _FIXED_UNIT, b / _FIXED_UNIT])
         return (j - i) / self.orbit_len
 
+    def points_in(self, arcs) -> np.ndarray:
+        """The orbit points, in orbit order, that ``interval_mass`` counts
+        in the pieces [a, b) of ``arcs``."""
+        x, inside = self.orbit, np.zeros(self.orbit_len, dtype=bool)
+        for a, b in arcs:
+            inside |= (x >= a / _FIXED_UNIT) & (x < b / _FIXED_UNIT)
+        return x[inside]
+
     def _quantile_tol(self) -> float:
         return 1.5 / self.orbit_len
 
@@ -343,11 +358,17 @@ MEASURES = {"lebesgue": Lebesgue1D, "bernoulli": BernoulliDoubling,
 
 def require_invariant(measure, system: MapSystem) -> None:
     """Raise ``UnsupportedCombination`` unless ``measure`` (or its class) is
-    invariant for the map of ``system``.  A rotation, whose starts are
-    uniform and which reads no mass, may run with no measure."""
+    invariant for the map of ``system`` and measures balls in the map's
+    metric.  A rotation, whose starts are uniform and which reads no mass,
+    may run with no measure."""
     kind = system.kind
     if kind not in ((MapKind.ROTATION,) if measure is None else measure.maps):
         takes = " or ".join(m.name for m in MEASURES.values() if kind in m.maps)
         got = "no measure" if measure is None else f"the {measure.name} measure"
         raise UnsupportedCombination(
             f"the {kind.value} map takes the {takes} measure; got {got}")
+    if measure is not None and measure.metric not in (None, system.metric):
+        raise UnsupportedCombination(
+            f"the {kind.value} map measures balls on the "
+            f"{system.metric.value}; the {measure.name} measure is on the "
+            f"{measure.metric.value}")

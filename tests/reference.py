@@ -87,6 +87,31 @@ def distance(metric: Metric, x: float, y: float):
     return d
 
 
+def exact_ball_pieces(metric: Metric, zeta, eta):
+    """The ball's pieces in exact rationals: [zeta - eta, zeta + eta)
+    clipped to [0, 1] on the interval, split at 0 on the circle, where
+    2 eta >= 1 is the whole circle."""
+    z, e = Fraction(zeta), Fraction(eta)
+    if metric is Metric.INTERVAL:
+        return [(max(z - e, 0), min(z + e, 1))]
+    if 2 * e >= 1:
+        return [(Fraction(0), Fraction(1))]
+    lo, hi = (z - e) % 1, (z + e) % 1
+    return [(lo, hi)] if lo < hi else [(lo, Fraction(1)), (Fraction(0), hi)]
+
+
+def in_exact_ball(windows, metric: Metric, zeta, eta):
+    """Whether the point w 2^-53 of each integer window w lies in a piece
+    [a, b) of ``exact_ball_pieces``: for an integer w, w 2^-53 >= a exactly
+    when w >= ceil(a 2^53), and w 2^-53 < b when w < ceil(b 2^53)."""
+    windows = np.asarray(windows, dtype=np.int64)
+    inside = np.zeros(windows.shape, dtype=bool)
+    for a, b in exact_ball_pieces(metric, zeta, eta):
+        lo, hi = (math.ceil(x * 2 ** WINDOW_BITS) for x in (a, b))
+        inside |= (windows >= lo) & (windows < hi)
+    return inside
+
+
 class PointRep:
     """Common interface of both point backends."""
 
@@ -580,8 +605,10 @@ def per_block_orbit_hits(system, target, *, cap, n_samples, seed, labels,
                 start_j=start_j, starts=starts)
     else:
         orbit, zeta, eta = measure.orbit, target.zeta_value, target.eta
-        inside = (np.flatnonzero(np.abs(orbit - zeta) < eta) if conditional
-                  else np.arange(orbit.size))
+        # the exact ball's ends, each rounded to a float once
+        (lo, hi), = exact_ball_pieces(measure.metric, zeta, eta)
+        inside = (np.flatnonzero((orbit >= float(lo)) & (orbit < float(hi)))
+                  if conditional else np.arange(orbit.size))
 
         def kernel(gen, count):
             starts = orbit[inside[gen.integers(0, inside.size, size=count)]]
@@ -604,14 +631,12 @@ def per_block_digit_hits(system, target, gens, *, cap, n_samples,
                 [gen], count, **word_scan(system, measure, target), cap=cap,
                 start_j=start_j, preload=conditional))
             continue
+        zeta, eta = target.zeta_value, target.eta
         parts.append(ball_first_hit_digits(
-            [gen], count, eta=target.eta, zeta=target.zeta_value,
+            [gen], count, arcs=measure.ball_arcs(zeta, eta), zeta=zeta,
             tent=system.kind is MapKind.FULL_TENT,
-            p_zero=measure.p_zero,
-            circle=measure.metric is Metric.CIRCLE, cap=cap,
-            start_j=start_j,
-            arcs=(measure.ball_cdfs(target.zeta_value, target.eta)
-                  if conditional else None)))
+            p_zero=measure.p_zero, cap=cap, start_j=start_j,
+            cdfs=measure.ball_cdfs(zeta, eta) if conditional else None))
     return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 

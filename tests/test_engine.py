@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from evlhts import engine
@@ -26,13 +26,16 @@ from evlhts.engine import (
     word_hit_count,
 )
 from evlhts.errors import DomainError
+from evlhts.measures import Lebesgue1D
 from evlhts.rng import BLOCK, block_slices, substream
-from evlhts.systems import FIXED_ONE, manneville_pomeau, rotation
+from evlhts.systems import FIXED_ONE, Metric, manneville_pomeau, rotation
 from reference import (
     BitStreamPoint,
     FloatPoint,
     RecordingGen,
     byte_cdf,
+    exact_ball_pieces,
+    in_exact_ball,
     inverted_byte,
     iterate,
     lane_bytes,
@@ -92,6 +95,19 @@ def one_block(kernel):
     def run(gen, count, **kw):
         return kernel([gen], count, **kw)
     return run
+
+
+def metric_of(circle):
+    return Metric.CIRCLE if circle else Metric.INTERVAL
+
+
+# ``ball_first_hit_digits`` on the ball of radius ``eta`` as Lebesgue lays
+# it out on the interval or the circle; it keeps the kernel's name, which
+# names the test cases it runs in
+@functools.wraps(ball_first_hit_digits)
+def radius_ball_first_hit(gens, count, *, eta, zeta, circle, **kw):
+    arcs = Lebesgue1D(metric_of(circle)).ball_arcs(zeta, eta)
+    return ball_first_hit_digits(gens, count, arcs=arcs, zeta=zeta, **kw)
 
 
 def random_digit_rows(n_rows, n_digits, seed):
@@ -415,21 +431,29 @@ def reference_digit_window_min_distance(gen, count, *, n_steps, p_zero, tent,
 
 
 def reference_ball_first_hit_digits(gen, count, *, eta, zeta, tent, p_zero,
-                                    circle, cap, start_j=1, arcs=None,
+                                    circle, cap, start_j=1, cdfs=None,
                                     chunk=256):
-    """Per-step reference for ``ball_first_hit_digits``: with ``arcs`` the
-    conditional starts come first, on the same generator."""
-    if arcs is None:
+    """Per-step reference for ``ball_first_hit_digits``: with ``cdfs`` the
+    conditional starts come first, on the same generator.  A position is
+    inside when it lies in [zeta - eta, zeta + eta) in exact arithmetic,
+    clipped on the interval and split at 0 on the circle."""
+    metric = metric_of(circle)
+
+    def inside(pos):
+        return in_exact_ball(np.ldexp(pos, 53).astype(np.int64), metric,
+                             zeta, eta)
+
+    if cdfs is None:
         v = reference_window(reference_digits(gen, count, 53, p_zero))
     else:
-        v = reference_window(conditional_digit_starts(gen, count, arcs=arcs,
+        v = reference_window(conditional_digit_starts(gen, count, cdfs=cdfs,
                                                       p_zero=p_zero))
     parity = np.zeros(count, dtype=bool)
     times = np.full(count, cap, dtype=np.int64)
     lane = np.arange(count)
     done = np.zeros(count, dtype=bool)
     if start_j == 0:
-        hits = _reference_distances(v, zeta, circle) < eta
+        hits = inside(v)
         times[lane[hits]] = 0
         done |= hits
     j = 0
@@ -445,7 +469,7 @@ def reference_ball_first_hit_digits(gen, count, *, eta, zeta, tent, p_zero,
             if j < start_j:
                 continue
             pos = np.where(parity, _TOP - v, v) if tent else v
-            hits = (_reference_distances(pos, zeta, circle) < eta) & ~done
+            hits = inside(pos) & ~done
             if hits.any():
                 times[lane[hits]] = j
                 done |= hits
@@ -674,7 +698,9 @@ WINDOW_GRID = [
 
 class TestBallStreamEquivalence:
     """The chunked ball kernels reproduce the per-step float-window scan
-    bit for bit, drawing the same digit matrices from the same substream.
+    bit for bit, drawing the same digit matrices from the same substream:
+    the least float distance, and the first position in the exact ball
+    [zeta - eta, zeta + eta).
 
     Every horizon (403 orbit points, or a cap of start_j + 403) ends
     mid-chunk at both chunk widths, and radius 0.001 leaves some lanes
@@ -709,17 +735,17 @@ class TestBallStreamEquivalence:
         (False, True, 0.3, ETA), (True, False, 0.3, ETA),
         # zeta = 1 on the interval: every window lies below it
         (False, False, 1.0, ETA), (True, False, 1.0, ETA),
-        # a radius of one window: only the window at zeta is inside
+        # a radius of one window: the windows at zeta and zeta - 2^-53
         (False, True, 0.5, 2.0 ** -53), (True, False, 0.25, 2.0 ** -53),
-        # radius 1/2 on the circle leaves out the antipode 0.75 alone;
-        # radius 0.6 takes in the whole circle
+        # radius 1/2 on the circle takes in the antipode 0.75, and so the
+        # whole circle, as radius 0.6 does
         (False, True, 0.25, 0.5), (True, True, 0.3, 0.6),
     ])
     def test_ball_edges(self, tent, circle, zeta, eta):
         label = ("ball-edge", tent, circle, zeta, eta)
         common = dict(zeta=zeta, tent=tent, p_zero=0.3, circle=circle)
         self.check(reference_ball_first_hit_digits,
-                   one_block(ball_first_hit_digits),
+                   one_block(radius_ball_first_hit),
                    label, eta=eta, cap=403, start_j=0, **common)
         self.check(reference_digit_window_min_distance,
                    one_block(digit_window_min_distance), label, n_steps=403,
@@ -731,7 +757,7 @@ class TestBallStreamEquivalence:
         label = ("ball-horizon", tent)
         common = dict(zeta=0.5, tent=tent, p_zero=0.3, circle=True)
         self.check(reference_ball_first_hit_digits,
-                   one_block(ball_first_hit_digits),
+                   one_block(radius_ball_first_hit),
                    label, eta=0.002, cap=1 + 256 + 9, **common)
         self.check(reference_digit_window_min_distance,
                    one_block(digit_window_min_distance), label,
@@ -760,9 +786,9 @@ class TestBallStreamEquivalence:
                   chunk=chunk)
         if conditional:
             # starts drawn from the measure restricted to two CDF intervals
-            kw["arcs"] = ([0.2, 0.7], [0.3, 0.95])
+            kw["cdfs"] = ([0.2, 0.7], [0.3, 0.95])
         self.check(reference_ball_first_hit_digits,
-                   one_block(ball_first_hit_digits),
+                   one_block(radius_ball_first_hit),
                    label, **kw)
 
     @pytest.mark.parametrize("chunk", [7, 256])
@@ -773,7 +799,7 @@ class TestBallStreamEquivalence:
         want_gen = RecordingGen(substream(5, "ball-compact", tent, chunk))
         got_gen = RecordingGen(substream(5, "ball-compact", tent, chunk))
         want = reference_ball_first_hit_digits(want_gen, 2048, **kw)
-        got = ball_first_hit_digits([got_gen], 2048, **kw)
+        got = radius_ball_first_hit([got_gen], 2048, **kw)
         assert np.array_equal(got[0], want[0])
         assert got_gen.shapes == want_gen.shapes
         # (rows, words) main draws; a byte-lane draw's tie words are 1-d
@@ -863,8 +889,9 @@ def zetas():
 
 
 class TestBallWindows:
-    """The window intervals of a ball accept exactly what the float test
-    accepts, and the nearest-offset candidates hold the float minimum."""
+    """The window intervals of a ball's arcs accept exactly the windows of
+    the exact ball, and the nearest-offset candidates hold the float
+    minimum."""
 
     SETTINGS = settings(max_examples=200, deadline=None, derandomize=True,
                         database=None)
@@ -877,14 +904,21 @@ class TestBallWindows:
            windows=st.lists(st.integers(0, WINDOWS - 1), max_size=20),
            low_bits=st.one_of(st.sampled_from([0, 2 ** 11 - 1]),
                               st.integers(0, 2 ** 11 - 1)))
-    def test_intervals_are_the_float_predicate(self, zeta, eta, circle,
-                                               windows, low_bits):
-        pieces = engine._ball_windows(zeta, eta, circle)
+    def test_windows_are_the_arc_predicate(self, zeta, eta, circle, windows,
+                                           low_bits):
+        # a measure's centres lie on its 2^-128 grid
+        assume(math.ldexp(zeta, 128).is_integer())
+        metric = metric_of(circle)
+        pieces = engine._arc_windows(Lebesgue1D(metric).ball_arcs(zeta, eta))
         ends = {0, math.ceil(zeta * WINDOWS)}
         ends |= {e for start, width in pieces for e in (start, start + width)}
         probes = sorted({(e + k) % WINDOWS for e in ends for k in range(-3, 4)}
                         | set(windows))
-        want = (float_distances(probes, zeta, circle) < eta).tolist()
+        # membership in [zeta - eta, zeta + eta), clipped on the interval
+        # and split at 0 on the circle, in exact rationals
+        want = [any(a <= Fraction(w, WINDOWS) < b
+                    for a, b in exact_ball_pieces(metric, zeta, eta))
+                for w in probes]
         assert [any((w - start) % WINDOWS < width for start, width in pieces)
                 for w in probes] == want
         # the kernels test window words: the bits below a window do not count
@@ -1652,16 +1686,17 @@ class TestBallHitKernel:
         cap = 30
         rows = random_digit_rows(40, 53 + cap - 1, seed=5)
         script(rows)
-        times, hit = ball_first_hit_digits(
+        times, hit = radius_ball_first_hit(
             [None], 40, eta=eta, zeta=zeta, tent=True, p_zero=0.5,
             circle=False, cap=cap, start_j=1,
         )
+        # the exact ball [zeta - eta, zeta + eta)
+        lo, hi = Fraction(zeta) - Fraction(eta), Fraction(zeta) + Fraction(eta)
         for i, row in enumerate(rows):
             cur = BitStreamPoint.from_digits(row)
             want = cap
             for j in range(cap):
-                d = abs(cur.value(53) - zeta)
-                if j >= 1 and d < eta:
+                if j >= 1 and lo <= Fraction(cur.value(53)) < hi:
                     want = j
                     break
                 cur = cur.shifted(1, tent=True)
@@ -1670,10 +1705,10 @@ class TestBallHitKernel:
 
     def test_conditional_initial_digits_are_respected(self):
         # starts drawn inside the ball: with start_j = 0 they hit at once
-        times, hit = ball_first_hit_digits(
+        times, hit = radius_ball_first_hit(
             [substream(3, "cond")], 64, eta=0.05, zeta=0.5, tent=False,
             p_zero=0.5, circle=False, cap=10, start_j=0,
-            arcs=([0.45], [0.55]),
+            cdfs=([0.45], [0.55]),
         )
         assert hit.all() and (times == 0).all()
 
@@ -1682,12 +1717,39 @@ class TestBallHitKernel:
     def test_ball_without_a_window_censors_every_lane(self, tent, start_j):
         # 0.3 lies off the window grid, 2^-54 from the nearest window
         zeta, eta, cap, lanes = 0.3, 2.0 ** -60, 300, BLOCK + 5
-        assert engine._ball_windows(zeta, eta, False) == []
+        arcs = Lebesgue1D(Metric.INTERVAL).ball_arcs(zeta, eta)
+        assert arcs and engine._arc_windows(arcs) == []
         times, hit = ball_first_hit_digits(
-            block_substreams(lanes, 3, ("no-window", tent)), lanes, eta=eta,
-            zeta=zeta, tent=tent, p_zero=0.5, circle=False, cap=cap,
-            start_j=start_j)
+            block_substreams(lanes, 3, ("no-window", tent)), lanes, arcs=arcs,
+            zeta=zeta, tent=tent, p_zero=0.5, cap=cap, start_j=start_j)
         assert not hit.any() and (times == cap).all()
+
+    @staticmethod
+    def starts_inside(script, windows, zeta, eta, circle):
+        """Which start windows the kernel counts as inside the ball: with
+        start_j = 0 and cap 1 it reads the start windows alone."""
+        script([[(w >> (52 - k)) & 1 for k in range(53)] for w in windows])
+        times, hit = radius_ball_first_hit(
+            [None], len(windows), eta=eta, zeta=zeta, tent=False, p_zero=0.5,
+            circle=circle, cap=1, start_j=0)
+        assert np.array_equal(hit, times == 0)
+        return hit.tolist()
+
+    def test_window_at_zeta_less_eta_is_inside(self, script):
+        # a window at exactly zeta - eta lies in [zeta - eta, zeta + eta)
+        arcs = Lebesgue1D(Metric.CIRCLE).ball_arcs(0.5, 2.0 ** -53)
+        assert engine._arc_windows(arcs) == [(2 ** 52 - 1, 2)]
+        windows = [2 ** 52 - 2, 2 ** 52 - 1, 2 ** 52, 2 ** 52 + 1]
+        assert self.starts_inside(script, windows, 0.5, 2.0 ** -53,
+                                  True) == [False, True, True, False]
+
+    def test_half_circle_radius_takes_in_the_antipode(self, script):
+        arcs = Lebesgue1D(Metric.CIRCLE).ball_arcs(0.25, 0.5)
+        assert engine._arc_windows(arcs) == [(0, WINDOWS)]
+        antipode = 3 * 2 ** 51  # 0.75
+        assert self.starts_inside(script, [antipode - 1, antipode,
+                                           antipode + 1], 0.25, 0.5,
+                                  True) == [True, True, True]
 
 
 class TestRotationKernels:
@@ -1958,7 +2020,7 @@ class TestConditionalStarts:
     def test_uniform_arc(self):
         gen = substream(5, "uarc")
         digits = conditional_digit_starts(
-            gen, 4096, arcs=([0.2], [0.5]), p_zero=0.5
+            gen, 4096, cdfs=([0.2], [0.5]), p_zero=0.5
         )
         x = window_from_digits(digits)
         assert x.min() >= 0.2 and x.max() < 0.5
@@ -1967,7 +2029,7 @@ class TestConditionalStarts:
     def test_two_arcs_weighted_by_mass(self):
         gen = substream(6, "2arc")
         digits = conditional_digit_starts(
-            gen, 8192, arcs=([0.0, 0.9], [0.1, 1.0]), p_zero=0.5
+            gen, 8192, cdfs=([0.0, 0.9], [0.1, 1.0]), p_zero=0.5
         )
         x = window_from_digits(digits)
         in_right = x >= 0.5
@@ -1978,7 +2040,7 @@ class TestConditionalStarts:
         # restrict Bernoulli(p0 = 0.3) to the cell [1/4, 1/2): CDF 0.09..0.30
         gen = substream(8, "barc")
         digits = unpack_digits(conditional_digit_starts(
-            gen, 8192, arcs=([0.09], [0.30]), p_zero=0.3
+            gen, 8192, cdfs=([0.09], [0.30]), p_zero=0.3
         ), 53)
         assert not digits[:, 0].any()  # digit 1 is 0
         assert digits[:, 1].all()  # digit 2 is 1
@@ -1989,7 +2051,7 @@ class TestConditionalStarts:
     def test_empty_arc_rejected(self):
         with pytest.raises(DomainError):
             conditional_digit_starts(
-                substream(1, "e"), 4, arcs=([0.5], [0.5]), p_zero=0.5
+                substream(1, "e"), 4, cdfs=([0.5], [0.5]), p_zero=0.5
             )
 
 
@@ -2041,8 +2103,10 @@ class TestCapMonotonicity:
     def test_ball_first_hit(self):
         kw = dict(eta=0.05, zeta=0.3, tent=True, p_zero=0.5, circle=False,
                   chunk=8)
-        short, _ = ball_first_hit_digits([substream(13, "mono")], 400, cap=40, **kw)
-        long_, _ = ball_first_hit_digits([substream(13, "mono")], 400, cap=220, **kw)
+        short, _ = radius_ball_first_hit([substream(13, "mono")], 400, cap=40,
+                                         **kw)
+        long_, _ = radius_ball_first_hit([substream(13, "mono")], 400,
+                                         cap=220, **kw)
         assert np.array_equal(short, np.minimum(long_, 40))
 
     @pytest.mark.parametrize("p_zero", [0.5, 0.3])
@@ -2051,7 +2115,7 @@ class TestCapMonotonicity:
          dict(word_int=0b10110100, depth=8, tent=True)),
         (one_block(word_first_hit),
          dict(word_int=0b10110100, depth=8, tent=False)),
-        (one_block(ball_first_hit_digits), dict(eta=2.0 ** -9, zeta=0.3, tent=False,
+        (one_block(radius_ball_first_hit), dict(eta=2.0 ** -9, zeta=0.3, tent=False,
                                      circle=False)),
     ])
     @pytest.mark.parametrize("short_cap", [128, 300])

@@ -20,6 +20,7 @@ from evlhts.hts import (
     first_hits,
     hts_curve_from_rts,
     kac_check,
+    orbit_starts,
     sample_hit_times,
 )
 from evlhts.laws import (
@@ -155,11 +156,11 @@ class TestKac:
         assert report.product == pytest.approx(1.0, abs=0.03)
 
     def test_doubling_half_cell_returns(self):
-        ctx = PartitionContext(doubling(), LEB_I)
+        ctx = PartitionContext(doubling(), LEB_C)
         tgt = cylinder_target(ctx, 0.0, 1)  # the cell [0, 1/2)
         sample = sample_hit_times(
             doubling(), tgt, cap=default_cap(tgt.mass), n_samples=10_000,
-            seed=3, conditional=True, measure=LEB_I,
+            seed=3, conditional=True, measure=LEB_C,
         )
         report = kac_check(sample)
         assert report.passed
@@ -289,6 +290,22 @@ class TestIntermittent:
         # mass and returns come from the same finite orbit: allow a loose
         # band on top of the CLT one
         assert report.product == pytest.approx(1.0, abs=max(report.band, 0.1))
+
+    @pytest.mark.parametrize("mass", [0.001, 0.01, 0.05])
+    def test_return_starts_are_the_points_the_mass_counts(self, mass):
+        # the pool return starts are drawn from is the ball's arcs' share
+        # of the orbit, which is the target's mass times the orbit length
+        system = manneville_pomeau(0.5)
+        measure = EmpiricalOrbit(system, master_seed=2, orbit_len=50_000,
+                                 burn_in=1000)
+        target = ball_target(measure, 0.3, mass=mass)
+        pool = measure.points_in(measure.ball_arcs(0.3, target.eta))
+        assert pool.size / measure.orbit_len == target.mass
+        assert pool.size == round(mass * measure.orbit_len)
+        starts = orbit_starts(system, measure, 500, 4, ("pool", mass), 1,
+                              inside=target)
+        assert np.isin(starts, pool).all()
+        assert np.unique(starts).size > min(pool.size // 2, 100)
 
     def test_cylinder_targets_unsupported(self):
         system = manneville_pomeau(0.2)

@@ -5,7 +5,8 @@ every pair, a tiny ``evl-balls`` run either runs or exits 2 with a message
 naming ``measure.kind``, and the library's entry points -- the measure's
 own constructor, ``PartitionContext``, ``hts.first_hits`` and
 ``evl.sample_ball_min_distances`` -- refuse exactly the pairs the table
-refuses, with ``UnsupportedCombination``.
+refuses, with ``UnsupportedCombination``.  They also refuse a measure whose
+metric is not the map's: its balls would not be the map's.
 """
 
 import pytest
@@ -17,8 +18,8 @@ from evlhts.errors import UnsupportedCombination
 from evlhts.measures import (MEASURES, BernoulliDoubling, EmpiricalOrbit,
                              Lebesgue1D)
 from evlhts.observables import BallObservable, GKind, GShape
-from evlhts.systems import (MapKind, doubling, full_tent, manneville_pomeau,
-                            rotation)
+from evlhts.systems import (MapKind, Metric, doubling, full_tent,
+                            manneville_pomeau, rotation)
 
 PAIRS = {
     "full_tent": {"lebesgue"},
@@ -106,10 +107,32 @@ def test_a_digit_run_needs_a_digit_measure(system):
     # no measure, or the orbit measure: refused, never an AttributeError
     target = hts.TargetSet("ball", mass=0.05, zeta_value=0.3, eta=0.025)
     cell = hts.cylinder_target(
-        PartitionContext(SYSTEMS[system], Lebesgue1D()), 0.3, 4)
+        PartitionContext(SYSTEMS[system], Lebesgue1D(SYSTEMS[system].metric)),
+        0.3, 4)
     for mu in (None, ORBIT):
         with pytest.raises(UnsupportedCombination):
             hts.first_hits(SYSTEMS[system], target, cap=20, n_samples=4,
                            seed=1, labels=("pair",), measure=mu)
         with pytest.raises(UnsupportedCombination):
             hts.word_scan(SYSTEMS[system], mu, cell)
+
+
+@pytest.mark.parametrize("system", ["full_tent", "doubling", "rotation"])
+def test_library_refuses_a_measure_on_another_metric(system):
+    # Lebesgue on the other metric than the map's: refused at every entry
+    sys_ = SYSTEMS[system]
+    other = (Metric.CIRCLE if sys_.metric is Metric.INTERVAL
+             else Metric.INTERVAL)
+    mu = Lebesgue1D(other)
+    target = hts.TargetSet("ball", mass=0.05, zeta_value=0.3, eta=0.025)
+    with pytest.raises(UnsupportedCombination, match="measures balls on the"):
+        hts.first_hits(sys_, target, cap=20, n_samples=4, seed=1,
+                       labels=("pair",), measure=mu)
+    obs = BallObservable(GShape(GKind.G1), mu, 0.3)
+    with pytest.raises(UnsupportedCombination):
+        evl.sample_ball_min_distances(obs, sys_, n_steps=5, n_samples=4,
+                                      seed=1)
+    with pytest.raises(UnsupportedCombination):
+        PartitionContext(sys_, mu)
+    # the map's own metric runs
+    PartitionContext(sys_, Lebesgue1D(sys_.metric))

@@ -24,7 +24,7 @@ from evlhts.systems import (
     manneville_pomeau,
     rotation,
 )
-from reference import BitStreamPoint
+from reference import BitStreamPoint, exact_ball_pieces
 
 
 def test_lebesgue_interval_ball_clipping():
@@ -209,16 +209,6 @@ def test_pushforward_invariance_two_preimage_exact():
         assert abs(direct - pull) <= 1e-14
 
 
-def _exact_pieces(metric, zeta, eta):
-    """The ball's pieces in exact rationals: [zeta - eta, zeta + eta)
-    clipped to [0, 1] on the interval, split at 0 on the circle."""
-    z, e = Fraction(zeta), Fraction(eta)
-    if metric is Metric.INTERVAL:
-        return [(max(z - e, 0), min(z + e, 1))]
-    lo, hi = (z - e) % 1, (z + e) % 1
-    return [(lo, hi)] if lo < hi else [(lo, Fraction(1)), (Fraction(0), hi)]
-
-
 @pytest.mark.parametrize("measure,zeta,n_pieces", [
     (Lebesgue1D(Metric.INTERVAL), 0.0, 1),  # clipped at 0
     (Lebesgue1D(Metric.INTERVAL), 0.3, 1),
@@ -236,9 +226,9 @@ def test_ball_cdfs_read_the_ball_arcs(measure, zeta, n_pieces):
     # each fixed-point endpoint is exactly zeta -+ eta (eta >= 2^-76), its
     # CDF is interval_mass(0, .), and the pieces' widths sum to ball_mass
     eta = measure.quantile_radius(zeta, 0.01)
-    arcs = measure._ball_arcs(_unit_to_fixed(zeta), eta)
+    arcs = measure.ball_arcs(zeta, eta)
     assert [(Fraction(a, _FIXED_UNIT), Fraction(b, _FIXED_UNIT))
-            for a, b in arcs] == _exact_pieces(measure.metric, zeta, eta)
+            for a, b in arcs] == exact_ball_pieces(measure.metric, zeta, eta)
     assert len(arcs) == n_pieces
     lo, hi = measure.ball_cdfs(zeta, eta)
     assert lo == tuple(measure.interval_mass(0, a) for a, _ in arcs)
@@ -247,6 +237,20 @@ def test_ball_cdfs_read_the_ball_arcs(measure, zeta, n_pieces):
         assert lo == tuple(float(Fraction(a, _FIXED_UNIT)) for a, _ in arcs)
     widths = [b - a for a, b in zip(lo, hi)]
     assert abs(math.fsum(widths) - measure.ball_mass(zeta, eta)) <= 1e-15
+
+
+def test_orbit_points_in_arcs_are_the_points_interval_mass_counts():
+    # pieces that start and end on orbit points: [a, b) takes in the point
+    # at a and leaves out the one at b, in orbit order
+    x = np.sort(_ORBIT.orbit)
+    ends = [_unit_to_fixed(v) for v in (x[100], x[700], x[1200], x[1900])]
+    arcs = [(ends[0], ends[1]), (ends[2], ends[3])]
+    points = _ORBIT.points_in(arcs)
+    assert points.size == 1300 == round(_ORBIT.orbit_len * math.fsum(
+        _ORBIT.interval_mass(a, b) for a, b in arcs))
+    assert np.isin(x[[100, 1200]], points).all()
+    assert not np.isin(x[[700, 1900]], points).any()
+    assert np.array_equal(points, _ORBIT.orbit[np.isin(_ORBIT.orbit, points)])
 
 
 def test_p_zero_of_each_measure():
