@@ -42,11 +42,11 @@ shifts one bit less and lets the parity, then bit 63, complement the
 window.  One shift of every word fills one contiguous plane, and
 subtracting the word of a window v leaves (w - v) mod 2^53 on top.  The
 kernels take no float per step, yet equal the per-step float recursion
-bit for bit.  The first-hit kernel takes the ball as the measure lays it
-out (``MeasureModel.ball_arcs``): at most two pieces [lo, hi) of the
-2^-128 grid.  The window w lies at w 2^75 on that grid, so a piece holds
-the windows from ceil(lo 2^-75) up to ceil(hi 2^-75), one integer ceil
-per endpoint.  The position w 2^-53 is exact, so the float distance d to
+bit for bit.  The first-hit kernel takes the target's arcs, at most two
+pieces [lo, hi) of the 2^-128 grid, on which the window w lies at w 2^75:
+a piece holds the windows from ceil(lo 2^-75) up to ceil(hi 2^-75), one
+integer ceil per endpoint, as the rotation's grid points (``_arc_windows``).
+The position w 2^-53 is exact, so the float distance d to
 zeta depends on w alone, and as rounding is monotone, d and 1 - d are
 monotone on either side of c = ceil(zeta 2^53).  The fold 1 - d (the
 circle's min(d, 1 - d)) takes over on one side of c only and carries that
@@ -961,7 +961,7 @@ def ball_first_hit_digits(
     chunk=256,
 ):
     """First j in [start_j, cap) whose window w has w 2^75 in one of the
-    ball's fixed-point pieces ``arcs`` (``MeasureModel.ball_arcs``), for
+    ball's fixed-point pieces ``arcs`` (``hts.TargetSet.arcs``), for
     the ``count`` lanes of ``rng.block_slices(count)``; ``gens`` holds each
     block's generator.  The centre ``zeta`` only centres the prefix filter.
 
@@ -980,7 +980,7 @@ def ball_first_hit_digits(
                   if cdfs is None else
                   conditional_digit_starts(gen, size, cdfs=cdfs, p_zero=p_zero))
         window[lo:lo + size] = starts[:, 0]
-    pieces = _arc_windows(arcs)
+    pieces = _arc_windows(arcs, WINDOW_BITS)
     centre = np.uint64((math.ceil(zeta * 2.0 ** WINDOW_BITS) << _LOW) % 2**64)
     table = _distance_table(centre, tent)
     bound = _ball_bound(pieces, centre)
@@ -1000,11 +1000,11 @@ def ball_first_hit_digits(
                       (window >> np.uint64(_LOW),), inside_before)
 
 
-def _arc_windows(arcs):
-    """The windows w with w 2^75 in one of the fixed-point pieces [lo, hi)
-    of ``arcs``, as intervals (start, width) of the 2^53 grid: those from
-    ceil(lo 2^-75) up to ceil(hi 2^-75)."""
-    shift = FIXED_DEPTH - WINDOW_BITS
+def _arc_windows(arcs, bits):
+    """The points w of the 2^``bits`` grid with w 2^(128 - bits) in one of
+    the fixed-point pieces [lo, hi) of ``arcs``, as intervals (start, width):
+    those from ceil(lo 2^(bits - 128)) up to ceil(hi 2^(bits - 128))."""
+    shift = FIXED_DEPTH - bits
     ends = [(-(-lo >> shift), -(-hi >> shift)) for lo, hi in arcs]
     return [(lo, hi - lo) for lo, hi in ends if hi > lo]
 
@@ -1141,23 +1141,31 @@ def mp_min_distance(*, s_exp, zeta, n_steps, starts):
     return best
 
 
-def mp_first_hit(count, *, s_exp, eta, zeta, cap, start_j, starts, chunk=64):
-    """First j in [start_j, cap) with |f^j x - zeta| < eta (intermittent),
-    for the ``count`` lanes that start at ``starts``.
+def mp_first_hit(count, *, s_exp, lo, hi, cap, start_j, starts, chunk=64):
+    """First j in [start_j, cap) with lo <= f^j x < hi (intermittent), for
+    the ``count`` lanes that start at ``starts``, floats in [0, 1).
 
-    Each step writes one row of the chunk's (cols, lanes) inside plane and
-    steps the lanes in place: a step allocates nothing.
+    Nonnegative floats order as their uint64 bits, so a lane is inside
+    when its bits less lo's, mod 2^64, fall below hi's less lo's: one
+    subtraction and one comparison.  Each step writes one row of the
+    chunk's (cols, lanes) inside plane and steps the lanes in place: a
+    step allocates nothing.
     """
+    if not 0.0 <= lo <= hi <= 1.0:
+        raise DomainError("ends must satisfy 0 <= lo <= hi <= 1")
     _check_starts(count, starts)
     e = 1.0 + s_exp
+    low, high = np.array([lo, hi]).view(np.uint64)
+    width = high - low
     scratch = _Scratch()
 
     def scan(tile, state, cols, first):
         x, = state
         inside = scratch("inside", (cols, x.size), bool)
         tmp = scratch("tmp", x.shape, np.float64)
+        bits, offset = x.view(np.uint64), tmp.view(np.uint64)
         for row in inside:
-            np.less(_distances(x, zeta, False, tmp), eta, out=row)
+            np.less(np.subtract(bits, low, out=offset), width, out=row)
             _mp_step(x, e, tmp)
         return _first_inside(inside, first, cols), (x,)
 
@@ -1179,9 +1187,7 @@ def conditional_digit_starts(gen, count, *, cdfs, p_zero):
     current CDF bracket is linear for every digit-product measure
     (Lebesgue is the p = 1/2 case).
     """
-    cdf_lo, cdf_hi = cdfs
-    cdf_lo = np.asarray(cdf_lo, dtype=np.float64)
-    cdf_hi = np.asarray(cdf_hi, dtype=np.float64)
+    cdf_lo, cdf_hi = np.asarray(cdfs, dtype=np.float64)
     widths = cdf_hi - cdf_lo
     if np.any(widths <= 0):
         raise DomainError("empty arc in conditional start table")

@@ -93,7 +93,7 @@ def sample_ball_min_distances(
     """
     if n_steps < 1:
         raise DomainError("need at least one orbit point")
-    measure, zeta = obs.measure, obs.zeta_value
+    measure, zeta = obs.measure, obs.zeta
     require_invariant(measure, system)
     labels = (*labels, "dyn")
     if system.kind in DIGIT_KINDS:
@@ -117,7 +117,7 @@ def sample_ball_min_distances(
 def ball_maxima_values(min_distances: np.ndarray,
                        obs: BallObservable) -> np.ndarray:
     """Observable values of the block maxima (g of the closest ball mass)."""
-    masses = obs.measure.ball_masses(obs.zeta_value, np.asarray(min_distances))
+    masses = obs.measure.ball_masses(obs.zeta, np.asarray(min_distances))
     return obs.g.forward_array(masses)
 
 

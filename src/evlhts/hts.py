@@ -16,10 +16,13 @@ tent or doubling cylinder to a word scan, reading the measure's
 ``p_zero``, and ``orbit_starts`` the one draw of rotation and
 intermittent starts, which ``evl`` shares.
 
-A ball target carries only its radius and mass.  The measure lays it out
-once, as fixed-point arcs (``MeasureModel.ball_arcs``): the set whose mass
-normalizes a run's times, whose windows the digit kernels count as hit,
-and whose orbit points intermittent return runs start from.
+A target carries its layout, ``arcs``: fixed-point [lo, hi) pieces of the
+2^-128 grid, set once for a ball by ``ball_target`` from the measure
+(``MeasureModel.ball_arcs``), with the metric ``first_hits`` requires to
+be the map's, and for a rotation cylinder from its 2^63 arc.  That one set
+has the mass that normalizes a run's times, and every sampler counts its
+points as hit: the digit kernels' 53-bit windows, the rotation's 2^63
+grid points (``engine._arc_windows``) and the intermittent map's floats.
 
 Hitting runs start from the stationary measure; return runs condition
 the start on the target itself.  The digit kernels draw these starts
@@ -37,14 +40,12 @@ import numpy as np
 
 from . import engine
 from .cylinders import PartitionContext, cylinder_at
-from .errors import (
-    CapTooSmall,
-    DomainError,
-    UnsupportedCombination,
-)
+from .errors import CapTooSmall, DomainError, UnsupportedCombination
 from .laws import EmpiricalLaw, survival_integral
-from .measures import MeasureModel, require_invariant
-from .systems import DIGIT_KINDS, FIXED_ONE, MapKind, MapSystem
+from .measures import (FIXED_DEPTH, MeasureModel, fixed_to_float,
+                       require_invariant)
+from .systems import (DIGIT_KINDS, FIXED_BITS, FIXED_ONE, MapKind, MapSystem,
+                      Metric)
 
 #: Default normalized horizon: caps at 50 expected return times.
 DEFAULT_HORIZON = 50.0
@@ -59,8 +60,8 @@ class TargetSet:
     zeta_value: float
     word: int | None = None  # packed cylinder letters (digit systems)
     depth: int = 0
-    arc: tuple | None = None  # fixed-point [lo, hi) (rotation targets)
-    eta: float = 0.0  # ball radius
+    arcs: tuple = ()  # fixed-point [lo, hi) pieces on the 2^-128 grid
+    metric: Metric | None = None  # the metric the arcs are laid out on
 
 
 def cylinder_target(ctx: PartitionContext, zeta, depth: int) -> TargetSet:
@@ -68,25 +69,23 @@ def cylinder_target(ctx: PartitionContext, zeta, depth: int) -> TargetSet:
     cyl = cylinder_at(ctx, zeta, depth)
     if cyl.mass <= 0.0:
         raise DomainError(f"cylinder at depth {depth} has zero sampled mass")
-    return TargetSet(
-        kind="cylinder",
-        mass=cyl.mass,
-        zeta_value=float(zeta),
-        word=cyl.word,
-        depth=depth,
-        arc=cyl.arc,
-    )
+    shift = FIXED_DEPTH - FIXED_BITS  # a rotation arc's 2^63 grid, exactly
+    arcs = (tuple(end << shift for end in cyl.arc),) if cyl.arc else ()
+    return TargetSet(kind="cylinder", mass=cyl.mass, zeta_value=float(zeta),
+                     word=cyl.word, depth=depth, arcs=arcs,
+                     metric=ctx.system.metric if arcs else None)
 
 
 def ball_target(measure: MeasureModel, zeta, mass: float) -> TargetSet:
-    """The smallest ball around zeta that carries ``mass``: its radius and
-    its mass, both read off the measure's fixed-point arcs.  Return
-    runs ask the measure for the arcs' CDFs (``MeasureModel.ball_cdfs``)."""
+    """The smallest ball around zeta that carries ``mass``: the measure's
+    fixed-point arcs of it, their mass and the measure's metric."""
     eta = measure.quantile_radius(zeta, mass)
     mass = measure.ball_mass(zeta, eta)
     if mass <= 0.0:
         raise DomainError("ball carries no mass")
-    return TargetSet(kind="ball", mass=mass, zeta_value=float(zeta), eta=eta)
+    return TargetSet(kind="ball", mass=mass, zeta_value=float(zeta),
+                     arcs=tuple(measure.ball_arcs(zeta, eta)),
+                     metric=measure.metric)
 
 
 def default_cap(mass: float) -> int:
@@ -162,13 +161,15 @@ def first_hits(system, target, *, cap, n_samples, seed, labels, threads=1,
     scan then steps all ``n_samples`` lanes.
     """
     require_invariant(measure, system)
+    # every run but a word scan reads the arcs, laid out on the map's metric
+    if target.metric is not system.metric and (
+            target.kind == "ball" or system.kind not in DIGIT_KINDS):
+        raise UnsupportedCombination(
+            f"the target is not laid out on the {system.metric.value}")
     if system.kind in DIGIT_KINDS:
         gens = engine.block_substreams(n_samples, seed, labels)
         return _digit_first_hits(system, target, gens, n_samples, cap,
                                  start_j, conditional, measure)
-    if system.kind is MapKind.MANNEVILLE_POMEAU and target.kind != "ball":
-        raise UnsupportedCombination(
-            "the intermittent map has no partition cylinders here")
     starts = orbit_starts(system, measure, n_samples, seed, labels, threads,
                           inside=target if conditional else None)
     if system.kind is MapKind.ROTATION:
@@ -176,9 +177,10 @@ def first_hits(system, target, *, cap, n_samples, seed, labels, threads=1,
         return engine.rotation_first_hit(
             n_samples, step_fixed=system.fixed_angle, lo=lo, hi=hi, cap=cap,
             start_j=start_j, starts=starts)
+    (lo, hi), = target.arcs  # a ball on the interval is one piece
     return engine.mp_first_hit(
-        n_samples, s_exp=system.s, eta=target.eta, zeta=target.zeta_value,
-        cap=cap, start_j=start_j, starts=starts)
+        n_samples, s_exp=system.s, lo=fixed_to_float(lo),
+        hi=fixed_to_float(hi), cap=cap, start_j=start_j, starts=starts)
 
 
 def orbit_starts(system, measure, n_samples, seed, labels, threads,
@@ -190,8 +192,8 @@ def orbit_starts(system, measure, n_samples, seed, labels, threads,
 
     Rotation starts are uniform points of the 2^63 grid, on the circle or
     on the target's arc (``_rotation_arc``).  Intermittent starts are
-    uniform picks from the empirical orbit, or from its points inside the
-    target ball's arcs (``EmpiricalOrbit.points_in``).
+    uniform picks from the empirical orbit, or from its points in the
+    target's arcs (``EmpiricalOrbit.points_in``).
     """
     if system.kind is MapKind.ROTATION:
         lo, hi = (0, FIXED_ONE) if inside is None else _rotation_arc(inside)
@@ -201,8 +203,7 @@ def orbit_starts(system, measure, n_samples, seed, labels, threads,
     else:  # the intermittent map
         points = measure.orbit
         if inside is not None:
-            points = measure.points_in(
-                measure.ball_arcs(inside.zeta_value, inside.eta))
+            points = measure.points_in(inside.arcs)
             if points.size == 0:
                 raise DomainError("no orbit point falls in the target ball")
 
@@ -213,19 +214,22 @@ def orbit_starts(system, measure, n_samples, seed, labels, threads,
 
 
 def _rotation_arc(target):
-    """The fixed-point arc [lo, hi) of a rotation target.  A ball shifts to
-    the arc [0, width): uniform starts are shift-invariant, so stationary
-    sampling is unchanged and conditional starts are uniform on the arc."""
-    if target.kind == "cylinder":
-        return target.arc
-    width = min(round(2 * target.eta * FIXED_ONE), FIXED_ONE)
-    return 0, max(int(width), 1)
+    """The arc [lo, hi) of the 2^63 grid a rotation scans for ``target``:
+    its arcs' grid points (``engine._arc_windows``), a ball's shifted to
+    [0, width), as uniform starts are shift-invariant: stationary sampling
+    is unchanged and conditional starts are uniform on the arc."""
+    pieces = engine._arc_windows(target.arcs, FIXED_BITS)
+    width = sum(width for _, width in pieces)
+    if width == 0:
+        raise DomainError("the target holds no point of the rotation's grid")
+    lo = pieces[0][0] if target.kind == "cylinder" else 0
+    return lo, lo + width
 
 
 def word_scan(system: MapSystem, measure, target: TargetSet) -> dict:
     """The word-kernel arguments (word_int, depth, tent, p_zero) that scan
     the letter register for a tent or doubling cylinder target."""
-    if system.kind not in DIGIT_KINDS or target.kind != "cylinder":
+    if system.kind not in DIGIT_KINDS or target.word is None:
         raise UnsupportedCombination(
             "word scans run on tent and doubling cylinder targets")
     require_invariant(measure, system)
@@ -242,12 +246,11 @@ def _digit_first_hits(system, target, gens, count, cap, start_j,
         return engine.word_first_hit(
             gens, count, **word_scan(system, measure, target), cap=cap,
             start_j=start_j, preload=conditional)
-    zeta, eta = target.zeta_value, target.eta
     return engine.ball_first_hit_digits(
-        gens, count, arcs=measure.ball_arcs(zeta, eta), zeta=zeta,
+        gens, count, arcs=target.arcs, zeta=target.zeta_value,
         tent=system.kind is MapKind.FULL_TENT, p_zero=measure.p_zero,
         cap=cap, start_j=start_j,
-        cdfs=measure.ball_cdfs(zeta, eta) if conditional else None)
+        cdfs=measure.ball_cdfs(target.arcs) if conditional else None)
 
 
 # ------------------------------------------------------------------- Kac

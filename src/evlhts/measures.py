@@ -20,14 +20,14 @@ all the tent and doubling systems read off it (None if digits are not iid).
 
 A metric ball is laid out once, by ``MeasureModel.ball_arcs``: the (at
 most two) arcs or segments it induces on [0, 1], with exact 2^-128
-fixed-point endpoints.  Those arcs give the ball's mass
-(``ball_mass``, the sum of the pieces' ``interval_mass``), its quantile
-radius (``quantile_radius``, which inverts ``ball_mass`` by bisection,
-certifies |mass - gamma| <= 1e-10 and raises ``NotAttained`` on flat spots
-of the mass profile), the CDFs at its endpoints that return-time starts
-invert (``ball_cdfs``), the windows the digit first-hit kernel counts as
-inside (``engine.ball_first_hit_digits``) and the orbit points that
-intermittent return runs start from (``EmpiricalOrbit.points_in``).
+fixed-point endpoints.  Those arcs give the ball's mass (``ball_mass``,
+the sum of the pieces' ``interval_mass``) and its quantile radius
+(``quantile_radius``, which inverts ``ball_mass`` by bisection, certifies
+|mass - gamma| <= 1e-10 and raises ``NotAttained`` on flat spots of the
+mass profile).  ``hts.ball_target`` stores them in the target, which
+every sampler then reads in place of a radius; ``ball_cdfs`` gives the
+CDFs at their ends, and ``fixed_to_float`` is the one rounding of an end
+to a float.
 """
 
 import math
@@ -56,6 +56,11 @@ def _unit_to_fixed(x) -> int:
     if not scaled.is_integer():
         raise DomainError("point finer than the fixed-point working depth")
     return int(scaled)
+
+
+def fixed_to_float(a: int) -> float:
+    """The arc end a 2^-128, rounded to the nearest float."""
+    return a / _FIXED_UNIT
 
 
 def _radius_to_fixed(eta: float) -> int:
@@ -91,10 +96,8 @@ class MeasureModel:
         [0, 1] on the interval and split at 0 on the circle, where e >= 1/2
         is the whole circle."""
         zeta_fixed = _unit_to_fixed(zeta)
-        if eta <= 0.0:
-            return []
-        eta_fixed = _radius_to_fixed(eta)
-        if eta_fixed == 0:  # below the fixed-point grid: no cell
+        eta_fixed = _radius_to_fixed(max(eta, 0.0))
+        if eta_fixed == 0:  # no radius, or one below the fixed-point grid
             return []
         if self.metric is Metric.CIRCLE:
             if 2 * eta_fixed >= _FIXED_UNIT:
@@ -117,11 +120,10 @@ class MeasureModel:
         return math.fsum(self.interval_mass(a, b)
                          for a, b in self.ball_arcs(zeta, eta))
 
-    def ball_cdfs(self, zeta, eta: float) -> tuple[tuple, tuple]:
-        """(F(lo)..., F(hi)...) over the pieces [lo, hi) of the ball of
-        radius ``eta``, F(x) = ``interval_mass(0, x)``: the CDF table that
+    def ball_cdfs(self, arcs) -> tuple[tuple, tuple]:
+        """(F(lo)..., F(hi)...) over the pieces [lo, hi) of ``arcs``,
+        F(x) = ``interval_mass(0, x)``: the CDF table that
         ``engine.conditional_digit_starts`` inverts."""
-        arcs = self.ball_arcs(zeta, eta)
         return (tuple(self.interval_mass(0, a) for a, _ in arcs),
                 tuple(self.interval_mass(0, b) for _, b in arcs))
 
@@ -336,7 +338,8 @@ class EmpiricalOrbit(MeasureModel):
         return out
 
     def interval_mass(self, a: int, b: int) -> float:
-        i, j = np.searchsorted(self._sorted, [a / _FIXED_UNIT, b / _FIXED_UNIT])
+        i, j = np.searchsorted(self._sorted, [fixed_to_float(a),
+                                              fixed_to_float(b)])
         return (j - i) / self.orbit_len
 
     def points_in(self, arcs) -> np.ndarray:
@@ -344,7 +347,7 @@ class EmpiricalOrbit(MeasureModel):
         in the pieces [a, b) of ``arcs``."""
         x, inside = self.orbit, np.zeros(self.orbit_len, dtype=bool)
         for a, b in arcs:
-            inside |= (x >= a / _FIXED_UNIT) & (x < b / _FIXED_UNIT)
+            inside |= (x >= fixed_to_float(a)) & (x < fixed_to_float(b))
         return x[inside]
 
     def _quantile_tol(self) -> float:

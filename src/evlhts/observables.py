@@ -143,10 +143,6 @@ class BallObservable:
     measure: MeasureModel
     zeta: float
 
-    @property
-    def zeta_value(self) -> float:
-        return self.zeta
-
 
 @dataclass
 class CylinderObservable:
@@ -158,14 +154,6 @@ class CylinderObservable:
 
     def __post_init__(self):
         self._ladder: list[float] = [1.0]  # mass of Z_k[zeta], k = 0, 1, ...
-
-    @property
-    def measure(self) -> MeasureModel:
-        return self.ctx.measure
-
-    @property
-    def zeta_value(self) -> float:
-        return float(self.zeta)
 
     def ladder_mass(self, k: int) -> float:
         """mu(Z_k[zeta]), cached per depth."""

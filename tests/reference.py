@@ -368,7 +368,7 @@ def max_depth_in(ctx: PartitionContext, x, zeta) -> int:
 
 def ball_evaluate(obs: BallObservable, x) -> float:
     """phi(x) = g(ball mass at radius dist(x, zeta))."""
-    d = distance(obs.measure.metric, float(x), obs.zeta_value)
+    d = distance(obs.measure.metric, float(x), obs.zeta)
     return obs.g.forward(obs.measure.ball_mass(obs.zeta, d))
 
 
@@ -589,12 +589,18 @@ def per_block_orbit_hits(system, target, *, cap, n_samples, seed, labels,
                          conditional, start_j=1, measure=None, threads=1):
     """``hts.first_hits`` on the rotation or the intermittent map, with the
     first-hit kernel run once per block on that block's starts."""
+    # the target's pieces as exact rationals
+    pieces = [(Fraction(a, 2 ** 128), Fraction(b, 2 ** 128))
+              for a, b in target.arcs]
     if system.kind is MapKind.ROTATION:
+        # the grid points k 2^-63 in a piece [a, b): ceil(a 2^63) <= k and
+        # k < ceil(b 2^63); a ball shifts to [0, their count)
+        ends = [(math.ceil(a * FIXED_ONE), math.ceil(b * FIXED_ONE))
+                for a, b in pieces]
         if target.kind == "cylinder":
-            lo, hi = target.arc
+            (lo, hi), = ends
         else:
-            width = min(round(2 * target.eta * FIXED_ONE), FIXED_ONE)
-            lo, hi = 0, max(int(width), 1)
+            lo, hi = 0, sum(b - a for a, b in ends)
 
         def kernel(gen, count):
             starts = (gen.integers(lo, hi, size=count, dtype=np.uint64)
@@ -604,16 +610,16 @@ def per_block_orbit_hits(system, target, *, cap, n_samples, seed, labels,
                 count, step_fixed=system.fixed_angle, lo=lo, hi=hi, cap=cap,
                 start_j=start_j, starts=starts)
     else:
-        orbit, zeta, eta = measure.orbit, target.zeta_value, target.eta
-        # the exact ball's ends, each rounded to a float once
-        (lo, hi), = exact_ball_pieces(measure.metric, zeta, eta)
-        inside = (np.flatnonzero((orbit >= float(lo)) & (orbit < float(hi)))
+        # the ball's ends, each rounded to a float once
+        (lo, hi), = pieces
+        lo, hi, orbit = float(lo), float(hi), measure.orbit
+        inside = (np.flatnonzero((orbit >= lo) & (orbit < hi))
                   if conditional else np.arange(orbit.size))
 
         def kernel(gen, count):
             starts = orbit[inside[gen.integers(0, inside.size, size=count)]]
             return mp_first_hit(
-                count, s_exp=system.s, eta=eta, zeta=zeta, cap=cap,
+                count, s_exp=system.s, lo=lo, hi=hi, cap=cap,
                 start_j=start_j, starts=starts)
     return run_blocked(n_samples, seed, labels, kernel, threads=threads)
 
@@ -631,12 +637,11 @@ def per_block_digit_hits(system, target, gens, *, cap, n_samples,
                 [gen], count, **word_scan(system, measure, target), cap=cap,
                 start_j=start_j, preload=conditional))
             continue
-        zeta, eta = target.zeta_value, target.eta
         parts.append(ball_first_hit_digits(
-            [gen], count, arcs=measure.ball_arcs(zeta, eta), zeta=zeta,
+            [gen], count, arcs=target.arcs, zeta=target.zeta_value,
             tent=system.kind is MapKind.FULL_TENT,
             p_zero=measure.p_zero, cap=cap, start_j=start_j,
-            cdfs=measure.ball_cdfs(zeta, eta) if conditional else None))
+            cdfs=measure.ball_cdfs(target.arcs) if conditional else None))
     return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
@@ -644,7 +649,7 @@ def per_block_orbit_min_distances(obs: BallObservable, system, *, n_steps,
                                   n_samples, seed, labels):
     """``evl.sample_ball_min_distances`` on the rotation or the intermittent
     map, with the kernel run once per block on that block's starts."""
-    zeta = obs.zeta_value
+    zeta = obs.zeta
     parts = []
     for index, _, count in block_slices(n_samples):
         gen = substream(seed, *labels, "dyn", index)

@@ -28,7 +28,8 @@ from evlhts.engine import (
 from evlhts.errors import DomainError
 from evlhts.measures import Lebesgue1D
 from evlhts.rng import BLOCK, block_slices, substream
-from evlhts.systems import FIXED_ONE, Metric, manneville_pomeau, rotation
+from evlhts.systems import (FIXED_ONE, WINDOW_BITS, Metric, manneville_pomeau,
+                            rotation)
 from reference import (
     BitStreamPoint,
     FloatPoint,
@@ -909,7 +910,8 @@ class TestBallWindows:
         # a measure's centres lie on its 2^-128 grid
         assume(math.ldexp(zeta, 128).is_integer())
         metric = metric_of(circle)
-        pieces = engine._arc_windows(Lebesgue1D(metric).ball_arcs(zeta, eta))
+        pieces = engine._arc_windows(Lebesgue1D(metric).ball_arcs(zeta, eta),
+                                     WINDOW_BITS)
         ends = {0, math.ceil(zeta * WINDOWS)}
         ends |= {e for start, width in pieces for e in (start, start + width)}
         probes = sorted({(e + k) % WINDOWS for e in ends for k in range(-3, 4)}
@@ -1188,9 +1190,9 @@ def reference_rotation_first_hit(count, *, step_fixed, lo, hi, cap,
     return times, times < cap
 
 
-def reference_mp_first_hit(count, *, s_exp, eta, zeta, cap, start_j,
+def reference_mp_first_hit(count, *, s_exp, lo, hi, cap, start_j,
                            starts, chunk=64):
-    """Per-step reference for ``mp_first_hit``."""
+    """Per-step reference for ``mp_first_hit``, comparing floats."""
     x = starts.copy()
     e = 1.0 + s_exp
     times = np.full(count, cap, dtype=np.int64)
@@ -1200,7 +1202,7 @@ def reference_mp_first_hit(count, *, s_exp, eta, zeta, cap, start_j,
     steps_since_compact = 0
     while j < cap and lane.size:
         if j >= start_j:
-            hits = (np.abs(x - zeta) < eta) & ~done
+            hits = (x >= lo) & (x < hi) & ~done
             if hits.any():
                 times[lane[hits]] = j
                 done |= hits
@@ -1298,8 +1300,8 @@ class TestOrbitKernelEquivalence:
             starts = zeta + eta * (2.0 * gen.random(self.LANES) - 1.0)
         else:
             starts = gen.random(self.LANES)
-        kw = dict(s_exp=0.6, eta=eta, zeta=zeta, cap=cap, start_j=start_j,
-                  starts=starts, chunk=chunk)
+        kw = dict(s_exp=0.6, lo=zeta - eta, hi=zeta + eta, cap=cap,
+                  start_j=start_j, starts=starts, chunk=chunk)
         want = reference_mp_first_hit(self.LANES, **kw)
         kept = starts.copy()
         got = mp_first_hit(self.LANES, **kw)
@@ -1718,7 +1720,7 @@ class TestBallHitKernel:
         # 0.3 lies off the window grid, 2^-54 from the nearest window
         zeta, eta, cap, lanes = 0.3, 2.0 ** -60, 300, BLOCK + 5
         arcs = Lebesgue1D(Metric.INTERVAL).ball_arcs(zeta, eta)
-        assert arcs and engine._arc_windows(arcs) == []
+        assert arcs and engine._arc_windows(arcs, WINDOW_BITS) == []
         times, hit = ball_first_hit_digits(
             block_substreams(lanes, 3, ("no-window", tent)), lanes, arcs=arcs,
             zeta=zeta, tent=tent, p_zero=0.5, cap=cap, start_j=start_j)
@@ -1738,14 +1740,14 @@ class TestBallHitKernel:
     def test_window_at_zeta_less_eta_is_inside(self, script):
         # a window at exactly zeta - eta lies in [zeta - eta, zeta + eta)
         arcs = Lebesgue1D(Metric.CIRCLE).ball_arcs(0.5, 2.0 ** -53)
-        assert engine._arc_windows(arcs) == [(2 ** 52 - 1, 2)]
+        assert engine._arc_windows(arcs, WINDOW_BITS) == [(2 ** 52 - 1, 2)]
         windows = [2 ** 52 - 2, 2 ** 52 - 1, 2 ** 52, 2 ** 52 + 1]
         assert self.starts_inside(script, windows, 0.5, 2.0 ** -53,
                                   True) == [False, True, True, False]
 
     def test_half_circle_radius_takes_in_the_antipode(self, script):
         arcs = Lebesgue1D(Metric.CIRCLE).ball_arcs(0.25, 0.5)
-        assert engine._arc_windows(arcs) == [(0, WINDOWS)]
+        assert engine._arc_windows(arcs, WINDOW_BITS) == [(0, WINDOWS)]
         antipode = 3 * 2 ** 51  # 0.75
         assert self.starts_inside(script, [antipode - 1, antipode,
                                            antipode + 1], 0.25, 0.5,
@@ -1896,14 +1898,14 @@ class TestIntermittentKernels:
     def test_first_hit_matches_single_lane_reference(self):
         starts = np.array([0.123, 0.77])
         times, hit = mp_first_hit(
-            2, s_exp=0.6, eta=0.05, zeta=0.4, cap=200, start_j=1,
+            2, s_exp=0.6, lo=0.35, hi=0.45, cap=200, start_j=1,
             starts=starts,
         )
         for i, x0 in enumerate(starts):
             orbit = np_mp_orbit(x0, 1.6, 200)
             want = 200
             for j in range(1, 200):
-                if abs(orbit[j] - 0.4) < 0.05:
+                if 0.35 <= orbit[j] < 0.45:
                     want = j
                     break
             assert times[i] == want
@@ -2007,7 +2009,7 @@ class TestMpStep:
         count, step_fixed=rotation("golden").fixed_angle, lo=0, hi=10,
         cap=5, starts=grid_starts(substream(1, "z"), starts)),
     lambda count, starts: mp_first_hit(
-        count, s_exp=0.5, eta=0.1, zeta=0.3, cap=5, start_j=1,
+        count, s_exp=0.5, lo=0.2, hi=0.4, cap=5, start_j=1,
         starts=np.linspace(0.1, 0.9, starts)),
 ], ids=["rotation_first_hit", "mp_first_hit"])
 @pytest.mark.parametrize("count,starts", [(2, 3), (5, 3)])
@@ -2140,7 +2142,7 @@ class TestCapMonotonicity:
 
     def test_mp_first_hit(self):
         starts = substream(15, "mono").random(500)
-        kw = dict(s_exp=0.5, eta=0.02, zeta=0.3, start_j=1, starts=starts,
+        kw = dict(s_exp=0.5, lo=0.28, hi=0.32, start_j=1, starts=starts,
                   chunk=7)
         short, _ = mp_first_hit(500, cap=30, **kw)
         long_, _ = mp_first_hit(500, cap=200, **kw)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from evlhts import engine
+from evlhts import engine, hts
 from evlhts.cylinders import PartitionContext
 from evlhts.engine import block_substreams
 from evlhts.evl import sample_ball_min_distances
@@ -29,7 +29,8 @@ from evlhts.laws import (
     ks_critical,
     ks_statistic,
 )
-from evlhts.measures import BernoulliDoubling, EmpiricalOrbit, Lebesgue1D
+from evlhts.measures import (BernoulliDoubling, EmpiricalOrbit, Lebesgue1D,
+                             fixed_to_float)
 from evlhts.observables import BallObservable, GKind, GShape
 from evlhts.rng import BLOCK, block_slices, substream
 from evlhts.systems import (
@@ -42,6 +43,7 @@ from evlhts.systems import (
 )
 from reference import (
     RecordingGen,
+    exact_ball_pieces,
     per_block_digit_hits,
     per_block_orbit_hits,
     per_block_orbit_min_distances,
@@ -62,27 +64,30 @@ class TestTargets:
         assert tgt.mass == 2.0 ** -10
         assert tgt.word == 1 << 9  # letters 1, 0, ..., 0
         assert tgt.depth == 10
-        assert tgt.arc is None
+        assert tgt.arcs == ()
 
     def test_rotation_cylinder_target(self):
         ctx = PartitionContext(rotation("golden"), LEB_C)
         tgt = cylinder_target(ctx, 0.0, 13)
-        lo, hi = tgt.arc
-        assert 0 <= lo < hi <= FIXED_ONE
-        assert tgt.mass == pytest.approx((hi - lo) / FIXED_ONE, rel=1e-12)
+        (lo, hi), = tgt.arcs  # the 2^63 arc on the 2^-128 grid
+        assert lo % 2 ** 65 == hi % 2 ** 65 == 0
+        assert 0 <= lo < hi <= 2 ** 128
+        assert tgt.mass == pytest.approx((hi - lo) / 2 ** 128, rel=1e-12)
 
     def test_ball_target_by_mass(self):
         tgt = ball_target(LEB_C, 0.25, mass=0.01)
-        assert tgt.eta == pytest.approx(0.005, rel=1e-9)
+        assert tgt.metric is Metric.CIRCLE
+        (a, b), = tgt.arcs
+        assert (a + b) / 2 ** 129 == 0.25
         assert tgt.mass == pytest.approx(0.01, rel=1e-9)
-        lo, hi = LEB_C.ball_cdfs(tgt.zeta_value, tgt.eta)
+        lo, hi = LEB_C.ball_cdfs(tgt.arcs)
         assert lo[0] == pytest.approx(0.245, rel=1e-9)
         assert hi[0] == pytest.approx(0.255, rel=1e-9)
 
     def test_ball_target_wraps_on_the_circle(self):
         tgt = ball_target(LEB_C, 0.002, mass=0.01)
-        assert tgt.eta == pytest.approx(0.005, rel=1e-9)
-        lo, hi = LEB_C.ball_cdfs(tgt.zeta_value, tgt.eta)
+        assert len(tgt.arcs) == 2
+        lo, hi = LEB_C.ball_cdfs(tgt.arcs)
         assert len(lo) == 2  # pieces on both sides of 0
         widths = [b - a for a, b in zip(lo, hi)]
         assert sum(widths) == pytest.approx(0.01, rel=1e-9)
@@ -100,7 +105,7 @@ class TestTargets:
     def test_ball_start_cdfs_are_pinned(self, measure, zeta, mass, want):
         # return runs invert these start CDFs, so they are pinned bit for bit
         tgt = ball_target(measure, zeta, mass)
-        got = measure.ball_cdfs(tgt.zeta_value, tgt.eta)
+        got = measure.ball_cdfs(tgt.arcs)
         assert got == tuple(tuple(float.fromhex(v) for v in side)
                             for side in want)
 
@@ -275,6 +280,51 @@ class TestRotation:
         )
         assert kac_check(sample).passed
 
+    # 3 2^-64 lies halfway between two grid points
+    @pytest.mark.parametrize("zeta", [0.0, 0.3, 1.0 - 2.0 ** -53,
+                                      3 * 2.0 ** -64])
+    # below mass 0.001 the radius leaves the 2^-63 grid
+    @pytest.mark.parametrize("mass", [0.0001, 0.001, 0.01, 0.1, 0.5])
+    def test_ball_width_counts_the_grid_points(self, zeta, mass):
+        # the grid points k 2^-63 in a piece [a, b) of the exact ball are
+        # those with ceil(a 2^63) <= k < ceil(b 2^63)
+        eta = LEB_C.quantile_radius(zeta, mass)
+        want = sum(math.ceil(b * FIXED_ONE) - math.ceil(a * FIXED_ONE)
+                   for a, b in exact_ball_pieces(Metric.CIRCLE, zeta, eta))
+        assert hts._rotation_arc(ball_target(LEB_C, zeta, mass)) == (0, want)
+        # for such radii and centres the ends lie on the grid: 2 eta 2^63
+        if eta >= 2.0 ** -11 and math.ldexp(zeta, 63).is_integer():
+            assert want == min(round(2 * eta * FIXED_ONE), FIXED_ONE)
+
+    def test_ball_takes_the_grid_point_at_its_lower_end(self):
+        # a ball is half-open: [2^-40, 2^-40 + 2^-79) holds the grid point
+        # 2^-40 and no other; [2^-40 - 2^-79, 2^-40) holds none, and a
+        # rotation refuses it
+        def ball(lo, hi):
+            return hts.TargetSet("ball", mass=2.0 ** -79, zeta_value=0.0,
+                                 arcs=((lo, hi),), metric=Metric.CIRCLE)
+
+        point, sliver = 1 << 88, 1 << 49
+        assert hts._rotation_arc(ball(point, point + sliver)) == (0, 1)
+        with pytest.raises(DomainError, match="no point"):
+            first_hits(rotation("golden"), ball(point - sliver, point),
+                       cap=10, n_samples=4, seed=1, labels=("empty",))
+
+
+def test_a_map_refuses_a_cylinder_of_another_map():
+    # a tent cell is a word, with no arcs for a rotation to scan; a rotation
+    # cell is an arc of the circle, with no word to scan and not on the
+    # intermittent map's interval
+    rot = cylinder_target(PartitionContext(rotation("golden"), LEB_C), 0.3, 5)
+    orbit = EmpiricalOrbit(manneville_pomeau(0.5), orbit_len=1000, burn_in=10)
+    for system, target, measure in (
+            (rotation("golden"), tent_cylinder(4), None),
+            (doubling(), rot, LEB_C),
+            (manneville_pomeau(0.5), rot, orbit)):
+        with pytest.raises(UnsupportedCombination):
+            first_hits(system, target, cap=10, n_samples=4, seed=1,
+                       labels=("other-map",), measure=measure)
+
 
 class TestIntermittent:
     def test_ball_returns(self):
@@ -299,13 +349,33 @@ class TestIntermittent:
         measure = EmpiricalOrbit(system, master_seed=2, orbit_len=50_000,
                                  burn_in=1000)
         target = ball_target(measure, 0.3, mass=mass)
-        pool = measure.points_in(measure.ball_arcs(0.3, target.eta))
+        pool = measure.points_in(target.arcs)
         assert pool.size / measure.orbit_len == target.mass
         assert pool.size == round(mass * measure.orbit_len)
         starts = orbit_starts(system, measure, 500, 4, ("pool", mass), 1,
                               inside=target)
         assert np.isin(starts, pool).all()
         assert np.unique(starts).size > min(pool.size // 2, 100)
+
+    def test_kernel_hits_the_points_the_mass_counts(self):
+        # with start_j = 0 and cap 1 the kernel tests each start alone: on
+        # the whole orbit it marks the points the target's mass counts
+        system = manneville_pomeau(0.5)
+        measure = EmpiricalOrbit(system, master_seed=2, orbit_len=50_000,
+                                 burn_in=1000)
+        target = ball_target(measure, 0.3, mass=0.01)
+        (a, b), = target.arcs
+        lo, hi = fixed_to_float(a), fixed_to_float(b)
+        orbit = measure.orbit
+        _, hit = engine.mp_first_hit(orbit.size, s_exp=system.s, lo=lo,
+                                     hi=hi, cap=1, start_j=0, starts=orbit)
+        assert np.array_equal(orbit[hit], measure.points_in(target.arcs))
+        assert hit.sum() / measure.orbit_len == measure.interval_mass(a, b)
+        # the lower float end is inside, the upper one outside
+        ends = np.array([np.nextafter(lo, 0), lo, np.nextafter(hi, 0), hi])
+        _, hit = engine.mp_first_hit(4, s_exp=system.s, lo=lo, hi=hi, cap=1,
+                                     start_j=0, starts=ends)
+        assert hit.tolist() == [False, True, True, False]
 
     def test_cylinder_targets_unsupported(self):
         system = manneville_pomeau(0.2)

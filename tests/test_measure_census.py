@@ -8,6 +8,10 @@ else.  This AST census fails when a module of ``src/evlhts`` calls
 ``isinstance`` on ``MeasureModel`` or a subclass of it, or when a module
 other than ``measures.py`` names a subclass outside the builder
 ``experiments._build_measure`` and the import that serves it.
+
+A ball is laid out once, too: outside ``measures.py`` only
+``hts.ball_target`` calls ``ball_arcs``, and every sampler reads the arcs
+it stores in the target.
 """
 
 import ast
@@ -72,6 +76,18 @@ def class_names(source: str, classes: set, allowed_function=None
     return sorted(set(lines))
 
 
+def calls(source: str, name: str, allowed_function=None) -> list[int]:
+    """Lines that call the function or method ``name``, except inside the
+    top-level function ``allowed_function``."""
+    tree = ast.parse(source)
+    skip = {id(n) for node in tree.body
+            if isinstance(node, ast.FunctionDef)
+            and node.name == allowed_function for n in ast.walk(node)}
+    return sorted({node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.Call) and id(node) not in skip
+                   and _name(node.func) == name})
+
+
 def test_the_census_sees_the_measures():
     assert {"Lebesgue1D", "BernoulliDoubling", "EmpiricalOrbit"} <= SUBCLASSES
 
@@ -104,6 +120,29 @@ def test_only_the_measures_and_their_builder_name_a_measure():
             continue
         allowed = BUILDER[1] if path.stem == BUILDER[0] else None
         lines = class_names(path.read_text(), SUBCLASSES, allowed)
+        if lines:
+            found[path.stem] = lines
+    assert found == {}
+
+
+def test_detects_a_stray_ball_layout():
+    src = (
+        "def ball_target(measure):\n"
+        "    return measure.ball_arcs(0.3, 0.1)\n"
+        "def scan(measure, target):\n"
+        "    return ball_arcs(measure.ball_arcs(0.3, target.eta))\n"
+    )
+    assert calls(src, "ball_arcs") == [2, 4]
+    assert calls(src, "ball_arcs", allowed_function="ball_target") == [4]
+
+
+def test_only_the_measures_and_ball_target_lay_out_a_ball():
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "measures":
+            continue
+        allowed = "ball_target" if path.stem == "hts" else None
+        lines = calls(path.read_text(), "ball_arcs", allowed)
         if lines:
             found[path.stem] = lines
     assert found == {}

@@ -6,7 +6,8 @@ naming ``measure.kind``, and the library's entry points -- the measure's
 own constructor, ``PartitionContext``, ``hts.first_hits`` and
 ``evl.sample_ball_min_distances`` -- refuse exactly the pairs the table
 refuses, with ``UnsupportedCombination``.  They also refuse a measure whose
-metric is not the map's: its balls would not be the map's.
+metric is not the map's: its balls would not be the map's; and
+``hts.first_hits`` refuses a ball target laid out on another metric.
 """
 
 import pytest
@@ -35,6 +36,14 @@ CASES = [(system, measure, p) for system in PAIRS for measure in MEASURES
 IDS = [f"{s}-{m}" + ("" if p is None else f"-{p}") for s, m, p in CASES]
 ORBIT = EmpiricalOrbit(SYSTEMS["manneville_pomeau"], orbit_len=20_000,
                        burn_in=100)
+#: [0.275, 0.325), the ball of radius 0.025 around 0.3 on either metric
+ARCS = ((int(0.275 * 2 ** 128), int(0.325 * 2 ** 128)),)
+
+
+def _ball(metric):
+    """A bare ball target laid out on ``metric``."""
+    return hts.TargetSet("ball", mass=0.05, zeta_value=0.3, arcs=ARCS,
+                         metric=metric)
 
 
 def test_the_measures_state_the_table():
@@ -93,10 +102,9 @@ def test_library_refuses_exactly_the_table(system, measure, p):
     # no Markov partition for the intermittent map, whatever the measure
     assert _refused(lambda: PartitionContext(sys_, mu)) is not (
         allowed and sys_.kind is not MapKind.MANNEVILLE_POMEAU)
-    target = hts.TargetSet("ball", mass=0.05, zeta_value=0.3, eta=0.025)
     assert _refused(lambda: hts.first_hits(
-        sys_, target, cap=20, n_samples=4, seed=1, labels=("pair",),
-        measure=mu)) is not allowed
+        sys_, _ball(sys_.metric), cap=20, n_samples=4, seed=1,
+        labels=("pair",), measure=mu)) is not allowed
     obs = BallObservable(GShape(GKind.G1), mu, 0.3)
     assert _refused(lambda: evl.sample_ball_min_distances(
         obs, sys_, n_steps=5, n_samples=4, seed=1)) is not allowed
@@ -105,7 +113,7 @@ def test_library_refuses_exactly_the_table(system, measure, p):
 @pytest.mark.parametrize("system", ["full_tent", "doubling"])
 def test_a_digit_run_needs_a_digit_measure(system):
     # no measure, or the orbit measure: refused, never an AttributeError
-    target = hts.TargetSet("ball", mass=0.05, zeta_value=0.3, eta=0.025)
+    target = _ball(SYSTEMS[system].metric)
     cell = hts.cylinder_target(
         PartitionContext(SYSTEMS[system], Lebesgue1D(SYSTEMS[system].metric)),
         0.3, 4)
@@ -124,7 +132,7 @@ def test_library_refuses_a_measure_on_another_metric(system):
     other = (Metric.CIRCLE if sys_.metric is Metric.INTERVAL
              else Metric.INTERVAL)
     mu = Lebesgue1D(other)
-    target = hts.TargetSet("ball", mass=0.05, zeta_value=0.3, eta=0.025)
+    target = _ball(sys_.metric)
     with pytest.raises(UnsupportedCombination, match="measures balls on the"):
         hts.first_hits(sys_, target, cap=20, n_samples=4, seed=1,
                        labels=("pair",), measure=mu)
@@ -136,3 +144,30 @@ def test_library_refuses_a_measure_on_another_metric(system):
         PartitionContext(sys_, mu)
     # the map's own metric runs
     PartitionContext(sys_, Lebesgue1D(sys_.metric))
+
+
+@pytest.mark.parametrize("system", ["full_tent", "doubling", "rotation",
+                                    "manneville_pomeau"])
+def test_first_hits_refuses_a_ball_laid_out_on_another_metric(system):
+    sys_ = SYSTEMS[system]
+    other = (Metric.CIRCLE if sys_.metric is Metric.INTERVAL
+             else Metric.INTERVAL)
+    mu = ORBIT if system == "manneville_pomeau" else Lebesgue1D(sys_.metric)
+    with pytest.raises(UnsupportedCombination, match="not laid out on the"):
+        hts.first_hits(sys_, _ball(other), cap=20, n_samples=4, seed=1,
+                       labels=("pair",), measure=mu)
+
+
+def test_a_circle_ball_is_no_tent_target():
+    # The circle ball of mass 0.01 around 0.999 wraps across 0, which the
+    # tent's interval does not: there the same radius holds mass 0.006, so
+    # a tent run on it would take mean normalized times near 1.6, not 1.
+    target = hts.ball_target(Lebesgue1D(Metric.CIRCLE), 0.999, 0.01)
+    assert len(target.arcs) == 2
+    with pytest.raises(UnsupportedCombination, match="not laid out on the"):
+        hts.first_hits(full_tent(), target, cap=5000, n_samples=64, seed=1,
+                       labels=("pair",), measure=Lebesgue1D(Metric.INTERVAL))
+    # the interval ball of the same mass runs
+    target = hts.ball_target(Lebesgue1D(Metric.INTERVAL), 0.999, 0.01)
+    hts.first_hits(full_tent(), target, cap=50, n_samples=64, seed=1,
+                   labels=("pair",), measure=Lebesgue1D(Metric.INTERVAL))

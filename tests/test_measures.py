@@ -230,7 +230,7 @@ def test_ball_cdfs_read_the_ball_arcs(measure, zeta, n_pieces):
     assert [(Fraction(a, _FIXED_UNIT), Fraction(b, _FIXED_UNIT))
             for a, b in arcs] == exact_ball_pieces(measure.metric, zeta, eta)
     assert len(arcs) == n_pieces
-    lo, hi = measure.ball_cdfs(zeta, eta)
+    lo, hi = measure.ball_cdfs(arcs)
     assert lo == tuple(measure.interval_mass(0, a) for a, _ in arcs)
     assert hi == tuple(measure.interval_mass(0, b) for _, b in arcs)
     if isinstance(measure, Lebesgue1D):  # the correctly rounded endpoints
