@@ -83,17 +83,20 @@ chunk's last step is carried into the next chunk.
 Cylinder events need no positions at all.  Letters are the digits
 themselves for the doubling map and adjacent-digit XORs for the tent map,
 and iterate j lies in a depth-d cylinder exactly when letters j .. j+d-1
-spell its word.  The word kernels hold a chunk's letters packed in a
-(words, lanes) layout, one contiguous row per 64 columns, into which each
-block draws its lanes' columns through a transposed view; tent letters are
-W ^ ((W >> 1) | carry << 63), the carry being the digit before each word.
-They find every match at once with Shift-And (Baeza-Yates and Gonnet,
-1992): the match words are the AND, over k < d, of the letters shifted
-right by k across word boundaries, or of their complements where the
-word's k-th letter from the end is 0.  Each lane carries its last 64
-digits into the next chunk in one uint64, which give the up to 62 letters
-before the chunk's first that a word of at most 63 letters reads, so a
-chunk need not be a whole number of words.
+spell its word.  Each block draws a chunk's digits into its lanes'
+columns of a (words, lanes) buffer through a transposed view.  The word
+kernels find every match at once with Shift-And (Baeza-Yates and Gonnet,
+1992) on overlapping letter rows: with R = min(d, 32) and P = 64 - R, row
+q holds the R digits before digit qP, then digits qP .. qP + P - 1, and
+above 32 letters the carried digits are a row above the chunk.  Tent
+letters XOR each row with itself shifted right by one.  The letter k back
+from column qP + i is k mod P bits above it in row q - floor(k / P), so
+the match rows are the AND, over k < d, of those rows shifted right by
+k mod P, or of their complements where the word's k-th letter from the
+end is 0: one shift and one AND per letter.  Each lane carries its last
+64 digits into the next chunk in one uint64, which give the up to 62
+letters before the chunk's first that a word of at most 63 letters reads,
+so a chunk need not be a whole number of words.
 
 Every first-hit kernel runs one scan, ``_first_hit``, over all the lanes
 of a run.  It walks the live lanes in tiles, runs of consecutive whole
@@ -106,7 +109,7 @@ keeps every lane in one tile.  The kernel returns each chunk's first
 column inside its target for every lane of a tile, from a given column
 on; the scan turns those into times, drops finished lanes and censors
 the lanes still out at the cap.  The word kernels read the first column
-off the packed match words with a bit smear and a popcount, the ball
+off the match rows with a bit smear and a popcount, the ball
 kernel off its candidates' steps, and the rotation and intermittent
 kernels off a (cols, lanes) boolean plane through ``_first_inside``: row
 c holds column c of every lane.  Rotations advance exact 63-bit integer
@@ -786,70 +789,72 @@ def _word_scan_start(count, word_int, depth, start_j, preload, tent):
     return (np.full(count, digits, dtype=np.uint64),), depth
 
 
-def _column_masks(n_words, first, cols):
-    """(n_words, 1) masks of the packed columns first .. cols - 1: the
-    words of one run of set bits, column 0 the row's first bit."""
-    bits = ((1 << max(cols - first, 0)) - 1) << (64 * n_words - cols)
-    return np.array([(bits >> 64 * q) % 2**64 for q in range(n_words)][::-1],
-                    dtype=np.uint64)[:, None]
+@functools.lru_cache(maxsize=256)
+def _column_masks(depth, cols, first):
+    """The mask of the columns first .. cols - 1 on each letter row of a
+    ``depth``-letter ``_word_chunk``: column q P + i is bit P - 1 - i of
+    row q, P = 64 - min(depth, 32)."""
+    span = 64 - min(depth, 32)
+    n_rows = -(-cols // span)
+    bits = ((1 << max(cols - first, 0)) - 1) << (span * n_rows - cols)
+    return tuple(np.uint64(bits >> span * q & (1 << span) - 1)
+                 for q in reversed(range(n_rows)))
 
 
 def _word_letters(gens, tile, width, p_zero, state, scratch):
-    """A tile's (words + 1, lanes) letter buffer: the carried digits, then
-    each block's ``width`` digits drawn into its lanes' columns."""
-    ext = scratch("ext", ((width + 63) // 64 + 1, state[0].size), np.uint64)
-    ext[0] = state[0]
-    _tile_digits(gens, tile, width, p_zero, scratch, ext[1:].T)
+    """A tile's (words + 2, lanes) letter buffer: the carried digits, each
+    block's ``width`` digits drawn into its lanes' columns, and a zero row."""
+    ext = scratch("ext", ((width + 63) // 64 + 2, state[0].size), np.uint64)
+    ext[0], ext[-1] = state[0], 0
+    _tile_digits(gens, tile, width, p_zero, scratch, ext[1:-1].T)
     return ext
 
 
 def _word_chunk(ext, cols, first, word_int, depth, tent, scratch):
-    """Packed match words of one chunk, and the scan state after it.
+    """Match rows of one chunk, and the scan state after it.
 
-    Bit 63 - (c mod 64) of match word c // 64 (a (words, lanes) array in
-    ``scratch``) is set when the ``depth`` letters ending at the chunk's
-    letter c spell the word, for c in first .. cols - 1, read off the
-    ``_word_letters`` buffer ``ext``, which it overwrites.  Tent letters XOR
-    each digit with the one before it; doubling letters are the digits.
-    The carried digits give the letters before the chunk's first.
+    Bit P - 1 - i of match row q (a (rows, lanes) array in ``scratch``) is
+    set when the ``depth`` letters ending at the chunk's letter c = q P + i
+    spell the word, for c in first .. cols - 1, read off the letter rows
+    (module docstring) of the ``_word_letters`` buffer ``ext``.  A tent
+    row's top letter lacks the digit before it; no word reads it.
     """
-    n_words = (cols + 63) // 64
-    ext = ext[:n_words + 1]
-    match = scratch("match", ext[1:].shape, np.uint64)
-    term = scratch("term", ext.shape, np.uint64)
-    spill = scratch("spill", ext.shape, np.uint64)
-    # the 64 digits ending at digit cols - 1, which sits in ext[cols // 64]
-    # or ext[cols // 64 + 1]
-    q, r = divmod(cols, 64)
-    carry = ext[q].copy() if r == 0 else (
-        (ext[q] << np.uint64(r)) | (ext[q + 1] >> np.uint64(64 - r)))
+    span = 64 - min(depth, 32)
+    masks = _column_masks(depth, cols, first)
+    top = int(depth > 32)
+    rows = scratch("rows", (top + len(masks), ext.shape[1]), np.uint64)
+    term = scratch("term", rows.shape, np.uint64)
+    for r in range(rows.shape[0]):
+        # row q = r - top starts at bit 64 + q P - R = (q + 1) P of ext,
+        # whose last row is 0 (a shift by 64 gives 0)
+        w, s = divmod(span * (r + 1 - top), 64)
+        np.left_shift(ext[w], np.uint64(s), out=rows[r])
+        rows[r] |= np.right_shift(ext[w + 1], np.uint64(64 - s), out=term[r])
     if tent:
-        # ext[0]'s top letter lacks the digit before it; a word of at most
-        # 63 letters reads only the 62 letters below it
-        before = np.right_shift(ext, np.uint64(1), out=term)
-        before[1:] |= np.left_shift(ext[:-1], np.uint64(63), out=spill[1:])
-        ext ^= before
-    flip = (np.invert(ext, out=scratch("flip", ext.shape, np.uint64))
+        rows ^= np.right_shift(rows, np.uint64(1), out=term)
+    flip = (np.invert(rows, out=scratch("flip", rows.shape, np.uint64))
             if word_int != (1 << depth) - 1 else None)
-    term, spill = term[1:], spill[1:]
-    for k in range(depth):
-        # letter k from the end of the word against the letters k back
-        src = ext if (word_int >> k) & 1 else flip
-        if k == 0:
-            match[...] = src[1:]
-            continue
-        np.right_shift(src[1:], np.uint64(k), out=term)
-        np.left_shift(src[:-1], np.uint64(64 - k), out=spill)
-        term |= spill
-        match &= term
-    match &= _column_masks(n_words, first, cols)
+    match = scratch("match", (len(masks), rows.shape[1]), np.uint64)
+    for q, mask in enumerate(masks):
+        np.bitwise_and((rows if word_int & 1 else flip)[top + q], mask,
+                       out=match[q])
+    for k in range(1, depth):
+        src = rows if (word_int >> k) & 1 else flip
+        row = top - k // span
+        match &= np.right_shift(src[row:row + len(masks)],
+                                np.uint64(k % span), out=term[top:])
+    # the 64 digits ending at digit cols - 1
+    w, s = divmod(cols, 64)
+    carry = ext[w] << np.uint64(s)
+    if s:
+        carry |= np.right_shift(ext[w + 1], np.uint64(64 - s), out=term[0])
     return match, (carry,)
 
 
-def _first_set_column(match, cols):
-    """Each lane's first set column of its packed match words; ``cols``
-    where there is none.  Smearing the highest set bit of the first nonzero
-    word down to bit 0 leaves 64 - (column mod 64) bits set."""
+def _first_set_column(match, cols, span):
+    """Each lane's first set column of its ``_word_chunk`` match rows of
+    ``span`` columns, ``cols`` where none: smearing the highest set bit of
+    row q's column q span + i down to bit 0 leaves span - i bits set."""
     column = np.full(match.shape[1], cols, dtype=np.int64)
     nonzero = match != 0
     lanes = np.flatnonzero(nonzero.any(axis=0))
@@ -858,7 +863,7 @@ def _first_set_column(match, cols):
         v = match[q, lanes]
         for s in (1, 2, 4, 8, 16, 32):
             v |= v >> np.uint64(s)
-        column[lanes] = 64 * (q + 1) - np.bitwise_count(v)
+        column[lanes] = span * (q + 1) - np.bitwise_count(v)
     return column
 
 
@@ -895,7 +900,7 @@ def word_first_hit(
         ext = _word_letters(gens, tile, chunk, p_zero, state, scratch)
         match, state = _word_chunk(ext, cols, first, word_int, depth, tent,
                                    scratch)
-        return _first_set_column(match, cols), state
+        return _first_set_column(match, cols, 64 - min(depth, 32)), state
 
     # column c ends the window that starts at j = consumed + c + 1 - depth
     return _first_hit(sizes, cap, start_j, consumed + 1 - depth, chunk, scan,

@@ -19,10 +19,11 @@ intermittent starts, which ``evl`` shares.
 A target carries its layout, ``arcs``: fixed-point [lo, hi) pieces of the
 2^-128 grid, set once for a ball by ``ball_target`` from the measure
 (``MeasureModel.ball_arcs``), with the metric ``first_hits`` requires to
-be the map's, and for a rotation cylinder from its 2^63 arc.  That one set
-has the mass that normalizes a run's times, and every sampler counts its
-points as hit: the digit kernels' 53-bit windows, the rotation's 2^63
-grid points (``engine._arc_windows``) and the intermittent map's floats.
+be the map's and the measure it requires to be the run's, and for a
+rotation cylinder from its 2^63 arc; a ball with no arc is refused.  That
+one set has the mass that normalizes a run's times, and every sampler
+counts its points as hit: the digit kernels' 53-bit windows, the rotation's
+2^63 grid points (``engine._arc_windows``) and the intermittent map's floats.
 
 Hitting runs start from the stationary measure; return runs condition
 the start on the target itself.  The digit kernels draw these starts
@@ -62,6 +63,7 @@ class TargetSet:
     depth: int = 0
     arcs: tuple = ()  # fixed-point [lo, hi) pieces on the 2^-128 grid
     metric: Metric | None = None  # the metric the arcs are laid out on
+    measure: MeasureModel | None = None  # the measure that laid a ball out
 
 
 def cylinder_target(ctx: PartitionContext, zeta, depth: int) -> TargetSet:
@@ -78,14 +80,14 @@ def cylinder_target(ctx: PartitionContext, zeta, depth: int) -> TargetSet:
 
 def ball_target(measure: MeasureModel, zeta, mass: float) -> TargetSet:
     """The smallest ball around zeta that carries ``mass``: the measure's
-    fixed-point arcs of it, their mass and the measure's metric."""
+    fixed-point arcs of it, their mass, the measure and its metric."""
     eta = measure.quantile_radius(zeta, mass)
     mass = measure.ball_mass(zeta, eta)
     if mass <= 0.0:
         raise DomainError("ball carries no mass")
     return TargetSet(kind="ball", mass=mass, zeta_value=float(zeta),
                      arcs=tuple(measure.ball_arcs(zeta, eta)),
-                     metric=measure.metric)
+                     metric=measure.metric, measure=measure)
 
 
 def default_cap(mass: float) -> int:
@@ -166,6 +168,12 @@ def first_hits(system, target, *, cap, n_samples, seed, labels, threads=1,
             target.kind == "ball" or system.kind not in DIGIT_KINDS):
         raise UnsupportedCombination(
             f"the target is not laid out on the {system.metric.value}")
+    if target.kind == "ball" and not target.arcs:
+        raise DomainError("the target ball has no arc")
+    if measure is not None and target.measure not in (None, measure):
+        raise UnsupportedCombination(
+            f"the ball is laid out by the {target.measure.name} measure; "
+            f"the run takes the {measure.name} measure")
     if system.kind in DIGIT_KINDS:
         gens = engine.block_substreams(n_samples, seed, labels)
         return _digit_first_hits(system, target, gens, n_samples, cap,

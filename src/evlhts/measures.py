@@ -80,6 +80,13 @@ class MeasureModel:
     p_zero: float | None = None
     metric: Metric | None = None
 
+    def __eq__(self, other):
+        # one class on the same parameters lays out the same balls
+        return type(other) is type(self) and vars(other) == vars(self)
+
+    def __hash__(self):
+        return hash(type(self))
+
     # -- kind-specific primitives -------------------------------------
     def interval_mass(self, a: int, b: int) -> float:
         """Mass of [a, b) with fixed-point endpoints 0 <= a <= b <= 1."""
@@ -301,6 +308,8 @@ class EmpiricalOrbit(MeasureModel):
 
     name = "intermittent-map orbit"
     maps = (MapKind.MANNEVILLE_POMEAU,)
+    # its masses count its own points: an orbit measure is only itself
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __init__(
         self,

@@ -483,12 +483,16 @@ def reference_ball_first_hit_digits(gen, count, *, eta, zeta, tent, p_zero,
 
 
 # Mixed letters, so both the letters and their complements are sliced.  The
-# depth-63 word has period 3: preloaded lanes re-enter it within the caps.
-WORDS = {1: 0b0, 3: 0b101, 12: 0b110111011110, 63: int("110" * 21, 2)}
+# words of depth 32, 33 and 63 have period 4 or 3: preloaded lanes re-enter
+# them within the caps.  Depth 32 is the deepest whose letters all lie in
+# one letter row of ``_word_chunk``; from depth 33 on, letters 32 back and
+# more are read off the row above.
+WORDS = {1: 0b0, 3: 0b101, 12: 0b110111011110, 32: int("1011" * 8, 2),
+         33: int("110" * 11, 2), 63: int("110" * 21, 2)}
 LATE_START = 300  # beyond one chunk at either chunk width
 GRID = [
     (depth, tent, preload, start_j, p_zero, chunk)
-    for depth in (1, 3, 12, 63)
+    for depth in WORDS
     for tent in (False, True)
     for preload in (False, True)
     for start_j in (0, 1, LATE_START)
@@ -571,6 +575,27 @@ class TestWordStreamEquivalence:
         rows = [shape[0] for shape in got_gen.shapes
                 if isinstance(shape, tuple)]
         assert len(rows) > 1 and rows[-1] < rows[0]
+
+
+@pytest.mark.parametrize("chunk", [64, 256])
+@pytest.mark.parametrize("tent", [False, True])
+@pytest.mark.parametrize("depth", range(1, engine.MAX_WORD_DEPTH + 1))
+def test_word_scans_at_every_depth(depth, tent, chunk):
+    # every letter-row layout: span 64 - depth down to 32, then the row
+    # above; preloaded lanes re-enter the period-3 word within the cap
+    for preload in (False, True):
+        kw = dict(word_int=int(("110" * 21)[:depth], 2), depth=depth,
+                  tent=tent, p_zero=0.5, preload=preload, chunk=chunk)
+        label = ("every-depth", depth, tent, chunk, preload)
+        for kernel, reference, horizon in (
+                (word_first_hit, reference_word_first_hit, {"cap": 300}),
+                (word_hit_count, reference_word_hit_count, {"window": 300})):
+            want_gen = RecordingGen(substream(2024, *label))
+            got_gen = RecordingGen(substream(2024, *label))
+            want = reference(want_gen, 16, **horizon, **kw)
+            got = kernel([got_gen], 16, **horizon, **kw)
+            assert np.array_equal(np.asarray(got), np.asarray(want))
+            assert got_gen.shapes == want_gen.shapes
 
 
 class TestWordTiles:

@@ -7,7 +7,8 @@ own constructor, ``PartitionContext``, ``hts.first_hits`` and
 ``evl.sample_ball_min_distances`` -- refuse exactly the pairs the table
 refuses, with ``UnsupportedCombination``.  They also refuse a measure whose
 metric is not the map's: its balls would not be the map's; and
-``hts.first_hits`` refuses a ball target laid out on another metric.
+``hts.first_hits`` refuses a ball target laid out on another metric or by
+another measure, and a ball target with no arc.
 """
 
 import pytest
@@ -15,7 +16,7 @@ import pytest
 from evlhts import evl, hts
 from evlhts.cli import main
 from evlhts.cylinders import PartitionContext
-from evlhts.errors import UnsupportedCombination
+from evlhts.errors import DomainError, UnsupportedCombination
 from evlhts.measures import (MEASURES, BernoulliDoubling, EmpiricalOrbit,
                              Lebesgue1D)
 from evlhts.observables import BallObservable, GKind, GShape
@@ -171,3 +172,44 @@ def test_a_circle_ball_is_no_tent_target():
     target = hts.ball_target(Lebesgue1D(Metric.INTERVAL), 0.999, 0.01)
     hts.first_hits(full_tent(), target, cap=50, n_samples=64, seed=1,
                    labels=("pair",), measure=Lebesgue1D(Metric.INTERVAL))
+
+
+@pytest.mark.parametrize("system", ["doubling", "manneville_pomeau"])
+def test_first_hits_refuses_a_ball_with_no_arc(system):
+    # no ball_target builds one; a bare target did censor every digit lane
+    # and failed to unpack on the intermittent map
+    sys_ = SYSTEMS[system]
+    mu = ORBIT if system == "manneville_pomeau" else Lebesgue1D(sys_.metric)
+    target = hts.TargetSet("ball", mass=0.01, zeta_value=0.3, arcs=(),
+                           metric=sys_.metric)
+    with pytest.raises(DomainError, match="no arc"):
+        hts.first_hits(sys_, target, cap=20, n_samples=4, seed=1,
+                       labels=("pair",), measure=mu)
+
+
+def test_first_hits_refuses_a_ball_laid_out_by_another_measure():
+    # The Lebesgue ball of mass 0.01 around 0.05 holds orbit mass 0.0194:
+    # normalized by 0.01, 4096 orbit hitting times (seed 1) read a mean of
+    # 0.455, against 0.938 on the orbit's own ball.
+    sys_ = manneville_pomeau(0.5)
+    orbit = EmpiricalOrbit(sys_, master_seed=1, orbit_len=200_000,
+                           burn_in=1000)
+    lebesgue = hts.ball_target(Lebesgue1D(Metric.INTERVAL), 0.05, 0.01)
+    assert lebesgue.measure == Lebesgue1D(Metric.INTERVAL)
+    with pytest.raises(UnsupportedCombination, match="laid out by the"):
+        hts.first_hits(sys_, lebesgue, cap=20, n_samples=4, seed=1,
+                       labels=("pair",), measure=orbit)
+    own = hts.ball_target(orbit, 0.05, 0.01)
+    hts.first_hits(sys_, own, cap=20, n_samples=4, seed=1, labels=("pair",),
+                   measure=orbit)
+    # another orbit of the same map has other masses
+    with pytest.raises(UnsupportedCombination, match="laid out by the"):
+        hts.first_hits(sys_, own, cap=20, n_samples=4, seed=1,
+                       labels=("pair",), measure=ORBIT)
+    # on the doubling map both measures are invariant, with other masses
+    skew = hts.ball_target(BernoulliDoubling(0.3), 0.3, 0.01)
+    with pytest.raises(UnsupportedCombination, match="laid out by the"):
+        hts.first_hits(doubling(), skew, cap=20, n_samples=4, seed=1,
+                       labels=("pair",), measure=Lebesgue1D(Metric.CIRCLE))
+    hts.first_hits(doubling(), skew, cap=20, n_samples=4, seed=1,
+                   labels=("pair",), measure=BernoulliDoubling(0.3))
