@@ -93,10 +93,15 @@ letters XOR each row with itself shifted right by one.  The letter k back
 from column qP + i is k mod P bits above it in row q - floor(k / P), so
 the match rows are the AND, over k < d, of those rows shifted right by
 k mod P, or of their complements where the word's k-th letter from the
-end is 0: one shift and one AND per letter.  Each lane carries its last
-64 digits into the next chunk in one uint64, which give the up to 62
-letters before the chunk's first that a word of at most 63 letters reads,
-so a chunk need not be a whole number of words.
+end is 0.  A run of L >= 4 equal letters read off one row is one AND of
+that row shifted right by 0 .. L - 1, built by doubling (A2 = A & A >> 1,
+A4 = A2 & A2 >> 2, ..., and one top-up shift), then shifted once into
+the match rows: about 2 log2 L passes over the rows in place of 2 L.
+The runs of ones read the letter rows, and then, complemented in place,
+the rows serve the runs of zeros.  Each lane carries its last 64 digits
+into the next chunk in one uint64, which give the up to 62 letters
+before the chunk's first that a word of at most 63 letters reads, so a
+chunk need not be a whole number of words.
 
 Every first-hit kernel runs one scan, ``_first_hit``, over all the lanes
 of a run.  It walks the live lanes in tiles, runs of consecutive whole
@@ -105,15 +110,17 @@ two blocks' worth, for the word scans, ``rng.BLOCK`` for the others.  So
 a chunk's temporaries stay at one tile's size however many blocks a run
 has, and the few lanes left late in a run share one tile.  The
 intermittent kernel, which takes a Python step per tile and iterate,
-keeps every lane in one tile.  The kernel returns each chunk's first
-column inside its target for every lane of a tile, from a given column
-on; the scan turns those into times, drops finished lanes and censors
-the lanes still out at the cap.  The word kernels read the first column
-off the match rows with a bit smear and a popcount, the ball
-kernel off its candidates' steps, and the rotation and intermittent
-kernels off a (cols, lanes) boolean plane through ``_first_inside``: row
-c holds column c of every lane.  Rotations advance exact 63-bit integer
-positions, doubled onto the wrapping 2^64 grid, a chunk per numpy op.
+keeps every lane in one tile.  The kernel returns only the lanes of a
+tile with a column inside its target, from a given column on, and each
+one's first such column; the scan marks the times of those not done
+before, drops finished lanes and censors the lanes still out at the cap.
+The word kernels read the first column off the match rows, as the
+highest set bit of a lane's first nonzero row, from its float64
+exponent; the ball kernel off its candidates' steps, and the rotation
+and intermittent kernels off a (cols, lanes) boolean plane through
+``_first_inside``: row c holds column c of every lane.  Rotations
+advance exact 63-bit integer positions, doubled onto the wrapping 2^64
+grid, a chunk per numpy op.
 The intermittent map steps float64 lanes in place (``_mp_step``) with
 numpy's array pow, which can differ from Python's scalar float pow
 (``EmpiricalOrbit`` uses that) in the last bit, but gives each lane the
@@ -480,6 +487,7 @@ def digit_window_min_distance(
     """
     if n_steps < 1:
         raise DomainError("need at least one orbit point")
+    _check_chunk(chunk)
     _block_sizes(count, gens)
     # window words less the word of ceil(zeta 2^53) are offsets from zeta
     centre = np.uint64((math.ceil(zeta * 2.0 ** WINDOW_BITS) << _LOW) % 2**64)
@@ -654,15 +662,16 @@ def _first_hit(sizes, cap, start_j, j, chunk, scan, state, inside_before=None,
     Each chunk walks the live lanes in tiles of at most ``most`` of them
     (``_tiles``): two blocks for the word scans, one for the others.
     ``scan(tile, state, cols, first)`` takes a tile's (block, live lanes)
-    pairs and its lanes' state, and returns, for each of those lanes, the
-    first column c >= ``first`` whose iterate j + c is inside (``cols``
-    where none is), and their state after the chunk's ``cols`` iterates.
-    ``inside_before`` marks the lanes inside at iterate j - 1.  A block
-    drops its finished lanes between chunks once more than ``_COMPACT_AT``
-    of its live lanes have hit; the live lanes move down in place, so a
-    run holds no per-lane array beyond its first ones.  Returns (times,
-    hit): times[i] = cap and hit[i] = False when the lane never enters by
-    cap - 1.
+    pairs and its lanes' state, and returns ((lanes, columns), state): the
+    lanes of the tile, as indices into it, that have a column c >= ``first``
+    whose iterate j + c is inside, each one's first such column, and every
+    lane's state after the chunk's ``cols`` iterates.  Only those lanes are
+    marked, the ones not done before taking their time.  ``inside_before``
+    marks the lanes inside at iterate j - 1.  A block drops its finished
+    lanes between chunks once more than ``_COMPACT_AT`` of its live lanes
+    have hit; the live lanes move down in place, so a run holds no per-lane
+    array beyond its first ones.  Returns (times, hit): times[i] = cap and
+    hit[i] = False when the lane never enters by cap - 1.
     """
     if cap < 1 or start_j < 0 or start_j >= cap:
         raise DomainError("need 0 <= start_j < cap")
@@ -678,13 +687,14 @@ def _first_hit(sizes, cap, start_j, j, chunk, scan, state, inside_before=None,
         cols = min(chunk, cap - j)
         for lo, tile in _tiles(live, most):
             hi = lo + sum(rows for _, rows in tile)
-            found, after = scan(tile, tuple(a[lo:hi] for a in state), cols,
-                                max(start_j - j, 0))
+            (at, found), after = scan(tile, tuple(a[lo:hi] for a in state),
+                                      cols, max(start_j - j, 0))
             for a, b in zip(state, after):
                 a[lo:hi] = b
-            hits = lo + np.flatnonzero((found < cols) & ~done[lo:hi])
-            times[lane[hits]] = j + found[hits - lo]
-            done[hits] = True
+            at = at + lo
+            fresh = ~done[at]
+            times[lane[at[fresh]]] = j + found[fresh]
+            done[at] = True
         j += cols
         arrays = (lane, done, *state)
         src = dst = 0
@@ -738,6 +748,12 @@ def _check_starts(count, starts):
                           f"got {starts.size}")
 
 
+def _check_chunk(chunk):
+    """A scan steps at least one column per chunk."""
+    if chunk < 1:
+        raise DomainError(f"a chunk takes at least one column; got {chunk}")
+
+
 def _tile_digits(gens, tile, cols, p_zero, scratch, digits):
     """One chunk's packed digits for a tile: each block's draw on its own
     generator, written straight into its rows of ``digits``, a
@@ -750,16 +766,15 @@ def _tile_digits(gens, tile, cols, p_zero, scratch, digits):
     return digits
 
 
-def _first_inside(inside, first, cols):
-    """Each lane's first inside column in ``first`` .. ``cols`` - 1 of the
-    (cols, lanes) boolean ``inside``, whose row c holds column c of every
-    lane; ``cols`` where the lane has none."""
-    column = np.full(inside.shape[1], cols, dtype=np.int64)
+def _first_inside(inside, first):
+    """The lanes with an inside column from ``first`` on in the (cols,
+    lanes) boolean ``inside``, whose row c holds column c of every lane, and
+    each one's first such column."""
     inside = inside[first:]
-    lanes_in = np.flatnonzero(inside.any(axis=0))
-    if lanes_in.size:
-        column[lanes_in] = first + inside[:, lanes_in].argmax(axis=0)
-    return column
+    lanes = np.flatnonzero(inside.any(axis=0))
+    # no row is left from first on where first >= cols
+    columns = inside[:, lanes].argmax(axis=0) if lanes.size else lanes
+    return lanes, first + columns
 
 
 # ----------------------------------------------------- word (cylinder) scans
@@ -791,14 +806,36 @@ def _word_scan_start(count, word_int, depth, start_j, preload, tent):
 
 @functools.lru_cache(maxsize=256)
 def _column_masks(depth, cols, first):
-    """The mask of the columns first .. cols - 1 on each letter row of a
-    ``depth``-letter ``_word_chunk``: column q P + i is bit P - 1 - i of
-    row q, P = 64 - min(depth, 32)."""
+    """The (rows, 1) masks of the columns first .. cols - 1 on the letter
+    rows of a ``depth``-letter ``_word_chunk``: column q P + i is bit
+    P - 1 - i of row q, P = 64 - min(depth, 32).  Read-only: callers share
+    it."""
     span = 64 - min(depth, 32)
     n_rows = -(-cols // span)
     bits = ((1 << max(cols - first, 0)) - 1) << (span * n_rows - cols)
-    return tuple(np.uint64(bits >> span * q & (1 << span) - 1)
-                 for q in reversed(range(n_rows)))
+    masks = np.array([bits >> span * q & (1 << span) - 1
+                      for q in reversed(range(n_rows))], dtype=np.uint64)
+    masks.flags.writeable = False
+    return masks[:, None]
+
+
+@functools.lru_cache(maxsize=256)
+def _word_runs(word_int, depth):
+    """The runs of equal letters of a ``depth``-letter word, those of ones
+    first, and how many those are.  A run is split where it passes to the
+    row above: the letters k .. k + L - 1 from the end are (g, k mod P, L),
+    g = floor(k / P) rows above the match rows, P = 64 - min(depth, 32).
+    A run shorter than 4 letters, which doubling would take in as many
+    passes, is split into single letters."""
+    span = 64 - min(depth, 32)
+    runs = ([], [])
+    for (letter, row), ks in itertools.groupby(
+            range(depth), lambda k: (word_int >> k & 1, k // span)):
+        ks = list(ks)
+        parts = [ks] if len(ks) >= 4 else [[k] for k in ks]
+        runs[letter].extend((row, part[0] % span, len(part))
+                            for part in parts)
+    return tuple(runs[1] + runs[0]), len(runs[1])
 
 
 def _word_letters(gens, tile, width, p_zero, state, scratch):
@@ -817,7 +854,9 @@ def _word_chunk(ext, cols, first, word_int, depth, tent, scratch):
     set when the ``depth`` letters ending at the chunk's letter c = q P + i
     spell the word, for c in first .. cols - 1, read off the letter rows
     (module docstring) of the ``_word_letters`` buffer ``ext``.  A tent
-    row's top letter lacks the digit before it; no word reads it.
+    row's top letter lacks the digit before it; no word reads it.  The
+    word's runs of equal letters (``_word_runs``) are ANDed in by doubling
+    (module docstring).
     """
     span = 64 - min(depth, 32)
     masks = _column_masks(depth, cols, first)
@@ -832,17 +871,31 @@ def _word_chunk(ext, cols, first, word_int, depth, tent, scratch):
         rows[r] |= np.right_shift(ext[w + 1], np.uint64(64 - s), out=term[r])
     if tent:
         rows ^= np.right_shift(rows, np.uint64(1), out=term)
-    flip = (np.invert(rows, out=scratch("flip", rows.shape, np.uint64))
-            if word_int != (1 << depth) - 1 else None)
     match = scratch("match", (len(masks), rows.shape[1]), np.uint64)
-    for q, mask in enumerate(masks):
-        np.bitwise_and((rows if word_int & 1 else flip)[top + q], mask,
-                       out=match[q])
-    for k in range(1, depth):
-        src = rows if (word_int >> k) & 1 else flip
-        row = top - k // span
-        match &= np.right_shift(src[row:row + len(masks)],
-                                np.uint64(k % span), out=term[top:])
+    shifted = term[top:]
+    runs, n_ones = _word_runs(word_int, depth)
+    # the first run is built in the match rows themselves, the others in
+    # a buffer of their own
+    spare = scratch("run", match.shape, np.uint64) if len(runs) > 1 else None
+    for i, (row, shift, length) in enumerate(runs):
+        if i == n_ones:
+            np.invert(rows, out=rows)
+        run = rows[top - row:top - row + len(masks)]
+        out = spare if i else match
+        if length > 1:
+            run = np.bitwise_and(
+                run, np.right_shift(run, np.uint64(1), out=shifted), out=out)
+            have = 2
+            while have < length:
+                step = min(have, length - have)
+                run &= np.right_shift(run, np.uint64(step), out=shifted)
+                have += step
+        if shift:
+            run = np.right_shift(run, np.uint64(shift), out=out)
+        if i:
+            match &= run
+        else:
+            np.bitwise_and(run, masks, out=match)
     # the 64 digits ending at digit cols - 1
     w, s = divmod(cols, 64)
     carry = ext[w] << np.uint64(s)
@@ -851,20 +904,19 @@ def _word_chunk(ext, cols, first, word_int, depth, tent, scratch):
     return match, (carry,)
 
 
-def _first_set_column(match, cols, span):
-    """Each lane's first set column of its ``_word_chunk`` match rows of
-    ``span`` columns, ``cols`` where none: smearing the highest set bit of
-    row q's column q span + i down to bit 0 leaves span - i bits set."""
-    column = np.full(match.shape[1], cols, dtype=np.int64)
+def _first_set_column(match, span):
+    """The lanes with a set bit in their ``_word_chunk`` match rows of
+    ``span`` columns, and each one's first set column: with h the highest
+    set bit of the lane's first nonzero row q, column q span + span - 1 - h.
+    h is the float64 exponent of the row, less one where rounding to 53
+    bits carried it up to the next power of two."""
     nonzero = match != 0
     lanes = np.flatnonzero(nonzero.any(axis=0))
-    if lanes.size:
-        q = nonzero[:, lanes].argmax(axis=0)
-        v = match[q, lanes]
-        for s in (1, 2, 4, 8, 16, 32):
-            v |= v >> np.uint64(s)
-        column[lanes] = span * (q + 1) - np.bitwise_count(v)
-    return column
+    q = nonzero.take(lanes, axis=1).argmax(axis=0)
+    v = match[q, lanes]
+    high = np.frexp(v)[1] - 1
+    high -= (v >> high.astype(np.uint64)) == 0
+    return lanes, span * (q + 1) - 1 - high
 
 
 def word_first_hit(
@@ -891,6 +943,7 @@ def word_first_hit(
     conditional start used by return-time runs, because under the product
     measures the letters beyond a fixed prefix stay independent.
     """
+    _check_chunk(chunk)
     sizes = _block_sizes(count, gens)
     state, consumed = _word_scan_start(count, word_int, depth, start_j,
                                        preload, tent)
@@ -900,7 +953,7 @@ def word_first_hit(
         ext = _word_letters(gens, tile, chunk, p_zero, state, scratch)
         match, state = _word_chunk(ext, cols, first, word_int, depth, tent,
                                    scratch)
-        return _first_set_column(match, cols, 64 - min(depth, 32)), state
+        return _first_set_column(match, 64 - min(depth, 32)), state
 
     # column c ends the window that starts at j = consumed + c + 1 - depth
     return _first_hit(sizes, cap, start_j, consumed + 1 - depth, chunk, scan,
@@ -931,6 +984,7 @@ def word_hit_count(
     """
     if window < start_j:
         raise DomainError("window shorter than start_j")
+    _check_chunk(chunk)
     counts = np.zeros(count, dtype=np.int64)
     total_letters = window + depth
     scratch = _Scratch()
@@ -977,6 +1031,7 @@ def ball_first_hit_digits(
     start point; the tail beyond 53 digits is drawn iid, which misstates
     the conditional law only on boundary cells of mass O(2^-53).
     """
+    _check_chunk(chunk)
     sizes = _block_sizes(count, gens)
     scratch = _Scratch()
     window = np.empty(count, dtype=np.uint64)
@@ -1026,8 +1081,8 @@ def _ball_bound(pieces, centre):
 
 
 def _ball_column(words, table, bound, pieces, tent, first, cols, scratch):
-    """Each lane's first column in ``first`` .. ``cols`` - 1 whose window
-    lies in ``pieces``; ``cols`` where there is none.
+    """The lanes with a column in ``first`` .. ``cols`` - 1 whose window
+    lies in ``pieces``, and each one's first such column.
 
     ``words`` are the chunk's byte-offset words (``_window_words``); only
     the candidates, whose ``table`` entry is at most ``bound``
@@ -1035,10 +1090,9 @@ def _ball_column(words, table, bound, pieces, tent, first, cols, scratch):
     candidates come in lane order and, within a lane, in byte order, so a
     lane's first candidate with a step inside holds its first column.
     """
-    column = np.full(words.shape[0], cols, dtype=np.int64)
     found = _candidates(words, table, bound, tent, scratch)
     if found is None:
-        return column
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     lane, b, lifted = found
     steps = 8 * b + np.arange(8)[:, None]  # [s, i] is column 8 b + s
     inside = _in_ball(lifted, pieces, scratch("inside", steps.shape, bool),
@@ -1048,8 +1102,7 @@ def _ball_column(words, table, bound, pieces, tent, first, cols, scratch):
     lane, steps = lane[hit], 8 * b[hit] + inside[:, hit].argmax(axis=0)
     lead = np.ones(lane.size, dtype=bool)
     lead[1:] = lane[1:] != lane[:-1]
-    column[lane[lead]] = steps[lead]
-    return column
+    return lane[lead], steps[lead]
 
 
 def _in_ball(words, pieces, out, offsets):
@@ -1080,6 +1133,7 @@ def rotation_first_hit(
     if not 0 <= lo < hi <= FIXED_ONE:
         raise DomainError("arc must satisfy 0 <= lo < hi <= 2^63")
     _check_starts(count, starts)
+    _check_chunk(chunk)
     last = np.uint64(2 * (hi - lo) - 1)
     offsets = np.array([2 * k * step_fixed % 2**64 for k in range(chunk + 1)],
                        dtype=np.uint64)
@@ -1091,7 +1145,7 @@ def rotation_first_hit(
                      out=scratch("pos", (cols, s.size), np.uint64))
         inside = np.less_equal(pos, last,
                                out=scratch("inside", pos.shape, bool))
-        return _first_inside(inside, first, cols), (s + offsets[cols],)
+        return _first_inside(inside, first), (s + offsets[cols],)
 
     s = (starts << np.uint64(1)) + np.uint64(
         (2 * start_j * step_fixed - 2 * lo) % 2**64)
@@ -1159,6 +1213,7 @@ def mp_first_hit(count, *, s_exp, lo, hi, cap, start_j, starts, chunk=64):
     if not 0.0 <= lo <= hi <= 1.0:
         raise DomainError("ends must satisfy 0 <= lo <= hi <= 1")
     _check_starts(count, starts)
+    _check_chunk(chunk)
     e = 1.0 + s_exp
     low, high = np.array([lo, hi]).view(np.uint64)
     width = high - low
@@ -1172,7 +1227,7 @@ def mp_first_hit(count, *, s_exp, lo, hi, cap, start_j, starts, chunk=64):
         for row in inside:
             np.less(np.subtract(bits, low, out=offset), width, out=row)
             _mp_step(x, e, tmp)
-        return _first_inside(inside, first, cols), (x,)
+        return _first_inside(inside, first), (x,)
 
     # every lane in one tile: each iterate takes a Python step per tile
     return _first_hit([count], cap, start_j, 0, chunk, scan, (starts.copy(),))

@@ -118,10 +118,12 @@ class TestMixingGap:
     def test_memory_stays_per_tile(self):
         # the benchmark's periodic conditions run: 100,000 lanes in one
         # scan hold their times, lane numbers, done flags and carried
-        # digits, beside one tile's temporaries: 3.59 MB traced with word
-        # tiles of two blocks re-laid into overlapping letter rows, 3.51 MB
-        # when the letters were shifted across word boundaries in place,
-        # 3.14 MB with one-block tiles, 3.65 MB with two-block tiles and a
+        # digits, beside one tile's temporaries: 3.36 MB traced when the
+        # word's one run of letters is built in the match rows, 3.59 MB
+        # with word tiles of two blocks re-laid into overlapping letter
+        # rows and a complemented copy of those rows, 3.51 MB when the
+        # letters were shifted across word boundaries in place, 3.14 MB
+        # with one-block tiles, 3.65 MB with two-block tiles and a
         # separate digit matrix, 4.73 MB with four-block tiles.  Per-block
         # scans peaked at 1.83 MB; buffering the whole run's digits
         # reached 12.3 MB, and a whole-run column array with copying

@@ -482,17 +482,26 @@ def reference_ball_first_hit_digits(gen, count, *, eta, zeta, tent, p_zero,
     return times, times < cap
 
 
-# Mixed letters, so both the letters and their complements are sliced.  The
-# words of depth 32, 33 and 63 have period 4 or 3: preloaded lanes re-enter
-# them within the caps.  Depth 32 is the deepest whose letters all lie in
-# one letter row of ``_word_chunk``; from depth 33 on, letters 32 back and
-# more are read off the row above.
-WORDS = {1: 0b0, 3: 0b101, 12: 0b110111011110, 32: int("1011" * 8, 2),
-         33: int("110" * 11, 2), 63: int("110" * 21, 2)}
+# (depth, word) by id.  Mixed letters, so both the letters and their
+# complements are sliced.  The words of depth 32, 33 and 63 have period 4 or
+# 3: preloaded lanes re-enter them within the caps.  Depth 32 is the deepest
+# whose letters all lie in one letter row of ``_word_chunk``; from depth 33
+# on, letters 32 back and more are read off the row above.  The runs of
+# equal letters from 4 on, which ``_word_chunk`` ANDs by doubling, come as
+# the gate's cylinder words (0^10, 1 0^11, 1 0^9), an all-ones word, and
+# runs of 5, 9, 16 and 17 letters (a power of two, or one topped up), beside
+# runs of 2 and 3, taken letter by letter; the constant words re-enter at
+# once when preloaded.
+WORDS = {1: (1, 0b0), 3: (3, 0b101), 12: (12, 0b110111011110),
+         32: (32, int("1011" * 8, 2)), 33: (33, int("110" * 11, 2)),
+         63: (63, int("110" * 21, 2)),
+         "0^10": (10, 0), "1.0^11": (12, 1 << 11), "1.0^9": (10, 1 << 9),
+         "11.000.11111": (10, 0b1100011111), "1^16": (16, (1 << 16) - 1),
+         "0^17": (17, 0)}
 LATE_START = 300  # beyond one chunk at either chunk width
 GRID = [
-    (depth, tent, preload, start_j, p_zero, chunk)
-    for depth in WORDS
+    (word, tent, preload, start_j, p_zero, chunk)
+    for word in WORDS
     for tent in (False, True)
     for preload in (False, True)
     for start_j in (0, 1, LATE_START)
@@ -508,14 +517,15 @@ class TestWordStreamEquivalence:
 
     LANES = 160
 
-    def kwargs(self, depth, tent, preload, p_zero, chunk):
-        return dict(word_int=WORDS[depth], depth=depth, tent=tent,
+    def kwargs(self, word, tent, preload, p_zero, chunk):
+        depth, word_int = WORDS[word]
+        return dict(word_int=word_int, depth=depth, tent=tent,
                     p_zero=p_zero, preload=preload, chunk=chunk)
 
-    @pytest.mark.parametrize("depth,tent,preload,start_j,p_zero,chunk", GRID)
-    def test_first_hit(self, depth, tent, preload, start_j, p_zero, chunk):
-        kw = self.kwargs(depth, tent, preload, p_zero, chunk)
-        label = ("word-eq", depth, tent, preload, start_j, p_zero, chunk)
+    @pytest.mark.parametrize("word,tent,preload,start_j,p_zero,chunk", GRID)
+    def test_first_hit(self, word, tent, preload, start_j, p_zero, chunk):
+        kw = self.kwargs(word, tent, preload, p_zero, chunk)
+        label = ("word-eq", word, tent, preload, start_j, p_zero, chunk)
         cap = start_j + 400
         want_gen = RecordingGen(substream(2024, *label))
         got_gen = RecordingGen(substream(2024, *label))
@@ -527,10 +537,10 @@ class TestWordStreamEquivalence:
         assert np.array_equal(got[1], want[1])
         assert got_gen.shapes == want_gen.shapes
 
-    @pytest.mark.parametrize("depth,tent,preload,start_j,p_zero,chunk", GRID)
-    def test_hit_count(self, depth, tent, preload, start_j, p_zero, chunk):
-        kw = self.kwargs(depth, tent, preload, p_zero, chunk)
-        label = ("count-eq", depth, tent, preload, start_j, p_zero, chunk)
+    @pytest.mark.parametrize("word,tent,preload,start_j,p_zero,chunk", GRID)
+    def test_hit_count(self, word, tent, preload, start_j, p_zero, chunk):
+        kw = self.kwargs(word, tent, preload, p_zero, chunk)
+        label = ("count-eq", word, tent, preload, start_j, p_zero, chunk)
         window = start_j + 400
         want_gen = RecordingGen(substream(2024, *label))
         got_gen = RecordingGen(substream(2024, *label))
@@ -596,6 +606,105 @@ def test_word_scans_at_every_depth(depth, tent, chunk):
             got = kernel([got_gen], 16, **horizon, **kw)
             assert np.array_equal(np.asarray(got), np.asarray(want))
             assert got_gen.shapes == want_gen.shapes
+
+
+def planted_letters(gen, lanes, cols, word_int, depth, tent):
+    """Each lane's 64 carried digits then ``cols`` chunk digits, as Python
+    bit lists, with the word's letters written to end at a random column
+    of the chunk: the digits themselves for the doubling map, and for the
+    tent map, whose letter t is digit t XOR digit t - 1, the digits after
+    the one before the word."""
+    digits = gen.integers(0, 2, size=(lanes, 64 + cols)).tolist()
+    for row, end in zip(digits, gen.integers(0, cols, size=lanes).tolist()):
+        for k in reversed(range(depth)):  # k letters back from the end
+            t = 64 + end - k
+            letter = word_int >> k & 1
+            row[t] = row[t - 1] ^ letter if tent else letter
+    return digits
+
+
+def letter_buffer(digits, cols):
+    """``engine._word_letters``' buffer of the digit lists: the carried
+    digits, latest in bit 0, the chunk's digits packed, and a zero row."""
+    lanes = len(digits)
+    ext = np.zeros(((cols + 63) // 64 + 2, lanes), dtype=np.uint64)
+    for lane, row in enumerate(digits):
+        ext[0, lane] = int("".join(map(str, row[:64])), 2)
+        chunk = "".join(map(str, row[64:]))
+        for w in range(0, cols, 64):
+            ext[1 + w // 64, lane] = int(chunk[w:w + 64].ljust(64, "0"), 2)
+    return ext
+
+
+def reference_match_columns(digits, cols, first, word_int, depth, tent):
+    """Each lane's chunk columns c in first .. cols - 1 at which the
+    ``depth`` letters ending there spell the word, read one by one."""
+    def letter(row, t):
+        return row[t] ^ row[t - 1] if tent else row[t]
+    return [[c for c in range(first, cols)
+             if all(letter(row, 64 + c - k) == word_int >> k & 1
+                    for k in range(depth))]
+            for row in digits]
+
+
+@pytest.mark.parametrize("tent", [False, True])
+@pytest.mark.parametrize("depth", [4, 10, 12, 17, 32, 33, 40, 63])
+def test_word_chunk_runs_spell_the_word(depth, tent):
+    # runs of equal letters of every length the doubling takes, some
+    # crossing to the row above past 32 letters, planted in every lane
+    half = depth // 2
+    words = {0, (1 << depth) - 1, 1 << depth - 1, (1 << half) - 1,
+             int(("1" * 5 + "0" * 9) * 5, 2) & (1 << depth) - 1}
+    span, cols = 64 - min(depth, 32), 200
+    for word_int in sorted(words):
+        for first in (0, 37):
+            gen = substream(9, "planted", depth, tent, word_int, first)
+            digits = planted_letters(gen, 40, cols, word_int, depth, tent)
+            match, _ = engine._word_chunk(
+                letter_buffer(digits, cols), cols, first, word_int, depth,
+                tent, engine._Scratch())
+            got = [[c for c in range(cols)
+                    if int(match[c // span, lane]) >> span - 1 - c % span & 1]
+                   for lane in range(match.shape[1])]
+            want = reference_match_columns(digits, cols, first, word_int,
+                                           depth, tent)
+            assert got == want
+            assert sum(map(len, want)) >= 20  # most planted words count
+
+
+def reference_first_set_column(raw, span, cols, first):
+    """Per-lane scan of match rows: the lanes with a set bit at a column in
+    first .. cols - 1, column q span + i being bit span - 1 - i of row q,
+    and each one's first such column."""
+    found = [(lane, next((c for c in range(first, cols)
+                          if int(raw[c // span, lane]) >> span - 1 - c % span
+                          & 1), None))
+             for lane in range(raw.shape[1])]
+    return [lane for lane, c in found if c is not None], [
+        c for _, c in found if c is not None]
+
+
+@pytest.mark.parametrize("depth", [10, 32, 33, 63])
+def test_first_set_column_matches_per_lane_scan(depth):
+    span, cols, first = 64 - min(depth, 32), 250, 5
+    masks = engine._column_masks(depth, cols, first)
+    gen = substream(5, "first-set", depth)
+    raw = gen.integers(0, 2**63, size=(len(masks), 300), dtype=np.uint64)
+    raw[gen.random(raw.shape) < 0.8] = 0
+    raw[:, :5] = 0  # lane 0 has no set bit
+    raw[0, 1] = ((1 << first) - 1) << (span - first)  # only before first
+    raw[2, 2] = 1  # only below the first row, at bit 0
+    raw[1, 3] = 1 << span - 1  # bit P - 1
+    # every bit of a row: at span 54 the float conversion of 2^54 - 1
+    # rounds up to 2^54
+    raw[1, 4] = (1 << span) - 1
+    lanes, columns = engine._first_set_column(raw & masks, span)
+    want_lanes, want_columns = reference_first_set_column(raw, span, cols,
+                                                          first)
+    assert lanes.tolist() == want_lanes
+    assert columns.tolist() == want_columns
+    assert lanes[:3].tolist() == [2, 3, 4]
+    assert columns[:3].tolist() == [3 * span - 1, span, span]
 
 
 class TestWordTiles:
@@ -1252,7 +1361,8 @@ def reference_first_inside(inside, first, cols):
 
 class TestFirstInside:
     """``engine._first_inside`` reads a (cols, lanes) plane, whose row c
-    holds column c of every lane, from column ``first`` on."""
+    holds column c of every lane, from column ``first`` on, and returns
+    only the lanes with an inside column."""
 
     @pytest.mark.parametrize("cols", [1, 7, 64])
     @pytest.mark.parametrize("first_at", ["zero", "middle", "last"])
@@ -1269,10 +1379,12 @@ class TestFirstInside:
         inside[:first, 1] = True  # lane 1 hits only before first
         inside[first, 2] = True
         inside[cols - 1, 3] = True
-        got = engine._first_inside(inside, first, cols)
-        assert np.array_equal(got, reference_first_inside(inside, first,
-                                                          cols))
-        assert got[:4].tolist() == [cols, cols, first, cols - 1]
+        lanes, columns = engine._first_inside(inside, first)
+        want = reference_first_inside(inside, first, cols)
+        assert np.array_equal(lanes, np.flatnonzero(want < cols))
+        assert np.array_equal(columns, want[want < cols])
+        assert lanes[:2].tolist() == [2, 3]  # lanes 0 and 1 have no hit
+        assert columns[:2].tolist() == [first, cols - 1]
 
 
 # Starts around the chunk boundary at 64; the caps end mid-chunk at both
@@ -2041,6 +2153,38 @@ class TestMpStep:
 def test_orbit_first_hit_takes_one_start_per_lane(kernel, count, starts):
     with pytest.raises(DomainError, match=f"{count} lanes .* got {starts}"):
         kernel(count, starts)
+
+
+def _chunk_gens():
+    return [substream(1, "chunk")]
+
+
+@pytest.mark.parametrize("kernel", [
+    lambda chunk: word_first_hit(
+        _chunk_gens(), 8, word_int=1, depth=3, tent=False, p_zero=0.5,
+        cap=10, chunk=chunk),
+    lambda chunk: word_hit_count(
+        _chunk_gens(), 8, word_int=1, depth=3, tent=False, p_zero=0.5,
+        window=10, chunk=chunk),
+    lambda chunk: rotation_first_hit(
+        8, step_fixed=rotation("golden").fixed_angle, lo=0, hi=10, cap=10,
+        starts=grid_starts(substream(1, "z"), 8), chunk=chunk),
+    lambda chunk: mp_first_hit(
+        8, s_exp=0.5, lo=0.2, hi=0.4, cap=10, start_j=1,
+        starts=np.linspace(0.1, 0.9, 8), chunk=chunk),
+    lambda chunk: digit_window_min_distance(
+        _chunk_gens(), 8, n_steps=10, p_zero=0.5, tent=False, zeta=0.3,
+        circle=False, chunk=chunk),
+    lambda chunk: ball_first_hit_digits(
+        _chunk_gens(), 8, arcs=[(1 << 126, 3 << 125)], zeta=0.3, tent=False,
+        p_zero=0.5, cap=10, chunk=chunk),
+], ids=["word_first_hit", "word_hit_count", "rotation_first_hit",
+        "mp_first_hit", "digit_window_min_distance", "ball_first_hit_digits"])
+@pytest.mark.parametrize("chunk", [0, -1])
+def test_a_chunk_takes_at_least_one_column(kernel, chunk):
+    # a scan advances by at least one column per chunk, or never ends
+    with pytest.raises(DomainError, match="at least one column"):
+        kernel(chunk)
 
 
 class TestConditionalStarts:
