@@ -22,14 +22,25 @@ _SYSTEMS = (
 )
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The ``evlhts`` parser for the arguments ``argv``.
+
+    When ``argv`` starts with an experiment's name, only that experiment's
+    subparser is built, beside ``list-systems`` and ``validate``, as the
+    other experiments' would parse nothing.  Otherwise every experiment
+    gets one, so ``--help`` and the error for an unknown command name them
+    all.
+    """
+    names = experiments.EXPERIMENTS
+    if argv and argv[0] in names:
+        names = (argv[0],)
     parser = argparse.ArgumentParser(
         prog="evlhts",
         description="Block-maxima and hitting-time experiments on interval "
                     "maps, with verdicts against declared tolerance bands.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in experiments.EXPERIMENTS:
+    for name in names:
         sp = sub.add_parser(name, help=f"run the {name} experiment")
         sp.add_argument("--config", required=True,
                         help="flat key = value config file")
@@ -72,7 +83,8 @@ def _cmd_run(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
         if args.command == "list-systems":
             return _cmd_list_systems()

@@ -147,10 +147,11 @@ The digit draws fix the RNG stream, and with it every report byte:
   (Knuth and Yao, 1976), with further raw words for the lanes whose cell a
   CDF boundary splits (255 of 65,536 at p_zero = 0.3);
 * first-hit kernels drop a block's finished lanes between chunks once
-  more than ``_COMPACT_AT`` of the block's live lanes have hit, and a
-  block with no live lane left draws no more.  That sets the rows of each
-  block's next draw, so ``_COMPACT_AT`` is part of the stream: changing
-  it changes every result.  Tiles only group the draws; they move none.
+  more than ``_COMPACT_AT`` of the block's live lanes have hit, and keep
+  the others in lane order; a block with no live lane left draws no
+  more.  That sets the rows of each block's next draw, so ``_COMPACT_AT``
+  is part of the stream: changing it changes every result.  Tiles only
+  group the draws; they move none.
 """
 
 import functools
@@ -237,19 +238,30 @@ class _Scratch:
 
     ``scratch(name, shape, dtype)`` is a contiguous view of the buffer
     ``name``, grown only when a larger shape asks for it, so a scan does
-    not hand its temporaries back to the allocator every chunk.
+    not hand its temporaries back to the allocator every chunk.  The view
+    of each (name, shape, dtype) is made once and returned again, until
+    the buffer grows: then that name's views are dropped with it.
     """
 
     def __init__(self):
         self.buffers = {}
+        self.views = {}
 
     def __call__(self, name, shape, dtype):
+        key = name, shape, dtype
+        view = self.views.get(key)
+        if view is not None:
+            return view
         dtype = np.dtype(dtype)
         size = math.prod(shape) * dtype.itemsize
         buf = self.buffers.get(name)
         if buf is None or buf.size < size:
             buf = self.buffers[name] = np.empty(size, dtype=np.uint8)
-        return buf[:size].view(dtype).reshape(shape)
+            # the views of the old buffer would keep it alive
+            for old in [old for old in self.views if old[0] == name]:
+                del self.views[old]
+        view = self.views[key] = buf[:size].view(dtype).reshape(shape)
+        return view
 
 
 # ---------------------------------------------------------------- digits
@@ -669,9 +681,12 @@ def _first_hit(sizes, cap, start_j, j, chunk, scan, state, inside_before=None,
     marked, the ones not done before taking their time.  ``inside_before``
     marks the lanes inside at iterate j - 1.  A block drops its finished
     lanes between chunks once more than ``_COMPACT_AT`` of its live lanes
-    have hit; the live lanes move down in place, so a run holds no per-lane
-    array beyond its first ones.  Returns (times, hit): times[i] = cap and
-    hit[i] = False when the lane never enters by cap - 1.
+    have hit: the indices of its live lanes, taken once, gather each
+    per-lane array into the block's new rows, and their done flags are
+    cleared, since none of them is done.  A later block that drops nothing
+    moves down by one slice copy, so a run holds no per-lane array beyond
+    its first ones.  Returns (times, hit): times[i] = cap and hit[i] =
+    False when the lane never enters by cap - 1.
     """
     if cap < 1 or start_j < 0 or start_j >= cap:
         raise DomainError("need 0 <= start_j < cap")
@@ -696,20 +711,25 @@ def _first_hit(sizes, cap, start_j, j, chunk, scan, state, inside_before=None,
             times[lane[at[fresh]]] = j + found[fresh]
             done[at] = True
         j += cols
-        arrays = (lane, done, *state)
+        arrays = (lane, *state)
         src = dst = 0
         for k, rows in enumerate(live):
+            if not rows:
+                continue
             finished = done[src:src + rows]
-            n_done = np.count_nonzero(finished)
             # the share in floats, as done.mean() takes it
-            keep = slice(None)
-            if rows and n_done / rows > _COMPACT_AT:
-                keep, live[k] = ~finished, rows - n_done
-            if live[k] != rows or dst != src:
+            if np.count_nonzero(finished) / rows > _COMPACT_AT:
+                keep = np.flatnonzero(~finished)
+                live[k] = n = keep.size
                 for a in arrays:
-                    a[dst:dst + live[k]] = a[src:src + rows][keep]
+                    a[dst:dst + n] = a[src:src + rows].take(keep, axis=0)
+                done[dst:dst + n] = False
+            elif dst != src:
+                for a in (done, *arrays):
+                    a[dst:dst + rows] = a[src:src + rows]
             src, dst = src + rows, dst + live[k]
-        lane, done, *state = (a[:dst] for a in arrays)
+        lane, *state = (a[:dst] for a in arrays)
+        done = done[:dst]
     return times, times < cap
 
 

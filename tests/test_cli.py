@@ -10,7 +10,7 @@ import pytest
 
 from evlhts import config as config_mod
 from evlhts import evl, experiments, hts
-from evlhts.cli import main
+from evlhts.cli import build_parser, main
 from evlhts.config import ExperimentConfig, SCHEMA, parse_text, resolve
 from evlhts.cylinders import PartitionContext
 from evlhts.errors import ConfigError
@@ -716,6 +716,41 @@ class TestFilesAndCli:
         for name in ("full_tent", "doubling", "rotation",
                      "manneville_pomeau"):
             assert name in out
+
+    COMMANDS = (*experiments.EXPERIMENTS, "list-systems", "validate")
+
+    def test_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as stop:
+            self.run_cli("--help")
+        assert stop.value.code == 0
+        out = capsys.readouterr().out
+        assert "{" + ",".join(self.COMMANDS) + "}" in out
+        for name in experiments.EXPERIMENTS:
+            assert f"run the {name} experiment" in out
+
+    def test_unknown_command_names_every_choice(self, capsys):
+        with pytest.raises(SystemExit) as stop:
+            self.run_cli("tent-balls", "--config", "x.cfg")
+        assert stop.value.code == 2
+        err = capsys.readouterr().err
+        named, choices = err.split("choose from", 1)
+        assert "invalid choice" in named and "tent-balls" in named
+        choices = choices.strip(" ()\n")
+        assert [c.strip(" '") for c in choices.split(",")] == \
+            list(self.COMMANDS)
+
+    @pytest.mark.parametrize("experiment", experiments.EXPERIMENTS)
+    def test_experiment_help(self, capsys, experiment):
+        with pytest.raises(SystemExit) as stop:
+            self.run_cli(experiment, "--help")
+        assert stop.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: evlhts {experiment} ")
+        assert "--config CONFIG" in out
+
+    def test_an_experiment_builds_only_its_own_subparser(self):
+        usage = build_parser(["kac", "--config", "x.cfg"]).format_usage()
+        assert "{kac,list-systems,validate}" in usage
 
     def test_unwritable_out_dir_exit_three(self, tmp_path):
         cfg = tmp_path / "kac.cfg"

@@ -1387,6 +1387,129 @@ class TestFirstInside:
         assert columns[:2].tolist() == [first, cols - 1]
 
 
+# Blocks of 8, 6, 8, 5 and 8 lanes, numbered across the run, and the
+# iterates at which each lane is inside the target; chunks of 4 iterates
+# from j = 1 (1 .. 4, 5 .. 8, ...) up to the cap 23, whose last chunk is 2.
+COMPACT_SIZES = (8, 6, 8, 5, 8)
+COMPACT_HITS = (
+    (2,), (3, 10), (4,), (9,), (), (12, 13), (18,), (23,),  # block 0
+    (1,), (6,), (7,), (22,), (20,), (15,),  # block 1
+    (5,), (6,), (7,), (8,), (5, 30), (6,), (8,), (7,),  # block 2
+    (3,), (), (11,), (12,), (10,),  # block 3
+    (14,), (15,), (16,), (13,), (14,), (16,), (13, 2), (15,),  # block 4
+)
+# block 2 is all inside at 5 .. 8 and block 4 at 13 .. 16
+
+
+def model_first_hit(sizes, hits, cap, start_j, j, chunk, before):
+    """Per-block model of ``engine._first_hit``'s rows: after each chunk, a
+    block keeps only its lanes not done once more than a quarter of its
+    live lanes are done.  Returns the times, the (chunk start, block,
+    lanes) of every block that steps, and for each chunk the blocks that
+    drop lanes, with how many each keeps, and the blocks that keep all."""
+    times = [cap] * len(hits)
+    done = set(before)
+    for lane in before:
+        times[lane] = j - 1
+    edges = np.cumsum((0, *sizes))
+    blocks = [list(range(lo, hi)) for lo, hi in zip(edges, edges[1:])]
+    steps, chunks = [], []
+    while j < cap and any(blocks):
+        cols = min(chunk, cap - j)
+        for k, lanes in enumerate(blocks):
+            if lanes:
+                steps.append((j, k, tuple(lanes)))
+            for lane in set(lanes) - done:
+                inside = [t for t in hits[lane]
+                          if max(start_j, j) <= t < j + cols]
+                if inside:
+                    times[lane] = min(inside)
+                    done.add(lane)
+        dropped, kept = {}, []
+        for k, lanes in enumerate(blocks):
+            if lanes and 4 * len(done.intersection(lanes)) > len(lanes):
+                blocks[k] = [lane for lane in lanes if lane not in done]
+                dropped[k] = len(blocks[k])
+            elif lanes:
+                kept.append(k)
+        chunks.append((dropped, kept))
+        j += cols
+    return times, steps, chunks
+
+
+class TestCompaction:
+    """``engine._first_hit`` under a scripted scan: the rows each block
+    steps, which fix every block's next draw, follow the per-block rule
+    that ``model_first_hit`` states."""
+
+    @staticmethod
+    def scripted_scan(hits, steps):
+        """A scan whose lanes carry their number and their next iterate
+        as state, and hit at ``hits``; it records each block's lanes."""
+        def scan(tile, state, cols, first):
+            lane, at = state
+            j = int(at[0])
+            assert np.all(at == j)
+            lo = 0
+            for k, rows in tile:
+                steps.append((j, k, tuple(lane[lo:lo + rows].tolist())))
+                lo += rows
+            assert lo == lane.size
+            columns = [min((t - j for t in hits[n]
+                            if first <= t - j < cols), default=cols)
+                       for n in lane.tolist()]
+            columns = np.array(columns, dtype=np.int64)
+            inside = np.flatnonzero(columns < cols)
+            return (inside, columns[inside]), (lane, at + cols)
+        return scan
+
+    @pytest.mark.parametrize("most", [1, 12, 64])
+    @pytest.mark.parametrize("start_j, before", [
+        (0, (22, 23)),  # the start inside: block 3 drops two lanes at once
+        (6, ()),  # the iterates before start_j do not count
+    ], ids=["inside-before", "late-start"])
+    def test_rows_follow_the_per_block_rule(self, most, start_j, before):
+        cap, j, chunk = 23, 1, 4
+        count = sum(COMPACT_SIZES)
+        want, want_steps, chunks = model_first_hit(
+            COMPACT_SIZES, COMPACT_HITS, cap, start_j, j, chunk, before)
+        # the table reaches every case of the rule: a block emptied, and a
+        # block dropping lanes in the same chunk as a later one that keeps
+        # its rows and only moves down
+        assert any(0 in dropped.values() for dropped, _ in chunks)
+        assert any(dropped and kept and min(dropped) < max(kept)
+                   for dropped, kept in chunks)
+        inside_before = np.zeros(count, dtype=bool)
+        inside_before[list(before)] = True
+        steps = []
+        times, hit = engine._first_hit(
+            list(COMPACT_SIZES), cap, start_j, j, chunk,
+            self.scripted_scan(COMPACT_HITS, steps),
+            (np.arange(count), np.full(count, j, dtype=np.int64)),
+            inside_before if before else None, most=most)
+        assert steps == want_steps
+        assert times.tolist() == want
+        assert np.array_equal(hit, times < cap)
+
+
+class TestScratch:
+    def test_a_view_is_made_once_per_shape(self):
+        scratch = engine._Scratch()
+        view = scratch("a", (4, 2), np.uint64)
+        assert scratch("a", (4, 2), np.uint64) is view
+        assert np.shares_memory(scratch("a", (2,), bool), view)
+
+    def test_a_grown_buffer_drops_its_old_views(self):
+        scratch = engine._Scratch()
+        small = scratch("a", (4,), np.uint64)
+        other = scratch("b", (4,), np.uint64)
+        large = scratch("a", (4096,), np.uint64)
+        again = scratch("a", (4,), np.uint64)
+        assert np.shares_memory(again, large)
+        assert not np.shares_memory(again, small)
+        assert scratch("b", (4,), np.uint64) is other
+
+
 # Starts around the chunk boundary at 64; the caps end mid-chunk at both
 # chunk widths, and 66 leaves a single eligible iterate at start_j = 65.
 ORBIT_GRID = [
