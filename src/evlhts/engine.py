@@ -60,25 +60,29 @@ bound.  In the word at byte offset b, bits 60 .. 41 hold the tent parity
 and the 12-bit prefix of the window after each step 8b - t (complemented
 where the parity is 1).  Let Q be the prefix of the centre word
 C = c << 11, and d = (P - Q) mod 4096 for a step's prefix P.  A table
-over the 2^20 values of those bits, built once per run, holds the least
-min(d, 4096 - d) over a word's 8 steps, capped at 255.  A word is a
-candidate when its entry is at most the bound, found with one lookup per
-word, and only the candidates' 8 steps are lifted.  The first-hit
-kernel's bound is one per ball: the greatest capped min(d, 4096 - d) over
-the prefix cells of its window intervals, and -1, which no entry meets,
-for a ball with no window.  A window inside an interval has its prefix
-among the interval's cells, so a word with a step inside has an entry at
-most the bound, and the exact interval test then decides.  The
-minimum-distance kernel's bound is one per lane.  The top 12 bits of a
-step's offset (w - C) mod 2^64 are d, or d - 1 mod 4096 where the bits of
-w below its prefix fall below C's.  So the step can lower the lane's
-least offset low only if d <= (low >> 52) + 1, and raise its greatest
-offset high only if d = 0 or 4096 - d <= 4096 - (high >> 52).  The
-lane's threshold min(255, max((low >> 52) + 1, 4096 - (high >> 52)))
-therefore drops no step that moves low or high, so both come out bit for
-bit as from every step.  A lane that has seen one window bounds nothing,
-so each block's first chunk lifts every word.  The context after a
-chunk's last step is carried into the next chunk.
+over the 2^20 values of those bits, built once per ball and kept while
+the kernels run on it, holds the least min(d, 4096 - d) over a word's 8
+steps, capped at 255.  A word is a candidate when its entry is at most
+the bound, found with one lookup per word, and only the candidates' 8
+steps are lifted.  The first-hit kernel's bound is one per ball: the
+greatest capped min(d, 4096 - d) over the prefix cells of its window
+intervals, and -1, which no entry meets, for a ball with no window.  A
+window inside an interval has its prefix among the interval's cells, so
+a word with a step inside has an entry at most the bound, and the exact
+interval test then decides.  The minimum-distance kernel's bound is one
+per lane.  The top 12 bits of a step's offset (w - C) mod 2^64 are d,
+or d - 1 mod 4096 where the bits of w below its prefix fall below C's.
+So the step can lower the lane's least offset low only if
+d <= (low >> 52) + 1, and raise its greatest offset high only if d = 0
+or 4096 - d <= 4096 - (high >> 52).  The lane's threshold
+min(255, max((low >> 52) + 1, 4096 - (high >> 52))) therefore drops no
+step that moves low or high, so both come out bit for bit as from every
+step, whenever the threshold is taken.  A lane that has seen one window
+bounds nothing, so each block's first chunk runs in spans of 1, 1, 2, 4,
+... words, taking the thresholds afresh before each: the first span
+lifts every word, and each later one only the words that can beat the
+windows of the spans before it.  The context after a chunk's last step
+is carried into the next chunk.
 
 Cylinder events need no positions at all.  Letters are the digits
 themselves for the doubling map and adjacent-digit XORs for the tent map,
@@ -157,7 +161,6 @@ The digit draws fix the RNG stream, and with it every report byte:
 import functools
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -225,6 +228,9 @@ def run_blocked(n_samples, master_seed, labels, kernel, threads=1):
     if threads <= 1:
         parts = [kernel(gen, count) for gen, count in zip(gens, counts)]
     else:
+        # imported on first use: concurrent.futures pulls in logging, some
+        # milliseconds of every CLI start, and most runs take one thread
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(kernel, gens, counts))
     width = len(parts[0])
@@ -263,6 +269,13 @@ class _Scratch:
         view = self.views[key] = buf[:size].view(dtype).reshape(shape)
         return view
 
+    def steps(self, name, count, dtype):
+        """A contiguous (8, ``count``) view for a count that varies from
+        call to call, cut from the view of 8 m items, m the power of two
+        at or above ``count``, so the counts share a few cached views."""
+        size = 8 << (count - 1).bit_length()
+        return self(name, (size,), dtype)[:8 * count].reshape(8, count)
+
 
 # ---------------------------------------------------------------- digits
 
@@ -279,10 +292,11 @@ class _ByteLaw:
     lies strictly inside the cell, the entry also has ``_TIE_FLAG`` set,
     and U's further bits decide.  ``offsets[j]`` is boundary j + 1's
     distance from its cell's start in units of 2^-464, 7 words of 64 bits
-    below the lane; ``cell``, ``top`` and ``more`` give its cell (-1 at a
-    cell edge), its first such word, and whether any bit follows it.  They
-    are padded past boundary 255 to be read at any index below
-    255 + ``most``, the most boundaries one cell holds.
+    below the lane; ``cell`` gives its cell (-1 at a cell edge), ``more``
+    whether any bit follows its first such word t, and ``bar`` the greatest
+    word that does not pass it: t, or t - 1 where no bit follows (then
+    t >= 1, as the boundary is not at the edge).  They are padded past
+    boundary 255 to be read at any index a tie's search reaches.
     """
 
     def __init__(self, p_zero):
@@ -301,39 +315,56 @@ class _ByteLaw:
         self.table[cells[inside]] |= _TIE_FLAG
         self.offsets = [(b % (1 << _CELL_SHIFT)) << _OFFSET_PAD
                         for b in bounds]
-        self.most = max(np.unique(cells[inside], return_counts=True)[1],
-                        default=0)
-        size = len(bounds) + self.most
+        # a tie's binary search steps: powers of two, greatest first, whose
+        # sum reaches the most boundaries one cell holds
+        most = max(np.unique(cells[inside], return_counts=True)[1],
+                   default=0)
+        self.search = [1 << k
+                       for k in reversed(range(int(most).bit_length()))]
+        size = len(bounds) + (1 << len(self.search))
         self.cell = np.full(size, -1, dtype=np.int64)
         self.cell[:len(bounds)][inside] = cells[inside]
-        self.top = np.zeros(size, dtype=np.uint64)
-        self.top[:len(bounds)] = [o >> (_OFFSET_BITS - 64)
-                                  for o in self.offsets]
+        below = _OFFSET_BITS - 64
         self.more = np.zeros(size, dtype=bool)
-        self.more[:len(bounds)] = [o % (1 << (_OFFSET_BITS - 64)) != 0
+        self.more[:len(bounds)] = [o % (1 << below) != 0
                                    for o in self.offsets]
+        self.bar = np.zeros(size, dtype=np.uint64)
+        self.bar[:len(bounds)] = [max((o >> below) - (o % (1 << below) == 0),
+                                      0) for o in self.offsets]
 
     def resolve(self, gen, cells, low):
         """The bytes of tie lanes ``cells``, whose entries give ``low``.
 
         Each tie takes one raw word w, in order, as U's next 64 bits, and
-        passes a boundary of its cell whose top word is below w, or equals
-        w with no bit after it.  A tie whose w equals the top word of a
-        boundary with further bits is undecided by it; after every tie has
-        its word, each such tie in order takes further words until it is
+        passes a boundary of its cell whose first word below the lane is
+        below w, or equals w with no bit after it: where w exceeds its
+        ``bar``.  Its cell's boundaries, from boundary ``low`` + 1 on, are
+        in order, so the ones it passes come first, and a binary search
+        over ``search`` counts them: a step of s passes when the boundary s
+        past the tie's count so far lies in its cell and is passed.  Where
+        each tie cell holds one boundary, as at p_zero = 0.3, that is one
+        round.  A tie whose w equals the first word of a boundary with
+        further bits is undecided by it, and the search meets that
+        boundary, the first one it does not pass; after every tie has its
+        word, each such tie in order takes further words until it is
         decided (``_decide``).
         """
-        words = gen.bit_generator.random_raw(cells.size)[:, None]
-        low = low.astype(np.int64)
-        # the boundaries that cell might hold, one row per tie
-        at = low[:, None] + np.arange(self.most)
-        inside = self.cell[at] == cells[:, None]
-        top, more = self.top[at], self.more[at]
-        even = inside & (top == words)
-        byte = low + ((inside & (top < words)) | (even & ~more)).sum(axis=1)
-        for k in np.flatnonzero((even & more).any(axis=1)):
+        words = gen.bit_generator.random_raw(cells.size)
+        byte = low.astype(np.int64)
+        undecided = set()
+        for step in self.search:
+            at = byte + (step - 1)
+            bar = self.bar[at]
+            ours = self.cell[at] == cells
+            even = words == bar
+            if np.count_nonzero(even):  # probability below 2^-56 per tie
+                undecided.update(np.flatnonzero(
+                    even & ours & self.more[at]).tolist())
+            ours &= words > bar
+            byte += step * ours
+        for k in sorted(undecided):
             byte[k] = self._decide(gen, int(cells[k]), int(low[k]),
-                                   int(words[k, 0]))
+                                   int(words[k]))
         return byte
 
     def _decide(self, gen, cell, low, word):
@@ -492,10 +523,12 @@ def digit_window_min_distance(
     closest visit.  Each lane keeps its least and greatest window offset
     from zeta, and the closest visit is one of those two windows.  Each
     block draws its start windows, then one digit matrix per chunk, on its
-    own generator.  The first chunk lifts every step of every word; later
-    chunks lift only the words that ``_distance_table`` lets through the
-    lane's threshold (``_thresholds``), which hold every step that can
-    move an extreme offset (module docstring).
+    own generator.  A chunk lifts only the words that ``_distance_table``
+    lets through the lane's threshold (``_thresholds``), which hold every
+    step that can move an extreme offset (module docstring).  The first
+    chunk takes the thresholds afresh before each of its spans of 1, 1,
+    2, 4, ... words, as a lane's first windows bound nothing; a later
+    chunk takes them once.
     """
     if n_steps < 1:
         raise DomainError("need at least one orbit point")
@@ -520,39 +553,25 @@ def digit_window_min_distance(
             words, context = _window_words(
                 context, draw_digits(gen, size, cols, p_zero, scratch), cols,
                 scratch)
-            if done:
-                _filtered_extremes(words, cols, tent, centre, table, least,
-                                   most, scratch)
-            else:  # one window per lane bounds nothing yet
-                _dense_extremes(words, cols, tent, centre, least, most,
-                                scratch)
+            # one window per lane bounds nothing yet: the first chunk runs
+            # in spans of 1, 1, 2, 4, ... words, each under the thresholds
+            # its lanes' windows so far give
+            lo, n_words = 0, words.shape[1]
+            while lo < n_words:
+                hi = min(max(2 * lo, 1), n_words) if not done else n_words
+                _filtered_extremes(words[:, lo:hi], cols - 8 * lo, tent,
+                                   centre, table, least, most, scratch)
+                lo = hi
     nearest = ((np.stack([low, high]) + centre) >> np.uint64(_LOW)) * _SCALE
     return _distances(nearest, zeta, circle, nearest).min(axis=0)
 
 
-def _dense_extremes(words, cols, tent, centre, low, high, scratch):
-    """Lowers ``low`` and raises ``high`` in place to the least and greatest
-    offset of any window of the chunk's ``words``, all 8 steps of each.
-
-    Step s = 0 .. 7 fills one plane over one reused uint64 buffer: [:, b]
-    is the window after step 8b + s + 1 (``_lift``).  A step past ``cols``
-    repeats step 1."""
-    offsets = scratch("plane", words.shape, np.uint64)
-    flip = scratch("flip", words.shape, np.int64)
-    for s in range(8):
-        _lift(words, _TOP_SHIFTS[s], tent, offsets, flip)
-        if s == 0:
-            step_one = offsets[:, 0].copy()
-        elif 8 * (words.shape[1] - 1) + s >= cols:
-            offsets[:, -1] = step_one
-        offsets -= centre
-        np.minimum(low, offsets.min(axis=1), out=low)
-        np.maximum(high, offsets.max(axis=1), out=high)
-
-
 def _filtered_extremes(words, cols, tent, centre, table, low, high, scratch):
-    """``_dense_extremes`` by the exact lift of the candidate words alone:
-    those whose ``table`` entry is at most the lane's threshold."""
+    """Lowers ``low`` and raises ``high`` in place to the least and greatest
+    offset from ``centre`` of any window after the first ``cols`` steps of
+    the byte-offset ``words``, by the exact lift of the candidate words
+    alone: those whose ``table`` entry is at most the lane's threshold
+    (``_thresholds``), which hold every step that moves an extreme."""
     found = _candidates(words, table, _thresholds(low, high)[:, None], tent,
                         scratch)
     if found is None:
@@ -560,9 +579,10 @@ def _filtered_extremes(words, cols, tent, centre, table, low, high, scratch):
     lane, b, offsets = found
     offsets -= centre
     # the last word's steps past cols repeat its step 1
-    if cols % 8:
+    kept = cols - 8 * (words.shape[1] - 1)
+    if kept < 8:
         last = b == words.shape[1] - 1
-        offsets[cols % 8:, last] = offsets[0, last]
+        offsets[kept:, last] = offsets[0, last]
     np.minimum.at(low, lane, offsets.min(axis=0))
     np.maximum.at(high, lane, offsets.max(axis=0))
 
@@ -587,10 +607,11 @@ def _candidates(words, table, bound, tent, scratch):
     if not at.size:
         return None
     lane, b = np.divmod(at, words.shape[1])
-    # the lifts take the buffers of the field and of _dense_extremes
+    # the lifts take the buffer of the field; a span's words are copied
+    # whole to be gathered
     lifted = _lift(words.reshape(-1)[at], _TOP_SHIFTS[:, None], tent,
-                   scratch("plane", (8, at.size), np.uint64),
-                   scratch("flip", (8, at.size), np.int64))
+                   scratch.steps("plane", at.size, np.uint64),
+                   scratch.steps("flip", at.size, np.int64))
     return lane, b, lifted
 
 
@@ -602,9 +623,13 @@ def _prefix_distances(centre):
     return np.minimum(np.minimum(d, top - d), 255).astype(np.uint8)
 
 
+#: the last ``_distance_table`` built, by its (centre, tent)
+_KEPT_TABLE = {}
+
+
 def _distance_table(centre, tent):
     """The least ``_prefix_distances`` entry over a byte's 8 steps, for the
-    2^20 values of a byte-offset word's bits 60 .. 41.
+    2^20 values of a byte-offset word's bits 60 .. 41; read-only.
 
     Step s reads the bits as s of earlier steps, then its tent parity, its
     12-bit window prefix P, and 7 - s bits below: a (2^s, 2, 4096,
@@ -612,8 +637,15 @@ def _distance_table(centre, tent):
     so is its prefix.  Step s reads the 13 bits 19 - s .. 7 - s of the
     field, so the table over steps 0 .. s is the table over steps
     0 .. s - 1 read at the bits above the lowest, lowered by step s's entry
-    for the lowest 13 bits.
+    for the lowest 13 bits.  The last table built is kept for the kernels
+    that follow on the same ball, and dropped before another is built, so
+    at most one 1 MB table is held.
     """
+    key = int(centre), bool(tent)
+    table = _KEPT_TABLE.get(key)
+    if table is not None:
+        return table
+    _KEPT_TABLE.clear()
     near = _prefix_distances(centre)
     # one step's entry by its tent parity and prefix
     step = np.concatenate([near, near[::-1] if tent else near])
@@ -622,6 +654,8 @@ def _distance_table(centre, tent):
         table = np.repeat(table, 2)
         by_step = table.reshape(-1, step.size)
         np.minimum(by_step, step, out=by_step)
+    table.flags.writeable = False
+    _KEPT_TABLE[key] = table
     return table
 
 
@@ -1114,10 +1148,11 @@ def _ball_column(words, table, bound, pieces, tent, first, cols, scratch):
     if found is None:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     lane, b, lifted = found
-    steps = 8 * b + np.arange(8)[:, None]  # [s, i] is column 8 b + s
-    inside = _in_ball(lifted, pieces, scratch("inside", steps.shape, bool),
-                      scratch("offsets", steps.shape, np.uint64))
-    inside &= (steps >= first) & (steps < cols)
+    inside = _in_ball(lifted, pieces, scratch.steps("inside", b.size, bool),
+                      scratch.steps("offsets", b.size, np.uint64))
+    if first or cols < 8 * words.shape[1]:  # not every column counts
+        steps = 8 * b + np.arange(8)[:, None]  # [s, i] is column 8 b + s
+        inside &= (steps >= first) & (steps < cols)
     hit = inside.any(axis=0)
     lane, steps = lane[hit], 8 * b[hit] + inside[:, hit].argmax(axis=0)
     lead = np.ones(lane.size, dtype=bool)

@@ -1,4 +1,6 @@
+import collections
 import functools
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -909,6 +911,23 @@ class TestBallStreamEquivalence:
         assert np.array_equal(got, want)
         assert got_gen.shapes == want_gen.shapes
 
+    @pytest.mark.parametrize("chunk,n_steps", [
+        # first chunks of 1, 2, 3, 9 and 17 byte words, the last word part
+        # full: the spans 1; 1, 1; 1, 1, 1; 1, 1, 2, 4, 1; 1, 1, 2, 4, 8, 1
+        (5, 403), (13, 403), (20, 403), (70, 403), (131, 403),
+        # one chunk of 17 words, narrower than its width
+        (256, 132),
+    ])
+    @pytest.mark.parametrize("tent", [False, True])
+    @pytest.mark.parametrize("circle", [False, True])
+    def test_min_distance_first_chunk_spans(self, tent, circle, chunk,
+                                            n_steps):
+        label = ("window-spans", tent, circle, chunk, n_steps)
+        self.check(reference_digit_window_min_distance,
+                   one_block(digit_window_min_distance), label,
+                   n_steps=n_steps, p_zero=0.3, tent=tent, zeta=0.3,
+                   circle=circle, chunk=chunk)
+
     @pytest.mark.parametrize(
         "tent,circle,zeta,start_j,p_zero,chunk,conditional", BALL_GRID
     )
@@ -958,9 +977,10 @@ PREFIX_EDGE = 1365 / 4096
 
 class TestLongHorizonMinDistance:
     """``digit_window_min_distance`` over a full block and a partial one,
-    long enough that every chunk after the first lifts only its prefix-table
-    candidates, equals the per-step float recursion block by block, with
-    the same draws.  3004 fresh digits end the last chunk mid-byte."""
+    long enough that the chunks after the first, which take each lane's
+    threshold once, lift few prefix-table candidates, equals the per-step
+    float recursion block by block, with the same draws.  3004 fresh
+    digits end the last chunk mid-byte."""
 
     LANES = BLOCK + 301
     N_STEPS = 3005
@@ -988,9 +1008,10 @@ class TestLongHorizonMinDistance:
             assert gen.shapes == want_gen.shapes
 
     def test_peak_memory(self):
-        # the run's own allocations at ball-scan's size, 4.6 MiB: the chunk
-        # temporaries, which the filtered chunks share with the dense first
-        # chunk, the 1 MiB distance table and the per-lane offsets
+        # the run's own allocations at ball-scan's size, 4.0 MiB: the chunk
+        # temporaries, which every span and chunk share, the 1 MiB distance
+        # table (unless kept from an earlier run on this ball) and the
+        # per-lane offsets
         lanes = 10_000
         gens = block_substreams(lanes, 7, ("window-memory",))
         tracemalloc.start()
@@ -1272,6 +1293,26 @@ class TestDistanceTable:
             assert table[(word >> 41) & FIELD_MASK] <= self.threshold(low,
                                                                       high)
 
+    def test_the_kept_table_is_one_read_only_build(self):
+        # two centres and both tent values interleaved: each call returns
+        # a fresh build's entries, a repeat the same array, and only the
+        # last table built is kept
+        keys = [(0, False), (1365 << 52 | 12345 << 11, False),
+                (1365 << 52 | 12345 << 11, True), (0, True)]
+        fresh = {}
+        for centre, tent in keys:
+            engine._KEPT_TABLE.clear()
+            fresh[centre, tent] = engine._distance_table(np.uint64(centre),
+                                                         tent).copy()
+        for centre, tent in keys + keys[::-1] + keys[::2] + keys[1::2]:
+            table = engine._distance_table(np.uint64(centre), tent)
+            assert np.array_equal(table, fresh[centre, tent])
+            assert engine._distance_table(np.uint64(centre), tent) is table
+            assert len(engine._KEPT_TABLE) == 1
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0] = 0
+
     @pytest.mark.parametrize("tent", [False, True])
     def test_entries_are_the_least_step_distance(self, tent):
         # step s reads its tent parity at field bit 19 - s and its prefix
@@ -1498,6 +1539,30 @@ class TestScratch:
         view = scratch("a", (4, 2), np.uint64)
         assert scratch("a", (4, 2), np.uint64) is view
         assert np.shares_memory(scratch("a", (2,), bool), view)
+
+    def test_candidate_views_take_a_key_per_power_of_two(self, monkeypatch):
+        # the candidate count changes from chunk to chunk: 57 chunks of one
+        # word over 160 lanes, of up to 160 candidates, cut their views
+        # from at most 9 per name, one per power of two up to 2^8
+        keys = set()
+
+        class Counting(engine._Scratch):
+            def __call__(self, name, shape, dtype):
+                keys.add((name, shape))
+                return super().__call__(name, shape, dtype)
+
+        monkeypatch.setattr(engine, "_Scratch", Counting)
+        common = dict(zeta=0.3, tent=False, p_zero=0.3, circle=False,
+                      chunk=7)
+        digit_window_min_distance([substream(3, "scratch-keys")], 160,
+                                  n_steps=400, **common)
+        radius_ball_first_hit([substream(4, "scratch-keys")], 160, eta=0.05,
+                              cap=400, **common)
+        for name in ("plane", "flip", "inside", "offsets"):
+            sizes = [shape[0] // 8 for view, shape in keys
+                     if view == name and len(shape) == 1]
+            assert sizes and all(size & size - 1 == 0 for size in sizes)
+            assert len(sizes) <= 9
 
     def test_a_grown_buffer_drops_its_old_views(self):
         scratch = engine._Scratch()
@@ -1773,7 +1838,7 @@ class TestDrawDigits:
         assert calls == [(2, 1)]
         assert got.sum(axis=1).tolist() == [24, 16]
 
-    @pytest.mark.parametrize("p_zero", [0.3, 2.0 ** -53])
+    @pytest.mark.parametrize("p_zero", [0.3, 0.01, 2.0 ** -53])
     @pytest.mark.parametrize("equal_words", [1, 2])
     @pytest.mark.parametrize("past", [False, True])
     def test_equal_tie_word_takes_further_words(self, p_zero, equal_words,
@@ -1819,6 +1884,54 @@ class TestDrawDigits:
                               Fraction(1, 2 ** 80))
         assert [int("".join(str(int(d)) for d in row), 2)
                 for row in got] == [byte, row_1]
+
+    @pytest.mark.parametrize("p_zero", [0.3, 0.01])
+    def test_tie_words_around_every_boundary_of_a_cell(self, p_zero):
+        # one tie per row, in the cells that hold the most and the fewest
+        # boundaries (1 and 1 at p_zero = 0.3, 63 and 1 at 0.01), whose tie
+        # words lie just below, at and just above each boundary's first
+        # word past the lane, and at both ends; a word at the first word of
+        # a boundary with further bits takes further words, scripted in turn
+        bounds = byte_cdf(p_zero)
+        inner = [(math.floor(b * 2 ** 16), b * 2 ** 16) for b in bounds[1:-1]
+                 if (b * 2 ** 16).denominator > 1]
+        count = collections.Counter(cell for cell, _ in inner)
+        most, fewest = max(count, key=count.get), min(count, key=count.get)
+        assert (count[most], count[fewest]) == ((1, 1) if p_zero == 0.3
+                                                else (63, 1))
+        ties = []
+        for tie in (most, fewest):
+            tops = [math.floor((point - cell) * 2 ** 64)
+                    for cell, point in inner if cell == tie]
+            ties += [(tie, w) for w in sorted(
+                {w for top in tops for w in (top - 1, top, top + 1)
+                 if 0 <= w < 2 ** 64} | {0, 2 ** 64 - 1})]
+
+        def scripted():
+            calls = []
+            further = itertools.cycle([2 ** 63 + 12345, 1, 2 ** 64 - 2])
+
+            def random_raw(shape):
+                calls.append(shape)
+                if len(calls) == 1:
+                    return np.array([[c] for c, _ in ties], dtype=np.uint64)
+                if len(calls) == 2:
+                    return np.array([w for _, w in ties], dtype=np.uint64)
+                return np.array([next(further)], dtype=np.uint64)
+
+            return SimpleNamespace(bit_generator=SimpleNamespace(
+                random_raw=random_raw)), calls
+
+        gen, calls = scripted()
+        got = draw_digits(gen, len(ties), 8, p_zero, engine._Scratch())
+        ref_gen, ref_calls = scripted()
+        want = reference_digits(ref_gen, len(ties), 8, p_zero)
+        assert np.array_equal(got, want)
+        assert calls == ref_calls
+        # the words at a top word took further words; the bytes pass from
+        # none to all of each cell's boundaries
+        assert len(calls) > 3
+        assert len(np.unique(got)) == count[most] + 1 + (most != fewest) * 2
 
     @pytest.mark.parametrize("p_zero", BYTE_LANE_P)
     def test_table_gives_each_byte_its_exact_atom(self, p_zero):

@@ -2,11 +2,15 @@
 
 No linter ships with the project, so this AST check stands in for the
 unused-import rule: a refactor that moves code out of a module must take
-the imports that code needed with it.
+the imports that code needed with it.  A last check keeps the thread
+pool's import off the CLI's start.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -36,3 +40,17 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
     assert unused_imports((SRC / module).read_text()) == []
+
+
+def test_cli_start_imports_no_thread_pool():
+    # engine.run_blocked imports concurrent.futures on its first run on
+    # more than one thread; at module level it, and the logging it pulls
+    # in, would cost every CLI start
+    code = "import sys, evlhts.cli; print('concurrent.futures' in sys.modules)"
+    path = os.pathsep.join(filter(None, [str(SRC.parent),
+                                         os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
