@@ -22,8 +22,8 @@ Masses are exact: on the tent/doubling cells they are products of the
 letter masses of the measure's ``p_zero`` -- powers of 2 at p = 1/2
 (carried as an integer base-2 log so deep cylinders never underflow) --
 and arc lengths for the rotation.  Off p = 1/2 one rule gives a word's
-log mass, ``word_log_mass``: the correctly rounded sum of its letter log
-masses, which depends only on how many letters are 1.
+log mass, ``word_log_mass``: its letter log masses summed exactly as a
+rational and rounded once, which depends only on how many letters are 1.
 """
 
 import bisect
@@ -89,10 +89,12 @@ def letter_log_masses(ctx: PartitionContext) -> tuple[float, float]:
 
 def word_log_mass(ctx: PartitionContext, ones: int, depth: int) -> float:
     """log mu of a depth-``depth`` digit cell whose word has ``ones`` letters
-    1: the ``math.fsum`` of the letter log masses.  The sum is correctly
-    rounded, so the count of ones is all it reads of the word."""
+    1: the sum of the letter log masses, taken exactly as a rational and
+    rounded once, so the count of ones is all it reads of the word.  That
+    is the correctly rounded sum, as ``math.fsum`` of the ``depth`` letter
+    log masses gives it, at a cost that does not grow with the depth."""
     log0, log1 = letter_log_masses(ctx)
-    return math.fsum([log1] * ones + [log0] * (depth - ones))
+    return float(Fraction(log1) * ones + Fraction(log0) * (depth - ones))
 
 
 def cylinder_word(ctx: PartitionContext, x, n: int) -> int:

@@ -114,10 +114,14 @@ two blocks' worth, for the word scans, ``rng.BLOCK`` for the others.  So
 a chunk's temporaries stay at one tile's size however many blocks a run
 has, and the few lanes left late in a run share one tile.  The
 intermittent kernel, which takes a Python step per tile and iterate,
-keeps every lane in one tile.  The kernel returns only the lanes of a
-tile with a column inside its target, from a given column on, and each
-one's first such column; the scan marks the times of those not done
-before, drops finished lanes and censors the lanes still out at the cap.
+keeps every lane in one tile.  The ball scan's and the digit draws'
+views whose rows are live lanes are cut from one view per power of two of
+that count (``_Scratch.rows``), so they stay few as lanes finish; the
+orbit kernels cut theirs from one plane of the run's width.  The kernel
+returns only the lanes of a tile with a column inside its target, from a
+given column on, and each one's first such column; the scan marks the
+times of those not done before, drops finished lanes and censors the
+lanes still out at the cap.
 The word kernels read the first column off the match rows, as the
 highest set bit of a lane's first nonzero row, from its float64
 exponent; the ball kernel off its candidates' steps, and the rotation
@@ -131,7 +135,12 @@ numpy's array pow, which can differ from Python's scalar float pow
 same result at any position in an array of any length or forward stride.
 So each lane of either map follows one orbit whatever lanes run beside
 it, and neither compaction nor running a whole run's lanes in one scan
-changes a value.
+changes a value.  The map mixes only polynomially (Liverani, Saussol and
+Vaienti, 1999): a few lanes stay for thousands of steps in laminar phases
+near the neutral fixed point, and late in a run a step's numpy calls, not
+its lanes, set its cost.  So both orbit kernels drop every finished lane
+after every chunk, and a step passes its operands as 0-d arrays and its
+outputs positionally, which numpy parses at the least cost.
 
 The digit draws fix the RNG stream, and with it every report byte:
 
@@ -150,12 +159,15 @@ The digit draws fix the RNG stream, and with it every report byte:
   other p_zero 8 to a 16-bit lane, by inverting the exact CDF of 8 digits
   (Knuth and Yao, 1976), with further raw words for the lanes whose cell a
   CDF boundary splits (255 of 65,536 at p_zero = 0.3);
-* first-hit kernels drop a block's finished lanes between chunks once
-  more than ``_COMPACT_AT`` of the block's live lanes have hit, and keep
-  the others in lane order; a block with no live lane left draws no
-  more.  That sets the rows of each block's next draw, so ``_COMPACT_AT``
-  is part of the stream: changing it changes every result.  Tiles only
-  group the draws; they move none.
+* the digit first-hit kernels drop a block's finished lanes between
+  chunks once more than ``_COMPACT_AT`` of the block's live lanes have
+  hit, and keep the others in lane order; a block with no live lane left
+  draws no more.  That sets the rows of each block's next draw, so
+  ``_COMPACT_AT`` is part of the stream of the kernels that draw while
+  they scan: changing it changes every result of theirs.  The orbit
+  kernels draw nothing after their starts and drop every finished lane
+  after every chunk, which moves no value.  Tiles only group the draws;
+  they move none.
 """
 
 import functools
@@ -199,7 +211,8 @@ _SWAPPED = np.dtype(np.uint64).newbyteorder()
 #: lanes per tile of the iid uniform draws: a 256 x 512 float tile is 1 MB
 _IID_TILE = 256
 
-#: fraction of finished lanes that triggers an active-set compaction
+#: fraction of finished lanes that triggers an active-set compaction in
+#: the scans that draw as they go, whose draws it fixes
 _COMPACT_AT = 0.25
 
 #: live lanes per tile of the word scans; other first-hit scans take BLOCK
@@ -275,6 +288,15 @@ class _Scratch:
         at or above ``count``, so the counts share a few cached views."""
         size = 8 << (count - 1).bit_length()
         return self(name, (size,), dtype)[:8 * count].reshape(8, count)
+
+    def rows(self, name, shape, dtype):
+        """A contiguous view of ``shape`` whose row count, a tile's or a
+        block's live lanes, varies as lanes finish: cut from the view of m
+        rows, m the power of two at or above it, as ``steps`` cuts its
+        counts."""
+        count = shape[0]
+        return self(name, (1 << (count - 1).bit_length(),) + shape[1:],
+                    dtype)[:count]
 
 
 # ---------------------------------------------------------------- digits
@@ -445,13 +467,14 @@ def draw_digits(gen, rows, cols, p_zero, scratch=None, out=None):
     n_lanes = (cols + 7) // 8
     raw = gen.bit_generator.random_raw((rows, (n_lanes + 3) // 4))
     lanes = raw.astype("<u8", copy=False).view("<u2")[:, :n_lanes]
-    looked = np.take(law.table, lanes, mode="clip",
-                     out=scratch("draw.looked", (rows, n_lanes), np.uint16))
-    packed = scratch("draw.packed", (rows, 8 * n_words), np.uint8)
+    looked = np.take(law.table, lanes, mode="clip", out=scratch.rows(
+        "draw.looked", (rows, n_lanes), np.uint16))
+    packed = scratch.rows("draw.packed", (rows, 8 * n_words), np.uint8)
     packed[:, n_lanes:] = 0
     np.copyto(packed[:, :n_lanes], looked, casting="unsafe")
     ties = np.flatnonzero(np.greater_equal(
-        looked, _TIE_FLAG, out=scratch("draw.tie", (rows, n_lanes), bool)))
+        looked, _TIE_FLAG,
+        out=scratch.rows("draw.tie", (rows, n_lanes), bool)))
     if ties.size:
         row, lane = np.divmod(ties, n_lanes)
         packed[row, lane] = law.resolve(gen, lanes[row, lane],
@@ -483,12 +506,12 @@ def _window_words(context, digits, cols, scratch):
     rows = context.size
     n_words = (cols + 63) // 64
     n_bytes = (cols + 7) // 8
-    row = scratch("row", (rows, n_words + 1), ">u8")
+    row = scratch.rows("row", (rows, n_words + 1), ">u8")
     row[:, 0] = context
     row[:, 1:] = digits[:, :n_words]
     at_byte = np.ndarray((rows, n_bytes), dtype=">u8", buffer=row, offset=1,
                          strides=(row.strides[0], 1))
-    words = scratch("words", (rows, n_bytes), np.uint64)
+    words = scratch.rows("words", (rows, n_bytes), np.uint64)
     np.copyto(words, at_byte)
     return words, words[:, (cols - 1) // 8] >> np.uint64(7 - (cols - 1) % 8)
 
@@ -598,12 +621,12 @@ def _candidates(words, table, bound, tent, scratch):
     in ``scratch``; None where no word is a candidate.
     """
     field = np.right_shift(words.view(np.int64), _FIELD_SHIFT,
-                           out=scratch("flip", words.shape, np.int64))
+                           out=scratch.rows("flip", words.shape, np.int64))
     field &= table.size - 1
     entry = np.take(table, field, mode="wrap",
-                    out=scratch("entry", words.shape, table.dtype))
+                    out=scratch.rows("entry", words.shape, table.dtype))
     at = np.flatnonzero(np.less_equal(
-        entry, bound, out=scratch("candidate", words.shape, bool)))
+        entry, bound, out=scratch.rows("candidate", words.shape, bool)))
     if not at.size:
         return None
     lane, b = np.divmod(at, words.shape[1])
@@ -700,7 +723,7 @@ def iid_min_distance_uniform(gen, count, *, n_draws, zeta, circle, chunk=512):
 # ------------------------------------------------------------ first hits
 
 def _first_hit(sizes, cap, start_j, j, chunk, scan, state, inside_before=None,
-               most=BLOCK):
+               most=BLOCK, compact_at=_COMPACT_AT):
     """First iterate in [start_j, cap) inside the target, for the lanes of
     consecutive blocks of ``sizes`` lanes each.
 
@@ -714,10 +737,13 @@ def _first_hit(sizes, cap, start_j, j, chunk, scan, state, inside_before=None,
     lane's state after the chunk's ``cols`` iterates.  Only those lanes are
     marked, the ones not done before taking their time.  ``inside_before``
     marks the lanes inside at iterate j - 1.  A block drops its finished
-    lanes between chunks once more than ``_COMPACT_AT`` of its live lanes
-    have hit: the indices of its live lanes, taken once, gather each
-    per-lane array into the block's new rows, and their done flags are
-    cleared, since none of them is done.  A later block that drops nothing
+    lanes between chunks once more than ``compact_at`` of its live lanes
+    have hit: ``_COMPACT_AT`` for the kernels that draw as they scan, whose
+    draws it fixes, and 0 for the orbit kernels, which draw nothing after
+    their starts and so drop every finished lane after every chunk.  The
+    indices of its live lanes, taken once, gather each per-lane array into
+    the block's new rows, and their done flags are cleared, since none of
+    them is done.  A later block that drops nothing
     moves down by one slice copy, so a run holds no per-lane array beyond
     its first ones.  Returns (times, hit): times[i] = cap and hit[i] =
     False when the lane never enters by cap - 1.
@@ -752,7 +778,7 @@ def _first_hit(sizes, cap, start_j, j, chunk, scan, state, inside_before=None,
                 continue
             finished = done[src:src + rows]
             # the share in floats, as done.mean() takes it
-            if np.count_nonzero(finished) / rows > _COMPACT_AT:
+            if np.count_nonzero(finished) / rows > compact_at:
                 keep = np.flatnonzero(~finished)
                 live[k] = n = keep.size
                 for a in arrays:
@@ -1103,8 +1129,9 @@ def ball_first_hit_digits(
 
     def scan(tile, state, cols, first):
         context, = state
-        digits = _tile_digits(gens, tile, chunk, p_zero, scratch, scratch(
-            "tile", (context.size, (chunk + 63) // 64), np.uint64))
+        digits = _tile_digits(
+            gens, tile, chunk, p_zero, scratch, scratch.rows(
+                "tile", (context.size, (chunk + 63) // 64), np.uint64))
         words, context = _window_words(context, digits, cols, scratch)
         return (_ball_column(words, table, bound, pieces, tent, first, cols,
                              scratch), (context,))
@@ -1192,20 +1219,22 @@ def rotation_first_hit(
     last = np.uint64(2 * (hi - lo) - 1)
     offsets = np.array([2 * k * step_fixed % 2**64 for k in range(chunk + 1)],
                        dtype=np.uint64)
-    scratch = _Scratch()
+    # cut to each tile's live lanes, at most one block's
+    width = min(count, BLOCK)
+    pos = np.empty((chunk, width), dtype=np.uint64)
+    plane = np.empty((chunk, width), dtype=bool)
 
     def scan(tile, state, cols, first):
         s, = state
-        pos = np.add(offsets[:cols, None], s,
-                     out=scratch("pos", (cols, s.size), np.uint64))
-        inside = np.less_equal(pos, last,
-                               out=scratch("inside", pos.shape, bool))
+        at = np.add(offsets[:cols, None], s, out=pos[:cols, :s.size])
+        inside = np.less_equal(at, last, out=plane[:cols, :s.size])
         return _first_inside(inside, first), (s + offsets[cols],)
 
     s = (starts << np.uint64(1)) + np.uint64(
         (2 * start_j * step_fixed - 2 * lo) % 2**64)
+    # the scan draws nothing: it drops finished lanes after every chunk
     return _first_hit(_block_sizes(count), cap, start_j, start_j, chunk, scan,
-                      (s,))
+                      (s,), compact_at=0)
 
 
 def rotation_min_distance(*, step_fixed, zeta_fixed, n_steps, starts):
@@ -1231,12 +1260,15 @@ def rotation_min_distance(*, step_fixed, zeta_fixed, n_steps, starts):
 # ----------------------------------------------------------- intermittent
 
 def _mp_step(x, e, tmp):
-    """x + x^e mod 1 of every lane, in place, through ``tmp``.  For x in
-    [0, 1) the sum is at most 2 - 2^-52, so subtracting its floor, 0 or 1,
-    is exact: bit for bit ``x = x + x**e; x -= x >= 1.0``."""
-    np.power(x, e, out=tmp)
-    x += tmp
-    x -= np.floor(x, out=tmp)
+    """x + x^e mod 1 of every lane, in place, through ``tmp``.  ``e`` is a
+    0-d float64 array and the outputs go positionally: a Python float
+    exponent costs ``np.power`` about 0.2 us more a call, which is the whole
+    cost of a step on the few lanes late in a scan.  For x in [0, 1) the
+    sum is at most 2 - 2^-52, so subtracting its floor, 0 or 1, is exact:
+    bit for bit ``x = x + x**e; x -= x >= 1.0``."""
+    np.power(x, e, tmp)
+    np.add(x, tmp, x)
+    np.subtract(x, np.floor(x, tmp), x)
 
 
 def mp_min_distance(*, s_exp, zeta, n_steps, starts):
@@ -1247,7 +1279,7 @@ def mp_min_distance(*, s_exp, zeta, n_steps, starts):
     """
     if n_steps < 1:
         raise DomainError("need at least one orbit point")
-    x, tmp, e = starts.copy(), np.empty_like(starts), 1.0 + s_exp
+    x, tmp, e = starts.copy(), np.empty_like(starts), np.array(1.0 + s_exp)
     best = _distances(x, zeta, False, np.empty_like(x))
     for _ in range(n_steps - 1):
         _mp_step(x, e, tmp)
@@ -1261,31 +1293,36 @@ def mp_first_hit(count, *, s_exp, lo, hi, cap, start_j, starts, chunk=64):
 
     Nonnegative floats order as their uint64 bits, so a lane is inside
     when its bits less lo's, mod 2^64, fall below hi's less lo's: one
-    subtraction and one comparison.  Each step writes one row of the
-    chunk's (cols, lanes) inside plane and steps the lanes in place: a
-    step allocates nothing.
+    subtraction and one comparison, on 0-d operands as ``_mp_step`` takes
+    its exponent.  Each step writes one row of the chunk's (cols, lanes)
+    inside plane and steps the lanes in place: a step allocates nothing.
+    The map mixes only polynomially, so a few lanes stay for thousands of
+    steps in laminar phases near the neutral fixed point 0; as the scan
+    draws nothing, it drops finished lanes after every chunk, and a step
+    late in a run costs its numpy calls and little else.
     """
     if not 0.0 <= lo <= hi <= 1.0:
         raise DomainError("ends must satisfy 0 <= lo <= hi <= 1")
     _check_starts(count, starts)
     _check_chunk(chunk)
-    e = 1.0 + s_exp
+    e = np.array(1.0 + s_exp)
     low, high = np.array([lo, hi]).view(np.uint64)
-    width = high - low
-    scratch = _Scratch()
+    low, width = np.array(low), np.array(high - low)
+    # cut to the live lanes each chunk, whose count falls from chunk to chunk
+    plane, spare = np.empty((chunk, count), dtype=bool), np.empty(count)
 
     def scan(tile, state, cols, first):
         x, = state
-        inside = scratch("inside", (cols, x.size), bool)
-        tmp = scratch("tmp", x.shape, np.float64)
+        inside, tmp = plane[:cols, :x.size], spare[:x.size]
         bits, offset = x.view(np.uint64), tmp.view(np.uint64)
         for row in inside:
-            np.less(np.subtract(bits, low, out=offset), width, out=row)
+            np.less(np.subtract(bits, low, offset), width, row)
             _mp_step(x, e, tmp)
         return _first_inside(inside, first), (x,)
 
     # every lane in one tile: each iterate takes a Python step per tile
-    return _first_hit([count], cap, start_j, 0, chunk, scan, (starts.copy(),))
+    return _first_hit([count], cap, start_j, 0, chunk, scan, (starts.copy(),),
+                      compact_at=0)
 
 
 # ------------------------------------------------- conditional ball starts

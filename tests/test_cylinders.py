@@ -12,6 +12,7 @@ from evlhts.cylinders import (
     cylinder_word,
     gibbs_envelope,
     smb_estimate,
+    word_log_mass,
 )
 from evlhts.errors import DomainError, UnsupportedCombination
 from evlhts.measures import BernoulliDoubling, Lebesgue1D
@@ -275,6 +276,23 @@ class TestInformationRates:
             math.log(p) if w == 0 else math.log(1 - p) for w in word
         ) / 300
         assert smb_estimate(ctx, z, 300) == pytest.approx(direct, rel=1e-14)
+
+
+class TestWordLogMass:
+    """``word_log_mass`` sums exactly as a rational and rounds once; the
+    ``math.fsum`` of the word's letter log masses, correctly rounded too,
+    is its reference, bit for bit."""
+
+    @pytest.mark.parametrize("p", [0.01, 0.3, 0.5, 0.7, 0.999])
+    def test_equals_the_fsum_of_the_letters(self, p):
+        ctx = doubling_ctx(BernoulliDoubling(p))
+        log0, log1 = math.log(p), math.log(1.0 - p)
+        gen = np.random.default_rng(int(1000 * p))
+        for depth in [*range(1, 301), 2000, 10**5]:
+            counts = gen.integers(0, depth + 1, size=3).tolist()
+            for ones in {0, depth, *counts}:
+                want = math.fsum([log1] * ones + [log0] * (depth - ones))
+                assert word_log_mass(ctx, ones, depth) == want
 
 
 class TestGibbsEnvelope:

@@ -1442,10 +1442,10 @@ COMPACT_HITS = (
 # block 2 is all inside at 5 .. 8 and block 4 at 13 .. 16
 
 
-def model_first_hit(sizes, hits, cap, start_j, j, chunk, before):
+def model_first_hit(sizes, hits, cap, start_j, j, chunk, before, compact_at):
     """Per-block model of ``engine._first_hit``'s rows: after each chunk, a
-    block keeps only its lanes not done once more than a quarter of its
-    live lanes are done.  Returns the times, the (chunk start, block,
+    block keeps only its lanes not done once more than ``compact_at`` of
+    its live lanes are done.  Returns the times, the (chunk start, block,
     lanes) of every block that steps, and for each chunk the blocks that
     drop lanes, with how many each keeps, and the blocks that keep all."""
     times = [cap] * len(hits)
@@ -1468,7 +1468,8 @@ def model_first_hit(sizes, hits, cap, start_j, j, chunk, before):
                     done.add(lane)
         dropped, kept = {}, []
         for k, lanes in enumerate(blocks):
-            if lanes and 4 * len(done.intersection(lanes)) > len(lanes):
+            finished = len(done.intersection(lanes))
+            if lanes and finished > compact_at * len(lanes):
                 blocks[k] = [lane for lane in lanes if lane not in done]
                 dropped[k] = len(blocks[k])
             elif lanes:
@@ -1513,7 +1514,8 @@ class TestCompaction:
         cap, j, chunk = 23, 1, 4
         count = sum(COMPACT_SIZES)
         want, want_steps, chunks = model_first_hit(
-            COMPACT_SIZES, COMPACT_HITS, cap, start_j, j, chunk, before)
+            COMPACT_SIZES, COMPACT_HITS, cap, start_j, j, chunk, before,
+            engine._COMPACT_AT)
         # the table reaches every case of the rule: a block emptied, and a
         # block dropping lanes in the same chunk as a later one that keeps
         # its rows and only moves down
@@ -1532,6 +1534,50 @@ class TestCompaction:
         assert times.tolist() == want
         assert np.array_equal(hit, times < cap)
 
+    @pytest.mark.parametrize("most", [1, 12, 64])
+    @pytest.mark.parametrize("start_j", [1, 6])
+    def test_draw_free_scans_drop_every_finished_lane(self, most, start_j):
+        # at threshold 0, as the orbit kernels run (they mark no lane inside
+        # before the scan), each chunk steps exactly the lanes of each block
+        # not finished before it
+        cap, j, chunk = 23, 1, 4
+        count = sum(COMPACT_SIZES)
+        want, want_steps, _ = model_first_hit(
+            COMPACT_SIZES, COMPACT_HITS, cap, start_j, j, chunk, (), 0)
+        steps = []
+        times, hit = engine._first_hit(
+            list(COMPACT_SIZES), cap, start_j, j, chunk,
+            self.scripted_scan(COMPACT_HITS, steps),
+            (np.arange(count), np.full(count, j, dtype=np.int64)),
+            most=most, compact_at=0)
+        assert steps == want_steps
+        assert times.tolist() == want
+        assert np.array_equal(hit, times < cap)
+        edges = np.cumsum((0, *COMPACT_SIZES))
+        for at, k, lanes in steps:
+            assert lanes == tuple(lane for lane in range(edges[k],
+                                                         edges[k + 1])
+                                  if times[lane] >= at)
+        # every block steps until all its lanes are done or the cap
+        starts = range(j, cap, chunk)
+        assert len(steps) == sum(
+            times[lo:hi].max() >= at for lo, hi in zip(edges, edges[1:])
+            for at in starts)
+
+
+def scratch_keys(monkeypatch):
+    """The (name, shape) of every view the kernels ask their ``_Scratch``
+    for, from here on."""
+    keys = set()
+
+    class Counting(engine._Scratch):
+        def __call__(self, name, shape, dtype):
+            keys.add((name, shape))
+            return super().__call__(name, shape, dtype)
+
+    monkeypatch.setattr(engine, "_Scratch", Counting)
+    return keys
+
 
 class TestScratch:
     def test_a_view_is_made_once_per_shape(self):
@@ -1544,14 +1590,7 @@ class TestScratch:
         # the candidate count changes from chunk to chunk: 57 chunks of one
         # word over 160 lanes, of up to 160 candidates, cut their views
         # from at most 9 per name, one per power of two up to 2^8
-        keys = set()
-
-        class Counting(engine._Scratch):
-            def __call__(self, name, shape, dtype):
-                keys.add((name, shape))
-                return super().__call__(name, shape, dtype)
-
-        monkeypatch.setattr(engine, "_Scratch", Counting)
+        keys = scratch_keys(monkeypatch)
         common = dict(zeta=0.3, tent=False, p_zero=0.3, circle=False,
                       chunk=7)
         digit_window_min_distance([substream(3, "scratch-keys")], 160,
@@ -1563,6 +1602,26 @@ class TestScratch:
                      if view == name and len(shape) == 1]
             assert sizes and all(size & size - 1 == 0 for size in sizes)
             assert len(sizes) <= 9
+
+    def test_row_views_take_a_key_per_power_of_two(self, monkeypatch):
+        # compaction changes a tile's live lanes from chunk to chunk: the
+        # views sized by them are cut from one per power of two for each
+        # width, at most 12 up to BLOCK = 2^11
+        keys = scratch_keys(monkeypatch)
+        count = 2349
+        radius_ball_first_hit(
+            block_substreams(count, 5, ("scratch-rows",)), count, eta=0.001,
+            zeta=0.3, circle=False, tent=False, p_zero=0.3, cap=8000)
+        for name in ("tile", "row", "words", "flip", "entry", "candidate",
+                     "draw.looked", "draw.packed", "draw.tie"):
+            rows = collections.defaultdict(list)
+            for view, shape in keys:
+                if view == name and len(shape) == 2:
+                    rows[shape[1]].append(shape[0])
+            assert rows
+            for counts in rows.values():
+                assert all(n & n - 1 == 0 for n in counts)
+                assert len(counts) <= BLOCK.bit_length()
 
     def test_a_grown_buffer_drops_its_old_views(self):
         scratch = engine._Scratch()
@@ -1635,6 +1694,24 @@ class TestOrbitKernelEquivalence:
         assert np.array_equal(starts, kept)  # the caller's starts stay put
         if cap == 300:
             assert want[1].mean() > 0.25
+
+    @pytest.mark.parametrize("start_j", [1, 65])
+    @pytest.mark.parametrize("chunk", [7, 64])
+    def test_intermittent_tail(self, start_j, chunk):
+        # starts near the neutral fixed point and a small target: most lanes
+        # hit within a few hundred steps, and the scan runs the last few
+        # alone, in laminar phases, for thousands of steps
+        zeta, eta, cap = 0.4, 0.005, 20000
+        starts = 1e-3 + 9e-3 * substream(7, "mp-tail").random(self.LANES)
+        kw = dict(s_exp=0.8, lo=zeta - eta, hi=zeta + eta, cap=cap,
+                  start_j=start_j, starts=starts, chunk=chunk)
+        want = reference_mp_first_hit(self.LANES, **kw)
+        got = mp_first_hit(self.LANES, **kw)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+        late = np.sort(want[0])[-8:]
+        assert np.median(want[0]) < 500
+        assert late[-3] > 3000 and late[-1] == cap  # one lane is censored
 
 
 def reference_iid_min_distance_uniform(gen, count, *, n_draws, zeta, circle,
@@ -2306,9 +2383,10 @@ def reference_mp_step(x, e):
 
 
 def mp_step(x, e):
-    """``engine._mp_step`` on a copy of ``x``."""
+    """``engine._mp_step`` on a copy of ``x``, with the exponent as the
+    kernels pass it, a 0-d float64 array."""
     x = x.copy()
-    engine._mp_step(x, e, np.empty_like(x))
+    engine._mp_step(x, np.asarray(e, dtype=np.float64), np.empty_like(x))
     return x
 
 
@@ -2353,6 +2431,26 @@ class TestMpStep:
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
             assert ((0.0 <= got) & (got < 1.0)).all()
             x = want
+
+    @pytest.mark.parametrize("s_exp", [0.2, 0.5, 0.6])
+    def test_zero_d_exponent_equals_a_float_exponent(self, s_exp):
+        # the kernels pass the exponent as a 0-d float64 array, which numpy
+        # takes at less cost a call than a Python float; the step's bits,
+        # which fix the kernels', must not depend on it, at full width and
+        # on the short slices late in a scan
+        e = 1.0 + s_exp
+        edges = np.concatenate([[0.0, 5e-324, np.nextafter(1.0, 0.0), 0.5],
+                                root_starts(e)])
+        x = np.concatenate(
+            [edges, substream(3, "mp-exponent", s_exp).random(10**6)])
+        for lanes in (x, *(x[:width] for width in range(1, 64))):
+            for _ in range(3):
+                want = lanes.copy()
+                engine._mp_step(want, e, np.empty_like(want))
+                got = mp_step(lanes, e)
+                assert np.array_equal(got.view(np.uint64),
+                                      want.view(np.uint64))
+                lanes = want
 
     @pytest.mark.parametrize("e", [1.2, 1.5, 1.6])
     def test_array_pow_is_position_independent(self, e):
