@@ -77,6 +77,8 @@ def _cmd_run(args) -> int:
         seed=args.seed, threads=args.threads, out_dir=args.out,
     )
     report = experiments.run(cfg)
+    # a failed band only sets the verdict: the files are written either way
+    experiments.write_report(report, cfg["out_dir"])
     print(f"{args.command}: {report.summary['verdict']} "
           f"(files in {cfg['out_dir']})")
     return 0 if report.passed else 1

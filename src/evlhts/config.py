@@ -303,10 +303,12 @@ class ExperimentConfig:
         return cls(experiment, values)
 
     @classmethod
-    def from_file(cls, experiment: str, path: str | None, **overrides
-                  ) -> "ExperimentConfig":
+    def from_file(cls, experiment: str, path: str | None, *,
+                  seed: int | None = None, threads: int | None = None,
+                  out_dir: str | None = None) -> "ExperimentConfig":
         table = parse_file(path) if path is not None else {}
-        return cls.build(experiment, table, **overrides)
+        return cls.build(experiment, table, seed=seed, threads=threads,
+                         out_dir=out_dir)
 
     def __getitem__(self, key: str):
         try:

@@ -47,7 +47,6 @@ class Cylinder:
     its packed word (``cylinder_word``); a rotation cell is its fixed-point
     arc [lo, hi) on the 2^63 grid."""
 
-    depth: int
     mass: float
     log_mass: float
     log2_mass: int | None = None  # exact when the mass is a power of 2
@@ -146,12 +145,12 @@ def cylinder_at(ctx: PartitionContext, zeta, n: int) -> Cylinder:
         mass = (hi - lo) / FIXED_ONE
         if mass <= 0.0:
             raise ZeroMassCylinder(f"empty rotation arc at depth {n}")
-        return Cylinder(n, mass, math.log(mass), arc=(lo, hi))
+        return Cylinder(mass, math.log(mass), arc=(lo, hi))
     word = cylinder_word(ctx, zeta, n)
     if ctx.measure.p_zero == 0.5:
-        return Cylinder(n, math.ldexp(1.0, -n), -n * LN2, -n, word=word)
+        return Cylinder(math.ldexp(1.0, -n), -n * LN2, -n, word=word)
     log_mass = word_log_mass(ctx, word.bit_count(), n)
-    return Cylinder(n, math.exp(log_mass), log_mass, word=word)
+    return Cylinder(math.exp(log_mass), log_mass, word=word)
 
 
 def smb_estimate(ctx: PartitionContext, zeta, n: int) -> float:
@@ -176,16 +175,15 @@ def gibbs_envelope(
     zeta,
     n: int,
     potential: tuple[float, float],
-    pressure: float = 0.0,
 ) -> float:
-    """Ratio mu(Z_n[zeta]) / exp(S_n phi(zeta) - n P) for a potential that
-    is constant on each base cell.
+    """Ratio mu(Z_n[zeta]) / exp(S_n phi(zeta)) for a potential of pressure
+    0 that is constant on each base cell.
 
     The cylinder log mass and the Birkhoff sum are both correctly rounded
     sums of per-letter values, so both follow from the count of ones in
     the word (at p = 1/2, ``-n * LN2`` is the correctly rounded n copies of
-    log 1/2); when the potential values equal the letter log masses (and
-    P = 0) the ratio is exactly 1.0.
+    log 1/2); when the potential values equal the letter log masses, whose
+    pressure is 0, the ratio is exactly 1.0.
     """
     if n < 1:
         raise DomainError("depth must be >= 1")
@@ -196,5 +194,5 @@ def gibbs_envelope(
         raise ZeroMassCylinder(f"zero-mass cylinder at depth {n}")
     ones = cyl.word.bit_count()
     s_n = math.fsum([potential[1]] * ones + [potential[0]] * (n - ones))
-    return math.exp(cyl.log_mass - (s_n - n * pressure))
+    return math.exp(cyl.log_mass - s_n)
 

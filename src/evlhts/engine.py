@@ -144,6 +144,9 @@ outputs positionally, which numpy parses at the least cost.
 
 The digit draws fix the RNG stream, and with it every report byte:
 
+* every digit kernel steps ``_CHUNK`` = 256 digits per chunk.  The width
+  is part of the stream, as ``_COMPACT_AT`` is, and so is no argument:
+  changing it changes every result of the kernels that draw as they scan;
 * each chunk draws one (rows, columns) digit matrix per block through
   ``draw_digits`` on the block's generator, whose rows are the block's
   lanes still live, in lane order, under either rule.  The first-hit
@@ -151,7 +154,7 @@ The digit draws fix the RNG stream, and with it every report byte:
   its lanes of the tile's matrix, the word scans into a transposed view of
   their letter buffer; ``digit_window_min_distance`` into its
   ``_Scratch``, where it is valid until the kernel's next draw;
-* first-hit kernels draw full ``chunk``-width matrices even when fewer
+* first-hit kernels draw full ``_CHUNK``-width matrices even when fewer
   columns remain, so runs that differ only in the cap share a stream;
   fixed-window kernels draw only the columns that remain;
 * ``draw_digits`` has two rules, stated with the raw words each takes in
@@ -165,9 +168,9 @@ The digit draws fix the RNG stream, and with it every report byte:
   draws no more.  That sets the rows of each block's next draw, so
   ``_COMPACT_AT`` is part of the stream of the kernels that draw while
   they scan: changing it changes every result of theirs.  The orbit
-  kernels draw nothing after their starts and drop every finished lane
-  after every chunk, which moves no value.  Tiles only group the draws;
-  they move none.
+  kernels draw nothing after their starts, step ``_ORBIT_CHUNK`` = 64
+  iterates per chunk and drop every finished lane after every chunk,
+  which moves no value.  Tiles only group the draws; they move none.
 """
 
 import functools
@@ -208,8 +211,16 @@ _TIE_FLAG = 0x100
 #: byte-swaps
 _SWAPPED = np.dtype(np.uint64).newbyteorder()
 
-#: lanes per tile of the iid uniform draws: a 256 x 512 float tile is 1 MB
-_IID_TILE = 256
+#: draws per lane in each (count, cols) draw of the iid uniform kernel,
+#: part of its stream
+_IID_CHUNK = 512
+
+#: digits per chunk of the digit kernels, part of their stream
+_CHUNK = 256
+
+#: iterates per chunk of the rotation and intermittent scans, which draw
+#: nothing as they scan: the width moves no value
+_ORBIT_CHUNK = 64
 
 #: fraction of finished lanes that triggers an active-set compaction in
 #: the scans that draw as they go, whose draws it fixes
@@ -534,9 +545,14 @@ def _lift(words, shift, tent, out, flip):
     return out
 
 
-def digit_window_min_distance(
-    gens, count, *, n_steps, p_zero, tent, zeta, circle, chunk=256
-):
+def _centre_word(zeta):
+    """The window word of ceil(zeta 2^53), from which the ball kernels
+    take window offsets."""
+    return np.uint64((math.ceil(zeta * 2.0 ** WINDOW_BITS) << _LOW) % 2**64)
+
+
+def digit_window_min_distance(gens, count, *, n_steps, p_zero, tent, zeta,
+                              circle):
     """min_{0 <= j < n_steps} dist(f^j x, zeta) for stationary digit starts,
     for the ``count`` lanes of ``rng.block_slices(count)``; ``gens`` holds
     each block's generator.
@@ -545,20 +561,19 @@ def digit_window_min_distance(
     observable around zeta: the running maximum of phi is phi at the
     closest visit.  Each lane keeps its least and greatest window offset
     from zeta, and the closest visit is one of those two windows.  Each
-    block draws its start windows, then one digit matrix per chunk, on its
-    own generator.  A chunk lifts only the words that ``_distance_table``
-    lets through the lane's threshold (``_thresholds``), which hold every
-    step that can move an extreme offset (module docstring).  The first
-    chunk takes the thresholds afresh before each of its spans of 1, 1,
-    2, 4, ... words, as a lane's first windows bound nothing; a later
-    chunk takes them once.
+    block draws its start windows, then one digit matrix per chunk of
+    ``_CHUNK`` steps, on its own generator.  A chunk lifts only the words
+    that ``_distance_table`` lets through the lane's threshold
+    (``_thresholds``), which hold every step that can move an extreme
+    offset (module docstring).  The first chunk takes the thresholds afresh
+    before each of its spans of 1, 1, 2, 4, ... words, as a lane's first
+    windows bound nothing; a later chunk takes them once.
     """
     if n_steps < 1:
         raise DomainError("need at least one orbit point")
-    _check_chunk(chunk)
     _block_sizes(count, gens)
-    # window words less the word of ceil(zeta 2^53) are offsets from zeta
-    centre = np.uint64((math.ceil(zeta * 2.0 ** WINDOW_BITS) << _LOW) % 2**64)
+    chunk = _CHUNK
+    centre = _centre_word(zeta)
     table = _distance_table(centre, tent)
     scratch = _Scratch()
     low = np.empty(count, dtype=np.uint64)
@@ -693,30 +708,19 @@ def _thresholds(low, high):
     return np.minimum(np.maximum(below, above), 255).astype(np.uint8)
 
 
-def iid_min_distance_uniform(gen, count, *, n_draws, zeta, circle, chunk=512):
+def iid_min_distance_uniform(gen, count, *, n_draws, zeta, circle):
     """min distance to zeta over n iid uniform points per lane.
 
     ``evl`` computes the iid route exactly; this kernel stays as the exact
     law's sampled test reference and as a span the benchmark trace names.
-    Each chunk of ``chunk`` draws per lane is filled ``_IID_TILE`` lanes
-    at a time into one reused buffer, small enough to stay in cache; the
-    tiles take the stream in the order one (count, chunk) draw would.
+    Each chunk of ``_IID_CHUNK`` draws per lane is one (count, cols) draw.
     """
     if n_draws < 1:
         raise DomainError("need at least one draw")
     best = np.full(count, np.inf)
-    buf = np.empty(min(_IID_TILE, count) * min(chunk, n_draws))
-    left = n_draws
-    while left > 0:
-        cols = min(chunk, left)
-        for lo in range(0, count, _IID_TILE):
-            rows = min(_IID_TILE, count - lo)
-            x = buf[:rows * cols].reshape(rows, cols)
-            gen.random(out=x)
-            d = _distances(x, zeta, circle, x)
-            np.minimum(best[lo:lo + rows], d.min(axis=1),
-                       out=best[lo:lo + rows])
-        left -= cols
+    for done in range(0, n_draws, _IID_CHUNK):
+        x = gen.random((count, min(_IID_CHUNK, n_draws - done)))
+        np.minimum(best, _distances(x, zeta, circle, x).min(axis=1), out=best)
     return best
 
 
@@ -826,12 +830,6 @@ def _check_starts(count, starts):
     if starts.size != count:
         raise DomainError(f"{count} lanes take {count} starts; "
                           f"got {starts.size}")
-
-
-def _check_chunk(chunk):
-    """A scan steps at least one column per chunk."""
-    if chunk < 1:
-        raise DomainError(f"a chunk takes at least one column; got {chunk}")
 
 
 def _tile_digits(gens, tile, cols, p_zero, scratch, digits):
@@ -1010,7 +1008,6 @@ def word_first_hit(
     cap,
     start_j=1,
     preload=False,
-    chunk=256,
 ):
     """First j in [start_j, cap) whose iterate lies in the target cylinder,
     for the ``count`` lanes of ``rng.block_slices(count)``; ``gens`` holds
@@ -1023,10 +1020,10 @@ def word_first_hit(
     conditional start used by return-time runs, because under the product
     measures the letters beyond a fixed prefix stay independent.
     """
-    _check_chunk(chunk)
     sizes = _block_sizes(count, gens)
     state, consumed = _word_scan_start(count, word_int, depth, start_j,
                                        preload, tent)
+    chunk = _CHUNK
     scratch = _Scratch()
 
     def scan(tile, state, cols, first):
@@ -1051,7 +1048,6 @@ def word_hit_count(
     window,
     start_j=1,
     preload=False,
-    chunk=256,
 ):
     """Number of j in [start_j, window] with the iterate in the cylinder,
     for the ``count`` lanes of ``rng.block_slices(count)``; ``gens`` holds
@@ -1064,7 +1060,7 @@ def word_hit_count(
     """
     if window < start_j:
         raise DomainError("window shorter than start_j")
-    _check_chunk(chunk)
+    chunk = _CHUNK
     counts = np.zeros(count, dtype=np.int64)
     total_letters = window + depth
     scratch = _Scratch()
@@ -1097,7 +1093,6 @@ def ball_first_hit_digits(
     cap,
     start_j=1,
     cdfs=None,
-    chunk=256,
 ):
     """First j in [start_j, cap) whose window w has w 2^75 in one of the
     ball's fixed-point pieces ``arcs`` (``hts.TargetSet.arcs``), for
@@ -1111,8 +1106,8 @@ def ball_first_hit_digits(
     start point; the tail beyond 53 digits is drawn iid, which misstates
     the conditional law only on boundary cells of mass O(2^-53).
     """
-    _check_chunk(chunk)
     sizes = _block_sizes(count, gens)
+    chunk = _CHUNK
     scratch = _Scratch()
     window = np.empty(count, dtype=np.uint64)
     for (_, lo, size), gen in zip(block_slices(count), gens):
@@ -1121,7 +1116,7 @@ def ball_first_hit_digits(
                   conditional_digit_starts(gen, size, cdfs=cdfs, p_zero=p_zero))
         window[lo:lo + size] = starts[:, 0]
     pieces = _arc_windows(arcs, WINDOW_BITS)
-    centre = np.uint64((math.ceil(zeta * 2.0 ** WINDOW_BITS) << _LOW) % 2**64)
+    centre = _centre_word(zeta)
     table = _distance_table(centre, tent)
     bound = _ball_bound(pieces, centre)
     inside_before = (_in_ball(window, pieces, np.empty(count, dtype=bool),
@@ -1199,9 +1194,7 @@ def _in_ball(words, pieces, out, offsets):
 
 # --------------------------------------------------------------- rotation
 
-def rotation_first_hit(
-    count, *, step_fixed, lo, hi, cap, start_j=1, starts, chunk=64
-):
+def rotation_first_hit(count, *, step_fixed, lo, hi, cap, start_j=1, starts):
     """First j in [start_j, cap) with the rotated position in [lo, hi),
     for the ``count`` lanes that start at ``starts``.
 
@@ -1215,7 +1208,7 @@ def rotation_first_hit(
     if not 0 <= lo < hi <= FIXED_ONE:
         raise DomainError("arc must satisfy 0 <= lo < hi <= 2^63")
     _check_starts(count, starts)
-    _check_chunk(chunk)
+    chunk = _ORBIT_CHUNK
     last = np.uint64(2 * (hi - lo) - 1)
     offsets = np.array([2 * k * step_fixed % 2**64 for k in range(chunk + 1)],
                        dtype=np.uint64)
@@ -1287,7 +1280,7 @@ def mp_min_distance(*, s_exp, zeta, n_steps, starts):
     return best
 
 
-def mp_first_hit(count, *, s_exp, lo, hi, cap, start_j, starts, chunk=64):
+def mp_first_hit(count, *, s_exp, lo, hi, cap, start_j, starts):
     """First j in [start_j, cap) with lo <= f^j x < hi (intermittent), for
     the ``count`` lanes that start at ``starts``, floats in [0, 1).
 
@@ -1304,7 +1297,7 @@ def mp_first_hit(count, *, s_exp, lo, hi, cap, start_j, starts, chunk=64):
     if not 0.0 <= lo <= hi <= 1.0:
         raise DomainError("ends must satisfy 0 <= lo <= hi <= 1")
     _check_starts(count, starts)
-    _check_chunk(chunk)
+    chunk = _ORBIT_CHUNK
     e = np.array(1.0 + s_exp)
     low, high = np.array([lo, hi]).view(np.uint64)
     low, width = np.array(low), np.array(high - low)

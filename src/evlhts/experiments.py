@@ -1,12 +1,13 @@
 """Named experiment drivers and their file outputs.
 
 Each driver consumes a resolved :class:`~evlhts.config.ExperimentConfig`
-and produces an :class:`ExperimentReport`: a JSON-ready summary, tabular
-rows for ``data.csv``, and long-format ``plot.csv`` rows
-(series, x, y, stderr).  All randomness flows through the blocked
-substream layer, so a report is a pure function of
-(experiment, config values, master_seed) whatever the thread count —
-``threads`` and ``out_dir`` are deliberately absent from the summary.
+and fills an :class:`ExperimentReport` with tabular rows for ``data.csv``
+and long-format ``plot.csv`` rows (series, x, y, stderr); ``run`` adds the
+JSON-ready summary, and ``write_report`` writes the three files.  All
+randomness flows through the blocked substream layer, so a report is a
+pure function of (experiment, config values, master_seed) whatever the
+thread count — ``threads`` and ``out_dir`` are deliberately absent from
+the summary.
 
 Verdict rule: a driver records one check per verdict cell, and the
 top-level verdict is PASS exactly when every recorded check passes.  For
@@ -23,7 +24,6 @@ import csv
 import json
 import math
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -91,13 +91,15 @@ def _ks_cell(statistic: float, samples: int) -> dict:
             "critical_1pct": _q(ks_critical(samples), exact=True)}
 
 
-class _Report:
-    """One driver's rows and the checks behind its verdict."""
+class ExperimentReport:
+    """One experiment's rows, the checks behind its verdict, and the
+    summary that ``run`` sets once its driver has filled the rest."""
 
     def __init__(self, data_header: tuple):
         self.data_header = data_header
         self.data_rows, self.plot_rows = [], []
         self.passed = True
+        self.summary = None
 
     def verdict(self, ok: bool) -> str:
         """Record one check; the label of the cell it judges."""
@@ -114,15 +116,6 @@ class _Report:
     def reference(self, series: str, grid, cdf):
         """Plot a limit CDF on ``grid``."""
         self.plot_rows.extend((series, x, cdf(x), "") for x in grid)
-
-
-@dataclass
-class ExperimentReport:
-    summary: dict
-    data_header: tuple
-    data_rows: list
-    plot_rows: list
-    passed: bool
 
 
 def _build_system(cfg: ExperimentConfig):
@@ -232,9 +225,26 @@ def _routes(cfg: ExperimentConfig) -> tuple:
     return ("dyn", "iid") if cfg["evl.iid_mode"] else ("dyn",)
 
 
+def _maxima_law(cfg: ExperimentConfig, system, obs: BallObservable, n: int,
+                label: str) -> tuple:
+    """The normalizers at n, the ball of mass 1/n, and the rescaled law of
+    ``evl.samples`` maxima over n steps, sampled on (experiment, label)."""
+    norms = evl.quantile_normalizers(obs.g, n)
+    # the maxima law reads ball masses off 53-bit distances: refuse a
+    # ball of mass 1/n that no radius attains before sampling
+    target = _ball_target(obs.measure, obs.zeta, 1.0 / n, "evl.n_list")
+    dmin = evl.sample_ball_min_distances(
+        obs, system, n_steps=n, n_samples=cfg["evl.samples"],
+        seed=cfg["master_seed"], labels=(cfg.experiment, label),
+        threads=cfg["threads"])
+    return norms, target, EmpiricalLaw(
+        norms.rescale(evl.ball_maxima_values(dmin, obs)))
+
+
 # ------------------------------------------------------------- evl-balls
 
-def _run_evl_balls(cfg: ExperimentConfig) -> tuple[_Report, dict]:
+def _run_evl_balls(cfg: ExperimentConfig
+                  ) -> tuple[ExperimentReport, dict]:
     _require_mode(cfg, "ball")
     system = _build_system(cfg)
     measure = _build_measure(cfg, system)
@@ -243,7 +253,7 @@ def _run_evl_balls(cfg: ExperimentConfig) -> tuple[_Report, dict]:
     y_grid = cfg["evl.y_grid"]
     samples = cfg["evl.samples"]
     tol = cfg["evl.tol"]
-    out = _Report(("n", "y", "route", "estimate", "stderr", "limit"))
+    out = ExperimentReport(("n", "y", "route", "estimate", "stderr", "limit"))
 
     routes = _routes(cfg)
     n_max = max(cfg["evl.n_list"])
@@ -251,17 +261,7 @@ def _run_evl_balls(cfg: ExperimentConfig) -> tuple[_Report, dict]:
     _require_budget("evl.n_list", samples, n_max)
     per_n = []
     for n in cfg["evl.n_list"]:
-        norms = evl.quantile_normalizers(g, n)
-        # the maxima law reads ball masses off 53-bit distances: refuse a
-        # ball of mass 1/n that no radius attains before sampling
-        _ball_target(measure, obs.zeta, 1.0 / n, "evl.n_list")
-        dmin = evl.sample_ball_min_distances(
-            obs, system, n_steps=n, n_samples=samples,
-            seed=cfg["master_seed"], labels=("evl-balls", f"n={n}"),
-            threads=cfg["threads"])
-
-        maxima = EmpiricalLaw(
-            norms.rescale(evl.ball_maxima_values(dmin, obs)))
+        norms, _, maxima = _maxima_law(cfg, system, obs, n, f"n={n}")
         ks_stat = ks_statistic(maxima, g.limit_cdf)
         grid_sup = sup_distance_on_grid(maxima, g.limit_cdf, y_grid)
         route_diff = 0.0
@@ -308,7 +308,8 @@ def _run_evl_balls(cfg: ExperimentConfig) -> tuple[_Report, dict]:
 
 # --------------------------------------------------------- evl-cylinders
 
-def _run_evl_cylinders(cfg: ExperimentConfig) -> tuple[_Report, dict]:
+def _run_evl_cylinders(cfg: ExperimentConfig
+                      ) -> tuple[ExperimentReport, dict]:
     _require_mode(cfg, "cylinder")
     system = _build_system(cfg)
     _require_digit_map(cfg, system)
@@ -331,8 +332,8 @@ def _run_evl_cylinders(cfg: ExperimentConfig) -> tuple[_Report, dict]:
                          max(s.event_depth for s in schedules))
     # a window past the budget is also past the int64 step counter
     _require_budget("evl.n_list", samples, max(s.window for s in schedules))
-    out = _Report(("depth", "tau", "route", "window", "no_entry", "stderr",
-                   "limit"))
+    out = ExperimentReport(("depth", "tau", "route", "window", "no_entry",
+                            "stderr", "limit"))
 
     # one first-entry scan per depth gives the no-entry share at every tau
     no_entry = np.concatenate([evl.sample_cylinder_no_entry(
@@ -402,7 +403,8 @@ def _hit_times(cfg: ExperimentConfig, system, measure, target, cap: int,
         threads=cfg["threads"], conditional=conditional, measure=measure)
 
 
-def _run_time_law(cfg: ExperimentConfig) -> tuple[_Report, dict]:
+def _run_time_law(cfg: ExperimentConfig
+                 ) -> tuple[ExperimentReport, dict]:
     """hts, or rts: the same exponential law for return times."""
     conditional = cfg.experiment == "rts"
     t_grid = cfg["hts.t_grid"]
@@ -414,7 +416,7 @@ def _run_time_law(cfg: ExperimentConfig) -> tuple[_Report, dict]:
     measure = _build_measure(cfg, system)
     samples = cfg["hts.samples"]
     tol = cfg["hts.tol"]
-    out = _Report(("target", "t", "cdf", "stderr", "exponential_cdf"))
+    out = ExperimentReport(("target", "t", "cdf", "stderr", "exponential_cdf"))
 
     per_target = []
     for label, target, cap in _targets(cfg, system, measure):
@@ -445,11 +447,12 @@ def _run_time_law(cfg: ExperimentConfig) -> tuple[_Report, dict]:
 
 # ------------------------------------------------------------------ kac
 
-def _run_kac(cfg: ExperimentConfig) -> tuple[_Report, dict]:
+def _run_kac(cfg: ExperimentConfig
+            ) -> tuple[ExperimentReport, dict]:
     system = _build_system(cfg)
     measure = _build_measure(cfg, system)
     tol = cfg["kac.tol"]
-    out = _Report(("target", "statistic", "value", "stderr"))
+    out = ExperimentReport(("target", "statistic", "value", "stderr"))
 
     per_target = []
     for label, target, cap in _targets(cfg, system, measure):
@@ -477,7 +480,8 @@ def _run_kac(cfg: ExperimentConfig) -> tuple[_Report, dict]:
 
 # ----------------------------------------------------------- conditions
 
-def _run_conditions(cfg: ExperimentConfig) -> tuple[_Report, dict]:
+def _run_conditions(cfg: ExperimentConfig
+                   ) -> tuple[ExperimentReport, dict]:
     system = _build_system(cfg)
     _require_digit_map(cfg, system)
     block_n = cfg["conditions.block_len"]
@@ -495,8 +499,8 @@ def _run_conditions(cfg: ExperimentConfig) -> tuple[_Report, dict]:
     samples = cfg["conditions.samples"]
     floor = cfg["conditions.floor"]
     seed = cfg["master_seed"]
-    out = _Report(("condition", "parameter", "estimate", "sigma", "baseline",
-                   "verdict"))
+    out = ExperimentReport(("condition", "parameter", "estimate", "sigma",
+                            "baseline", "verdict"))
 
     entries = []
 
@@ -543,7 +547,8 @@ def _run_conditions(cfg: ExperimentConfig) -> tuple[_Report, dict]:
 
 # ------------------------------------------------------------------ smb
 
-def _run_smb(cfg: ExperimentConfig) -> tuple[_Report, dict]:
+def _run_smb(cfg: ExperimentConfig
+            ) -> tuple[ExperimentReport, dict]:
     system = _build_system(cfg)
     _require_digit_map(cfg, system)
     measure = _build_measure(cfg, system)
@@ -554,7 +559,8 @@ def _run_smb(cfg: ExperimentConfig) -> tuple[_Report, dict]:
     p = measure.p_zero
     reference = -(p * math.log(p) + (1.0 - p) * math.log(1.0 - p))
     potential = letter_log_masses(ctx)
-    out = _Report(("depth", "estimate", "stderr", "reference", "gibbs_ratio"))
+    out = ExperimentReport(("depth", "estimate", "stderr", "reference",
+                            "gibbs_ratio"))
 
     per_depth = []
     for depth in depths:
@@ -597,7 +603,8 @@ def _run_smb(cfg: ExperimentConfig) -> tuple[_Report, dict]:
 
 # ---------------------------------------------------------- equivalence
 
-def _run_equivalence(cfg: ExperimentConfig) -> tuple[_Report, dict]:
+def _run_equivalence(cfg: ExperimentConfig
+                    ) -> tuple[ExperimentReport, dict]:
     _require_mode(cfg, "ball")
     g = _build_g(cfg)
     n = cfg["evl.n_list"][-1]
@@ -616,18 +623,12 @@ def _run_equivalence(cfg: ExperimentConfig) -> tuple[_Report, dict]:
     measure = _build_measure(cfg, system)
     obs = BallObservable(g, measure, cfg["observable.zeta"])
     tol = cfg["equivalence.tol"]
-    out = _Report(("y", "tau", "maxima_prob", "maxima_stderr",
-                   "time_survival", "time_stderr", "abs_diff"))
+    out = ExperimentReport(("y", "tau", "maxima_prob", "maxima_stderr",
+                            "time_survival", "time_stderr", "abs_diff"))
 
-    norms = evl.quantile_normalizers(g, n)
-    target = _ball_target(measure, cfg["observable.zeta"], 1.0 / n,
-                          "evl.n_list")
     samples = cfg["evl.samples"]
     _require_budget("evl.n_list", max(samples, cfg["hts.samples"]), cap)
-    dmin = evl.sample_ball_min_distances(
-        obs, system, n_steps=n, n_samples=samples, seed=cfg["master_seed"],
-        labels=("equivalence", "maxima"), threads=cfg["threads"])
-    maxima = EmpiricalLaw(norms.rescale(evl.ball_maxima_values(dmin, obs)))
+    _, target, maxima = _maxima_law(cfg, system, obs, n, "maxima")
     probs = []
     for y in y_grid:
         degenerate = g.pinned(y)
@@ -666,7 +667,8 @@ def _run_equivalence(cfg: ExperimentConfig) -> tuple[_Report, dict]:
 
 # ------------------------------------------------------- rotation-subseq
 
-def _run_rotation_subseq(cfg: ExperimentConfig) -> tuple[_Report, dict]:
+def _run_rotation_subseq(cfg: ExperimentConfig
+                        ) -> tuple[ExperimentReport, dict]:
     system = _build_system(cfg)
     if system.kind is not MapKind.ROTATION:
         raise ConfigError(
@@ -683,8 +685,8 @@ def _run_rotation_subseq(cfg: ExperimentConfig) -> tuple[_Report, dict]:
         )
     ctx = _build_ctx(cfg, system, measure, *depths)
     ks_min = cfg["rotation.ks_min"]
-    out = _Report(("depth", "mass", "ks_statistic", "n_return_values",
-                   "return_values"))
+    out = ExperimentReport(("depth", "mass", "ks_statistic",
+                            "n_return_values", "return_values"))
 
     targets = [hts.cylinder_target(ctx, cfg["observable.zeta"], d)
                for d in depths]
@@ -732,33 +734,21 @@ _DRIVERS = {
 EXPERIMENTS = tuple(_DRIVERS)
 
 
-def run(config: ExperimentConfig, *, write: bool = True) -> ExperimentReport:
-    """Execute one named experiment and (optionally) write its files.
-
-    A failed band only sets the verdict: the files are written either way.
-    """
+def run(config: ExperimentConfig) -> ExperimentReport:
+    """Execute one named experiment; ``write_report`` writes its files."""
     driver = _DRIVERS.get(config.experiment)
     if driver is None:
         raise ConfigError(
             f"unknown experiment {config.experiment!r}; choose one of "
             f"{', '.join(EXPERIMENTS)}"
         )
-    out, results = driver(config)
-    summary = {
+    report, results = driver(config)
+    report.summary = {
         "experiment": config.experiment,
         "config": config.echo(),
         "results": results,
-        "verdict": out.verdict(out.passed),
+        "verdict": report.verdict(report.passed),
     }
-    report = ExperimentReport(
-        summary=summary,
-        data_header=out.data_header,
-        data_rows=out.data_rows,
-        plot_rows=out.plot_rows,
-        passed=out.passed,
-    )
-    if write:
-        write_report(report, config["out_dir"])
     return report
 
 

@@ -108,16 +108,14 @@ def kolmogorov_sf(lam: float) -> float:
     return max(0.0, min(1.0, 2.0 * total))
 
 
-def ks_critical(n: int, significance: float = 0.01) -> float:
-    """Critical one-sample KS distance at the given significance."""
+def ks_critical(n: int) -> float:
+    """Critical one-sample KS distance at 1% significance."""
     if n < 1:
         raise InsufficientSample("need at least one observation")
-    if not 0.0 < significance < 1.0:
-        raise DomainError("significance must be in (0, 1)")
     lo, hi = 1e-9, 8.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if kolmogorov_sf(mid) > significance:
+        if kolmogorov_sf(mid) > 0.01:
             lo = mid
         else:
             hi = mid

@@ -23,6 +23,14 @@ method's receiver (``self``, ``cls``) and a body that only raises
 for the function that declares the parameter, and the nested functions
 themselves, such as the kernels' ``scan`` callbacks whose signature the
 first-hit scan fixes, are not checked.
+
+A third census checks options: a parameter with a default, in a
+module-level function or a method (``__init__`` included), must be set
+by some call in ``src/evlhts`` or ``benchmarks/``, by keyword or by
+position, since an option that only tests set is a code path the product
+never takes.  Calls match by the callee's name, as class members do
+above, and a class's ``__init__`` by the class name; a ``**`` forward
+sets nothing.  Dataclass fields are not checked.
 """
 
 import ast
@@ -39,6 +47,8 @@ ALLOWED = {
     "hts.compare_hts_rts": "the HTS-from-RTS relation, to be wired into rts "
                            "as a reported check (ROADMAP item 4)",
 }
+# Options that no call sets, one reason each.
+OPTIONS_ALLOWED: dict[str, str] = {}
 
 
 def definitions(module: str, source: str) -> list[tuple[str, bool]]:
@@ -109,9 +119,9 @@ def _raises_not_implemented(fn: ast.FunctionDef) -> bool:
             and "NotImplementedError" in ast.unparse(body[0]))
 
 
-def unread_parameters(module: str, source: str) -> list[str]:
-    """``module.function.parameter`` (or ``module.Class.method.parameter``)
-    for each parameter that its function never reads."""
+def _functions(module: str, source: str) -> list:
+    """(qualified name, function, whether it takes a receiver) for each
+    module-level function and method."""
     functions = []
     for node in ast.parse(source).body:
         if isinstance(node, ast.FunctionDef):
@@ -122,8 +132,14 @@ def unread_parameters(module: str, source: str) -> list[str]:
                     isinstance(d, ast.Name) and d.id == "staticmethod"
                     for d in item.decorator_list))
                 for item in node.body if isinstance(item, ast.FunctionDef)]
+    return functions
+
+
+def unread_parameters(module: str, source: str) -> list[str]:
+    """``module.function.parameter`` (or ``module.Class.method.parameter``)
+    for each parameter that its function never reads."""
     missing = []
-    for qualname, fn, bound in functions:
+    for qualname, fn, bound in _functions(module, source):
         if _raises_not_implemented(fn):
             continue
         a = fn.args
@@ -134,6 +150,46 @@ def unread_parameters(module: str, source: str) -> list[str]:
                   and isinstance(node.ctx, ast.Load)}
         missing += [f"{qualname}.{p.arg}" for p in params
                     if p.arg not in loaded]
+    return missing
+
+
+def unset_options(sources: dict[str, str], callers: list[str]) -> list[str]:
+    """``module.function.parameter`` (or ``module.Class.method.parameter``)
+    for each parameter with a default in ``sources`` (module -> text) that
+    no call in ``callers`` sets."""
+    keywords, positions = {}, {}
+    for text in callers:
+        for node in ast.walk(ast.parse(text)):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Name):
+                name = func.id
+            elif isinstance(func, ast.Attribute):
+                name = func.attr
+            else:
+                continue
+            keywords.setdefault(name, set()).update(
+                k.arg for k in node.keywords if k.arg is not None)
+            # the arguments before the first ``*`` spread set positions
+            starred = [isinstance(a, ast.Starred) for a in node.args] + [True]
+            positions[name] = max(positions.get(name, 0), starred.index(True))
+    missing = []
+    for module, text in sorted(sources.items()):
+        for qualname, fn, bound in _functions(module, text):
+            # a class is called by its own name for its ``__init__``
+            callee = (qualname.split(".")[-2] if fn.name == "__init__"
+                      else fn.name)
+            a = fn.args
+            params = [*a.posonlyargs, *a.args]
+            first = len(params) - len(a.defaults)
+            options = [(p.arg, i - bound < positions.get(callee, 0))
+                       for i, p in enumerate(params) if i >= first]
+            options += [(p.arg, False) for p, d in
+                        zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+            missing += [f"{qualname}.{arg}" for arg, by_position in options
+                        if not (by_position or
+                                arg in keywords.get(callee, ()))]
     return missing
 
 
@@ -189,6 +245,32 @@ def test_detects_an_unread_parameter():
     # ``tile`` is not checked
     assert unread_parameters("m", src) == [
         "m.Shape.grow.unused", "m.Shape.make.kind", "m.kernel.extra"]
+
+
+def test_detects_an_unset_option():
+    src = (
+        "class Box:\n"
+        "    def __init__(self, size=1, label=''):\n"
+        "        self.size, self.label = size, label\n"
+        "def scan(gen, count, chunk=256, *, cap=10, start=0, tile=2):\n"
+        "    return gen, count, chunk, cap, start, tile\n"
+        "def forward(**kw):\n"
+        "    return scan(1, 2, 64, cap=5, **kw), Box(3)\n"
+    )
+    # ``chunk`` is set by position and ``cap`` by keyword; the ``**``
+    # forward sets neither ``start`` nor ``tile``, nor ``Box``'s ``label``
+    assert unset_options({"m": src}, [src]) == [
+        "m.Box.__init__.label", "m.scan.start", "m.scan.tile"]
+    assert unset_options({"m": src}, [src, "scan(0, 0, start=1)\n"]) == [
+        "m.Box.__init__.label", "m.scan.tile"]
+
+
+def test_every_option_is_set():
+    # and every allowed one is still unset
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    callers = [*sources.values(),
+               *(p.read_text() for p in sorted(BENCHMARKS.glob("*.py")))]
+    assert sorted(unset_options(sources, callers)) == sorted(OPTIONS_ALLOWED)
 
 
 def test_every_parameter_is_read():

@@ -173,10 +173,10 @@ HALF_CONFIGS = {
 class TestExperimentDrivers:
     def test_unknown_experiment(self):
         with pytest.raises(ConfigError, match="unknown experiment"):
-            experiments.run(ExperimentConfig.build("frobnicate"), write=False)
+            experiments.run(ExperimentConfig.build("frobnicate"))
 
     def test_kac_tent_summary(self):
-        report = experiments.run(make_config("kac", KAC_TENT), write=False)
+        report = experiments.run(make_config("kac", KAC_TENT))
         assert report.passed
         target = report.summary["results"]["targets"][0]
         assert target["target"] == "depth=10"
@@ -185,10 +185,8 @@ class TestExperimentDrivers:
         assert report.summary["verdict"] == "PASS"
 
     def test_kac_thread_count_invariance(self):
-        one = experiments.run(make_config("kac", KAC_TENT, threads=1),
-                              write=False)
-        eight = experiments.run(make_config("kac", KAC_TENT, threads=8),
-                                write=False)
+        one = experiments.run(make_config("kac", KAC_TENT, threads=1))
+        eight = experiments.run(make_config("kac", KAC_TENT, threads=8))
         assert json.dumps(one.summary, sort_keys=True) == \
             json.dumps(eight.summary, sort_keys=True)
         assert one.data_rows == eight.data_rows
@@ -201,7 +199,7 @@ class TestExperimentDrivers:
             evl.y_grid = -1, 0, 1, 2, 3
             evl.iid_mode = true
         """)
-        report = experiments.run(cfg, write=False)
+        report = experiments.run(cfg)
         entry = report.summary["results"]["per_n"][0]
         assert entry["n"] == 512
         assert entry["ks"]["statistic"]["value"] <= 0.03
@@ -219,7 +217,7 @@ class TestExperimentDrivers:
             evl.samples = 3000
             evl.iid_mode = true
         """)
-        report = experiments.run(cfg, write=False)
+        report = experiments.run(cfg)
         cells = report.summary["results"]["cells"]
         assert [c["tau"] for c in cells] == [0.5, 1.0, 2.0]
         for cell in cells:
@@ -237,15 +235,14 @@ class TestExperimentDrivers:
 
         monkeypatch.setattr(evl, "sample_cylinder_no_entry", counting)
         text = (GOLDEN / "evl-cylinders+bernoulli.cfg").read_text()
-        report = experiments.run(make_config("evl-cylinders", text),
-                                 write=False)
+        report = experiments.run(make_config("evl-cylinders", text))
         assert calls == [(("evl-cylinders", "n=1"), [1.0, 2.0]),
                          (("evl-cylinders", "n=6"), [1.0, 2.0])]
         assert len(report.summary["results"]["cells"]) == 4
 
     def test_evl_mode_mismatch(self):
         with pytest.raises(ConfigError, match="observable.mode"):
-            experiments.run(make_config("evl-cylinders"), write=False)
+            experiments.run(make_config("evl-cylinders"))
 
     def test_hts_exponential_curve(self):
         cfg = make_config("hts", """
@@ -254,7 +251,7 @@ class TestExperimentDrivers:
             hts.depth_list = 8
             hts.samples = 4000
         """)
-        report = experiments.run(cfg, write=False)
+        report = experiments.run(cfg)
         target = report.summary["results"]["targets"][0]
         assert target["ks"]["statistic"]["value"] <= 0.03
         assert target["n_censored"] == 0
@@ -267,7 +264,7 @@ class TestExperimentDrivers:
             hts.mass_list = 0.001
             hts.samples = 4000
         """)
-        report = experiments.run(cfg, write=False)
+        report = experiments.run(cfg)
         target = report.summary["results"]["targets"][0]
         assert abs(target["mean_normalized"]["value"] - 1.0) <= 0.06
         assert report.passed
@@ -278,7 +275,7 @@ class TestExperimentDrivers:
             observable.zeta = 0.3
             conditions.samples = 20000
         """)
-        report = experiments.run(cfg, write=False)
+        report = experiments.run(cfg)
         entries = report.summary["results"]["estimates"]
         families = {e["condition"] for e in entries}
         assert families == {"recurrence", "mixing-gap"}
@@ -293,7 +290,7 @@ class TestExperimentDrivers:
             smb.depth_list = 50, 400
             smb.samples = 60
         """)
-        report = experiments.run(cfg, write=False)
+        report = experiments.run(cfg)
         ref = report.summary["results"]["reference_entropy"]["value"]
         assert ref == pytest.approx(0.6109, abs=5e-4)
         for entry in report.summary["results"]["per_depth"]:
@@ -314,7 +311,7 @@ class TestExperimentDrivers:
             smb.depth_list = {", ".join(map(str, depths))}
             smb.samples = {samples}
         """, seed=seed)
-        report = experiments.run(cfg, write=False)
+        report = experiments.run(cfg)
         ctx = PartitionContext(doubling(), BernoulliDoubling(p))
         for depth, row in zip(depths, report.data_rows):
             rates = fraction_smb_rates(ctx, seed, depth, samples)
@@ -330,8 +327,7 @@ class TestExperimentDrivers:
             experiments.run(make_config(
                 experiment.split("+", 1)[0],
                 override("system.kind = doubling\nobservable.zeta = 0.3",
-                         f"{HALF_CONFIGS[experiment]}\n{measure}")),
-                write=False)
+                         f"{HALF_CONFIGS[experiment]}\n{measure}")))
             for measure in ("measure.kind = lebesgue",
                             "measure.kind = bernoulli\nmeasure.p = 0.5")
         ]
@@ -340,7 +336,7 @@ class TestExperimentDrivers:
 
     def test_smb_tent_exact(self):
         cfg = make_config("smb", "smb.depth_list = 1, 7, 33")
-        report = experiments.run(cfg, write=False)
+        report = experiments.run(cfg)
         for entry in report.summary["results"]["per_depth"]:
             assert entry["estimate"] == {"value": math.log(2.0),
                                          "exact": True}
@@ -356,7 +352,7 @@ class TestExperimentDrivers:
             evl.samples = 4000
             hts.samples = 4000
         """)
-        report = experiments.run(cfg, write=False)
+        report = experiments.run(cfg)
         assert report.summary["results"]["sup_discrepancy"]["value"] <= 0.04
         assert report.summary["verdict"] == "PASS"
 
@@ -366,7 +362,7 @@ class TestExperimentDrivers:
             hts.depth_list = 13
             hts.samples = 4000
         """)
-        report = experiments.run(cfg, write=False)
+        report = experiments.run(cfg)
         entry = report.summary["results"]["per_depth"][0]
         assert entry["ks_vs_exponential"]["value"] >= 0.1
         assert len(entry["return_values"]) <= 3
@@ -376,7 +372,7 @@ class TestExperimentDrivers:
         cfg = make_config("rotation-subseq",
                           "system.kind = rotation\nhts.depth_list = 12")
         with pytest.raises(ConfigError, match="block lengths"):
-            experiments.run(cfg, write=False)
+            experiments.run(cfg)
 
     def test_failing_band_still_writes_report(self, tmp_path):
         cfg = tmp_path / "fail.cfg"
@@ -396,7 +392,7 @@ class TestExperimentDrivers:
         assert written["verdict"] == "FAIL"
 
     def test_every_result_numeric_is_annotated(self):
-        report = experiments.run(make_config("kac", KAC_TENT), write=False)
+        report = experiments.run(make_config("kac", KAC_TENT))
 
         def walk(node):
             if isinstance(node, dict):

@@ -48,9 +48,10 @@ def rotation_ctx(**kw):
     return PartitionContext(rotation("golden"), Lebesgue1D(Metric.CIRCLE), **kw)
 
 
-def cell_interval(cyl):
-    """Exact endpoints of a tent cell's closure, read off its word."""
-    return tent_interval(unpack_word(cyl.word, cyl.depth))
+def cell_interval(cyl, depth):
+    """Exact endpoints of a depth-``depth`` tent cell's closure, read off
+    its word."""
+    return tent_interval(unpack_word(cyl.word, depth))
 
 
 # points whose words the exact itinerary reads: floats, dyadics k / 2^j
@@ -149,20 +150,20 @@ class TestCylinderAt:
     def test_tent_cylinder_around_one(self):
         cyl = cylinder_at(tent_ctx(), 1.0, 3)
         assert cyl.word == 0b100
-        assert cell_interval(cyl) == (Fraction(7, 8), Fraction(1))
+        assert cell_interval(cyl, 3) == (Fraction(7, 8), Fraction(1))
         assert cyl.mass == 0.125 and cyl.log2_mass == -3
 
     def test_tent_cylinder_around_half(self):
         cyl = cylinder_at(tent_ctx(), 0.5, 3)
         assert cyl.word == 0b010
-        assert cell_interval(cyl) == (Fraction(3, 8), Fraction(1, 2))
+        assert cell_interval(cyl, 3) == (Fraction(3, 8), Fraction(1, 2))
         assert cyl.mass == 0.125
 
     def test_tent_interior_word_cell(self):
         # {x <= 1/2, Tx > 1/2} = (1/4, 1/2]
         cyl = cylinder_at(tent_ctx(), 0.3, 2)
         assert cyl.word == 0b01
-        assert cell_interval(cyl) == (Fraction(1, 4), Fraction(1, 2))
+        assert cell_interval(cyl, 2) == (Fraction(1, 4), Fraction(1, 2))
 
     def test_doubling_bernoulli_mass_is_digit_product(self):
         ctx = doubling_ctx(BernoulliDoubling(0.3))
@@ -319,12 +320,6 @@ class TestGibbsEnvelope:
         with pytest.raises(UnsupportedCombination):
             gibbs_envelope(rotation_ctx(), 0.2, 5, (0.0, 0.0))
 
-    def test_pressure_shift(self):
-        ctx = tent_ctx()
-        pot = (0.0, 0.0)  # zero potential has pressure log 2 for the tent
-        assert gibbs_envelope(ctx, 0.3, 64, pot, pressure=LN2) == \
-            pytest.approx(1.0, rel=1e-12)
-
 
 class TestContextValidation:
     def test_no_partition_for_intermittent_map(self):
@@ -351,6 +346,6 @@ class TestCellEnumeration:
         cells = [cylinder_at(ctx, (2 * k + 1) / 16, 3)
                  for k in range(8)]
         assert len({c.word for c in cells}) == 8
-        assert sorted(cell_interval(c)[0] for c in cells) == \
+        assert sorted(cell_interval(c, 3)[0] for c in cells) == \
             [Fraction(k, 8) for k in range(8)]
         assert all(c.mass == 0.125 for c in cells)

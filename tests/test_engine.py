@@ -5,6 +5,7 @@ import math
 import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -519,20 +520,22 @@ class TestWordStreamEquivalence:
 
     LANES = 160
 
-    def kwargs(self, word, tent, preload, p_zero, chunk):
+    def kwargs(self, word, tent, preload, p_zero):
         depth, word_int = WORDS[word]
         return dict(word_int=word_int, depth=depth, tent=tent,
-                    p_zero=p_zero, preload=preload, chunk=chunk)
+                    p_zero=p_zero, preload=preload)
 
     @pytest.mark.parametrize("word,tent,preload,start_j,p_zero,chunk", GRID)
-    def test_first_hit(self, word, tent, preload, start_j, p_zero, chunk):
-        kw = self.kwargs(word, tent, preload, p_zero, chunk)
+    def test_first_hit(self, monkeypatch, word, tent, preload, start_j,
+                       p_zero, chunk):
+        monkeypatch.setattr(engine, "_CHUNK", chunk)
+        kw = self.kwargs(word, tent, preload, p_zero)
         label = ("word-eq", word, tent, preload, start_j, p_zero, chunk)
         cap = start_j + 400
         want_gen = RecordingGen(substream(2024, *label))
         got_gen = RecordingGen(substream(2024, *label))
         want = reference_word_first_hit(want_gen, self.LANES, cap=cap,
-                                        start_j=start_j, **kw)
+                                        start_j=start_j, chunk=chunk, **kw)
         got = word_first_hit([got_gen], self.LANES, cap=cap, start_j=start_j,
                              **kw)
         assert np.array_equal(got[0], want[0])
@@ -540,14 +543,16 @@ class TestWordStreamEquivalence:
         assert got_gen.shapes == want_gen.shapes
 
     @pytest.mark.parametrize("word,tent,preload,start_j,p_zero,chunk", GRID)
-    def test_hit_count(self, word, tent, preload, start_j, p_zero, chunk):
-        kw = self.kwargs(word, tent, preload, p_zero, chunk)
+    def test_hit_count(self, monkeypatch, word, tent, preload, start_j,
+                       p_zero, chunk):
+        monkeypatch.setattr(engine, "_CHUNK", chunk)
+        kw = self.kwargs(word, tent, preload, p_zero)
         label = ("count-eq", word, tent, preload, start_j, p_zero, chunk)
         window = start_j + 400
         want_gen = RecordingGen(substream(2024, *label))
         got_gen = RecordingGen(substream(2024, *label))
         want = reference_word_hit_count(want_gen, self.LANES, window=window,
-                                        start_j=start_j, **kw)
+                                        start_j=start_j, chunk=chunk, **kw)
         got = word_hit_count([got_gen], self.LANES, window=window,
                              start_j=start_j, **kw)
         assert np.array_equal(got, want)
@@ -557,7 +562,7 @@ class TestWordStreamEquivalence:
     def test_hit_count_runs_each_block_on_its_generator(self, p_zero):
         # a full block and a partial one, over two chunks
         lanes, label = BLOCK + 37, ("count-blocks", p_zero)
-        kw = self.kwargs(3, True, True, p_zero, 256)
+        kw = self.kwargs(3, True, True, p_zero)
         got_gens = [RecordingGen(g)
                     for g in block_substreams(lanes, 8, label)]
         want_gens = [RecordingGen(g)
@@ -571,15 +576,17 @@ class TestWordStreamEquivalence:
 
     @pytest.mark.parametrize("chunk", [7, 256])
     @pytest.mark.parametrize("tent", [False, True])
-    def test_compaction_shrinks_draws_identically(self, tent, chunk):
+    def test_compaction_shrinks_draws_identically(self, monkeypatch, tent,
+                                                  chunk):
         # most lanes hit within a few hundred steps: the live set is
         # compacted between chunks, and both scans must draw the same
         # shrinking digit matrices
+        monkeypatch.setattr(engine, "_CHUNK", chunk)
         kw = dict(word_int=0b11011011, depth=8, tent=tent, p_zero=0.3,
-                  chunk=chunk, cap=3 * 256 + 5, start_j=1)
+                  cap=3 * 256 + 5, start_j=1)
         want_gen = RecordingGen(substream(5, "compact", tent, chunk))
         got_gen = RecordingGen(substream(5, "compact", tent, chunk))
-        want = reference_word_first_hit(want_gen, 2048, **kw)
+        want = reference_word_first_hit(want_gen, 2048, chunk=chunk, **kw)
         got = word_first_hit([got_gen], 2048, **kw)
         assert np.array_equal(got[0], want[0])
         assert got_gen.shapes == want_gen.shapes
@@ -592,19 +599,20 @@ class TestWordStreamEquivalence:
 @pytest.mark.parametrize("chunk", [64, 256])
 @pytest.mark.parametrize("tent", [False, True])
 @pytest.mark.parametrize("depth", range(1, engine.MAX_WORD_DEPTH + 1))
-def test_word_scans_at_every_depth(depth, tent, chunk):
+def test_word_scans_at_every_depth(monkeypatch, depth, tent, chunk):
     # every letter-row layout: span 64 - depth down to 32, then the row
     # above; preloaded lanes re-enter the period-3 word within the cap
+    monkeypatch.setattr(engine, "_CHUNK", chunk)
     for preload in (False, True):
         kw = dict(word_int=int(("110" * 21)[:depth], 2), depth=depth,
-                  tent=tent, p_zero=0.5, preload=preload, chunk=chunk)
+                  tent=tent, p_zero=0.5, preload=preload)
         label = ("every-depth", depth, tent, chunk, preload)
         for kernel, reference, horizon in (
                 (word_first_hit, reference_word_first_hit, {"cap": 300}),
                 (word_hit_count, reference_word_hit_count, {"window": 300})):
             want_gen = RecordingGen(substream(2024, *label))
             got_gen = RecordingGen(substream(2024, *label))
-            want = reference(want_gen, 16, **horizon, **kw)
+            want = reference(want_gen, 16, chunk=chunk, **horizon, **kw)
             got = kernel([got_gen], 16, **horizon, **kw)
             assert np.array_equal(np.asarray(got), np.asarray(want))
             assert got_gen.shapes == want_gen.shapes
@@ -790,11 +798,14 @@ class TestWordKernelProperties:
     @given(kw=word_scans(), lanes=st.integers(1, 40),
            horizon=st.integers(1, 300), seed=st.integers(0, 2 ** 32))
     def test_first_hit(self, kw, lanes, horizon, seed):
+        chunk = kw.pop("chunk")
         cap = kw["start_j"] + horizon
         want_gen = RecordingGen(substream(seed, "word-prop"))
         got_gen = RecordingGen(substream(seed, "word-prop"))
-        want = reference_word_first_hit(want_gen, lanes, cap=cap, **kw)
-        got = word_first_hit([got_gen], lanes, cap=cap, **kw)
+        want = reference_word_first_hit(want_gen, lanes, cap=cap,
+                                        chunk=chunk, **kw)
+        with mock.patch.object(engine, "_CHUNK", chunk):
+            got = word_first_hit([got_gen], lanes, cap=cap, **kw)
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
         assert got_gen.shapes == want_gen.shapes
@@ -803,11 +814,14 @@ class TestWordKernelProperties:
     @given(kw=word_scans(), lanes=st.integers(1, 40),
            horizon=st.integers(0, 300), seed=st.integers(0, 2 ** 32))
     def test_hit_count(self, kw, lanes, horizon, seed):
+        chunk = kw.pop("chunk")
         window = kw["start_j"] + horizon
         want_gen = RecordingGen(substream(seed, "count-prop"))
         got_gen = RecordingGen(substream(seed, "count-prop"))
-        want = reference_word_hit_count(want_gen, lanes, window=window, **kw)
-        got = word_hit_count([got_gen], lanes, window=window, **kw)
+        want = reference_word_hit_count(want_gen, lanes, window=window,
+                                        chunk=chunk, **kw)
+        with mock.patch.object(engine, "_CHUNK", chunk):
+            got = word_hit_count([got_gen], lanes, window=window, **kw)
         assert np.array_equal(got, want)
         assert got_gen.shapes == want_gen.shapes
 
@@ -846,12 +860,14 @@ class TestBallStreamEquivalence:
     LANES = 160
     ETA = 0.001
 
-    def check(self, reference, kernel, label, **kw):
-        """The kernel's outputs and draw shapes equal the reference's."""
+    def check(self, reference, kernel, label, chunk=256, **kw):
+        """The kernel's outputs and draw shapes equal the reference's, both
+        ``chunk`` digits a chunk."""
         want_gen = RecordingGen(substream(2024, *label))
         got_gen = RecordingGen(substream(2024, *label))
-        want = reference(want_gen, self.LANES, **kw)
-        got = kernel(got_gen, self.LANES, **kw)
+        want = reference(want_gen, self.LANES, chunk=chunk, **kw)
+        with mock.patch.object(engine, "_CHUNK", chunk):
+            got = kernel(got_gen, self.LANES, **kw)
         if isinstance(want, tuple):  # a first-hit kernel's (times, hit)
             assert len(got) == len(want)
             assert all(np.array_equal(g, w) for g, w in zip(got, want))
@@ -901,12 +917,14 @@ class TestBallStreamEquivalence:
                    n_steps=1 + 256 + 9, **common)
 
     @pytest.mark.parametrize("n_steps", [1, 2, 9])
-    def test_min_distance_short_horizons(self, n_steps):
+    def test_min_distance_short_horizons(self, monkeypatch, n_steps):
+        monkeypatch.setattr(engine, "_CHUNK", 7)
         kw = dict(n_steps=n_steps, p_zero=0.3, tent=True, zeta=0.5,
-                  circle=False, chunk=7)
+                  circle=False)
         want_gen = RecordingGen(substream(3, "window-short", n_steps))
         got_gen = RecordingGen(substream(3, "window-short", n_steps))
-        want = reference_digit_window_min_distance(want_gen, self.LANES, **kw)
+        want = reference_digit_window_min_distance(want_gen, self.LANES,
+                                                   chunk=7, **kw)
         got = digit_window_min_distance([got_gen], self.LANES, **kw)
         assert np.array_equal(got, want)
         assert got_gen.shapes == want_gen.shapes
@@ -947,12 +965,15 @@ class TestBallStreamEquivalence:
 
     @pytest.mark.parametrize("chunk", [7, 256])
     @pytest.mark.parametrize("tent", [False, True])
-    def test_compaction_shrinks_draws_identically(self, tent, chunk):
+    def test_compaction_shrinks_draws_identically(self, monkeypatch, tent,
+                                                  chunk):
+        monkeypatch.setattr(engine, "_CHUNK", chunk)
         kw = dict(eta=0.002, zeta=0.5, tent=tent, p_zero=0.3, circle=True,
-                  cap=3 * 256 + 5, start_j=1, chunk=chunk)
+                  cap=3 * 256 + 5, start_j=1)
         want_gen = RecordingGen(substream(5, "ball-compact", tent, chunk))
         got_gen = RecordingGen(substream(5, "ball-compact", tent, chunk))
-        want = reference_ball_first_hit_digits(want_gen, 2048, **kw)
+        want = reference_ball_first_hit_digits(want_gen, 2048, chunk=chunk,
+                                               **kw)
         got = radius_ball_first_hit([got_gen], 2048, **kw)
         assert np.array_equal(got[0], want[0])
         assert got_gen.shapes == want_gen.shapes
@@ -1591,8 +1612,8 @@ class TestScratch:
         # word over 160 lanes, of up to 160 candidates, cut their views
         # from at most 9 per name, one per power of two up to 2^8
         keys = scratch_keys(monkeypatch)
-        common = dict(zeta=0.3, tent=False, p_zero=0.3, circle=False,
-                      chunk=7)
+        monkeypatch.setattr(engine, "_CHUNK", 7)
+        common = dict(zeta=0.3, tent=False, p_zero=0.3, circle=False)
         digit_window_min_distance([substream(3, "scratch-keys")], 160,
                                   n_steps=400, **common)
         radius_ball_first_hit([substream(4, "scratch-keys")], 160, eta=0.05,
@@ -1654,7 +1675,9 @@ class TestOrbitKernelEquivalence:
 
     @pytest.mark.parametrize("angle", ["golden", math.pi / 10])
     @pytest.mark.parametrize("start_j,cap,conditional,chunk", ORBIT_GRID)
-    def test_rotation(self, angle, start_j, cap, conditional, chunk):
+    def test_rotation(self, monkeypatch, angle, start_j, cap, conditional,
+                      chunk):
+        monkeypatch.setattr(engine, "_ORBIT_CHUNK", chunk)
         step = rotation(angle).fixed_angle
         lo, hi = int(0.2 * FIXED_ONE), int(0.23 * FIXED_ONE)
         label = ("rot-eq", angle, start_j, cap, conditional, chunk)
@@ -1665,8 +1688,8 @@ class TestOrbitKernelEquivalence:
         else:
             starts = grid_starts(substream(7, *label), self.LANES)
         kw = dict(step_fixed=step, lo=lo, hi=hi, cap=cap, start_j=start_j,
-                  starts=starts, chunk=chunk)
-        want = reference_rotation_first_hit(self.LANES, **kw)
+                  starts=starts)
+        want = reference_rotation_first_hit(self.LANES, chunk=chunk, **kw)
         kept = starts.copy()
         got = rotation_first_hit(self.LANES, **kw)
         assert np.array_equal(got[0], want[0])
@@ -1676,7 +1699,9 @@ class TestOrbitKernelEquivalence:
             assert want[1].mean() > 0.25
 
     @pytest.mark.parametrize("start_j,cap,conditional,chunk", ORBIT_GRID)
-    def test_intermittent(self, start_j, cap, conditional, chunk):
+    def test_intermittent(self, monkeypatch, start_j, cap, conditional,
+                          chunk):
+        monkeypatch.setattr(engine, "_ORBIT_CHUNK", chunk)
         zeta, eta = 0.4, 0.05
         gen = substream(7, "mp-starts", start_j, cap, conditional, chunk)
         if conditional:
@@ -1685,8 +1710,8 @@ class TestOrbitKernelEquivalence:
         else:
             starts = gen.random(self.LANES)
         kw = dict(s_exp=0.6, lo=zeta - eta, hi=zeta + eta, cap=cap,
-                  start_j=start_j, starts=starts, chunk=chunk)
-        want = reference_mp_first_hit(self.LANES, **kw)
+                  start_j=start_j, starts=starts)
+        want = reference_mp_first_hit(self.LANES, chunk=chunk, **kw)
         kept = starts.copy()
         got = mp_first_hit(self.LANES, **kw)
         assert np.array_equal(got[0], want[0])
@@ -1697,15 +1722,16 @@ class TestOrbitKernelEquivalence:
 
     @pytest.mark.parametrize("start_j", [1, 65])
     @pytest.mark.parametrize("chunk", [7, 64])
-    def test_intermittent_tail(self, start_j, chunk):
+    def test_intermittent_tail(self, monkeypatch, start_j, chunk):
         # starts near the neutral fixed point and a small target: most lanes
         # hit within a few hundred steps, and the scan runs the last few
         # alone, in laminar phases, for thousands of steps
         zeta, eta, cap = 0.4, 0.005, 20000
         starts = 1e-3 + 9e-3 * substream(7, "mp-tail").random(self.LANES)
+        monkeypatch.setattr(engine, "_ORBIT_CHUNK", chunk)
         kw = dict(s_exp=0.8, lo=zeta - eta, hi=zeta + eta, cap=cap,
-                  start_j=start_j, starts=starts, chunk=chunk)
-        want = reference_mp_first_hit(self.LANES, **kw)
+                  start_j=start_j, starts=starts)
+        want = reference_mp_first_hit(self.LANES, chunk=chunk, **kw)
         got = mp_first_hit(self.LANES, **kw)
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
@@ -2265,9 +2291,10 @@ class TestRotationKernels:
         starts = grid_starts(substream(seed, "any-arc"), 64)
         starts[:2] = [0, FIXED_ONE - 1]
         kw = dict(step_fixed=step, lo=lo, hi=hi, cap=150, start_j=start_j,
-                  starts=starts, chunk=7)
-        want = reference_rotation_first_hit(64, **kw)
-        got = rotation_first_hit(64, **kw)
+                  starts=starts)
+        want = reference_rotation_first_hit(64, chunk=7, **kw)
+        with mock.patch.object(engine, "_ORBIT_CHUNK", 7):
+            got = rotation_first_hit(64, **kw)
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
 
@@ -2489,38 +2516,6 @@ def test_orbit_first_hit_takes_one_start_per_lane(kernel, count, starts):
         kernel(count, starts)
 
 
-def _chunk_gens():
-    return [substream(1, "chunk")]
-
-
-@pytest.mark.parametrize("kernel", [
-    lambda chunk: word_first_hit(
-        _chunk_gens(), 8, word_int=1, depth=3, tent=False, p_zero=0.5,
-        cap=10, chunk=chunk),
-    lambda chunk: word_hit_count(
-        _chunk_gens(), 8, word_int=1, depth=3, tent=False, p_zero=0.5,
-        window=10, chunk=chunk),
-    lambda chunk: rotation_first_hit(
-        8, step_fixed=rotation("golden").fixed_angle, lo=0, hi=10, cap=10,
-        starts=grid_starts(substream(1, "z"), 8), chunk=chunk),
-    lambda chunk: mp_first_hit(
-        8, s_exp=0.5, lo=0.2, hi=0.4, cap=10, start_j=1,
-        starts=np.linspace(0.1, 0.9, 8), chunk=chunk),
-    lambda chunk: digit_window_min_distance(
-        _chunk_gens(), 8, n_steps=10, p_zero=0.5, tent=False, zeta=0.3,
-        circle=False, chunk=chunk),
-    lambda chunk: ball_first_hit_digits(
-        _chunk_gens(), 8, arcs=[(1 << 126, 3 << 125)], zeta=0.3, tent=False,
-        p_zero=0.5, cap=10, chunk=chunk),
-], ids=["word_first_hit", "word_hit_count", "rotation_first_hit",
-        "mp_first_hit", "digit_window_min_distance", "ball_first_hit_digits"])
-@pytest.mark.parametrize("chunk", [0, -1])
-def test_a_chunk_takes_at_least_one_column(kernel, chunk):
-    # a scan advances by at least one column per chunk, or never ends
-    with pytest.raises(DomainError, match="at least one column"):
-        kernel(chunk)
-
-
 class TestConditionalStarts:
     def test_uniform_arc(self):
         gen = substream(5, "uarc")
@@ -2592,22 +2587,24 @@ class TestCapMonotonicity:
     the cap may resolve censored lanes but never rewrites observed times.
     """
 
-    def test_word_first_hit(self):
-        kw = dict(word_int=0b101, depth=3, tent=True, p_zero=0.5, chunk=8)
+    def test_word_first_hit(self, monkeypatch):
+        monkeypatch.setattr(engine, "_CHUNK", 8)
+        kw = dict(word_int=0b101, depth=3, tent=True, p_zero=0.5)
         short, _ = word_first_hit([substream(11, "mono")], 500, cap=30, **kw)
         long_, _ = word_first_hit([substream(11, "mono")], 500, cap=200, **kw)
         assert np.array_equal(short, np.minimum(long_, 30))
 
-    def test_word_first_hit_preloaded(self):
+    def test_word_first_hit_preloaded(self, monkeypatch):
+        monkeypatch.setattr(engine, "_CHUNK", 8)
         kw = dict(word_int=0b01, depth=2, tent=False, p_zero=0.3,
-                  preload=True, chunk=8)
+                  preload=True)
         short, _ = word_first_hit([substream(12, "mono")], 500, cap=25, **kw)
         long_, _ = word_first_hit([substream(12, "mono")], 500, cap=160, **kw)
         assert np.array_equal(short, np.minimum(long_, 25))
 
-    def test_ball_first_hit(self):
-        kw = dict(eta=0.05, zeta=0.3, tent=True, p_zero=0.5, circle=False,
-                  chunk=8)
+    def test_ball_first_hit(self, monkeypatch):
+        monkeypatch.setattr(engine, "_CHUNK", 8)
+        kw = dict(eta=0.05, zeta=0.3, tent=True, p_zero=0.5, circle=False)
         short, _ = radius_ball_first_hit([substream(13, "mono")], 400, cap=40,
                                          **kw)
         long_, _ = radius_ball_first_hit([substream(13, "mono")], 400,
@@ -2635,18 +2632,19 @@ class TestCapMonotonicity:
         assert np.array_equal(short_hit, long_ < short_cap)
         assert long_hit.sum() > short_hit.sum()
 
-    def test_rotation_first_hit(self):
+    def test_rotation_first_hit(self, monkeypatch):
+        monkeypatch.setattr(engine, "_ORBIT_CHUNK", 7)
         kw = dict(step_fixed=rotation("golden").fixed_angle,
-                  lo=int(0.6 * FIXED_ONE), hi=int(0.62 * FIXED_ONE), chunk=7,
+                  lo=int(0.6 * FIXED_ONE), hi=int(0.62 * FIXED_ONE),
                   starts=grid_starts(substream(14, "mono"), 500))
         short, _ = rotation_first_hit(500, cap=30, **kw)
         long_, _ = rotation_first_hit(500, cap=200, **kw)
         assert np.array_equal(short, np.minimum(long_, 30))
 
-    def test_mp_first_hit(self):
+    def test_mp_first_hit(self, monkeypatch):
+        monkeypatch.setattr(engine, "_ORBIT_CHUNK", 7)
         starts = substream(15, "mono").random(500)
-        kw = dict(s_exp=0.5, lo=0.28, hi=0.32, start_j=1, starts=starts,
-                  chunk=7)
+        kw = dict(s_exp=0.5, lo=0.28, hi=0.32, start_j=1, starts=starts)
         short, _ = mp_first_hit(500, cap=30, **kw)
         long_, _ = mp_first_hit(500, cap=200, **kw)
         assert np.array_equal(short, np.minimum(long_, 30))

@@ -233,7 +233,7 @@ class TestDigitBallReturns:
         )
         assert sample.n_censored == 0
         stat = ks_statistic(sample.law(), exponential_cdf)
-        assert stat <= ks_critical(4000, 0.01)
+        assert stat <= ks_critical(4000)
 
 
 class TestCylinderHittingLaw:
@@ -244,7 +244,7 @@ class TestCylinderHittingLaw:
             seed=4, measure=LEB_I,
         )
         stat = ks_statistic(sample.law(), exponential_cdf)
-        assert stat <= ks_critical(4000, 0.01)
+        assert stat <= ks_critical(4000)
 
 
 class TestRotation:

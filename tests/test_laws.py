@@ -137,12 +137,9 @@ class TestKolmogorov:
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
     def test_critical_values(self):
-        assert ks_critical(10_000, 0.01) == pytest.approx(0.01628, abs=2e-4)
-        assert ks_critical(100, 0.05) == pytest.approx(0.1358, abs=2e-3)
+        assert ks_critical(10_000) == pytest.approx(0.01628, abs=2e-4)
         with pytest.raises(InsufficientSample):
             ks_critical(0)
-        with pytest.raises(DomainError):
-            ks_critical(100, 0.0)
 
 
 class TestKsStatistic:
@@ -159,7 +156,7 @@ class TestKsStatistic:
     def test_exponential_sample_passes(self):
         gen = np.random.default_rng(20260814)
         law = EmpiricalLaw(gen.exponential(size=4000))
-        critical = ks_critical(4000, 0.01)
+        critical = ks_critical(4000)
         assert ks_statistic(law, exponential_cdf) <= critical
         # the rate-2 law
         assert ks_statistic(law, lambda t: exponential_cdf(2.0 * t)) > critical
